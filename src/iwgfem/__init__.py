@@ -9,7 +9,6 @@ spaces whose local bases satisfy the interface jump conditions.
 
 from iwgfem.analysis import ConvergenceReport, ManufacturedSolution, compute_errors, example1
 from iwgfem.assembly import assemble_system, build_dof_map, build_ife_spaces
-from iwgfem.cli import RunConfig, run_level, run_study
 from iwgfem.geometry import CircleInterface, classify_element, compute_cut
 from iwgfem.ife import construct_ife_basis
 from iwgfem.mesh import MeshPartition, build_mesh, edge_sets
@@ -36,3 +35,13 @@ __all__ = [
     "run_study",
     "solve",
 ]
+
+
+def __getattr__(name):
+    # Resolved on first use: importing iwgfem.cli here would put it in
+    # sys.modules before `python -m iwgfem.cli` runs it, and runpy warns.
+    if name in ("RunConfig", "run_level", "run_study"):
+        from iwgfem import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -199,7 +199,7 @@ def _interface_errors(mesh, dofmap, spaces, x_all, ms, k):
         v0 = loc[: space.m]
         for side in (OMEGA1, OMEGA2):
             rule = space.rules[side]
-            uh = space.eval_basis(rule.points, side) @ v0
+            uh = space.basis_vals[side] @ v0
             ue = np.asarray(ms.u(rule.points[:, 0], rule.points[:, 1]), float)
             linf = max(linf, float(np.max(np.abs(uh - ue))))
     return energy_sq, l2_sq, linf
@@ -250,7 +250,7 @@ def interpolation_errors(
         q0 = space.project_interior(ms.u)
         for side in (OMEGA1, OMEGA2):
             rule = space.rules[side]
-            vals = space.eval_basis(rule.points, side) @ q0
+            vals = space.basis_vals[side] @ q0
             ue = np.asarray(ms.u(rule.points[:, 0], rule.points[:, 1]), float)
             q0_sq += float(rule.weights @ (vals - ue) ** 2)
     return {"cg_h1": math.sqrt(e_grad_sq), "q0_l2": math.sqrt(q0_sq)}

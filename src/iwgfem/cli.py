@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -41,10 +42,14 @@ class RunConfig:
     def __post_init__(self):
         if self.k not in (1, 2):
             raise ValueError("k must be 1 or 2")
-        if not self.levels or any(l < 1 for l in self.levels):
+        if not self.levels:
+            raise ValueError("levels must not be empty")
+        if any(l < 1 for l in self.levels):
             raise ValueError("levels must be >= 1")
         if list(self.levels) != sorted(self.levels):
             raise ValueError("levels must be increasing")
+        if not all(math.isfinite(a) for pair in self.pairs for a in pair):
+            raise ValueError("conductivities must be finite")
         if any(a1 <= 0 or a2 <= 0 for a1, a2 in self.pairs):
             raise ValueError("conductivities must be positive")
         if self.depth < 0:
@@ -199,17 +204,26 @@ def run_study(config: RunConfig, log=print) -> tuple[list[ConvergenceReport], in
 
 
 def _parse_levels(text: str) -> tuple[int, ...]:
-    if ".." in text:
-        lo, hi = text.split("..")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(p) for p in text.split(","))
+    try:
+        if ".." in text:
+            lo, hi = (int(p) for p in text.split(".."))
+            levels = tuple(range(lo, hi + 1))
+        else:
+            levels = tuple(int(p) for p in text.split(","))
+    except ValueError as exc:
+        raise ValueError(f"levels must be A..B or a comma list of integers, got {text!r}") from exc
+    if not levels:
+        raise ValueError(f"level range {text!r} is empty or decreasing")
+    return levels
 
 
 def _parse_pairs(text: str) -> tuple[tuple[float, float], ...]:
     pairs = []
     for chunk in text.split(";"):
-        a1, a2 = chunk.split(",")
-        pairs.append((float(a1), float(a2)))
+        parts = chunk.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"coefficient pair {chunk!r} must be 'A1,A2'")
+        pairs.append((float(parts[0]), float(parts[1])))
     return tuple(pairs)
 
 
@@ -286,28 +300,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    values = {}
-    if args.config:
-        try:
-            values.update(load_config_file(args.config))
-        except ValueError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-    cli_values = {
-        "k": args.k,
-        "levels": _parse_levels(args.levels) if args.levels else None,
-        "pairs": _parse_pairs(args.coeffs) if args.coeffs else None,
-        "depth": args.depth,
-        "quad_offset": args.quad_offset,
-        "ife_mode": args.ife,
-        "solver": args.solver,
-        "out_dir": args.out,
-        "n_level1": args.n_level1,
-        "dump_mesh": args.dump_mesh,
-        "dump_matrix": args.dump_matrix,
-    }
-    values.update({k: v for k, v in cli_values.items() if v is not None})
     try:
+        values = load_config_file(args.config) if args.config else {}
+        cli_values = {
+            "k": args.k,
+            "levels": _parse_levels(args.levels) if args.levels else None,
+            "pairs": _parse_pairs(args.coeffs) if args.coeffs else None,
+            "depth": args.depth,
+            "quad_offset": args.quad_offset,
+            "ife_mode": args.ife,
+            "solver": args.solver,
+            "out_dir": args.out,
+            "n_level1": args.n_level1,
+            "dump_mesh": args.dump_mesh,
+            "dump_matrix": args.dump_matrix,
+        }
+        values.update({k: v for k, v in cli_values.items() if v is not None})
         config = RunConfig(**values)
     except (ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -230,14 +230,14 @@ def polygon_area(vertices) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def triangulate_polygon(vertices) -> list[tuple[int, int, int]]:
-    """Ear-clipping triangulation of a simple polygon.
+def triangulate_polygon(vertices) -> np.ndarray:
+    """Fan triangulation of a cut sub-polygon: (n - 2, 3) vertex indices.
 
-    Returns index triples into `vertices`, each counterclockwise in the
-    polygon's own orientation. The triangles tile the polygon exactly, so the
-    decomposition is valid for concave polygons (e.g. a sub-region whose
-    interface polyline bulges inward). Candidate searches are vectorized so
-    polylines with hundreds of vertices stay cheap.
+    Each triangle has the polygon's orientation. One fan serves when a vertex
+    sees every edge: the chord endpoint on the convex side of a cut, a
+    triangle vertex on the side the arc polyline dents. A thin sliver between
+    a triangle edge and a nearly tangent arc has no such vertex, but each end
+    of that edge sees past the middle of the arc, so two fans tile it.
     """
     v = np.asarray(vertices, float)
     n = len(v)
@@ -246,71 +246,59 @@ def triangulate_polygon(vertices) -> list[tuple[int, int, int]]:
     # Work in centroid-local coordinates: sliver sub-polygons far from the
     # origin are otherwise dominated by shoelace roundoff.
     v = v - v.mean(axis=0)
-    area = polygon_area(v)
-    flipped = area < 0.0
-    if flipped:
-        area = -area
-
-    idx = list(range(n - 1, -1, -1)) if flipped else list(range(n))
-    tris: list[tuple[int, int, int]] = []
-
-    def corner_cross(pos: int, m: int) -> float:
-        a, b, c = v[idx[pos - 1]], v[idx[pos]], v[idx[(pos + 1) % m]]
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    cross = [corner_cross(pos, n) for pos in range(n)]
-    while len(idx) > 3:
-        m = len(idx)
-        clipped = False
-        # Try convex corners from the largest ear down; the first whose open
-        # triangle contains no other polygon vertex is clipped.
-        for pos in sorted(range(m), key=lambda p: -cross[p]):
-            s = cross[pos]
-            if s <= 0.0:
-                break
-            i, j, k = idx[pos - 1], idx[pos], idx[(pos + 1) % m]
-            others = np.array([p for p in idx if p != i and p != j and p != k])
-            q = v[others]
-            tol = -1e-12 * s
-            w0 = (v[j, 0] - v[i, 0]) * (q[:, 1] - v[i, 1]) - (v[j, 1] - v[i, 1]) * (
-                q[:, 0] - v[i, 0]
-            )
-            w1 = (v[k, 0] - v[j, 0]) * (q[:, 1] - v[j, 1]) - (v[k, 1] - v[j, 1]) * (
-                q[:, 0] - v[j, 0]
-            )
-            w2 = (v[i, 0] - v[k, 0]) * (q[:, 1] - v[k, 1]) - (v[i, 1] - v[k, 1]) * (
-                q[:, 0] - v[k, 0]
-            )
-            if not np.any((w0 > tol) & (w1 > tol) & (w2 > tol)):
-                tris.append((i, j, k))
-                idx.pop(pos)
-                cross.pop(pos)
-                m -= 1
-                # Only the two corners adjacent to the clipped ear change.
-                cross[pos % m] = corner_cross(pos % m, m)
-                cross[(pos - 1) % m] = corner_cross((pos - 1) % m, m)
-                clipped = True
-                break
-        if not clipped:
-            raise GeometryError("no ear found; polygon may be degenerate")
-    tris.append((idx[0], idx[1], idx[2]))
-    if flipped:
-        tris = [(k, j, i) for (i, j, k) in tris]
+    signed_area = polygon_area(v)
+    area = abs(signed_area)
+    # cross[c, i]: signed double area of (v_c, v_i, v_i+1), in the polygon's
+    # orientation.
+    d = v[None, :, :] - v[:, None, :]
+    d_next = np.roll(d, -1, axis=1)
+    cross = math.copysign(1.0, signed_area) * (d[..., 0] * d_next[..., 1] - d[..., 1] * d_next[..., 0])
+    tol = -1e-12 * 2.0 * area
+    # The first vertex with no negative triangle, else the least negative one.
+    worst = cross.min(axis=1)
+    c = int(np.argmax(worst))
+    if worst[c] >= tol:
+        i = (c + 1 + np.arange(n - 2)) % n
+        tris = np.column_stack([np.full(n - 2, c), i, (i + 1) % n])
+    else:
+        tris = _two_fans(cross >= tol)
     # Sanity: the pieces must tile the polygon.
-    t = np.array(tris)
-    ax, ay = v[t[:, 0], 0], v[t[:, 0], 1]
-    bx, by = v[t[:, 1], 0], v[t[:, 1], 1]
-    cx, cy = v[t[:, 2], 0], v[t[:, 2], 1]
+    ax, ay = v[tris[:, 0], 0], v[tris[:, 0], 1]
+    bx, by = v[tris[:, 1], 0], v[tris[:, 1], 1]
+    cx, cy = v[tris[:, 2], 0], v[tris[:, 2], 1]
     total = float(np.sum(np.abs(0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)))))
     if abs(total - area) > 1e-10 * max(area, 1e-300):
         raise GeometryError("triangulation does not tile the polygon")
     return tris
 
 
+def _two_fans(ok: np.ndarray) -> np.ndarray:
+    """Fans from adjacent vertices c and c + 1 split by a diagonal (c + 1, k).
+
+    ``ok[c, i]``: the triangle (v_c, v_i, v_i+1) is not inverted. Counting
+    from c, vertex c + 1 fans the edges 2 .. k - 1, vertex c the edges
+    k .. n - 2, and the triangle (c, c + 1, k) closes the gap.
+    """
+    n = len(ok)
+    for c in range(n):
+        r = np.roll(np.arange(n), -c)
+        # Entry k - 2 is the split at k = 2 .. n - 1.
+        split = (
+            np.logical_and.accumulate(np.r_[True, ok[r[1], r[2 : n - 1]]])
+            & np.logical_and.accumulate(np.r_[True, ok[c, r[n - 2 : 1 : -1]]])[::-1]
+            & ok[r[2:], c]
+        )
+        if split.any():
+            k = int(np.argmax(split)) + 2
+            centre = np.where(np.arange(2, n - 1) < k, r[1], c)
+            return np.vstack([[c, r[1], r[k]], np.column_stack([centre, r[2 : n - 1], r[3:]])])
+    raise GeometryError("cut sub-polygon is not covered by one or two vertex fans; refine the mesh")
+
+
 def polygon_rule(vertices, degree: int) -> QuadratureRule:
     """Positive-weight rule exact to `degree` on a simple polygon."""
     v = np.asarray(vertices, float)
-    tris = np.array(triangulate_polygon(v))
+    tris = triangulate_polygon(v)
     ref_pts, ref_w = _triangle_rule_reference(degree)
     a = v[tris[:, 0]]  # (T, 2)
     e1 = v[tris[:, 1]] - a

@@ -392,15 +392,6 @@ class LocalIfeSpace:
             total += float(jump @ jump) / self.h_t
         return total
 
-    def stabilizer_sq(self, local_dofs) -> float:
-        loc = np.asarray(local_dofs, float)
-        v0 = loc[: self.m]
-        total = 0.0
-        for i, ed in enumerate(self.edges):
-            jump = ed.trace @ v0 - loc[self.trace_dof_slice(i)]
-            total += float(jump @ jump) / self.h_t
-        return total
-
 
 def project_q0(f, space: LocalIfeSpace) -> np.ndarray:
     """L2 projection of f onto V_k(T) (module-level convenience wrapper)."""
@@ -712,11 +703,6 @@ def construct_ife_basis(
             np.vstack([basis_vals[OMEGA1], basis_vals[OMEGA2]]),
         ),
     )
-
-
-def weak_gradient_matrix(space: LocalIfeSpace) -> np.ndarray:
-    """The linear map from local WG dofs to grad_w coefficients."""
-    return space.weak_grad
 
 
 def load_vector(space: LocalIfeSpace, f) -> np.ndarray:

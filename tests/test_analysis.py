@@ -131,6 +131,18 @@ class TestErrorNorms:
         assert errors["linf"] < 1e-9
 
 
+    @pytest.mark.parametrize("k, mode", [(1, "segment"), (2, "arc")])
+    def test_stored_basis_values_equal_fresh_evaluation(self, k, mode):
+        # The error loops read basis_vals instead of re-evaluating the basis
+        # at the rule points; the two must agree bit for bit.
+        mesh = build_mesh(2, CircleFixture.interface)
+        spaces = build_ife_spaces(mesh, k, 1.0, 1000.0, mode=mode)
+        for space in spaces.values():
+            for side in (OMEGA1, OMEGA2):
+                fresh = space.eval_basis(space.rules[side].points, side)
+                np.testing.assert_array_equal(space.basis_vals[side], fresh)
+
+
 class TestInterpolationDiagnostic:
     def test_member_of_space_is_reproduced(self):
         ms = linear_solution(0.5, 1.0, 2.0)

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,3 +152,35 @@ class TestMain:
         path = tmp_path / "bad.cfg"
         path.write_text("nonsense\n")
         assert main(["--config", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--levels", "1..x"], "levels must be A..B or a comma list of integers"),
+            (["--levels", "3..1"], "level range '3..1' is empty or decreasing"),
+            (["--coeffs", "1,2,3"], "coefficient pair '1,2,3' must be 'A1,A2'"),
+            (["--coeffs", "1,nan"], "conductivities must be finite"),
+            (["--coeffs", "1,inf"], "conductivities must be finite"),
+        ],
+    )
+    def test_malformed_input_is_a_config_error(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert message in err
+
+
+def test_module_entry_point_has_no_runpy_warning():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "iwgfem.cli", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert "usage: iwgfem" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr

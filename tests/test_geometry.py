@@ -11,6 +11,7 @@ from iwgfem.geometry import (
     OMEGA2,
     CircleInterface,
     DegenerateTriangle,
+    GeometryError,
     MultipleCrossings,
     QuadratureRule,
     classify_element,
@@ -24,6 +25,7 @@ from iwgfem.geometry import (
     triangle_rule,
     triangulate_polygon,
 )
+from iwgfem.mesh import build_mesh
 
 CIRCLE = CircleInterface()  # x^2 + y^2 = 1/3
 
@@ -255,6 +257,73 @@ class TestPolygonTriangulation:
             want = polygon_monomial_integral(poly, a, b)
             got = rule.integrate(lambda x, y: x**a * y**b)
             assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+
+
+def signed_triangle_areas(vertices, tris):
+    p = np.asarray(vertices, float)[np.asarray(tris)]
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    return 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+
+
+class TestFanTriangulation:
+    def test_comb_is_not_covered_by_vertex_fans(self):
+        # Three deep teeth: only vertices of the middle tooth see its top
+        # edge, and none of them sees the tops of the outer teeth.
+        comb = np.array(
+            [(0, 0), (5, 0), (5, 5), (4, 5), (4, 1), (3, 1), (3, 5), (2, 5), (2, 1),
+             (1, 1), (1, 5), (0, 5)],
+            float,
+        )
+        with pytest.raises(GeometryError, match="refine the mesh"):
+            triangulate_polygon(comb)
+
+    def test_near_tangent_sliver_takes_two_fans(self):
+        # The circle passes 1e-4 above the bottom edge and leaves through the
+        # two slanted edges near its ends: no vertex of the thin outside
+        # region sees the whole arc.
+        tri = np.array([(-0.1, 0.0), (0.1, 0.0), (0.0, 0.2)])
+        r = 0.5
+        circle = CircleInterface((0.0, r + 1e-4), r * r)
+        cut = compute_cut(tri, circle, depth=6)
+        poly = subregion_polygon(cut, OMEGA2, 6)
+        tris = triangulate_polygon(poly)
+        assert len(set(tris[:, 0])) == 2
+        assert np.all(signed_triangle_areas(poly, tris) >= 0.0)
+        total = polygon_area(tri)
+        measure = sum(quadrature_on_subregion(cut, s, 4).measure for s in (OMEGA1, OMEGA2))
+        assert abs(measure - total) <= 1e-12 * total
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        st.floats(min_value=0.05, max_value=0.9),
+        st.floats(min_value=-1.0, max_value=1.0),
+        st.floats(min_value=-1.0, max_value=1.0),
+        st.integers(min_value=8, max_value=128),
+        st.sampled_from([0, 4, 6]),
+    )
+    def test_every_cut_of_an_off_centre_circle(self, radius, u, v, n, depth):
+        # The circle stays inside [-1,1]^2. A mesh too coarse for it may fail
+        # to build, but only with a typed GeometryError; numpy warnings
+        # become errors, so a silent NaN cannot pass either.
+        circle = CircleInterface(((1.0 - radius) * u, (1.0 - radius) * v), radius**2)
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            try:
+                mesh = build_mesh(1, circle, depth=depth, n_override=n)
+            except GeometryError:
+                return
+            for cut in mesh.cuts.values():
+                measure = 0.0
+                for side in (OMEGA1, OMEGA2):
+                    poly = subregion_polygon(cut, side, depth)
+                    tris = triangulate_polygon(poly)
+                    assert tris.shape == (len(poly) - 2, 3)
+                    assert np.all(signed_triangle_areas(poly, tris) >= 0.0)
+                    rule = quadrature_on_subregion(cut, side, 4, depth)
+                    assert np.all(rule.weights > 0.0)
+                    measure += rule.measure
+                area = polygon_area(cut.triangle)
+                assert abs(measure - area) <= 1e-10 * area
 
 
 class TestTriangleRule:
