@@ -25,7 +25,7 @@ from iwgfem.assembly import (
     _cg_shape_grads,
     _cg_shape_values,
     build_dof_map,
-    element_nodes,
+    element_node_table,
     wg_local_solution,
 )
 from iwgfem.geometry import INTERFACE, OMEGA1, OMEGA2, CircleInterface, _triangle_rule_reference
@@ -141,8 +141,7 @@ def _noninterface_errors(mesh, dofmap, x_all, ms, k, degree):
     shapes = _cg_shape_values(k, ref)
     grads_ref = _cg_shape_grads(k, ref)
 
-    nodes = np.array([element_nodes(mesh, int(t), k) for t in ids])
-    coefs = x_all[dofmap.node_col[nodes]]  # (ne, nl)
+    coefs = x_all[dofmap.node_col[element_node_table(mesh, k)[ids]]]  # (ne, nl)
     v0 = mesh.vertices[mesh.triangles[ids, 0]]
     j_mats = np.stack(
         [
@@ -190,18 +189,16 @@ def _interface_errors(mesh, dofmap, spaces, x_all, ms, k):
     for t in sorted(spaces):
         space: LocalIfeSpace = spaces[t]
         loc = wg_local_solution(mesh, dofmap, x_all, t)
-        q0 = space.project_interior(ms.u)
+        ue = space.sample(ms.u)  # shared by the Q_0 projection and the max norm
+        q0 = space.project_interior(ms.u, ue)
         qb = space.project_traces(ms.u)
         e_loc = np.concatenate([q0, qb.ravel()]) - loc
         energy_sq += space.energy_seminorm_sq(e_loc)
         d = q0 - loc[: space.m]
         l2_sq += float(d @ space.gram @ d)
-        v0 = loc[: space.m]
+        uh = space.values_at_rules(loc[: space.m])
         for side in (OMEGA1, OMEGA2):
-            rule = space.rules[side]
-            uh = space.basis_vals[side] @ v0
-            ue = np.asarray(ms.u(rule.points[:, 0], rule.points[:, 1]), float)
-            linf = max(linf, float(np.max(np.abs(uh - ue))))
+            linf = max(linf, float(np.max(np.abs(uh[side] - ue[side]))))
     return energy_sq, l2_sq, linf
 
 
@@ -247,12 +244,11 @@ def interpolation_errors(
     q0_sq = 0.0
     for t in sorted(spaces):
         space = spaces[t]
-        q0 = space.project_interior(ms.u)
+        ue = space.sample(ms.u)
+        q0 = space.project_interior(ms.u, ue)
+        vals = space.values_at_rules(q0)
         for side in (OMEGA1, OMEGA2):
-            rule = space.rules[side]
-            vals = space.basis_vals[side] @ q0
-            ue = np.asarray(ms.u(rule.points[:, 0], rule.points[:, 1]), float)
-            q0_sq += float(rule.weights @ (vals - ue) ** 2)
+            q0_sq += float(space.rules[side].weights @ (vals[side] - ue[side]) ** 2)
     return {"cg_h1": math.sqrt(e_grad_sq), "q0_l2": math.sqrt(q0_sq)}
 
 

@@ -112,6 +112,13 @@ def element_nodes(mesh: MeshPartition, t: int, k: int) -> np.ndarray:
     return np.concatenate([tri, mesh.n_vertices + mesh.tri_edges[t]])
 
 
+def element_node_table(mesh: MeshPartition, k: int) -> np.ndarray:
+    """(n_triangles, nl) node ids of every element, rows as in element_nodes."""
+    if k == 1:
+        return mesh.triangles
+    return np.hstack([mesh.triangles, mesh.n_vertices + mesh.tri_edges])
+
+
 def edge_nodes(mesh: MeshPartition, e: int, k: int) -> np.ndarray:
     """Node ids on edge e in canonical order: endpoints (ascending), midpoint."""
     a, b = mesh.edges[e]
@@ -152,56 +159,42 @@ def build_dof_map(mesh: MeshPartition, k: int) -> DofMap:
         node_coords = np.vstack([mesh.vertices, mids])
 
     active = np.zeros(n_nodes, dtype=bool)
-    for t in range(mesh.n_triangles):
-        if mesh.element_class[t] != INTERFACE:
-            active[element_nodes(mesh, t, k)] = True
+    active[element_node_table(mesh, k)[mesh.element_class != INTERFACE].ravel()] = True
 
+    bnd_edges = mesh.boundary_edges()
     on_boundary = np.zeros(n_nodes, dtype=bool)
-    for e in mesh.boundary_edges():
-        a, b = mesh.edges[e]
-        on_boundary[a] = on_boundary[b] = True
-        if k == 2:
-            on_boundary[nv + e] = True
+    on_boundary[mesh.edges[bnd_edges].ravel()] = True
+    if k == 2:
+        on_boundary[nv + bnd_edges] = True
 
+    # Column order: free nodes, interior blocks, free traces, then pinned
+    # nodes and pinned traces; each group in ascending id order.
     node_col = np.full(n_nodes, -1, dtype=np.int64)
-    free = 0
-    for n in range(n_nodes):
-        if active[n] and not on_boundary[n]:
-            node_col[n] = free
-            free += 1
-    wg0_col = {}
-    for t in mesh.interface_elements():
-        wg0_col[int(t)] = free
-        free += m
-    trace_col = np.full(mesh.n_edges, TRACE_NONE, dtype=np.int64)
-    interior_wg = []
-    boundary_wg = []
-    for e in range(mesh.n_edges):
-        cls = mesh.edge_class[e]
-        if cls == EDGE_COUPLING:
-            if mesh.edge_tris[e, 1] < 0:
-                raise InconsistentConstraint(f"coupling edge {e} on the boundary")
-            trace_col[e] = TRACE_SLAVED
-        elif cls == EDGE_WG_INTERIOR:
-            if mesh.edge_tris[e, 1] < 0:
-                boundary_wg.append(e)
-            else:
-                interior_wg.append(e)
-    for e in interior_wg:
-        trace_col[e] = free
-        free += k
+    free_nodes = np.flatnonzero(active & ~on_boundary)
+    node_col[free_nodes] = np.arange(len(free_nodes))
+    free = len(free_nodes)
+    wg_elems = mesh.interface_elements()
+    wg0_col = dict(zip(wg_elems.tolist(), (free + m * np.arange(len(wg_elems))).tolist()))
+    free += m * len(wg_elems)
 
-    n_free = free
-    col = n_free
-    pinned_nodes = []
-    for n in range(n_nodes):
-        if active[n] and on_boundary[n]:
-            node_col[n] = col
-            pinned_nodes.append(n)
-            col += 1
-    for e in boundary_wg:
-        trace_col[e] = col
-        col += k
+    on_bnd_edge = mesh.edge_tris[:, 1] < 0
+    coupling_edges = mesh.edge_class == EDGE_COUPLING
+    bad = np.flatnonzero(coupling_edges & on_bnd_edge)
+    if len(bad):
+        raise InconsistentConstraint(f"coupling edge {bad[0]} on the boundary")
+    trace_col = np.full(mesh.n_edges, TRACE_NONE, dtype=np.int64)
+    trace_col[coupling_edges] = TRACE_SLAVED
+    wg_edges = mesh.edge_class == EDGE_WG_INTERIOR
+    interior_wg = np.flatnonzero(wg_edges & ~on_bnd_edge)
+    boundary_wg = np.flatnonzero(wg_edges & on_bnd_edge)
+    trace_col[interior_wg] = free + k * np.arange(len(interior_wg))
+    n_free = free + k * len(interior_wg)
+
+    pinned_nodes = np.flatnonzero(active & on_boundary)
+    node_col[pinned_nodes] = n_free + np.arange(len(pinned_nodes))
+    col = n_free + len(pinned_nodes)
+    trace_col[boundary_wg] = col + k * np.arange(len(boundary_wg))
+    col += k * len(boundary_wg)
 
     coupling = {}
     deg = max(2 * k, 3)
@@ -226,8 +219,8 @@ def build_dof_map(mesh: MeshPartition, k: int) -> DofMap:
         wg0_col=wg0_col,
         trace_col=trace_col,
         coupling=coupling,
-        pinned_nodes=np.array(pinned_nodes, dtype=np.int64),
-        pinned_trace_edges=np.array(boundary_wg, dtype=np.int64),
+        pinned_nodes=pinned_nodes,
+        pinned_trace_edges=boundary_wg,
         node_coords=node_coords,
     )
 
@@ -300,8 +293,7 @@ def assemble_noninterface(mesh: MeshPartition, k: int, coeff, f, quad_offset: in
     fv = np.asarray(f(pts[..., 0].ravel(), pts[..., 1].ravel()), float).reshape(len(ids), -1)
     load = np.einsum("en,n,nj->ej", fv, w_l, shapes_l) * np.abs(dets)[:, None]
 
-    nodes = np.array([element_nodes(mesh, int(t), k) for t in ids], dtype=np.int64)
-    return CgContributions(ids, nodes, stiff, load)
+    return CgContributions(ids, element_node_table(mesh, k)[ids], stiff, load)
 
 
 def build_cut_geometries(mesh: MeshPartition, k: int, quad_degree: int | None = None) -> dict:

@@ -78,6 +78,27 @@ class RunConfig:
         return "segment" if self.k == 1 else "arc"
 
 
+def _solve_pair(mesh, ms: ManufacturedSolution, k: int, mode: str, quad_offset: int,
+                solver_config: SolverConfig | None, geometries: dict | None = None):
+    """Assemble, solve and measure one coefficient pair on a built mesh."""
+    system, spaces = assemble_system(
+        mesh, k, ms.a1, ms.a2, ms.f, ms.g, mode=mode, quad_degree=2 * k + 4 + quad_offset,
+        quad_offset=quad_offset, geometries=geometries,
+    )
+    x, stats = solve(system.matrix, system.rhs, solver_config)
+    x_all = system.full_coefficients(x)
+    errors = compute_errors(mesh, system.dofmap, spaces, x_all, ms, k, quad_offset)
+    return errors, stats, system, spaces, x_all
+
+
+def _dump(out_dir: Path, k: int, ms, level: int, mesh, system, with_mesh: bool, with_matrix: bool):
+    tag = f"k{k}_A{ms.a1:g}_{ms.a2:g}_level{level}"
+    if with_mesh:
+        dump_mesh(mesh, out_dir / f"mesh_{tag}.txt")
+    if with_matrix:
+        dump_matrix(system, out_dir / f"matrix_{tag}.txt")
+
+
 def run_level(
     ms: ManufacturedSolution,
     k: int,
@@ -93,27 +114,56 @@ def run_level(
 ):
     """One (solution, k, level) run: mesh, spaces, assemble, solve, errors."""
     mesh = build_mesh(level, ms.interface, depth=depth, n_override=n_override)
-    system, spaces = assemble_system(
-        mesh,
-        k,
-        ms.a1,
-        ms.a2,
-        ms.f,
-        ms.g,
-        mode=mode,
-        quad_degree=2 * k + 4 + quad_offset,
-        quad_offset=quad_offset,
-    )
-    x, stats = solve(system.matrix, system.rhs, solver_config)
-    x_all = system.full_coefficients(x)
-    errors = compute_errors(mesh, system.dofmap, spaces, x_all, ms, k, quad_offset)
+    errors, stats, system, spaces, x_all = _solve_pair(mesh, ms, k, mode, quad_offset, solver_config)
     if out_dir is not None:
-        tag = f"k{k}_A{ms.a1:g}_{ms.a2:g}_level{level}"
-        if dump_mesh_flag:
-            dump_mesh(mesh, out_dir / f"mesh_{tag}.txt")
-        if dump_matrix_flag:
-            dump_matrix(system, out_dir / f"matrix_{tag}.txt")
+        _dump(out_dir, k, ms, level, mesh, system, dump_mesh_flag, dump_matrix_flag)
     return errors, stats, mesh, system, spaces, x_all
+
+
+def _study_level(config: RunConfig, level: int, reports: dict, failed: set, log) -> int:
+    """Every pair not yet failed on one level; returns 1 if one fails now, else 0.
+
+    The mesh and the pair-independent cut geometry are shared by the pairs
+    and, with every pair's spaces and system, freed on return, before the
+    next level is built. A failure to build the level raises GeometryError.
+    """
+    mesh = build_mesh(
+        level, example1(1.0, 1.0).interface, depth=config.depth,
+        n_override=config.cells_for_level(level),
+    )
+    geometries = build_cut_geometries(mesh, config.k, 2 * config.k + 4 + config.quad_offset)
+    code = 0
+    for a1, a2 in config.pairs:
+        if (a1, a2) in failed:
+            continue
+        ms = example1(a1, a2)
+        t0 = time.perf_counter()
+        try:
+            errors, stats, system, spaces, _ = _solve_pair(
+                mesh, ms, config.k, config.resolved_mode(), config.quad_offset,
+                SolverConfig(method=config.solver), geometries,
+            )
+        except (GeometryError, IfeError, SolverError) as exc:
+            log(f"FAILED k={config.k} (A1,A2)=({a1:g},{a2:g}) level={level}: {exc}")
+            failed.add((a1, a2))
+            code = 1
+            continue
+        elapsed = time.perf_counter() - t0
+        reports[(a1, a2)].add_level(level, mesh.h, errors, elapsed, stats)
+        cond = max((s.gram_cond for s in spaces.values()), default=0.0)
+        constraint = max((s.constraint_residual for s in spaces.values()), default=0.0)
+        log(
+            f"k={config.k} (A1,A2)=({a1:g},{a2:g}) level={level} N={mesh.n_cells}: "
+            f"energy={errors['energy']:.4e} l2={errors['l2']:.4e} "
+            f"linf={errors['linf']:.4e} residual={stats.residual:.2e} "
+            f"free={system.matrix.shape[0]} nnz={system.matrix.nnz} gram_cond={cond:.2e} "
+            f"constraint={constraint:.2e} asym={system.asymmetry:.2e} "
+            f"iters={stats.iterations} [{elapsed:.2f}s]"
+        )
+        if config.out_dir:
+            _dump(Path(config.out_dir), config.k, ms, level, mesh, system,
+                  config.dump_mesh, config.dump_matrix)
+    return code
 
 
 def run_study(config: RunConfig, log=print) -> tuple[list[ConvergenceReport], int]:
@@ -125,7 +175,6 @@ def run_study(config: RunConfig, log=print) -> tuple[list[ConvergenceReport], in
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-    solver_config = SolverConfig(method=config.solver)
     mode = config.resolved_mode()
     reports = {
         (a1, a2): ConvergenceReport(k=config.k, a1=a1, a2=a2, mode=mode, depth=config.depth)
@@ -135,58 +184,11 @@ def run_study(config: RunConfig, log=print) -> tuple[list[ConvergenceReport], in
     failed = set()
     for level in config.levels:
         try:
-            mesh = build_mesh(
-                level, example1(1.0, 1.0).interface, depth=config.depth,
-                n_override=config.cells_for_level(level),
-            )
-            geometries = build_cut_geometries(
-                mesh, config.k, 2 * config.k + 4 + config.quad_offset
-            )
+            exit_code |= _study_level(config, level, reports, failed, log)
         except GeometryError as exc:
             log(f"FAILED building level {level}: {exc}")
             exit_code = 1
             break
-        for a1, a2 in config.pairs:
-            if (a1, a2) in failed:
-                continue
-            ms = example1(a1, a2)
-            t0 = time.perf_counter()
-            try:
-                system, spaces = assemble_system(
-                    mesh,
-                    config.k,
-                    a1,
-                    a2,
-                    ms.f,
-                    ms.g,
-                    mode=mode,
-                    quad_degree=2 * config.k + 4 + config.quad_offset,
-                    quad_offset=config.quad_offset,
-                    geometries=geometries,
-                )
-                x, stats = solve(system.matrix, system.rhs, solver_config)
-                x_all = system.full_coefficients(x)
-                errors = compute_errors(
-                    mesh, system.dofmap, spaces, x_all, ms, config.k, config.quad_offset
-                )
-            except (GeometryError, IfeError, SolverError) as exc:
-                log(f"FAILED k={config.k} (A1,A2)=({a1:g},{a2:g}) level={level}: {exc}")
-                exit_code = 1
-                failed.add((a1, a2))
-                continue
-            elapsed = time.perf_counter() - t0
-            reports[(a1, a2)].add_level(level, mesh.h, errors, elapsed, stats)
-            log(
-                f"k={config.k} (A1,A2)=({a1:g},{a2:g}) level={level} N={mesh.n_cells}: "
-                f"energy={errors['energy']:.4e} l2={errors['l2']:.4e} "
-                f"linf={errors['linf']:.4e} residual={stats.residual:.2e} [{elapsed:.2f}s]"
-            )
-            if out_dir is not None:
-                tag = f"k{config.k}_A{a1:g}_{a2:g}_level{level}"
-                if config.dump_mesh:
-                    dump_mesh(mesh, out_dir / f"mesh_{tag}.txt")
-                if config.dump_matrix:
-                    dump_matrix(system, out_dir / f"matrix_{tag}.txt")
 
     out = []
     for (a1, a2), report in reports.items():

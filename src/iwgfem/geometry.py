@@ -515,7 +515,10 @@ def quadrature_on_subregion(
         raise ValueError(f"side must be {OMEGA1} or {OMEGA2}")
     if depth is None:
         depth = cut.depth
-    return polygon_rule(subregion_polygon(cut, side, depth), degree)
+    try:
+        return polygon_rule(subregion_polygon(cut, side, depth), degree)
+    except GeometryError as exc:
+        raise GeometryError(f"element {cut.element_id}, side {side}: {exc}") from exc
 
 
 def edge_split_parameters(p0, p1, interface: CircleInterface | None, geom_tol: float = GEOM_TOL):

@@ -77,30 +77,31 @@ class PolyBasis:
         e = self.exponents
         return pts[:, 0:1] ** e[:, 0] * pts[:, 1:2] ** e[:, 1]
 
+    def derivative_matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Integer (dim, dim) D_x, D_y with d/dx (mono @ c) = mono @ (D_x c).
+
+        A partial derivative maps P_k into P_{k-1}, a leading block of the
+        basis, so column j holds the derivative of monomial j.
+        """
+        index = {(int(a), int(b)): j for j, (a, b) in enumerate(self.exponents)}
+        d_x = np.zeros((self.dim, self.dim))
+        d_y = np.zeros((self.dim, self.dim))
+        for (a, b), j in index.items():
+            if a > 0:
+                d_x[index[(a - 1, b)], j] = a
+            if b > 0:
+                d_y[index[(a, b - 1)], j] = b
+        return d_x, d_y
+
     def grad(self, pts) -> np.ndarray:
         """Local-coordinate gradients, shape (n, dim, 2)."""
-        pts = np.atleast_2d(np.asarray(pts, float))
-        e = self.exponents
-        n = len(pts)
-        out = np.zeros((n, self.dim, 2))
-        with np.errstate(invalid="ignore"):
-            for j, (a, b) in enumerate(e):
-                if a > 0:
-                    out[:, j, 0] = a * pts[:, 0] ** (a - 1) * pts[:, 1] ** b
-                if b > 0:
-                    out[:, j, 1] = b * pts[:, 0] ** a * pts[:, 1] ** (b - 1)
-        return out
+        vals = self.eval(pts)
+        d_x, d_y = self.derivative_matrices()
+        return np.stack([vals @ d_x, vals @ d_y], axis=-1)
 
     def laplacian(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, float))
-        e = self.exponents
-        out = np.zeros((len(pts), self.dim))
-        for j, (a, b) in enumerate(e):
-            if a >= 2:
-                out[:, j] += a * (a - 1) * pts[:, 0] ** (a - 2) * pts[:, 1] ** b
-            if b >= 2:
-                out[:, j] += b * (b - 1) * pts[:, 0] ** a * pts[:, 1] ** (b - 2)
-        return out
+        d_x, d_y = self.derivative_matrices()
+        return self.eval(pts) @ (d_x @ d_x + d_y @ d_y)
 
     def vandermonde_condition(self) -> float:
         """Condition number of the evaluation matrix at a unisolvent lattice."""
@@ -320,16 +321,14 @@ class LocalIfeSpace:
     gram_cond: float
     ill_conditioned: bool
     constraint_residual: float
-    rules: dict  # side -> QuadratureRule
-    basis_vals: dict  # side -> (n, m) basis values at rule points
-    grad_phys: dict  # side -> (n, m, 2) physical basis gradients at rule points
+    rules: dict  # side -> QuadratureRule (shared with the CutGeometry)
+    vander: dict  # side -> (n, m) monomial values at rule points (shared)
     grad_gram: np.ndarray  # (m-1, m-1): gram of {grad phi_2..m}
     grad_gram_weighted: np.ndarray  # with A per side
     edges: list  # 3 EdgeData in local edge order
     weak_grad: np.ndarray  # (m-1, m + 3k), unweighted Riesz map
     weak_grad_weighted: np.ndarray  # (m-1, m + 3k), A-weighted Riesz map
     stiffness: np.ndarray  # (m + 3k, m + 3k)
-    load_points: tuple  # concatenated rule data for source integration
 
     @property
     def m(self) -> int:
@@ -346,28 +345,55 @@ class LocalIfeSpace:
     def local_coords(self, pts):
         return (np.atleast_2d(np.asarray(pts, float)) - self.x_ref) @ self.f_mat.T
 
+    def block(self, side: int) -> np.ndarray:
+        """(m, m) monomial coefficients of the basis on one side."""
+        return self.coeffs[: self.m] if side == OMEGA1 else self.coeffs[self.m :]
+
+    @property
+    def basis_vals(self) -> dict:
+        """side -> (n, m) basis values at the rule points, evaluated on demand."""
+        return {side: self.vander[side] @ self.block(side) for side in (OMEGA1, OMEGA2)}
+
     def eval_basis(self, pts, side: int) -> np.ndarray:
         """Basis values at physical points lying on the given side."""
-        block = self.coeffs[: self.m] if side == OMEGA1 else self.coeffs[self.m :]
-        return self.poly.eval(self.local_coords(pts)) @ block
+        return self.poly.eval(self.local_coords(pts)) @ self.block(side)
 
     def eval_basis_grad(self, pts, side: int) -> np.ndarray:
-        block = self.coeffs[: self.m] if side == OMEGA1 else self.coeffs[self.m :]
         g = self.poly.grad(self.local_coords(pts)) @ self.f_mat
-        return np.einsum("njd,jq->nqd", g, block)
+        return np.einsum("njd,jq->nqd", g, self.block(side))
+
+    def sample(self, f) -> dict:
+        """side -> values of a scalar function at that side's rule points."""
+        return {
+            side: np.asarray(f(rule.points[:, 0], rule.points[:, 1]), float)
+            for side, rule in self.rules.items()
+        }
+
+    def moments(self, values: dict) -> np.ndarray:
+        """(g, phi_j)_T from sampled values of g, through the m x m blocks."""
+        out = np.zeros(self.m)
+        for side in (OMEGA1, OMEGA2):
+            weighted = self.rules[side].weights * values[side]
+            out += self.block(side).T @ (self.vander[side].T @ weighted)
+        return out
+
+    def values_at_rules(self, v0) -> dict:
+        """side -> values of the interior function v0 at that side's rule points."""
+        return {side: self.vander[side] @ (self.block(side) @ v0) for side in (OMEGA1, OMEGA2)}
 
     def trace_dof_slice(self, local_edge: int) -> slice:
         s = self.m + local_edge * self.k
         return slice(s, s + self.k)
 
-    def project_interior(self, f) -> np.ndarray:
-        """Q_0 projection of a scalar function onto the interior basis."""
-        moments = np.zeros(self.m)
-        for side in (OMEGA1, OMEGA2):
-            rule = self.rules[side]
-            vals = np.asarray(f(rule.points[:, 0], rule.points[:, 1]), float)
-            moments += self.basis_vals[side].T @ (rule.weights * vals)
-        return np.linalg.solve(self.gram, moments)
+    def project_interior(self, f, values: dict | None = None) -> np.ndarray:
+        """Q_0 projection of a scalar function onto the interior basis.
+
+        ``values`` may carry ``self.sample(f)`` when the caller needs the
+        samples for something else too.
+        """
+        if values is None:
+            values = self.sample(f)
+        return np.linalg.solve(self.gram, self.moments(values))
 
     def project_traces(self, g) -> np.ndarray:
         """Q_b projection of g on each edge; shape (3, k)."""
@@ -413,9 +439,9 @@ class CutGeometry:
     f_mat: np.ndarray  # (2, 2) frame matrix: local = (x - x_ref) @ f_mat.T
     h_ref: float
     rules: dict
-    vander: dict  # side -> monomial values at rule points
-    grad_mono: dict  # side -> monomial physical gradients at rule points
-    mass: dict  # side -> monomial mass matrix
+    vander: dict  # side -> (n, m) monomial values at rule points
+    mass: dict  # side -> (m, m) monomial mass matrix
+    grad_gram: dict  # side -> (m, m) Gram of the monomials' physical gradients
     edges: list  # per local edge: dict of precomputed arrays
 
 
@@ -426,17 +452,20 @@ def build_cut_geometry(
     if quad_degree is None:
         quad_degree = 2 * k + 4
     x_ref, f_mat, h_ref = _chord_frame(cut)
+    # f_mat = [t; n] / h with t, n orthonormal, so the physical gradient Gram
+    # is the sum of the two local-derivative Grams over h^2; each local one is
+    # D^T M D, exact because differentiation maps P_k into P_{k-1}, part of P_k.
+    d_x, d_y = poly.derivative_matrices()
     rules = {}
     vander = {}
-    grad_mono = {}
     mass = {}
+    grad_gram = {}
     for side in (OMEGA1, OMEGA2):
         rule = quadrature_on_subregion(cut, side, quad_degree)
-        loc = (rule.points - x_ref) @ f_mat.T
         rules[side] = rule
-        vander[side] = poly.eval(loc)
-        grad_mono[side] = poly.grad(loc) @ f_mat
+        vander[side] = poly.eval((rule.points - x_ref) @ f_mat.T)
         mass[side] = vander[side].T @ (rule.weights[:, None] * vander[side])
+        grad_gram[side] = (d_x.T @ mass[side] @ d_x + d_y.T @ mass[side] @ d_y) / h_ref**2
 
     tri = cut.triangle
     edges = []
@@ -475,8 +504,8 @@ def build_cut_geometry(
         h_ref=h_ref,
         rules=rules,
         vander=vander,
-        grad_mono=grad_mono,
         mass=mass,
+        grad_gram=grad_gram,
         edges=edges,
     )
 
@@ -526,9 +555,6 @@ def construct_ife_basis(
     if geometry is None:
         geometry = build_cut_geometry(cut, k, quad_degree, edge_points)
     x_ref, h_ref = geometry.x_ref, geometry.h_ref
-    rules = geometry.rules
-    vander = geometry.vander
-    grad_mono = geometry.grad_mono
     m1, m2 = geometry.mass[OMEGA1], geometry.mass[OMEGA2]
 
     if mode == "segment":
@@ -586,23 +612,11 @@ def construct_ife_basis(
     residual = float(np.max(np.abs(constraints @ coeffs)))
     gram = pair_mass(coeffs, coeffs)
 
-    # Basis values and physical gradients at the volume rule points.
-    basis_vals = {}
-    grad_phys = {}
+    # Gradient Grams of the basis, mapped from the monomial ones.
     full_gram = np.zeros((m, m))
     full_gram_weighted = np.zeros((m, m))
-    for side, a_side in ((OMEGA1, a1), (OMEGA2, a2)):
-        block = coeffs[:m] if side == OMEGA1 else coeffs[m:]
-        basis_vals[side] = vander[side] @ block
-        # (n, m, 2) physical gradients mapped through the basis: matmul over m.
-        g = (grad_mono[side].transpose(0, 2, 1) @ block).transpose(0, 2, 1)
-        grad_phys[side] = g
-        n_pts = g.shape[0]
-        w = rules[side].weights
-        flat = g.reshape(n_pts, 2 * m)
-        big = flat.T @ (w[:, None] * flat)  # (2m, 2m) with (q, d) pairs
-        big4 = big.reshape(m, 2, m, 2)
-        gram_side = big4[:, 0, :, 0] + big4[:, 1, :, 1]
+    for side, a_side, block in ((OMEGA1, a1, coeffs[:m]), (OMEGA2, a2, coeffs[m:])):
+        gram_side = block.T @ geometry.grad_gram[side] @ block
         full_gram += gram_side
         full_gram_weighted += a_side * gram_side
     grad_gram = full_gram[1:, 1:]
@@ -688,28 +702,20 @@ def construct_ife_basis(
         gram_cond=gram_cond,
         ill_conditioned=ill,
         constraint_residual=residual,
-        rules=rules,
-        basis_vals=basis_vals,
-        grad_phys=grad_phys,
+        rules=geometry.rules,
+        vander=geometry.vander,
         grad_gram=grad_gram,
         grad_gram_weighted=grad_gram_weighted,
         edges=edges,
         weak_grad=weak_grad,
         weak_grad_weighted=weak_grad_weighted,
         stiffness=stiffness,
-        load_points=(
-            np.vstack([rules[OMEGA1].points, rules[OMEGA2].points]),
-            np.concatenate([rules[OMEGA1].weights, rules[OMEGA2].weights]),
-            np.vstack([basis_vals[OMEGA1], basis_vals[OMEGA2]]),
-        ),
     )
 
 
 def load_vector(space: LocalIfeSpace, f) -> np.ndarray:
     """Moments (f, phi_j)_T of the source against the interior basis."""
-    pts, w, v = space.load_points
-    vals = np.asarray(f(pts[:, 0], pts[:, 1]), float)
-    return v.T @ (w * vals)
+    return space.moments(space.sample(f))
 
 
 def sample_chord_residuals(space: LocalIfeSpace, n_samples: int = 20):

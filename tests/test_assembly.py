@@ -116,6 +116,76 @@ class TestDofMap:
             np.testing.assert_allclose(c @ vals, want, atol=1e-13)
 
 
+def _reference_dof_columns(mesh, k):
+    """Plain per-node / per-edge loop over the documented column order."""
+    from iwgfem.geometry import INTERFACE
+    from iwgfem.mesh import EDGE_WG_INTERIOR
+
+    n_nodes = mesh.n_vertices + (mesh.n_edges if k == 2 else 0)
+    active = np.zeros(n_nodes, dtype=bool)
+    for t in range(mesh.n_triangles):
+        if mesh.element_class[t] != INTERFACE:
+            active[element_nodes(mesh, t, k)] = True
+    on_boundary = np.zeros(n_nodes, dtype=bool)
+    for e in range(mesh.n_edges):
+        if mesh.edge_tris[e, 1] < 0:
+            a, b = mesh.edges[e]
+            on_boundary[a] = on_boundary[b] = True
+            if k == 2:
+                on_boundary[mesh.n_vertices + e] = True
+    node_col = np.full(n_nodes, -1)
+    trace_col = np.full(mesh.n_edges, -1)
+    col = 0
+    for n in range(n_nodes):
+        if active[n] and not on_boundary[n]:
+            node_col[n] = col
+            col += 1
+    wg0_col = {}
+    for t in range(mesh.n_triangles):
+        if mesh.element_class[t] == INTERFACE:
+            wg0_col[t] = col
+            col += (k + 1) * (k + 2) // 2
+    boundary_wg = []
+    for e in range(mesh.n_edges):
+        if mesh.edge_class[e] == EDGE_WG_INTERIOR:
+            if mesh.edge_tris[e, 1] < 0:
+                boundary_wg.append(e)
+            else:
+                trace_col[e] = col
+                col += k
+    pinned = []
+    for n in range(n_nodes):
+        if active[n] and on_boundary[n]:
+            node_col[n] = col
+            pinned.append(n)
+            col += 1
+    for e in boundary_wg:
+        trace_col[e] = col
+        col += k
+    return node_col, trace_col, wg0_col, pinned
+
+
+class TestDofMapColumns:
+    # The off-centre circle crosses boundary elements, so pinned trace
+    # blocks occur; the default circle has none.
+    @pytest.mark.parametrize("interface", [CIRCLE, CircleInterface((0.3, 0.2), 0.36)])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_columns_equal_plain_loop(self, k, interface):
+        from iwgfem.assembly import TRACE_SLAVED
+        from iwgfem.mesh import EDGE_COUPLING
+
+        mesh = build_mesh(2, interface)
+        dm = build_dof_map(mesh, k)
+        node_col, trace_col, wg0_col, pinned = _reference_dof_columns(mesh, k)
+        trace_col[mesh.edge_class == EDGE_COUPLING] = TRACE_SLAVED
+        np.testing.assert_array_equal(dm.node_col, node_col)
+        np.testing.assert_array_equal(dm.trace_col, trace_col)
+        assert dm.wg0_col == wg0_col
+        np.testing.assert_array_equal(dm.pinned_nodes, pinned)
+        if interface is not CIRCLE:
+            assert len(dm.pinned_trace_edges) > 0
+
+
 class TestGlobalSystem:
     def test_zero_dirichlet_zero_lift(self):
         mesh = build_mesh(1, CIRCLE)

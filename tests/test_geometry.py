@@ -294,6 +294,23 @@ class TestFanTriangulation:
         measure = sum(quadrature_on_subregion(cut, s, 4).measure for s in (OMEGA1, OMEGA2))
         assert abs(measure - total) <= 1e-12 * total
 
+    def test_failing_cut_names_element_and_side(self, monkeypatch):
+        import iwgfem.geometry as geometry
+        from iwgfem.ife import build_cut_geometry
+
+        cut = next(iter(build_mesh(1, CIRCLE).cuts.values()))
+
+        def refuse(vertices):
+            raise GeometryError("not covered")
+
+        monkeypatch.setattr(geometry, "triangulate_polygon", refuse)
+        with pytest.raises(GeometryError) as info:
+            build_cut_geometry(cut, 1)
+        message = str(info.value)
+        assert f"element {cut.element_id}" in message
+        assert f"side {OMEGA1}" in message
+        assert "not covered" in message
+
     @settings(deadline=None, max_examples=25)
     @given(
         st.floats(min_value=0.05, max_value=0.9),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iwgfem.assembly import build_ife_spaces
 from iwgfem.geometry import (
     OMEGA1,
     OMEGA2,
@@ -232,6 +233,56 @@ class TestSegmentBasisRounding:
                 r = space.coeffs[:m] if base_is_1 else space.coeffs[m:]
                 err = np.abs(null @ r - space.coeffs)
                 assert np.all(err <= 4 * eps * (np.abs(null) @ np.abs(r))), cut.element_id
+
+
+@pytest.fixture(scope="module")
+def level2_mesh():
+    return build_mesh(2, CIRCLE)
+
+
+class TestPerPointDataStaysInGeometry:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_gradient_gram_from_mass_equals_quadrature(self, level2_mesh, k):
+        # (D_x^T M D_x + D_y^T M D_y) / h^2 against sum_q w grad(mono) grad(mono)^T.
+        poly = PolyBasis(k)
+        for cut in level2_mesh.cuts.values():
+            geometry = build_cut_geometry(cut, k)
+            for side in (OMEGA1, OMEGA2):
+                rule = geometry.rules[side]
+                loc = (rule.points - geometry.x_ref) @ geometry.f_mat.T
+                g = poly.grad(loc) @ geometry.f_mat
+                want = np.einsum("nid,n,njd->ij", g, rule.weights, g)
+                got = geometry.grad_gram[side]
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (
+                    cut.element_id,
+                    side,
+                )
+
+    @pytest.mark.parametrize("k, mode", [(1, "segment"), (2, "arc")])
+    def test_space_arrays_do_not_grow_with_depth(self, k, mode):
+        # The rule has many more points at depth 6 than at depth 2; only the
+        # shared rule and monomial-value references may carry them.
+        import dataclasses
+
+        def shapes(space):
+            out = {}
+            for f in dataclasses.fields(space):
+                if f.name in ("rules", "vander"):
+                    continue
+                value = getattr(space, f.name)
+                if isinstance(value, np.ndarray):
+                    out[f.name] = value.shape
+                elif isinstance(value, dict):
+                    out[f.name] = {key: np.shape(v) for key, v in value.items()}
+            return out
+
+        def build(depth):
+            return build_ife_spaces(build_mesh(2, CIRCLE, depth=depth), k, 1.0, 1000.0, mode=mode)
+
+        coarse, fine = build(2), build(6)
+        assert {t: shapes(s) for t, s in fine.items()} == {t: shapes(s) for t, s in coarse.items()}
+        n_points = lambda s: len(s.rules[OMEGA1].weights)
+        assert all(n_points(fine[t]) > n_points(coarse[t]) for t in fine)
 
 
 def _exact_chord_residuals(space, n_samples):
