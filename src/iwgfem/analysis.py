@@ -26,7 +26,6 @@ from iwgfem.assembly import (
     _cg_shape_values,
     build_dof_map,
     element_node_table,
-    wg_local_solution,
 )
 from iwgfem.geometry import INTERFACE, OMEGA1, OMEGA2, CircleInterface, _triangle_rule_reference
 from iwgfem.ife import LocalIfeSpace
@@ -183,12 +182,13 @@ def _noninterface_errors(mesh, dofmap, x_all, ms, k, degree):
 
 
 def _interface_errors(mesh, dofmap, spaces, x_all, ms, k):
+    # Every interface element's local dofs at once, row blocks in P's order.
+    locs = (dofmap.P @ x_all).reshape(len(dofmap.wg0_col), -1)
     energy_sq = 0.0
     l2_sq = 0.0
     linf = 0.0
-    for t in sorted(spaces):
+    for t, loc in zip(dofmap.wg0_col, locs):
         space: LocalIfeSpace = spaces[t]
-        loc = wg_local_solution(mesh, dofmap, x_all, t)
         ue = space.sample(ms.u)  # shared by the Q_0 projection and the max norm
         q0 = space.project_interior(ms.u, ue)
         qb = space.project_traces(ms.u)

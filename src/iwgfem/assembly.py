@@ -5,8 +5,9 @@ coefficients per interface element, and k Legendre trace coefficients per
 edge of the interface band that is neither slaved nor on the boundary. On a
 coupling edge the trace is slaved to the projection of the neighboring CG
 trace; on boundary edges both CG nodes and WG traces are pinned to the
-Dirichlet data. Slaving and pinning are folded congruently, so the reduced
-matrix stays symmetric positive definite.
+Dirichlet data. One sparse routing matrix P maps the global columns to every
+interface element's local slots, so slaving is folded congruently
+(P^T K_e P) and the reduced matrix stays symmetric positive definite.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from iwgfem.geometry import INTERFACE, OMEGA1, OMEGA2, _triangle_rule_reference
-from iwgfem.ife import LocalIfeSpace, construct_ife_basis, edge_legendre, load_vector
+from iwgfem.ife import LocalIfeSpace, construct_ife_basis, edge_legendre, load_vector, project_qb
 from iwgfem.mesh import EDGE_COUPLING, EDGE_WG_INTERIOR, MeshPartition
 
 
@@ -38,10 +39,17 @@ class DofMap:
     """Column layout: free unknowns first, Dirichlet-pinned columns after.
 
     node_col[n] is the column of node n (vertex id, or n_vertices + edge id
-    for k = 2 midpoints), -1 if the node carries no CG unknown. trace_col[e]
-    is the first of k columns for edge e's trace block, TRACE_SLAVED on
-    coupling edges. coupling[e] holds (node ids on e, k x (k+1) projection
-    of the CG trace onto the edge's Legendre basis).
+    for k = 2 midpoints), -1 if the node carries no CG unknown. wg0_col maps
+    each interface element, in ascending id order, to the first of its m
+    interior columns. trace_col[e] is the first of k columns for edge e's
+    trace block, TRACE_SLAVED on coupling edges.
+
+    P is the routing matrix (CSR) from all columns, pinned ones included, to
+    the local slots of the interface elements: one block of m + 3k rows
+    [v0; vb on local edges 0, 1, 2] per element, in wg0_col order. Interior
+    and owned (free or pinned) trace slots are identity rows; a slaved slot
+    holds its row of the k x (k+1) projection of the CG trace onto the
+    edge's Legendre basis, in the columns of the edge's nodes.
     """
 
     k: int
@@ -51,13 +59,10 @@ class DofMap:
     node_col: np.ndarray
     wg0_col: dict
     trace_col: np.ndarray
-    coupling: dict
     pinned_nodes: np.ndarray  # node ids in pinned column order
     pinned_trace_edges: np.ndarray  # edge ids of pinned trace blocks, in order
     node_coords: np.ndarray  # (n_nodes, 2) coordinates of every CG node
-
-    def is_pinned(self, col: int) -> bool:
-        return col >= self.n_free
+    P: sp.csr_matrix = None  # (n_cut * (m + 3k), n_total), see routing_matrix
 
 
 def _cg_shape_values(k: int, ref_pts: np.ndarray) -> np.ndarray:
@@ -104,27 +109,11 @@ def _cg_shape_grads(k: int, ref_pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def element_nodes(mesh: MeshPartition, t: int, k: int) -> np.ndarray:
-    """Global node ids of element t: vertices, then edge midpoints for k = 2."""
-    tri = mesh.triangles[t]
-    if k == 1:
-        return tri.copy()
-    return np.concatenate([tri, mesh.n_vertices + mesh.tri_edges[t]])
-
-
 def element_node_table(mesh: MeshPartition, k: int) -> np.ndarray:
-    """(n_triangles, nl) node ids of every element, rows as in element_nodes."""
+    """(n_triangles, nl) node ids of every element: vertices, then edge midpoints for k = 2."""
     if k == 1:
         return mesh.triangles
     return np.hstack([mesh.triangles, mesh.n_vertices + mesh.tri_edges])
-
-
-def edge_nodes(mesh: MeshPartition, e: int, k: int) -> np.ndarray:
-    """Node ids on edge e in canonical order: endpoints (ascending), midpoint."""
-    a, b = mesh.edges[e]
-    if k == 1:
-        return np.array([a, b])
-    return np.array([a, b, mesh.n_vertices + e])
 
 
 def _edge_lagrange_1d(k: int, t: np.ndarray) -> np.ndarray:
@@ -196,21 +185,7 @@ def build_dof_map(mesh: MeshPartition, k: int) -> DofMap:
     trace_col[boundary_wg] = col + k * np.arange(len(boundary_wg))
     col += k * len(boundary_wg)
 
-    coupling = {}
-    deg = max(2 * k, 3)
-    xg, wg = np.polynomial.legendre.leggauss((deg + 2) // 2 + 1)
-    tg = 0.5 * (xg + 1.0)
-    for e in np.flatnonzero(mesh.edge_class == EDGE_COUPLING):
-        a, b = mesh.edges[e]
-        p0, p1 = mesh.vertices[a], mesh.vertices[b]
-        ell = float(np.linalg.norm(p1 - p0))
-        pts = p0 + np.outer(tg, p1 - p0)
-        leg = edge_legendre(p0, p1, k)(pts)
-        lag = _edge_lagrange_1d(k, tg)
-        c = leg.T @ ((0.5 * ell * wg)[:, None] * lag)  # (k, k+1)
-        coupling[int(e)] = (edge_nodes(mesh, e, k), c)
-
-    return DofMap(
+    dofmap = DofMap(
         k=k,
         m=m,
         n_free=n_free,
@@ -218,10 +193,60 @@ def build_dof_map(mesh: MeshPartition, k: int) -> DofMap:
         node_col=node_col,
         wg0_col=wg0_col,
         trace_col=trace_col,
-        coupling=coupling,
         pinned_nodes=pinned_nodes,
         pinned_trace_edges=boundary_wg,
         node_coords=node_coords,
+    )
+    dofmap.P = routing_matrix(mesh, dofmap)
+    return dofmap
+
+
+def routing_matrix(mesh: MeshPartition, dofmap: DofMap) -> sp.csr_matrix:
+    """The routing matrix P of ``dofmap`` (see DofMap), built for all slots at once."""
+    k, m = dofmap.k, dofmap.m
+    elems = np.fromiter(dofmap.wg0_col, np.int64, len(dofmap.wg0_col))
+    n_loc = m + 3 * k
+    slots = np.arange(len(elems) * n_loc).reshape(len(elems), n_loc)
+    trace_slots = slots[:, m:].reshape(len(elems), 3, k)
+    edges = mesh.tri_edges[elems]  # (n_cut, 3)
+    tc = dofmap.trace_col[edges]
+    if np.any(tc == TRACE_NONE):
+        i, j = np.argwhere(tc == TRACE_NONE)[0]
+        raise InconsistentConstraint(
+            f"edge {edges[i, j]} of interface element {elems[i]} has no trace dofs"
+        )
+
+    wg0 = np.fromiter(dofmap.wg0_col.values(), np.int64, len(elems))
+    owned = tc >= 0
+    rows = [slots[:, :m].ravel(), trace_slots[owned].ravel()]
+    cols = [(wg0[:, None] + np.arange(m)).ravel(), (tc[owned][:, None] + np.arange(k)).ravel()]
+
+    slaved = tc == TRACE_SLAVED
+    e = edges[slaved]
+    a, b = mesh.edges[e].T
+    nodes = np.column_stack([a, b] if k == 1 else [a, b, mesh.n_vertices + e])
+    node_cols = dofmap.node_col[nodes]  # (n_slaved, k + 1)
+    bad = np.flatnonzero(np.any(node_cols < 0, axis=1))
+    if len(bad):
+        t = elems[np.nonzero(slaved)[0][bad[0]]]
+        raise InconsistentConstraint(
+            f"slaved edge {e[bad[0]]} of interface element {t} touches an inactive CG node"
+        )
+    # edge_legendre scales P_i by sqrt((2i + 1) / ell) and the arc-length
+    # weights carry ell, so an edge's projection is sqrt(ell) times the one
+    # of a unit edge. The integrands have degree 2k - 1, so k + 1 Gauss
+    # points are exact.
+    xg, wg = np.polynomial.legendre.leggauss(k + 1)
+    tg = 0.5 * (xg + 1.0)
+    leg = edge_legendre((0.0, 0.0), (1.0, 0.0), k)(np.column_stack([tg, np.zeros_like(tg)]))
+    unit = leg.T @ ((0.5 * wg)[:, None] * _edge_lagrange_1d(k, tg))  # (k, k + 1)
+    ell = np.linalg.norm(mesh.vertices[b] - mesh.vertices[a], axis=1)
+    rows.append(np.repeat(trace_slots[slaved], k + 1))
+    cols.append(np.broadcast_to(node_cols[:, None, :], (len(e), k, k + 1)).ravel())
+    vals = [np.ones(len(rows[0]) + len(rows[1])), (np.sqrt(ell)[:, None, None] * unit).ravel()]
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(slots.size, dofmap.n_total),
     )
 
 
@@ -236,11 +261,12 @@ class CgContributions:
 
 
 @dataclass(eq=False)
-class WgContribution:
-    element: int
-    space: LocalIfeSpace
-    stiffness: np.ndarray  # (m + 3k, m + 3k)
-    load: np.ndarray  # (m + 3k,), zeros on trace slots
+class WgBlocks:
+    """Stacked interface blocks, one per element in ascending id order."""
+
+    elements: np.ndarray  # element ids
+    stiffness: np.ndarray  # (n_cut, m + 3k, m + 3k)
+    load: np.ndarray  # (n_cut, m + 3k), zeros on trace slots
 
 
 def assemble_noninterface(mesh: MeshPartition, k: int, coeff, f, quad_offset: int = 0) -> CgContributions:
@@ -332,15 +358,16 @@ def build_ife_spaces(
     return spaces
 
 
-def assemble_interface(mesh: MeshPartition, spaces: dict, k: int, f) -> list[WgContribution]:
+def assemble_interface(mesh: MeshPartition, spaces: dict, k: int, f) -> WgBlocks:
     """Weak-gradient stiffness + stabilizer blocks and interior-tested loads."""
-    out = []
-    for t in sorted(spaces):
-        space = spaces[t]
-        load = np.zeros(space.n_local)
-        load[: space.m] = load_vector(space, f)
-        out.append(WgContribution(element=t, space=space, stiffness=space.stiffness, load=load))
-    return out
+    m = (k + 1) * (k + 2) // 2
+    elements = np.array(sorted(spaces), dtype=np.int64)
+    stiffness = np.zeros((len(elements), m + 3 * k, m + 3 * k))
+    load = np.zeros((len(elements), m + 3 * k))
+    for i, t in enumerate(elements):
+        stiffness[i] = spaces[t].stiffness
+        load[i, :m] = load_vector(spaces[t], f)
+    return WgBlocks(elements, stiffness, load)
 
 
 @dataclass(eq=False)
@@ -357,42 +384,28 @@ class GlobalSystem:
         return np.concatenate([x_free, self.pinned_values])
 
 
-def _wg_local_map(dofmap: DofMap, mesh: MeshPartition, t: int):
-    """Affine routing of local WG slots to global columns: list of (cols, weights)."""
-    k, m = dofmap.k, dofmap.m
-    rows = []
-    base = dofmap.wg0_col[int(t)]
-    for i in range(m):
-        rows.append((np.array([base + i]), np.array([1.0])))
-    for i in range(3):
-        e = int(mesh.tri_edges[t, i])
-        tc = dofmap.trace_col[e]
-        if tc == TRACE_SLAVED:
-            nodes, c = dofmap.coupling[e]
-            cols = dofmap.node_col[nodes]
-            if np.any(cols < 0):
-                raise InconsistentConstraint(f"slaved edge {e} touches an inactive CG node")
-            for j in range(k):
-                rows.append((cols.copy(), c[j].copy()))
-        elif tc >= 0:
-            for j in range(k):
-                rows.append((np.array([tc + j]), np.array([1.0])))
-        else:
-            raise InconsistentConstraint(f"edge {e} of interface element {t} has no trace dofs")
-    return rows
-
-
 def apply_constraints(
     mesh: MeshPartition,
     dofmap: DofMap,
     cg: CgContributions,
-    wg: list[WgContribution],
+    wg: WgBlocks,
     g,
 ) -> GlobalSystem:
-    """Fold slaved traces into CG unknowns, lift Dirichlet data, reduce to SPD form."""
+    """Fold slaved traces into CG unknowns, lift Dirichlet data, reduce to SPD form.
+
+    The interface part is P^T blockdiag(K_e) P with the routing matrix P, so
+    slaving is congruent; the sparse product and sum store no explicit zeros.
+    """
     n = dofmap.n_total
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(n)
+    if not np.array_equal(wg.elements, list(dofmap.wg0_col)):
+        raise AssemblyError("interface blocks do not follow the routing matrix's element order")
+    p = dofmap.P
+    n_cut, n_loc = wg.load.shape
+    blocks = sp.bsr_matrix(
+        (wg.stiffness, np.arange(n_cut), np.arange(n_cut + 1)), shape=(n_cut * n_loc,) * 2
+    )
+    k_all = (p.T @ blocks.tocsr() @ p).tocsr()
+    rhs = p.T @ wg.load.ravel()
 
     if len(cg.elements):
         cg_cols = dofmap.node_col[cg.nodes]  # (ne, nl)
@@ -401,38 +414,16 @@ def apply_constraints(
         nl = cg_cols.shape[1]
         r = np.repeat(cg_cols[:, :, None], nl, axis=2)
         c = np.repeat(cg_cols[:, None, :], nl, axis=1)
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(cg.stiffness.ravel())
+        k_all = k_all + sp.coo_matrix(
+            (cg.stiffness.ravel(), (r.ravel(), c.ravel())), shape=(n, n)
+        ).tocsr()
         np.add.at(rhs, cg_cols.ravel(), cg.load.ravel())
-
-    for contrib in wg:
-        routing = _wg_local_map(dofmap, mesh, contrib.element)
-        n_loc = len(routing)
-        for i in range(n_loc):
-            ci, wi = routing[i]
-            rhs[ci] += wi * contrib.load[i]
-            for j in range(n_loc):
-                cj, wj = routing[j]
-                kij = contrib.stiffness[i, j]
-                if kij == 0.0:
-                    continue
-                block = np.outer(wi, wj) * kij
-                rows.append(np.repeat(ci, len(cj)))
-                cols.append(np.tile(cj, len(ci)))
-                vals.append(block.ravel())
-
-    k_all = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsr()
 
     pinned = np.zeros(n - dofmap.n_free)
     for i, node in enumerate(dofmap.pinned_nodes):
         x, y = dofmap.node_coords[node]
         pinned[i] = g(x, y)
     off = len(dofmap.pinned_nodes)
-    from iwgfem.ife import project_qb
-
     for e in dofmap.pinned_trace_edges:
         a, b = mesh.edges[e]
         coeffs = project_qb(g, mesh.vertices[a], mesh.vertices[b], dofmap.k, mesh.interface)
@@ -475,14 +466,6 @@ def assemble_system(
     wg = assemble_interface(mesh, spaces, k, f)
     system = apply_constraints(mesh, dofmap, cg, wg, g)
     return system, spaces
-
-
-def wg_local_solution(
-    mesh: MeshPartition, dofmap: DofMap, x_all: np.ndarray, t: int
-) -> np.ndarray:
-    """Local WG dof vector (interior + per-edge traces) of the solved function."""
-    routing = _wg_local_map(dofmap, mesh, t)
-    return np.array([float(w @ x_all[c]) for c, w in routing])
 
 
 def dump_matrix(system: GlobalSystem, path) -> None:

@@ -64,29 +64,11 @@ class CircleInterface:
         cx, cy = self.center
         return np.stack([2.0 * (np.asarray(x) - cx), 2.0 * (np.asarray(y) - cy)], axis=-1)
 
-    def unit_normal(self, x, y):
-        g = self.gradient(x, y)
-        norm = np.linalg.norm(g, axis=-1, keepdims=True)
-        return g / norm
-
-    def side(self, x, y, tol: float = 0.0):
-        """1 on Omega1 (phi < -tol), 2 on Omega2 (phi > tol), 0 within tol of the interface."""
-        phi = self.value(x, y)
-        return np.where(phi < -tol, OMEGA1, np.where(phi > tol, OMEGA2, 0))
-
     def project(self, point):
         """Radial projection of a point onto the circle."""
         c = np.asarray(self.center, dtype=float)
         d = np.asarray(point, dtype=float) - c
         return c + self.radius * d / np.linalg.norm(d)
-
-    def arc_midpoint(self, p, q):
-        """The point of the near arc halfway between two points on the circle.
-
-        Computed as the radial projection of the chord midpoint, which always
-        selects the minor arc for chords shorter than the diameter.
-        """
-        return self.project(0.5 * (np.asarray(p, float) + np.asarray(q, float)))
 
     def edge_roots(self, p, q, geom_tol: float = GEOM_TOL) -> list[float]:
         """Parameters t in (0, 1) where phi vanishes on the open segment p -> q.

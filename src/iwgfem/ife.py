@@ -50,7 +50,10 @@ class SingularGram(IfeError):
 
 
 class IllConditionedWarning(UserWarning):
-    """Piecewise Gram condition number exceeded cond_max (sliver cut)."""
+    """Piecewise Gram condition number exceeded COND_MAX (sliver cut)."""
+
+
+COND_MAX = 1e12  # piecewise Gram condition above which a space is flagged
 
 
 def _monomial_exponents(k: int) -> np.ndarray:
@@ -102,16 +105,6 @@ class PolyBasis:
     def laplacian(self, pts) -> np.ndarray:
         d_x, d_y = self.derivative_matrices()
         return self.eval(pts) @ (d_x @ d_x + d_y @ d_y)
-
-    def vandermonde_condition(self) -> float:
-        """Condition number of the evaluation matrix at a unisolvent lattice."""
-        k = self.k
-        pts = np.array(
-            [(i / k, j / k) for i in range(k + 1) for j in range(k + 1 - i)]
-            if k > 0
-            else [(0.0, 0.0)]
-        )
-        return float(np.linalg.cond(self.eval(pts)))
 
 
 def edge_legendre(p0, p1, k: int):
@@ -349,11 +342,6 @@ class LocalIfeSpace:
         """(m, m) monomial coefficients of the basis on one side."""
         return self.coeffs[: self.m] if side == OMEGA1 else self.coeffs[self.m :]
 
-    @property
-    def basis_vals(self) -> dict:
-        """side -> (n, m) basis values at the rule points, evaluated on demand."""
-        return {side: self.vander[side] @ self.block(side) for side in (OMEGA1, OMEGA2)}
-
     def eval_basis(self, pts, side: int) -> np.ndarray:
         """Basis values at physical points lying on the given side."""
         return self.poly.eval(self.local_coords(pts)) @ self.block(side)
@@ -403,10 +391,6 @@ class LocalIfeSpace:
             out[i] = ed.legendre.T @ (ed.rule.weights * vals)
         return out
 
-    def weak_gradient_coeffs(self, local_dofs) -> np.ndarray:
-        """Coefficients of grad_w v in the {grad phi_2..m} basis."""
-        return self.weak_grad @ np.asarray(local_dofs, float)
-
     def energy_seminorm_sq(self, local_dofs) -> float:
         """Unweighted |grad_w v|_T^2 + h_T^{-1} |Q_b v_0 - v_b|_dT^2."""
         loc = np.asarray(local_dofs, float)
@@ -417,11 +401,6 @@ class LocalIfeSpace:
             jump = ed.trace @ v0 - loc[self.trace_dof_slice(i)]
             total += float(jump @ jump) / self.h_t
         return total
-
-
-def project_q0(f, space: LocalIfeSpace) -> np.ndarray:
-    """L2 projection of f onto V_k(T) (module-level convenience wrapper)."""
-    return space.project_interior(f)
 
 
 @dataclass(eq=False)
@@ -535,25 +514,21 @@ def construct_ife_basis(
     k: int,
     mode: str = "segment",
     quad_degree: int | None = None,
-    edge_points=None,
-    cond_max: float = 1e12,
     element_id: int | None = None,
-    stab_weight: float | None = None,
     geometry: CutGeometry | None = None,
 ) -> LocalIfeSpace:
     """Build the full local space for one cut element.
 
-    ``edge_points`` optionally lists, per local edge, the endpoints in the
-    global canonical orientation so that shared trace unknowns mean the same
-    thing on both sides of an edge; default is the element-local orientation.
     A precomputed ``geometry`` may be supplied to share quadrature work when
-    several conductivity pairs are built on the same mesh.
+    several conductivity pairs are built on the same mesh; its edges carry
+    the global canonical orientation (see build_cut_geometry). Without one,
+    the edges take the element-local orientation.
     """
     constraints = build_constraint_system(cut, a1, a2, k, mode)
     poly = PolyBasis(k)
     m = poly.dim
     if geometry is None:
-        geometry = build_cut_geometry(cut, k, quad_degree, edge_points)
+        geometry = build_cut_geometry(cut, k, quad_degree)
     x_ref, h_ref = geometry.x_ref, geometry.h_ref
     m1, m2 = geometry.mass[OMEGA1], geometry.mass[OMEGA2]
 
@@ -576,10 +551,10 @@ def construct_ife_basis(
     gram_null = pair_mass(null, null)
     eig = np.linalg.eigvalsh(gram_null)
     gram_cond = float(eig[-1] / max(eig[0], 1e-300))
-    ill = gram_cond > cond_max
+    ill = gram_cond > COND_MAX
     if ill:
         warnings.warn(
-            f"piecewise Gram condition {gram_cond:.2e} exceeds {cond_max:.1e} "
+            f"piecewise Gram condition {gram_cond:.2e} exceeds {COND_MAX:.1e} "
             f"on element {cut.element_id}",
             IllConditionedWarning,
         )
@@ -673,17 +648,15 @@ def construct_ife_basis(
     weak_grad = scipy.linalg.cho_solve(cho, rhs)
     weak_grad_weighted = scipy.linalg.cho_solve(cho_w, rhs_w)
 
-    h_t = cut.h
-    if stab_weight is None:
-        # The penalty must keep pace with the weighted gradient energy, or
-        # the trace ties go slack by a factor max(A)/min(A) under contrast.
-        stab_weight = max(a1, a2)
+    # The penalty must keep pace with the weighted gradient energy, or the
+    # trace ties go slack by a factor max(A)/min(A) under contrast.
+    stab = max(a1, a2) / cut.h
     stiffness = weak_grad_weighted.T @ grad_gram_weighted @ weak_grad_weighted
     for i, ed in enumerate(edges):
         s = np.zeros((k, n_local))
         s[:, :m] = ed.trace
         s[:, m + i * k : m + (i + 1) * k] = -np.eye(k)
-        stiffness += (stab_weight / h_t) * (s.T @ s)
+        stiffness += stab * (s.T @ s)
     stiffness = 0.5 * (stiffness + stiffness.T)
 
     return LocalIfeSpace(

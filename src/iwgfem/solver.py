@@ -26,7 +26,6 @@ class SolverConfig:
     method: str = "cholesky"  # "cholesky" | "cg"
     cg_tol: float = 1e-12
     cg_max_iter: int = 20000
-    preconditioner: str = "jacobi"  # "jacobi" | "none"
 
     def __post_init__(self):
         if self.method not in ("cholesky", "cg"):
@@ -35,8 +34,6 @@ class SolverConfig:
             raise ValueError("cg_tol must lie in (0, 1)")
         if self.cg_max_iter < 1:
             raise ValueError("cg_max_iter must be >= 1")
-        if self.preconditioner not in ("jacobi", "none"):
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
 
 
 @dataclass(frozen=True)
@@ -91,12 +88,12 @@ def _solve_cholesky(a: sp.csc_matrix, b: np.ndarray):
 
 
 def _solve_cg(a: sp.csc_matrix, b: np.ndarray, config: SolverConfig):
-    """Deterministic conjugate gradients with optional Jacobi preconditioning."""
+    """Deterministic Jacobi-preconditioned conjugate gradients."""
     n = len(b)
     diag = a.diagonal()
     if np.any(diag <= 0.0):
         raise NotPositiveDefinite("non-positive diagonal entry")
-    inv_diag = 1.0 / diag if config.preconditioner == "jacobi" else np.ones(n)
+    inv_diag = 1.0 / diag
 
     x = np.zeros(n)
     r = b.copy()

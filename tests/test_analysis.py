@@ -133,14 +133,16 @@ class TestErrorNorms:
 
     @pytest.mark.parametrize("k, mode", [(1, "segment"), (2, "arc")])
     def test_stored_basis_values_equal_fresh_evaluation(self, k, mode):
-        # The error loops read basis_vals instead of re-evaluating the basis
-        # at the rule points; the two must agree bit for bit.
+        # The error loops evaluate the basis through values_at_rules, the
+        # stored monomial values times the coefficient block, instead of at
+        # the rule points afresh; the two must agree bit for bit.
         mesh = build_mesh(2, CircleFixture.interface)
         spaces = build_ife_spaces(mesh, k, 1.0, 1000.0, mode=mode)
         for space in spaces.values():
+            stored = space.values_at_rules(np.eye(space.m))
             for side in (OMEGA1, OMEGA2):
                 fresh = space.eval_basis(space.rules[side].points, side)
-                np.testing.assert_array_equal(space.basis_vals[side], fresh)
+                np.testing.assert_array_equal(stored[side], fresh)
 
 
 class TestInterpolationDiagnostic:

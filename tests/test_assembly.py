@@ -6,6 +6,10 @@ import scipy.sparse as sp
 
 from iwgfem.analysis import example1, linear_solution
 from iwgfem.assembly import (
+    TRACE_NONE,
+    TRACE_SLAVED,
+    AssemblyError,
+    InconsistentConstraint,
     apply_constraints,
     assemble_interface,
     assemble_noninterface,
@@ -14,8 +18,8 @@ from iwgfem.assembly import (
     build_ife_spaces,
     cg_element_stiffness,
     dump_matrix,
-    element_nodes,
-    wg_local_solution,
+    element_node_table,
+    routing_matrix,
 )
 from iwgfem.geometry import OMEGA1, OMEGA2, CircleInterface
 from iwgfem.mesh import build_mesh
@@ -93,27 +97,38 @@ class TestDofMap:
             assert dm.n_free == n_interior_nodes + n_wg0 + n_free_traces
 
     def test_slaved_edges_have_no_columns(self):
-        from iwgfem.assembly import TRACE_SLAVED
         from iwgfem.mesh import EDGE_COUPLING
 
         mesh = build_mesh(2, CIRCLE)
         dm = build_dof_map(mesh, 1)
         for e in np.flatnonzero(mesh.edge_class == EDGE_COUPLING):
             assert dm.trace_col[e] == TRACE_SLAVED
-            assert e in dm.coupling
 
     def test_coupling_block_projects_cg_trace(self):
-        from iwgfem.ife import edge_legendre, project_qb
+        # Every slaved slot of P must map a linear function's CG interpolant
+        # to the Q_b projection of the function on its edge.
+        from iwgfem.ife import project_qb
+        from iwgfem.mesh import EDGE_COUPLING
 
         mesh = build_mesh(2, CIRCLE)
+        u = lambda x, y: 0.3 + 1.7 * x - 0.4 * y
         for k in (1, 2):
             dm = build_dof_map(mesh, k)
-            e, (nodes, c) = next(iter(dm.coupling.items()))
-            u = lambda x, y: 0.3 + 1.7 * x - 0.4 * y
-            vals = u(dm.node_coords[nodes, 0], dm.node_coords[nodes, 1])
-            a, b = mesh.edges[e]
-            want = project_qb(u, mesh.vertices[a], mesh.vertices[b], k)
-            np.testing.assert_allclose(c @ vals, want, atol=1e-13)
+            x = np.zeros(dm.n_total)
+            valid = dm.node_col >= 0
+            x[dm.node_col[valid]] = u(dm.node_coords[valid, 0], dm.node_coords[valid, 1])
+            locs = (dm.P @ x).reshape(len(dm.wg0_col), dm.m + 3 * k)
+            checked = 0
+            for t, loc in zip(dm.wg0_col, locs):
+                for i, e in enumerate(mesh.tri_edges[t]):
+                    if dm.trace_col[e] != TRACE_SLAVED:
+                        continue
+                    a, b = mesh.edges[e]
+                    want = project_qb(u, mesh.vertices[a], mesh.vertices[b], k)
+                    got = loc[dm.m + i * k : dm.m + (i + 1) * k]
+                    np.testing.assert_allclose(got, want, atol=1e-13)
+                    checked += 1
+            assert checked == np.sum(mesh.edge_class == EDGE_COUPLING) > 0
 
 
 def _reference_dof_columns(mesh, k):
@@ -125,7 +140,7 @@ def _reference_dof_columns(mesh, k):
     active = np.zeros(n_nodes, dtype=bool)
     for t in range(mesh.n_triangles):
         if mesh.element_class[t] != INTERFACE:
-            active[element_nodes(mesh, t, k)] = True
+            active[element_node_table(mesh, k)[t]] = True
     on_boundary = np.zeros(n_nodes, dtype=bool)
     for e in range(mesh.n_edges):
         if mesh.edge_tris[e, 1] < 0:
@@ -184,6 +199,123 @@ class TestDofMapColumns:
         np.testing.assert_array_equal(dm.pinned_nodes, pinned)
         if interface is not CIRCLE:
             assert len(dm.pinned_trace_edges) > 0
+
+
+class TestRoutingChecks:
+    """The routing matrix refuses a DOF map or blocks it cannot route."""
+
+    @staticmethod
+    def _first_slot_edge(mesh, dm, want):
+        """(element, edge) of the first trace slot in P's row order with trace_col == want."""
+        for t in dm.wg0_col:
+            for e in mesh.tri_edges[t]:
+                if want(dm.trace_col[e]):
+                    return t, int(e)
+        raise AssertionError("no such edge")
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_slaved_edge_on_inactive_node_raises(self, k):
+        mesh = build_mesh(2, CIRCLE)
+        dm = build_dof_map(mesh, k)
+        t, e = self._first_slot_edge(mesh, dm, lambda tc: tc == TRACE_SLAVED)
+        dm.node_col[mesh.edges[e, 1]] = -1
+        with pytest.raises(InconsistentConstraint, match=f"edge {e} of interface element {t} "):
+            routing_matrix(mesh, dm)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_edge_without_trace_dofs_raises(self, k):
+        mesh = build_mesh(2, CIRCLE)
+        dm = build_dof_map(mesh, k)
+        t, e = self._first_slot_edge(mesh, dm, lambda tc: tc >= 0)
+        dm.trace_col[e] = TRACE_NONE
+        with pytest.raises(InconsistentConstraint, match=f"edge {e} of interface element {t} has no"):
+            routing_matrix(mesh, dm)
+
+    def test_blocks_out_of_routing_order_raise(self):
+        ms = example1(1.0, 10.0)
+        mesh = build_mesh(1, CIRCLE)
+        spaces = build_ife_spaces(mesh, 1, 1.0, 10.0)
+        dm = build_dof_map(mesh, 1)
+        cg = assemble_noninterface(mesh, 1, {OMEGA1: 1.0, OMEGA2: 10.0}, ms.f)
+        del spaces[next(iter(dm.wg0_col))]
+        wg = assemble_interface(mesh, spaces, 1, ms.f)
+        with pytest.raises(AssemblyError, match="element order"):
+            apply_constraints(mesh, dm, cg, wg, ms.g)
+
+
+def _edge_lagrange_function(k, i, p0, p1):
+    """The i-th P_k Lagrange shape on the edge p0 -> p1 (nodes p0, p1, midpoint)."""
+    d = p1 - p0
+
+    def shape(x, y):
+        t = ((np.asarray(x, float) - p0[0]) * d[0] + (np.asarray(y, float) - p0[1]) * d[1]) / (d @ d)
+        if k == 1:
+            return (1.0 - t, t)[i]
+        return ((1.0 - t) * (1.0 - 2.0 * t), t * (2.0 * t - 1.0), 4.0 * t * (1.0 - t))[i]
+
+    return shape
+
+
+def _reference_folded_system(mesh, k, spaces, ms, a1, a2):
+    """Dense reduced K and b, routed one element at a time by the documented layout.
+
+    CG blocks scatter to their node columns. An interface element's local
+    slots [v0; vb per local edge] map to its interior columns, to the trace
+    columns of owned edges and, on a coupling edge, to the Q_b projections
+    of the edge's CG shape functions, computed here with project_qb.
+    """
+    from iwgfem.ife import load_vector, project_qb
+
+    dm = build_dof_map(mesh, k)
+    n, m, n_loc = dm.n_total, dm.m, dm.m + 3 * k
+    kmat = np.zeros((n, n))
+    rhs = np.zeros(n)
+    cg = assemble_noninterface(mesh, k, {OMEGA1: a1, OMEGA2: a2}, ms.f)
+    for t, stiff, load in zip(cg.elements, cg.stiffness, cg.load):
+        cols = dm.node_col[element_node_table(mesh, k)[t]]
+        kmat[np.ix_(cols, cols)] += stiff
+        rhs[cols] += load
+    for t in sorted(spaces):
+        route = np.zeros((n_loc, n))
+        route[np.arange(m), dm.wg0_col[t] + np.arange(m)] = 1.0
+        for i, e in enumerate(mesh.tri_edges[t]):
+            slots = m + i * k + np.arange(k)
+            if dm.trace_col[e] >= 0:
+                route[slots, dm.trace_col[e] + np.arange(k)] = 1.0
+                continue
+            assert dm.trace_col[e] == TRACE_SLAVED
+            a, b = mesh.edges[e]
+            p0, p1 = mesh.vertices[a], mesh.vertices[b]
+            nodes = [a, b] if k == 1 else [a, b, mesh.n_vertices + e]
+            for j, node in enumerate(nodes):
+                shape = _edge_lagrange_function(k, j, p0, p1)
+                route[slots, dm.node_col[node]] = project_qb(shape, p0, p1, k)
+        load = np.zeros(n_loc)
+        load[:m] = load_vector(spaces[t], ms.f)
+        kmat += route.T @ spaces[t].stiffness @ route
+        rhs += route.T @ load
+    pinned = [ms.g(*dm.node_coords[node]) for node in dm.pinned_nodes]
+    for e in dm.pinned_trace_edges:
+        a, b = mesh.edges[e]
+        pinned.extend(project_qb(ms.g, mesh.vertices[a], mesh.vertices[b], k, mesh.interface))
+    nf = dm.n_free
+    return kmat[:nf, :nf], rhs[:nf] - kmat[:nf, nf:] @ np.array(pinned)
+
+
+class TestFoldedSystem:
+    @pytest.mark.parametrize("interface", [CIRCLE, CircleInterface((0.3, 0.2), 0.36)])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_dense_per_element_folding(self, k, interface):
+        a1, a2 = 1.0, 1000.0
+        ms = example1(a1, a2, interface)
+        mesh = build_mesh(2, interface)
+        system, spaces = assemble_system(mesh, k, a1, a2, ms.f, ms.g)
+        k_ref, b_ref = _reference_folded_system(mesh, k, spaces, ms, a1, a2)
+        k_got = system.matrix.toarray()
+        assert np.abs(k_got - k_ref).max() <= 1e-14 * np.abs(k_ref).max()
+        assert np.abs(system.rhs - b_ref).max() <= 1e-14 * np.abs(b_ref).max()
+        # The sparse products keep no explicit zeros in the stored pattern.
+        assert np.all(system.matrix.data != 0.0)
 
 
 class TestGlobalSystem:
@@ -313,7 +445,7 @@ def _textbook_cg_solve(mesh, k, ms):
     shapes = _cg_shape_values(k, ref)
     for t in range(mesh.n_triangles):
         tri = mesh.triangle_coords(t)
-        nodes = element_nodes(mesh, t, k)
+        nodes = element_node_table(mesh, k)[t]
         cols = dm.node_col[nodes]
         kmat[np.ix_(cols, cols)] += cg_element_stiffness(tri, k)
         jm = np.array([tri[1] - tri[0], tri[2] - tri[0]])

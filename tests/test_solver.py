@@ -76,5 +76,3 @@ class TestConfig:
             SolverConfig(cg_tol=2.0)
         with pytest.raises(ValueError):
             SolverConfig(cg_max_iter=0)
-        with pytest.raises(ValueError):
-            SolverConfig(preconditioner="ilu")
