@@ -24,6 +24,8 @@ from iwgfem.assembly import (
     DofMap,
     _cg_shape_grads,
     _cg_shape_values,
+    _element_jacobians,
+    _orientation_classes,
     build_dof_map,
     element_node_table,
 )
@@ -59,8 +61,12 @@ class ManufacturedSolution:
     name: str = "manufactured"
 
     def u(self, x, y):
-        phi = self.interface.value(x, y)
-        return np.where(phi < 0.0, self.u_side(x, y, OMEGA1), self.u_side(x, y, OMEGA2))
+        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+        inside = self.interface.value(x, y) < 0.0
+        out = np.empty(x.shape)
+        out[inside] = self.u_side(x[inside], y[inside], OMEGA1)
+        out[~inside] = self.u_side(x[~inside], y[~inside], OMEGA2)
+        return out
 
     def g(self, x, y):
         return self.u_side(x, y, OMEGA2)
@@ -141,14 +147,7 @@ def _noninterface_errors(mesh, dofmap, x_all, ms, k, degree):
     grads_ref = _cg_shape_grads(k, ref)
 
     coefs = x_all[dofmap.node_col[element_node_table(mesh, k)[ids]]]  # (ne, nl)
-    v0 = mesh.vertices[mesh.triangles[ids, 0]]
-    j_mats = np.stack(
-        [
-            mesh.vertices[mesh.triangles[ids, 1]] - v0,
-            mesh.vertices[mesh.triangles[ids, 2]] - v0,
-        ],
-        axis=1,
-    )
+    v0, j_mats = _element_jacobians(mesh, ids)
     dets = np.abs(j_mats[:, 0, 0] * j_mats[:, 1, 1] - j_mats[:, 0, 1] * j_mats[:, 1, 0])
     pts = v0[:, None, :] + ref[None, :, :] @ j_mats
 
@@ -156,11 +155,8 @@ def _noninterface_errors(mesh, dofmap, x_all, ms, k, degree):
     energy_sq = 0.0
     l2_sq = 0.0
     linf = 0.0
-    keys = np.round(j_mats.reshape(len(ids), 4), 14)
-    _, inv = np.unique(keys, axis=0, return_inverse=True)
     grad_uh = np.empty((len(ids), len(ref), 2))
-    for cls in np.unique(inv):
-        sel = np.flatnonzero(inv == cls)
+    for sel in _orientation_classes(j_mats):
         jinv_t = np.linalg.inv(j_mats[sel[0]]).T  # rows of j_mats are edge vectors
         g_phys = grads_ref @ jinv_t  # (nq, nl, 2)
         grad_uh[sel] = np.einsum("el,qld->eqd", coefs[sel], g_phys)

@@ -18,7 +18,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from iwgfem.geometry import INTERFACE, OMEGA1, OMEGA2, _triangle_rule_reference
-from iwgfem.ife import LocalIfeSpace, construct_ife_basis, edge_legendre, load_vector, project_qb
+from iwgfem.ife import (
+    CutGeometry,
+    IfeSpaces,
+    build_cut_geometry,
+    build_local_spaces,
+    edge_legendre,
+    load_vector,
+    project_qb,
+)
 from iwgfem.mesh import EDGE_COUPLING, EDGE_WG_INTERIOR, MeshPartition
 
 
@@ -269,6 +277,38 @@ class WgBlocks:
     load: np.ndarray  # (n_cut, m + 3k), zeros on trace slots
 
 
+def _element_jacobians(mesh: MeshPartition, ids: np.ndarray):
+    """First vertices (ne, 2) and Jacobians (ne, 2, 2) whose rows are the edge vectors."""
+    v0 = mesh.vertices[mesh.triangles[ids, 0]]
+    j_mats = np.stack(
+        [
+            mesh.vertices[mesh.triangles[ids, 1]] - v0,
+            mesh.vertices[mesh.triangles[ids, 2]] - v0,
+        ],
+        axis=1,
+    )
+    return v0, j_mats
+
+
+def _orientation_classes(j_mats: np.ndarray) -> list[np.ndarray]:
+    """Index arrays of the elements whose Jacobians agree to 14 decimals.
+
+    Each class is every element whose rounded Jacobian equals that of the
+    first element not yet assigned, which leads the class. A uniform mesh has
+    a handful of classes, so this is a handful of vectorized passes.
+    """
+    keys = np.round(j_mats.reshape(len(j_mats), -1), 14)
+    left = np.ones(len(keys), dtype=bool)
+    classes = []
+    while left.any():
+        first = int(np.argmax(left))
+        same = left & np.all(keys == keys[first], axis=1)
+        same[first] = True  # a NaN key matches nothing, not even itself
+        left &= ~same
+        classes.append(np.flatnonzero(same))
+    return classes
+
+
 def assemble_noninterface(mesh: MeshPartition, k: int, coeff, f, quad_offset: int = 0) -> CgContributions:
     """Stiffness (A grad u, grad v)_T and load (f, v)_T on non-interface elements.
 
@@ -287,23 +327,13 @@ def assemble_noninterface(mesh: MeshPartition, k: int, coeff, f, quad_offset: in
     ref_l, w_l = _triangle_rule_reference(load_deg)
     shapes_l = _cg_shape_values(k, ref_l)
 
-    v0 = mesh.vertices[mesh.triangles[ids, 0]]
-    j_mats = np.stack(
-        [
-            mesh.vertices[mesh.triangles[ids, 1]] - v0,
-            mesh.vertices[mesh.triangles[ids, 2]] - v0,
-        ],
-        axis=1,
-    )  # (ne, 2, 2): rows are edge vectors
+    v0, j_mats = _element_jacobians(mesh, ids)
     dets = j_mats[:, 0, 0] * j_mats[:, 1, 1] - j_mats[:, 0, 1] * j_mats[:, 1, 0]
 
     # Orientation classes: elements sharing the same Jacobian reuse one block.
-    keys = np.round(j_mats.reshape(len(ids), 4), 14)
-    _, inv = np.unique(keys, axis=0, return_inverse=True)
     grads_ref = _cg_shape_grads(k, ref_s)
     stiff = np.empty((len(ids), nl, nl))
-    for cls in np.unique(inv):
-        sel = np.flatnonzero(inv == cls)
+    for sel in _orientation_classes(j_mats):
         jm = j_mats[sel[0]]
         det = dets[sel[0]]
         # Rows of jm are the edge vectors, so dx/dxi = jm.T and physical
@@ -322,19 +352,15 @@ def assemble_noninterface(mesh: MeshPartition, k: int, coeff, f, quad_offset: in
     return CgContributions(ids, element_node_table(mesh, k)[ids], stiff, load)
 
 
-def build_cut_geometries(mesh: MeshPartition, k: int, quad_degree: int | None = None) -> dict:
-    """Pair-independent cut-element geometry, shareable across coefficient pairs."""
-    from iwgfem.ife import build_cut_geometry
+def build_cut_geometries(mesh: MeshPartition, k: int, quad_degree: int | None = None) -> CutGeometry:
+    """Pair-independent data of every cut element, shareable across coefficient pairs.
 
-    out = {}
-    for t, cut in mesh.cuts.items():
-        edge_pts = []
-        for i in range(3):
-            e = mesh.tri_edges[t, i]
-            a, b = mesh.edges[e]
-            edge_pts.append((mesh.vertices[a], mesh.vertices[b]))
-        out[t] = build_cut_geometry(cut, k, quad_degree, edge_pts)
-    return out
+    Stacked in ascending element order, with each edge in its canonical
+    (global) orientation.
+    """
+    ids = sorted(mesh.cuts)
+    edge_points = mesh.vertices[mesh.edges[mesh.tri_edges[ids]]]  # (n, 3, 2, 2)
+    return build_cut_geometry([mesh.cuts[t] for t in ids], k, quad_degree, edge_points)
 
 
 def build_ife_spaces(
@@ -344,30 +370,21 @@ def build_ife_spaces(
     a2: float,
     mode: str = "segment",
     quad_degree: int | None = None,
-    geometries: dict | None = None,
-) -> dict[int, LocalIfeSpace]:
-    """Construct the local immersed space on every interface element."""
+    geometries: CutGeometry | None = None,
+) -> IfeSpaces:
+    """Construct the local immersed space on every interface element, as one batch."""
     if geometries is None:
         geometries = build_cut_geometries(mesh, k, quad_degree)
-    spaces = {}
-    for t, cut in mesh.cuts.items():
-        spaces[t] = construct_ife_basis(
-            cut, a1, a2, k, mode=mode, quad_degree=quad_degree, element_id=t,
-            geometry=geometries[t],
-        )
-    return spaces
+    return build_local_spaces(geometries, a1, a2, mode)
 
 
-def assemble_interface(mesh: MeshPartition, spaces: dict, k: int, f) -> WgBlocks:
+def assemble_interface(mesh: MeshPartition, spaces: IfeSpaces, k: int, f) -> WgBlocks:
     """Weak-gradient stiffness + stabilizer blocks and interior-tested loads."""
     m = (k + 1) * (k + 2) // 2
-    elements = np.array(sorted(spaces), dtype=np.int64)
-    stiffness = np.zeros((len(elements), m + 3 * k, m + 3 * k))
-    load = np.zeros((len(elements), m + 3 * k))
-    for i, t in enumerate(elements):
-        stiffness[i] = spaces[t].stiffness
-        load[i, :m] = load_vector(spaces[t], f)
-    return WgBlocks(elements, stiffness, load)
+    load = np.zeros(spaces.stiffness.shape[:2])
+    for i, space in enumerate(spaces.values()):
+        load[i, :m] = load_vector(space, f)
+    return WgBlocks(spaces.elements, spaces.stiffness, load)
 
 
 @dataclass(eq=False)

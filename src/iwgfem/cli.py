@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import time
@@ -229,33 +230,25 @@ def _parse_pairs(text: str) -> tuple[tuple[float, float], ...]:
     return tuple(pairs)
 
 
-_CONFIG_KEYS = {
-    "k": int,
-    "levels": _parse_levels,
-    "coeffs": _parse_pairs,
-    "depth": int,
-    "quad_offset": int,
-    "ife": str,
-    "solver": str,
-    "out": str,
-    "n_level1": int,
-    "dump_mesh": lambda s: s.lower() in ("1", "true", "yes"),
-    "dump_matrix": lambda s: s.lower() in ("1", "true", "yes"),
-}
+# RunConfig fields whose config-file key (and flag name) differs from the
+# field name; every other field is its own key.
+_FIELD_KEYS = {"pairs": "coeffs", "ife_mode": "ife", "out_dir": "out"}
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+_KEY_TO_FIELD = {_FIELD_KEYS.get(field, field): field for field in _DEFAULTS}
 
-_KEY_TO_FIELD = {
-    "k": "k",
-    "levels": "levels",
-    "coeffs": "pairs",
-    "depth": "depth",
-    "quad_offset": "quad_offset",
-    "ife": "ife_mode",
-    "solver": "solver",
-    "out": "out_dir",
-    "n_level1": "n_level1",
-    "dump_mesh": "dump_mesh",
-    "dump_matrix": "dump_matrix",
-}
+
+def _parse_value(field: str, text: str):
+    """A config-file or flag value for ``field``, typed like the field's default."""
+    if field == "levels":
+        return _parse_levels(text)
+    if field == "pairs":
+        return _parse_pairs(text)
+    default = _DEFAULTS[field]
+    if isinstance(default, bool):
+        return text.lower() in ("1", "true", "yes")
+    if isinstance(default, int):
+        return int(text)
+    return text
 
 
 def load_config_file(path) -> dict:
@@ -268,9 +261,9 @@ def load_config_file(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _KEY_TO_FIELD:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[_KEY_TO_FIELD[key]] = _CONFIG_KEYS[key](val)
+        values[_KEY_TO_FIELD[key]] = _parse_value(_KEY_TO_FIELD[key], val)
     return values
 
 
@@ -279,46 +272,43 @@ def build_parser() -> argparse.ArgumentParser:
         prog="iwgfem",
         description="Convergence studies for the immersed WG-CG interface solver on [-1,1]^2.",
     )
-    parser.add_argument("--k", type=int, help="polynomial degree (1 or 2); default 1")
-    parser.add_argument("--levels", type=str, help="level range A..B or comma list; default 1..5")
+    parser.add_argument("--k", help="polynomial degree (1 or 2); default 1")
+    parser.add_argument("--levels", help="level range A..B or comma list; default 1..5")
     parser.add_argument(
         "--coeffs",
-        type=str,
         help="coefficient pairs 'A1,A2[;A1,A2...]'; default '1,1;1,10;1,100;1,1000'",
     )
-    parser.add_argument("--depth", type=int, help="arc-subdivision depth for cut quadrature; default 6")
-    parser.add_argument("--quad-offset", type=int, help="extra quadrature degree; default 0")
+    parser.add_argument("--depth", help="arc-subdivision depth for cut quadrature; default 6")
+    parser.add_argument("--quad-offset", help="extra quadrature degree; default 0")
     parser.add_argument("--ife", choices=("auto", "segment", "arc"), help="constraint realization")
     parser.add_argument("--solver", choices=("cholesky", "cg"), help="linear solver; default cholesky")
-    parser.add_argument("--out", type=str, help="output directory for CSV / plot data")
+    parser.add_argument("--out", help="output directory for CSV / plot data")
     parser.add_argument(
-        "--n-level1", type=int, help="cells per side at the first level (doubles per level); default 8"
+        "--n-level1", help="cells per side at the first level (doubles per level); default 8"
     )
-    parser.add_argument("--dump-mesh", action="store_true", default=None, help="write mesh listings")
-    parser.add_argument("--dump-matrix", action="store_true", default=None, help="write matrix dumps")
-    parser.add_argument("--config", type=str, help="key=value config file (flags win)")
+    parser.add_argument("--dump-mesh", action="store_const", const="true", help="write mesh listings")
+    parser.add_argument("--dump-matrix", action="store_const", const="true", help="write matrix dumps")
+    parser.add_argument("--config", help="key=value config file (flags win)")
     return parser
 
 
-def main(argv=None) -> int:
+def config_from_argv(argv=None) -> RunConfig:
+    """The validated configuration of a command line: config file, then flags.
+
+    Raises ValueError or TypeError on malformed input.
+    """
     args = build_parser().parse_args(argv)
+    values = load_config_file(args.config) if args.config else {}
+    for key, field in _KEY_TO_FIELD.items():
+        text = getattr(args, key)
+        if text is not None:
+            values[field] = _parse_value(field, text)
+    return RunConfig(**values)
+
+
+def main(argv=None) -> int:
     try:
-        values = load_config_file(args.config) if args.config else {}
-        cli_values = {
-            "k": args.k,
-            "levels": _parse_levels(args.levels) if args.levels else None,
-            "pairs": _parse_pairs(args.coeffs) if args.coeffs else None,
-            "depth": args.depth,
-            "quad_offset": args.quad_offset,
-            "ife_mode": args.ife,
-            "solver": args.solver,
-            "out_dir": args.out,
-            "n_level1": args.n_level1,
-            "dump_mesh": args.dump_mesh,
-            "dump_matrix": args.dump_matrix,
-        }
-        values.update({k: v for k, v in cli_values.items() if v is not None})
-        config = RunConfig(**values)
+        config = config_from_argv(argv)
     except (ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Per-element immersed finite element spaces and weak-gradient machinery.
+"""Immersed finite element spaces and weak-gradient machinery, built per batch.
 
 On a cut element T the local space V_k(T) consists of polynomial pairs
 (p1, p2) of degree k constrained by the interface jump conditions: continuity
@@ -15,23 +15,32 @@ available:
 A weak function on T is a coefficient vector [v0 (m slots); vb (k slots per
 edge)] over the constructed orthonormal interior basis and per-edge
 orthonormal Legendre trace bases.
+
+The work is split in two layers, each stacked over the cut elements of a
+level on axis 0 (the stacked-array style of Rahman & Valdman, Appl. Math.
+Comput. 219, 2013). ``build_cut_geometry`` computes everything no
+conductivity touches: rules, mass matrices, the unscaled constraint rows and
+per-side edge moments. ``build_local_spaces`` then builds one pair's spaces
+from those stacks with batched ``np.linalg`` calls.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from iwgfem.geometry import (
     OMEGA1,
     OMEGA2,
     CircleInterface,
     ElementCut,
-    QuadratureRule,
+    MultipleCrossings,
+    _gauss_legendre,
+    edge_split_parameters,
     quadrature_on_edge,
     quadrature_on_subregion,
 )
@@ -76,9 +85,10 @@ class PolyBasis:
         return (self.k + 1) * (self.k + 2) // 2
 
     def eval(self, pts) -> np.ndarray:
+        """Values at points of shape (..., 2), shape (..., dim)."""
         pts = np.atleast_2d(np.asarray(pts, float))
         e = self.exponents
-        return pts[:, 0:1] ** e[:, 0] * pts[:, 1:2] ** e[:, 1]
+        return pts[..., 0:1] ** e[:, 0] * pts[..., 1:2] ** e[:, 1]
 
     def derivative_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """Integer (dim, dim) D_x, D_y with d/dx (mono @ c) = mono @ (D_x c).
@@ -97,7 +107,7 @@ class PolyBasis:
         return d_x, d_y
 
     def grad(self, pts) -> np.ndarray:
-        """Local-coordinate gradients, shape (n, dim, 2)."""
+        """Local-coordinate gradients, shape (..., dim, 2)."""
         vals = self.eval(pts)
         d_x, d_y = self.derivative_matrices()
         return np.stack([vals @ d_x, vals @ d_y], axis=-1)
@@ -105,6 +115,18 @@ class PolyBasis:
     def laplacian(self, pts) -> np.ndarray:
         d_x, d_y = self.derivative_matrices()
         return self.eval(pts) @ (d_x @ d_x + d_y @ d_y)
+
+
+def _legendre_values(xi, ell, k: int) -> np.ndarray:
+    """Legendre P_0..P_{k-1} at xi in [-1, 1], scaled to unit arc-length norm
+    on segments of length ell (broadcast against xi); shape (..., k)."""
+    return np.stack(
+        [
+            np.polynomial.legendre.legval(xi, [0.0] * i + [1.0]) * np.sqrt((2 * i + 1) / ell)
+            for i in range(k)
+        ],
+        axis=-1,
+    )
 
 
 def edge_legendre(p0, p1, k: int):
@@ -122,13 +144,7 @@ def edge_legendre(p0, p1, k: int):
     def values(pts):
         pts = np.atleast_2d(np.asarray(pts, float))
         t = ((pts - p0) @ d) / d2  # parameter in [0, 1]
-        xi = 2.0 * t - 1.0
-        cols = []
-        for i in range(k):
-            # P_i scaled to unit arc-length norm on the edge.
-            pi = np.polynomial.legendre.legval(xi, [0.0] * i + [1.0])
-            cols.append(pi * math.sqrt((2 * i + 1) / ell))
-        return np.column_stack(cols)
+        return _legendre_values(2.0 * t - 1.0, ell, k)
 
     return values
 
@@ -143,197 +159,293 @@ def project_qb(g, p0, p1, k: int, interface: CircleInterface | None = None, degr
     return leg.T @ (rule.weights * vals)
 
 
-def _pair_constant_vector(m: int) -> np.ndarray:
-    v = np.zeros(2 * m)
-    v[0] = 1.0
-    v[m] = 1.0
-    return v
+def _tr(a: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix in a stack."""
+    return a.swapaxes(-1, -2)
 
 
-def build_constraint_system(
-    cut: ElementCut, a1: float, a2: float, k: int, mode: str = "segment"
-) -> np.ndarray:
-    """Constraint matrix whose null space is V_k(T) in pair coefficients.
+@dataclass(frozen=True, eq=False)
+class CutPoints:
+    """The per-point data of one cut element, kept out of the stacked arrays."""
 
-    Rows (each normalized to unit length): k+1 value-jump conditions, k
-    flux-jump conditions and, for k = 2, one Laplacian-jump condition. The
-    ``segment`` mode collocates the conditions on the chord D-E (a degree-k
-    polynomial vanishing at k+1 points vanishes identically); the ``arc``
-    mode integrates them against Legendre test functions along the true arc.
-    Columns: side-1 monomial coefficients then side-2.
-    """
-    if k not in (1, 2):
-        raise ValueError("polynomial degree k must be 1 or 2")
-    if not (a1 > 0.0 and a2 > 0.0):
-        raise ValueError("conductivities must be positive")
-    poly = PolyBasis(k)
-    m = poly.dim
-    x_ref, f_mat, h_ref = _chord_frame(cut)
-
-    def local(pts):
-        return (np.atleast_2d(np.asarray(pts, float)) - x_ref) @ f_mat.T
-
-    n_loc = f_mat @ cut.normal  # chord normal in local gradient coordinates
-
-    rows = []
-    if mode == "segment":
-        d, e = cut.point_d, cut.point_e
-        # Value conditions at k+1 points of the chord.
-        t = np.linspace(0.0, 1.0, k + 1)
-        pts = d + np.outer(t, e - d)
-        v = poly.eval(local(pts))
-        for r in range(k + 1):
-            rows.append(np.concatenate([v[r], -v[r]]))
-        # Flux conditions at k interior points, with the fixed chord normal.
-        t = (np.arange(k) + 0.5) / k
-        pts = d + np.outer(t, e - d)
-        gn = poly.grad(local(pts)) @ n_loc
-        for r in range(k):
-            rows.append(np.concatenate([a1 * gn[r], -a2 * gn[r]]))
-        if k == 2:
-            lap = poly.laplacian(local(d[None, :]))[0]
-            rows.append(np.concatenate([a1 * lap, -a2 * lap]))
-    elif mode == "arc":
-        circ = cut.interface
-        c = np.asarray(circ.center, float)
-        th_d = math.atan2(cut.point_d[1] - c[1], cut.point_d[0] - c[0])
-        th_e = math.atan2(cut.point_e[1] - c[1], cut.point_e[0] - c[0])
-        dth = math.remainder(th_e - th_d, 2.0 * math.pi)  # minor arc
-        ng = max(2 * k + 2, 8)
-        xg, wg = np.polynomial.legendre.leggauss(ng)
-        s = 0.5 * (xg + 1.0)
-        th = th_d + s * dth
-        npts = np.column_stack([np.cos(th), np.sin(th)])  # exact unit normal
-        pts = c + circ.radius * npts
-        v = poly.eval(local(pts))
-        gn = np.einsum("njd,nd->nj", poly.grad(local(pts)), npts @ f_mat.T)
-        for j in range(k + 1):
-            test = wg * np.polynomial.legendre.legval(xg, [0.0] * j + [1.0])
-            rows.append(np.concatenate([test @ v, -(test @ v)]))
-        for j in range(k):
-            test = wg * np.polynomial.legendre.legval(xg, [0.0] * j + [1.0])
-            rows.append(np.concatenate([a1 * (test @ gn), -a2 * (test @ gn)]))
-        if k == 2:
-            lap = poly.laplacian(local(cut.point_d[None, :]))[0]
-            rows.append(np.concatenate([a1 * lap, -a2 * lap]))
-    else:
-        raise ValueError(f"unknown constraint mode {mode!r}")
-
-    c_mat = np.array(rows)
-    norms = np.linalg.norm(c_mat, axis=1)
-    if np.any(norms == 0.0):
-        raise RankDeficient("zero constraint row; degenerate cut geometry")
-    return c_mat / norms[:, None]
-
-
-def _chord_frame(cut: ElementCut):
-    """Element-local chord frame: origin at the chord midpoint, first axis
-    along D-E, second along the chord normal, scaled by 1/h_T.
-
-    Returns (x_ref, f_mat, h_ref) with local = (x - x_ref) @ f_mat.T; the
-    physical gradient of a local polynomial is grad_local @ f_mat. Using the
-    chord frame makes the segment-mode jump corrections slot-aligned, so the
-    interface conditions cancel slot by slot, up to the rounding of the
-    stored coefficients.
-    """
-    h_ref = cut.h
-    tangent = (cut.point_e - cut.point_d) / np.linalg.norm(cut.point_e - cut.point_d)
-    f_mat = np.vstack([tangent, cut.normal]) / h_ref
-    x_ref = 0.5 * (cut.point_d + cut.point_e)
-    return x_ref, f_mat, h_ref
-
-
-def _segment_null_basis(cut: ElementCut, a1: float, a2: float, k: int) -> np.ndarray:
-    """Closed-form basis of the chord-constrained pair space, (2m, m).
-
-    In chord coordinates (xi along D-E, eta along the chord normal) the space
-    is parametrized explicitly: one side carries a plain polynomial q and the
-    other q + r(q), where r collects eta-carrying monomials fixed by the flux
-    condition (and the Laplacian condition for k = 2); the value jump
-    vanishes on the chord because every correction carries an eta factor.
-    The plain side is the sub-region with the larger area, which keeps the
-    corrected coefficients (scaled by the conductivity ratio) on the small
-    side and the basis conditioning low on sliver cuts. Column 0 is the
-    constant pair, since no correction touches the constant monomial.
-    """
-    from iwgfem.geometry import polygon_area
-
-    poly = PolyBasis(k)
-    m = poly.dim
-    exps = poly.exponents
-    base_is_1 = polygon_area(cut.poly1) >= polygon_area(cut.poly2)
-    a_base, a_other = (a1, a2) if base_is_1 else (a2, a1)
-    ratio = a_base / a_other - 1.0
-    corr = np.zeros((m, m))
-    eta2 = None
-    for j, (a, b) in enumerate(exps):
-        if (a, b) == (0, 2):
-            eta2 = j
-    for j, (a, b) in enumerate(exps):
-        if b == 1:
-            # eta * d_eta(q) on the chord is the monomial itself.
-            corr[j, j] += ratio
-        if k == 2 and (a, b) in ((2, 0), (0, 2)):
-            corr[eta2, j] += (a_base - a_other) / a_other  # Laplacian: 2 / (2 a)
-    eye = np.eye(m)
-    if base_is_1:
-        return np.vstack([eye, eye + corr])
-    return np.vstack([eye + corr, eye])
-
-
-@dataclass(eq=False)
-class EdgeData:
-    """Per-edge precomputation in the canonical (global) edge orientation."""
-
-    start: np.ndarray
-    end: np.ndarray
-    outward_normal: np.ndarray
-    rule: QuadratureRule  # split at the interface root if the edge is cut
-    legendre: np.ndarray  # (n, k) orthonormal trace basis at rule points
-    trace: np.ndarray  # (k, m) coefficients of Q_b(phi_j |_e)
-    normal_moments: np.ndarray  # (m-1, k): <L_i, grad(phi_{q+1}) . n>_e
-    normal_moments_weighted: np.ndarray  # (m-1, k): <L_i, A grad(phi_{q+1}) . n>_e
-
-
-@dataclass(eq=False)
-class LocalIfeSpace:
-    """Orthonormal immersed basis plus weak-gradient and stabilizer operators."""
-
-    element_id: int
-    k: int
-    a1: float
-    a2: float
     cut: ElementCut
-    mode: str
-    poly: PolyBasis
-    x_ref: np.ndarray
-    f_mat: np.ndarray  # local = (x - x_ref) @ f_mat.T; grad_x = grad_loc @ f_mat
-    h_ref: float
-    coeffs: np.ndarray  # (2m, m): pair coefficients of the basis, constant first
-    gram: np.ndarray  # (m, m), identity to roundoff
-    gram_cond: float
-    ill_conditioned: bool
-    constraint_residual: float
-    rules: dict  # side -> QuadratureRule (shared with the CutGeometry)
-    vander: dict  # side -> (n, m) monomial values at rule points (shared)
-    grad_gram: np.ndarray  # (m-1, m-1): gram of {grad phi_2..m}
-    grad_gram_weighted: np.ndarray  # with A per side
-    edges: list  # 3 EdgeData in local edge order
-    weak_grad: np.ndarray  # (m-1, m + 3k), unweighted Riesz map
-    weak_grad_weighted: np.ndarray  # (m-1, m + 3k), A-weighted Riesz map
-    stiffness: np.ndarray  # (m + 3k, m + 3k)
+    rules: dict  # side -> QuadratureRule on that sub-region
+    vander: dict  # side -> (n, m) monomial values at the rule points
+
+
+@dataclass(eq=False)
+class CutGeometry(Mapping):
+    """Pair-independent data of a set of cut elements, stacked on axis 0.
+
+    Everything here depends only on the cuts, the degree k and the
+    quadrature, so it is built once per level and shared by every
+    conductivity pair. As a mapping it takes an element id to that element's
+    ``CutPoints``. Sides are indexed 0 (OMEGA1) and 1 (OMEGA2).
+
+    The edge arrays cover each local edge with one Gauss piece on either side
+    of the interface crossing, Q = 2 (k + 3) points per edge; an edge the
+    interface does not cross has a second piece of zero length and weight.
+    """
+
+    k: int
+    elements: np.ndarray  # (n,) element ids
+    points: list  # (n,) CutPoints
+    x_ref: np.ndarray  # (n, 2) chord midpoints
+    f_mat: np.ndarray  # (n, 2, 2) frames: local = (x - x_ref) @ f_mat.T
+    h_ref: np.ndarray  # (n,) element diameters, the frames' scale
+    mass: np.ndarray  # (n, 2, m, m) monomial mass matrix per side
+    grad_gram: np.ndarray  # (n, 2, m, m) Gram of the monomials' physical gradients
+    base_is_1: np.ndarray  # (n,) side 1 has the larger area (segment basis)
+    constraint_rows: dict  # mode -> unscaled value rows (n, k+1, m), normal rows (n, k, m)
+    edge_points: np.ndarray  # (n, 3, Q, 2) edge rule points, canonical orientation
+    edge_weights: np.ndarray  # (n, 3, Q) edge rule weights (arc length)
+    edge_legendre: np.ndarray  # (n, 3, Q, k) orthonormal trace basis at the points
+    trace_moments: np.ndarray  # (n, 3, 2, k, m): leg^T W_s V per side s
+    normal_moments: np.ndarray  # (n, 3, 2, m, k): G^T W_s leg per side s
+
+    def __post_init__(self):
+        self.index = dict(zip(self.elements.tolist(), range(len(self.elements))))
 
     @property
     def m(self) -> int:
-        return self.poly.dim
+        return self.mass.shape[-1]
+
+    def __getitem__(self, t) -> CutPoints:
+        return self.points[self.index[t]]
+
+    def __iter__(self):
+        return iter(self.index)
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+
+def _polygon_areas(polys) -> np.ndarray:
+    """Shoelace areas of polygons with differing vertex counts, all at once.
+
+    Each polygon is padded by repeating its last vertex, which only inserts
+    exact zeros into the sum, so every area equals ``polygon_area``'s.
+    """
+    size = max((len(p) for p in polys), default=3)
+    v = np.array([np.vstack([p, np.repeat(p[-1:], size - len(p), axis=0)]) for p in polys])
+    x, y = v.reshape(len(polys), size, 2).transpose(2, 0, 1)
+    return 0.5 * np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
+
+
+def build_cut_geometry(cuts, k: int, quad_degree: int | None = None, edge_points=None) -> CutGeometry:
+    """Pair-independent data of ``cuts`` (a sequence of ElementCut), stacked.
+
+    ``edge_points`` (n, 3, 2, 2) gives each local edge's end points in the
+    canonical (global) edge orientation shared by the two neighbours; by
+    default each edge runs in the element-local orientation.
+    """
+    if k not in (1, 2):
+        raise ValueError("polynomial degree k must be 1 or 2")
+    poly = PolyBasis(k)
+    m = poly.dim
+    if quad_degree is None:
+        quad_degree = 2 * k + 4
+    n = len(cuts)
+    tri = np.array([c.triangle for c in cuts], float).reshape(n, 3, 2)
+    pd = np.array([c.point_d for c in cuts], float).reshape(n, 2)
+    pe = np.array([c.point_e for c in cuts], float).reshape(n, 2)
+    normal = np.array([c.normal for c in cuts], float).reshape(n, 2)
+    center = np.array([c.interface.center for c in cuts], float).reshape(n, 2)
+    radius = np.array([c.interface.radius for c in cuts], float)
+    radius_sq = np.array([c.interface.radius_squared for c in cuts], float)
+    tri_next = np.roll(tri, -1, axis=1)
+    if edge_points is None:
+        edge_points = np.stack([tri, tri_next], axis=2)
+    edge_points = np.asarray(edge_points, float).reshape(n, 3, 2, 2)
+
+    # Chord frame: origin at the chord midpoint, first axis along D-E, second
+    # along the chord normal, scaled by 1/h_T. It makes the segment-mode jump
+    # corrections slot-aligned, so the interface conditions cancel slot by
+    # slot, up to the rounding of the stored coefficients.
+    edge_vec = tri_next - tri  # local edge i runs from vertex i to i + 1
+    h_ref = np.linalg.norm(edge_vec, axis=-1).max(axis=1)
+    chord = pe - pd
+    tangent = chord / np.linalg.norm(chord, axis=1, keepdims=True)
+    f_mat = np.stack([tangent, normal], axis=1) / h_ref[:, None, None]
+    x_ref = 0.5 * (pd + pe)
+
+    def local(pts):  # (n, ..., p, 2) physical -> local coordinates
+        lead = (n,) + (1,) * (pts.ndim - 3)
+        return (pts - x_ref.reshape(lead + (1, 2))) @ _tr(f_mat).reshape(lead + (2, 2))
+
+    # The ragged per-point data: sub-region rules and edge crossings.
+    points = []
+    mass = np.empty((n, 2, m, m))
+    crossing = np.ones((n, 3))  # parameter of the interface crossing, 1 if none
+    for i, cut in enumerate(cuts):
+        rules, vander = {}, {}
+        for s, side in enumerate((OMEGA1, OMEGA2)):
+            rule = quadrature_on_subregion(cut, side, quad_degree)
+            v = poly.eval((rule.points - x_ref[i]) @ f_mat[i].T)
+            rules[side], vander[side] = rule, v
+            mass[i, s] = v.T @ (rule.weights[:, None] * v)
+        points.append(CutPoints(cut, rules, vander))
+        for j in range(3):
+            roots = edge_split_parameters(*edge_points[i, j], cut.interface)
+            if len(roots) > 1:
+                raise MultipleCrossings(
+                    f"interface crosses edge {j} of element {cut.element_id} twice; refine the mesh"
+                )
+            crossing[i, j] = roots[0] if roots else 1.0
+
+    # f_mat = [t; n] / h with t, n orthonormal, so the physical gradient Gram
+    # is the sum of the two local-derivative Grams over h^2; each local one is
+    # D^T M D, exact because differentiation maps P_k into P_{k-1}, part of P_k.
+    d_x, d_y = poly.derivative_matrices()
+    grad_gram = (d_x.T @ mass @ d_x + d_y.T @ mass @ d_y) / h_ref[:, None, None, None] ** 2
+
+    # Unscaled constraint rows. Segment: values at k + 1 chord points and
+    # derivatives along the fixed chord normal at k chord midpoints (a degree-k
+    # polynomial vanishing at k + 1 points vanishes on the chord). Arc:
+    # moments against Legendre tests along the true arc, exact normal.
+    def on_chord(t):
+        return pd[:, None] + t[:, None] * chord[:, None]
+
+    chord_normal = np.einsum("nab,nb->na", f_mat, normal)  # in local gradient coordinates
+    segment = (
+        poly.eval(local(on_chord(np.linspace(0.0, 1.0, k + 1)))),
+        np.einsum("npjd,nd->npj", poly.grad(local(on_chord((np.arange(k) + 0.5) / k))), chord_normal),
+    )
+    th_d = np.arctan2(pd[:, 1] - center[:, 1], pd[:, 0] - center[:, 0])
+    th_e = np.arctan2(pe[:, 1] - center[:, 1], pe[:, 0] - center[:, 0])
+    dth = th_e - th_d  # minor arc: the IEEE remainder of dth by 2 pi
+    dth = np.where(dth > math.pi, dth - 2.0 * math.pi, np.where(dth < -math.pi, dth + 2.0 * math.pi, dth))
+    xg, wg = np.polynomial.legendre.leggauss(max(2 * k + 2, 8))
+    th = th_d[:, None] + 0.5 * (xg + 1.0) * dth[:, None]
+    unit = np.stack([np.cos(th), np.sin(th)], axis=-1)  # exact unit normal
+    arc_loc = local(center[:, None] + radius[:, None, None] * unit)
+    tests = np.array([wg * np.polynomial.legendre.legval(xg, [0.0] * j + [1.0]) for j in range(k + 1)])
+    arc = (
+        tests @ poly.eval(arc_loc),
+        tests[:k] @ np.einsum("npjd,npd->npj", poly.grad(arc_loc), unit @ _tr(f_mat)),
+    )
+
+    # Edge rules, one Gauss piece on each side of the crossing, exact to
+    # degree 2k + 4 for integrands polynomial on each side.
+    xe, we = _gauss_legendre(k + 3)
+    lo = np.stack([np.zeros((n, 3)), crossing], axis=-1)
+    hi = np.stack([crossing, np.ones((n, 3))], axis=-1)
+    t = ((0.5 * (lo + hi))[..., None] + (0.5 * (hi - lo))[..., None] * xe).reshape(n, 3, 2 * len(xe))
+    start = edge_points[:, :, 0]
+    vec = edge_points[:, :, 1] - start
+    length = np.linalg.norm(vec, axis=-1)
+    e_pts = start[:, :, None] + t[..., None] * vec[:, :, None]
+    e_w = ((0.5 * (hi - lo) * length[..., None])[..., None] * we).reshape(t.shape)
+    e_leg = _legendre_values(2.0 * t - 1.0, length[..., None], k)
+
+    # Per-side edge moments: W_s masks the weights to the points on side s.
+    phi = ((e_pts - center[:, None, None]) ** 2).sum(axis=-1) - radius_sq[:, None, None]
+    w_side = np.stack([e_w * (phi < 0.0), e_w * (phi >= 0.0)], axis=2)  # (n, 3, 2, Q)
+    e_loc = local(e_pts)
+    outward = np.stack([edge_vec[..., 1], -edge_vec[..., 0]], axis=-1)
+    outward /= np.linalg.norm(outward, axis=-1, keepdims=True)
+    grad_n = np.einsum(
+        "eiqjd,eid->eiqj", poly.grad(e_loc), np.einsum("ead,eid->eia", f_mat, outward)
+    )  # (n, 3, Q, m) monomial normal derivatives
+    trace_moments = _tr(e_leg)[:, :, None] @ (w_side[..., None] * poly.eval(e_loc)[:, :, None])
+    normal_moments = _tr(grad_n)[:, :, None] @ (w_side[..., None] * e_leg[:, :, None])
+
+    return CutGeometry(
+        k=k,
+        elements=np.array([c.element_id for c in cuts], dtype=np.int64),
+        points=points,
+        x_ref=x_ref,
+        f_mat=f_mat,
+        h_ref=h_ref,
+        mass=mass,
+        grad_gram=grad_gram,
+        base_is_1=_polygon_areas([c.poly1 for c in cuts]) >= _polygon_areas([c.poly2 for c in cuts]),
+        constraint_rows={"segment": segment, "arc": arc},
+        edge_points=e_pts,
+        edge_weights=e_w,
+        edge_legendre=e_leg,
+        trace_moments=trace_moments,
+        normal_moments=normal_moments,
+    )
+
+
+class _Slice:
+    """View attribute: the view's slice of the batch array of the same name."""
+
+    def __init__(self, batch: str = "spaces"):
+        self.batch = batch
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, view, owner=None):
+        if view is None:
+            return self
+        return getattr(getattr(view, self.batch), self.name)[view.index]
+
+
+@dataclass(frozen=True, eq=False)
+class LocalIfeSpace:
+    """One element's orthonormal immersed basis, weak gradients and stabilizer.
+
+    A thin view of slice ``index`` of an ``IfeSpaces`` batch.
+    """
+
+    spaces: "IfeSpaces"
+    index: int
+
+    coeffs = _Slice()  # (2m, m): pair coefficients of the basis, constant first
+    gram = _Slice()  # (m, m), identity to roundoff
+    gram_cond = _Slice()
+    ill_conditioned = _Slice()
+    constraint_residual = _Slice()
+    grad_gram = _Slice()  # (m-1, m-1): Gram of {grad phi_2..m}
+    trace = _Slice()  # (3, k, m): Q_b of the basis on each local edge
+    weak_grad = _Slice()  # (m-1, m + 3k), unweighted Riesz map
+    stiffness = _Slice()  # (m + 3k, m + 3k)
+    x_ref = _Slice("geometry")
+    f_mat = _Slice("geometry")  # local = (x - x_ref) @ f_mat.T; grad_x = grad_loc @ f_mat
+    h_ref = _Slice("geometry")
+
+    @property
+    def geometry(self) -> CutGeometry:
+        return self.spaces.geometry
+
+    @property
+    def cut(self) -> ElementCut:
+        return self.geometry.points[self.index].cut
+
+    @property
+    def rules(self) -> dict:
+        return self.geometry.points[self.index].rules
+
+    @property
+    def vander(self) -> dict:
+        return self.geometry.points[self.index].vander
+
+    @property
+    def k(self) -> int:
+        return self.geometry.k
+
+    @property
+    def a1(self) -> float:
+        return self.spaces.a1
+
+    @property
+    def a2(self) -> float:
+        return self.spaces.a2
+
+    @property
+    def poly(self) -> PolyBasis:
+        return PolyBasis(self.k)
+
+    @property
+    def m(self) -> int:
+        return self.geometry.m
 
     @property
     def n_local(self) -> int:
         return self.m + 3 * self.k
-
-    @property
-    def h_t(self) -> float:
-        return self.cut.h
 
     def local_coords(self, pts):
         return (np.atleast_2d(np.asarray(pts, float)) - self.x_ref) @ self.f_mat.T
@@ -345,10 +457,6 @@ class LocalIfeSpace:
     def eval_basis(self, pts, side: int) -> np.ndarray:
         """Basis values at physical points lying on the given side."""
         return self.poly.eval(self.local_coords(pts)) @ self.block(side)
-
-    def eval_basis_grad(self, pts, side: int) -> np.ndarray:
-        g = self.poly.grad(self.local_coords(pts)) @ self.f_mat
-        return np.einsum("njd,jq->nqd", g, self.block(side))
 
     def sample(self, f) -> dict:
         """side -> values of a scalar function at that side's rule points."""
@@ -369,10 +477,6 @@ class LocalIfeSpace:
         """side -> values of the interior function v0 at that side's rule points."""
         return {side: self.vander[side] @ (self.block(side) @ v0) for side in (OMEGA1, OMEGA2)}
 
-    def trace_dof_slice(self, local_edge: int) -> slice:
-        s = self.m + local_edge * self.k
-        return slice(s, s + self.k)
-
     def project_interior(self, f, values: dict | None = None) -> np.ndarray:
         """Q_0 projection of a scalar function onto the interior basis.
 
@@ -385,126 +489,299 @@ class LocalIfeSpace:
 
     def project_traces(self, g) -> np.ndarray:
         """Q_b projection of g on each edge; shape (3, k)."""
-        out = np.zeros((3, self.k))
-        for i, ed in enumerate(self.edges):
-            vals = np.asarray(g(ed.rule.points[:, 0], ed.rule.points[:, 1]), float)
-            out[i] = ed.legendre.T @ (ed.rule.weights * vals)
-        return out
+        pts = self.geometry.edge_points[self.index]
+        weighted = self.geometry.edge_weights[self.index] * np.asarray(g(pts[..., 0], pts[..., 1]), float)
+        return (_tr(self.geometry.edge_legendre[self.index]) @ weighted[..., None])[..., 0]
 
     def energy_seminorm_sq(self, local_dofs) -> float:
         """Unweighted |grad_w v|_T^2 + h_T^{-1} |Q_b v_0 - v_b|_dT^2."""
         loc = np.asarray(local_dofs, float)
         c = self.weak_grad @ loc
         total = float(c @ self.grad_gram @ c)
-        v0 = loc[: self.m]
-        for i, ed in enumerate(self.edges):
-            jump = ed.trace @ v0 - loc[self.trace_dof_slice(i)]
-            total += float(jump @ jump) / self.h_t
+        for jump in self.trace @ loc[: self.m] - loc[self.m :].reshape(3, self.k):
+            total += float(jump @ jump) / self.h_ref
         return total
 
 
 @dataclass(eq=False)
-class CutGeometry:
-    """Pair-independent precomputation for one cut element.
+class IfeSpaces(Mapping):
+    """One conductivity pair's local spaces on every element of a CutGeometry.
 
-    Everything here depends only on the cut geometry, the degree k and the
-    quadrature settings, so it can be shared across conductivity pairs.
+    The arrays are stacked on axis 0 in the geometry's element order; as a
+    mapping it takes an element id to its ``LocalIfeSpace`` view.
     """
 
-    cut: ElementCut
-    k: int
-    quad_degree: int
-    x_ref: np.ndarray
-    f_mat: np.ndarray  # (2, 2) frame matrix: local = (x - x_ref) @ f_mat.T
-    h_ref: float
-    rules: dict
-    vander: dict  # side -> (n, m) monomial values at rule points
-    mass: dict  # side -> (m, m) monomial mass matrix
-    grad_gram: dict  # side -> (m, m) Gram of the monomials' physical gradients
-    edges: list  # per local edge: dict of precomputed arrays
+    geometry: CutGeometry
+    a1: float
+    a2: float
+    coeffs: np.ndarray
+    gram: np.ndarray
+    gram_cond: np.ndarray
+    ill_conditioned: np.ndarray
+    constraint_residual: np.ndarray
+    grad_gram: np.ndarray
+    trace: np.ndarray
+    weak_grad: np.ndarray
+    stiffness: np.ndarray
+
+    @property
+    def elements(self) -> np.ndarray:
+        return self.geometry.elements
+
+    def __getitem__(self, t) -> LocalIfeSpace:
+        return LocalIfeSpace(self, self.geometry.index[t])
+
+    def __iter__(self):
+        return iter(self.geometry.index)
+
+    def __len__(self) -> int:
+        return len(self.geometry)
 
 
-def build_cut_geometry(
-    cut: ElementCut, k: int, quad_degree: int | None = None, edge_points=None
-) -> CutGeometry:
-    poly = PolyBasis(k)
-    if quad_degree is None:
-        quad_degree = 2 * k + 4
-    x_ref, f_mat, h_ref = _chord_frame(cut)
-    # f_mat = [t; n] / h with t, n orthonormal, so the physical gradient Gram
-    # is the sum of the two local-derivative Grams over h^2; each local one is
-    # D^T M D, exact because differentiation maps P_k into P_{k-1}, part of P_k.
-    d_x, d_y = poly.derivative_matrices()
-    rules = {}
-    vander = {}
-    mass = {}
-    grad_gram = {}
-    for side in (OMEGA1, OMEGA2):
-        rule = quadrature_on_subregion(cut, side, quad_degree)
-        rules[side] = rule
-        vander[side] = poly.eval((rule.points - x_ref) @ f_mat.T)
-        mass[side] = vander[side].T @ (rule.weights[:, None] * vander[side])
-        grad_gram[side] = (d_x.T @ mass[side] @ d_x + d_y.T @ mass[side] @ d_y) / h_ref**2
+def _first_failure(factor, stack: np.ndarray) -> int:
+    """Index of the first slice of ``stack`` on which ``factor`` raises.
 
-    tri = cut.triangle
-    edges = []
-    for i in range(3):
-        p0_loc, p1_loc = tri[i], tri[(i + 1) % 3]
-        if edge_points is not None:
-            p0 = np.asarray(edge_points[i][0], float)
-            p1 = np.asarray(edge_points[i][1], float)
+    Bisects over sub-stacks, so it makes O(log n) batched calls.
+    """
+    lo, hi = 0, len(stack)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            factor(stack[lo:mid])
+        except np.linalg.LinAlgError:
+            hi = mid
         else:
-            p0, p1 = p0_loc, p1_loc
-        edge_vec = p1_loc - p0_loc
-        n_out = np.array([edge_vec[1], -edge_vec[0]])
-        n_out /= np.linalg.norm(n_out)
-        rule = quadrature_on_edge(p0, p1, 2 * k + 4, cut.interface)
-        leg = edge_legendre(p0, p1, k)(rule.points)
-        phi_rule = cut.interface.value(rule.points[:, 0], rule.points[:, 1])
-        loc = (rule.points - x_ref) @ f_mat.T
-        edges.append(
-            {
-                "start": p0,
-                "end": p1,
-                "normal": n_out,
-                "rule": rule,
-                "legendre": leg,
-                "v_all": poly.eval(loc),
-                "gn_all": poly.grad(loc) @ (f_mat @ n_out),  # (n, m) normal derivatives
-                "side1": phi_rule < 0.0,
-            }
-        )
-    return CutGeometry(
-        cut=cut,
-        k=k,
-        quad_degree=quad_degree,
-        x_ref=x_ref,
-        f_mat=f_mat,
-        h_ref=h_ref,
-        rules=rules,
-        vander=vander,
-        mass=mass,
-        grad_gram=grad_gram,
-        edges=edges,
-    )
+            lo = mid
+    return lo
 
 
-def _orthonormal_mixing(inner, basis: np.ndarray, const: np.ndarray) -> np.ndarray:
-    """Orthonormalize ``basis`` under ``inner``, putting the normalized ``const`` first.
+def _cholesky(stack: np.ndarray, elements: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factors; SingularGram names the first element that fails."""
+    try:
+        return np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError as exc:
+        bad = _first_failure(np.linalg.cholesky, stack)
+        raise SingularGram(f"{what} not positive on element {elements[bad]}") from exc
 
-    The constant is deflated from the columns, the m-1 columns least aligned
-    with it are kept, and they are orthonormalized through a Cholesky factor
-    of the deflated Gram; triangular mixing keeps the construction
-    deterministic. Raises ``scipy.linalg.LinAlgError`` if the deflated Gram
-    is not positive definite.
+
+def _solve_triangular(tri: np.ndarray, rhs: np.ndarray, lower: bool) -> np.ndarray:
+    """Solve tri @ x = rhs for stacked triangular tri by substitution, row by row."""
+    x = np.zeros(rhs.shape)
+    size = rhs.shape[-2]
+    for i in range(size) if lower else range(size - 1, -1, -1):
+        # Rows of x not solved yet are zero, so the full row product is exact.
+        x[..., i, :] = (rhs[..., i, :] - np.einsum("...j,...jc->...c", tri[..., i, :], x)) / tri[
+            ..., i, i, None
+        ]
+    return x
+
+
+def _constraint_matrix(geometry: CutGeometry, a1: float, a2: float, mode: str) -> np.ndarray:
+    """Stacked constraint matrices whose null spaces are V_k(T), (n, r, 2m).
+
+    Rows [B_v, -B_v; a1 B_n, -a2 B_n; a1 L, -a2 L], each normalized to unit
+    length: k+1 value-jump conditions, k flux-jump conditions and, for k = 2,
+    the Laplacian-jump condition (the local Laplacian of P_2 is constant).
+    Columns: side-1 monomial coefficients, then side-2.
     """
-    q1 = const / math.sqrt(inner(const, const))
-    align = np.abs(inner(q1, basis))
-    seeds = np.delete(np.arange(basis.shape[1]), int(np.argmax(align)))
-    proj = basis[:, seeds] - np.outer(q1, inner(q1, basis[:, seeds]))
-    chol = scipy.linalg.cholesky(inner(proj, proj), lower=False)
-    rest = scipy.linalg.solve_triangular(chol, proj.T, trans="T", lower=False).T
-    return np.column_stack([q1, rest])
+    if mode not in geometry.constraint_rows:
+        raise ValueError(f"unknown constraint mode {mode!r}")
+    k = geometry.k
+    values, normals = geometry.constraint_rows[mode]
+    lap = np.broadcast_to(PolyBasis(k).laplacian(np.zeros((k - 1, 2))), (len(values), k - 1, geometry.m))
+    rows = np.concatenate(
+        [
+            np.concatenate([values, -values], axis=2),
+            np.concatenate([a1 * normals, -a2 * normals], axis=2),
+            np.concatenate([a1 * lap, -a2 * lap], axis=2),
+        ],
+        axis=1,
+    )
+    norms = np.linalg.norm(rows, axis=2)
+    zero = np.flatnonzero(np.any(norms == 0.0, axis=1))
+    if len(zero):
+        raise RankDeficient(
+            f"zero constraint row on element {geometry.elements[zero[0]]}; degenerate cut geometry"
+        )
+    return rows / norms[..., None]
+
+
+def _null_space(constraints: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Orthonormal null-space bases of stacked full-row-rank matrices.
+
+    The rank cut is that of scipy.linalg.null_space (same gesdd driver):
+    singular values above eps * max(shape) * s_max count.
+    """
+    _, r, p = constraints.shape
+    try:
+        _, s, vh = np.linalg.svd(constraints)
+    except np.linalg.LinAlgError as exc:
+        bad = _first_failure(np.linalg.svd, constraints)
+        raise RankDeficient(f"constraint SVD did not converge on element {elements[bad]}") from exc
+    rank = np.sum(s > s[:, :1] * (np.finfo(float).eps * max(r, p)), axis=1)
+    bad = np.flatnonzero(rank != r)
+    if len(bad):
+        i = bad[0]
+        raise RankDeficient(f"null space dimension {p - rank[i]} != {p - r} on element {elements[i]}")
+    return _tr(vh[:, r:])
+
+
+def _segment_null_basis(base_is_1: np.ndarray, a1: float, a2: float, k: int) -> np.ndarray:
+    """Closed-form bases of the chord-constrained pair spaces, (n, 2m, m).
+
+    In chord coordinates (xi along D-E, eta along the chord normal) the space
+    is parametrized explicitly: one side carries a plain polynomial q and the
+    other q + r(q), where r collects eta-carrying monomials fixed by the flux
+    condition (and the Laplacian condition for k = 2); the value jump
+    vanishes on the chord because every correction carries an eta factor.
+    The plain side is the sub-region with the larger area (``base_is_1``),
+    which keeps the corrected coefficients (scaled by the conductivity ratio)
+    on the small side and the basis conditioning low on sliver cuts. Column 0
+    is the constant pair, since no correction touches the constant monomial.
+    """
+    poly = PolyBasis(k)
+    m = poly.dim
+    exps = [tuple(e) for e in poly.exponents.tolist()]
+    eye = np.eye(m)
+
+    def corrected(a_base, a_other):
+        corr = np.zeros((m, m))
+        for j, (a, b) in enumerate(exps):
+            if b == 1:
+                # eta * d_eta(q) on the chord is the monomial itself.
+                corr[j, j] += a_base / a_other - 1.0
+            if k == 2 and (a, b) in ((2, 0), (0, 2)):
+                corr[exps.index((0, 2)), j] += (a_base - a_other) / a_other  # Laplacian: 2 / (2 a)
+        return eye + corr
+
+    on_1 = np.vstack([eye, corrected(a1, a2)])
+    on_2 = np.vstack([corrected(a2, a1), eye])
+    return np.where(np.asarray(base_is_1)[:, None, None], on_1, on_2)
+
+
+def _orthonormal_mixing(inner, basis, const, elements) -> np.ndarray:
+    """Orthonormalize each ``basis`` slice under ``inner``, normalized ``const`` first.
+
+    ``basis`` is (n, p, q) or one (p, q) for all, ``const`` is (p, 1) and
+    ``inner(u, v)`` maps stacks to the stacked u^T G v. The constant is
+    deflated from the columns, the q - 1 columns least aligned with it are
+    kept, and they are orthonormalized through a Cholesky factor of the
+    deflated Gram; triangular mixing keeps the construction deterministic.
+    Raises SingularGram naming the first element whose deflated Gram is not
+    positive definite.
+    """
+    n = len(elements)
+    basis = np.broadcast_to(basis, (n,) + basis.shape[-2:])
+    q1 = const / np.sqrt(inner(const, const))
+    align = np.abs(inner(q1, basis))[:, 0]
+    keep = np.arange(basis.shape[2] - 1)
+    keep = keep + (keep >= np.argmax(align, axis=1)[:, None])
+    seeds = np.take_along_axis(basis, keep[:, None, :], axis=2)
+    proj = seeds - q1 @ inner(q1, seeds)
+    low = _cholesky(inner(proj, proj), elements, "deflated Gram")
+    rest = _tr(_solve_triangular(low, _tr(proj), lower=True))
+    return np.concatenate([np.broadcast_to(q1, (n,) + q1.shape[-2:]), rest], axis=2)
+
+
+def build_local_spaces(geometry: CutGeometry, a1: float, a2: float, mode: str = "segment") -> IfeSpaces:
+    """Every element's local space for the pair (a1, a2), built as one batch."""
+    if not (a1 > 0.0 and a2 > 0.0):
+        raise ValueError("conductivities must be positive")
+    constraints = _constraint_matrix(geometry, a1, a2, mode)
+    k, m = geometry.k, geometry.m
+    elements = geometry.elements
+    m1, m2 = geometry.mass[:, 0], geometry.mass[:, 1]
+
+    def pair_mass(u, v):
+        return _tr(u[..., :m, :]) @ m1 @ v[..., :m, :] + _tr(u[..., m:, :]) @ m2 @ v[..., m:, :]
+
+    if mode == "segment":
+        # Closed-form structured basis in the chord frame: exact dimension,
+        # and the chord jumps cancel slot-wise instead of through an
+        # entangled SVD basis.
+        null = _segment_null_basis(geometry.base_is_1, a1, a2, k)
+    else:
+        null = _null_space(constraints, elements)
+    null = null / np.linalg.norm(null, axis=1, keepdims=True)
+    gram_null = pair_mass(null, null)
+    eig = np.linalg.eigvalsh(gram_null)
+    gram_cond = eig[:, -1] / np.maximum(eig[:, 0], 1e-300)
+    ill = gram_cond > COND_MAX
+    for i in np.flatnonzero(ill):
+        warnings.warn(
+            f"piecewise Gram condition {gram_cond[i]:.2e} exceeds {COND_MAX:.1e} "
+            f"on element {elements[i]}",
+            IllConditionedWarning,
+        )
+
+    e0 = np.eye(m)[:, :1]
+    if mode == "segment":
+        # Mix in parameter space, coeffs = null @ R with R from the m x m
+        # Gram (column 0 of null is the constant pair). Both sides are then
+        # fixed maps of one R, so the jump conditions hold up to the rounding
+        # of that last product; mixing the 2m pair rows instead gives each
+        # side its own forward error, grown by the Gram condition.
+        coeffs = null @ _orthonormal_mixing(lambda u, v: _tr(u) @ gram_null @ v, np.eye(m), e0, elements)
+    else:
+        coeffs = _orthonormal_mixing(pair_mass, null, np.vstack([e0, e0]), elements)
+        # Re-project onto the null space: triangular mixing can amplify the
+        # SVD null-space residual by the Gram condition. The structured
+        # segment basis needs no correction (and would only pick up noise);
+        # the constant column satisfies the constraints identically.
+        gram_c = constraints @ _tr(constraints)
+        for _ in range(2):
+            defect = constraints @ coeffs[:, :, 1:]
+            coeffs[:, :, 1:] -= _tr(constraints) @ np.linalg.solve(gram_c, defect)
+    residual = np.max(np.abs(constraints @ coeffs), axis=(1, 2))
+
+    # Gradient Grams of the basis, mapped from the monomial ones.
+    c1, c2 = coeffs[:, :m], coeffs[:, m:]
+    g1 = _tr(c1) @ geometry.grad_gram[:, 0] @ c1
+    g2 = _tr(c2) @ geometry.grad_gram[:, 1] @ c2
+    full, full_w = g1 + g2, a1 * g1 + a2 * g2
+
+    # Edge traces T_1 c_1 + T_2 c_2 (k x m) and normal moments c_s^T N_s.
+    tm, nm = geometry.trace_moments, geometry.normal_moments
+    traces = (tm[:, :, 0] @ c1[:, None] + tm[:, :, 1] @ c2[:, None]).reshape(len(elements), 3 * k, m)
+    flux1, flux2 = _tr(c1)[:, None] @ nm[:, :, 0], _tr(c2)[:, None] @ nm[:, :, 1]
+
+    # Weak gradients: Riesz representatives in the gradient space, one per
+    # local dof. The unweighted map realizes the plain distributional-gradient
+    # functional (used by the energy norm); the A-weighted map realizes the
+    # flux functional (A grad v0, q) - <Q_b v0 - vb, A q . n> and is the one
+    # the bilinear form must use, otherwise the transmitted interface flux
+    # loses an O(1) component whenever A1 != A2.
+    def riesz(gram_full, flux):
+        # (m-1, 3k): the moments <L_i, grad(phi_{q+1}) . n> of every edge.
+        moments = flux[:, :, 1:].transpose(0, 2, 1, 3).reshape(len(elements), m - 1, 3 * k)
+        rhs = np.concatenate([gram_full[:, 1:] - moments @ traces, moments], axis=2)
+        low = _cholesky(gram_full[:, 1:, 1:], elements, "gradient Gram")
+        return _solve_triangular(_tr(low), _solve_triangular(low, rhs, lower=True), lower=False)
+
+    weak_grad = riesz(full, flux1 + flux2)
+    weak_grad_w = riesz(full_w, a1 * flux1 + a2 * flux2)
+
+    # The penalty must keep pace with the weighted gradient energy, or the
+    # trace ties go slack by a factor max(A)/min(A) under contrast.
+    stab = max(a1, a2) / geometry.h_ref
+    ties = np.concatenate([traces, np.broadcast_to(-np.eye(3 * k), traces.shape[:2] + (3 * k,))], axis=2)
+    stiffness = _tr(weak_grad_w) @ full_w[:, 1:, 1:] @ weak_grad_w + stab[:, None, None] * (_tr(ties) @ ties)
+    stiffness = 0.5 * (stiffness + _tr(stiffness))
+
+    return IfeSpaces(
+        geometry=geometry,
+        a1=a1,
+        a2=a2,
+        coeffs=coeffs,
+        gram=pair_mass(coeffs, coeffs),
+        gram_cond=gram_cond,
+        ill_conditioned=ill,
+        constraint_residual=residual,
+        grad_gram=full[:, 1:, 1:],
+        trace=traces.reshape(len(elements), 3, k, m),
+        weak_grad=weak_grad,
+        stiffness=stiffness,
+    )
 
 
 def construct_ife_basis(
@@ -513,177 +790,17 @@ def construct_ife_basis(
     a2: float,
     k: int,
     mode: str = "segment",
-    quad_degree: int | None = None,
-    element_id: int | None = None,
     geometry: CutGeometry | None = None,
 ) -> LocalIfeSpace:
-    """Build the full local space for one cut element.
+    """The local space of one cut element: a batch of one.
 
-    A precomputed ``geometry`` may be supplied to share quadrature work when
-    several conductivity pairs are built on the same mesh; its edges carry
-    the global canonical orientation (see build_cut_geometry). Without one,
-    the edges take the element-local orientation.
+    A ``geometry`` built for this cut alone may be passed to share it across
+    conductivity pairs. Without one, the edges take the element-local
+    orientation.
     """
-    constraints = build_constraint_system(cut, a1, a2, k, mode)
-    poly = PolyBasis(k)
-    m = poly.dim
     if geometry is None:
-        geometry = build_cut_geometry(cut, k, quad_degree)
-    x_ref, h_ref = geometry.x_ref, geometry.h_ref
-    m1, m2 = geometry.mass[OMEGA1], geometry.mass[OMEGA2]
-
-    if mode == "segment":
-        # Closed-form structured basis in the chord frame: exact dimension,
-        # and the chord jumps cancel slot-wise instead of through an
-        # entangled SVD basis.
-        null = _segment_null_basis(cut, a1, a2, k)
-    else:
-        null = scipy.linalg.null_space(constraints)
-        if null.shape[1] != m:
-            raise RankDeficient(
-                f"null space dimension {null.shape[1]} != {m} on element {cut.element_id}"
-            )
-
-    def pair_mass(u, v):
-        return u[:m].T @ m1 @ v[:m] + u[m:].T @ m2 @ v[m:]
-
-    null = null / np.linalg.norm(null, axis=0)
-    gram_null = pair_mass(null, null)
-    eig = np.linalg.eigvalsh(gram_null)
-    gram_cond = float(eig[-1] / max(eig[0], 1e-300))
-    ill = gram_cond > COND_MAX
-    if ill:
-        warnings.warn(
-            f"piecewise Gram condition {gram_cond:.2e} exceeds {COND_MAX:.1e} "
-            f"on element {cut.element_id}",
-            IllConditionedWarning,
-        )
-
-    try:
-        if mode == "segment":
-            # Mix in parameter space, coeffs = null @ R with R from the m x m
-            # Gram (column 0 of null is the constant pair). Both sides are
-            # then fixed maps of one R, so the jump conditions hold up to the
-            # rounding of that last product; mixing the 2m pair rows instead
-            # gives each side its own forward error, grown by the Gram
-            # condition.
-            coeffs = null @ _orthonormal_mixing(
-                lambda u, v: u.T @ gram_null @ v, np.eye(m), np.eye(m)[0]
-            )
-        else:
-            coeffs = _orthonormal_mixing(pair_mass, null, _pair_constant_vector(m))
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularGram(f"deflated Gram not positive on element {cut.element_id}") from exc
-    if mode != "segment":
-        # Re-project onto the null space: triangular mixing can amplify the
-        # SVD null-space residual by the Gram condition. The structured
-        # segment basis needs no correction (and would only pick up noise);
-        # the constant column satisfies the constraints identically.
-        gram_c = constraints @ constraints.T
-        for _ in range(2):
-            defect = constraints @ coeffs[:, 1:]
-            coeffs[:, 1:] -= constraints.T @ np.linalg.solve(gram_c, defect)
-
-    residual = float(np.max(np.abs(constraints @ coeffs)))
-    gram = pair_mass(coeffs, coeffs)
-
-    # Gradient Grams of the basis, mapped from the monomial ones.
-    full_gram = np.zeros((m, m))
-    full_gram_weighted = np.zeros((m, m))
-    for side, a_side, block in ((OMEGA1, a1, coeffs[:m]), (OMEGA2, a2, coeffs[m:])):
-        gram_side = block.T @ geometry.grad_gram[side] @ block
-        full_gram += gram_side
-        full_gram_weighted += a_side * gram_side
-    grad_gram = full_gram[1:, 1:]
-    grad_gram_weighted = full_gram_weighted[1:, 1:]
-
-    # Per-edge data: split quadrature, orthonormal Legendre traces, and the
-    # normal moments feeding the weak gradient.
-    edges = []
-    for eg in geometry.edges:
-        side1 = eg["side1"]
-        rule = eg["rule"]
-        leg = eg["legendre"]
-        block = np.where(side1[:, None], eg["v_all"] @ coeffs[:m], eg["v_all"] @ coeffs[m:])
-        gn = np.where(side1[:, None], eg["gn_all"] @ coeffs[:m], eg["gn_all"] @ coeffs[m:])
-        gn = gn[:, 1:]  # (n, m-1) normal derivatives of the gradient basis
-        trace = leg.T @ (rule.weights[:, None] * block)  # (k, m)
-        normal_moments = (gn * rule.weights[:, None]).T @ leg  # (m-1, k)
-        a_pt = np.where(side1, a1, a2)
-        normal_moments_weighted = (gn * (a_pt * rule.weights)[:, None]).T @ leg
-        edges.append(
-            EdgeData(
-                start=eg["start"],
-                end=eg["end"],
-                outward_normal=eg["normal"],
-                rule=rule,
-                legendre=leg,
-                trace=trace,
-                normal_moments=normal_moments,
-                normal_moments_weighted=normal_moments_weighted,
-            )
-        )
-
-    # Weak gradients: Riesz representatives in the gradient space, one per
-    # local dof. The unweighted map realizes the plain distributional-gradient
-    # functional (used by the energy norm); the A-weighted map realizes the
-    # flux functional (A grad v0, q) - <Q_b v0 - vb, A q . n> and is the one
-    # the bilinear form must use, otherwise the transmitted interface flux
-    # loses an O(1) component whenever A1 != A2.
-    n_local = m + 3 * k
-    rhs = np.zeros((m - 1, n_local))
-    rhs[:, :m] = full_gram[1:, :]
-    rhs_w = np.zeros((m - 1, n_local))
-    rhs_w[:, :m] = full_gram_weighted[1:, :]
-    for i, ed in enumerate(edges):
-        rhs[:, :m] -= ed.normal_moments @ ed.trace
-        rhs[:, m + i * k : m + (i + 1) * k] = ed.normal_moments
-        rhs_w[:, :m] -= ed.normal_moments_weighted @ ed.trace
-        rhs_w[:, m + i * k : m + (i + 1) * k] = ed.normal_moments_weighted
-    try:
-        cho = scipy.linalg.cho_factor(grad_gram)
-        cho_w = scipy.linalg.cho_factor(grad_gram_weighted)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularGram(f"gradient Gram singular on element {cut.element_id}") from exc
-    weak_grad = scipy.linalg.cho_solve(cho, rhs)
-    weak_grad_weighted = scipy.linalg.cho_solve(cho_w, rhs_w)
-
-    # The penalty must keep pace with the weighted gradient energy, or the
-    # trace ties go slack by a factor max(A)/min(A) under contrast.
-    stab = max(a1, a2) / cut.h
-    stiffness = weak_grad_weighted.T @ grad_gram_weighted @ weak_grad_weighted
-    for i, ed in enumerate(edges):
-        s = np.zeros((k, n_local))
-        s[:, :m] = ed.trace
-        s[:, m + i * k : m + (i + 1) * k] = -np.eye(k)
-        stiffness += stab * (s.T @ s)
-    stiffness = 0.5 * (stiffness + stiffness.T)
-
-    return LocalIfeSpace(
-        element_id=cut.element_id if element_id is None else element_id,
-        k=k,
-        a1=a1,
-        a2=a2,
-        cut=cut,
-        mode=mode,
-        poly=poly,
-        x_ref=x_ref,
-        f_mat=geometry.f_mat,
-        h_ref=h_ref,
-        coeffs=coeffs,
-        gram=gram,
-        gram_cond=gram_cond,
-        ill_conditioned=ill,
-        constraint_residual=residual,
-        rules=geometry.rules,
-        vander=geometry.vander,
-        grad_gram=grad_gram,
-        grad_gram_weighted=grad_gram_weighted,
-        edges=edges,
-        weak_grad=weak_grad,
-        weak_grad_weighted=weak_grad_weighted,
-        stiffness=stiffness,
-    )
+        geometry = build_cut_geometry([cut], k)
+    return build_local_spaces(geometry, a1, a2, mode)[cut.element_id]
 
 
 def load_vector(space: LocalIfeSpace, f) -> np.ndarray:

@@ -226,7 +226,7 @@ def test_criterion_7_weak_gradient_identity():
         for t, space in space_set.items():
             m = space.m
             v0 = rng.standard_normal((100, m))
-            matched = np.hstack([v0] + [v0 @ ed.trace.T for ed in space.edges])
+            matched = np.hstack([v0, (space.trace @ v0.T).transpose(2, 0, 1).reshape(len(v0), -1)])
             got = matched @ space.weak_grad.T
             worst_matched = max(worst_matched, float(np.max(np.abs(got - v0[:, 1:]))))
     # Mismatched traces against the independent dense least-squares oracle.
@@ -234,7 +234,7 @@ def test_criterion_7_weak_gradient_identity():
         for _ in range(3):
             loc = rng.standard_normal(space.n_local)
             got = space.weak_grad @ loc
-            want = _weak_gradient_oracle(space, loc)
+            want = _weak_gradient_oracle(space, loc, mesh.vertices[mesh.edges[mesh.tri_edges[t]]])
             worst_oracle = max(worst_oracle, float(np.max(np.abs(got - want))))
     ok = worst_matched <= 1e-12 and worst_oracle <= 1e-10
     _report(

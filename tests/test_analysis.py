@@ -71,6 +71,23 @@ class TestManufacturedSolution:
         ms = example1(1.0, 10.0)
         assert ms.g(1.0, 1.0) == pytest.approx(ms.u_side(1.0, 1.0, OMEGA2))
 
+    def test_u_evaluates_each_side_at_its_own_points(self):
+        # Against both closed forms evaluated everywhere, one kept by the
+        # phi < 0 rule. The circle r = 1/2 passes exactly through (+-1/2, 0)
+        # and (0, +-1/2), where phi is exactly zero.
+        ms = example1(1.0, 1000.0, CircleInterface((0.0, 0.0), 0.25))
+        rng = np.random.default_rng(5)
+        on_circle = np.array([(0.5, 0.0), (-0.5, 0.0), (0.0, 0.5), (0.0, -0.5)])
+        pts = np.vstack([rng.uniform(-1.0, 1.0, (300, 2)), on_circle])
+        x, y = pts[:, 0], pts[:, 1]
+        phi = ms.interface.value(x, y)
+        assert np.count_nonzero(phi == 0.0) == 4 and np.any(phi < 0.0) and np.any(phi > 0.0)
+        want = np.where(phi < 0.0, ms.u_side(x, y, OMEGA1), ms.u_side(x, y, OMEGA2))
+        np.testing.assert_array_equal(ms.u(x, y), want)
+        for px, py in [(0.5, 0.0), (0.1, 0.2), (0.9, -0.7)]:
+            want = np.where(ms.interface.value(px, py) < 0.0, ms.u_side(px, py, OMEGA1), ms.u_side(px, py, OMEGA2))
+            assert ms.u(px, py) == want
+
 
 class TestConvergenceOrders:
     def test_simple_halving(self):

@@ -10,6 +10,9 @@ from iwgfem.assembly import (
     TRACE_SLAVED,
     AssemblyError,
     InconsistentConstraint,
+    WgBlocks,
+    _element_jacobians,
+    _orientation_classes,
     apply_constraints,
     assemble_interface,
     assemble_noninterface,
@@ -21,7 +24,7 @@ from iwgfem.assembly import (
     element_node_table,
     routing_matrix,
 )
-from iwgfem.geometry import OMEGA1, OMEGA2, CircleInterface
+from iwgfem.geometry import INTERFACE, OMEGA1, OMEGA2, CircleInterface
 from iwgfem.mesh import build_mesh
 from iwgfem.solver import solve
 
@@ -237,8 +240,8 @@ class TestRoutingChecks:
         spaces = build_ife_spaces(mesh, 1, 1.0, 10.0)
         dm = build_dof_map(mesh, 1)
         cg = assemble_noninterface(mesh, 1, {OMEGA1: 1.0, OMEGA2: 10.0}, ms.f)
-        del spaces[next(iter(dm.wg0_col))]
         wg = assemble_interface(mesh, spaces, 1, ms.f)
+        wg = WgBlocks(wg.elements[1:], wg.stiffness[1:], wg.load[1:])
         with pytest.raises(AssemblyError, match="element order"):
             apply_constraints(mesh, dm, cg, wg, ms.g)
 
@@ -395,6 +398,33 @@ class TestGlobalSystem:
         assert len(lines) - 1 == system.matrix.nnz
 
 
+def _unique_partition(j_mats):
+    """The orientation classes as np.unique(axis=0) finds them, as sorted index tuples."""
+    _, inv = np.unique(np.round(j_mats.reshape(len(j_mats), -1), 14), axis=0, return_inverse=True)
+    inv = inv.ravel()
+    return sorted(tuple(np.flatnonzero(inv == c)) for c in np.unique(inv))
+
+
+class TestOrientationClasses:
+    def test_same_partition_as_unique_on_a_mesh(self):
+        mesh = build_mesh(2, CIRCLE)
+        _, j_mats = _element_jacobians(mesh, np.flatnonzero(mesh.element_class != INTERFACE))
+        classes = _orientation_classes(j_mats)
+        assert sorted(tuple(c) for c in classes) == _unique_partition(j_mats)
+        # Each class is led by its first element, the representative the
+        # reference blocks are built from.
+        assert all(c[0] == c.min() for c in classes)
+
+    def test_noise_below_rounding_joins_a_class(self):
+        a = np.array([[0.125, 0.0], [0.0, 0.125]])
+        b = np.array([[0.125, 0.0], [0.125, 0.125]])
+        c = np.array([[0.0, 0.125], [-0.125, 0.0]])
+        j_mats = np.stack([a, b, a + 3e-16, c, b - 2e-16, c + 1e-16, a])
+        classes = _orientation_classes(j_mats)
+        assert sorted(tuple(cl) for cl in classes) == _unique_partition(j_mats)
+        assert sorted(tuple(cl) for cl in classes) == [(0, 2, 6), (1, 4), (3, 5)]
+
+
 class TestWgBlocks:
     def test_constant_mode_in_kernel(self):
         mesh = build_mesh(1, CIRCLE)
@@ -402,7 +432,7 @@ class TestWgBlocks:
         for t, space in spaces.items():
             v0 = np.zeros(space.m)
             v0[0] = 1.0
-            loc = np.concatenate([v0] + [ed.trace @ v0 for ed in space.edges])
+            loc = np.concatenate([v0, (space.trace @ v0).ravel()])
             np.testing.assert_allclose(space.stiffness @ loc, 0.0, atol=1e-11)
 
     def test_block_psd_with_one_dim_kernel(self):
@@ -420,13 +450,14 @@ class TestWgBlocks:
         spaces = build_ife_spaces(mesh, 1, 1.0, 1.0)
         t, space = next(iter(spaces.items()))
         m = space.m
-        lift = np.vstack([np.eye(m)] + [ed.trace for ed in space.edges])
+        lift = np.vstack([np.eye(m), space.trace.reshape(-1, m)])
         reduced = lift.T @ space.stiffness @ lift
         # Independent standard stiffness in the same orthonormal basis.
         want = np.zeros((m, m))
         for side in (OMEGA1, OMEGA2):
             rule = space.rules[side]
-            g = space.eval_basis_grad(rule.points, side)
+            g = space.poly.grad(space.local_coords(rule.points)) @ space.f_mat
+            g = np.einsum("njd,jq->nqd", g, space.block(side))
             want += np.einsum("nid,n,njd->ij", g, rule.weights, g)
         np.testing.assert_allclose(reduced, want, atol=1e-11)
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 
 from iwgfem.cli import (
+    _KEY_TO_FIELD,
     RunConfig,
     _parse_levels,
     _parse_pairs,
-    build_parser,
+    config_from_argv,
     load_config_file,
     main,
     run_study,
@@ -70,9 +72,36 @@ class TestConfigFile:
     def test_flags_win_over_file(self, tmp_path):
         path = tmp_path / "study.cfg"
         path.write_text("k = 2\nlevels = 1..1\ncoeffs = 1,1\n")
-        parser = build_parser()
-        args = parser.parse_args(["--config", str(path), "--k", "1"])
-        assert args.k == 1  # merged later in main(); flag value present
+        config = config_from_argv(["--config", str(path), "--k", "1"])
+        assert config.k == 1
+        assert config.levels == (1,) and config.pairs == ((1.0, 1.0),)
+
+    # One value per RunConfig field, unlike its default: (config text, value).
+    SETTINGS = {
+        "k": ("2", 2),
+        "levels": ("2..3", (2, 3)),
+        "pairs": ("1,10;2,20", ((1.0, 10.0), (2.0, 20.0))),
+        "depth": ("4", 4),
+        "quad_offset": ("1", 1),
+        "ife_mode": ("arc", "arc"),
+        "solver": ("cg", "cg"),
+        "out_dir": ("results", "results"),
+        "n_level1": ("16", 16),
+        "dump_mesh": ("true", True),
+        "dump_matrix": ("yes", True),
+    }
+
+    def test_every_field_settable_from_file_and_flag(self, tmp_path):
+        assert set(self.SETTINGS) == {f.name for f in dataclasses.fields(RunConfig)}
+        keys = {field: key for key, field in _KEY_TO_FIELD.items()}
+        for field, (text, value) in self.SETTINGS.items():
+            assert getattr(RunConfig(), field) != value, field
+            path = tmp_path / f"{field}.cfg"
+            path.write_text(f"{keys[field]} = {text}\n")
+            assert getattr(config_from_argv(["--config", str(path)]), field) == value, field
+            flag = "--" + keys[field].replace("_", "-")
+            argv = [flag] if isinstance(value, bool) else [flag, text]
+            assert getattr(config_from_argv(argv), field) == value, field
 
 
 class TestRunStudy:

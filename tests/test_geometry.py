@@ -305,7 +305,7 @@ class TestFanTriangulation:
 
         monkeypatch.setattr(geometry, "triangulate_polygon", refuse)
         with pytest.raises(GeometryError) as info:
-            build_cut_geometry(cut, 1)
+            build_cut_geometry([cut], 1)
         message = str(info.value)
         assert f"element {cut.element_id}" in message
         assert f"side {OMEGA1}" in message

@@ -17,10 +17,15 @@ from iwgfem.geometry import (
     quadrature_on_subregion,
 )
 from iwgfem.ife import (
+    IllConditionedWarning,
     PolyBasis,
+    RankDeficient,
+    SingularGram,
+    _constraint_matrix,
+    _polygon_areas,
     _segment_null_basis,
-    build_constraint_system,
     build_cut_geometry,
+    build_local_spaces,
     construct_ife_basis,
     edge_legendre,
     load_vector,
@@ -82,10 +87,15 @@ class TestPolyBasis:
             assert abs(g[j, 1] - fy) < 1e-8
 
 
+def constraint_matrix(cut, a1, a2, k, mode="segment"):
+    """The scaled, normalized constraint rows of one cut, from its lifted geometry."""
+    return _constraint_matrix(build_cut_geometry([cut], k), a1, a2, mode)[0]
+
+
 class TestConstraintSystem:
     def test_k1_shape_and_rank(self):
         cut = compute_cut(TRI, CIRCLE)
-        c = build_constraint_system(cut, 1.0, 10.0, k=1)
+        c = constraint_matrix(cut, 1.0, 10.0, k=1)
         assert c.shape == (3, 6)
         sv = np.linalg.svd(c, compute_uv=False)
         assert sv[-1] > 1e-8  # full row rank: null space has dimension 3
@@ -93,7 +103,7 @@ class TestConstraintSystem:
     def test_k2_shape_and_rank(self):
         cut = compute_cut(TRI, CIRCLE)
         for mode in ("segment", "arc"):
-            c = build_constraint_system(cut, 1.0, 100.0, k=2, mode=mode)
+            c = constraint_matrix(cut, 1.0, 100.0, k=2, mode=mode)
             assert c.shape == (6, 12)
             sv = np.linalg.svd(c, compute_uv=False)
             assert sv[-1] > 1e-8
@@ -103,7 +113,7 @@ class TestConstraintSystem:
         rng = np.random.default_rng(0)
         for k in (1, 2):
             m = PolyBasis(k).dim
-            c = build_constraint_system(cut, 3.0, 3.0, k=k)
+            c = constraint_matrix(cut, 3.0, 3.0, k=k)
             p = rng.standard_normal(m)
             assert np.max(np.abs(c @ np.concatenate([p, p]))) < 1e-12
 
@@ -225,12 +235,12 @@ class TestSegmentBasisRounding:
         # Mixing each side's rows separately misses this by up to ~2700 eps.
         eps = np.finfo(float).eps
         for cut in level3_cuts:
-            geometry = build_cut_geometry(cut, k)
+            geometry = build_cut_geometry([cut], k)
             for a1, a2 in ((1.0, 10.0), (1.0, 1000.0)):
                 space = construct_ife_basis(cut, a1, a2, k, mode="segment", geometry=geometry)
                 m = space.m
-                null = _segment_null_basis(cut, a1, a2, k)
                 base_is_1 = polygon_area(cut.poly1) >= polygon_area(cut.poly2)
+                null = _segment_null_basis(np.array([base_is_1]), a1, a2, k)[0]
                 r = space.coeffs[:m] if base_is_1 else space.coeffs[m:]
                 err = np.abs(null @ r - space.coeffs)
                 assert np.all(err <= 4 * eps * (np.abs(null) @ np.abs(r))), cut.element_id
@@ -247,13 +257,14 @@ class TestPerPointDataStaysInGeometry:
         # (D_x^T M D_x + D_y^T M D_y) / h^2 against sum_q w grad(mono) grad(mono)^T.
         poly = PolyBasis(k)
         for cut in level2_mesh.cuts.values():
-            geometry = build_cut_geometry(cut, k)
-            for side in (OMEGA1, OMEGA2):
-                rule = geometry.rules[side]
-                loc = (rule.points - geometry.x_ref) @ geometry.f_mat.T
-                g = poly.grad(loc) @ geometry.f_mat
+            geometry = build_cut_geometry([cut], k)
+            x_ref, f_mat = geometry.x_ref[0], geometry.f_mat[0]
+            for s, side in enumerate((OMEGA1, OMEGA2)):
+                rule = geometry[cut.element_id].rules[side]
+                loc = (rule.points - x_ref) @ f_mat.T
+                g = poly.grad(loc) @ f_mat
                 want = np.einsum("nid,n,njd->ij", g, rule.weights, g)
-                got = geometry.grad_gram[side]
+                got = geometry.grad_gram[0, s]
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (
                     cut.element_id,
                     side,
@@ -262,28 +273,100 @@ class TestPerPointDataStaysInGeometry:
     @pytest.mark.parametrize("k, mode", [(1, "segment"), (2, "arc")])
     def test_space_arrays_do_not_grow_with_depth(self, k, mode):
         # The rule has many more points at depth 6 than at depth 2; only the
-        # shared rule and monomial-value references may carry them.
+        # geometry's per-element rules and monomial values may carry them.
         import dataclasses
 
-        def shapes(space):
+        def shapes(spaces):
             out = {}
-            for f in dataclasses.fields(space):
-                if f.name in ("rules", "vander"):
-                    continue
-                value = getattr(space, f.name)
-                if isinstance(value, np.ndarray):
-                    out[f.name] = value.shape
-                elif isinstance(value, dict):
-                    out[f.name] = {key: np.shape(v) for key, v in value.items()}
+            for obj, skip in ((spaces, "geometry"), (spaces.geometry, "points")):
+                for f in dataclasses.fields(obj):
+                    value = getattr(obj, f.name)
+                    if f.name == skip:
+                        continue
+                    if isinstance(value, dict):  # mode -> tuple of row stacks
+                        value = {key: [np.shape(a) for a in rows] for key, rows in value.items()}
+                    out[type(obj).__name__, f.name] = value if isinstance(value, dict) else np.shape(value)
             return out
 
         def build(depth):
             return build_ife_spaces(build_mesh(2, CIRCLE, depth=depth), k, 1.0, 1000.0, mode=mode)
 
         coarse, fine = build(2), build(6)
-        assert {t: shapes(s) for t, s in fine.items()} == {t: shapes(s) for t, s in coarse.items()}
+        assert shapes(fine) == shapes(coarse)
         n_points = lambda s: len(s.rules[OMEGA1].weights)
         assert all(n_points(fine[t]) > n_points(coarse[t]) for t in fine)
+
+
+@pytest.fixture(scope="module")
+def three_cuts(level2_mesh):
+    return [level2_mesh.cuts[t] for t in sorted(level2_mesh.cuts)[:3]]
+
+
+def _doctored(geometry, **arrays):
+    """A copy of ``geometry`` with some stacked arrays replaced."""
+    import dataclasses
+
+    return dataclasses.replace(geometry, **arrays)
+
+
+class TestBatchFailuresNameTheElement:
+    """A batched factorization fails for the whole stack; the error must still
+    name the one element that is bad, here the middle one of three."""
+
+    def test_rank_deficient(self, three_cuts):
+        geometry = build_cut_geometry(three_cuts, 2)
+        values, normals = (a.copy() for a in geometry.constraint_rows["arc"])
+        values[1, 1] = values[1, 0]  # two equal value rows: one condition too few
+        bad = _doctored(geometry, constraint_rows={"arc": (values, normals)})
+        with pytest.raises(RankDeficient, match=f"null space dimension 7 != 6 on element {three_cuts[1].element_id}$"):
+            build_local_spaces(bad, 1.0, 10.0, "arc")
+
+    @pytest.mark.parametrize("k, mode", [(1, "segment"), (2, "arc")])
+    def test_singular_gram(self, three_cuts, k, mode):
+        geometry = build_cut_geometry(three_cuts, k)
+        grad_gram = geometry.grad_gram.copy()
+        grad_gram[1] = 0.0
+        bad = _doctored(geometry, grad_gram=grad_gram)
+        with pytest.raises(SingularGram, match=f"on element {three_cuts[1].element_id}$"):
+            build_local_spaces(bad, 1.0, 10.0, mode)
+
+    @pytest.mark.parametrize("k, mode", [(1, "segment"), (2, "arc")])
+    def test_ill_conditioned_warning(self, three_cuts, k, mode):
+        # Shrinking every non-constant monomial's scale in the mass matrices
+        # keeps them SPD but multiplies the Gram condition by about 1e10.
+        geometry = build_cut_geometry(three_cuts, k)
+        scale = np.full(geometry.m, 1e-5)
+        scale[0] = 1.0
+        mass = geometry.mass.copy()
+        mass[1] *= scale[:, None] * scale[None, :]
+        with pytest.warns(IllConditionedWarning) as record:
+            spaces = build_local_spaces(_doctored(geometry, mass=mass), 1.0, 10.0, mode)
+        assert [str(w.message).endswith(f"on element {three_cuts[1].element_id}") for w in record] == [True]
+        assert spaces.ill_conditioned.tolist() == [False, True, False]
+
+
+class TestBatchOfOne:
+    @pytest.mark.parametrize("k, mode", [(1, "segment"), (2, "segment"), (2, "arc")])
+    def test_construct_matches_the_level_batch(self, level2_mesh, k, mode):
+        # construct_ife_basis is a batch of one through the same code: given
+        # the same edge orientation it must give the same numbers.
+        mesh = level2_mesh
+        spaces = build_ife_spaces(mesh, k, 1.0, 1000.0, mode=mode)
+        edge_points = mesh.vertices[mesh.edges[mesh.tri_edges]]
+        for t, cut in mesh.cuts.items():
+            geometry = build_cut_geometry([cut], k, edge_points=edge_points[t : t + 1])
+            one = construct_ife_basis(cut, 1.0, 1000.0, k, mode=mode, geometry=geometry)
+            np.testing.assert_array_equal(one.coeffs, spaces[t].coeffs)
+            np.testing.assert_array_equal(one.stiffness, spaces[t].stiffness)
+
+    def test_area_test_matches_polygon_area(self):
+        # The sub-polygons have 3 and 4 vertices; padding must not change a
+        # bit of any area, or a near-tie could flip the segment basis.
+        cuts = list(build_mesh(4, CIRCLE).cuts.values())
+        geometry = build_cut_geometry(cuts, 1)
+        assert geometry.base_is_1.tolist() == [polygon_area(c.poly1) >= polygon_area(c.poly2) for c in cuts]
+        polys = [c.poly1 for c in cuts] + [c.poly2 for c in cuts]
+        assert _polygon_areas(polys).tolist() == [polygon_area(p) for p in polys]
 
 
 def _exact_chord_residuals(space, n_samples):
@@ -390,7 +473,7 @@ class TestWeakGradient:
         rng = np.random.default_rng(3)
         for _ in range(20):
             v0 = rng.standard_normal(space.m)
-            loc = np.concatenate([v0] + [ed.trace @ v0 for ed in space.edges])
+            loc = np.concatenate([v0, (space.trace @ v0).ravel()])
             c = space.weak_grad @ loc
             np.testing.assert_allclose(c, v0[1:], atol=1e-12)
 
@@ -398,7 +481,7 @@ class TestWeakGradient:
         space = construct_ife_basis(self.cut, 1.0, 10.0, 1)
         v0 = np.zeros(space.m)
         v0[0] = 2.0
-        loc = np.concatenate([v0] + [ed.trace @ v0 for ed in space.edges])
+        loc = np.concatenate([v0, (space.trace @ v0).ravel()])
         assert np.max(np.abs(space.weak_grad @ loc)) < 1e-13
         assert np.max(np.abs(space.stiffness @ loc)) < 1e-12
 
@@ -409,7 +492,7 @@ class TestWeakGradient:
         for _ in range(10):
             loc = rng.standard_normal(space.n_local)
             got = space.weak_grad @ loc
-            want = _weak_gradient_oracle(space, loc)
+            want = _weak_gradient_oracle(space, loc, local_edge_ends(self.cut))
             np.testing.assert_allclose(got, want, atol=1e-10, rtol=1e-10)
 
     def test_single_edge_trace_excitation(self):
@@ -420,16 +503,28 @@ class TestWeakGradient:
             loc = np.zeros(space.n_local)
             loc[space.m + edge] = 1.0
             got = space.weak_grad @ loc
-            want = _weak_gradient_oracle(space, loc)
+            want = _weak_gradient_oracle(space, loc, local_edge_ends(self.cut))
             np.testing.assert_allclose(got, want, atol=1e-10)
 
 
-def _weak_gradient_oracle(space, loc):
+def local_edge_ends(cut):
+    """(3, 2, 2) end points of each local edge in the element-local orientation."""
+    return np.stack([cut.triangle, np.roll(cut.triangle, -1, axis=0)], axis=1)
+
+
+def basis_grad(space, pts, side):
+    """Physical gradients of the basis on one side, (n, m, 2)."""
+    g = space.poly.grad(space.local_coords(pts)) @ space.f_mat
+    return np.einsum("njd,jq->nqd", g, space.block(side))
+
+
+def _weak_gradient_oracle(space, loc, edge_ends):
     """Dense, from-scratch evaluation of the weak-gradient definition.
 
     Recomputes every integral with fresh higher-degree quadrature on the same
     sub-regions, applies Q_b from its defining Gram system, and solves by
-    least squares instead of the factorized path under test.
+    least squares instead of the factorized path under test. ``edge_ends``
+    (3, 2, 2) orients each local edge as the space's trace basis does.
     """
     k = space.k
     m = space.m
@@ -438,18 +533,19 @@ def _weak_gradient_oracle(space, loc):
     rhs = np.zeros(m - 1)
     for side in (OMEGA1, OMEGA2):
         rule = quadrature_on_subregion(space.cut, side, 2 * k + 6)
-        g = space.eval_basis_grad(rule.points, side)
+        g = basis_grad(space, rule.points, side)
         gq = g[:, 1:, :]
         gram += np.einsum("nqd,n,npd->qp", gq, rule.weights, gq)
         grad_v0 = np.einsum("njd,j->nd", g, v0)
         rhs += np.einsum("nd,n,nqd->q", grad_v0, rule.weights, gq)
     tri = space.cut.triangle
     for i in range(3):
-        ed = space.edges[i]
-        rule = quadrature_on_edge(ed.start, ed.end, 2 * k + 6, space.cut.interface)
+        start, end = edge_ends[i]
+        edge = tri[(i + 1) % 3] - tri[i]
+        outward = np.array([edge[1], -edge[0]]) / np.linalg.norm(edge)
+        rule = quadrature_on_edge(start, end, 2 * k + 6, space.cut.interface)
         # Q_b of the trace of v0, computed from its definition on this edge.
-        leg_fn = edge_legendre(ed.start, ed.end, k)
-        leg = leg_fn(rule.points)
+        leg = edge_legendre(start, end, k)(rule.points)
         phi = space.cut.interface.value(rule.points[:, 0], rule.points[:, 1])
         sides = np.where(phi < 0.0, OMEGA1, OMEGA2)
         v0_vals = np.empty(len(rule.points))
@@ -459,7 +555,7 @@ def _weak_gradient_oracle(space, loc):
             if not np.any(mask):
                 continue
             v0_vals[mask] = space.eval_basis(rule.points[mask], s) @ v0
-            gq_n[mask] = space.eval_basis_grad(rule.points[mask], s)[:, 1:, :] @ ed.outward_normal
+            gq_n[mask] = basis_grad(space, rule.points[mask], s)[:, 1:, :] @ outward
         mass = leg.T @ (rule.weights[:, None] * leg)
         moments = leg.T @ (rule.weights * v0_vals)
         qb_v0 = np.linalg.solve(mass, moments)
