@@ -470,8 +470,8 @@ def assemble_system(
     mode: str = "segment",
     quad_degree: int | None = None,
     quad_offset: int = 0,
-    spaces: dict | None = None,
-    geometries: dict | None = None,
+    spaces: IfeSpaces | None = None,
+    geometries: CutGeometry | None = None,
 ):
     """Convenience pipeline: dof map, both assemblies, constraint folding."""
     if spaces is None:

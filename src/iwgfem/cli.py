@@ -13,7 +13,7 @@ from pathlib import Path
 from iwgfem.analysis import ConvergenceReport, ManufacturedSolution, compute_errors, example1
 from iwgfem.assembly import assemble_system, build_cut_geometries, dump_matrix
 from iwgfem.geometry import GeometryError
-from iwgfem.ife import IfeError
+from iwgfem.ife import CutGeometry, IfeError
 from iwgfem.mesh import build_mesh, dump_mesh
 from iwgfem.solver import SolverConfig, SolverError, solve
 
@@ -80,7 +80,7 @@ class RunConfig:
 
 
 def _solve_pair(mesh, ms: ManufacturedSolution, k: int, mode: str, quad_offset: int,
-                solver_config: SolverConfig | None, geometries: dict | None = None):
+                solver_config: SolverConfig | None, geometries: CutGeometry | None = None):
     """Assemble, solve and measure one coefficient pair on a built mesh."""
     system, spaces = assemble_system(
         mesh, k, ms.a1, ms.a2, ms.f, ms.g, mode=mode, quad_degree=2 * k + 4 + quad_offset,

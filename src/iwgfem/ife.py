@@ -41,6 +41,7 @@ from iwgfem.geometry import (
     MultipleCrossings,
     _gauss_legendre,
     edge_split_parameters,
+    polygon_area,
     quadrature_on_edge,
     quadrature_on_subregion,
 )
@@ -220,18 +221,6 @@ class CutGeometry(Mapping):
         return len(self.elements)
 
 
-def _polygon_areas(polys) -> np.ndarray:
-    """Shoelace areas of polygons with differing vertex counts, all at once.
-
-    Each polygon is padded by repeating its last vertex, which only inserts
-    exact zeros into the sum, so every area equals ``polygon_area``'s.
-    """
-    size = max((len(p) for p in polys), default=3)
-    v = np.array([np.vstack([p, np.repeat(p[-1:], size - len(p), axis=0)]) for p in polys])
-    x, y = v.reshape(len(polys), size, 2).transpose(2, 0, 1)
-    return 0.5 * np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
-
-
 def build_cut_geometry(cuts, k: int, quad_degree: int | None = None, edge_points=None) -> CutGeometry:
     """Pair-independent data of ``cuts`` (a sequence of ElementCut), stacked.
 
@@ -277,7 +266,9 @@ def build_cut_geometry(cuts, k: int, quad_degree: int | None = None, edge_points
     points = []
     mass = np.empty((n, 2, m, m))
     crossing = np.ones((n, 3))  # parameter of the interface crossing, 1 if none
+    base_is_1 = np.empty(n, dtype=bool)
     for i, cut in enumerate(cuts):
+        base_is_1[i] = polygon_area(cut.poly1) >= polygon_area(cut.poly2)
         rules, vander = {}, {}
         for s, side in enumerate((OMEGA1, OMEGA2)):
             rule = quadrature_on_subregion(cut, side, quad_degree)
@@ -359,7 +350,7 @@ def build_cut_geometry(cuts, k: int, quad_degree: int | None = None, edge_points
         h_ref=h_ref,
         mass=mass,
         grad_gram=grad_gram,
-        base_is_1=_polygon_areas([c.poly1 for c in cuts]) >= _polygon_areas([c.poly2 for c in cuts]),
+        base_is_1=base_is_1,
         constraint_rows={"segment": segment, "arc": arc},
         edge_points=e_pts,
         edge_weights=e_w,
@@ -539,20 +530,13 @@ class IfeSpaces(Mapping):
 
 
 def _first_failure(factor, stack: np.ndarray) -> int:
-    """Index of the first slice of ``stack`` on which ``factor`` raises.
-
-    Bisects over sub-stacks, so it makes O(log n) batched calls.
-    """
-    lo, hi = 0, len(stack)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
+    """Index of the first slice of ``stack`` on which ``factor`` raises."""
+    for i in range(len(stack)):
         try:
-            factor(stack[lo:mid])
+            factor(stack[i : i + 1])
         except np.linalg.LinAlgError:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+            return i
+    return 0
 
 
 def _cholesky(stack: np.ndarray, elements: np.ndarray, what: str) -> np.ndarray:
@@ -562,18 +546,6 @@ def _cholesky(stack: np.ndarray, elements: np.ndarray, what: str) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         bad = _first_failure(np.linalg.cholesky, stack)
         raise SingularGram(f"{what} not positive on element {elements[bad]}") from exc
-
-
-def _solve_triangular(tri: np.ndarray, rhs: np.ndarray, lower: bool) -> np.ndarray:
-    """Solve tri @ x = rhs for stacked triangular tri by substitution, row by row."""
-    x = np.zeros(rhs.shape)
-    size = rhs.shape[-2]
-    for i in range(size) if lower else range(size - 1, -1, -1):
-        # Rows of x not solved yet are zero, so the full row product is exact.
-        x[..., i, :] = (rhs[..., i, :] - np.einsum("...j,...jc->...c", tri[..., i, :], x)) / tri[
-            ..., i, i, None
-        ]
-    return x
 
 
 def _constraint_matrix(geometry: CutGeometry, a1: float, a2: float, mode: str) -> np.ndarray:
@@ -679,7 +651,7 @@ def _orthonormal_mixing(inner, basis, const, elements) -> np.ndarray:
     seeds = np.take_along_axis(basis, keep[:, None, :], axis=2)
     proj = seeds - q1 @ inner(q1, seeds)
     low = _cholesky(inner(proj, proj), elements, "deflated Gram")
-    rest = _tr(_solve_triangular(low, _tr(proj), lower=True))
+    rest = _tr(np.linalg.solve(low, _tr(proj)))
     return np.concatenate([np.broadcast_to(q1, (n,) + q1.shape[-2:]), rest], axis=2)
 
 
@@ -756,7 +728,7 @@ def build_local_spaces(geometry: CutGeometry, a1: float, a2: float, mode: str = 
         moments = flux[:, :, 1:].transpose(0, 2, 1, 3).reshape(len(elements), m - 1, 3 * k)
         rhs = np.concatenate([gram_full[:, 1:] - moments @ traces, moments], axis=2)
         low = _cholesky(gram_full[:, 1:, 1:], elements, "gradient Gram")
-        return _solve_triangular(_tr(low), _solve_triangular(low, rhs, lower=True), lower=False)
+        return np.linalg.solve(_tr(low), np.linalg.solve(low, rhs))
 
     weak_grad = riesz(full, flux1 + flux2)
     weak_grad_w = riesz(full_w, a1 * flux1 + a2 * flux2)

@@ -22,7 +22,6 @@ from iwgfem.ife import (
     RankDeficient,
     SingularGram,
     _constraint_matrix,
-    _polygon_areas,
     _segment_null_basis,
     build_cut_geometry,
     build_local_spaces,
@@ -358,15 +357,6 @@ class TestBatchOfOne:
             one = construct_ife_basis(cut, 1.0, 1000.0, k, mode=mode, geometry=geometry)
             np.testing.assert_array_equal(one.coeffs, spaces[t].coeffs)
             np.testing.assert_array_equal(one.stiffness, spaces[t].stiffness)
-
-    def test_area_test_matches_polygon_area(self):
-        # The sub-polygons have 3 and 4 vertices; padding must not change a
-        # bit of any area, or a near-tie could flip the segment basis.
-        cuts = list(build_mesh(4, CIRCLE).cuts.values())
-        geometry = build_cut_geometry(cuts, 1)
-        assert geometry.base_is_1.tolist() == [polygon_area(c.poly1) >= polygon_area(c.poly2) for c in cuts]
-        polys = [c.poly1 for c in cuts] + [c.poly2 for c in cuts]
-        assert _polygon_areas(polys).tolist() == [polygon_area(p) for p in polys]
 
 
 def _exact_chord_residuals(space, n_samples):
