@@ -8,7 +8,9 @@ The energy error evaluates the broken norm
 
 the L2 error integrates e_0 = u - u_h on non-interface elements and
 Q_0 u - u_0 on interface elements, and the max error samples |u - u_h| at
-the error-quadrature points (interior function on interface elements).
+the error-quadrature points (interior function on interface elements). On
+the interface elements u is sampled once on the packed cut-cell rule points
+and once on the edge points, and the sums are reduced per segment.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from iwgfem.assembly import (
     element_node_table,
 )
 from iwgfem.geometry import INTERFACE, OMEGA1, OMEGA2, CircleInterface, _triangle_rule_reference
-from iwgfem.ife import LocalIfeSpace
+from iwgfem.ife import IfeSpaces, sample
 from iwgfem.mesh import MeshPartition
 
 
@@ -177,31 +179,29 @@ def _noninterface_errors(mesh, dofmap, x_all, ms, k, degree):
     return energy_sq, l2_sq, linf
 
 
-def _interface_errors(mesh, dofmap, spaces, x_all, ms, k):
+def _interface_errors(dofmap: DofMap, spaces: IfeSpaces, x_all, ms):
+    if not np.array_equal(spaces.elements, list(dofmap.wg0_col)):
+        raise AnalysisError("interface spaces do not follow the routing matrix's element order")
+    m = dofmap.m
+    geometry = spaces.geometry
     # Every interface element's local dofs at once, row blocks in P's order.
-    locs = (dofmap.P @ x_all).reshape(len(dofmap.wg0_col), -1)
-    energy_sq = 0.0
-    l2_sq = 0.0
-    linf = 0.0
-    for t, loc in zip(dofmap.wg0_col, locs):
-        space: LocalIfeSpace = spaces[t]
-        ue = space.sample(ms.u)  # shared by the Q_0 projection and the max norm
-        q0 = space.project_interior(ms.u, ue)
-        qb = space.project_traces(ms.u)
-        e_loc = np.concatenate([q0, qb.ravel()]) - loc
-        energy_sq += space.energy_seminorm_sq(e_loc)
-        d = q0 - loc[: space.m]
-        l2_sq += float(d @ space.gram @ d)
-        uh = space.values_at_rules(loc[: space.m])
-        for side in (OMEGA1, OMEGA2):
-            linf = max(linf, float(np.max(np.abs(uh[side] - ue[side]))))
-    return energy_sq, l2_sq, linf
+    locs = (dofmap.P @ x_all).reshape(spaces.stiffness.shape[:2])
+    ue = sample(ms.u, geometry.rule_points)  # shared by Q_0 u and the max norm
+    q0 = spaces.project_interior(ue)
+    qb = spaces.project_traces(sample(ms.u, geometry.edge_points))
+    q_h = np.concatenate([q0, qb.reshape(len(q0), 3 * geometry.k)], axis=1)
+    energy_sq = spaces.energy_seminorm_sq(q_h - locs)
+    d = q0 - locs[:, :m]
+    l2_sq = np.einsum("ni,nij,nj->", d, spaces.gram, d)
+    diff = spaces.interior_values(locs[:, :m])
+    diff -= ue
+    return float(energy_sq.sum()), float(l2_sq), float(np.max(np.abs(diff), initial=0.0))
 
 
 def compute_errors(
     mesh: MeshPartition,
     dofmap: DofMap,
-    spaces: dict,
+    spaces: IfeSpaces,
     x_all: np.ndarray,
     ms: ManufacturedSolution,
     k: int,
@@ -210,7 +210,7 @@ def compute_errors(
     """Energy, L2 and max errors of a solved study in one pass."""
     degree = 2 * k + 4 + quad_offset
     e1, l1, m1 = _noninterface_errors(mesh, dofmap, x_all, ms, k, degree)
-    e2, l2, m2 = _interface_errors(mesh, dofmap, spaces, x_all, ms, k)
+    e2, l2, m2 = _interface_errors(dofmap, spaces, x_all, ms)
     return {
         "energy": math.sqrt(e1 + e2),
         "l2": math.sqrt(l1 + l2),
@@ -219,7 +219,7 @@ def compute_errors(
 
 
 def interpolation_errors(
-    mesh: MeshPartition, spaces: dict, ms: ManufacturedSolution, k: int, quad_offset: int = 0
+    mesh: MeshPartition, spaces: IfeSpaces, ms: ManufacturedSolution, k: int, quad_offset: int = 0
 ) -> dict:
     """Projection-only diagnostic: CG interpolation H1 error and Q_0 L2 error.
 
@@ -237,14 +237,10 @@ def interpolation_errors(
     x_cols[dofmap.node_col[valid]] = x_nodal[valid]
     e_grad_sq, _, _ = _noninterface_errors(mesh, dofmap, x_cols, ms, k, degree)
 
-    q0_sq = 0.0
-    for t in sorted(spaces):
-        space = spaces[t]
-        ue = space.sample(ms.u)
-        q0 = space.project_interior(ms.u, ue)
-        vals = space.values_at_rules(q0)
-        for side in (OMEGA1, OMEGA2):
-            q0_sq += float(space.rules[side].weights @ (vals[side] - ue[side]) ** 2)
+    ue = sample(ms.u, spaces.geometry.rule_points)
+    diff = spaces.interior_values(spaces.project_interior(ue))
+    diff -= ue
+    q0_sq = float(spaces.geometry.rule_weights @ diff**2)
     return {"cg_h1": math.sqrt(e_grad_sq), "q0_l2": math.sqrt(q0_sq)}
 
 

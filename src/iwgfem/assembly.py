@@ -22,10 +22,10 @@ from iwgfem.ife import (
     CutGeometry,
     IfeSpaces,
     build_cut_geometry,
+    _legendre_values,
     build_local_spaces,
-    edge_legendre,
-    load_vector,
     project_qb,
+    sample,
 )
 from iwgfem.mesh import EDGE_COUPLING, EDGE_WG_INTERIOR, MeshPartition
 
@@ -240,13 +240,13 @@ def routing_matrix(mesh: MeshPartition, dofmap: DofMap) -> sp.csr_matrix:
         raise InconsistentConstraint(
             f"slaved edge {e[bad[0]]} of interface element {t} touches an inactive CG node"
         )
-    # edge_legendre scales P_i by sqrt((2i + 1) / ell) and the arc-length
+    # The trace basis scales P_i by sqrt((2i + 1) / ell) and the arc-length
     # weights carry ell, so an edge's projection is sqrt(ell) times the one
     # of a unit edge. The integrands have degree 2k - 1, so k + 1 Gauss
     # points are exact.
     xg, wg = np.polynomial.legendre.leggauss(k + 1)
     tg = 0.5 * (xg + 1.0)
-    leg = edge_legendre((0.0, 0.0), (1.0, 0.0), k)(np.column_stack([tg, np.zeros_like(tg)]))
+    leg = _legendre_values(2.0 * tg - 1.0, 1.0, k)
     unit = leg.T @ ((0.5 * wg)[:, None] * _edge_lagrange_1d(k, tg))  # (k, k + 1)
     ell = np.linalg.norm(mesh.vertices[b] - mesh.vertices[a], axis=1)
     rows.append(np.repeat(trace_slots[slaved], k + 1))
@@ -352,7 +352,7 @@ def assemble_noninterface(mesh: MeshPartition, k: int, coeff, f, quad_offset: in
     return CgContributions(ids, element_node_table(mesh, k)[ids], stiff, load)
 
 
-def build_cut_geometries(mesh: MeshPartition, k: int, quad_degree: int | None = None) -> CutGeometry:
+def build_cut_geometries(mesh: MeshPartition, k: int, quad_offset: int = 0) -> CutGeometry:
     """Pair-independent data of every cut element, shareable across coefficient pairs.
 
     Stacked in ascending element order, with each edge in its canonical
@@ -360,7 +360,7 @@ def build_cut_geometries(mesh: MeshPartition, k: int, quad_degree: int | None = 
     """
     ids = sorted(mesh.cuts)
     edge_points = mesh.vertices[mesh.edges[mesh.tri_edges[ids]]]  # (n, 3, 2, 2)
-    return build_cut_geometry([mesh.cuts[t] for t in ids], k, quad_degree, edge_points)
+    return build_cut_geometry([mesh.cuts[t] for t in ids], k, quad_offset, edge_points)
 
 
 def build_ife_spaces(
@@ -369,21 +369,21 @@ def build_ife_spaces(
     a1: float,
     a2: float,
     mode: str = "segment",
-    quad_degree: int | None = None,
     geometries: CutGeometry | None = None,
 ) -> IfeSpaces:
     """Construct the local immersed space on every interface element, as one batch."""
     if geometries is None:
-        geometries = build_cut_geometries(mesh, k, quad_degree)
+        geometries = build_cut_geometries(mesh, k)
     return build_local_spaces(geometries, a1, a2, mode)
 
 
-def assemble_interface(mesh: MeshPartition, spaces: IfeSpaces, k: int, f) -> WgBlocks:
-    """Weak-gradient stiffness + stabilizer blocks and interior-tested loads."""
-    m = (k + 1) * (k + 2) // 2
+def assemble_interface(spaces: IfeSpaces, f) -> WgBlocks:
+    """Weak-gradient stiffness + stabilizer blocks and interior-tested loads.
+
+    The source is sampled once, on the packed cut-cell rule points.
+    """
     load = np.zeros(spaces.stiffness.shape[:2])
-    for i, space in enumerate(spaces.values()):
-        load[i, :m] = load_vector(space, f)
+    load[:, : spaces.geometry.m] = spaces.moments(sample(f, spaces.geometry.rule_points))
     return WgBlocks(spaces.elements, spaces.stiffness, load)
 
 
@@ -437,15 +437,10 @@ def apply_constraints(
         np.add.at(rhs, cg_cols.ravel(), cg.load.ravel())
 
     pinned = np.zeros(n - dofmap.n_free)
-    for i, node in enumerate(dofmap.pinned_nodes):
-        x, y = dofmap.node_coords[node]
-        pinned[i] = g(x, y)
     off = len(dofmap.pinned_nodes)
-    for e in dofmap.pinned_trace_edges:
-        a, b = mesh.edges[e]
-        coeffs = project_qb(g, mesh.vertices[a], mesh.vertices[b], dofmap.k, mesh.interface)
-        pinned[off : off + dofmap.k] = coeffs
-        off += dofmap.k
+    pinned[:off] = sample(g, dofmap.node_coords[dofmap.pinned_nodes])
+    a, b = mesh.edges[dofmap.pinned_trace_edges].T
+    pinned[off:] = project_qb(g, mesh.vertices[a], mesh.vertices[b], dofmap.k, mesh.interface).ravel()
 
     nf = dofmap.n_free
     k_ff = k_all[:nf, :nf]
@@ -468,19 +463,22 @@ def assemble_system(
     f,
     g,
     mode: str = "segment",
-    quad_degree: int | None = None,
     quad_offset: int = 0,
     spaces: IfeSpaces | None = None,
     geometries: CutGeometry | None = None,
 ):
-    """Convenience pipeline: dof map, both assemblies, constraint folding."""
+    """Convenience pipeline: dof map, both assemblies, constraint folding.
+
+    ``quad_offset`` raises the degree of every volume rule; without
+    ``spaces`` or ``geometries`` the cut geometry is built with it.
+    """
     if spaces is None:
-        spaces = build_ife_spaces(
-            mesh, k, a1, a2, mode=mode, quad_degree=quad_degree, geometries=geometries
-        )
+        if geometries is None:
+            geometries = build_cut_geometries(mesh, k, quad_offset)
+        spaces = build_ife_spaces(mesh, k, a1, a2, mode=mode, geometries=geometries)
     dofmap = build_dof_map(mesh, k)
     cg = assemble_noninterface(mesh, k, {OMEGA1: a1, OMEGA2: a2}, f, quad_offset)
-    wg = assemble_interface(mesh, spaces, k, f)
+    wg = assemble_interface(spaces, f)
     system = apply_constraints(mesh, dofmap, cg, wg, g)
     return system, spaces
 

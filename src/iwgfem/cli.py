@@ -83,21 +83,12 @@ def _solve_pair(mesh, ms: ManufacturedSolution, k: int, mode: str, quad_offset: 
                 solver_config: SolverConfig | None, geometries: CutGeometry | None = None):
     """Assemble, solve and measure one coefficient pair on a built mesh."""
     system, spaces = assemble_system(
-        mesh, k, ms.a1, ms.a2, ms.f, ms.g, mode=mode, quad_degree=2 * k + 4 + quad_offset,
-        quad_offset=quad_offset, geometries=geometries,
+        mesh, k, ms.a1, ms.a2, ms.f, ms.g, mode=mode, quad_offset=quad_offset, geometries=geometries
     )
     x, stats = solve(system.matrix, system.rhs, solver_config)
     x_all = system.full_coefficients(x)
     errors = compute_errors(mesh, system.dofmap, spaces, x_all, ms, k, quad_offset)
     return errors, stats, system, spaces, x_all
-
-
-def _dump(out_dir: Path, k: int, ms, level: int, mesh, system, with_mesh: bool, with_matrix: bool):
-    tag = f"k{k}_A{ms.a1:g}_{ms.a2:g}_level{level}"
-    if with_mesh:
-        dump_mesh(mesh, out_dir / f"mesh_{tag}.txt")
-    if with_matrix:
-        dump_matrix(system, out_dir / f"matrix_{tag}.txt")
 
 
 def run_level(
@@ -109,15 +100,10 @@ def run_level(
     quad_offset: int = 0,
     solver_config: SolverConfig | None = None,
     n_override: int | None = None,
-    out_dir: Path | None = None,
-    dump_mesh_flag: bool = False,
-    dump_matrix_flag: bool = False,
 ):
     """One (solution, k, level) run: mesh, spaces, assemble, solve, errors."""
     mesh = build_mesh(level, ms.interface, depth=depth, n_override=n_override)
     errors, stats, system, spaces, x_all = _solve_pair(mesh, ms, k, mode, quad_offset, solver_config)
-    if out_dir is not None:
-        _dump(out_dir, k, ms, level, mesh, system, dump_mesh_flag, dump_matrix_flag)
     return errors, stats, mesh, system, spaces, x_all
 
 
@@ -132,7 +118,7 @@ def _study_level(config: RunConfig, level: int, reports: dict, failed: set, log)
         level, example1(1.0, 1.0).interface, depth=config.depth,
         n_override=config.cells_for_level(level),
     )
-    geometries = build_cut_geometries(mesh, config.k, 2 * config.k + 4 + config.quad_offset)
+    geometries = build_cut_geometries(mesh, config.k, config.quad_offset)
     code = 0
     for a1, a2 in config.pairs:
         if (a1, a2) in failed:
@@ -151,8 +137,8 @@ def _study_level(config: RunConfig, level: int, reports: dict, failed: set, log)
             continue
         elapsed = time.perf_counter() - t0
         reports[(a1, a2)].add_level(level, mesh.h, errors, elapsed, stats)
-        cond = max((s.gram_cond for s in spaces.values()), default=0.0)
-        constraint = max((s.constraint_residual for s in spaces.values()), default=0.0)
+        cond = spaces.gram_cond.max(initial=0.0)
+        constraint = spaces.constraint_residual.max(initial=0.0)
         log(
             f"k={config.k} (A1,A2)=({a1:g},{a2:g}) level={level} N={mesh.n_cells}: "
             f"energy={errors['energy']:.4e} l2={errors['l2']:.4e} "
@@ -161,9 +147,12 @@ def _study_level(config: RunConfig, level: int, reports: dict, failed: set, log)
             f"constraint={constraint:.2e} asym={system.asymmetry:.2e} "
             f"iters={stats.iterations} [{elapsed:.2f}s]"
         )
-        if config.out_dir:
-            _dump(Path(config.out_dir), config.k, ms, level, mesh, system,
-                  config.dump_mesh, config.dump_matrix)
+        tag = f"k{config.k}_A{a1:g}_{a2:g}_level{level}"
+        if config.out_dir and config.dump_mesh:
+            dump_mesh(mesh, Path(config.out_dir) / f"mesh_{tag}.txt")
+        if config.out_dir and config.dump_matrix:
+            dump_matrix(system, Path(config.out_dir) / f"matrix_{tag}.txt")
+        del system, spaces, _  # so that the next pair's loads and errors peak without them
     return code
 
 

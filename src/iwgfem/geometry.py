@@ -64,17 +64,11 @@ class CircleInterface:
         cx, cy = self.center
         return np.stack([2.0 * (np.asarray(x) - cx), 2.0 * (np.asarray(y) - cy)], axis=-1)
 
-    def project(self, point):
-        """Radial projection of a point onto the circle."""
-        c = np.asarray(self.center, dtype=float)
-        d = np.asarray(point, dtype=float) - c
-        return c + self.radius * d / np.linalg.norm(d)
-
-    def edge_roots(self, p, q, geom_tol: float = GEOM_TOL) -> list[float]:
+    def edge_roots(self, p, q) -> list[float]:
         """Parameters t in (0, 1) where phi vanishes on the open segment p -> q.
 
         Roots of the restriction (a quadratic in t) are found analytically and
-        polished by bisection; roots within geom_tol of an endpoint are
+        polished by bisection; roots within GEOM_TOL of an endpoint are
         dropped (vertex snapping happens at classification level).
         """
         p = np.asarray(p, float)
@@ -98,12 +92,12 @@ class CircleInterface:
         if len(roots) == 2 and abs(roots[1] - roots[0]) < 1e-6:
             return []
         length = math.sqrt(a)
-        t_snap = geom_tol / length
+        t_snap = GEOM_TOL / length
         # Endpoints sitting on the circle turn into double roots there, which
         # rounding can displace by sqrt(eps); widen the snap window for them.
-        lo = 1e-6 if abs(c) <= geom_tol else t_snap
+        lo = 1e-6 if abs(c) <= GEOM_TOL else t_snap
         phi_end = a + b + c
-        hi = 1e-6 if abs(phi_end) <= geom_tol else t_snap
+        hi = 1e-6 if abs(phi_end) <= GEOM_TOL else t_snap
 
         def phi_t(t: float) -> float:
             return (a * t + b) * t + c
@@ -311,10 +305,6 @@ class ElementCut:
     interface: CircleInterface
     point_d: np.ndarray
     point_e: np.ndarray
-    edge_d: int  # local edge index (i -> i+1 mod 3) carrying D
-    edge_e: int
-    param_d: float  # position of D along its edge, in (0, 1)
-    param_e: float
     normal: np.ndarray  # unit normal of the chord, from side 1 to side 2
     poly1: np.ndarray  # CCW, starts and ends with chord endpoints
     poly2: np.ndarray
@@ -324,23 +314,14 @@ class ElementCut:
     def chord_length(self) -> float:
         return float(np.linalg.norm(self.point_e - self.point_d))
 
-    @property
-    def h(self) -> float:
-        t = self.triangle
-        return max(
-            float(np.linalg.norm(t[1] - t[0])),
-            float(np.linalg.norm(t[2] - t[1])),
-            float(np.linalg.norm(t[0] - t[2])),
-        )
 
-
-def _snapped_signs(tri, interface: CircleInterface, geom_tol: float):
+def _snapped_signs(tri, interface: CircleInterface):
     phi = interface.value(tri[:, 0], tri[:, 1])
-    signs = np.where(np.abs(phi) <= geom_tol, 0, np.sign(phi)).astype(int)
+    signs = np.where(np.abs(phi) <= GEOM_TOL, 0, np.sign(phi)).astype(int)
     return phi, signs
 
 
-def classify_element(tri, interface: CircleInterface | None, geom_tol: float = GEOM_TOL) -> int:
+def classify_element(tri, interface: CircleInterface | None) -> int:
     """Classify a triangle as INTERFACE, OMEGA1 or OMEGA2.
 
     A triangle is an interface element iff phi changes sign over its closure,
@@ -355,18 +336,18 @@ def classify_element(tri, interface: CircleInterface | None, geom_tol: float = G
         float((tri[2] - tri[1]) @ (tri[2] - tri[1])),
         float((tri[0] - tri[2]) @ (tri[0] - tri[2])),
     )
-    if abs(polygon_area(tri)) < geom_tol * h2:
-        raise DegenerateTriangle(f"triangle area below {geom_tol} * h^2")
+    if abs(polygon_area(tri)) < GEOM_TOL * h2:
+        raise DegenerateTriangle(f"triangle area below {GEOM_TOL} * h^2")
     if interface is None:
         return OMEGA2
-    phi, signs = _snapped_signs(tri, interface, geom_tol)
+    phi, signs = _snapped_signs(tri, interface)
     nonzero = signs[signs != 0]
     if len(nonzero) == 0:
         raise DegenerateTriangle("all vertices snapped onto the interface")
     if nonzero.min() < 0 < nonzero.max():
         return INTERFACE
     for i in range(3):
-        if interface.edge_roots(tri[i], tri[(i + 1) % 3], geom_tol):
+        if interface.edge_roots(tri[i], tri[(i + 1) % 3]):
             # Same-signed vertices but the circle enters through an edge.
             return INTERFACE
     return OMEGA1 if nonzero.max() < 0 else OMEGA2
@@ -377,7 +358,6 @@ def compute_cut(
     interface: CircleInterface,
     element_id: int = -1,
     depth: int = 6,
-    geom_tol: float = GEOM_TOL,
 ) -> ElementCut:
     """Compute the chord split of an interface element.
 
@@ -390,7 +370,7 @@ def compute_cut(
     crossings = []  # (edge index, parameter, point)
     for i in range(3):
         p, q = tri[i], tri[(i + 1) % 3]
-        roots = interface.edge_roots(p, q, geom_tol)
+        roots = interface.edge_roots(p, q)
         if len(roots) > 1:
             raise MultipleCrossings(
                 f"interface crosses edge {i} of element {element_id} twice; refine the mesh"
@@ -401,10 +381,10 @@ def compute_cut(
         raise MultipleCrossings(
             f"interface cuts {len(crossings)} edges of element {element_id}; expected 2"
         )
-    (ed, td, pd), (ee, te, pe) = crossings
+    (_, _, pd), (_, _, pe) = crossings
     chord = pe - pd
     clen = float(np.linalg.norm(chord))
-    if clen <= geom_tol:
+    if clen <= GEOM_TOL:
         raise MultipleCrossings(f"degenerate chord on element {element_id}")
     # Normal of the chord oriented from Omega1 into Omega2.
     n = np.array([chord[1], -chord[0]]) / clen
@@ -441,10 +421,6 @@ def compute_cut(
         interface=interface,
         point_d=pd,
         point_e=pe,
-        edge_d=ed,
-        edge_e=ee,
-        param_d=td,
-        param_e=te,
         normal=n,
         poly1=poly1,
         poly2=poly2,
@@ -503,11 +479,11 @@ def quadrature_on_subregion(
         raise GeometryError(f"element {cut.element_id}, side {side}: {exc}") from exc
 
 
-def edge_split_parameters(p0, p1, interface: CircleInterface | None, geom_tol: float = GEOM_TOL):
+def edge_split_parameters(p0, p1, interface: CircleInterface | None):
     """Sorted interior parameters where the interface crosses segment p0 -> p1."""
     if interface is None:
         return []
-    return sorted(interface.edge_roots(p0, p1, geom_tol))
+    return sorted(interface.edge_roots(p0, p1))
 
 
 def quadrature_on_edge(

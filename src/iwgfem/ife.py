@@ -22,6 +22,10 @@ Comput. 219, 2013). ``build_cut_geometry`` computes everything no
 conductivity touches: rules, mass matrices, the unscaled constraint rows and
 per-side edge moments. ``build_local_spaces`` then builds one pair's spaces
 from those stacks with batched ``np.linalg`` calls.
+
+The geometry packs the sub-region rules of all cut elements into one point
+array; loads, projections and errors sample a function once on it and reduce
+per segment, so the layout of the cut-cell quadrature is known here alone.
 """
 
 from __future__ import annotations
@@ -39,11 +43,13 @@ from iwgfem.geometry import (
     CircleInterface,
     ElementCut,
     MultipleCrossings,
+    QuadratureRule,
     _gauss_legendre,
+    _triangle_rule_reference,
     edge_split_parameters,
     polygon_area,
-    quadrature_on_edge,
     quadrature_on_subregion,
+    subregion_polygon,
 )
 
 
@@ -130,34 +136,48 @@ def _legendre_values(xi, ell, k: int) -> np.ndarray:
     )
 
 
-def edge_legendre(p0, p1, k: int):
-    """Orthonormal Legendre basis of P_{k-1} on the segment p0 -> p1.
+def sample(f, pts) -> np.ndarray:
+    """Values of a scalar function f(x, y) at points of shape (..., 2), in one call."""
+    return np.asarray(f(pts[..., 0], pts[..., 1]), float)
 
-    Returns a callable mapping physical points on the segment to an (n, k)
-    value matrix; orthonormality is with respect to the arc-length measure.
+
+def _edge_rules(ends: np.ndarray, crossing: np.ndarray, k: int):
+    """Gauss rules on segments ``ends`` (..., 2, 2) cut at the parameters ``crossing`` (...).
+
+    One piece of k + 3 points lies on either side of the crossing (a crossing
+    at 1 leaves the second piece zero length and weight), so integrands of
+    degree 2k + 4 on each side are exact. Returns the points (..., Q, 2),
+    arc-length weights (..., Q) and orthonormal trace basis (..., Q, k),
+    Q = 2 (k + 3).
     """
-    p0 = np.asarray(p0, float)
-    p1 = np.asarray(p1, float)
-    d = p1 - p0
-    ell = float(np.linalg.norm(d))
-    d2 = float(d @ d)
+    xe, we = _gauss_legendre(k + 3)
+    lo = np.stack([np.zeros_like(crossing), crossing], axis=-1)
+    hi = np.stack([crossing, np.ones_like(crossing)], axis=-1)
+    t = (0.5 * (lo + hi))[..., None] + (0.5 * (hi - lo))[..., None] * xe
+    t = t.reshape(crossing.shape + (2 * len(xe),))
+    start = ends[..., 0, :]
+    vec = ends[..., 1, :] - start
+    length = np.linalg.norm(vec, axis=-1)
+    pts = start[..., None, :] + t[..., None] * vec[..., None, :]
+    weights = ((0.5 * (hi - lo) * length[..., None])[..., None] * we).reshape(t.shape)
+    return pts, weights, _legendre_values(2.0 * t - 1.0, length[..., None], k)
 
-    def values(pts):
-        pts = np.atleast_2d(np.asarray(pts, float))
-        t = ((pts - p0) @ d) / d2  # parameter in [0, 1]
-        return _legendre_values(2.0 * t - 1.0, ell, k)
 
-    return values
+def project_qb(g, p0, p1, k: int, interface: CircleInterface | None = None) -> np.ndarray:
+    """L2 projections of g onto P_{k-1} of the segments p0 -> p1, as Legendre coefficients.
 
-
-def project_qb(g, p0, p1, k: int, interface: CircleInterface | None = None, degree: int | None = None):
-    """L2 projection of g onto P_{k-1} of the edge, as Legendre coefficients."""
-    if degree is None:
-        degree = 2 * k + 4
-    rule = quadrature_on_edge(p0, p1, degree, interface)
-    leg = edge_legendre(p0, p1, k)(rule.points)
-    vals = np.asarray(g(rule.points[:, 0], rule.points[:, 1]), float)
-    return leg.T @ (rule.weights * vals)
+    ``p0`` and ``p1`` are (2,) or (n, 2); the result is (k,) or (n, k), and g
+    is sampled once on every edge's rule.
+    """
+    ends = np.stack([np.asarray(p0, float), np.asarray(p1, float)], axis=-2)
+    crossing = np.ones(ends.shape[:-2])
+    for i in np.ndindex(crossing.shape):
+        roots = edge_split_parameters(*ends[i], interface)
+        if len(roots) > 1:
+            raise MultipleCrossings(f"interface crosses edge {ends[i].tolist()} twice; refine the mesh")
+        crossing[i] = roots[0] if roots else 1.0
+    pts, weights, leg = _edge_rules(ends, crossing, k)
+    return (_tr(leg) @ (weights * sample(g, pts))[..., None])[..., 0]
 
 
 def _tr(a: np.ndarray) -> np.ndarray:
@@ -167,11 +187,10 @@ def _tr(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CutPoints:
-    """The per-point data of one cut element, kept out of the stacked arrays."""
+    """One cut element's cut and sub-region rules."""
 
     cut: ElementCut
-    rules: dict  # side -> QuadratureRule on that sub-region
-    vander: dict  # side -> (n, m) monomial values at the rule points
+    rules: dict  # side -> QuadratureRule, views of the geometry's packed rule
 
 
 @dataclass(eq=False)
@@ -182,6 +201,13 @@ class CutGeometry(Mapping):
     quadrature, so it is built once per level and shared by every
     conductivity pair. As a mapping it takes an element id to that element's
     ``CutPoints``. Sides are indexed 0 (OMEGA1) and 1 (OMEGA2).
+
+    The sub-region rules are packed: ``rule_points``, ``rule_weights`` and
+    the columns of ``rule_vander`` hold every element's points, side 1 then
+    side 2, and segment 2 i + s spans ``rule_offsets[2i + s]`` to
+    ``rule_offsets[2i + s + 1]``. No segment is empty, which the segment
+    sums (``np.add.reduceat``) rely on. The Vandermonde is stored by monomial
+    so that each segment sum streams one contiguous row.
 
     The edge arrays cover each local edge with one Gauss piece on either side
     of the interface crossing, Q = 2 (k + 3) points per edge; an edge the
@@ -197,6 +223,10 @@ class CutGeometry(Mapping):
     mass: np.ndarray  # (n, 2, m, m) monomial mass matrix per side
     grad_gram: np.ndarray  # (n, 2, m, m) Gram of the monomials' physical gradients
     base_is_1: np.ndarray  # (n,) side 1 has the larger area (segment basis)
+    rule_points: np.ndarray  # (P, 2) packed sub-region rule points
+    rule_weights: np.ndarray  # (P,)
+    rule_vander: np.ndarray  # (m, P) monomial values at the packed points, a row per monomial
+    rule_offsets: np.ndarray  # (2n + 1,) segment bounds
     constraint_rows: dict  # mode -> unscaled value rows (n, k+1, m), normal rows (n, k, m)
     edge_points: np.ndarray  # (n, 3, Q, 2) edge rule points, canonical orientation
     edge_weights: np.ndarray  # (n, 3, Q) edge rule weights (arc length)
@@ -220,10 +250,32 @@ class CutGeometry(Mapping):
     def __len__(self) -> int:
         return len(self.elements)
 
+    def monomial_moments(self, values: np.ndarray) -> np.ndarray:
+        """(n, 2m): sum_p w_p g_p V_p over each segment, from g at the packed points."""
+        weighted = self.rule_weights * values
+        term = np.empty_like(weighted)
+        sums = np.empty((2 * len(self), self.m))
+        for j, row in enumerate(self.rule_vander):
+            np.multiply(row, weighted, out=term)
+            sums[:, j] = np.add.reduceat(term, self.rule_offsets[:-1])
+        return sums.reshape(len(self), 2 * self.m)
 
-def build_cut_geometry(cuts, k: int, quad_degree: int | None = None, edge_points=None) -> CutGeometry:
+    def monomial_values(self, coeffs: np.ndarray) -> np.ndarray:
+        """(P,) values at the packed points of per-side monomial coefficients (n, 2m)."""
+        per_segment = coeffs.reshape(2 * len(self), self.m)
+        counts = np.diff(self.rule_offsets)
+        out = np.zeros(len(self.rule_weights))
+        for j, row in enumerate(self.rule_vander):
+            term = np.repeat(per_segment[:, j], counts)
+            term *= row
+            out += term
+        return out
+
+
+def build_cut_geometry(cuts, k: int, quad_offset: int = 0, edge_points=None) -> CutGeometry:
     """Pair-independent data of ``cuts`` (a sequence of ElementCut), stacked.
 
+    The sub-region rules are exact to degree 2k + 4 + ``quad_offset``.
     ``edge_points`` (n, 3, 2, 2) gives each local edge's end points in the
     canonical (global) edge orientation shared by the two neighbours; by
     default each edge runs in the element-local orientation.
@@ -232,8 +284,7 @@ def build_cut_geometry(cuts, k: int, quad_degree: int | None = None, edge_points
         raise ValueError("polynomial degree k must be 1 or 2")
     poly = PolyBasis(k)
     m = poly.dim
-    if quad_degree is None:
-        quad_degree = 2 * k + 4
+    quad_degree = 2 * k + 4 + quad_offset
     n = len(cuts)
     tri = np.array([c.triangle for c in cuts], float).reshape(n, 3, 2)
     pd = np.array([c.point_d for c in cuts], float).reshape(n, 2)
@@ -262,20 +313,16 @@ def build_cut_geometry(cuts, k: int, quad_degree: int | None = None, edge_points
         lead = (n,) + (1,) * (pts.ndim - 3)
         return (pts - x_ref.reshape(lead + (1, 2))) @ _tr(f_mat).reshape(lead + (2, 2))
 
-    # The ragged per-point data: sub-region rules and edge crossings.
-    points = []
-    mass = np.empty((n, 2, m, m))
+    # The ragged per-point data: sub-region rule sizes and edge crossings. A
+    # fan triangulation splits a polygon of v vertices into v - 2 triangles.
+    n_ref = len(_triangle_rule_reference(quad_degree)[1])
+    sizes = np.empty((n, 2), dtype=np.int64)
     crossing = np.ones((n, 3))  # parameter of the interface crossing, 1 if none
     base_is_1 = np.empty(n, dtype=bool)
     for i, cut in enumerate(cuts):
         base_is_1[i] = polygon_area(cut.poly1) >= polygon_area(cut.poly2)
-        rules, vander = {}, {}
         for s, side in enumerate((OMEGA1, OMEGA2)):
-            rule = quadrature_on_subregion(cut, side, quad_degree)
-            v = poly.eval((rule.points - x_ref[i]) @ f_mat[i].T)
-            rules[side], vander[side] = rule, v
-            mass[i, s] = v.T @ (rule.weights[:, None] * v)
-        points.append(CutPoints(cut, rules, vander))
+            sizes[i, s] = (len(subregion_polygon(cut, side, cut.depth)) - 2) * n_ref
         for j in range(3):
             roots = edge_split_parameters(*edge_points[i, j], cut.interface)
             if len(roots) > 1:
@@ -283,6 +330,27 @@ def build_cut_geometry(cuts, k: int, quad_degree: int | None = None, edge_points
                     f"interface crosses edge {j} of element {cut.element_id} twice; refine the mesh"
                 )
             crossing[i, j] = roots[0] if roots else 1.0
+
+    # The packed rule, filled one element at a time so that no element's
+    # points are held twice; each element's rules are views of it.
+    offsets = np.zeros(2 * n + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum(sizes)
+    rule_points = np.empty((offsets[-1], 2))
+    rule_weights = np.empty(offsets[-1])
+    rule_vander = np.empty((m, offsets[-1]))
+    mass = np.empty((n, 2, m, m))
+    points = []
+    for i, cut in enumerate(cuts):
+        rules = {}
+        for s, side in enumerate((OMEGA1, OMEGA2)):
+            rule = quadrature_on_subregion(cut, side, quad_degree)
+            seg = slice(offsets[2 * i + s], offsets[2 * i + s + 1])
+            rule_points[seg], rule_weights[seg] = rule.points, rule.weights
+            v = poly.eval((rule.points - x_ref[i]) @ f_mat[i].T)
+            rule_vander[:, seg] = v.T
+            mass[i, s] = v.T @ (rule.weights[:, None] * v)
+            rules[side] = QuadratureRule(rule_points[seg], rule_weights[seg], rule.exactness_degree)
+        points.append(CutPoints(cut, rules))
 
     # f_mat = [t; n] / h with t, n orthonormal, so the physical gradient Gram
     # is the sum of the two local-derivative Grams over h^2; each local one is
@@ -316,18 +384,7 @@ def build_cut_geometry(cuts, k: int, quad_degree: int | None = None, edge_points
         tests[:k] @ np.einsum("npjd,npd->npj", poly.grad(arc_loc), unit @ _tr(f_mat)),
     )
 
-    # Edge rules, one Gauss piece on each side of the crossing, exact to
-    # degree 2k + 4 for integrands polynomial on each side.
-    xe, we = _gauss_legendre(k + 3)
-    lo = np.stack([np.zeros((n, 3)), crossing], axis=-1)
-    hi = np.stack([crossing, np.ones((n, 3))], axis=-1)
-    t = ((0.5 * (lo + hi))[..., None] + (0.5 * (hi - lo))[..., None] * xe).reshape(n, 3, 2 * len(xe))
-    start = edge_points[:, :, 0]
-    vec = edge_points[:, :, 1] - start
-    length = np.linalg.norm(vec, axis=-1)
-    e_pts = start[:, :, None] + t[..., None] * vec[:, :, None]
-    e_w = ((0.5 * (hi - lo) * length[..., None])[..., None] * we).reshape(t.shape)
-    e_leg = _legendre_values(2.0 * t - 1.0, length[..., None], k)
+    e_pts, e_w, e_leg = _edge_rules(edge_points, crossing, k)
 
     # Per-side edge moments: W_s masks the weights to the points on side s.
     phi = ((e_pts - center[:, None, None]) ** 2).sum(axis=-1) - radius_sq[:, None, None]
@@ -351,6 +408,10 @@ def build_cut_geometry(cuts, k: int, quad_degree: int | None = None, edge_points
         mass=mass,
         grad_gram=grad_gram,
         base_is_1=base_is_1,
+        rule_points=rule_points,
+        rule_weights=rule_weights,
+        rule_vander=rule_vander,
+        rule_offsets=offsets,
         constraint_rows={"segment": segment, "arc": arc},
         edge_points=e_pts,
         edge_weights=e_w,
@@ -411,10 +472,6 @@ class LocalIfeSpace:
         return self.geometry.points[self.index].rules
 
     @property
-    def vander(self) -> dict:
-        return self.geometry.points[self.index].vander
-
-    @property
     def k(self) -> int:
         return self.geometry.k
 
@@ -434,64 +491,12 @@ class LocalIfeSpace:
     def m(self) -> int:
         return self.geometry.m
 
-    @property
-    def n_local(self) -> int:
-        return self.m + 3 * self.k
-
     def local_coords(self, pts):
         return (np.atleast_2d(np.asarray(pts, float)) - self.x_ref) @ self.f_mat.T
 
     def block(self, side: int) -> np.ndarray:
         """(m, m) monomial coefficients of the basis on one side."""
         return self.coeffs[: self.m] if side == OMEGA1 else self.coeffs[self.m :]
-
-    def eval_basis(self, pts, side: int) -> np.ndarray:
-        """Basis values at physical points lying on the given side."""
-        return self.poly.eval(self.local_coords(pts)) @ self.block(side)
-
-    def sample(self, f) -> dict:
-        """side -> values of a scalar function at that side's rule points."""
-        return {
-            side: np.asarray(f(rule.points[:, 0], rule.points[:, 1]), float)
-            for side, rule in self.rules.items()
-        }
-
-    def moments(self, values: dict) -> np.ndarray:
-        """(g, phi_j)_T from sampled values of g, through the m x m blocks."""
-        out = np.zeros(self.m)
-        for side in (OMEGA1, OMEGA2):
-            weighted = self.rules[side].weights * values[side]
-            out += self.block(side).T @ (self.vander[side].T @ weighted)
-        return out
-
-    def values_at_rules(self, v0) -> dict:
-        """side -> values of the interior function v0 at that side's rule points."""
-        return {side: self.vander[side] @ (self.block(side) @ v0) for side in (OMEGA1, OMEGA2)}
-
-    def project_interior(self, f, values: dict | None = None) -> np.ndarray:
-        """Q_0 projection of a scalar function onto the interior basis.
-
-        ``values`` may carry ``self.sample(f)`` when the caller needs the
-        samples for something else too.
-        """
-        if values is None:
-            values = self.sample(f)
-        return np.linalg.solve(self.gram, self.moments(values))
-
-    def project_traces(self, g) -> np.ndarray:
-        """Q_b projection of g on each edge; shape (3, k)."""
-        pts = self.geometry.edge_points[self.index]
-        weighted = self.geometry.edge_weights[self.index] * np.asarray(g(pts[..., 0], pts[..., 1]), float)
-        return (_tr(self.geometry.edge_legendre[self.index]) @ weighted[..., None])[..., 0]
-
-    def energy_seminorm_sq(self, local_dofs) -> float:
-        """Unweighted |grad_w v|_T^2 + h_T^{-1} |Q_b v_0 - v_b|_dT^2."""
-        loc = np.asarray(local_dofs, float)
-        c = self.weak_grad @ loc
-        total = float(c @ self.grad_gram @ c)
-        for jump in self.trace @ loc[: self.m] - loc[self.m :].reshape(3, self.k):
-            total += float(jump @ jump) / self.h_ref
-        return total
 
 
 @dataclass(eq=False)
@@ -527,6 +532,34 @@ class IfeSpaces(Mapping):
 
     def __len__(self) -> int:
         return len(self.geometry)
+
+    def moments(self, values: np.ndarray) -> np.ndarray:
+        """(n, m): (g, phi_j)_T on every element, from g at the packed rule points."""
+        return (_tr(self.coeffs) @ self.geometry.monomial_moments(values)[..., None])[..., 0]
+
+    def interior_values(self, v0: np.ndarray) -> np.ndarray:
+        """(P,): the interior functions with coefficients v0 (n, m) at the packed rule points."""
+        return self.geometry.monomial_values((self.coeffs @ v0[..., None])[..., 0])
+
+    def project_interior(self, values: np.ndarray) -> np.ndarray:
+        """(n, m): Q_0 projections of g onto every interior basis, from g at the packed points."""
+        return np.linalg.solve(self.gram, self.moments(values)[..., None])[..., 0]
+
+    def project_traces(self, values: np.ndarray) -> np.ndarray:
+        """(n, 3, k): Q_b projections on every local edge, from g at the edge points."""
+        weighted = self.geometry.edge_weights * values
+        return (_tr(self.geometry.edge_legendre) @ weighted[..., None])[..., 0]
+
+    def energy_seminorm_sq(self, local_dofs: np.ndarray) -> np.ndarray:
+        """(n,): unweighted |grad_w v|_T^2 + h_T^{-1} |Q_b v_0 - v_b|_dT^2 of every element.
+
+        ``local_dofs`` is (n, m + 3k), laid out as the stiffness blocks.
+        """
+        m, k = self.geometry.m, self.geometry.k
+        c = self.weak_grad @ local_dofs[..., None]
+        traces = local_dofs[:, m:].reshape(len(local_dofs), 3, k)
+        jumps = (self.trace @ local_dofs[:, None, :m, None])[..., 0] - traces
+        return (_tr(c) @ self.grad_gram @ c)[:, 0, 0] + (jumps**2).sum(axis=(1, 2)) / self.geometry.h_ref
 
 
 def _first_failure(factor, stack: np.ndarray) -> int:
@@ -773,11 +806,6 @@ def construct_ife_basis(
     if geometry is None:
         geometry = build_cut_geometry([cut], k)
     return build_local_spaces(geometry, a1, a2, mode)[cut.element_id]
-
-
-def load_vector(space: LocalIfeSpace, f) -> np.ndarray:
-    """Moments (f, phi_j)_T of the source against the interior basis."""
-    return space.moments(space.sample(f))
 
 
 def sample_chord_residuals(space: LocalIfeSpace, n_samples: int = 20):

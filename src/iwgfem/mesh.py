@@ -51,7 +51,6 @@ class MeshPartition:
     element_class: np.ndarray  # (nt,) INTERFACE / OMEGA1 / OMEGA2
     edge_class: np.ndarray  # (ne,)
     h: float
-    h_t: np.ndarray  # (nt,) per-element diameter
     cuts: dict[int, ElementCut]
     interface: CircleInterface | None
 
@@ -82,7 +81,6 @@ def build_mesh(
     interface: CircleInterface | None,
     depth: int = 6,
     n_override: int | None = None,
-    geom_tol: float = GEOM_TOL,
 ) -> MeshPartition:
     """Build and classify the level-`level` mesh.
 
@@ -140,17 +138,17 @@ def build_mesh(
 
     element_class = np.empty(len(triangles), dtype=np.int64)
     cuts: dict[int, ElementCut] = {}
-    candidates = _interface_candidates(vertices, triangles, interface, geom_tol)
+    candidates = _interface_candidates(vertices, triangles, interface)
     for t in range(len(triangles)):
         if not candidates[t]:
             # Far from the interface: classify by any vertex sign.
             phi0 = interface.value(*vertices[triangles[t, 0]]) if interface else 1.0
             element_class[t] = OMEGA1 if phi0 < 0.0 else OMEGA2
             continue
-        cls = classify_element(vertices[triangles[t]], interface, geom_tol)
+        cls = classify_element(vertices[triangles[t]], interface)
         element_class[t] = cls
         if cls == INTERFACE:
-            cuts[t] = compute_cut(vertices[triangles[t]], interface, t, depth, geom_tol)
+            cuts[t] = compute_cut(vertices[triangles[t]], interface, t, depth)
 
     edge_class = np.empty(ne, dtype=np.int64)
     for e in range(ne):
@@ -169,7 +167,6 @@ def build_mesh(
             else:
                 edge_class[e] = EDGE_INTERIOR_NON_WG
 
-    h_t = np.full(len(triangles), step * math.sqrt(2.0))
     return MeshPartition(
         level=level,
         n_cells=n,
@@ -181,13 +178,12 @@ def build_mesh(
         element_class=element_class,
         edge_class=edge_class,
         h=step * math.sqrt(2.0),
-        h_t=h_t,
         cuts=cuts,
         interface=interface,
     )
 
 
-def _interface_candidates(vertices, triangles, interface, geom_tol):
+def _interface_candidates(vertices, triangles, interface):
     """Cheap vectorized pre-filter: triangles whose vertex signs are not all safely equal."""
     nt = len(triangles)
     if interface is None:
@@ -202,7 +198,7 @@ def _interface_candidates(vertices, triangles, interface, geom_tol):
     )
     r = interface.radius
     dist = np.abs(np.sqrt(np.maximum(tphi + interface.radius_squared, 0.0)) - r)
-    return ~np.all(dist > edge_len[:, None] + geom_tol, axis=1)
+    return ~np.all(dist > edge_len[:, None] + GEOM_TOL, axis=1)
 
 
 def edge_sets(mesh: MeshPartition):

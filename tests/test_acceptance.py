@@ -232,7 +232,7 @@ def test_criterion_7_weak_gradient_identity():
     # Mismatched traces against the independent dense least-squares oracle.
     for t, space in list(spaces.items())[::3]:
         for _ in range(3):
-            loc = rng.standard_normal(space.n_local)
+            loc = rng.standard_normal(len(space.stiffness))
             got = space.weak_grad @ loc
             want = _weak_gradient_oracle(space, loc, mesh.vertices[mesh.edges[mesh.tri_edges[t]]])
             worst_oracle = max(worst_oracle, float(np.max(np.abs(got - want))))

@@ -120,9 +120,9 @@ class TestErrorNorms:
         x = np.zeros(dm.n_total)
         valid = dm.node_col >= 0
         x[dm.node_col[valid]] = ms.u(dm.node_coords[valid, 0], dm.node_coords[valid, 1])
-        for t, sp in spaces.items():
-            base = dm.wg0_col[t]
-            x[base : base + sp.m] = sp.project_interior(ms.u)
+        pts = spaces.geometry.rule_points
+        for t, q0 in zip(spaces, spaces.project_interior(ms.u(pts[:, 0], pts[:, 1]))):
+            x[dm.wg0_col[t] + np.arange(dm.m)] = q0
         for e in np.flatnonzero(dm.trace_col >= 0):
             a, b = mesh.edges[e]
             x[dm.trace_col[e] : dm.trace_col[e] + dm.k] = project_qb(
@@ -133,7 +133,7 @@ class TestErrorNorms:
         # the CG parts measure interpolation error, so only check the band.
         from iwgfem.analysis import _interface_errors
 
-        e_b, l_b, _ = _interface_errors(mesh, dm, spaces, x, ms, 1)
+        e_b, l_b, _ = _interface_errors(dm, spaces, x, ms)
         assert math.sqrt(l_b) < 1e-13
         # Weak-gradient part of the band error is the projection mismatch of
         # Q_h u itself, nonzero but small; only the nodal CG part remains in
@@ -146,20 +146,6 @@ class TestErrorNorms:
         assert errors["energy"] < 1e-9
         assert errors["l2"] < 1e-9
         assert errors["linf"] < 1e-9
-
-
-    @pytest.mark.parametrize("k, mode", [(1, "segment"), (2, "arc")])
-    def test_stored_basis_values_equal_fresh_evaluation(self, k, mode):
-        # The error loops evaluate the basis through values_at_rules, the
-        # stored monomial values times the coefficient block, instead of at
-        # the rule points afresh; the two must agree bit for bit.
-        mesh = build_mesh(2, CircleFixture.interface)
-        spaces = build_ife_spaces(mesh, k, 1.0, 1000.0, mode=mode)
-        for space in spaces.values():
-            stored = space.values_at_rules(np.eye(space.m))
-            for side in (OMEGA1, OMEGA2):
-                fresh = space.eval_basis(space.rules[side].points, side)
-                np.testing.assert_array_equal(stored[side], fresh)
 
 
 class TestInterpolationDiagnostic:
@@ -195,11 +181,12 @@ class TestInterpolationDiagnostic:
         rule = triangle_rule(mesh.triangle_coords(t), 8)
         vander = space.poly.eval(space.local_coords(rule.points))
         mass = vander.T @ (rule.weights[:, None] * vander)
+        pts = spaces.geometry.rule_points
         for a, b in [(0, 0), (1, 0), (1, 1), (2, 1), (0, 3)]:
             f = lambda x, y: x**a * y**b
-            q0 = space.project_interior(f)
+            q0 = spaces.project_interior(f(pts[:, 0], pts[:, 1]))[0]
             mom = vander.T @ (rule.weights * f(rule.points[:, 0], rule.points[:, 1]))
             coeffs_plain = np.linalg.solve(mass, mom)
-            uh_vals = space.eval_basis(rule.points, OMEGA2) @ q0
+            uh_vals = vander @ space.block(OMEGA2) @ q0
             plain_vals = vander @ coeffs_plain
             np.testing.assert_allclose(uh_vals, plain_vals, atol=1e-10)

@@ -240,7 +240,7 @@ class TestRoutingChecks:
         spaces = build_ife_spaces(mesh, 1, 1.0, 10.0)
         dm = build_dof_map(mesh, 1)
         cg = assemble_noninterface(mesh, 1, {OMEGA1: 1.0, OMEGA2: 10.0}, ms.f)
-        wg = assemble_interface(mesh, spaces, 1, ms.f)
+        wg = assemble_interface(spaces, ms.f)
         wg = WgBlocks(wg.elements[1:], wg.stiffness[1:], wg.load[1:])
         with pytest.raises(AssemblyError, match="element order"):
             apply_constraints(mesh, dm, cg, wg, ms.g)
@@ -267,7 +267,8 @@ def _reference_folded_system(mesh, k, spaces, ms, a1, a2):
     columns of owned edges and, on a coupling edge, to the Q_b projections
     of the edge's CG shape functions, computed here with project_qb.
     """
-    from iwgfem.ife import load_vector, project_qb
+    from iwgfem.ife import project_qb
+    from test_packed_rule import element_moments, element_samples
 
     dm = build_dof_map(mesh, k)
     n, m, n_loc = dm.n_total, dm.m, dm.m + 3 * k
@@ -294,7 +295,7 @@ def _reference_folded_system(mesh, k, spaces, ms, a1, a2):
                 shape = _edge_lagrange_function(k, j, p0, p1)
                 route[slots, dm.node_col[node]] = project_qb(shape, p0, p1, k)
         load = np.zeros(n_loc)
-        load[:m] = load_vector(spaces[t], ms.f)
+        load[:m] = element_moments(spaces[t], element_samples(spaces[t], ms.f))
         kmat += route.T @ spaces[t].stiffness @ route
         rhs += route.T @ load
     pinned = [ms.g(*dm.node_coords[node]) for node in dm.pinned_nodes]
@@ -328,7 +329,7 @@ class TestGlobalSystem:
         dm = build_dof_map(mesh, 1)
         f = lambda x, y: np.zeros_like(np.asarray(x, float))
         cg = assemble_noninterface(mesh, 1, {OMEGA1: 1.0, OMEGA2: 10.0}, f)
-        wg = assemble_interface(mesh, spaces, 1, f)
+        wg = assemble_interface(spaces, f)
         system = apply_constraints(mesh, dm, cg, wg, lambda x, y: 0.0)
         assert np.all(system.pinned_values == 0.0)
         np.testing.assert_allclose(system.rhs, 0.0, atol=1e-15)
@@ -381,8 +382,8 @@ class TestGlobalSystem:
         mesh = build_mesh(1, CIRCLE)
         f = lambda x, y: 1.0 + x - 2.0 * y
         g = lambda x, y: np.zeros_like(np.asarray(x, float))
-        sys1, _ = assemble_system(mesh, 1, 1.0, 10.0, f, g, quad_degree=6)
-        sys2, _ = assemble_system(mesh, 1, 1.0, 10.0, f, g, quad_degree=8)
+        sys1, _ = assemble_system(mesh, 1, 1.0, 10.0, f, g, quad_offset=0)
+        sys2, _ = assemble_system(mesh, 1, 1.0, 10.0, f, g, quad_offset=2)
         d = (sys1.matrix - sys2.matrix).tocoo()
         scale = np.abs(sys1.matrix.data).max()
         assert (np.abs(d.data).max() if d.nnz else 0.0) < 1e-10 * scale

@@ -22,13 +22,13 @@ from iwgfem.ife import (
     RankDeficient,
     SingularGram,
     _constraint_matrix,
+    _legendre_values,
     _segment_null_basis,
     build_cut_geometry,
     build_local_spaces,
     construct_ife_basis,
-    edge_legendre,
-    load_vector,
     project_qb,
+    sample,
     sample_chord_residuals,
 )
 from iwgfem.mesh import build_mesh
@@ -139,11 +139,9 @@ class TestBasisConstruction:
             # Every basis function is a single polynomial: p1 == p2.
             assert np.max(np.abs(space.coeffs[:m] - space.coeffs[m:])) < 1e-10
             # Projection of x onto the span reproduces x.
-            q = space.project_interior(lambda x, y: x)
-            for side in (OMEGA1, OMEGA2):
-                rule = space.rules[side]
-                vals = space.eval_basis(rule.points, side) @ q
-                assert np.max(np.abs(vals - rule.points[:, 0])) < 1e-12
+            spaces, pts = space.spaces, space.geometry.rule_points
+            vals = spaces.interior_values(spaces.project_interior(pts[:, 0]))
+            assert np.max(np.abs(vals - pts[:, 0])) < 1e-12
 
     def test_chord_residuals_k1(self):
         cut = compute_cut(TRI, CIRCLE)
@@ -272,15 +270,16 @@ class TestPerPointDataStaysInGeometry:
     @pytest.mark.parametrize("k, mode", [(1, "segment"), (2, "arc")])
     def test_space_arrays_do_not_grow_with_depth(self, k, mode):
         # The rule has many more points at depth 6 than at depth 2; only the
-        # geometry's per-element rules and monomial values may carry them.
+        # geometry's packed rule and monomial values may carry them.
         import dataclasses
 
         def shapes(spaces):
             out = {}
-            for obj, skip in ((spaces, "geometry"), (spaces.geometry, "points")):
+            packed = {"points", "rule_points", "rule_weights", "rule_vander"}
+            for obj, skip in ((spaces, {"geometry"}), (spaces.geometry, packed)):
                 for f in dataclasses.fields(obj):
                     value = getattr(obj, f.name)
-                    if f.name == skip:
+                    if f.name in skip:
                         continue
                     if isinstance(value, dict):  # mode -> tuple of row stacks
                         value = {key: [np.shape(a) for a in rows] for key, rows in value.items()}
@@ -404,20 +403,32 @@ def _pair_mass_matrix(space):
     return out
 
 
+def edge_legendre(p0, p1, k):
+    """Orthonormal Legendre basis of P_{k-1} on the segment p0 -> p1, as a
+    callable on points of the segment (arc-length measure)."""
+    p0, p1 = np.asarray(p0, float), np.asarray(p1, float)
+    d = p1 - p0
+
+    def values(pts):
+        t = ((np.atleast_2d(np.asarray(pts, float)) - p0) @ d) / (d @ d)
+        return _legendre_values(2.0 * t - 1.0, np.linalg.norm(d), k)
+
+    return values
+
+
+def basis_values(space, pts, side):
+    """Basis values at physical points lying on one side, (n, m)."""
+    return space.poly.eval(space.local_coords(pts)) @ space.block(side)
+
+
 def _projection_error(space, u):
     # Mean-square (area-normalized) error, so the expected halving ratio is
     # 2^(k+1); the plain L2 norm on a shrinking element gains an extra factor
     # 2 from the measure.
-    q = space.project_interior(u)
-    total = 0.0
-    area = 0.0
-    for side in (OMEGA1, OMEGA2):
-        rule = space.rules[side]
-        vals = space.eval_basis(rule.points, side) @ q
-        exact = u(rule.points[:, 0], rule.points[:, 1])
-        total += float(rule.weights @ (vals - exact) ** 2)
-        area += rule.measure
-    return math.sqrt(total / area)
+    spaces, geometry = space.spaces, space.geometry
+    exact = sample(u, geometry.rule_points)
+    diff = spaces.interior_values(spaces.project_interior(exact)) - exact
+    return math.sqrt(geometry.rule_weights @ diff**2 / geometry.rule_weights.sum())
 
 
 class TestProjections:
@@ -430,11 +441,11 @@ class TestProjections:
                 phi = CIRCLE.value(pts[:, 0], pts[:, 1])
                 out = np.where(
                     phi < 0.0,
-                    space.eval_basis(pts, OMEGA1)[:, i],
-                    space.eval_basis(pts, OMEGA2)[:, i],
+                    basis_values(space, pts, OMEGA1)[:, i],
+                    basis_values(space, pts, OMEGA2)[:, i],
                 )
                 return out
-            q = space.project_interior(phi_i)
+            q = space.spaces.project_interior(sample(phi_i, space.geometry.rule_points))[0]
             expect = np.zeros(space.m)
             expect[i] = 1.0
             np.testing.assert_allclose(q, expect, atol=1e-11)
@@ -480,7 +491,7 @@ class TestWeakGradient:
         space = construct_ife_basis(self.cut, 1.0, 10.0, k)
         rng = np.random.default_rng(11)
         for _ in range(10):
-            loc = rng.standard_normal(space.n_local)
+            loc = rng.standard_normal(len(space.stiffness))
             got = space.weak_grad @ loc
             want = _weak_gradient_oracle(space, loc, local_edge_ends(self.cut))
             np.testing.assert_allclose(got, want, atol=1e-10, rtol=1e-10)
@@ -490,7 +501,7 @@ class TestWeakGradient:
         # equation reduces to (grad_w v, q)_T = +<vb, q . n>_e.
         space = construct_ife_basis(self.cut, 1.0, 10.0, 1)
         for edge in range(3):
-            loc = np.zeros(space.n_local)
+            loc = np.zeros(len(space.stiffness))
             loc[space.m + edge] = 1.0
             got = space.weak_grad @ loc
             want = _weak_gradient_oracle(space, loc, local_edge_ends(self.cut))
@@ -544,7 +555,7 @@ def _weak_gradient_oracle(space, loc, edge_ends):
             mask = sides == s
             if not np.any(mask):
                 continue
-            v0_vals[mask] = space.eval_basis(rule.points[mask], s) @ v0
+            v0_vals[mask] = basis_values(space, rule.points[mask], s) @ v0
             gq_n[mask] = basis_grad(space, rule.points[mask], s)[:, 1:, :] @ outward
         mass = leg.T @ (rule.weights[:, None] * leg)
         moments = leg.T @ (rule.weights * v0_vals)
@@ -558,7 +569,7 @@ class TestLoadVector:
     def test_constant_source_pairs_with_constant_mode(self):
         cut = compute_cut(TRI, CIRCLE)
         space = construct_ife_basis(cut, 1.0, 10.0, 1)
-        l = load_vector(space, lambda x, y: np.ones_like(np.asarray(x)))
+        (l,) = space.spaces.moments(np.ones(len(space.geometry.rule_weights)))
         # (1, phi_0) = |T|^(1/2) for the normalized constant; others vanish.
         area = space.rules[OMEGA1].measure + space.rules[OMEGA2].measure
         assert l[0] == pytest.approx(math.sqrt(area), rel=1e-12)

@@ -1,0 +1,260 @@
+"""The packed cut-cell rule and the batched operations that consume it.
+
+The per-element functions below are the reference: they evaluate the loads,
+projections and errors one cut element at a time, through each element's own
+rules and freshly evaluated monomials, the way the solver did before the
+rules were packed. The batched operations must agree with them up to the
+order of summation.
+"""
+
+import collections
+import dataclasses
+
+import numpy as np
+import pytest
+
+from iwgfem.analysis import (
+    AnalysisError,
+    _interface_errors,
+    compute_errors,
+    example1,
+    interpolation_errors,
+)
+from iwgfem.assembly import assemble_interface, assemble_system, build_cut_geometries
+from iwgfem.cli import run_level
+from iwgfem.geometry import OMEGA1, OMEGA2, CircleInterface
+from iwgfem.ife import build_cut_geometry, build_local_spaces
+from iwgfem.mesh import build_mesh
+from iwgfem.solver import solve
+
+CIRCLES = [CircleInterface(), CircleInterface((0.3, 0.2), 0.36)]
+CASES = [(1, "segment"), (2, "arc")]
+EPS = np.finfo(float).eps
+
+
+def element_samples(space, f) -> dict:
+    """side -> f at that side's rule points."""
+    return {side: np.asarray(f(r.points[:, 0], r.points[:, 1]), float) for side, r in space.rules.items()}
+
+
+def element_vander(space, side) -> np.ndarray:
+    """Monomial values at one side's rule points, evaluated afresh."""
+    return space.poly.eval(space.local_coords(space.rules[side].points))
+
+
+def element_moments(space, values: dict) -> np.ndarray:
+    """(g, phi_j)_T through the m x m coefficient blocks."""
+    out = np.zeros(space.m)
+    for side in (OMEGA1, OMEGA2):
+        weighted = space.rules[side].weights * values[side]
+        out += space.block(side).T @ (element_vander(space, side).T @ weighted)
+    return out
+
+
+def element_moment_scale(space, values: dict) -> np.ndarray:
+    """sum |w g V c| per basis function: the magnitude of the terms a moment adds."""
+    out = np.zeros(space.m)
+    for side in (OMEGA1, OMEGA2):
+        weighted = space.rules[side].weights * np.abs(values[side])
+        out += np.abs(space.block(side)).T @ (np.abs(element_vander(space, side)).T @ weighted)
+    return out
+
+
+def element_values(space, v0) -> dict:
+    """side -> the interior function v0 at that side's rule points."""
+    return {side: element_vander(space, side) @ (space.block(side) @ v0) for side in (OMEGA1, OMEGA2)}
+
+
+def element_q0(space, values: dict) -> np.ndarray:
+    return np.linalg.solve(space.gram, element_moments(space, values))
+
+
+def element_qb(space, g) -> np.ndarray:
+    """(3, k): Q_b of g on each local edge."""
+    geometry, i = space.geometry, space.index
+    pts = geometry.edge_points[i]
+    weighted = geometry.edge_weights[i] * np.asarray(g(pts[..., 0], pts[..., 1]), float)
+    return np.einsum("eqk,eq->ek", geometry.edge_legendre[i], weighted)
+
+
+def element_energy(space, loc) -> float:
+    """Unweighted |grad_w v|_T^2 + h_T^{-1} |Q_b v_0 - v_b|_dT^2."""
+    c = space.weak_grad @ loc
+    total = float(c @ space.grad_gram @ c)
+    for jump in space.trace @ loc[: space.m] - loc[space.m :].reshape(3, space.k):
+        total += float(jump @ jump) / space.h_ref
+    return total
+
+
+def element_interface_errors(dofmap, spaces, x_all, ms):
+    """(energy^2, L2^2, max) over the interface elements, one element at a time."""
+    locs = (dofmap.P @ x_all).reshape(len(dofmap.wg0_col), -1)
+    energy_sq = l2_sq = linf = 0.0
+    for t, loc in zip(dofmap.wg0_col, locs):
+        space = spaces[t]
+        ue = element_samples(space, ms.u)
+        q0 = element_q0(space, ue)
+        e_loc = np.concatenate([q0, element_qb(space, ms.u).ravel()]) - loc
+        energy_sq += element_energy(space, e_loc)
+        d = q0 - loc[: space.m]
+        l2_sq += float(d @ space.gram @ d)
+        uh = element_values(space, loc[: space.m])
+        for side in (OMEGA1, OMEGA2):
+            linf = max(linf, float(np.max(np.abs(uh[side] - ue[side]))))
+    return energy_sq, l2_sq, linf
+
+
+def element_q0_error_sq(spaces, ms) -> float:
+    """||Q_0 u - u||^2 over the interface elements, one element at a time."""
+    total = 0.0
+    for space in spaces.values():
+        ue = element_samples(space, ms.u)
+        vals = element_values(space, element_q0(space, ue))
+        for side in (OMEGA1, OMEGA2):
+            total += float(space.rules[side].weights @ (vals[side] - ue[side]) ** 2)
+    return total
+
+
+@pytest.fixture(scope="module", params=[(c, k, mode) for c in CIRCLES for k, mode in CASES],
+                ids=lambda p: f"{'centred' if p[0].center == (0.0, 0.0) else 'off-centre'}-k{p[1]}-{p[2]}")
+def solved(request):
+    interface, k, mode = request.param
+    ms = example1(1.0, 100.0, interface)
+    mesh = build_mesh(2, interface)
+    system, spaces = assemble_system(mesh, k, ms.a1, ms.a2, ms.f, ms.g, mode=mode)
+    x, _ = solve(system.matrix, system.rhs)
+    return mesh, ms, system.dofmap, spaces, system.full_coefficients(x)
+
+
+class TestBatchedAgainstPerElementReference:
+    # A moment sums up to ~1,600 products per side (depth-6 rules); the
+    # packed segment sums add them in another order. The recursive-summation
+    # bound is n eps / 2 (~800 eps) times the sum of the terms' magnitudes;
+    # 10-22 eps is seen, so 100 eps is the tolerance.
+
+    def test_loads(self, solved):
+        _, ms, _, spaces, _ = solved
+        got = assemble_interface(spaces, ms.f).load[:, : spaces.geometry.m]
+        samples = [element_samples(s, ms.f) for s in spaces.values()]
+        want = np.array([element_moments(s, v) for s, v in zip(spaces.values(), samples)])
+        scale = np.array([element_moment_scale(s, v) for s, v in zip(spaces.values(), samples)])
+        assert np.all(np.abs(got - want) <= 100 * EPS * scale)
+
+    def test_q0_and_qb_projections(self, solved):
+        # Q_0 solves with the same Gram, which is the identity to roundoff,
+        # so it keeps the moments' agreement; Q_b is the same product per
+        # edge, batched over the elements.
+        _, ms, _, spaces, _ = solved
+        geometry = spaces.geometry
+        pts = geometry.rule_points
+        q0 = spaces.project_interior(ms.u(pts[:, 0], pts[:, 1]))
+        samples = [element_samples(s, ms.u) for s in spaces.values()]
+        want = np.array([element_q0(s, v) for s, v in zip(spaces.values(), samples)])
+        scale = np.array([element_moment_scale(s, v) for s, v in zip(spaces.values(), samples)])
+        assert np.all(np.abs(q0 - want) <= 100 * EPS * scale)
+        e = geometry.edge_points
+        qb = spaces.project_traces(ms.u(e[..., 0], e[..., 1]))
+        want = np.array([element_qb(s, ms.u) for s in spaces.values()])
+        np.testing.assert_allclose(qb, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+    def test_interface_errors(self, solved):
+        # The energy and L2 sums are squares of Q_0 u - u_0 and Q_b u - u_b,
+        # differences of O(1) numbers that cancel to the discretization error,
+        # so the rounding of the projections (~1e-16 of |Q_0 u|) is magnified
+        # by |Q_0 u| / |Q_0 u - u_0| in the sums: 2e-12 relative is seen
+        # (k = 2, centred), and rtol 1e-9 leaves room for that factor to grow
+        # ~500-fold. The max error compares values at the same points, one
+        # subtraction deep, so it agrees to ~1e-15 relative.
+        _, ms, dofmap, spaces, x_all = solved
+        got = _interface_errors(dofmap, spaces, x_all, ms)
+        want = element_interface_errors(dofmap, spaces, x_all, ms)
+        assert got[0] == pytest.approx(want[0], rel=1e-9)
+        assert got[1] == pytest.approx(want[1], rel=1e-9)
+        assert got[2] == pytest.approx(want[2], rel=1e-13)
+
+    def test_q0_interpolation_error(self, solved):
+        # ||Q_0 u - u|| cancels the same way as the L2 error above.
+        mesh, ms, _, spaces, _ = solved
+        got = interpolation_errors(mesh, spaces, ms, spaces.geometry.k)["q0_l2"]
+        assert got**2 == pytest.approx(element_q0_error_sq(spaces, ms), rel=1e-9)
+
+    def test_interior_values_equal_fresh_basis_values(self, solved):
+        # The packed monomial values equal a fresh evaluation at each
+        # element's rule points bit for bit; the batched interior values sum
+        # m products in another order than the matrix product, so they agree
+        # within m eps of the sum of the products' magnitudes.
+        _, _, _, spaces, _ = solved
+        geometry, m = spaces.geometry, spaces.geometry.m
+        for q in range(m):
+            got = spaces.interior_values(np.tile(np.eye(m)[q], (len(spaces), 1)))
+            for i, space in enumerate(spaces.values()):
+                for s, side in enumerate((OMEGA1, OMEGA2)):
+                    seg = slice(*geometry.rule_offsets[2 * i + s : 2 * i + s + 2])
+                    fresh = element_vander(space, side)
+                    np.testing.assert_array_equal(geometry.rule_vander[:, seg].T, fresh)
+                    block = space.block(side)[:, q]
+                    bound = m * EPS * (np.abs(fresh) @ np.abs(block))
+                    assert np.all(np.abs(got[seg] - fresh @ block) <= bound), (space.cut.element_id, side)
+
+
+class TestPackedRule:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_element_rules_are_views_of_the_packed_arrays(self, k):
+        geometry = build_cut_geometries(build_mesh(2, CIRCLES[1]), k)
+        total = 0
+        for i, points in enumerate(geometry.values()):
+            for s, side in enumerate((OMEGA1, OMEGA2)):
+                rule = points.rules[side]
+                assert np.shares_memory(rule.points, geometry.rule_points)
+                assert np.shares_memory(rule.weights, geometry.rule_weights)
+                assert len(rule.weights) == np.diff(geometry.rule_offsets)[2 * i + s]
+                total += len(rule.weights)
+        assert total == len(geometry.rule_weights) == len(geometry.rule_points) == geometry.rule_vander.shape[1]
+
+    def test_errors_refuse_spaces_out_of_routing_order(self):
+        ms = example1(1.0, 10.0)
+        mesh = build_mesh(1, ms.interface)
+        system, spaces = assemble_system(mesh, 1, ms.a1, ms.a2, ms.f, ms.g)
+        cuts = [mesh.cuts[t] for t in sorted(mesh.cuts, reverse=True)]
+        reversed_spaces = build_local_spaces(build_cut_geometry(cuts, 1), ms.a1, ms.a2)
+        x_all = system.full_coefficients(np.zeros(system.matrix.shape[0]))
+        compute_errors(mesh, system.dofmap, spaces, x_all, ms, 1)
+        with pytest.raises(AnalysisError, match="element order"):
+            compute_errors(mesh, system.dofmap, reversed_spaces, x_all, ms, 1)
+
+
+def _counted(ms, calls: collections.Counter):
+    """``ms`` with its source and solution callables counting their calls."""
+
+    def wrap(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    return dataclasses.replace(ms, **{n: wrap(n, getattr(ms, n)) for n in ("f", "u_side", "grad_side")})
+
+
+@pytest.mark.parametrize("k, mode", CASES)
+def test_source_and_solution_calls_do_not_grow_with_the_cut_elements(k, mode):
+    # Level 3 has about four times the cut elements of level 1; a pair's
+    # loads, boundary values and errors must still make the same number of
+    # calls (u, g and the error sums go through u_side).
+    calls = {}
+    for level in (1, 3):
+        calls[level] = collections.Counter()
+        run_level(_counted(example1(1.0, 10.0), calls[level]), k, level, mode)
+    assert calls[1] == calls[3]
+    assert calls[1]["f"] == 2  # once on the CG rule points, once on the packed cut rule
+
+
+@pytest.mark.parametrize("k, mode", CASES)
+def test_interface_outside_the_mesh_gives_an_empty_packed_rule(k, mode):
+    # No element is cut: every batched operation runs on zero segments and
+    # the level solves as plain CG.
+    ms = example1(1.0, 10.0, CircleInterface((5.0, 5.0), 0.1))
+    errors, _, mesh, _, spaces, _ = run_level(ms, k, 1, mode)
+    assert not mesh.cuts and spaces.geometry.rule_offsets.tolist() == [0]
+    assert all(np.isfinite(e) and e > 0.0 for e in errors.values())
+    assert interpolation_errors(mesh, spaces, ms, k)["q0_l2"] == 0.0
