@@ -114,11 +114,18 @@ def _study_level(config: RunConfig, level: int, reports: dict, failed: set, log)
     and, with every pair's spaces and system, freed on return, before the
     next level is built. A failure to build the level raises GeometryError.
     """
+    t0 = time.perf_counter()
     mesh = build_mesh(
         level, example1(1.0, 1.0).interface, depth=config.depth,
         n_override=config.cells_for_level(level),
     )
+    t1 = time.perf_counter()
     geometries = build_cut_geometries(mesh, config.k, config.quad_offset)
+    t2 = time.perf_counter()
+    log(
+        f"level={level} N={mesh.n_cells} cut={len(mesh.cuts)} "
+        f"quad_points={len(geometries.rule_weights)} mesh={t1 - t0:.3f}s geometry={t2 - t1:.3f}s"
+    )
     code = 0
     for a1, a2 in config.pairs:
         if (a1, a2) in failed:

@@ -141,23 +141,6 @@ class QuadratureRule:
     weights: np.ndarray  # (n,)
     exactness_degree: int
 
-    @property
-    def measure(self) -> float:
-        return float(self.weights.sum())
-
-    def integrate(self, f) -> float:
-        vals = f(self.points[:, 0], self.points[:, 1])
-        return float(self.weights @ np.asarray(vals, float))
-
-    @staticmethod
-    def concatenate(rules: list["QuadratureRule"]) -> "QuadratureRule":
-        degree = min(r.exactness_degree for r in rules)
-        return QuadratureRule(
-            points=np.concatenate([r.points for r in rules]),
-            weights=np.concatenate([r.weights for r in rules]),
-            exactness_degree=degree,
-        )
-
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int):
@@ -189,21 +172,15 @@ def _triangle_rule_reference(degree: int):
     return pts, w
 
 
-def triangle_rule(tri, degree: int) -> QuadratureRule:
-    """Quadrature rule exact to `degree` on a physical triangle."""
-    tri = np.asarray(tri, float)
-    ref_pts, ref_w = _triangle_rule_reference(degree)
-    j = np.array([tri[1] - tri[0], tri[2] - tri[0]])  # rows are edge vectors
-    det = abs(j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0])
-    pts = ref_pts @ j + tri[0]
-    return QuadratureRule(pts, ref_w * det, degree)
+def polygon_area(vertices):
+    """Signed area (positive for counterclockwise) by the shoelace formula.
 
-
-def polygon_area(vertices) -> float:
-    """Signed area (positive for counterclockwise) by the shoelace formula."""
+    ``vertices`` is one polygon (n, 2), giving a float, or a stack (..., n, 2).
+    """
     v = np.asarray(vertices, float)
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    x, y = v[..., 0], v[..., 1]
+    area = 0.5 * np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y, axis=-1)
+    return float(area) if area.ndim == 0 else area
 
 
 def triangulate_polygon(vertices) -> np.ndarray:
@@ -219,33 +196,52 @@ def triangulate_polygon(vertices) -> np.ndarray:
     n = len(v)
     if n < 3:
         raise GeometryError("polygon needs at least 3 vertices")
-    # Work in centroid-local coordinates: sliver sub-polygons far from the
-    # origin are otherwise dominated by shoelace roundoff.
-    v = v - v.mean(axis=0)
-    signed_area = polygon_area(v)
-    area = abs(signed_area)
-    # cross[c, i]: signed double area of (v_c, v_i, v_i+1), in the polygon's
-    # orientation.
-    d = v[None, :, :] - v[:, None, :]
-    d_next = np.roll(d, -1, axis=1)
-    cross = math.copysign(1.0, signed_area) * (d[..., 0] * d_next[..., 1] - d[..., 1] * d_next[..., 0])
+    local, cross, area = _fan_tests(v)
     tol = -1e-12 * 2.0 * area
     # The first vertex with no negative triangle, else the least negative one.
     worst = cross.min(axis=1)
     c = int(np.argmax(worst))
-    if worst[c] >= tol:
-        i = (c + 1 + np.arange(n - 2)) % n
-        tris = np.column_stack([np.full(n - 2, c), i, (i + 1) % n])
-    else:
-        tris = _two_fans(cross >= tol)
+    tris = _fans(c, n) if worst[c] >= tol else _two_fans(cross >= tol)
     # Sanity: the pieces must tile the polygon.
-    ax, ay = v[tris[:, 0], 0], v[tris[:, 0], 1]
-    bx, by = v[tris[:, 1], 0], v[tris[:, 1], 1]
-    cx, cy = v[tris[:, 2], 0], v[tris[:, 2], 1]
+    ax, ay = local[tris[:, 0], 0], local[tris[:, 0], 1]
+    bx, by = local[tris[:, 1], 0], local[tris[:, 1], 1]
+    cx, cy = local[tris[:, 2], 0], local[tris[:, 2], 1]
     total = float(np.sum(np.abs(0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)))))
-    if abs(total - area) > 1e-10 * max(area, 1e-300):
+    if not _tiles(total, area):
         raise GeometryError("triangulation does not tile the polygon")
     return tris
+
+
+def _fan_tests(verts: np.ndarray, n_centres: int | None = None):
+    """Signed-area tests of the fans of a polygon (n, 2) or a stack (g, n, 2).
+
+    Returns the centroid-local vertices, ``cross[..., c, i]``, the signed
+    double area of (v_c, v_i, v_i+1) in the polygon's orientation, for the
+    first ``n_centres`` centres c (all by default), and the area.
+    Centroid-local coordinates keep sliver sub-polygons far from the origin
+    from being dominated by shoelace roundoff.
+    """
+    local = verts - verts.mean(axis=-2, keepdims=True)
+    signed_area = polygon_area(local)
+    x, y = local[..., 0], local[..., 1]
+    dx = x[..., None, :] - x[..., :n_centres, None]  # [c, i]: x_i - x_c
+    dy = y[..., None, :] - y[..., :n_centres, None]
+    cross = dx * np.roll(dy, -1, axis=-1)
+    cross -= dy * np.roll(dx, -1, axis=-1)
+    cross *= np.copysign(1.0, signed_area)[..., None, None]
+    return local, cross, np.abs(signed_area)
+
+
+def _tiles(total, area):
+    """Whether triangles of total area ``total`` tile a polygon of area ``area``."""
+    return ~(np.abs(total - area) > 1e-10 * np.maximum(area, 1e-300))
+
+
+def _fans(centre, n: int) -> np.ndarray:
+    """(..., n - 2, 3) vertex indices of the fan of an n-gon from ``centre`` (...)."""
+    centre = np.asarray(centre)[..., None]
+    i = (centre + 1 + np.arange(n - 2)) % n
+    return np.stack([np.broadcast_to(centre, i.shape), i, (i + 1) % n], axis=-1)
 
 
 def _two_fans(ok: np.ndarray) -> np.ndarray:
@@ -274,19 +270,26 @@ def _two_fans(ok: np.ndarray) -> np.ndarray:
 def polygon_rule(vertices, degree: int) -> QuadratureRule:
     """Positive-weight rule exact to `degree` on a simple polygon."""
     v = np.asarray(vertices, float)
-    tris = triangulate_polygon(v)
-    ref_pts, ref_w = _triangle_rule_reference(degree)
-    a = v[tris[:, 0]]  # (T, 2)
-    e1 = v[tris[:, 1]] - a
-    e2 = v[tris[:, 2]] - a
-    dets = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    pts = (
-        a[:, None, :]
-        + ref_pts[None, :, 0:1] * e1[:, None, :]
-        + ref_pts[None, :, 1:2] * e2[:, None, :]
-    )
-    w = ref_w[None, :] * dets[:, None]
-    return QuadratureRule(pts.reshape(-1, 2), w.ravel(), degree)
+    pts, w = _mapped_rule(v[None], triangulate_polygon(v)[None], *_triangle_rule_reference(degree))
+    return QuadratureRule(pts[0], w[0], degree)
+
+
+def _mapped_rule(verts: np.ndarray, tris: np.ndarray, ref_pts: np.ndarray, ref_w: np.ndarray):
+    """The reference rule on triangles ``tris`` (g, T, 3) of polygons ``verts`` (g, n, 2).
+
+    Returns points (g, T q, 2) and weights (g, T q), triangle by triangle.
+    """
+    rows = np.arange(len(verts))[:, None]
+    a = verts[rows, tris[..., 0]]  # (g, T, 2)
+    e1 = verts[rows, tris[..., 1]] - a
+    e2 = verts[rows, tris[..., 2]] - a
+    dets = np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
+    pts = ref_pts[:, 0:1] * e1[:, :, None, :]
+    pts += a[:, :, None, :]  # a + x e1, then + y e2
+    pts += ref_pts[:, 1:2] * e2[:, :, None, :]
+    w = ref_w * dets[..., None]
+    size = tris.shape[1] * len(ref_w)
+    return pts.reshape(len(verts), size, 2), w.reshape(len(verts), size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,10 +312,6 @@ class ElementCut:
     poly1: np.ndarray  # CCW, starts and ends with chord endpoints
     poly2: np.ndarray
     depth: int  # default curved-subdivision depth for quadrature
-
-    @property
-    def chord_length(self) -> float:
-        return float(np.linalg.norm(self.point_e - self.point_d))
 
 
 def _snapped_signs(tri, interface: CircleInterface):
@@ -428,27 +427,6 @@ def compute_cut(
     )
 
 
-def arc_polyline(interface: CircleInterface, a, b, depth: int) -> np.ndarray:
-    """Points on the near arc from a to b: 2**depth chords, endpoints included.
-
-    Each refinement level replaces a chord by two chords through the arc
-    midpoint of the chord's endpoints. On a circle, projecting a chord
-    midpoint is exactly angular bisection, so the recursion collapses to a
-    uniform angular sweep along the minor arc (computed vectorized here).
-    """
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    c = np.asarray(interface.center, float)
-    th_a = math.atan2(a[1] - c[1], a[0] - c[0])
-    th_b = math.atan2(b[1] - c[1], b[0] - c[0])
-    dth = math.remainder(th_b - th_a, 2.0 * math.pi)
-    th = th_a + dth * np.linspace(0.0, 1.0, 2**depth + 1)
-    pts = c + interface.radius * np.column_stack([np.cos(th), np.sin(th)])
-    pts[0] = a
-    pts[-1] = b
-    return pts
-
-
 def subregion_polygon(cut: ElementCut, side: int, depth: int) -> np.ndarray:
     """Vertex list of the side polygon with the chord replaced by the arc polyline."""
     poly = cut.poly1 if side == OMEGA1 else cut.poly2
@@ -456,8 +434,27 @@ def subregion_polygon(cut: ElementCut, side: int, depth: int) -> np.ndarray:
         return poly
     # poly starts at one chord endpoint and ends at the other; the closing
     # edge (last -> first) is the chord. Insert the interior arc points there.
-    arc = arc_polyline(cut.interface, poly[-1], poly[0], depth)
-    return np.vstack([poly, arc[1:-1]])
+    return np.vstack([poly, _arc_interiors([cut], poly[-1:], poly[:1], 2**depth - 1)[0]])
+
+
+def _arc_interiors(cuts, a: np.ndarray, b: np.ndarray, n_in: int) -> np.ndarray:
+    """(g, n_in, 2) interior points of the near arcs from a[j] to b[j] on cuts[j]'s circle.
+
+    The arc polyline of depth d has 2**d chords, n_in = 2**d - 1 interior
+    points. Each refinement level replaces a chord by two chords through the
+    arc midpoint of the chord's endpoints. On a circle, projecting a chord
+    midpoint is exactly angular bisection, so the recursion collapses to a
+    uniform angular sweep along the minor arc.
+    """
+    center = np.array([c.interface.center for c in cuts], float)
+    radius = np.array([c.interface.radius for c in cuts])
+    sweep = []
+    for (ax, ay), (bx, by), (cx, cy) in zip(a.tolist(), b.tolist(), center.tolist()):
+        th_a = math.atan2(ay - cy, ax - cx)
+        sweep.append((th_a, math.remainder(math.atan2(by - cy, bx - cx) - th_a, 2.0 * math.pi)))
+    th_a, dth = np.array(sweep).T
+    th = th_a[:, None] + dth[:, None] * np.linspace(0.0, 1.0, n_in + 2)[1:-1]
+    return center[:, None, :] + radius[:, None, None] * np.stack([np.cos(th), np.sin(th)], axis=-1)
 
 
 def quadrature_on_subregion(
@@ -479,33 +476,75 @@ def quadrature_on_subregion(
         raise GeometryError(f"element {cut.element_id}, side {side}: {exc}") from exc
 
 
+# Sub-polygons fanned and mapped per batch. It bounds the batch temporaries:
+# the mapped points of 64 depth-6 sub-polygons take 1.7 MB at k = 2.
+FAN_BATCH = 64
+
+
+def pack_subregion_rules(cuts, degree: int):
+    """The sub-region rules of every cut, both sides, packed into one set of arrays.
+
+    Returns (offsets, points, weights): segment 2 i + s, from ``offsets[2i + s]``
+    to ``offsets[2i + s + 1]``, is ``quadrature_on_subregion(cuts[i], side s,
+    degree)`` bit for bit, at each cut's own depth. A fan of v vertices has
+    v - 2 triangles, so the sizes come from the vertex counts. The sub-polygons
+    are built, fanned and mapped in batches of equal vertex count; the few that
+    no single fan covers, or whose fan fails the tiling check, take the
+    per-polygon path, which tries two fans and names the element and side of
+    a failure.
+    """
+    ref_pts, ref_w = _triangle_rule_reference(degree)
+    polys = [(i, s, cut.poly1 if s == 0 else cut.poly2) for i, cut in enumerate(cuts) for s in (0, 1)]
+    n_arc = [2 ** cuts[i].depth - 1 if cuts[i].depth > 0 else 0 for i, _, _ in polys]
+    n_vert = np.array([len(poly) + a for (_, _, poly), a in zip(polys, n_arc)], dtype=np.int64)
+    offsets = np.zeros(len(polys) + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum((n_vert - 2) * len(ref_w))
+    points = np.empty((offsets[-1], 2))
+    weights = np.empty(offsets[-1])
+
+    groups: dict[tuple[int, int], list[int]] = {}
+    for p, (_, _, poly) in enumerate(polys):
+        groups.setdefault((len(poly), n_arc[p]), []).append(p)
+    for (n_poly, n_in), members in groups.items():
+        for start in range(0, len(members), FAN_BATCH):
+            ps = np.array(members[start : start + FAN_BATCH])
+            verts = np.empty((len(ps), n_poly + n_in, 2))
+            verts[:, :n_poly] = [polys[p][2] for p in ps]
+            if n_in:
+                ends = verts[:, n_poly - 1], verts[:, 0]
+                verts[:, n_poly:] = _arc_interiors([cuts[polys[p][0]] for p in ps], *ends, n_in)
+            fan = _single_fans(verts, n_poly)
+            good = fan >= 0
+            pts, w = _mapped_rule(verts[good], _fans(fan[good], verts.shape[1]), ref_pts, ref_w)
+            for p, seg_pts, seg_w in zip(ps[good], pts, w):
+                points[offsets[p] : offsets[p + 1]], weights[offsets[p] : offsets[p + 1]] = seg_pts, seg_w
+            for p in ps[~good]:
+                i, s, _ = polys[p]
+                rule = quadrature_on_subregion(cuts[i], (OMEGA1, OMEGA2)[s], degree)
+                points[offsets[p] : offsets[p + 1]], weights[offsets[p] : offsets[p + 1]] = rule.points, rule.weights
+    return offsets, points, weights
+
+
+def _single_fans(verts: np.ndarray, n_corners: int) -> np.ndarray:
+    """(g,) the fan vertex ``triangulate_polygon`` picks for each polygon, or -1.
+
+    It picks the first vertex none of whose triangles is inverted. Only the
+    ``n_corners`` leading vertices, the chord ends and triangle vertices of a
+    cut sub-polygon, are tried: on the paper's circle one of them always
+    serves. -1 sends a polygon to the per-polygon path: its fan vertex lies
+    on the arc, needs the tolerance or a second fan, or fails the tiling
+    check.
+    """
+    _, cross, area = _fan_tests(verts, n_corners)
+    valid = cross.min(axis=2) >= 0.0  # each row holds two exact zeros
+    fan = np.argmax(valid, axis=1)
+    rows = np.arange(len(verts))[:, None]
+    total = np.sum(np.abs(0.5 * cross[rows, fan[:, None], _fans(fan, verts.shape[1])[..., 1]]), axis=1)
+    return np.where(valid[rows[:, 0], fan] & _tiles(total, area), fan, -1)
+
+
 def edge_split_parameters(p0, p1, interface: CircleInterface | None):
     """Sorted interior parameters where the interface crosses segment p0 -> p1."""
     if interface is None:
         return []
     return sorted(interface.edge_roots(p0, p1))
-
-
-def quadrature_on_edge(
-    p0, p1, degree: int, interface: CircleInterface | None = None
-) -> QuadratureRule:
-    """Gauss rule on a segment, exact to `degree` for piecewise polynomials.
-
-    If the interface crosses the open segment, the rule is the union of
-    Gauss rules on each sub-segment so integrands that are polynomial on each
-    side are integrated exactly. Weights carry arc length.
-    """
-    p0 = np.asarray(p0, float)
-    p1 = np.asarray(p1, float)
-    length = float(np.linalg.norm(p1 - p0))
-    if length == 0.0:
-        raise GeometryError("zero-length edge")
-    breaks = [0.0] + edge_split_parameters(p0, p1, interface) + [1.0]
-    n = max(1, (degree + 2) // 2)
-    x, w = _gauss_legendre(n)
-    pieces = []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        t = 0.5 * (a + b) + 0.5 * (b - a) * x
-        pts = p0 + np.outer(t, p1 - p0)
-        pieces.append(QuadratureRule(pts, 0.5 * (b - a) * length * w, degree))
-    return QuadratureRule.concatenate(pieces)

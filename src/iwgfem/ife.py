@@ -45,11 +45,9 @@ from iwgfem.geometry import (
     MultipleCrossings,
     QuadratureRule,
     _gauss_legendre,
-    _triangle_rule_reference,
     edge_split_parameters,
+    pack_subregion_rules,
     polygon_area,
-    quadrature_on_subregion,
-    subregion_polygon,
 )
 
 
@@ -94,8 +92,15 @@ class PolyBasis:
     def eval(self, pts) -> np.ndarray:
         """Values at points of shape (..., 2), shape (..., dim)."""
         pts = np.atleast_2d(np.asarray(pts, float))
-        e = self.exponents
-        return pts[..., 0:1] ** e[:, 0] * pts[..., 1:2] ** e[:, 1]
+        x, y = pts[..., 0:1], pts[..., 1]
+        out = np.empty(pts.shape[:-1] + (self.dim,))
+        out[..., 0] = 1.0
+        # Degree d is degree d - 1 times x, then its last monomial y^(d-1) times y.
+        for d in range(1, self.k + 1):
+            j = d * (d + 1) // 2
+            np.multiply(out[..., j - d : j], x, out=out[..., j : j + d])
+            np.multiply(out[..., j - 1], y, out=out[..., j + d])
+        return out
 
     def derivative_matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """Integer (dim, dim) D_x, D_y with d/dx (mono @ c) = mono @ (D_x c).
@@ -313,16 +318,15 @@ def build_cut_geometry(cuts, k: int, quad_offset: int = 0, edge_points=None) -> 
         lead = (n,) + (1,) * (pts.ndim - 3)
         return (pts - x_ref.reshape(lead + (1, 2))) @ _tr(f_mat).reshape(lead + (2, 2))
 
-    # The ragged per-point data: sub-region rule sizes and edge crossings. A
-    # fan triangulation splits a polygon of v vertices into v - 2 triangles.
-    n_ref = len(_triangle_rule_reference(quad_degree)[1])
-    sizes = np.empty((n, 2), dtype=np.int64)
+    # The packed sub-region rules, and the ragged per-edge data: crossings.
+    offsets, rule_points, rule_weights = pack_subregion_rules(cuts, quad_degree)
+    # A chord splits a triangle into a triangle and a quadrilateral; the
+    # triangle's last vertex repeated adds an exact zero to its shoelace sum.
+    corners = np.array([[c.poly1, c.poly2][s][[0, 1, 2, -1]] for c in cuts for s in (0, 1)]).reshape(n, 2, 4, 2)
+    area = polygon_area(corners)
+    base_is_1 = area[:, 0] >= area[:, 1]
     crossing = np.ones((n, 3))  # parameter of the interface crossing, 1 if none
-    base_is_1 = np.empty(n, dtype=bool)
     for i, cut in enumerate(cuts):
-        base_is_1[i] = polygon_area(cut.poly1) >= polygon_area(cut.poly2)
-        for s, side in enumerate((OMEGA1, OMEGA2)):
-            sizes[i, s] = (len(subregion_polygon(cut, side, cut.depth)) - 2) * n_ref
         for j in range(3):
             roots = edge_split_parameters(*edge_points[i, j], cut.interface)
             if len(roots) > 1:
@@ -331,25 +335,20 @@ def build_cut_geometry(cuts, k: int, quad_offset: int = 0, edge_points=None) -> 
                 )
             crossing[i, j] = roots[0] if roots else 1.0
 
-    # The packed rule, filled one element at a time so that no element's
-    # points are held twice; each element's rules are views of it.
-    offsets = np.zeros(2 * n + 1, dtype=np.int64)
-    offsets[1:] = np.cumsum(sizes)
-    rule_points = np.empty((offsets[-1], 2))
-    rule_weights = np.empty(offsets[-1])
+    # The Vandermonde and the mass matrices, one element at a time so that
+    # no more than one segment's monomials are held twice; each element's
+    # rules are views of the packed arrays.
     rule_vander = np.empty((m, offsets[-1]))
     mass = np.empty((n, 2, m, m))
     points = []
     for i, cut in enumerate(cuts):
         rules = {}
         for s, side in enumerate((OMEGA1, OMEGA2)):
-            rule = quadrature_on_subregion(cut, side, quad_degree)
             seg = slice(offsets[2 * i + s], offsets[2 * i + s + 1])
-            rule_points[seg], rule_weights[seg] = rule.points, rule.weights
-            v = poly.eval((rule.points - x_ref[i]) @ f_mat[i].T)
+            v = poly.eval((rule_points[seg] - x_ref[i]) @ f_mat[i].T)
             rule_vander[:, seg] = v.T
-            mass[i, s] = v.T @ (rule.weights[:, None] * v)
-            rules[side] = QuadratureRule(rule_points[seg], rule_weights[seg], rule.exactness_degree)
+            mass[i, s] = v.T @ (rule_weights[seg][:, None] * v)
+            rules[side] = QuadratureRule(rule_points[seg], rule_weights[seg], quad_degree)
         points.append(CutPoints(cut, rules))
 
     # f_mat = [t; n] / h with t, n orthonormal, so the physical gradient Gram

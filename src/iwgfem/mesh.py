@@ -98,74 +98,42 @@ def build_mesh(
     vx, vy = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([vx.ravel(), vy.ravel()])  # row-major: iy*(n+1)+ix
 
-    tris = []
-    for iy in range(n):
-        for ix in range(n):
-            v00 = iy * (n + 1) + ix
-            v10 = v00 + 1
-            v01 = v00 + (n + 1)
-            v11 = v01 + 1
-            tris.append((v00, v10, v11))  # below the positive-slope diagonal
-            tris.append((v00, v11, v01))  # above it
-    triangles = np.array(tris, dtype=np.int64)
+    # Cell (ix, iy) has lower-left vertex v00; it splits into the triangle
+    # below the positive-slope diagonal, (v00, v10, v11), and the one above
+    # it, (v00, v11, v01).
+    iy, ix = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    v00 = iy * (n + 1) + ix
+    v11 = v00 + n + 2
+    triangles = np.stack(
+        [np.column_stack([v00, v00 + 1, v11]), np.column_stack([v00, v11, v00 + n + 1])], axis=1
+    ).reshape(2 * n * n, 3)
+    nt = len(triangles)
 
-    edge_ids: dict[tuple[int, int], int] = {}
-    pairs = []
-    for tri in triangles:
-        for i in range(3):
-            a, b = int(tri[i]), int(tri[(i + 1) % 3])
-            key = (a, b) if a < b else (b, a)
-            if key not in edge_ids:
-                edge_ids[key] = 0
-                pairs.append(key)
-    pairs.sort()
-    edge_ids = {key: i for i, key in enumerate(pairs)}
-    edges = np.array(pairs, dtype=np.int64)
-
+    # Edges are numbered in sorted-pair order. Local edge i of a triangle
+    # runs from vertex i to i + 1; each edge's neighbours are listed by
+    # ascending triangle id, the stable sort of the local edges by edge id.
+    ends = np.sort(np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=2), axis=2)
+    keys, inverse = np.unique(ends[..., 0] * len(vertices) + ends[..., 1], return_inverse=True)
+    edges = np.column_stack(np.divmod(keys, len(vertices)))
+    tri_edges = inverse.reshape(nt, 3)  # the inverse's shape varies between numpy releases
     ne = len(edges)
+    by_edge = np.argsort(tri_edges.ravel(), kind="stable") // 3
+    counts = np.bincount(tri_edges.ravel(), minlength=ne)
+    first = np.cumsum(counts) - counts
     edge_tris = np.full((ne, 2), -1, dtype=np.int64)
-    tri_edges = np.zeros((len(triangles), 3), dtype=np.int64)
-    for t, tri in enumerate(triangles):
-        for i in range(3):
-            a, b = int(tri[i]), int(tri[(i + 1) % 3])
-            key = (a, b) if a < b else (b, a)
-            e = edge_ids[key]
-            tri_edges[t, i] = e
-            if edge_tris[e, 0] < 0:
-                edge_tris[e, 0] = t
-            else:
-                edge_tris[e, 1] = t
+    edge_tris[:, 0] = by_edge[first]
+    shared = counts == 2
+    edge_tris[shared, 1] = by_edge[first[shared] + 1]
 
-    element_class = np.empty(len(triangles), dtype=np.int64)
-    cuts: dict[int, ElementCut] = {}
-    candidates = _interface_candidates(vertices, triangles, interface)
-    for t in range(len(triangles)):
-        if not candidates[t]:
-            # Far from the interface: classify by any vertex sign.
-            phi0 = interface.value(*vertices[triangles[t, 0]]) if interface else 1.0
-            element_class[t] = OMEGA1 if phi0 < 0.0 else OMEGA2
-            continue
-        cls = classify_element(vertices[triangles[t]], interface)
-        element_class[t] = cls
-        if cls == INTERFACE:
-            cuts[t] = compute_cut(vertices[triangles[t]], interface, t, depth)
+    element_class, cuts = _classify(vertices, triangles, interface, depth)
 
-    edge_class = np.empty(ne, dtype=np.int64)
-    for e in range(ne):
-        t0, t1 = edge_tris[e]
-        if t1 < 0:
-            edge_class[e] = (
-                EDGE_WG_INTERIOR if element_class[t0] == INTERFACE else EDGE_BOUNDARY
-            )
-        else:
-            i0 = element_class[t0] == INTERFACE
-            i1 = element_class[t1] == INTERFACE
-            if i0 and i1:
-                edge_class[e] = EDGE_WG_INTERIOR
-            elif i0 or i1:
-                edge_class[e] = EDGE_COUPLING
-            else:
-                edge_class[e] = EDGE_INTERIOR_NON_WG
+    is_cut = element_class == INTERFACE
+    cut0, cut1 = is_cut[edge_tris[:, 0]], is_cut[edge_tris[:, 1]] & shared
+    edge_class = np.where(
+        cut0 & (cut1 | ~shared),
+        EDGE_WG_INTERIOR,
+        np.where(cut0 | cut1, EDGE_COUPLING, np.where(shared, EDGE_INTERIOR_NON_WG, EDGE_BOUNDARY)),
+    )
 
     return MeshPartition(
         level=level,
@@ -183,22 +151,61 @@ def build_mesh(
     )
 
 
-def _interface_candidates(vertices, triangles, interface):
-    """Cheap vectorized pre-filter: triangles whose vertex signs are not all safely equal."""
+def _classify(vertices, triangles, interface, depth):
+    """Element classes (nt,) and the cuts of the interface elements, by element id.
+
+    A triangle far from the circle takes the side of its first vertex. Near
+    it, snapped vertex signs of both kinds make an interface element; a
+    triangle whose snapped signs agree is cut only if the circle dips through
+    an edge, which a vectorised root test rules out for almost all of them;
+    the rest go through ``classify_element``.
+    """
     nt = len(triangles)
     if interface is None:
-        return np.zeros(nt, dtype=bool)
+        return np.full(nt, OMEGA2, dtype=np.int64), {}
     phi = interface.value(vertices[:, 0], vertices[:, 1])
     tphi = phi[triangles]  # (nt, 3)
+    element_class = np.where(tphi[:, 0] < 0.0, OMEGA1, OMEGA2).astype(np.int64)
+
     # An edge-interior crossing without a vertex sign change requires the
     # vertices to be within one edge length of the circle, so widen the band.
-    edge_len = np.max(
-        np.linalg.norm(vertices[np.roll(triangles, -1, axis=1)] - vertices[triangles], axis=2),
-        axis=1,
-    )
+    p = vertices[triangles]  # (nt, 3, 2)
+    d = np.roll(p, -1, axis=1) - p  # local edge i runs from vertex i to i + 1
+    edge_len = np.max(np.linalg.norm(d, axis=2), axis=1)
     r = interface.radius
     dist = np.abs(np.sqrt(np.maximum(tphi + interface.radius_squared, 0.0)) - r)
-    return ~np.all(dist > edge_len[:, None] + GEOM_TOL, axis=1)
+    near = ~np.all(dist > edge_len[:, None] + GEOM_TOL, axis=1)
+
+    signs = np.where(np.abs(tphi) <= GEOM_TOL, 0, np.sign(tphi))
+    mixed = near & (signs.min(axis=1) < 0) & (signs.max(axis=1) > 0)
+    element_class[mixed] = INTERFACE
+    same = np.flatnonzero(near & ~mixed)
+    element_class[same] = np.where(signs[same].max(axis=1) > 0, OMEGA2, OMEGA1)
+
+    # phi along edge i is the quadratic a t^2 + b t + c, as in edge_roots. An
+    # edge is clear when it has no real roots, or both lie outside [0, 1]
+    # with a margin far above the rounding of either root computation.
+    c0 = p[same] - np.asarray(interface.center, float)
+    de = d[same]
+    a = (de * de).sum(axis=2)
+    b = 2.0 * (c0 * de).sum(axis=2)
+    c = (c0 * c0).sum(axis=2) - interface.radius_squared
+    disc = b * b - 4.0 * a * c
+    qq = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roots = np.stack([qq / a, c / qq])
+    outside = (roots < -1e-4) | (roots > 1.0 + 1e-4)
+    clear = (disc < -1e-10 * (b * b + 4.0 * np.abs(a * c))) | ((qq != 0.0) & outside.all(axis=0))
+    # A triangle with every vertex snapped onto the circle is refused there.
+    unsure = ~clear.all(axis=1) | (signs[same] == 0).all(axis=1)
+    for t in same[unsure]:
+        element_class[t] = classify_element(vertices[triangles[t]], interface)
+
+    cuts = {
+        int(t): compute_cut(vertices[triangles[t]], interface, int(t), depth)
+        for t in np.flatnonzero(element_class == INTERFACE)
+    }
+    return element_class, cuts
 
 
 def edge_sets(mesh: MeshPartition):

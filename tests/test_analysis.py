@@ -15,6 +15,7 @@ from iwgfem.assembly import build_ife_spaces
 from iwgfem.cli import run_level
 from iwgfem.geometry import OMEGA1, OMEGA2, CircleInterface
 from iwgfem.mesh import build_mesh
+from reference import triangle_rule
 
 
 class CircleFixture:
@@ -176,8 +177,6 @@ class TestInterpolationDiagnostic:
         mesh = build_mesh(2, CircleFixture.interface)
         spaces = build_ife_spaces(mesh, 1, 2.0, 2.0)
         t, space = next(iter(spaces.items()))
-        from iwgfem.geometry import triangle_rule
-
         rule = triangle_rule(mesh.triangle_coords(t), 8)
         vander = space.poly.eval(space.local_coords(rule.points))
         mass = vander.T @ (rule.weights[:, None] * vander)

@@ -184,6 +184,24 @@ class TestMain:
         assert float(fields["constraint"]) < 1e-10
         assert float(fields["asym"]) < 1e-12
 
+    def test_level_setup_line(self, capsys):
+        # One line per level gives the sizes and the setup time the pairs share.
+        code = main(["--k", "2", "--levels", "1..2", "--coeffs", "1,10", "--n-level1", "4", "--depth", "2"])
+        assert code == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("level=")]
+        assert len(lines) == 2
+        for level, line in zip((1, 2), lines):
+            fields = dict(tok.split("=", 1) for tok in line.split())
+            assert list(fields) == ["level", "N", "cut", "quad_points", "mesh", "geometry"]
+            assert int(fields["level"]) == level and int(fields["N"]) == 4 * level
+            # A chord splits a triangle into a triangle and a quadrilateral;
+            # at depth 2 the arc adds 3 vertices to each, so the two fans have
+            # 4 + 5 triangles, of 25 points each at k = 2.
+            cut = int(fields["cut"])
+            assert cut > 0 and int(fields["quad_points"]) == cut * (4 + 5) * 25
+            assert float(fields["mesh"].rstrip("s")) >= 0.0
+            assert float(fields["geometry"].rstrip("s")) >= 0.0
+
     def test_bad_flag_value(self):
         assert main(["--k", "7"]) == 2
 

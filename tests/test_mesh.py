@@ -1,9 +1,13 @@
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from iwgfem.geometry import INTERFACE, OMEGA1, OMEGA2, CircleInterface
+from iwgfem.geometry import INTERFACE, OMEGA1, OMEGA2, CircleInterface, GeometryError
 from iwgfem.mesh import (
     EDGE_BOUNDARY,
     EDGE_COUPLING,
@@ -14,8 +18,61 @@ from iwgfem.mesh import (
     dump_mesh,
     edge_sets,
 )
+from reference import build_mesh_loops
 
 CIRCLE = CircleInterface()
+MESH_ARRAYS = ("vertices", "triangles", "edges", "edge_tris", "tri_edges", "element_class", "edge_class")
+
+
+def assert_same_as_loop_builder(interface, n, depth=6):
+    """build_mesh equals the loop-built reference: arrays, dtypes, cuts, or the error."""
+    try:
+        want = build_mesh_loops(1, interface, depth=depth, n_override=n)
+    except GeometryError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            build_mesh(1, interface, depth=depth, n_override=n)
+        return
+    got = build_mesh(1, interface, depth=depth, n_override=n)
+    for name in MESH_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert (got.n_cells, got.h, got.interface) == (want.n_cells, want.h, want.interface)
+    assert list(got.cuts) == list(want.cuts)
+    for t, cut in want.cuts.items():
+        for field in dataclasses.fields(cut):
+            a, b = getattr(got.cuts[t], field.name), getattr(cut, field.name)
+            if isinstance(b, np.ndarray):
+                np.testing.assert_array_equal(a, b, err_msg=f"element {t} {field.name}")
+            else:
+                assert a == b, (t, field.name)
+
+
+class TestAgainstLoopBuilder:
+    # The arrays are built by index arithmetic, one sort and one vectorised
+    # classification; the loops they replace are the reference.
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64, 128])
+    @pytest.mark.parametrize("interface", [CIRCLE, None], ids=["circle", "no-interface"])
+    def test_equal_arrays_and_cuts(self, interface, n):
+        assert_same_as_loop_builder(interface, n)
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        st.floats(min_value=0.05, max_value=0.9),
+        st.floats(min_value=-1.0, max_value=1.0),
+        st.floats(min_value=-1.0, max_value=1.0),
+        st.integers(min_value=2, max_value=40),
+    )
+    def test_off_centre_circles(self, radius, u, v, n):
+        circle = CircleInterface(((1.0 - radius) * u, (1.0 - radius) * v), radius**2)
+        assert_same_as_loop_builder(circle, n)
+
+    def test_circle_through_vertices(self):
+        # Vertices on the circle snap, and edges that only touch it must not
+        # make a cut: radius 0.5 passes through grid vertices at N = 4 and 8.
+        for n in (4, 8):
+            assert_same_as_loop_builder(CircleInterface((0.0, 0.0), 0.25), n)
 
 
 class TestBuildMesh:

@@ -22,7 +22,8 @@ from iwgfem.analysis import (
 )
 from iwgfem.assembly import assemble_interface, assemble_system, build_cut_geometries
 from iwgfem.cli import run_level
-from iwgfem.geometry import OMEGA1, OMEGA2, CircleInterface
+import iwgfem.geometry as geometry
+from iwgfem.geometry import OMEGA1, OMEGA2, CircleInterface, compute_cut, quadrature_on_subregion
 from iwgfem.ife import build_cut_geometry, build_local_spaces
 from iwgfem.mesh import build_mesh
 from iwgfem.solver import solve
@@ -221,6 +222,65 @@ class TestPackedRule:
         compute_errors(mesh, system.dofmap, spaces, x_all, ms, 1)
         with pytest.raises(AnalysisError, match="element order"):
             compute_errors(mesh, system.dofmap, reversed_spaces, x_all, ms, 1)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """(element id, side) of every sub-polygon that takes the per-polygon path."""
+    seen = []
+
+    def spy(cut, side, degree, depth=None):
+        seen.append((cut.element_id, side))
+        return quadrature_on_subregion(cut, side, degree, depth)
+
+    monkeypatch.setattr(geometry, "quadrature_on_subregion", spy)
+    return seen
+
+
+def assert_rules_equal_per_element_rules(geometry_, cuts, degree):
+    """Each packed segment equals quadrature_on_subregion bit for bit."""
+    sizes = []
+    for i, cut in enumerate(cuts):
+        for s, side in enumerate((OMEGA1, OMEGA2)):
+            rule = quadrature_on_subregion(cut, side, degree)
+            seg = slice(*geometry_.rule_offsets[2 * i + s : 2 * i + s + 2])
+            np.testing.assert_array_equal(geometry_.rule_points[seg], rule.points)
+            np.testing.assert_array_equal(geometry_.rule_weights[seg], rule.weights)
+            sizes.append(len(rule.weights))
+    np.testing.assert_array_equal(np.diff(geometry_.rule_offsets), sizes)
+
+
+class TestPackedFans:
+    # The packed rule builds every sub-polygon, picks its fan and maps the
+    # reference triangle rule in batches; the per-element rule is the reference.
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
+    @pytest.mark.parametrize("depth", [0, 6])
+    def test_paper_circle_equals_per_element_rules(self, n, depth, fallbacks):
+        mesh = build_mesh(1, CIRCLES[0], depth=depth, n_override=n)
+        cuts = [mesh.cuts[t] for t in sorted(mesh.cuts)]
+        for k in (1, 2):
+            assert_rules_equal_per_element_rules(build_cut_geometries(mesh, k), cuts, 2 * k + 4)
+        # On the paper's circle one fan covers every sub-polygon.
+        assert fallbacks == []
+
+    def test_near_tangent_sliver_takes_the_two_fan_path(self, fallbacks):
+        # The circle passes 1e-4 above the bottom edge: no vertex of the thin
+        # outside region sees the whole arc, so that side alone falls back.
+        tri = np.array([(-0.1, 0.0), (0.1, 0.0), (0.0, 0.2)])
+        cut = compute_cut(tri, CircleInterface((0.0, 0.5 + 1e-4), 0.25), element_id=3, depth=6)
+        for k in (1, 2):
+            fallbacks.clear()
+            assert_rules_equal_per_element_rules(build_cut_geometry([cut], k), [cut], 2 * k + 4)
+            assert fallbacks == [(3, OMEGA2)]
+
+    def test_off_centre_circle_with_mixed_depths(self, fallbacks):
+        # Cuts of two depths and both fan paths in one packed rule.
+        mesh = build_mesh(1, CIRCLES[1], depth=6, n_override=8)
+        shallow = build_mesh(1, CIRCLES[1], depth=2, n_override=8)
+        cuts = [mesh.cuts[t] for t in sorted(mesh.cuts)] + [shallow.cuts[t] for t in sorted(shallow.cuts)]
+        assert_rules_equal_per_element_rules(build_cut_geometry(cuts, 2), cuts, 8)
+        assert 0 < len(fallbacks) < len(cuts)
 
 
 def _counted(ms, calls: collections.Counter):
