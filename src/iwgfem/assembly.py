@@ -355,12 +355,9 @@ def assemble_noninterface(mesh: MeshPartition, k: int, coeff, f, quad_offset: in
 def build_cut_geometries(mesh: MeshPartition, k: int, quad_offset: int = 0) -> CutGeometry:
     """Pair-independent data of every cut element, shareable across coefficient pairs.
 
-    Stacked in ascending element order, with each edge in its canonical
-    (global) orientation.
+    Stacked in ascending element order.
     """
-    ids = sorted(mesh.cuts)
-    edge_points = mesh.vertices[mesh.edges[mesh.tri_edges[ids]]]  # (n, 3, 2, 2)
-    return build_cut_geometry([mesh.cuts[t] for t in ids], k, quad_offset, edge_points)
+    return build_cut_geometry([mesh.cuts[t] for t in sorted(mesh.cuts)], k, quad_offset)
 
 
 def build_ife_spaces(

@@ -64,73 +64,102 @@ class CircleInterface:
         cx, cy = self.center
         return np.stack([2.0 * (np.asarray(x) - cx), 2.0 * (np.asarray(y) - cy)], axis=-1)
 
-    def edge_roots(self, p, q) -> list[float]:
-        """Parameters t in (0, 1) where phi vanishes on the open segment p -> q.
 
-        Roots of the restriction (a quadratic in t) are found analytically and
-        polished by bisection; roots within GEOM_TOL of an endpoint are
-        dropped (vertex snapping happens at classification level).
-        """
-        p = np.asarray(p, float)
-        q = np.asarray(q, float)
-        d = q - p
-        c0 = p - np.asarray(self.center, float)
-        a = float(d @ d)
-        b = 2.0 * float(c0 @ d)
-        c = float(c0 @ c0) - self.radius_squared
-        if a == 0.0:
-            return []
+def _reversed(ends: np.ndarray) -> np.ndarray:
+    """Whether each segment (..., 2, 2) starts at its larger (y, x) end."""
+    p, q = ends[..., 0, :], ends[..., 1, :]
+    return (q[..., 1] < p[..., 1]) | ((q[..., 1] == p[..., 1]) & (q[..., 0] < p[..., 0]))
+
+
+def _canonical(ends: np.ndarray) -> np.ndarray:
+    """Segments (..., 2, 2), each from its smaller (y, x) end."""
+    return np.where(_reversed(ends)[..., None, None], ends[..., ::-1, :], ends)
+
+
+def canonical_edges(tri) -> np.ndarray:
+    """(..., 3, 2, 2) local edge i of triangles (..., 3, 2), from its smaller (y, x) end.
+
+    On the uniform mesh that end is the lower vertex id, so the two neighbours
+    of an edge see the same segment.
+    """
+    tri = np.asarray(tri, float)
+    return _canonical(np.stack([tri, np.roll(tri, -1, axis=-2)], axis=-2))
+
+
+def segment_crossings(ends, interface: CircleInterface) -> np.ndarray:
+    """Parameters (..., 2) where phi vanishes inside the segments ``ends`` (..., 2, 2).
+
+    Each segment is solved from its smaller (y, x) end, so it gives the same
+    bits in either orientation; the parameters run from that end, ascending,
+    and NaN fills the slots without a root. Along the segment phi is the
+    quadratic (a t + b) t + c. Its roots come from the stable formula and are
+    polished by bisection. A root pair closer than 1e-6 is a tangential touch
+    without a sign change and is dropped. So is a root within GEOM_TOL of an
+    end: vertex snapping belongs to classification. An end on the circle
+    turns into a double root there, which rounding displaces by sqrt(eps),
+    so its window widens to 1e-6. The sums are written out elementwise, so no
+    BLAS dot decides a bit. Roots are formed only where the discriminant is
+    positive, which keeps every quotient finite, and underflow is ignored, so
+    no floating-point error is raised.
+    """
+    ends = np.asarray(ends, float)
+    shape = ends.shape[:-2]
+    ends = _canonical(ends.reshape(-1, 2, 2))
+    out = np.full((len(ends), 2), np.nan)
+    (px, py), (qx, qy) = ends[:, 0].T, ends[:, 1].T
+    dx, dy = qx - px, qy - py
+    cx, cy = px - interface.center[0], py - interface.center[1]
+    with np.errstate(under="ignore"):
+        a = dx * dx + dy * dy
+        b = 2.0 * (cx * dx + cy * dy)
+        c = (cx * cx + cy * cy) - interface.radius_squared
         disc = b * b - 4.0 * a * c
-        if disc <= 0.0:
-            return []
-        # Numerically stable quadratic roots.
-        sq = math.sqrt(disc)
-        qq = -0.5 * (b + math.copysign(sq, b))
-        roots = sorted({qq / a, c / qq if qq != 0.0 else math.inf})
-        # A tangential touch produces a nearly coincident root pair without a
-        # sign change; snap it away rather than reporting a zero-width dip.
-        if len(roots) == 2 and abs(roots[1] - roots[0]) < 1e-6:
-            return []
-        length = math.sqrt(a)
-        t_snap = GEOM_TOL / length
-        # Endpoints sitting on the circle turn into double roots there, which
-        # rounding can displace by sqrt(eps); widen the snap window for them.
-        lo = 1e-6 if abs(c) <= GEOM_TOL else t_snap
-        phi_end = a + b + c
-        hi = 1e-6 if abs(phi_end) <= GEOM_TOL else t_snap
-
-        def phi_t(t: float) -> float:
-            return (a * t + b) * t + c
-
-        out = []
-        for t in roots:
-            if not (lo < t < 1.0 - hi):
-                continue
-            t = _bisect_polish(phi_t, t, t_snap)
-            out.append(t)
-        return out
+        live = (a > 0.0) & (disc > 0.0)
+        a, b, c, disc = a[live], b[live], c[live], disc[live]
+        qq = -0.5 * (b + np.copysign(np.sqrt(disc), b))  # nonzero, as disc > 0
+        roots = np.sort(np.stack([qq / a, c / qq], axis=1), axis=1)
+        two = roots[:, 1] != roots[:, 0]
+        tangent = two & (roots[:, 1] - roots[:, 0] < 1e-6)
+        t_snap = GEOM_TOL / np.sqrt(a)
+        lo = np.where(np.abs(c) <= GEOM_TOL, 1e-6, t_snap)
+        hi = np.where(np.abs(a + b + c) <= GEOM_TOL, 1e-6, t_snap)
+        keep = (lo[:, None] < roots) & (roots < 1.0 - hi[:, None]) & ~tangent[:, None]
+        keep[:, 1] &= two
+        row, slot = np.nonzero(keep)
+        found = np.full(roots.shape, np.nan)
+        found[row, np.cumsum(keep, axis=1)[row, slot] - 1] = _polish(
+            a[row], b[row], c[row], roots[row, slot], t_snap[row]
+        )
+    out[live] = found
+    return out.reshape(shape + (2,))
 
 
-def _bisect_polish(f, t: float, halfwidth: float, iters: int = 60) -> float:
-    """Polish a root of f by bisection on a small bracket around t."""
+def _polish(a, b, c, t, halfwidth, iters: int = 60) -> np.ndarray:
+    """Roots of (a t + b) t + c near t, by bisection on [t - halfwidth, t + halfwidth].
+
+    An end where the quadratic vanishes is the root; a bracket without a sign
+    change keeps t; a midpoint where it vanishes stops that root's bisection.
+    """
+
+    def phi(s):
+        return (a * s + b) * s + c
+
     lo, hi = t - halfwidth, t + halfwidth
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        return t
+    flo, fhi = phi(lo), phi(hi)
+    out = np.where(flo == 0.0, lo, np.where(fhi == 0.0, hi, t))
+    live = (flo != 0.0) & (fhi != 0.0) & ~(flo * fhi > 0.0)
     for _ in range(iters):
+        if not live.any():
+            break
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+        fm = phi(mid)
+        hit = live & (fm == 0.0)
+        out[hit] = mid[hit]
+        live &= ~hit
+        left = flo * fm < 0.0
+        hi = np.where(left, mid, hi)
+        lo, flo = np.where(left, lo, mid), np.where(left, flo, fm)
+    return np.where(live, 0.5 * (lo + hi), out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,9 +227,11 @@ def triangulate_polygon(vertices) -> np.ndarray:
         raise GeometryError("polygon needs at least 3 vertices")
     local, cross, area = _fan_tests(v)
     tol = -1e-12 * 2.0 * area
-    # The first vertex with no negative triangle, else the least negative one.
+    # The first vertex whose triangles all have positive area, else the first
+    # with no negative triangle, else the least negative one.
+    positive = _positive_fans(cross)
     worst = cross.min(axis=1)
-    c = int(np.argmax(worst))
+    c = int(np.argmax(positive)) if positive.any() else int(np.argmax(worst))
     tris = _fans(c, n) if worst[c] >= tol else _two_fans(cross >= tol)
     # Sanity: the pieces must tile the polygon.
     ax, ay = local[tris[:, 0], 0], local[tris[:, 0], 1]
@@ -230,6 +261,17 @@ def _fan_tests(verts: np.ndarray, n_centres: int | None = None):
     cross -= dy * np.roll(dx, -1, axis=-1)
     cross *= np.copysign(1.0, signed_area)[..., None, None]
     return local, cross, np.abs(signed_area)
+
+
+def _positive_fans(cross: np.ndarray) -> np.ndarray:
+    """Whether each centre's fan has only triangles of positive area, from ``_fan_tests``.
+
+    The two triangles (v_c, v_c, v_c+1) and (v_c, v_c-1, v_c) of a row are
+    exact zeros by construction and are skipped: they would hide real zeros.
+    """
+    centre, i = np.arange(cross.shape[-2])[:, None], np.arange(cross.shape[-1])
+    own = (i == centre) | (i == (centre - 1) % cross.shape[-1])
+    return np.where(own, np.inf, cross).min(axis=-1) > 0.0
 
 
 def _tiles(total, area):
@@ -300,7 +342,11 @@ class ElementCut:
     the unit normal of that chord oriented from the Omega1 side to the Omega2
     side. `poly1` / `poly2` are the counterclockwise sub-polygons produced by
     splitting the triangle along the chord; each lists the chord endpoints
-    first and last so the closing edge is exactly D-E (resp. E-D).
+    first and last so the closing edge is exactly D-E (resp. E-D). D and E
+    lie on the crossed local edges in edge order, at the parameters
+    `crossings`, which run from each edge's smaller (y, x) end as
+    ``segment_crossings`` gives them; the neighbour across a cut edge shares
+    its crossing point bit for bit.
     """
 
     element_id: int
@@ -311,45 +357,39 @@ class ElementCut:
     normal: np.ndarray  # unit normal of the chord, from side 1 to side 2
     poly1: np.ndarray  # CCW, starts and ends with chord endpoints
     poly2: np.ndarray
+    crossings: np.ndarray  # (3,) crossing parameter per local edge, NaN if uncrossed
     depth: int  # default curved-subdivision depth for quadrature
 
 
-def _snapped_signs(tri, interface: CircleInterface):
-    phi = interface.value(tri[:, 0], tri[:, 1])
-    signs = np.where(np.abs(phi) <= GEOM_TOL, 0, np.sign(phi)).astype(int)
-    return phi, signs
+def _element_classes(phi: np.ndarray, crossings: np.ndarray, element_ids) -> np.ndarray:
+    """Classes (n,) of triangles from phi at their vertices (n, 3) and their local edges' crossings (n, 3, 2).
 
-
-def classify_element(tri, interface: CircleInterface | None) -> int:
-    """Classify a triangle as INTERFACE, OMEGA1 or OMEGA2.
-
-    A triangle is an interface element iff phi changes sign over its closure,
-    detected from snapped vertex signs plus an edge-interior root check (the
-    circle can dip through an edge without flipping a vertex sign). Elements
-    touching the circle at a single snapped vertex count as uncut and take
-    the side of the remaining vertices.
+    A triangle is an interface element iff its snapped vertex signs are mixed
+    or the circle crosses one of its edges (it can dip through an edge
+    without flipping a vertex sign). Otherwise it takes the side of its
+    nonzero signs, so a triangle touching the circle at a snapped vertex
+    counts as uncut; one with every vertex snapped is refused by element id.
     """
+    signs = np.where(np.abs(phi) <= GEOM_TOL, 0.0, np.sign(phi))
+    snapped = np.flatnonzero((signs == 0.0).all(axis=1))
+    if len(snapped):
+        raise DegenerateTriangle(f"all vertices of element {element_ids[snapped[0]]} snapped onto the interface")
+    lo, hi = signs.min(axis=1), signs.max(axis=1)
+    cut = ((lo < 0.0) & (hi > 0.0)) | ~np.isnan(crossings[..., 0]).all(axis=1)
+    return np.where(cut, INTERFACE, np.where(hi > 0.0, OMEGA2, OMEGA1))
+
+
+def classify_element(tri, interface: CircleInterface | None, element_id: int = -1) -> int:
+    """Classify one triangle as INTERFACE, OMEGA1 or OMEGA2 (see ``_element_classes``)."""
     tri = np.asarray(tri, float)
-    h2 = max(
-        float((tri[1] - tri[0]) @ (tri[1] - tri[0])),
-        float((tri[2] - tri[1]) @ (tri[2] - tri[1])),
-        float((tri[0] - tri[2]) @ (tri[0] - tri[2])),
-    )
-    if abs(polygon_area(tri)) < GEOM_TOL * h2:
-        raise DegenerateTriangle(f"triangle area below {GEOM_TOL} * h^2")
+    e = np.roll(tri, -1, axis=0) - tri
+    if abs(polygon_area(tri)) < GEOM_TOL * float(np.max(e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1])):
+        raise DegenerateTriangle(f"area of element {element_id} below {GEOM_TOL} * h^2")
     if interface is None:
         return OMEGA2
-    phi, signs = _snapped_signs(tri, interface)
-    nonzero = signs[signs != 0]
-    if len(nonzero) == 0:
-        raise DegenerateTriangle("all vertices snapped onto the interface")
-    if nonzero.min() < 0 < nonzero.max():
-        return INTERFACE
-    for i in range(3):
-        if interface.edge_roots(tri[i], tri[(i + 1) % 3]):
-            # Same-signed vertices but the circle enters through an edge.
-            return INTERFACE
-    return OMEGA1 if nonzero.max() < 0 else OMEGA2
+    phi = interface.value(tri[:, 0], tri[:, 1])
+    crossings = segment_crossings(canonical_edges(tri), interface)
+    return int(_element_classes(phi[None], crossings[None], [element_id])[0])
 
 
 def compute_cut(
@@ -358,62 +398,50 @@ def compute_cut(
     element_id: int = -1,
     depth: int = 6,
 ) -> ElementCut:
-    """Compute the chord split of an interface element.
+    """Compute the chord split of one interface element (see ``_cut``)."""
+    tri = np.asarray(tri, float)
+    if polygon_area(tri) < 0.0:
+        tri = tri[::-1]
+    return _cut(tri, segment_crossings(canonical_edges(tri), interface), interface, element_id, depth)
+
+
+def _cut(tri: np.ndarray, crossings: np.ndarray, interface: CircleInterface, element_id: int, depth: int):
+    """The chord split of a counterclockwise triangle whose local edges are crossed at ``crossings`` (3, 2).
 
     Requires the interface to cross exactly two edges, once each; anything
     else raises MultipleCrossings (mesh too coarse for the curvature).
     """
-    tri = np.asarray(tri, float)
-    if polygon_area(tri) < 0.0:
-        tri = tri[::-1]
-    crossings = []  # (edge index, parameter, point)
-    for i in range(3):
-        p, q = tri[i], tri[(i + 1) % 3]
-        roots = interface.edge_roots(p, q)
-        if len(roots) > 1:
-            raise MultipleCrossings(
-                f"interface crosses edge {i} of element {element_id} twice; refine the mesh"
-            )
-        for t in roots:
-            crossings.append((i, t, p + t * (q - p)))
-    if len(crossings) != 2:
+    count = np.count_nonzero(~np.isnan(crossings), axis=1).tolist()
+    if max(count) > 1:
         raise MultipleCrossings(
-            f"interface cuts {len(crossings)} edges of element {element_id}; expected 2"
+            f"interface crosses edge {count.index(max(count))} of element {element_id} twice; refine the mesh"
         )
-    (_, _, pd), (_, _, pe) = crossings
+    if sum(count) != 2:
+        raise MultipleCrossings(f"interface cuts {sum(count)} edges of element {element_id}; expected 2")
+    i, j = (e for e in range(3) if count[e])
+    ends = _canonical(tri[[[i, (i + 1) % 3], [j, (j + 1) % 3]]])
+    pd, pe = ends[:, 0] + crossings[[i, j], :1] * (ends[:, 1] - ends[:, 0])
     chord = pe - pd
-    clen = float(np.linalg.norm(chord))
+    clen = math.sqrt(chord[0] * chord[0] + chord[1] * chord[1])
     if clen <= GEOM_TOL:
         raise MultipleCrossings(f"degenerate chord on element {element_id}")
-    # Normal of the chord oriented from Omega1 into Omega2.
+    # Normal of the chord oriented from Omega1 into Omega2, along grad(phi) at
+    # the chord midpoint.
     n = np.array([chord[1], -chord[0]]) / clen
-    mid = 0.5 * (pd + pe)
-    if float(n @ interface.gradient(mid[0], mid[1])) < 0.0:
+    gx, gy = 0.5 * (pd + pe) - interface.center
+    if n[0] * gx + n[1] * gy < 0.0:
         n = -n
 
-    # Walk the boundary, inserting the cut points, then split at them.
-    walk: list[tuple[np.ndarray, bool]] = []  # (point, is_cut_point)
-    for i in range(3):
-        walk.append((tri[i], False))
-        for e, t, pt in crossings:
-            if e == i:
-                walk.append((pt, True))
-    cut_pos = [i for i, (_, is_cut) in enumerate(walk) if is_cut]
-    a, b = cut_pos
-    chain1 = [walk[i][0] for i in range(a, b + 1)]  # first cut ... second cut
-    chain2 = [walk[i][0] for i in range(b, len(walk))] + [walk[i][0] for i in range(0, a + 1)]
-    polys = []
-    for chain in (chain1, chain2):
-        arr = np.array(chain)
-        interior = arr[1:-1]
-        side_val = interface.value(interior[:, 0], interior[:, 1])
-        side = OMEGA1 if float(np.max(side_val)) < 0.0 else OMEGA2
-        polys.append((side, arr))
-    (s_a, poly_a), (s_b, poly_b) = polys
-    if s_a == s_b:
+    # The boundary walk from D: the vertices after edge i up to edge j, then
+    # E, the vertices after edge j round to edge i, and back to D. Each chain
+    # lies on the side of its triangle vertices.
+    walks = [*range(i + 1, j + 1)], [*range(j + 1, 3), *range(i + 1)]
+    chains = np.vstack([pd, tri[walks[0]], pe]), np.vstack([pe, tri[walks[1]], pd])
+    phi = interface.value(tri[:, 0], tri[:, 1])
+    inside = [phi[w].max() < 0.0 for w in walks]
+    if inside[0] == inside[1]:
         raise MultipleCrossings(f"could not separate the two sides of element {element_id}")
-    poly1 = poly_a if s_a == OMEGA1 else poly_b
-    poly2 = poly_b if s_a == OMEGA1 else poly_a
+    poly1, poly2 = chains if inside[0] else chains[::-1]
     return ElementCut(
         element_id=element_id,
         triangle=tri,
@@ -423,6 +451,7 @@ def compute_cut(
         normal=n,
         poly1=poly1,
         poly2=poly2,
+        crossings=crossings[:, 0],
         depth=depth,
     )
 
@@ -528,23 +557,16 @@ def pack_subregion_rules(cuts, degree: int):
 def _single_fans(verts: np.ndarray, n_corners: int) -> np.ndarray:
     """(g,) the fan vertex ``triangulate_polygon`` picks for each polygon, or -1.
 
-    It picks the first vertex none of whose triangles is inverted. Only the
-    ``n_corners`` leading vertices, the chord ends and triangle vertices of a
-    cut sub-polygon, are tried: on the paper's circle one of them always
+    It picks the first vertex whose triangles all have positive area. Only
+    the ``n_corners`` leading vertices, the chord ends and triangle vertices
+    of a cut sub-polygon, are tried: on the paper's circle one of them always
     serves. -1 sends a polygon to the per-polygon path: its fan vertex lies
-    on the arc, needs the tolerance or a second fan, or fails the tiling
-    check.
+    on the arc, has a zero-area triangle, needs the tolerance or a second
+    fan, or fails the tiling check.
     """
     _, cross, area = _fan_tests(verts, n_corners)
-    valid = cross.min(axis=2) >= 0.0  # each row holds two exact zeros
+    valid = _positive_fans(cross)
     fan = np.argmax(valid, axis=1)
     rows = np.arange(len(verts))[:, None]
     total = np.sum(np.abs(0.5 * cross[rows, fan[:, None], _fans(fan, verts.shape[1])[..., 1]]), axis=1)
     return np.where(valid[rows[:, 0], fan] & _tiles(total, area), fan, -1)
-
-
-def edge_split_parameters(p0, p1, interface: CircleInterface | None):
-    """Sorted interior parameters where the interface crosses segment p0 -> p1."""
-    if interface is None:
-        return []
-    return sorted(interface.edge_roots(p0, p1))

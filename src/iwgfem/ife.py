@@ -45,9 +45,11 @@ from iwgfem.geometry import (
     MultipleCrossings,
     QuadratureRule,
     _gauss_legendre,
-    edge_split_parameters,
+    _reversed,
+    canonical_edges,
     pack_subregion_rules,
     polygon_area,
+    segment_crossings,
 )
 
 
@@ -176,11 +178,14 @@ def project_qb(g, p0, p1, k: int, interface: CircleInterface | None = None) -> n
     """
     ends = np.stack([np.asarray(p0, float), np.asarray(p1, float)], axis=-2)
     crossing = np.ones(ends.shape[:-2])
-    for i in np.ndindex(crossing.shape):
-        roots = edge_split_parameters(*ends[i], interface)
-        if len(roots) > 1:
-            raise MultipleCrossings(f"interface crosses edge {ends[i].tolist()} twice; refine the mesh")
-        crossing[i] = roots[0] if roots else 1.0
+    if interface is not None:
+        roots = segment_crossings(ends, interface)
+        twice = ~np.isnan(roots[..., 1])
+        if twice.any():
+            raise MultipleCrossings(f"interface crosses edge {ends[twice][0].tolist()} twice; refine the mesh")
+        # The roots run from each edge's smaller (y, x) end.
+        t = np.where(_reversed(ends), 1.0 - roots[..., 0], roots[..., 0])
+        crossing = np.where(np.isnan(t), 1.0, t)
     pts, weights, leg = _edge_rules(ends, crossing, k)
     return (_tr(leg) @ (weights * sample(g, pts))[..., None])[..., 0]
 
@@ -277,13 +282,12 @@ class CutGeometry(Mapping):
         return out
 
 
-def build_cut_geometry(cuts, k: int, quad_offset: int = 0, edge_points=None) -> CutGeometry:
+def build_cut_geometry(cuts, k: int, quad_offset: int = 0) -> CutGeometry:
     """Pair-independent data of ``cuts`` (a sequence of ElementCut), stacked.
 
-    The sub-region rules are exact to degree 2k + 4 + ``quad_offset``.
-    ``edge_points`` (n, 3, 2, 2) gives each local edge's end points in the
-    canonical (global) edge orientation shared by the two neighbours; by
-    default each edge runs in the element-local orientation.
+    The sub-region rules are exact to degree 2k + 4 + ``quad_offset``. Each
+    local edge runs from its smaller (y, x) end, the orientation its two
+    neighbours share, and its rule splits at the cut's crossing parameter.
     """
     if k not in (1, 2):
         raise ValueError("polynomial degree k must be 1 or 2")
@@ -298,16 +302,12 @@ def build_cut_geometry(cuts, k: int, quad_offset: int = 0, edge_points=None) -> 
     center = np.array([c.interface.center for c in cuts], float).reshape(n, 2)
     radius = np.array([c.interface.radius for c in cuts], float)
     radius_sq = np.array([c.interface.radius_squared for c in cuts], float)
-    tri_next = np.roll(tri, -1, axis=1)
-    if edge_points is None:
-        edge_points = np.stack([tri, tri_next], axis=2)
-    edge_points = np.asarray(edge_points, float).reshape(n, 3, 2, 2)
 
     # Chord frame: origin at the chord midpoint, first axis along D-E, second
     # along the chord normal, scaled by 1/h_T. It makes the segment-mode jump
     # corrections slot-aligned, so the interface conditions cancel slot by
     # slot, up to the rounding of the stored coefficients.
-    edge_vec = tri_next - tri  # local edge i runs from vertex i to i + 1
+    edge_vec = np.roll(tri, -1, axis=1) - tri  # local edge i runs from vertex i to i + 1
     h_ref = np.linalg.norm(edge_vec, axis=-1).max(axis=1)
     chord = pe - pd
     tangent = chord / np.linalg.norm(chord, axis=1, keepdims=True)
@@ -318,22 +318,13 @@ def build_cut_geometry(cuts, k: int, quad_offset: int = 0, edge_points=None) -> 
         lead = (n,) + (1,) * (pts.ndim - 3)
         return (pts - x_ref.reshape(lead + (1, 2))) @ _tr(f_mat).reshape(lead + (2, 2))
 
-    # The packed sub-region rules, and the ragged per-edge data: crossings.
+    # The packed sub-region rules.
     offsets, rule_points, rule_weights = pack_subregion_rules(cuts, quad_degree)
     # A chord splits a triangle into a triangle and a quadrilateral; the
     # triangle's last vertex repeated adds an exact zero to its shoelace sum.
     corners = np.array([[c.poly1, c.poly2][s][[0, 1, 2, -1]] for c in cuts for s in (0, 1)]).reshape(n, 2, 4, 2)
     area = polygon_area(corners)
     base_is_1 = area[:, 0] >= area[:, 1]
-    crossing = np.ones((n, 3))  # parameter of the interface crossing, 1 if none
-    for i, cut in enumerate(cuts):
-        for j in range(3):
-            roots = edge_split_parameters(*edge_points[i, j], cut.interface)
-            if len(roots) > 1:
-                raise MultipleCrossings(
-                    f"interface crosses edge {j} of element {cut.element_id} twice; refine the mesh"
-                )
-            crossing[i, j] = roots[0] if roots else 1.0
 
     # The Vandermonde and the mass matrices, one element at a time so that
     # no more than one segment's monomials are held twice; each element's
@@ -383,7 +374,8 @@ def build_cut_geometry(cuts, k: int, quad_offset: int = 0, edge_points=None) -> 
         tests[:k] @ np.einsum("npjd,npd->npj", poly.grad(arc_loc), unit @ _tr(f_mat)),
     )
 
-    e_pts, e_w, e_leg = _edge_rules(edge_points, crossing, k)
+    crossing = np.array([c.crossings for c in cuts], float).reshape(n, 3)
+    e_pts, e_w, e_leg = _edge_rules(canonical_edges(tri), np.where(np.isnan(crossing), 1.0, crossing), k)
 
     # Per-side edge moments: W_s masks the weights to the points on side s.
     phi = ((e_pts - center[:, None, None]) ** 2).sum(axis=-1) - radius_sq[:, None, None]
@@ -799,8 +791,7 @@ def construct_ife_basis(
     """The local space of one cut element: a batch of one.
 
     A ``geometry`` built for this cut alone may be passed to share it across
-    conductivity pairs. Without one, the edges take the element-local
-    orientation.
+    conductivity pairs.
     """
     if geometry is None:
         geometry = build_cut_geometry([cut], k)

@@ -20,8 +20,9 @@ from iwgfem.geometry import (
     OMEGA2,
     CircleInterface,
     ElementCut,
-    classify_element,
-    compute_cut,
+    _cut,
+    _element_classes,
+    segment_crossings,
 )
 
 # Edge classification codes.
@@ -125,7 +126,7 @@ def build_mesh(
     shared = counts == 2
     edge_tris[shared, 1] = by_edge[first[shared] + 1]
 
-    element_class, cuts = _classify(vertices, triangles, interface, depth)
+    element_class, cuts = _classify(vertices, triangles, edges, tri_edges, interface, depth)
 
     is_cut = element_class == INTERFACE
     cut0, cut1 = is_cut[edge_tris[:, 0]], is_cut[edge_tris[:, 1]] & shared
@@ -151,14 +152,13 @@ def build_mesh(
     )
 
 
-def _classify(vertices, triangles, interface, depth):
+def _classify(vertices, triangles, edges, tri_edges, interface, depth):
     """Element classes (nt,) and the cuts of the interface elements, by element id.
 
-    A triangle far from the circle takes the side of its first vertex. Near
-    it, snapped vertex signs of both kinds make an interface element; a
-    triangle whose snapped signs agree is cut only if the circle dips through
-    an edge, which a vectorised root test rules out for almost all of them;
-    the rest go through ``classify_element``.
+    A triangle far from the circle takes the side of its first vertex. The
+    edges of the triangles near it are solved in one ``segment_crossings``
+    call, each from its lower vertex id; the near triangles are classified
+    from their vertex signs and that table, and each cut is built from it.
     """
     nt = len(triangles)
     if interface is None:
@@ -170,39 +170,17 @@ def _classify(vertices, triangles, interface, depth):
     # An edge-interior crossing without a vertex sign change requires the
     # vertices to be within one edge length of the circle, so widen the band.
     p = vertices[triangles]  # (nt, 3, 2)
-    d = np.roll(p, -1, axis=1) - p  # local edge i runs from vertex i to i + 1
-    edge_len = np.max(np.linalg.norm(d, axis=2), axis=1)
+    edge_len = np.max(np.linalg.norm(np.roll(p, -1, axis=1) - p, axis=2), axis=1)
     r = interface.radius
     dist = np.abs(np.sqrt(np.maximum(tphi + interface.radius_squared, 0.0)) - r)
-    near = ~np.all(dist > edge_len[:, None] + GEOM_TOL, axis=1)
+    near = np.flatnonzero(~np.all(dist > edge_len[:, None] + GEOM_TOL, axis=1))
 
-    signs = np.where(np.abs(tphi) <= GEOM_TOL, 0, np.sign(tphi))
-    mixed = near & (signs.min(axis=1) < 0) & (signs.max(axis=1) > 0)
-    element_class[mixed] = INTERFACE
-    same = np.flatnonzero(near & ~mixed)
-    element_class[same] = np.where(signs[same].max(axis=1) > 0, OMEGA2, OMEGA1)
-
-    # phi along edge i is the quadratic a t^2 + b t + c, as in edge_roots. An
-    # edge is clear when it has no real roots, or both lie outside [0, 1]
-    # with a margin far above the rounding of either root computation.
-    c0 = p[same] - np.asarray(interface.center, float)
-    de = d[same]
-    a = (de * de).sum(axis=2)
-    b = 2.0 * (c0 * de).sum(axis=2)
-    c = (c0 * c0).sum(axis=2) - interface.radius_squared
-    disc = b * b - 4.0 * a * c
-    qq = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        roots = np.stack([qq / a, c / qq])
-    outside = (roots < -1e-4) | (roots > 1.0 + 1e-4)
-    clear = (disc < -1e-10 * (b * b + 4.0 * np.abs(a * c))) | ((qq != 0.0) & outside.all(axis=0))
-    # A triangle with every vertex snapped onto the circle is refused there.
-    unsure = ~clear.all(axis=1) | (signs[same] == 0).all(axis=1)
-    for t in same[unsure]:
-        element_class[t] = classify_element(vertices[triangles[t]], interface)
-
+    crossings = np.full((len(edges), 2), np.nan)
+    band = np.unique(tri_edges[near])
+    crossings[band] = segment_crossings(vertices[edges[band]], interface)
+    element_class[near] = _element_classes(tphi[near], crossings[tri_edges[near]], near)
     cuts = {
-        int(t): compute_cut(vertices[triangles[t]], interface, int(t), depth)
+        int(t): _cut(p[t], crossings[tri_edges[t]], interface, int(t), depth)
         for t in np.flatnonzero(element_class == INTERFACE)
     }
     return element_class, cuts

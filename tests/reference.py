@@ -1,8 +1,9 @@
 """Independent references the tests check the solver against.
 
 Nothing in ``src/iwgfem`` calls these. They are the straightforward forms of
-what the solver computes in batches: the loop-built mesh, Gauss rules on
-segments and triangles, and plain sums over quadrature rules.
+what the solver computes in batches: the scalar circle-segment root solver,
+the loop-built mesh, Gauss rules on segments and triangles, and plain sums
+over quadrature rules.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from iwgfem.geometry import (
     _triangle_rule_reference,
     classify_element,
     compute_cut,
-    edge_split_parameters,
 )
 from iwgfem.mesh import (
     EDGE_BOUNDARY,
@@ -69,6 +69,63 @@ def triangle_rule(tri, degree: int) -> QuadratureRule:
     return QuadratureRule(pts, ref_w * det, degree)
 
 
+def edge_roots(p, q, interface: CircleInterface) -> list[float]:
+    """Parameters t in (0, 1) where phi vanishes on the open segment p -> q, one at a time.
+
+    The scalar form of ``segment_crossings``, solving the segment in the
+    orientation given: roots of the restriction (a quadratic in t) are found
+    analytically and polished by bisection; a near-coincident root pair is a
+    tangential touch and dropped, and so are roots within GEOM_TOL of an
+    endpoint (1e-6 of an endpoint on the circle). Dot products are written out.
+    """
+    (px, py), (qx, qy) = (float(v) for v in p), (float(v) for v in q)
+    dx, dy = qx - px, qy - py
+    cx, cy = px - interface.center[0], py - interface.center[1]
+    a = dx * dx + dy * dy
+    b = 2.0 * (cx * dx + cy * dy)
+    c = (cx * cx + cy * cy) - interface.radius_squared
+    if a == 0.0:
+        return []
+    disc = b * b - 4.0 * a * c
+    if disc <= 0.0:
+        return []
+    sq = math.sqrt(disc)
+    qq = -0.5 * (b + math.copysign(sq, b))
+    roots = sorted({qq / a, c / qq if qq != 0.0 else math.inf})
+    if len(roots) == 2 and abs(roots[1] - roots[0]) < 1e-6:
+        return []
+    t_snap = GEOM_TOL / math.sqrt(a)
+    lo = 1e-6 if abs(c) <= GEOM_TOL else t_snap
+    hi = 1e-6 if abs(a + b + c) <= GEOM_TOL else t_snap
+
+    def phi_t(t: float) -> float:
+        return (a * t + b) * t + c
+
+    return [_bisect_polish(phi_t, t, t_snap) for t in roots if lo < t < 1.0 - hi]
+
+
+def _bisect_polish(f, t: float, halfwidth: float, iters: int = 60) -> float:
+    """Polish a root of f by bisection on a small bracket around t."""
+    lo, hi = t - halfwidth, t + halfwidth
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0.0:
+        return t
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if flo * fm < 0.0:
+            hi, fhi = mid, fm
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
+
+
 def quadrature_on_edge(p0, p1, degree: int, interface: CircleInterface | None = None) -> QuadratureRule:
     """Gauss rule on a segment, exact to `degree` for piecewise polynomials.
 
@@ -81,7 +138,7 @@ def quadrature_on_edge(p0, p1, degree: int, interface: CircleInterface | None = 
     length = float(np.linalg.norm(p1 - p0))
     if length == 0.0:
         raise GeometryError("zero-length edge")
-    breaks = [0.0] + edge_split_parameters(p0, p1, interface) + [1.0]
+    breaks = [0.0] + (edge_roots(p0, p1, interface) if interface is not None else []) + [1.0]
     n = max(1, (degree + 2) // 2)
     x, w = _gauss_legendre(n)
     pieces = []
@@ -155,7 +212,7 @@ def build_mesh_loops(
             phi0 = interface.value(*vertices[triangles[t, 0]]) if interface else 1.0
             element_class[t] = OMEGA1 if phi0 < 0.0 else OMEGA2
             continue
-        cls = classify_element(vertices[triangles[t]], interface)
+        cls = classify_element(vertices[triangles[t]], interface, t)
         element_class[t] = cls
         if cls == INTERFACE:
             cuts[t] = compute_cut(vertices[triangles[t]], interface, t, depth)

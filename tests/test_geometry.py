@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iwgfem.geometry import (
@@ -15,15 +15,23 @@ from iwgfem.geometry import (
     MultipleCrossings,
     classify_element,
     compute_cut,
-    edge_split_parameters,
     polygon_area,
     polygon_rule,
     quadrature_on_subregion,
+    segment_crossings,
     subregion_polygon,
     triangulate_polygon,
 )
 from iwgfem.mesh import build_mesh
-from reference import chord_length, integrate, measure, quadrature_on_edge, triangle_rule
+from reference import (
+    _interface_candidates,
+    chord_length,
+    edge_roots,
+    integrate,
+    measure,
+    quadrature_on_edge,
+    triangle_rule,
+)
 
 CIRCLE = CircleInterface()  # x^2 + y^2 = 1/3
 
@@ -64,6 +72,16 @@ class TestClassifyElement:
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateTriangle):
             classify_element([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], CIRCLE)
+
+    def test_all_vertices_snapped_names_the_element(self):
+        # The circle of radius sqrt(2) / 8 about (1/8, 1/8) passes through
+        # the four corners of the cell [0, 1/4]^2: the mesh refuses the first
+        # of its two triangles by id, and a single triangle by the id given.
+        circle = CircleInterface((0.125, 0.125), 0.03125)
+        with pytest.raises(DegenerateTriangle, match="^all vertices of element 72 snapped onto the interface$"):
+            build_mesh(1, circle, n_override=8)
+        with pytest.raises(DegenerateTriangle, match="element 5 snapped"):
+            classify_element([(0.0, 0.0), (0.25, 0.0), (0.25, 0.25)], circle, element_id=5)
 
     def test_vertex_touch_snaps_to_other_side(self):
         r = CIRCLE.radius
@@ -202,8 +220,8 @@ class TestEdgeQuadrature:
 
     def test_split_at_circle_root(self):
         rule = quadrature_on_edge((0.5, 0.0), (0.7, 0.0), degree=3, interface=CIRCLE)
-        ts = edge_split_parameters((0.5, 0.0), (0.7, 0.0), CIRCLE)
-        assert len(ts) == 1
+        ts = segment_crossings(np.array([(0.5, 0.0), (0.7, 0.0)]), CIRCLE)
+        assert np.isnan(ts[1])
         x_root = 0.5 + ts[0] * 0.2
         assert abs(x_root - math.sqrt(1.0 / 3.0)) < 1e-13
         # Sub-rule lengths sum to the full edge length.
@@ -234,6 +252,82 @@ class TestEdgeQuadrature:
         for m in range(degree + 1):
             f = lambda x, y, m=m: ((x - x0) / length) ** m
             assert abs(integrate(rule, f) - ell / (m + 1)) < 1e-12 * ell
+
+
+def padded(roots):
+    """A root list as segment_crossings lays it out: two slots, NaN-padded."""
+    return roots + [math.nan] * (2 - len(roots))
+
+
+def assert_equal_to_scalar_reference(ends, circle):
+    """segment_crossings on a stack of segments equals edge_roots bit for bit, in both orientations."""
+    with np.errstate(all="raise"):
+        got = segment_crossings(ends, circle)
+        flipped = segment_crossings(ends[:, ::-1], circle)
+    want = np.array([padded(edge_roots(*from_smaller_end(p, q), circle)) for p, q in ends]).reshape(len(ends), 2)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(flipped, want)
+
+
+def from_smaller_end(p, q):
+    """The segment p -> q, starting from its smaller (y, x) end."""
+    return (p, q) if (p[1], p[0]) <= (q[1], q[0]) else (q, p)
+
+
+def near_band_edges(mesh, circle):
+    """(e, 2, 2) end points of every edge of a triangle near the circle, as stored."""
+    near = _interface_candidates(mesh.vertices, mesh.triangles, circle)
+    return mesh.vertices[mesh.edges[np.unique(mesh.tri_edges[near])]]
+
+
+class TestSegmentCrossings:
+    # The vectorised solver against the scalar reference, which solves one
+    # segment at a time with its dot products written out.
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256])
+    def test_paper_circle_equals_scalar_reference(self, n):
+        ends = near_band_edges(build_mesh(1, None, n_override=n), CIRCLE)
+        assert_equal_to_scalar_reference(ends, CIRCLE)
+        # The mesh stores each edge from its lower vertex id, its smaller (y, x) end.
+        assert all(from_smaller_end(p, q)[0] is p for p, q in ends)
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        radius=st.floats(min_value=0.05, max_value=0.9),
+        u=st.floats(min_value=-1.0, max_value=1.0),
+        v=st.floats(min_value=-1.0, max_value=1.0),
+        n=st.integers(min_value=2, max_value=64),
+    )
+    @example(radius=0.5, u=0.0, v=2.225073858507e-311, n=8)
+    def test_off_centre_circles_equal_scalar_reference(self, radius, u, v, n):
+        circle = CircleInterface(((1.0 - radius) * u, (1.0 - radius) * v), radius**2)
+        assert_equal_to_scalar_reference(near_band_edges(build_mesh(1, None, n_override=n), circle), circle)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=4, max_size=4),
+        st.floats(min_value=-1.0, max_value=1.0),
+        st.floats(min_value=-1.0, max_value=1.0),
+        st.floats(min_value=1e-3, max_value=2.0),
+    )
+    @example([0.0, 0.0, 0.0, 0.0], 0.0, 0.0, 0.5)  # a point
+    @example([0.4, 0.0, 0.4, 1e-160], 0.0, 0.0, 0.25)  # |q - p|^2 is subnormal, the roots near 1e159
+    @example([-1.0, 0.5, 1.0, 0.5], 0.0, 0.0, 0.25)  # tangent to the circle
+    def test_any_segment_raises_nothing_and_equals_reference(self, coords, cx, cy, r2):
+        ends = np.array(coords, float).reshape(1, 2, 2)
+        assert_equal_to_scalar_reference(ends, CircleInterface((cx, cy), r2))
+
+    def test_tangent_and_endpoint_touches_are_not_crossings(self):
+        r = CIRCLE.radius
+        ends = np.array([
+            [(-0.5, r), (0.5, r)],  # tangent at (0, r)
+            [(r, 0.0), (r + 0.2, 0.0)],  # starts on the circle
+            [(-r - 0.2, 0.0), (-r, 0.0)],  # ends on it
+            [(-0.9, 0.0), (0.9, 0.0)],  # through it twice
+        ])
+        got = segment_crossings(ends, CIRCLE)
+        assert np.isnan(got[:3]).all()
+        np.testing.assert_allclose(got[3], [(0.9 - r) / 1.8, (0.9 + r) / 1.8], rtol=1e-15)
 
 
 class TestPolygonTriangulation:
@@ -312,6 +406,7 @@ class TestFanTriangulation:
             normal=np.array([1.0, 0.0]),
             poly1=comb,
             poly2=np.array([comb[-1], (-1.0, 2.5), comb[0]]),
+            crossings=np.full(3, np.nan),
             depth=0,
         )
         with pytest.raises(GeometryError) as info:
@@ -323,12 +418,17 @@ class TestFanTriangulation:
 
     @settings(deadline=None, max_examples=25)
     @given(
-        st.floats(min_value=0.05, max_value=0.9),
-        st.floats(min_value=-1.0, max_value=1.0),
-        st.floats(min_value=-1.0, max_value=1.0),
-        st.integers(min_value=8, max_value=128),
-        st.sampled_from([0, 4, 6]),
+        radius=st.floats(min_value=0.05, max_value=0.9),
+        u=st.floats(min_value=-1.0, max_value=1.0),
+        v=st.floats(min_value=-1.0, max_value=1.0),
+        n=st.integers(min_value=8, max_value=128),
+        depth=st.sampled_from([0, 4, 6]),
     )
+    # A subnormal centre coordinate overflowed the old root pre-test.
+    @example(radius=0.5, u=0.0, v=2.225073858507e-311, n=8, depth=0)
+    # A side-1 sub-polygon of area 2e-14 next to a vertex, whose first fan
+    # centre without a negative triangle has a zero-area one.
+    @example(radius=0.5607359661169675, u=0.4679198108004041, v=0.5607359661169675, n=108, depth=4)
     def test_every_cut_of_an_off_centre_circle(self, radius, u, v, n, depth):
         # The circle stays inside [-1,1]^2. A mesh too coarse for it may fail
         # to build, but only with a typed GeometryError; numpy warnings

@@ -11,6 +11,7 @@ from iwgfem.geometry import (
     OMEGA1,
     OMEGA2,
     CircleInterface,
+    canonical_edges,
     compute_cut,
     polygon_area,
     quadrature_on_subregion,
@@ -346,14 +347,12 @@ class TestBatchFailuresNameTheElement:
 class TestBatchOfOne:
     @pytest.mark.parametrize("k, mode", [(1, "segment"), (2, "segment"), (2, "arc")])
     def test_construct_matches_the_level_batch(self, level2_mesh, k, mode):
-        # construct_ife_basis is a batch of one through the same code: given
-        # the same edge orientation it must give the same numbers.
+        # construct_ife_basis is a batch of one through the same code, with
+        # the same edge orientation, so it must give the same numbers.
         mesh = level2_mesh
         spaces = build_ife_spaces(mesh, k, 1.0, 1000.0, mode=mode)
-        edge_points = mesh.vertices[mesh.edges[mesh.tri_edges]]
         for t, cut in mesh.cuts.items():
-            geometry = build_cut_geometry([cut], k, edge_points=edge_points[t : t + 1])
-            one = construct_ife_basis(cut, 1.0, 1000.0, k, mode=mode, geometry=geometry)
+            one = construct_ife_basis(cut, 1.0, 1000.0, k, mode=mode)
             np.testing.assert_array_equal(one.coeffs, spaces[t].coeffs)
             np.testing.assert_array_equal(one.stiffness, spaces[t].stiffness)
 
@@ -493,7 +492,7 @@ class TestWeakGradient:
         for _ in range(10):
             loc = rng.standard_normal(len(space.stiffness))
             got = space.weak_grad @ loc
-            want = _weak_gradient_oracle(space, loc, local_edge_ends(self.cut))
+            want = _weak_gradient_oracle(space, loc, canonical_edges(self.cut.triangle))
             np.testing.assert_allclose(got, want, atol=1e-10, rtol=1e-10)
 
     def test_single_edge_trace_excitation(self):
@@ -504,13 +503,8 @@ class TestWeakGradient:
             loc = np.zeros(len(space.stiffness))
             loc[space.m + edge] = 1.0
             got = space.weak_grad @ loc
-            want = _weak_gradient_oracle(space, loc, local_edge_ends(self.cut))
+            want = _weak_gradient_oracle(space, loc, canonical_edges(self.cut.triangle))
             np.testing.assert_allclose(got, want, atol=1e-10)
-
-
-def local_edge_ends(cut):
-    """(3, 2, 2) end points of each local edge in the element-local orientation."""
-    return np.stack([cut.triangle, np.roll(cut.triangle, -1, axis=0)], axis=1)
 
 
 def basis_grad(space, pts, side):

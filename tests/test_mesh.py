@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iwgfem.geometry import INTERFACE, OMEGA1, OMEGA2, CircleInterface, GeometryError
+import iwgfem.geometry
+import iwgfem.ife
+import iwgfem.mesh
+from iwgfem.assembly import build_cut_geometries
+from iwgfem.geometry import INTERFACE, OMEGA1, OMEGA2, CircleInterface, GeometryError, segment_crossings
 from iwgfem.mesh import (
     EDGE_BOUNDARY,
     EDGE_COUPLING,
@@ -73,6 +77,60 @@ class TestAgainstLoopBuilder:
         # make a cut: radius 0.5 passes through grid vertices at N = 4 and 8.
         for n in (4, 8):
             assert_same_as_loop_builder(CircleInterface((0.0, 0.0), 0.25), n)
+
+
+def crossing_points(cut):
+    """{local edge: crossing point} of a cut: D lies on the first crossed edge, E on the second."""
+    return dict(zip(np.flatnonzero(~np.isnan(cut.crossings)).tolist(), (cut.point_d, cut.point_e)))
+
+
+class TestCrossingTable:
+    # build_mesh solves the near band's edges once, from their lower vertex
+    # ids; the cuts and the cut geometry read that table.
+
+    @pytest.mark.parametrize("n", [8, 32, 128, 256])
+    def test_neighbours_share_crossings_and_edge_rules(self, n):
+        mesh = build_mesh(1, CIRCLE, n_override=n)
+        geometry = build_cut_geometries(mesh, 1)
+        both = np.flatnonzero(np.all(mesh.element_class[mesh.edge_tris] == INTERFACE, axis=1) & (mesh.edge_tris[:, 1] >= 0))
+        shared = 0
+        for e in both:
+            (t0, t1), ends = mesh.edge_tris[e], mesh.vertices[mesh.edges[e]]
+            i0, i1 = (int(np.flatnonzero(mesh.tri_edges[t] == e)[0]) for t in (t0, t1))
+            c0, c1 = mesh.cuts[t0], mesh.cuts[t1]
+            np.testing.assert_array_equal(c0.crossings[i0], c1.crossings[i1])
+            r0, r1 = (geometry.index[t] for t in (t0, t1))
+            np.testing.assert_array_equal(geometry.edge_points[r0, i0], geometry.edge_points[r1, i1])
+            np.testing.assert_array_equal(geometry.edge_weights[r0, i0], geometry.edge_weights[r1, i1])
+            t = c0.crossings[i0]
+            if np.isnan(t):
+                continue
+            shared += 1
+            point = crossing_points(c0)[i0]
+            np.testing.assert_array_equal(point, crossing_points(c1)[i1])
+            np.testing.assert_array_equal(point, ends[0] + t * (ends[1] - ends[0]))
+            # The edge rule's two Gauss pieces meet at the crossing.
+            d = ends[1] - ends[0]
+            s = (geometry.edge_points[r0, i0] - ends[0]) @ d / (d @ d)
+            assert s[: len(s) // 2].max() < t < s[len(s) // 2 :].min()
+        assert shared > 0
+
+    def test_one_solve_per_level(self, monkeypatch):
+        calls = []
+
+        def counted(ends, interface):
+            calls.append(len(ends))
+            return segment_crossings(ends, interface)
+
+        for module in (iwgfem.geometry, iwgfem.mesh, iwgfem.ife):
+            if hasattr(module, "segment_crossings"):
+                monkeypatch.setattr(module, "segment_crossings", counted)
+        for level in (1, 2, 3):
+            calls.clear()
+            mesh = build_mesh(level, CIRCLE)
+            for k in (1, 2):
+                build_cut_geometries(mesh, k)
+            assert len(calls) == 1, level
 
 
 class TestBuildMesh:
