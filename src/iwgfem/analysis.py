@@ -22,16 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from iwgfem.assembly import (
-    DofMap,
-    _cg_shape_grads,
-    _cg_shape_values,
-    _element_jacobians,
-    _orientation_classes,
-    build_dof_map,
-    element_node_table,
-)
-from iwgfem.geometry import INTERFACE, OMEGA1, OMEGA2, CircleInterface, _triangle_rule_reference
+from iwgfem.assembly import DofMap, LevelPlan, build_level_plan
+from iwgfem.geometry import OMEGA1, OMEGA2, CircleInterface
 from iwgfem.ife import IfeSpaces, sample
 from iwgfem.mesh import MeshPartition
 
@@ -74,6 +66,12 @@ class ManufacturedSolution:
         return self.u_side(x, y, OMEGA2)
 
 
+def example1_source(x, y):
+    """Example 1's source f = 4 pi sin(pi r^2) + 4 pi^2 r^2 cos(pi r^2), the same for every pair."""
+    r2 = np.asarray(x) ** 2 + np.asarray(y) ** 2
+    return 4.0 * np.pi * np.sin(np.pi * r2) + 4.0 * np.pi**2 * r2 * np.cos(np.pi * r2)
+
+
 def example1(a1: float, a2: float, interface: CircleInterface | None = None) -> ManufacturedSolution:
     """The benchmark solution: cos(pi r^2)/A_i, offset outside for continuity.
 
@@ -103,11 +101,9 @@ def example1(a1: float, a2: float, interface: CircleInterface | None = None) -> 
         fac = -2.0 * np.pi * np.sin(np.pi * r2) / a
         return np.stack([fac * x, fac * y], axis=-1)
 
-    def f(x, y):
-        r2 = np.asarray(x) ** 2 + np.asarray(y) ** 2
-        return 4.0 * np.pi * np.sin(np.pi * r2) + 4.0 * np.pi**2 * r2 * np.cos(np.pi * r2)
-
-    return ManufacturedSolution(a1, a2, u_side, grad_side, f, interface, name=f"example1({a1},{a2})")
+    return ManufacturedSolution(
+        a1, a2, u_side, grad_side, example1_source, interface, name=f"example1({a1},{a2})"
+    )
 
 
 def linear_solution(c0: float, c1: float, c2: float, a: float = 1.0) -> ManufacturedSolution:
@@ -140,41 +136,33 @@ def check_interface_conditions(ms: ManufacturedSolution, n_samples: int = 256) -
     return float(val), float(np.max(np.abs(flux1 - flux2)))
 
 
-def _noninterface_errors(mesh, dofmap, x_all, ms, k, degree):
-    ids = np.flatnonzero(mesh.element_class != INTERFACE)
-    if len(ids) == 0:
-        return 0.0, 0.0, 0.0
-    ref, w = _triangle_rule_reference(degree)
-    shapes = _cg_shape_values(k, ref)
-    grads_ref = _cg_shape_grads(k, ref)
+def _noninterface_errors(plan: LevelPlan, dofmap: DofMap, x_all, ms):
+    """Energy and L2 squares and the max error on the non-interface elements.
 
-    coefs = x_all[dofmap.node_col[element_node_table(mesh, k)[ids]]]  # (ne, nl)
-    v0, j_mats = _element_jacobians(mesh, ids)
-    dets = np.abs(j_mats[:, 0, 0] * j_mats[:, 1, 1] - j_mats[:, 0, 1] * j_mats[:, 1, 0])
-    pts = v0[:, None, :] + ref[None, :, :] @ j_mats
-
-    uh = coefs @ shapes.T  # (ne, nq)
+    The error points of each side are rebuilt from its v0 and J, and u and
+    grad u are sampled on them as (elements, points) arrays.
+    """
+    coefs = x_all[dofmap.node_col[plan.nodes]]  # (ne, nl)
+    uh = coefs @ plan.err_shapes.T  # (ne, nq)
+    grad_uh = np.empty(uh.shape + (2,))
+    for c, g_phys in enumerate(plan.err_grads):
+        sel = np.flatnonzero(plan.cls == c)
+        grad_uh[sel] = np.tensordot(coefs[sel], g_phys, axes=(1, 1))
+    w = plan.err_weights
     energy_sq = 0.0
     l2_sq = 0.0
     linf = 0.0
-    grad_uh = np.empty((len(ids), len(ref), 2))
-    for sel in _orientation_classes(j_mats):
-        jinv_t = np.linalg.inv(j_mats[sel[0]]).T  # rows of j_mats are edge vectors
-        g_phys = grads_ref @ jinv_t  # (nq, nl, 2)
-        grad_uh[sel] = np.einsum("el,qld->eqd", coefs[sel], g_phys)
-
-    for side in (OMEGA1, OMEGA2):
-        sel = np.flatnonzero(mesh.element_class[ids] == side)
+    for side, (sel, v0, j_mats) in plan.sides.items():
         if len(sel) == 0:
             continue
-        x = pts[sel, :, 0].ravel()
-        y = pts[sel, :, 1].ravel()
-        ue = np.asarray(ms.u_side(x, y, side), float).reshape(len(sel), -1)
-        ge = np.asarray(ms.grad_side(x, y, side), float).reshape(len(sel), -1, 2)
+        pts = v0[:, None, :] + plan.err_ref[None, :, :] @ j_mats
+        ue = np.asarray(ms.u_side(pts[..., 0], pts[..., 1], side), float)
+        ge = np.asarray(ms.grad_side(pts[..., 0], pts[..., 1], side), float)
         diff = uh[sel] - ue
         gdiff = grad_uh[sel] - ge
-        l2_sq += float(np.einsum("eq,q,e->", diff**2, w, dets[sel]))
-        energy_sq += float(np.einsum("eqd,eqd,q,e->", gdiff, gdiff, w, dets[sel]))
+        dets = plan.dets[sel]
+        l2_sq += float((diff**2 @ w) @ dets)
+        energy_sq += float(((gdiff**2).sum(-1) @ w) @ dets)
         linf = max(linf, float(np.max(np.abs(diff))))
     return energy_sq, l2_sq, linf
 
@@ -206,10 +194,16 @@ def compute_errors(
     ms: ManufacturedSolution,
     k: int,
     quad_offset: int = 0,
+    plan: LevelPlan | None = None,
 ) -> dict:
-    """Energy, L2 and max errors of a solved study in one pass."""
-    degree = 2 * k + 4 + quad_offset
-    e1, l1, m1 = _noninterface_errors(mesh, dofmap, x_all, ms, k, degree)
+    """Energy, L2 and max errors of a solved study in one pass.
+
+    Without a ``plan`` one is built for this pair alone, on ``spaces``' geometry.
+    """
+    if plan is None:
+        plan = build_level_plan(mesh, k, ms.f, quad_offset, spaces.geometry)
+    plan.check(mesh, k, ms.f, quad_offset)
+    e1, l1, m1 = _noninterface_errors(plan, dofmap, x_all, ms)
     e2, l2, m2 = _interface_errors(dofmap, spaces, x_all, ms)
     return {
         "energy": math.sqrt(e1 + e2),
@@ -226,8 +220,8 @@ def interpolation_errors(
     Verifies the approximation power of the two local families independently
     of the solver; expected orders are k and k+1.
     """
-    degree = 2 * k + 4 + quad_offset
-    dofmap = build_dof_map(mesh, k)
+    plan = build_level_plan(mesh, k, ms.f, quad_offset, spaces.geometry)
+    dofmap = plan.dofmap
     coords = dofmap.node_coords
     x_nodal = np.asarray(ms.u(coords[:, 0], coords[:, 1]), float)
     # Reuse the error machinery with nodal interpolation coefficients laid
@@ -235,7 +229,7 @@ def interpolation_errors(
     x_cols = np.zeros(dofmap.n_total)
     valid = dofmap.node_col >= 0
     x_cols[dofmap.node_col[valid]] = x_nodal[valid]
-    e_grad_sq, _, _ = _noninterface_errors(mesh, dofmap, x_cols, ms, k, degree)
+    e_grad_sq, _, _ = _noninterface_errors(plan, dofmap, x_cols, ms)
 
     ue = sample(ms.u, spaces.geometry.rule_points)
     diff = spaces.interior_values(spaces.project_interior(ue))

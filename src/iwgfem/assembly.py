@@ -131,18 +131,6 @@ def _edge_lagrange_1d(k: int, t: np.ndarray) -> np.ndarray:
     return np.column_stack([(1.0 - t) * (1.0 - 2.0 * t), t * (2.0 * t - 1.0), 4.0 * t * (1.0 - t)])
 
 
-def cg_element_stiffness(tri, k: int, a: float = 1.0, degree: int | None = None) -> np.ndarray:
-    """Single-element P_k stiffness block a * (grad psi_i, grad psi_j)_T."""
-    tri = np.asarray(tri, float)
-    if degree is None:
-        degree = 2 * k
-    ref, w = _triangle_rule_reference(degree)
-    jm = np.array([tri[1] - tri[0], tri[2] - tri[0]])
-    det = abs(jm[0, 0] * jm[1, 1] - jm[0, 1] * jm[1, 0])
-    g_phys = _cg_shape_grads(k, ref) @ np.linalg.inv(jm).T
-    return a * np.einsum("nid,n,njd->ij", g_phys, w * det, g_phys)
-
-
 def build_dof_map(mesh: MeshPartition, k: int) -> DofMap:
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
@@ -309,47 +297,101 @@ def _orientation_classes(j_mats: np.ndarray) -> list[np.ndarray]:
     return classes
 
 
-def assemble_noninterface(mesh: MeshPartition, k: int, coeff, f, quad_offset: int = 0) -> CgContributions:
-    """Stiffness (A grad u, grad v)_T and load (f, v)_T on non-interface elements.
+@dataclass(eq=False)
+class LevelPlan:
+    """The pair-independent part of a level solve, shared by every coefficient pair.
 
-    coeff maps a side (OMEGA1/OMEGA2) to its conductivity. The geometry is
-    uniform (two congruent shapes), so reference blocks are built once and
-    scaled per element.
+    Built once per (mesh, k, source, quad_offset): the cut geometry, the DOF
+    map with P, the source's loads (CG element loads and the cut cells'
+    monomial moments, so a pair's interface load is coeffs^T moments), one
+    unit CG stiffness block per orientation class, and the non-interface
+    error rule. Nothing in it is per quadrature point or per element matrix:
+    the error points are rebuilt per pair from each side's v0 and J.
     """
+
+    mesh: MeshPartition
+    k: int
+    quad_offset: int
+    source: object  # f(x, y), the callable the loads were sampled from
+    geometry: CutGeometry
+    dofmap: DofMap
+    elements: np.ndarray  # (ne,) non-interface element ids
+    nodes: np.ndarray  # (ne, nl) their node ids
+    cls: np.ndarray  # (ne,) orientation class of each element
+    dets: np.ndarray  # (ne,) |det J|
+    blocks: np.ndarray  # (n_cls, nl, nl) unit stiffness block per class
+    load: np.ndarray  # (ne, nl) CG element loads (f, psi_i)_T
+    moments: np.ndarray  # (n_cut, 2m) monomial moments of f on the cut sides
+    err_ref: np.ndarray  # (nq, 2) error rule on the reference triangle
+    err_weights: np.ndarray  # (nq,)
+    err_shapes: np.ndarray  # (nq, nl)
+    err_grads: np.ndarray  # (n_cls, nq, nl, 2) physical shape gradients per class
+    sides: dict  # side -> (indices into elements, v0 (ne_s, 2), J (ne_s, 2, 2))
+
+    def check(self, mesh: MeshPartition, k: int, source, quad_offset: int) -> None:
+        """Raise AssemblyError unless the plan was built for these arguments."""
+        same = {"mesh": self.mesh is mesh, "k": self.k == k, "source": self.source is source,
+                "quad_offset": self.quad_offset == quad_offset}
+        if not all(same.values()):
+            raise AssemblyError(f"level plan built for another {', '.join(n for n, s in same.items() if not s)}")
+
+
+def build_level_plan(
+    mesh: MeshPartition, k: int, f, quad_offset: int = 0, geometries: CutGeometry | None = None
+) -> LevelPlan:
+    """The LevelPlan of a mesh for degree k and source f; f is sampled twice."""
+    if geometries is None:
+        geometries = build_cut_geometries(mesh, k, quad_offset)
+    dofmap = build_dof_map(mesh, k)
     ids = np.flatnonzero(mesh.element_class != INTERFACE)
     nl = 3 if k == 1 else 6
-    if len(ids) == 0:
-        return CgContributions(ids, np.zeros((0, nl), np.int64), np.zeros((0, nl, nl)), np.zeros((0, nl)))
-
-    stiff_deg = 2 * k + quad_offset
-    load_deg = 2 * k + 2 + quad_offset
-    ref_s, w_s = _triangle_rule_reference(stiff_deg)
-    ref_l, w_l = _triangle_rule_reference(load_deg)
-    shapes_l = _cg_shape_values(k, ref_l)
-
     v0, j_mats = _element_jacobians(mesh, ids)
-    dets = j_mats[:, 0, 0] * j_mats[:, 1, 1] - j_mats[:, 0, 1] * j_mats[:, 1, 0]
+    dets = np.abs(j_mats[:, 0, 0] * j_mats[:, 1, 1] - j_mats[:, 0, 1] * j_mats[:, 1, 0])
+    classes = _orientation_classes(j_mats)
+    cls = np.empty(len(ids), np.int64)
+    for c, sel in enumerate(classes):
+        cls[sel] = c
+    # Rows of J are the edge vectors, so dx/dxi = J^T and physical gradients
+    # are inv(J)^T applied to reference gradients; one J leads each class.
+    jinv_t = [np.linalg.inv(j_mats[sel[0]]).T for sel in classes]
 
-    # Orientation classes: elements sharing the same Jacobian reuse one block.
-    grads_ref = _cg_shape_grads(k, ref_s)
-    stiff = np.empty((len(ids), nl, nl))
-    for sel in _orientation_classes(j_mats):
-        jm = j_mats[sel[0]]
-        det = dets[sel[0]]
-        # Rows of jm are the edge vectors, so dx/dxi = jm.T and physical
-        # gradients are inv(jm).T applied to reference gradients.
-        jinv_t = np.linalg.inv(jm).T
-        g_phys = grads_ref @ jinv_t  # (n, nl, 2)
-        block = np.einsum("nid,n,njd->ij", g_phys, w_s * abs(det), g_phys)
-        stiff[sel] = block
-    a_vals = np.where(mesh.element_class[ids] == OMEGA1, coeff[OMEGA1], coeff[OMEGA2])
-    stiff *= a_vals[:, None, None]
+    def class_grads(ref):  # (n_cls, nq, nl, 2)
+        grads_ref = _cg_shape_grads(k, ref)
+        return np.array([grads_ref @ t for t in jinv_t]).reshape(len(classes), len(ref), nl, 2)
 
+    ref_s, w_s = _triangle_rule_reference(2 * k + quad_offset)
+    blocks = np.array(
+        [np.einsum("nid,n,njd->ij", g, w_s * dets[sel[0]], g) for g, sel in zip(class_grads(ref_s), classes)]
+    ).reshape(len(classes), nl, nl)
+
+    ref_l, w_l = _triangle_rule_reference(2 * k + 2 + quad_offset)
     pts = v0[:, None, :] + ref_l[None, :, :] @ j_mats  # (ne, n, 2)
-    fv = np.asarray(f(pts[..., 0].ravel(), pts[..., 1].ravel()), float).reshape(len(ids), -1)
-    load = np.einsum("en,n,nj->ej", fv, w_l, shapes_l) * np.abs(dets)[:, None]
+    fv = np.asarray(f(pts[..., 0].ravel(), pts[..., 1].ravel()), float).reshape(pts.shape[:2])
+    load = np.einsum("en,n,nj->ej", fv, w_l, _cg_shape_values(k, ref_l)) * dets[:, None]
+    del pts, fv
 
-    return CgContributions(ids, element_node_table(mesh, k)[ids], stiff, load)
+    ref_e, w_e = _triangle_rule_reference(2 * k + 4 + quad_offset)
+    sides = {}
+    for side in (OMEGA1, OMEGA2):
+        sel = np.flatnonzero(mesh.element_class[ids] == side)
+        sides[side] = (sel, v0[sel], j_mats[sel])
+    moments = geometries.monomial_moments(sample(f, geometries.rule_points))
+    return LevelPlan(
+        mesh, k, quad_offset, f, geometries, dofmap, ids, element_node_table(mesh, k)[ids], cls, dets,
+        blocks, load, moments, ref_e, w_e, _cg_shape_values(k, ref_e), class_grads(ref_e), sides,
+    )
+
+
+def assemble_noninterface(plan: LevelPlan, coeff) -> CgContributions:
+    """Stiffness (A grad u, grad v)_T and load (f, v)_T on non-interface elements.
+
+    coeff maps a side (OMEGA1/OMEGA2) to its conductivity; each element's
+    block is its class's unit block scaled by it.
+    """
+    a_vals = np.where(plan.mesh.element_class[plan.elements] == OMEGA1, coeff[OMEGA1], coeff[OMEGA2])
+    stiffness = plan.blocks[plan.cls]
+    stiffness *= a_vals[:, None, None]
+    return CgContributions(plan.elements, plan.nodes, stiffness, plan.load)
 
 
 def build_cut_geometries(mesh: MeshPartition, k: int, quad_offset: int = 0) -> CutGeometry:
@@ -374,13 +416,14 @@ def build_ife_spaces(
     return build_local_spaces(geometries, a1, a2, mode)
 
 
-def assemble_interface(spaces: IfeSpaces, f) -> WgBlocks:
+def assemble_interface(spaces: IfeSpaces, moments: np.ndarray) -> WgBlocks:
     """Weak-gradient stiffness + stabilizer blocks and interior-tested loads.
 
-    The source is sampled once, on the packed cut-cell rule points.
+    ``moments`` (n_cut, 2m) are the source's monomial moments on the cut
+    sides (``LevelPlan.moments``), so each load is coeffs^T moments.
     """
     load = np.zeros(spaces.stiffness.shape[:2])
-    load[:, : spaces.geometry.m] = spaces.moments(sample(f, spaces.geometry.rule_points))
+    load[:, : spaces.geometry.m] = spaces.moments(moments)
     return WgBlocks(spaces.elements, spaces.stiffness, load)
 
 
@@ -462,21 +505,24 @@ def assemble_system(
     mode: str = "segment",
     quad_offset: int = 0,
     spaces: IfeSpaces | None = None,
-    geometries: CutGeometry | None = None,
+    plan: LevelPlan | None = None,
 ):
-    """Convenience pipeline: dof map, both assemblies, constraint folding.
+    """Convenience pipeline: both assemblies on a level plan, constraint folding.
 
-    ``quad_offset`` raises the degree of every volume rule; without
-    ``spaces`` or ``geometries`` the cut geometry is built with it.
+    ``quad_offset`` raises the degree of every volume rule. Without a
+    ``plan`` one is built for this pair alone (on ``spaces``' geometry if
+    given); a plan built for another mesh, k, source or offset is refused.
     """
+    if plan is None:
+        plan = build_level_plan(mesh, k, f, quad_offset, None if spaces is None else spaces.geometry)
+    plan.check(mesh, k, f, quad_offset)
     if spaces is None:
-        if geometries is None:
-            geometries = build_cut_geometries(mesh, k, quad_offset)
-        spaces = build_ife_spaces(mesh, k, a1, a2, mode=mode, geometries=geometries)
-    dofmap = build_dof_map(mesh, k)
-    cg = assemble_noninterface(mesh, k, {OMEGA1: a1, OMEGA2: a2}, f, quad_offset)
-    wg = assemble_interface(spaces, f)
-    system = apply_constraints(mesh, dofmap, cg, wg, g)
+        spaces = build_ife_spaces(mesh, k, a1, a2, mode=mode, geometries=plan.geometry)
+    elif spaces.geometry is not plan.geometry:
+        raise AssemblyError("spaces built on another geometry than the level plan's")
+    cg = assemble_noninterface(plan, {OMEGA1: a1, OMEGA2: a2})
+    wg = assemble_interface(spaces, plan.moments)
+    system = apply_constraints(mesh, plan.dofmap, cg, wg, g)
     return system, spaces
 
 

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from iwgfem.analysis import ConvergenceReport, ManufacturedSolution, compute_errors, example1
-from iwgfem.assembly import assemble_system, build_cut_geometries, dump_matrix
+from iwgfem.assembly import LevelPlan, assemble_system, build_cut_geometries, build_level_plan, dump_matrix
 from iwgfem.geometry import GeometryError
-from iwgfem.ife import CutGeometry, IfeError
+from iwgfem.ife import IfeError
 from iwgfem.mesh import build_mesh, dump_mesh
 from iwgfem.solver import SolverConfig, SolverError, solve
 
@@ -79,15 +79,15 @@ class RunConfig:
         return "segment" if self.k == 1 else "arc"
 
 
-def _solve_pair(mesh, ms: ManufacturedSolution, k: int, mode: str, quad_offset: int,
-                solver_config: SolverConfig | None, geometries: CutGeometry | None = None):
-    """Assemble, solve and measure one coefficient pair on a built mesh."""
+def _solve_pair(plan: LevelPlan, ms: ManufacturedSolution, mode: str, solver_config: SolverConfig | None):
+    """Assemble, solve and measure one coefficient pair on a level plan."""
+    mesh, k, quad_offset = plan.mesh, plan.k, plan.quad_offset
     system, spaces = assemble_system(
-        mesh, k, ms.a1, ms.a2, ms.f, ms.g, mode=mode, quad_offset=quad_offset, geometries=geometries
+        mesh, k, ms.a1, ms.a2, ms.f, ms.g, mode=mode, quad_offset=quad_offset, plan=plan
     )
     x, stats = solve(system.matrix, system.rhs, solver_config)
     x_all = system.full_coefficients(x)
-    errors = compute_errors(mesh, system.dofmap, spaces, x_all, ms, k, quad_offset)
+    errors = compute_errors(mesh, system.dofmap, spaces, x_all, ms, k, quad_offset, plan)
     return errors, stats, system, spaces, x_all
 
 
@@ -101,30 +101,33 @@ def run_level(
     solver_config: SolverConfig | None = None,
     n_override: int | None = None,
 ):
-    """One (solution, k, level) run: mesh, spaces, assemble, solve, errors."""
+    """One (solution, k, level) run: mesh, plan, spaces, assemble, solve, errors."""
     mesh = build_mesh(level, ms.interface, depth=depth, n_override=n_override)
-    errors, stats, system, spaces, x_all = _solve_pair(mesh, ms, k, mode, quad_offset, solver_config)
+    plan = build_level_plan(mesh, k, ms.f, quad_offset)
+    errors, stats, system, spaces, x_all = _solve_pair(plan, ms, mode, solver_config)
     return errors, stats, mesh, system, spaces, x_all
 
 
 def _study_level(config: RunConfig, level: int, reports: dict, failed: set, log) -> int:
     """Every pair not yet failed on one level; returns 1 if one fails now, else 0.
 
-    The mesh and the pair-independent cut geometry are shared by the pairs
-    and, with every pair's spaces and system, freed on return, before the
-    next level is built. A failure to build the level raises GeometryError.
+    The mesh, the cut geometry and the level plan (example 1's source is
+    one function for every pair) are shared by the pairs and, with every
+    pair's spaces and system, freed on return, before the next level is
+    built. A failure to build the level raises GeometryError.
     """
+    source = example1(1.0, 1.0)
     t0 = time.perf_counter()
-    mesh = build_mesh(
-        level, example1(1.0, 1.0).interface, depth=config.depth,
-        n_override=config.cells_for_level(level),
-    )
+    mesh = build_mesh(level, source.interface, depth=config.depth, n_override=config.cells_for_level(level))
     t1 = time.perf_counter()
     geometries = build_cut_geometries(mesh, config.k, config.quad_offset)
     t2 = time.perf_counter()
+    plan = build_level_plan(mesh, config.k, source.f, config.quad_offset, geometries)
+    t3 = time.perf_counter()
     log(
         f"level={level} N={mesh.n_cells} cut={len(mesh.cuts)} "
-        f"quad_points={len(geometries.rule_weights)} mesh={t1 - t0:.3f}s geometry={t2 - t1:.3f}s"
+        f"quad_points={len(geometries.rule_weights)} mesh={t1 - t0:.3f}s geometry={t2 - t1:.3f}s "
+        f"plan={t3 - t2:.3f}s"
     )
     code = 0
     for a1, a2 in config.pairs:
@@ -134,8 +137,7 @@ def _study_level(config: RunConfig, level: int, reports: dict, failed: set, log)
         t0 = time.perf_counter()
         try:
             errors, stats, system, spaces, _ = _solve_pair(
-                mesh, ms, config.k, config.resolved_mode(), config.quad_offset,
-                SolverConfig(method=config.solver), geometries,
+                plan, ms, config.resolved_mode(), SolverConfig(method=config.solver)
             )
         except (GeometryError, IfeError, SolverError) as exc:
             log(f"FAILED k={config.k} (A1,A2)=({a1:g},{a2:g}) level={level}: {exc}")
@@ -166,8 +168,8 @@ def _study_level(config: RunConfig, level: int, reports: dict, failed: set, log)
 def run_study(config: RunConfig, log=print) -> tuple[list[ConvergenceReport], int]:
     """Run the full (pair, level) matrix; returns reports and an exit code.
 
-    Levels form the outer loop so the mesh and the pair-independent cut
-    geometry are built once per level and shared by all coefficient pairs.
+    Levels form the outer loop so the mesh, the cut geometry and the level
+    plan are built once per level and shared by all coefficient pairs.
     """
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir is not None:
@@ -291,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_argv(argv=None) -> RunConfig:
     """The validated configuration of a command line: config file, then flags.
 
-    Raises ValueError or TypeError on malformed input.
+    Raises ValueError or TypeError on malformed input, OSError on an
+    unreadable config file.
     """
     args = build_parser().parse_args(argv)
     values = load_config_file(args.config) if args.config else {}
@@ -305,7 +308,7 @@ def config_from_argv(argv=None) -> RunConfig:
 def main(argv=None) -> int:
     try:
         config = config_from_argv(argv)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     _, exit_code = run_study(config)

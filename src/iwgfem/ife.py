@@ -62,7 +62,7 @@ class RankDeficient(IfeError):
 
 
 class SingularGram(IfeError):
-    """A Gram matrix that should be SPD failed to factor."""
+    """A Gram matrix that should be SPD failed to factor or is not finite."""
 
 
 class IllConditionedWarning(UserWarning):
@@ -524,9 +524,9 @@ class IfeSpaces(Mapping):
     def __len__(self) -> int:
         return len(self.geometry)
 
-    def moments(self, values: np.ndarray) -> np.ndarray:
-        """(n, m): (g, phi_j)_T on every element, from g at the packed rule points."""
-        return (_tr(self.coeffs) @ self.geometry.monomial_moments(values)[..., None])[..., 0]
+    def moments(self, monomial_moments: np.ndarray) -> np.ndarray:
+        """(n, m): (g, phi_j)_T on every element, from g's ``CutGeometry.monomial_moments``."""
+        return (_tr(self.coeffs) @ monomial_moments[..., None])[..., 0]
 
     def interior_values(self, v0: np.ndarray) -> np.ndarray:
         """(P,): the interior functions with coefficients v0 (n, m) at the packed rule points."""
@@ -534,7 +534,8 @@ class IfeSpaces(Mapping):
 
     def project_interior(self, values: np.ndarray) -> np.ndarray:
         """(n, m): Q_0 projections of g onto every interior basis, from g at the packed points."""
-        return np.linalg.solve(self.gram, self.moments(values)[..., None])[..., 0]
+        moments = self.moments(self.geometry.monomial_moments(values))
+        return np.linalg.solve(self.gram, moments[..., None])[..., 0]
 
     def project_traces(self, values: np.ndarray) -> np.ndarray:
         """(n, 3, k): Q_b projections on every local edge, from g at the edge points."""
@@ -700,6 +701,11 @@ def build_local_spaces(geometry: CutGeometry, a1: float, a2: float, mode: str = 
         null = _null_space(constraints, elements)
     null = null / np.linalg.norm(null, axis=1, keepdims=True)
     gram_null = pair_mass(null, null)
+    bad = np.flatnonzero(~np.isfinite(gram_null).all(axis=(1, 2)))
+    if len(bad):
+        # An overflowing contrast (a1 / a2 beyond the float range) leaves the
+        # structured basis, and with it the Gram, non-finite.
+        raise SingularGram(f"null basis or its Gram not finite on element {elements[bad[0]]}")
     eig = np.linalg.eigvalsh(gram_null)
     gram_cond = eig[:, -1] / np.maximum(eig[:, 0], 1e-300)
     ill = gram_cond > COND_MAX

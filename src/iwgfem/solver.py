@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,11 @@ def solve(matrix: sp.spmatrix, rhs: np.ndarray, config: SolverConfig | None = No
     """Solve an SPD system; returns (x, SolveStats) with a residual certificate."""
     if config is None:
         config = SolverConfig()
-    a = sp.csc_matrix(matrix)
+    if config.method == "cholesky":
+        a = sp.csc_matrix(matrix)
+    else:  # sorted CSR rows sum in ascending column order, as a CSC matvec does
+        a = sp.csr_matrix(matrix)
+        a = a if a.has_sorted_indices else a.sorted_indices()
     b = np.asarray(rhs, float)
     if a.shape[0] != a.shape[1] or a.shape[0] != len(b):
         raise ValueError("matrix/rhs shape mismatch")
@@ -87,8 +92,8 @@ def _solve_cholesky(a: sp.csc_matrix, b: np.ndarray):
     return lu.solve(b), 0
 
 
-def _solve_cg(a: sp.csc_matrix, b: np.ndarray, config: SolverConfig):
-    """Deterministic Jacobi-preconditioned conjugate gradients."""
+def _solve_cg(a: sp.csr_matrix, b: np.ndarray, config: SolverConfig):
+    """Deterministic Jacobi-preconditioned conjugate gradients, updating in place."""
     n = len(b)
     diag = a.diagonal()
     if np.any(diag <= 0.0):
@@ -99,6 +104,7 @@ def _solve_cg(a: sp.csc_matrix, b: np.ndarray, config: SolverConfig):
     r = b.copy()
     z = inv_diag * r
     p = z.copy()
+    tmp = np.empty(n)
     rz = float(r @ z)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -109,12 +115,15 @@ def _solve_cg(a: sp.csc_matrix, b: np.ndarray, config: SolverConfig):
         if pap <= 0.0:
             raise NotPositiveDefinite("CG breakdown: non-positive curvature")
         alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
-        if np.linalg.norm(r) <= config.cg_tol * bnorm:
+        np.multiply(p, alpha, out=tmp)
+        x += tmp
+        np.multiply(ap, alpha, out=tmp)
+        r -= tmp
+        if math.sqrt(r @ r) <= config.cg_tol * bnorm:
             return x, it
-        z = inv_diag * r
+        np.multiply(inv_diag, r, out=z)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise NoConvergence(f"CG did not reach {config.cg_tol} in {config.cg_max_iter} iterations")

@@ -1,9 +1,11 @@
 """Independent references the tests check the solver against.
 
 Nothing in ``src/iwgfem`` calls these. They are the straightforward forms of
-what the solver computes in batches: the scalar circle-segment root solver,
-the loop-built mesh, Gauss rules on segments and triangles, and plain sums
-over quadrature rules.
+what the solver computes in batches or in place: the scalar circle-segment
+root solver, the loop-built mesh, Gauss rules on segments and triangles,
+plain sums over quadrature rules, one element's CG stiffness, the
+non-interface errors summed with ``einsum`` on freshly mapped points, and
+Jacobi-CG with allocating updates.
 """
 
 from __future__ import annotations
@@ -11,7 +13,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
+from iwgfem.assembly import (
+    _cg_shape_grads,
+    _cg_shape_values,
+    _element_jacobians,
+    _orientation_classes,
+    element_node_table,
+)
 from iwgfem.geometry import (
     GEOM_TOL,
     INTERFACE,
@@ -264,3 +274,84 @@ def _interface_candidates(vertices, triangles, interface):
     r = interface.radius
     dist = np.abs(np.sqrt(np.maximum(tphi + interface.radius_squared, 0.0)) - r)
     return ~np.all(dist > edge_len[:, None] + GEOM_TOL, axis=1)
+
+
+def noninterface_errors(mesh, dofmap, x_all, ms, k, degree):
+    """Energy and L2 squares and the max error on the non-interface elements.
+
+    Every element's rule points, Jacobian and physical gradients are built
+    for the call, u and grad u are sampled on raveled points, and the sums
+    are four-operand ``einsum`` reductions.
+    """
+    ids = np.flatnonzero(mesh.element_class != INTERFACE)
+    if len(ids) == 0:
+        return 0.0, 0.0, 0.0
+    ref, w = _triangle_rule_reference(degree)
+    shapes = _cg_shape_values(k, ref)
+    grads_ref = _cg_shape_grads(k, ref)
+
+    coefs = x_all[dofmap.node_col[element_node_table(mesh, k)[ids]]]  # (ne, nl)
+    v0, j_mats = _element_jacobians(mesh, ids)
+    dets = np.abs(j_mats[:, 0, 0] * j_mats[:, 1, 1] - j_mats[:, 0, 1] * j_mats[:, 1, 0])
+    pts = v0[:, None, :] + ref[None, :, :] @ j_mats
+
+    uh = coefs @ shapes.T  # (ne, nq)
+    energy_sq = 0.0
+    l2_sq = 0.0
+    linf = 0.0
+    grad_uh = np.empty((len(ids), len(ref), 2))
+    for sel in _orientation_classes(j_mats):
+        jinv_t = np.linalg.inv(j_mats[sel[0]]).T  # rows of j_mats are edge vectors
+        g_phys = grads_ref @ jinv_t  # (nq, nl, 2)
+        grad_uh[sel] = np.einsum("el,qld->eqd", coefs[sel], g_phys)
+
+    for side in (OMEGA1, OMEGA2):
+        sel = np.flatnonzero(mesh.element_class[ids] == side)
+        if len(sel) == 0:
+            continue
+        x = pts[sel, :, 0].ravel()
+        y = pts[sel, :, 1].ravel()
+        ue = np.asarray(ms.u_side(x, y, side), float).reshape(len(sel), -1)
+        ge = np.asarray(ms.grad_side(x, y, side), float).reshape(len(sel), -1, 2)
+        diff = uh[sel] - ue
+        gdiff = grad_uh[sel] - ge
+        l2_sq += float(np.einsum("eq,q,e->", diff**2, w, dets[sel]))
+        energy_sq += float(np.einsum("eqd,eqd,q,e->", gdiff, gdiff, w, dets[sel]))
+        linf = max(linf, float(np.max(np.abs(diff))))
+    return energy_sq, l2_sq, linf
+
+
+def jacobi_cg(matrix, b: np.ndarray, tol: float = 1e-12, max_iter: int = 20000):
+    """Jacobi-preconditioned CG on CSC with a fresh vector per update: (x, iterations)."""
+    a = sp.csc_matrix(matrix)
+    inv_diag = 1.0 / a.diagonal()
+    x = np.zeros(len(b))
+    r = b.copy()
+    z = inv_diag * r
+    p = z.copy()
+    rz = float(r @ z)
+    bnorm = float(np.linalg.norm(b))
+    for it in range(1, max_iter + 1):
+        ap = a @ p
+        alpha = rz / float(p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        if np.linalg.norm(r) <= tol * bnorm:
+            return x, it
+        z = inv_diag * r
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    raise AssertionError(f"reference CG did not reach {tol} in {max_iter} iterations")
+
+
+def cg_element_stiffness(tri, k: int, a: float = 1.0, degree: int | None = None) -> np.ndarray:
+    """Single-element P_k stiffness block a * (grad psi_i, grad psi_j)_T."""
+    tri = np.asarray(tri, float)
+    if degree is None:
+        degree = 2 * k
+    ref, w = _triangle_rule_reference(degree)
+    jm = np.array([tri[1] - tri[0], tri[2] - tri[0]])
+    det = abs(jm[0, 0] * jm[1, 1] - jm[0, 1] * jm[1, 0])
+    g_phys = _cg_shape_grads(k, ref) @ np.linalg.inv(jm).T
+    return a * np.einsum("nid,n,njd->ij", g_phys, w * det, g_phys)

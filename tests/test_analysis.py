@@ -15,7 +15,7 @@ from iwgfem.assembly import build_ife_spaces
 from iwgfem.cli import run_level
 from iwgfem.geometry import OMEGA1, OMEGA2, CircleInterface
 from iwgfem.mesh import build_mesh
-from reference import triangle_rule
+from reference import noninterface_errors, triangle_rule
 
 
 class CircleFixture:
@@ -140,6 +140,22 @@ class TestErrorNorms:
         # Q_h u itself, nonzero but small; only the nodal CG part remains in
         # the total.
         assert errors["l2"] > 0.0
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_planned_noninterface_errors_match_the_einsum_reference(self, k):
+        # The plan's matmul and tensordot reductions sum in another order
+        # than the reference's einsums, so they agree to rounding.
+        from iwgfem.analysis import _noninterface_errors
+        from iwgfem.assembly import build_level_plan
+
+        ms = example1(1.0, 1000.0)
+        mesh = build_mesh(3, ms.interface)
+        plan = build_level_plan(mesh, k, ms.f)
+        x = np.random.default_rng(k).standard_normal(plan.dofmap.n_total)
+        got = _noninterface_errors(plan, plan.dofmap, x, ms)
+        want = noninterface_errors(mesh, plan.dofmap, x, ms, k, 2 * k + 4)
+        for g, w in zip(got, want):
+            assert w > 0.0 and abs(g - w) <= 1e-14 * w
 
     def test_patch_solution_has_zero_errors(self):
         ms = linear_solution(1.0, 2.0, -3.0)

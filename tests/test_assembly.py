@@ -19,7 +19,7 @@ from iwgfem.assembly import (
     assemble_system,
     build_dof_map,
     build_ife_spaces,
-    cg_element_stiffness,
+    build_level_plan,
     dump_matrix,
     element_node_table,
     routing_matrix,
@@ -27,6 +27,7 @@ from iwgfem.assembly import (
 from iwgfem.geometry import INTERFACE, OMEGA1, OMEGA2, CircleInterface
 from iwgfem.mesh import build_mesh
 from iwgfem.solver import solve
+from reference import cg_element_stiffness
 
 CIRCLE = CircleInterface()
 
@@ -58,7 +59,7 @@ class TestCgStiffness:
     def test_batched_matches_single(self):
         ms = example1(1.0, 10.0)
         mesh = build_mesh(1, CIRCLE)
-        cg = assemble_noninterface(mesh, 1, {OMEGA1: 1.0, OMEGA2: 10.0}, ms.f)
+        cg = assemble_noninterface(build_level_plan(mesh, 1, ms.f), {OMEGA1: 1.0, OMEGA2: 10.0})
         for idx in (0, 1, len(cg.elements) - 1):
             t = int(cg.elements[idx])
             a = 1.0 if mesh.element_class[t] == OMEGA1 else 10.0
@@ -237,13 +238,13 @@ class TestRoutingChecks:
     def test_blocks_out_of_routing_order_raise(self):
         ms = example1(1.0, 10.0)
         mesh = build_mesh(1, CIRCLE)
-        spaces = build_ife_spaces(mesh, 1, 1.0, 10.0)
-        dm = build_dof_map(mesh, 1)
-        cg = assemble_noninterface(mesh, 1, {OMEGA1: 1.0, OMEGA2: 10.0}, ms.f)
-        wg = assemble_interface(spaces, ms.f)
+        plan = build_level_plan(mesh, 1, ms.f)
+        spaces = build_ife_spaces(mesh, 1, 1.0, 10.0, geometries=plan.geometry)
+        cg = assemble_noninterface(plan, {OMEGA1: 1.0, OMEGA2: 10.0})
+        wg = assemble_interface(spaces, plan.moments)
         wg = WgBlocks(wg.elements[1:], wg.stiffness[1:], wg.load[1:])
         with pytest.raises(AssemblyError, match="element order"):
-            apply_constraints(mesh, dm, cg, wg, ms.g)
+            apply_constraints(mesh, plan.dofmap, cg, wg, ms.g)
 
 
 def _edge_lagrange_function(k, i, p0, p1):
@@ -274,7 +275,7 @@ def _reference_folded_system(mesh, k, spaces, ms, a1, a2):
     n, m, n_loc = dm.n_total, dm.m, dm.m + 3 * k
     kmat = np.zeros((n, n))
     rhs = np.zeros(n)
-    cg = assemble_noninterface(mesh, k, {OMEGA1: a1, OMEGA2: a2}, ms.f)
+    cg = assemble_noninterface(build_level_plan(mesh, k, ms.f, geometries=spaces.geometry), {OMEGA1: a1, OMEGA2: a2})
     for t, stiff, load in zip(cg.elements, cg.stiffness, cg.load):
         cols = dm.node_col[element_node_table(mesh, k)[t]]
         kmat[np.ix_(cols, cols)] += stiff
@@ -322,15 +323,38 @@ class TestFoldedSystem:
         assert np.all(system.matrix.data != 0.0)
 
 
+class TestLevelPlan:
+    def test_refuses_a_plan_for_another_mesh_degree_or_source(self):
+        ms = example1(1.0, 10.0)
+        mesh = build_mesh(1, CIRCLE)
+        plan = build_level_plan(mesh, 1, ms.f)
+        with pytest.raises(AssemblyError, match="another mesh"):
+            assemble_system(build_mesh(1, CIRCLE), 1, 1.0, 10.0, ms.f, ms.g, plan=plan)
+        with pytest.raises(AssemblyError, match="another k"):
+            assemble_system(mesh, 2, 1.0, 10.0, ms.f, ms.g, plan=plan)
+        with pytest.raises(AssemblyError, match="another source"):
+            assemble_system(mesh, 1, 1.0, 10.0, lambda x, y: ms.f(x, y), ms.g, plan=plan)
+
+    def test_shared_plan_gives_the_unplanned_system(self):
+        ms = example1(1.0, 10.0)
+        mesh = build_mesh(2, CIRCLE)
+        plan = build_level_plan(mesh, 2, ms.f)
+        for a2 in (10.0, 1000.0):
+            got, _ = assemble_system(mesh, 2, 1.0, a2, ms.f, ms.g, mode="arc", plan=plan)
+            want, _ = assemble_system(mesh, 2, 1.0, a2, ms.f, ms.g, mode="arc")
+            assert (got.matrix != want.matrix).nnz == 0
+            np.testing.assert_array_equal(got.rhs, want.rhs)
+
+
 class TestGlobalSystem:
     def test_zero_dirichlet_zero_lift(self):
         mesh = build_mesh(1, CIRCLE)
-        spaces = build_ife_spaces(mesh, 1, 1.0, 10.0)
-        dm = build_dof_map(mesh, 1)
         f = lambda x, y: np.zeros_like(np.asarray(x, float))
-        cg = assemble_noninterface(mesh, 1, {OMEGA1: 1.0, OMEGA2: 10.0}, f)
-        wg = assemble_interface(spaces, f)
-        system = apply_constraints(mesh, dm, cg, wg, lambda x, y: 0.0)
+        plan = build_level_plan(mesh, 1, f)
+        spaces = build_ife_spaces(mesh, 1, 1.0, 10.0, geometries=plan.geometry)
+        cg = assemble_noninterface(plan, {OMEGA1: 1.0, OMEGA2: 10.0})
+        wg = assemble_interface(spaces, plan.moments)
+        system = apply_constraints(mesh, plan.dofmap, cg, wg, lambda x, y: 0.0)
         assert np.all(system.pinned_values == 0.0)
         np.testing.assert_allclose(system.rhs, 0.0, atol=1e-15)
 

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import iwgfem.analysis
+import iwgfem.assembly
 from iwgfem.cli import (
     _KEY_TO_FIELD,
     RunConfig,
@@ -164,6 +166,48 @@ class TestRunStudy:
         assert (tmp_path / "matrix_k1_A1_1_level1.txt").exists()
 
 
+class TestLevelPlanSharing:
+    @staticmethod
+    def _study_calls(monkeypatch, module, name) -> list:
+        """The arguments of every call of ``module.name`` in a two-level, three-pair study."""
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        config = RunConfig(k=1, levels=(1, 2), pairs=((1.0, 1.0), (1.0, 10.0), (1.0, 1000.0)), n_level1=4)
+        assert run_study(config, log=lambda *a: None)[1] == 0
+        return calls
+
+    def test_source_sampled_at_most_twice_per_level(self, monkeypatch):
+        calls = self._study_calls(monkeypatch, iwgfem.analysis, "example1_source")
+        assert 0 < len(calls) <= 2 * 2
+
+    def test_dof_map_built_once_per_level(self, monkeypatch):
+        calls = self._study_calls(monkeypatch, iwgfem.assembly, "build_dof_map")
+        assert [mesh.n_cells for mesh, _ in calls] == [4, 8]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_csvs_do_not_depend_on_the_other_pairs_or_their_order(self, tmp_path, k):
+        pairs = ((1.0, 1.0), (1.0, 1000.0))
+
+        def csvs(name, study_pairs):
+            out = tmp_path / name
+            config = RunConfig(k=k, levels=(1, 2), pairs=study_pairs, n_level1=4, out_dir=str(out))
+            assert run_study(config, log=lambda *a: None)[1] == 0
+            return {p.name: p.read_bytes() for p in out.glob("convergence_*.csv")}
+
+        both = csvs("both", pairs)
+        assert csvs("reversed", pairs[::-1]) == both
+        alone = {}
+        for i, pair in enumerate(pairs):
+            alone.update(csvs(f"alone{i}", (pair,)))
+        assert alone == both and len(both) == 2
+
+
 class TestMain:
     def test_quick_invocation(self, tmp_path, capsys):
         code = main(
@@ -192,7 +236,7 @@ class TestMain:
         assert len(lines) == 2
         for level, line in zip((1, 2), lines):
             fields = dict(tok.split("=", 1) for tok in line.split())
-            assert list(fields) == ["level", "N", "cut", "quad_points", "mesh", "geometry"]
+            assert list(fields) == ["level", "N", "cut", "quad_points", "mesh", "geometry", "plan"]
             assert int(fields["level"]) == level and int(fields["N"]) == 4 * level
             # A chord splits a triangle into a triangle and a quadrilateral;
             # at depth 2 the arc adds 3 vertices to each, so the two fans have
@@ -201,6 +245,7 @@ class TestMain:
             assert cut > 0 and int(fields["quad_points"]) == cut * (4 + 5) * 25
             assert float(fields["mesh"].rstrip("s")) >= 0.0
             assert float(fields["geometry"].rstrip("s")) >= 0.0
+            assert float(fields["plan"].rstrip("s")) >= 0.0
 
     def test_bad_flag_value(self):
         assert main(["--k", "7"]) == 2
@@ -209,6 +254,23 @@ class TestMain:
         path = tmp_path / "bad.cfg"
         path.write_text("nonsense\n")
         assert main(["--config", str(path)]) == 2
+
+    def test_missing_config_file_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "no" / "such.cfg"
+        assert main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(path) in err
+
+    def test_overflowing_contrast_fails_the_pair_with_a_typed_error(self, capsys):
+        # A1 / A2 overflows, so the chord-space basis is not finite: the pair
+        # is logged as failed, naming the element, and the study goes on.
+        with np.errstate(all="ignore"):
+            code = main(["--levels", "1", "--coeffs", "1e308,1e-308;1,1", "--n-level1", "4"])
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        (failed,) = [l for l in lines if l.startswith("FAILED")]
+        assert "level=1: null basis or its Gram not finite on element " in failed
+        assert any(l.startswith("k=1 (A1,A2)=(1,1) level=1") for l in lines)
 
     @pytest.mark.parametrize(
         "argv, message",

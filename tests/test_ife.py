@@ -329,6 +329,21 @@ class TestBatchFailuresNameTheElement:
         with pytest.raises(SingularGram, match=f"on element {three_cuts[1].element_id}$"):
             build_local_spaces(bad, 1.0, 10.0, mode)
 
+    def test_non_finite_gram(self, three_cuts):
+        # A contrast whose ratio overflows on the base side (side 2 on all
+        # three) makes the segment basis non-finite; the failure is typed and
+        # names the first element instead of leaving eigvalsh to raise.
+        geometry = build_cut_geometry(three_cuts, 1)
+        assert not geometry.base_is_1.any()
+        with np.errstate(all="ignore"), pytest.raises(
+            SingularGram, match=f"not finite on element {three_cuts[0].element_id}$"
+        ):
+            build_local_spaces(geometry, 1e-308, 1e308, "segment")
+        mass = geometry.mass.copy()
+        mass[1] = np.nan
+        with pytest.raises(SingularGram, match=f"not finite on element {three_cuts[1].element_id}$"):
+            build_local_spaces(_doctored(geometry, mass=mass), 1.0, 10.0, "segment")
+
     @pytest.mark.parametrize("k, mode", [(1, "segment"), (2, "arc")])
     def test_ill_conditioned_warning(self, three_cuts, k, mode):
         # Shrinking every non-constant monomial's scale in the mass matrices
@@ -563,7 +578,7 @@ class TestLoadVector:
     def test_constant_source_pairs_with_constant_mode(self):
         cut = compute_cut(TRI, CIRCLE)
         space = construct_ife_basis(cut, 1.0, 10.0, 1)
-        (l,) = space.spaces.moments(np.ones(len(space.geometry.rule_weights)))
+        (l,) = space.spaces.moments(space.geometry.monomial_moments(np.ones(len(space.geometry.rule_weights))))
         # (1, phi_0) = |T|^(1/2) for the normalized constant; others vanish.
         area = measure(space.rules[OMEGA1]) + measure(space.rules[OMEGA2])
         assert l[0] == pytest.approx(math.sqrt(area), rel=1e-12)

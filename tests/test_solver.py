@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from iwgfem.analysis import example1
 from iwgfem.assembly import assemble_system
 from iwgfem.mesh import build_mesh
+from reference import jacobi_cg
 from iwgfem.solver import (
     NoConvergence,
     NotPositiveDefinite,
@@ -56,6 +57,33 @@ class TestSolve:
         )
         assert np.max(np.abs(x_direct - x_cg)) < 1e-9
         assert stats.iterations > 0
+
+    def test_in_place_cg_matches_the_allocating_loop(self):
+        # The in-place updates and the CSR matvec do the reference's
+        # arithmetic in the same order, so the iterates agree bit for bit.
+        ms = example1(1.0, 1000.0)
+        mesh = build_mesh(1, ms.interface, n_override=16)
+        system, _ = assemble_system(mesh, 2, 1.0, 1000.0, ms.f, ms.g, mode="arc")
+        x, stats = solve(system.matrix, system.rhs, SolverConfig(method="cg"))
+        x_ref, iters = jacobi_cg(system.matrix, system.rhs)
+        assert stats.iterations == iters > 0
+        np.testing.assert_array_equal(x, x_ref)
+
+    def test_cg_sorts_a_non_canonical_matrix(self):
+        rng = np.random.default_rng(3)
+        b_mat = rng.standard_normal((20, 20))
+        a = sp.csr_matrix(b_mat @ b_mat.T + 20 * np.eye(20))
+        b = rng.standard_normal(20)
+        shuffled = a.copy()
+        for i in range(20):
+            row = slice(shuffled.indptr[i], shuffled.indptr[i + 1])
+            order = rng.permutation(row.stop - row.start)
+            shuffled.indices[row] = shuffled.indices[row][order]
+            shuffled.data[row] = shuffled.data[row][order]
+        shuffled.has_sorted_indices = False
+        x, _ = solve(shuffled, b, SolverConfig(method="cg"))
+        np.testing.assert_array_equal(x, solve(a, b, SolverConfig(method="cg"))[0])
+        assert not shuffled.has_sorted_indices  # the caller's matrix is left as it was
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
