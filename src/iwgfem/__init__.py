@@ -11,7 +11,7 @@ from iwgfem.analysis import ConvergenceReport, ManufacturedSolution, compute_err
 from iwgfem.assembly import assemble_system, build_dof_map, build_ife_spaces
 from iwgfem.geometry import CircleInterface, classify_element, compute_cut
 from iwgfem.ife import construct_ife_basis
-from iwgfem.mesh import MeshPartition, build_mesh, edge_sets
+from iwgfem.mesh import MeshPartition, build_mesh
 from iwgfem.solver import SolverConfig, solve
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "compute_cut",
     "compute_errors",
     "construct_ife_basis",
-    "edge_sets",
     "example1",
     "run_level",
     "run_study",

@@ -9,8 +9,9 @@ The energy error evaluates the broken norm
 the L2 error integrates e_0 = u - u_h on non-interface elements and
 Q_0 u - u_0 on interface elements, and the max error samples |u - u_h| at
 the error-quadrature points (interior function on interface elements). On
-the interface elements u is sampled once on the packed cut-cell rule points
-and once on the edge points, and the sums are reduced per segment.
+the interface elements each side's u is sampled once on that side's packed
+cut-cell rule points, u once on the edge points, and the sums are reduced
+per segment.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def _interface_errors(dofmap: DofMap, spaces: IfeSpaces, x_all, ms):
     geometry = spaces.geometry
     # Every interface element's local dofs at once, row blocks in P's order.
     locs = (dofmap.P @ x_all).reshape(spaces.stiffness.shape[:2])
-    ue = sample(ms.u, geometry.rule_points)  # shared by Q_0 u and the max norm
+    ue = geometry.sample_sides(ms.u_side)  # shared by Q_0 u and the max norm
     q0 = spaces.project_interior(ue)
     qb = spaces.project_traces(sample(ms.u, geometry.edge_points))
     q_h = np.concatenate([q0, qb.reshape(len(q0), 3 * geometry.k)], axis=1)
@@ -231,7 +232,7 @@ def interpolation_errors(
     x_cols[dofmap.node_col[valid]] = x_nodal[valid]
     e_grad_sq, _, _ = _noninterface_errors(plan, dofmap, x_cols, ms)
 
-    ue = sample(ms.u, spaces.geometry.rule_points)
+    ue = spaces.geometry.sample_sides(ms.u_side)
     diff = spaces.interior_values(spaces.project_interior(ue))
     diff -= ue
     q0_sq = float(spaces.geometry.rule_weights @ diff**2)

@@ -463,7 +463,7 @@ def subregion_polygon(cut: ElementCut, side: int, depth: int) -> np.ndarray:
         return poly
     # poly starts at one chord endpoint and ends at the other; the closing
     # edge (last -> first) is the chord. Insert the interior arc points there.
-    return np.vstack([poly, _arc_interiors([cut], poly[-1:], poly[:1], 2**depth - 1)[0]])
+    return np.vstack([poly, _arc_interiors([cut], poly[-1:], poly[:1], _arc_count(depth))[0]])
 
 
 def _arc_interiors(cuts, a: np.ndarray, b: np.ndarray, n_in: int) -> np.ndarray:
@@ -508,6 +508,36 @@ def quadrature_on_subregion(
 # Sub-polygons fanned and mapped per batch. It bounds the batch temporaries:
 # the mapped points of 64 depth-6 sub-polygons take 1.7 MB at k = 2.
 FAN_BATCH = 64
+# Depth of the packed fan rules. A deeper cut keeps its depth-2 rule's points
+# and fits the weights to its own depth's moments (ife._fit_moments).
+RULE_DEPTH = 2
+
+
+def _arc_count(depth: int) -> int:
+    """Interior points of the arc polyline of ``depth``, which has 2**depth chords."""
+    return 2**depth - 1 if depth > 0 else 0
+
+
+def _polygon_batches(sides):
+    """Sub-polygons of cut sides in batches of equal vertex count, FAN_BATCH at a time.
+
+    ``sides`` lists (cut, side index 0 or 1, depth). Yields the indices into
+    ``sides`` of a batch, its vertices (g, v, 2) as ``subregion_polygon``
+    builds them, and the number of leading chord-split vertices.
+    """
+    polys = [cut.poly1 if s == 0 else cut.poly2 for cut, s, _ in sides]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for p, (poly, (_, _, depth)) in enumerate(zip(polys, sides)):
+        groups.setdefault((len(poly), _arc_count(depth)), []).append(p)
+    for (n_poly, n_in), members in groups.items():
+        for start in range(0, len(members), FAN_BATCH):
+            ps = np.array(members[start : start + FAN_BATCH])
+            verts = np.empty((len(ps), n_poly + n_in, 2))
+            verts[:, :n_poly] = [polys[p] for p in ps]
+            if n_in:
+                ends = verts[:, n_poly - 1], verts[:, 0]
+                verts[:, n_poly:] = _arc_interiors([sides[p][0] for p in ps], *ends, n_in)
+            yield ps, verts, n_poly
 
 
 def pack_subregion_rules(cuts, degree: int):
@@ -515,43 +545,80 @@ def pack_subregion_rules(cuts, degree: int):
 
     Returns (offsets, points, weights): segment 2 i + s, from ``offsets[2i + s]``
     to ``offsets[2i + s + 1]``, is ``quadrature_on_subregion(cuts[i], side s,
-    degree)`` bit for bit, at each cut's own depth. A fan of v vertices has
-    v - 2 triangles, so the sizes come from the vertex counts. The sub-polygons
-    are built, fanned and mapped in batches of equal vertex count; the few that
-    no single fan covers, or whose fan fails the tiling check, take the
-    per-polygon path, which tries two fans and names the element and side of
-    a failure.
+    degree, depth)`` bit for bit, at each cut's own depth capped at
+    RULE_DEPTH. A fan of v vertices has v - 2 triangles, so the sizes come
+    from the vertex counts. The sub-polygons are built, fanned and mapped in
+    batches of equal vertex count; the few that no single fan covers, or
+    whose fan fails the tiling check, take the per-polygon path, which tries
+    two fans and names the element and side of a failure.
     """
     ref_pts, ref_w = _triangle_rule_reference(degree)
-    polys = [(i, s, cut.poly1 if s == 0 else cut.poly2) for i, cut in enumerate(cuts) for s in (0, 1)]
-    n_arc = [2 ** cuts[i].depth - 1 if cuts[i].depth > 0 else 0 for i, _, _ in polys]
-    n_vert = np.array([len(poly) + a for (_, _, poly), a in zip(polys, n_arc)], dtype=np.int64)
-    offsets = np.zeros(len(polys) + 1, dtype=np.int64)
+    sides = [(cut, s, min(cut.depth, RULE_DEPTH)) for cut in cuts for s in (0, 1)]
+    n_vert = np.array([len(c.poly1 if s == 0 else c.poly2) + _arc_count(d) for c, s, d in sides], np.int64)
+    offsets = np.zeros(len(sides) + 1, dtype=np.int64)
     offsets[1:] = np.cumsum((n_vert - 2) * len(ref_w))
     points = np.empty((offsets[-1], 2))
     weights = np.empty(offsets[-1])
-
-    groups: dict[tuple[int, int], list[int]] = {}
-    for p, (_, _, poly) in enumerate(polys):
-        groups.setdefault((len(poly), n_arc[p]), []).append(p)
-    for (n_poly, n_in), members in groups.items():
-        for start in range(0, len(members), FAN_BATCH):
-            ps = np.array(members[start : start + FAN_BATCH])
-            verts = np.empty((len(ps), n_poly + n_in, 2))
-            verts[:, :n_poly] = [polys[p][2] for p in ps]
-            if n_in:
-                ends = verts[:, n_poly - 1], verts[:, 0]
-                verts[:, n_poly:] = _arc_interiors([cuts[polys[p][0]] for p in ps], *ends, n_in)
-            fan = _single_fans(verts, n_poly)
-            good = fan >= 0
-            pts, w = _mapped_rule(verts[good], _fans(fan[good], verts.shape[1]), ref_pts, ref_w)
-            for p, seg_pts, seg_w in zip(ps[good], pts, w):
-                points[offsets[p] : offsets[p + 1]], weights[offsets[p] : offsets[p + 1]] = seg_pts, seg_w
-            for p in ps[~good]:
-                i, s, _ = polys[p]
-                rule = quadrature_on_subregion(cuts[i], (OMEGA1, OMEGA2)[s], degree)
-                points[offsets[p] : offsets[p + 1]], weights[offsets[p] : offsets[p + 1]] = rule.points, rule.weights
+    for ps, verts, n_poly in _polygon_batches(sides):
+        fan = _single_fans(verts, n_poly)
+        good = fan >= 0
+        pts, w = _mapped_rule(verts[good], _fans(fan[good], verts.shape[1]), ref_pts, ref_w)
+        for p, seg_pts, seg_w in zip(ps[good], pts, w):
+            points[offsets[p] : offsets[p + 1]], weights[offsets[p] : offsets[p + 1]] = seg_pts, seg_w
+        for p in ps[~good]:
+            cut, s, depth = sides[p]
+            rule = quadrature_on_subregion(cut, (OMEGA1, OMEGA2)[s], degree, depth)
+            points[offsets[p] : offsets[p + 1]], weights[offsets[p] : offsets[p + 1]] = rule.points, rule.weights
     return offsets, points, weights
+
+
+def legendre_table(x, n: int) -> np.ndarray:
+    """Legendre polynomials P_0 .. P_n at x, shape x.shape + (n + 1,), C-contiguous.
+
+    The recurrence runs on contiguous planes; the layout of the result does
+    not depend on the batch size, so neither do the products taken from it.
+    """
+    x = np.asarray(x, float)
+    out = np.empty((n + 1,) + x.shape)
+    out[0] = 1.0
+    if n > 0:
+        out[1] = x
+    for j in range(1, n):
+        np.multiply((2 * j + 1) / (j + 1) * x, out[j], out=out[j + 1])
+        out[j + 1] -= j / (j + 1) * out[j - 1]
+    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
+
+
+def subregion_moments(sides, origin: np.ndarray, axes: np.ndarray, degree: int) -> np.ndarray:
+    """Legendre-product moments of cut sub-regions, exactly, from their boundaries.
+
+    ``sides`` lists (cut, side index 0 or 1, depth); the region is the side's
+    sub-polygon at that depth, as ``subregion_polygon`` builds it. Each has a
+    frame xi = (x - origin[j]) @ axes[j].T with a positive determinant.
+    Returns (g, degree + 1, degree + 1): entry [j, a, b] is the integral over
+    region j of P_a(xi_1) P_b(xi_2) dx, exact for a + b <= degree. By
+    Green's theorem it is the contour integral of F_a(xi_1) P_b(xi_2) dxi_2
+    over the frame's image of the polygon, F_a an antiderivative of P_a,
+    divided by the frame's determinant. A Gauss rule per edge integrates the
+    degree + 1 polynomial exactly, and each batch of polygons sums its
+    contour points in one matmul.
+    """
+    x_gauss, w_gauss = _gauss_legendre((degree + 3) // 2)
+    t, w_t = 0.5 * (x_gauss + 1.0), 0.5 * w_gauss
+    det = axes[:, 0, 0] * axes[:, 1, 1] - axes[:, 0, 1] * axes[:, 1, 0]
+    out = np.empty((len(sides), degree + 1, degree + 1))
+    for ps, verts, _ in _polygon_batches(sides):
+        xi = (verts - origin[ps, None, :]) @ axes[ps].swapaxes(-1, -2)  # (g, v, 2)
+        step = np.roll(xi, -1, axis=1) - xi
+        q = (xi[:, :, None, :] + t[:, None] * step[:, :, None, :]).reshape(len(ps), -1, 2)
+        p1 = legendre_table(q[..., 0], degree + 1)
+        # F_0 = P_1 and F_a = (P_a+1 - P_a-1) / (2a + 1).
+        odd = np.arange(3.0, 2 * degree + 2, 2)
+        anti = np.concatenate([p1[..., 1:2], (p1[..., 2:] - p1[..., :-2]) / odd], axis=-1)
+        p2 = legendre_table(q[..., 1], degree)
+        p2 *= (step[:, :, None, 1] * w_t).reshape(len(ps), -1, 1)
+        out[ps] = anti.swapaxes(-1, -2) @ p2
+    return out / det[:, None, None]
 
 
 def _single_fans(verts: np.ndarray, n_corners: int) -> np.ndarray:

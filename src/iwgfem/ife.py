@@ -26,6 +26,8 @@ from those stacks with batched ``np.linalg`` calls.
 The geometry packs the sub-region rules of all cut elements into one point
 array; loads, projections and errors sample a function once on it and reduce
 per segment, so the layout of the cut-cell quadrature is known here alone.
+Each side's rule is its depth-2 fan rule, with the weights of a deeper cut
+fitted to that depth's moments.
 """
 
 from __future__ import annotations
@@ -40,16 +42,20 @@ import numpy as np
 from iwgfem.geometry import (
     OMEGA1,
     OMEGA2,
+    RULE_DEPTH,
     CircleInterface,
     ElementCut,
+    GeometryError,
     MultipleCrossings,
     QuadratureRule,
     _gauss_legendre,
     _reversed,
     canonical_edges,
+    legendre_table,
     pack_subregion_rules,
     polygon_area,
     segment_crossings,
+    subregion_moments,
 )
 
 
@@ -134,13 +140,7 @@ class PolyBasis:
 def _legendre_values(xi, ell, k: int) -> np.ndarray:
     """Legendre P_0..P_{k-1} at xi in [-1, 1], scaled to unit arc-length norm
     on segments of length ell (broadcast against xi); shape (..., k)."""
-    return np.stack(
-        [
-            np.polynomial.legendre.legval(xi, [0.0] * i + [1.0]) * np.sqrt((2 * i + 1) / ell)
-            for i in range(k)
-        ],
-        axis=-1,
-    )
+    return legendre_table(xi, k - 1) * np.sqrt((2 * np.arange(k) + 1) / np.asarray(ell)[..., None])
 
 
 def sample(f, pts) -> np.ndarray:
@@ -217,7 +217,11 @@ class CutGeometry(Mapping):
     side 2, and segment 2 i + s spans ``rule_offsets[2i + s]`` to
     ``rule_offsets[2i + s + 1]``. No segment is empty, which the segment
     sums (``np.add.reduceat``) rely on. The Vandermonde is stored by monomial
-    so that each segment sum streams one contiguous row.
+    so that each segment sum streams one contiguous row. A segment holds the
+    fan rule of its side's depth-2 polygon; for a deeper cut its weights are
+    fitted to the moments of the cut's own depth (``_fit_moments``), so its
+    points may lie across the circle, in the lens between the arc and the
+    depth-2 polyline.
 
     The edge arrays cover each local edge with one Gauss piece on either side
     of the interface crossing, Q = 2 (k + 3) points per edge; an edge the
@@ -270,6 +274,19 @@ class CutGeometry(Mapping):
             sums[:, j] = np.add.reduceat(term, self.rule_offsets[:-1])
         return sums.reshape(len(self), 2 * self.m)
 
+    def sample_sides(self, u_side) -> np.ndarray:
+        """(P,): u_side(x, y, side) at the packed points, each segment on its own side.
+
+        A point of a side's rule may lie across the circle (in the lens
+        between the arc and its polyline); it still samples its side.
+        """
+        on_1 = np.repeat(np.tile([True, False], len(self)), np.diff(self.rule_offsets))
+        out = np.empty(len(self.rule_weights))
+        for side, mask in ((OMEGA1, on_1), (OMEGA2, ~on_1)):
+            pts = self.rule_points[mask]
+            out[mask] = u_side(pts[:, 0], pts[:, 1], side)
+        return out
+
     def monomial_values(self, coeffs: np.ndarray) -> np.ndarray:
         """(P,) values at the packed points of per-side monomial coefficients (n, 2m)."""
         per_segment = coeffs.reshape(2 * len(self), self.m)
@@ -282,10 +299,102 @@ class CutGeometry(Mapping):
         return out
 
 
+# Packed segments processed per batch. It bounds the temporaries: the fit's
+# Legendre products of 256 segments of 125 points take 11.5 MB at k = 2.
+SEGMENT_BATCH = 256
+
+
+def _segment_batches(offsets: np.ndarray, segs: np.ndarray):
+    """Segments ``segs`` of a packed rule in batches of equal size.
+
+    Yields the batch and its point indices (g, size).
+    """
+    sizes = offsets[segs + 1] - offsets[segs]
+    for size in np.unique(sizes).tolist():
+        same = segs[sizes == size]
+        for start in range(0, len(same), SEGMENT_BATCH):
+            batch = same[start : start + SEGMENT_BATCH]
+            yield batch, offsets[batch][:, None] + np.arange(size)
+
+
+def _fit_moments(cuts, offsets: np.ndarray, points: np.ndarray, weights: np.ndarray, degree: int) -> None:
+    """Correct in place the packed weights of every cut deeper than RULE_DEPTH.
+
+    The moment fitting of Mueller, Kummer & Oberlack (IJNME 96, 2013): a
+    side's depth-2 fan rule, points x_p and weights W0, gets the weights
+    w = W0 + sqrt(W0) Q R^-T r of least weighted change that reproduce the
+    moments of its cut-depth region, where sqrt(W0) V = Q R and r is those
+    moments minus the fan rule's. V holds the Legendre products P_a P_b,
+    a + b <= ``degree``, in the side's principal-axis frame scaled to its
+    points, which keeps R far better conditioned than monomials would; the
+    moments come exactly from the region's boundary (``subregion_moments``).
+    Q is applied from its Householder reflectors and never formed; the
+    seminormal form sqrt(W0) V R^-1 R^-T r loses the moments on sliver sides,
+    where cond(R) reaches 1e16 at k = 2.
+    """
+    deep = [2 * i + s for i, cut in enumerate(cuts) if cut.depth > RULE_DEPTH for s in (0, 1)]
+    ex, ey = _monomial_exponents(degree).T
+    for batch, idx in _segment_batches(offsets, np.array(deep, np.int64)):
+        w0, root = weights[idx], np.sqrt(weights[idx])
+        origin = (w0[:, None, :] @ points[idx])[:, 0] / w0.sum(axis=1)[:, None]
+        rel = points[idx] - origin[:, None]
+        axes = _tr(np.linalg.eigh(_tr(rel) @ (w0[..., None] * rel))[1])  # rows: the principal axes
+        axes[axes[:, 0, 0] * axes[:, 1, 1] < axes[:, 0, 1] * axes[:, 1, 0], 0] *= -1.0  # det > 0
+        xi = rel @ _tr(axes)
+        scale = np.abs(xi).max(axis=1)
+        axes /= scale[..., None]
+        lx = legendre_table(xi[..., 0] / scale[:, None, 0], degree)
+        lx *= root[..., None]
+        ly = legendre_table(xi[..., 1] / scale[:, None, 1], degree)
+        scaled = lx[..., ex] * ly[..., ey]  # sqrt(W0) V = Q R
+        house, tau = np.linalg.qr(scaled, mode="raw")  # R^T is the lower triangle of house[..., :M]
+        sides = [(cuts[p // 2], p % 2, cuts[p // 2].depth) for p in batch.tolist()]
+        resid = subregion_moments(sides, origin, axes, degree)[:, ex, ey]
+        resid -= (root[:, None, :] @ scaled)[:, 0]
+        fitted = w0 + root * _apply_q(house, tau, _solve_lower(house[..., : len(ex)], resid))
+        bad = np.flatnonzero(~np.isfinite(fitted).all(axis=1))
+        if len(bad):
+            cut, side = cuts[batch[bad[0]] // 2], (OMEGA1, OMEGA2)[batch[bad[0]] % 2]
+            raise GeometryError(f"element {cut.element_id}, side {side}: singular moment fit")
+        weights[idx] = fitted
+
+
+def _solve_lower(low: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with L x = b for the lower triangles L of ``low`` (g, M, M), by forward substitution.
+
+    Column by column, elementwise, so each x does not depend on the batch
+    it is solved in. A zero pivot leaves x non-finite rather than raising
+    or warning.
+    """
+    x = b.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(x.shape[-1]):
+            x[:, j] /= low[:, j, j]
+            x[:, j + 1 :] -= low[:, j + 1 :, j] * x[:, j : j + 1]
+    return x
+
+
+def _apply_q(house: np.ndarray, tau: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Q [y; 0] for the stacked Householder QR factors ``np.linalg.qr(..., mode="raw")`` gives.
+
+    ``house`` (g, M, P) holds each reflector below the diagonal of the
+    transposed factor, with an implicit leading 1; Q = H_0 H_1 ... H_M-1.
+    """
+    g, m, size = house.shape
+    out = np.zeros((g, size))
+    out[:, :m] = y
+    for j in range(m - 1, -1, -1):
+        v = house[:, j, j:].copy()
+        v[:, 0] = 1.0
+        out[:, j:] -= (tau[:, j] * (v * out[:, j:]).sum(axis=1))[:, None] * v
+    return out
+
+
 def build_cut_geometry(cuts, k: int, quad_offset: int = 0) -> CutGeometry:
     """Pair-independent data of ``cuts`` (a sequence of ElementCut), stacked.
 
-    The sub-region rules are exact to degree 2k + 4 + ``quad_offset``. Each
+    The sub-region rules are exact to degree 2k + 4 + ``quad_offset`` on each
+    cut's depth-d polygon: fan rules up to depth 2, fitted beyond. Each
     local edge runs from its smaller (y, x) end, the orientation its two
     neighbours share, and its rule splits at the cut's crossing parameter.
     """
@@ -320,26 +429,28 @@ def build_cut_geometry(cuts, k: int, quad_offset: int = 0) -> CutGeometry:
 
     # The packed sub-region rules.
     offsets, rule_points, rule_weights = pack_subregion_rules(cuts, quad_degree)
+    _fit_moments(cuts, offsets, rule_points, rule_weights, quad_degree)
     # A chord splits a triangle into a triangle and a quadrilateral; the
     # triangle's last vertex repeated adds an exact zero to its shoelace sum.
     corners = np.array([[c.poly1, c.poly2][s][[0, 1, 2, -1]] for c in cuts for s in (0, 1)]).reshape(n, 2, 4, 2)
     area = polygon_area(corners)
     base_is_1 = area[:, 0] >= area[:, 1]
 
-    # The Vandermonde and the mass matrices, one element at a time so that
-    # no more than one segment's monomials are held twice; each element's
-    # rules are views of the packed arrays.
+    # The Vandermonde and the mass matrices, in batches of equal segment size;
+    # each element's rules are views of the packed arrays.
     rule_vander = np.empty((m, offsets[-1]))
-    mass = np.empty((n, 2, m, m))
+    mass = np.empty((2 * n, m, m))
+    for batch, idx in _segment_batches(offsets, np.arange(2 * n)):
+        i = batch // 2
+        v = poly.eval((rule_points[idx] - x_ref[i, None]) @ _tr(f_mat[i]))
+        rule_vander[:, idx] = v.transpose(2, 0, 1)
+        mass[batch] = _tr(v) @ (rule_weights[idx][..., None] * v)
+    mass = mass.reshape(n, 2, m, m)
     points = []
     for i, cut in enumerate(cuts):
-        rules = {}
-        for s, side in enumerate((OMEGA1, OMEGA2)):
-            seg = slice(offsets[2 * i + s], offsets[2 * i + s + 1])
-            v = poly.eval((rule_points[seg] - x_ref[i]) @ f_mat[i].T)
-            rule_vander[:, seg] = v.T
-            mass[i, s] = v.T @ (rule_weights[seg][:, None] * v)
-            rules[side] = QuadratureRule(rule_points[seg], rule_weights[seg], quad_degree)
+        segs = slice(*offsets[2 * i : 2 * i + 2]), slice(*offsets[2 * i + 1 : 2 * i + 3])
+        rules = {side: QuadratureRule(rule_points[seg], rule_weights[seg], quad_degree)
+                 for side, seg in zip((OMEGA1, OMEGA2), segs)}
         points.append(CutPoints(cut, rules))
 
     # f_mat = [t; n] / h with t, n orthonormal, so the physical gradient Gram
@@ -586,21 +697,24 @@ def _constraint_matrix(geometry: CutGeometry, a1: float, a2: float, mode: str) -
     k = geometry.k
     values, normals = geometry.constraint_rows[mode]
     lap = np.broadcast_to(PolyBasis(k).laplacian(np.zeros((k - 1, 2))), (len(values), k - 1, geometry.m))
-    rows = np.concatenate(
-        [
-            np.concatenate([values, -values], axis=2),
-            np.concatenate([a1 * normals, -a2 * normals], axis=2),
-            np.concatenate([a1 * lap, -a2 * lap], axis=2),
-        ],
-        axis=1,
-    )
-    norms = np.linalg.norm(rows, axis=2)
-    zero = np.flatnonzero(np.any(norms == 0.0, axis=1))
-    if len(zero):
-        raise RankDeficient(
-            f"zero constraint row on element {geometry.elements[zero[0]]}; degenerate cut geometry"
+    # An overflowing contrast leaves rows of inf and NaN; the Gram check in
+    # build_local_spaces names the element, so numpy need not warn here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.concatenate(
+            [
+                np.concatenate([values, -values], axis=2),
+                np.concatenate([a1 * normals, -a2 * normals], axis=2),
+                np.concatenate([a1 * lap, -a2 * lap], axis=2),
+            ],
+            axis=1,
         )
-    return rows / norms[..., None]
+        norms = np.linalg.norm(rows, axis=2)
+        zero = np.flatnonzero(np.any(norms == 0.0, axis=1))
+        if len(zero):
+            raise RankDeficient(
+                f"zero constraint row on element {geometry.elements[zero[0]]}; degenerate cut geometry"
+            )
+        return rows / norms[..., None]
 
 
 def _null_space(constraints: np.ndarray, elements: np.ndarray) -> np.ndarray:
@@ -699,8 +813,9 @@ def build_local_spaces(geometry: CutGeometry, a1: float, a2: float, mode: str = 
         null = _segment_null_basis(geometry.base_is_1, a1, a2, k)
     else:
         null = _null_space(constraints, elements)
-    null = null / np.linalg.norm(null, axis=1, keepdims=True)
-    gram_null = pair_mass(null, null)
+    with np.errstate(over="ignore", invalid="ignore"):
+        null = null / np.linalg.norm(null, axis=1, keepdims=True)
+        gram_null = pair_mass(null, null)
     bad = np.flatnonzero(~np.isfinite(gram_null).all(axis=(1, 2)))
     if len(bad):
         # An overflowing contrast (a1 / a2 beyond the float range) leaves the

@@ -186,21 +186,6 @@ def _classify(vertices, triangles, edges, tri_edges, interface, depth):
     return element_class, cuts
 
 
-def edge_sets(mesh: MeshPartition):
-    """Return (E_h, E_h^I, boundary) edge-id arrays.
-
-    E_h collects every edge of an interface element; E_h^I is its subset of
-    edges shared with a non-interface element; boundary lists all edges on
-    the domain boundary.
-    """
-    eh = np.flatnonzero(
-        (mesh.edge_class == EDGE_WG_INTERIOR) | (mesh.edge_class == EDGE_COUPLING)
-    )
-    ehi = np.flatnonzero(mesh.edge_class == EDGE_COUPLING)
-    boundary = mesh.boundary_edges()
-    return eh, ehi, boundary
-
-
 def dump_mesh(mesh: MeshPartition, path) -> None:
     """Plain-text listing: one record per node, element and edge."""
     class_names = {INTERFACE: "interface", OMEGA1: "omega1", OMEGA2: "omega2"}

@@ -3,9 +3,9 @@
 Nothing in ``src/iwgfem`` calls these. They are the straightforward forms of
 what the solver computes in batches or in place: the scalar circle-segment
 root solver, the loop-built mesh, Gauss rules on segments and triangles,
-plain sums over quadrature rules, one element's CG stiffness, the
-non-interface errors summed with ``einsum`` on freshly mapped points, and
-Jacobi-CG with allocating updates.
+plain sums over quadrature rules, one element's CG stiffness, the edge
+sets of the interface elements, the non-interface errors summed with
+``einsum`` on freshly mapped points, and Jacobi-CG with allocating updates.
 """
 
 from __future__ import annotations
@@ -355,3 +355,18 @@ def cg_element_stiffness(tri, k: int, a: float = 1.0, degree: int | None = None)
     det = abs(jm[0, 0] * jm[1, 1] - jm[0, 1] * jm[1, 0])
     g_phys = _cg_shape_grads(k, ref) @ np.linalg.inv(jm).T
     return a * np.einsum("nid,n,njd->ij", g_phys, w * det, g_phys)
+
+
+def edge_sets(mesh: MeshPartition):
+    """Return (E_h, E_h^I, boundary) edge-id arrays.
+
+    E_h collects every edge of an interface element; E_h^I is its subset of
+    edges shared with a non-interface element; boundary lists all edges on
+    the domain boundary.
+    """
+    eh = np.flatnonzero(
+        (mesh.edge_class == EDGE_WG_INTERIOR) | (mesh.edge_class == EDGE_COUPLING)
+    )
+    ehi = np.flatnonzero(mesh.edge_class == EDGE_COUPLING)
+    boundary = mesh.boundary_edges()
+    return eh, ehi, boundary

@@ -121,8 +121,7 @@ class TestErrorNorms:
         x = np.zeros(dm.n_total)
         valid = dm.node_col >= 0
         x[dm.node_col[valid]] = ms.u(dm.node_coords[valid, 0], dm.node_coords[valid, 1])
-        pts = spaces.geometry.rule_points
-        for t, q0 in zip(spaces, spaces.project_interior(ms.u(pts[:, 0], pts[:, 1]))):
+        for t, q0 in zip(spaces, spaces.project_interior(spaces.geometry.sample_sides(ms.u_side))):
             x[dm.wg0_col[t] + np.arange(dm.m)] = q0
         for e in np.flatnonzero(dm.trace_col >= 0):
             a, b = mesh.edges[e]

@@ -3,6 +3,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +272,17 @@ class TestMain:
         (failed,) = [l for l in lines if l.startswith("FAILED")]
         assert "level=1: null basis or its Gram not finite on element " in failed
         assert any(l.startswith("k=1 (A1,A2)=(1,1) level=1") for l in lines)
+
+    def test_overflowing_contrast_fails_without_runtime_warnings(self, capsys):
+        # Under numpy's default error state the overflow and the NaNs it
+        # leaves are expected, so the FAILED line is all the run prints.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--levels", "1", "--coeffs", "1e308,1e-308", "--n-level1", "8"])
+        assert code == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        (failed,) = [l for l in capsys.readouterr().out.splitlines() if l.startswith("FAILED")]
+        assert failed.endswith("level=1: null basis or its Gram not finite on element 36")
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -36,6 +36,18 @@ from reference import (
 CIRCLE = CircleInterface()  # x^2 + y^2 = 1/3
 
 
+# A circle of radius r centred at (1 - r) (u, v), so it stays inside [-1, 1]^2.
+OFF_CENTRE = dict(
+    radius=st.floats(min_value=0.05, max_value=0.9),
+    u=st.floats(min_value=-1.0, max_value=1.0),
+    v=st.floats(min_value=-1.0, max_value=1.0),
+)
+
+
+def off_centre_circle(radius, u, v) -> CircleInterface:
+    return CircleInterface(((1.0 - radius) * u, (1.0 - radius) * v), radius**2)
+
+
 def polygon_monomial_integral(vertices, a, b):
     """Independent oracle: integral of x^a y^b over a polygon via Green's theorem.
 
@@ -292,15 +304,10 @@ class TestSegmentCrossings:
         assert all(from_smaller_end(p, q)[0] is p for p, q in ends)
 
     @settings(deadline=None, max_examples=30)
-    @given(
-        radius=st.floats(min_value=0.05, max_value=0.9),
-        u=st.floats(min_value=-1.0, max_value=1.0),
-        v=st.floats(min_value=-1.0, max_value=1.0),
-        n=st.integers(min_value=2, max_value=64),
-    )
+    @given(**OFF_CENTRE, n=st.integers(min_value=2, max_value=64))
     @example(radius=0.5, u=0.0, v=2.225073858507e-311, n=8)
     def test_off_centre_circles_equal_scalar_reference(self, radius, u, v, n):
-        circle = CircleInterface(((1.0 - radius) * u, (1.0 - radius) * v), radius**2)
+        circle = off_centre_circle(radius, u, v)
         assert_equal_to_scalar_reference(near_band_edges(build_mesh(1, None, n_override=n), circle), circle)
 
     @settings(deadline=None, max_examples=60)
@@ -417,13 +424,7 @@ class TestFanTriangulation:
         assert "not covered by one or two vertex fans" in message
 
     @settings(deadline=None, max_examples=25)
-    @given(
-        radius=st.floats(min_value=0.05, max_value=0.9),
-        u=st.floats(min_value=-1.0, max_value=1.0),
-        v=st.floats(min_value=-1.0, max_value=1.0),
-        n=st.integers(min_value=8, max_value=128),
-        depth=st.sampled_from([0, 4, 6]),
-    )
+    @given(**OFF_CENTRE, n=st.integers(min_value=8, max_value=128), depth=st.sampled_from([0, 4, 6]))
     # A subnormal centre coordinate overflowed the old root pre-test.
     @example(radius=0.5, u=0.0, v=2.225073858507e-311, n=8, depth=0)
     # A side-1 sub-polygon of area 2e-14 next to a vertex, whose first fan
@@ -433,7 +434,7 @@ class TestFanTriangulation:
         # The circle stays inside [-1,1]^2. A mesh too coarse for it may fail
         # to build, but only with a typed GeometryError; numpy warnings
         # become errors, so a silent NaN cannot pass either.
-        circle = CircleInterface(((1.0 - radius) * u, (1.0 - radius) * v), radius**2)
+        circle = off_centre_circle(radius, u, v)
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             try:
                 mesh = build_mesh(1, circle, depth=depth, n_override=n)

@@ -270,8 +270,9 @@ class TestPerPointDataStaysInGeometry:
 
     @pytest.mark.parametrize("k, mode", [(1, "segment"), (2, "arc")])
     def test_space_arrays_do_not_grow_with_depth(self, k, mode):
-        # The rule has many more points at depth 6 than at depth 2; only the
-        # geometry's packed rule and monomial values may carry them.
+        # The rule has more points at depth 6 (its depth-2 fan rule, fitted)
+        # than at depth 0; only the geometry's packed rule and monomial
+        # values may carry them.
         import dataclasses
 
         def shapes(spaces):
@@ -290,7 +291,7 @@ class TestPerPointDataStaysInGeometry:
         def build(depth):
             return build_ife_spaces(build_mesh(2, CIRCLE, depth=depth), k, 1.0, 1000.0, mode=mode)
 
-        coarse, fine = build(2), build(6)
+        coarse, fine = build(0), build(6)
         assert shapes(fine) == shapes(coarse)
         n_points = lambda s: len(s.rules[OMEGA1].weights)
         assert all(n_points(fine[t]) > n_points(coarse[t]) for t in fine)

@@ -20,9 +20,8 @@ from iwgfem.mesh import (
     MeshPartition,
     build_mesh,
     dump_mesh,
-    edge_sets,
 )
-from reference import build_mesh_loops
+from reference import build_mesh_loops, edge_sets
 
 CIRCLE = CircleInterface()
 MESH_ARRAYS = ("vertices", "triangles", "edges", "edge_tris", "tri_edges", "element_class", "edge_class")
