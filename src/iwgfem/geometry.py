@@ -168,7 +168,6 @@ class QuadratureRule:
 
     points: np.ndarray  # (n, 2)
     weights: np.ndarray  # (n,)
-    exactness_degree: int
 
 
 @lru_cache(maxsize=None)
@@ -212,51 +211,19 @@ def polygon_area(vertices):
     return float(area) if area.ndim == 0 else area
 
 
-def triangulate_polygon(vertices) -> np.ndarray:
-    """Fan triangulation of a cut sub-polygon: (n - 2, 3) vertex indices.
-
-    Each triangle has the polygon's orientation. One fan serves when a vertex
-    sees every edge: the chord endpoint on the convex side of a cut, a
-    triangle vertex on the side the arc polyline dents. A thin sliver between
-    a triangle edge and a nearly tangent arc has no such vertex, but each end
-    of that edge sees past the middle of the arc, so two fans tile it.
-    """
-    v = np.asarray(vertices, float)
-    n = len(v)
-    if n < 3:
-        raise GeometryError("polygon needs at least 3 vertices")
-    local, cross, area = _fan_tests(v)
-    tol = -1e-12 * 2.0 * area
-    # The first vertex whose triangles all have positive area, else the first
-    # with no negative triangle, else the least negative one.
-    positive = _positive_fans(cross)
-    worst = cross.min(axis=1)
-    c = int(np.argmax(positive)) if positive.any() else int(np.argmax(worst))
-    tris = _fans(c, n) if worst[c] >= tol else _two_fans(cross >= tol)
-    # Sanity: the pieces must tile the polygon.
-    ax, ay = local[tris[:, 0], 0], local[tris[:, 0], 1]
-    bx, by = local[tris[:, 1], 0], local[tris[:, 1], 1]
-    cx, cy = local[tris[:, 2], 0], local[tris[:, 2], 1]
-    total = float(np.sum(np.abs(0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)))))
-    if not _tiles(total, area):
-        raise GeometryError("triangulation does not tile the polygon")
-    return tris
-
-
-def _fan_tests(verts: np.ndarray, n_centres: int | None = None):
+def _fan_tests(verts: np.ndarray):
     """Signed-area tests of the fans of a polygon (n, 2) or a stack (g, n, 2).
 
     Returns the centroid-local vertices, ``cross[..., c, i]``, the signed
-    double area of (v_c, v_i, v_i+1) in the polygon's orientation, for the
-    first ``n_centres`` centres c (all by default), and the area.
-    Centroid-local coordinates keep sliver sub-polygons far from the origin
-    from being dominated by shoelace roundoff.
+    double area of (v_c, v_i, v_i+1) in the polygon's orientation, and the
+    area. Centroid-local coordinates keep sliver sub-polygons far from the
+    origin from being dominated by shoelace roundoff.
     """
     local = verts - verts.mean(axis=-2, keepdims=True)
     signed_area = polygon_area(local)
     x, y = local[..., 0], local[..., 1]
-    dx = x[..., None, :] - x[..., :n_centres, None]  # [c, i]: x_i - x_c
-    dy = y[..., None, :] - y[..., :n_centres, None]
+    dx = x[..., None, :] - x[..., :, None]  # [c, i]: x_i - x_c
+    dy = y[..., None, :] - y[..., :, None]
     cross = dx * np.roll(dy, -1, axis=-1)
     cross -= dy * np.roll(dx, -1, axis=-1)
     cross *= np.copysign(1.0, signed_area)[..., None, None]
@@ -286,8 +253,8 @@ def _fans(centre, n: int) -> np.ndarray:
     return np.stack([np.broadcast_to(centre, i.shape), i, (i + 1) % n], axis=-1)
 
 
-def _two_fans(ok: np.ndarray) -> np.ndarray:
-    """Fans from adjacent vertices c and c + 1 split by a diagonal (c + 1, k).
+def _two_fans(ok: np.ndarray) -> np.ndarray | None:
+    """Fans from adjacent vertices c and c + 1 split by a diagonal (c + 1, k), or None.
 
     ``ok[c, i]``: the triangle (v_c, v_i, v_i+1) is not inverted. Counting
     from c, vertex c + 1 fans the edges 2 .. k - 1, vertex c the edges
@@ -306,14 +273,43 @@ def _two_fans(ok: np.ndarray) -> np.ndarray:
             k = int(np.argmax(split)) + 2
             centre = np.where(np.arange(2, n - 1) < k, r[1], c)
             return np.vstack([[c, r[1], r[k]], np.column_stack([centre, r[2 : n - 1], r[3:]])])
-    raise GeometryError("cut sub-polygon is not covered by one or two vertex fans; refine the mesh")
+    return None
 
 
-def polygon_rule(vertices, degree: int) -> QuadratureRule:
-    """Positive-weight rule exact to `degree` on a simple polygon."""
-    v = np.asarray(vertices, float)
-    pts, w = _mapped_rule(v[None], triangulate_polygon(v)[None], *_triangle_rule_reference(degree))
-    return QuadratureRule(pts[0], w[0], degree)
+def _fan_triangles(verts: np.ndarray, label) -> np.ndarray:
+    """(g, n - 2, 3) vertex indices of vertex fans tiling the polygons ``verts`` (g, n, 2).
+
+    Each triangle has its polygon's orientation. One fan serves when a vertex
+    sees every edge: the chord endpoint on the convex side of a cut, a
+    triangle vertex on the side the arc polyline dents. Every vertex is tried:
+    the first whose triangles all have positive area is the centre, else the
+    one whose worst triangle is least negative, if that is within roundoff
+    of the area. A thin sliver between a triangle edge and a nearly tangent
+    arc has no such vertex, but each end of that edge sees past the middle of
+    the arc, so two fans tile it. A polygon that no fan tiles raises
+    GeometryError naming ``label(row)``.
+    """
+    g, n = verts.shape[:2]
+    if n < 3:
+        raise GeometryError("polygon needs at least 3 vertices")
+    local, cross, area = _fan_tests(verts)
+    tol = -1e-12 * 2.0 * area
+    positive, worst = _positive_fans(cross), cross.min(axis=-1)
+    centre = np.where(positive.any(axis=1), np.argmax(positive, axis=1), np.argmax(worst, axis=1))
+    tris = _fans(centre, n)
+    rows = np.arange(g)
+    for row in np.flatnonzero(worst[rows, centre] < tol).tolist():
+        split = _two_fans(cross[row] >= tol[row])
+        if split is None:
+            raise GeometryError(f"{label(row)}: sub-polygon not covered by one or two vertex fans; refine the mesh")
+        tris[row] = split
+    # The pieces must tile the polygon.
+    (ax, ay), (bx, by), (cx, cy) = np.moveaxis(local[rows[:, None, None], tris], (-2, -1), (0, 1))
+    total = np.sum(np.abs(0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))), axis=1)
+    bad = np.flatnonzero(~_tiles(total, area))
+    if len(bad):
+        raise GeometryError(f"{label(bad[0])}: triangulation does not tile the polygon")
+    return tris
 
 
 def _mapped_rule(verts: np.ndarray, tris: np.ndarray, ref_pts: np.ndarray, ref_w: np.ndarray):
@@ -458,12 +454,7 @@ def _cut(tri: np.ndarray, crossings: np.ndarray, interface: CircleInterface, ele
 
 def subregion_polygon(cut: ElementCut, side: int, depth: int) -> np.ndarray:
     """Vertex list of the side polygon with the chord replaced by the arc polyline."""
-    poly = cut.poly1 if side == OMEGA1 else cut.poly2
-    if depth <= 0:
-        return poly
-    # poly starts at one chord endpoint and ends at the other; the closing
-    # edge (last -> first) is the chord. Insert the interior arc points there.
-    return np.vstack([poly, _arc_interiors([cut], poly[-1:], poly[:1], _arc_count(depth))[0]])
+    return next(_polygon_batches([(cut, (OMEGA1, OMEGA2).index(side), depth)]))[1][0]
 
 
 def _arc_interiors(cuts, a: np.ndarray, b: np.ndarray, n_in: int) -> np.ndarray:
@@ -493,16 +484,14 @@ def quadrature_on_subregion(
 
     With depth = 0 the region is the chord-split polygon; with depth > 0 the
     chord is replaced by the recursively bisected arc polyline, so the curved
-    sliver is shared consistently between the two sides.
+    sliver is shared consistently between the two sides. It is the packed
+    rule of one side (``pack_subregion_rules``).
     """
     if side not in (OMEGA1, OMEGA2):
         raise ValueError(f"side must be {OMEGA1} or {OMEGA2}")
-    if depth is None:
-        depth = cut.depth
-    try:
-        return polygon_rule(subregion_polygon(cut, side, depth), degree)
-    except GeometryError as exc:
-        raise GeometryError(f"element {cut.element_id}, side {side}: {exc}") from exc
+    depth = cut.depth if depth is None else depth
+    _, points, weights = pack_subregion_rules([(cut, (OMEGA1, OMEGA2).index(side), depth)], degree)
+    return QuadratureRule(points, weights)
 
 
 # Sub-polygons fanned and mapped per batch. It bounds the batch temporaries:
@@ -522,8 +511,8 @@ def _polygon_batches(sides):
     """Sub-polygons of cut sides in batches of equal vertex count, FAN_BATCH at a time.
 
     ``sides`` lists (cut, side index 0 or 1, depth). Yields the indices into
-    ``sides`` of a batch, its vertices (g, v, 2) as ``subregion_polygon``
-    builds them, and the number of leading chord-split vertices.
+    ``sides`` of a batch and its vertices (g, v, 2): the chord-split polygon,
+    then the interior points of the arc polyline at the side's depth.
     """
     polys = [cut.poly1 if s == 0 else cut.poly2 for cut, s, _ in sides]
     groups: dict[tuple[int, int], list[int]] = {}
@@ -535,40 +524,38 @@ def _polygon_batches(sides):
             verts = np.empty((len(ps), n_poly + n_in, 2))
             verts[:, :n_poly] = [polys[p] for p in ps]
             if n_in:
+                # The closing edge, last vertex to first, is the chord.
                 ends = verts[:, n_poly - 1], verts[:, 0]
                 verts[:, n_poly:] = _arc_interiors([sides[p][0] for p in ps], *ends, n_in)
-            yield ps, verts, n_poly
+            yield ps, verts
 
 
-def pack_subregion_rules(cuts, degree: int):
-    """The sub-region rules of every cut, both sides, packed into one set of arrays.
+def pack_subregion_rules(sides, degree: int):
+    """Fan rules exact to ``degree`` on cut sub-regions, packed into one set of arrays.
 
-    Returns (offsets, points, weights): segment 2 i + s, from ``offsets[2i + s]``
-    to ``offsets[2i + s + 1]``, is ``quadrature_on_subregion(cuts[i], side s,
-    degree, depth)`` bit for bit, at each cut's own depth capped at
-    RULE_DEPTH. A fan of v vertices has v - 2 triangles, so the sizes come
-    from the vertex counts. The sub-polygons are built, fanned and mapped in
-    batches of equal vertex count; the few that no single fan covers, or
-    whose fan fails the tiling check, take the per-polygon path, which tries
-    two fans and names the element and side of a failure.
+    ``sides`` lists (cut, side index 0 or 1, depth). Returns (offsets,
+    points, weights): segment j, from ``offsets[j]`` to ``offsets[j + 1]``,
+    is the rule of side j's sub-polygon at its depth. A fan of v vertices
+    has v - 2 triangles, so the sizes come from the vertex counts. The
+    sub-polygons are built, fanned (``_fan_triangles``) and mapped in batches
+    of equal vertex count; a failure names the element and side.
     """
     ref_pts, ref_w = _triangle_rule_reference(degree)
-    sides = [(cut, s, min(cut.depth, RULE_DEPTH)) for cut in cuts for s in (0, 1)]
     n_vert = np.array([len(c.poly1 if s == 0 else c.poly2) + _arc_count(d) for c, s, d in sides], np.int64)
     offsets = np.zeros(len(sides) + 1, dtype=np.int64)
     offsets[1:] = np.cumsum((n_vert - 2) * len(ref_w))
     points = np.empty((offsets[-1], 2))
     weights = np.empty(offsets[-1])
-    for ps, verts, n_poly in _polygon_batches(sides):
-        fan = _single_fans(verts, n_poly)
-        good = fan >= 0
-        pts, w = _mapped_rule(verts[good], _fans(fan[good], verts.shape[1]), ref_pts, ref_w)
-        for p, seg_pts, seg_w in zip(ps[good], pts, w):
-            points[offsets[p] : offsets[p + 1]], weights[offsets[p] : offsets[p + 1]] = seg_pts, seg_w
-        for p in ps[~good]:
-            cut, s, depth = sides[p]
-            rule = quadrature_on_subregion(cut, (OMEGA1, OMEGA2)[s], degree, depth)
-            points[offsets[p] : offsets[p + 1]], weights[offsets[p] : offsets[p + 1]] = rule.points, rule.weights
+
+    def label(p):
+        cut, s, _ = sides[p]
+        return f"element {cut.element_id}, side {(OMEGA1, OMEGA2)[s]}"
+
+    for ps, verts in _polygon_batches(sides):
+        tris = _fan_triangles(verts, lambda row, ps=ps: label(ps[row]))
+        pts, w = _mapped_rule(verts, tris, ref_pts, ref_w)
+        idx = offsets[ps, None] + np.arange(w.shape[1])
+        points[idx], weights[idx] = pts, w
     return offsets, points, weights
 
 
@@ -607,7 +594,7 @@ def subregion_moments(sides, origin: np.ndarray, axes: np.ndarray, degree: int) 
     t, w_t = 0.5 * (x_gauss + 1.0), 0.5 * w_gauss
     det = axes[:, 0, 0] * axes[:, 1, 1] - axes[:, 0, 1] * axes[:, 1, 0]
     out = np.empty((len(sides), degree + 1, degree + 1))
-    for ps, verts, _ in _polygon_batches(sides):
+    for ps, verts in _polygon_batches(sides):
         xi = (verts - origin[ps, None, :]) @ axes[ps].swapaxes(-1, -2)  # (g, v, 2)
         step = np.roll(xi, -1, axis=1) - xi
         q = (xi[:, :, None, :] + t[:, None] * step[:, :, None, :]).reshape(len(ps), -1, 2)
@@ -619,21 +606,3 @@ def subregion_moments(sides, origin: np.ndarray, axes: np.ndarray, degree: int) 
         p2 *= (step[:, :, None, 1] * w_t).reshape(len(ps), -1, 1)
         out[ps] = anti.swapaxes(-1, -2) @ p2
     return out / det[:, None, None]
-
-
-def _single_fans(verts: np.ndarray, n_corners: int) -> np.ndarray:
-    """(g,) the fan vertex ``triangulate_polygon`` picks for each polygon, or -1.
-
-    It picks the first vertex whose triangles all have positive area. Only
-    the ``n_corners`` leading vertices, the chord ends and triangle vertices
-    of a cut sub-polygon, are tried: on the paper's circle one of them always
-    serves. -1 sends a polygon to the per-polygon path: its fan vertex lies
-    on the arc, has a zero-area triangle, needs the tolerance or a second
-    fan, or fails the tiling check.
-    """
-    _, cross, area = _fan_tests(verts, n_corners)
-    valid = _positive_fans(cross)
-    fan = np.argmax(valid, axis=1)
-    rows = np.arange(len(verts))[:, None]
-    total = np.sum(np.abs(0.5 * cross[rows, fan[:, None], _fans(fan, verts.shape[1])[..., 1]]), axis=1)
-    return np.where(valid[rows[:, 0], fan] & _tiles(total, area), fan, -1)

@@ -210,7 +210,8 @@ class CutGeometry(Mapping):
     Everything here depends only on the cuts, the degree k and the
     quadrature, so it is built once per level and shared by every
     conductivity pair. As a mapping it takes an element id to that element's
-    ``CutPoints``. Sides are indexed 0 (OMEGA1) and 1 (OMEGA2).
+    ``CutPoints``, built on request from views of the packed rule. Sides are
+    indexed 0 (OMEGA1) and 1 (OMEGA2).
 
     The sub-region rules are packed: ``rule_points``, ``rule_weights`` and
     the columns of ``rule_vander`` hold every element's points, side 1 then
@@ -230,7 +231,7 @@ class CutGeometry(Mapping):
 
     k: int
     elements: np.ndarray  # (n,) element ids
-    points: list  # (n,) CutPoints
+    cuts: list  # (n,) ElementCut
     x_ref: np.ndarray  # (n, 2) chord midpoints
     f_mat: np.ndarray  # (n, 2, 2) frames: local = (x - x_ref) @ f_mat.T
     h_ref: np.ndarray  # (n,) element diameters, the frames' scale
@@ -256,7 +257,11 @@ class CutGeometry(Mapping):
         return self.mass.shape[-1]
 
     def __getitem__(self, t) -> CutPoints:
-        return self.points[self.index[t]]
+        i = self.index[t]
+        lo, mid, hi = self.rule_offsets[2 * i : 2 * i + 3].tolist()
+        pts, w = self.rule_points, self.rule_weights
+        rules = {OMEGA1: QuadratureRule(pts[lo:mid], w[lo:mid]), OMEGA2: QuadratureRule(pts[mid:hi], w[mid:hi])}
+        return CutPoints(self.cuts[i], rules)
 
     def __iter__(self):
         return iter(self.index)
@@ -428,7 +433,8 @@ def build_cut_geometry(cuts, k: int, quad_offset: int = 0) -> CutGeometry:
         return (pts - x_ref.reshape(lead + (1, 2))) @ _tr(f_mat).reshape(lead + (2, 2))
 
     # The packed sub-region rules.
-    offsets, rule_points, rule_weights = pack_subregion_rules(cuts, quad_degree)
+    sides = [(cut, s, min(cut.depth, RULE_DEPTH)) for cut in cuts for s in (0, 1)]
+    offsets, rule_points, rule_weights = pack_subregion_rules(sides, quad_degree)
     _fit_moments(cuts, offsets, rule_points, rule_weights, quad_degree)
     # A chord splits a triangle into a triangle and a quadrilateral; the
     # triangle's last vertex repeated adds an exact zero to its shoelace sum.
@@ -436,8 +442,7 @@ def build_cut_geometry(cuts, k: int, quad_offset: int = 0) -> CutGeometry:
     area = polygon_area(corners)
     base_is_1 = area[:, 0] >= area[:, 1]
 
-    # The Vandermonde and the mass matrices, in batches of equal segment size;
-    # each element's rules are views of the packed arrays.
+    # The Vandermonde and the mass matrices, in batches of equal segment size.
     rule_vander = np.empty((m, offsets[-1]))
     mass = np.empty((2 * n, m, m))
     for batch, idx in _segment_batches(offsets, np.arange(2 * n)):
@@ -446,12 +451,6 @@ def build_cut_geometry(cuts, k: int, quad_offset: int = 0) -> CutGeometry:
         rule_vander[:, idx] = v.transpose(2, 0, 1)
         mass[batch] = _tr(v) @ (rule_weights[idx][..., None] * v)
     mass = mass.reshape(n, 2, m, m)
-    points = []
-    for i, cut in enumerate(cuts):
-        segs = slice(*offsets[2 * i : 2 * i + 2]), slice(*offsets[2 * i + 1 : 2 * i + 3])
-        rules = {side: QuadratureRule(rule_points[seg], rule_weights[seg], quad_degree)
-                 for side, seg in zip((OMEGA1, OMEGA2), segs)}
-        points.append(CutPoints(cut, rules))
 
     # f_mat = [t; n] / h with t, n orthonormal, so the physical gradient Gram
     # is the sum of the two local-derivative Grams over h^2; each local one is
@@ -503,7 +502,7 @@ def build_cut_geometry(cuts, k: int, quad_offset: int = 0) -> CutGeometry:
     return CutGeometry(
         k=k,
         elements=np.array([c.element_id for c in cuts], dtype=np.int64),
-        points=points,
+        cuts=list(cuts),
         x_ref=x_ref,
         f_mat=f_mat,
         h_ref=h_ref,
@@ -567,11 +566,7 @@ class LocalIfeSpace:
 
     @property
     def cut(self) -> ElementCut:
-        return self.geometry.points[self.index].cut
-
-    @property
-    def rules(self) -> dict:
-        return self.geometry.points[self.index].rules
+        return self.geometry.cuts[self.index]
 
     @property
     def k(self) -> int:
@@ -595,10 +590,6 @@ class LocalIfeSpace:
 
     def local_coords(self, pts):
         return (np.atleast_2d(np.asarray(pts, float)) - self.x_ref) @ self.f_mat.T
-
-    def block(self, side: int) -> np.ndarray:
-        """(m, m) monomial coefficients of the basis on one side."""
-        return self.coeffs[: self.m] if side == OMEGA1 else self.coeffs[self.m :]
 
 
 @dataclass(eq=False)

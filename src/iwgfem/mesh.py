@@ -67,9 +67,6 @@ class MeshPartition:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def triangle_coords(self, t: int) -> np.ndarray:
-        return self.vertices[self.triangles[t]]
-
     def interface_elements(self) -> np.ndarray:
         return np.flatnonzero(self.element_class == INTERFACE)
 

@@ -3,9 +3,11 @@
 Nothing in ``src/iwgfem`` calls these. They are the straightforward forms of
 what the solver computes in batches or in place: the scalar circle-segment
 root solver, the loop-built mesh, Gauss rules on segments and triangles,
-plain sums over quadrature rules, one element's CG stiffness, the edge
-sets of the interface elements, the non-interface errors summed with
-``einsum`` on freshly mapped points, and Jacobi-CG with allocating updates.
+one polygon's fan triangulation and rule, plain sums over quadrature rules,
+one element's CG stiffness, the edge sets of the interface elements, the
+non-interface errors summed with ``einsum`` on freshly mapped points, and
+Jacobi-CG with allocating updates. A few accessors of one element's data
+close the file.
 """
 
 from __future__ import annotations
@@ -31,8 +33,14 @@ from iwgfem.geometry import (
     ElementCut,
     GeometryError,
     QuadratureRule,
+    _fan_tests,
+    _fans,
     _gauss_legendre,
+    _mapped_rule,
+    _positive_fans,
+    _tiles,
     _triangle_rule_reference,
+    _two_fans,
     classify_element,
     compute_cut,
 )
@@ -58,11 +66,7 @@ def integrate(rule: QuadratureRule, f) -> float:
 
 def concatenate(rules: list[QuadratureRule]) -> QuadratureRule:
     """One rule over the union of the rules' disjoint regions."""
-    return QuadratureRule(
-        points=np.concatenate([r.points for r in rules]),
-        weights=np.concatenate([r.weights for r in rules]),
-        exactness_degree=min(r.exactness_degree for r in rules),
-    )
+    return QuadratureRule(np.concatenate([r.points for r in rules]), np.concatenate([r.weights for r in rules]))
 
 
 def chord_length(cut: ElementCut) -> float:
@@ -76,7 +80,43 @@ def triangle_rule(tri, degree: int) -> QuadratureRule:
     j = np.array([tri[1] - tri[0], tri[2] - tri[0]])  # rows are edge vectors
     det = abs(j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0])
     pts = ref_pts @ j + tri[0]
-    return QuadratureRule(pts, ref_w * det, degree)
+    return QuadratureRule(pts, ref_w * det)
+
+
+def triangulate_polygon(vertices) -> np.ndarray:
+    """Fan triangulation of one polygon (n, 2): (n - 2, 3) vertex indices.
+
+    The per-polygon form of ``geometry._fan_triangles``: the first vertex
+    whose triangles all have positive area, else the one whose worst
+    triangle is least negative if that is within the tolerance, else two
+    fans; the pieces must tile the polygon.
+    """
+    v = np.asarray(vertices, float)
+    n = len(v)
+    if n < 3:
+        raise GeometryError("polygon needs at least 3 vertices")
+    local, cross, area = _fan_tests(v)
+    tol = -1e-12 * 2.0 * area
+    positive = _positive_fans(cross)
+    worst = cross.min(axis=1)
+    c = int(np.argmax(positive)) if positive.any() else int(np.argmax(worst))
+    tris = _fans(c, n) if worst[c] >= tol else _two_fans(cross >= tol)
+    if tris is None:
+        raise GeometryError("sub-polygon not covered by one or two vertex fans; refine the mesh")
+    ax, ay = local[tris[:, 0], 0], local[tris[:, 0], 1]
+    bx, by = local[tris[:, 1], 0], local[tris[:, 1], 1]
+    cx, cy = local[tris[:, 2], 0], local[tris[:, 2], 1]
+    total = float(np.sum(np.abs(0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)))))
+    if not _tiles(total, area):
+        raise GeometryError("triangulation does not tile the polygon")
+    return tris
+
+
+def polygon_rule(vertices, degree: int) -> QuadratureRule:
+    """Rule exact to `degree` on one polygon, mapped over ``triangulate_polygon``'s fans."""
+    v = np.asarray(vertices, float)
+    pts, w = _mapped_rule(v[None], triangulate_polygon(v)[None], *_triangle_rule_reference(degree))
+    return QuadratureRule(pts[0], w[0])
 
 
 def edge_roots(p, q, interface: CircleInterface) -> list[float]:
@@ -155,7 +195,7 @@ def quadrature_on_edge(p0, p1, degree: int, interface: CircleInterface | None = 
     for a, b in zip(breaks[:-1], breaks[1:]):
         t = 0.5 * (a + b) + 0.5 * (b - a) * x
         pts = p0 + np.outer(t, p1 - p0)
-        pieces.append(QuadratureRule(pts, 0.5 * (b - a) * length * w, degree))
+        pieces.append(QuadratureRule(pts, 0.5 * (b - a) * length * w))
     return concatenate(pieces)
 
 
@@ -370,3 +410,18 @@ def edge_sets(mesh: MeshPartition):
     ehi = np.flatnonzero(mesh.edge_class == EDGE_COUPLING)
     boundary = mesh.boundary_edges()
     return eh, ehi, boundary
+
+
+def triangle_coords(mesh: MeshPartition, t: int) -> np.ndarray:
+    """(3, 2) vertices of triangle t."""
+    return mesh.vertices[mesh.triangles[t]]
+
+
+def side_rules(space) -> dict:
+    """side -> one local space's sub-region rule, views of its geometry's packed rule."""
+    return space.geometry[space.cut.element_id].rules
+
+
+def block(space, side: int) -> np.ndarray:
+    """(m, m) monomial coefficients of one local space's basis on one side."""
+    return space.coeffs[: space.m] if side == OMEGA1 else space.coeffs[space.m :]

@@ -27,7 +27,7 @@ from iwgfem.assembly import (
 from iwgfem.geometry import INTERFACE, OMEGA1, OMEGA2, CircleInterface
 from iwgfem.mesh import build_mesh
 from iwgfem.solver import solve
-from reference import cg_element_stiffness
+from reference import block, cg_element_stiffness, side_rules, triangle_coords
 
 CIRCLE = CircleInterface()
 
@@ -63,7 +63,7 @@ class TestCgStiffness:
         for idx in (0, 1, len(cg.elements) - 1):
             t = int(cg.elements[idx])
             a = 1.0 if mesh.element_class[t] == OMEGA1 else 10.0
-            want = cg_element_stiffness(mesh.triangle_coords(t), 1, a)
+            want = cg_element_stiffness(triangle_coords(mesh, t), 1, a)
             np.testing.assert_allclose(cg.stiffness[idx], want, atol=1e-13)
 
     def test_p2_annihilates_quadratics(self):
@@ -480,9 +480,9 @@ class TestWgBlocks:
         # Independent standard stiffness in the same orthonormal basis.
         want = np.zeros((m, m))
         for side in (OMEGA1, OMEGA2):
-            rule = space.rules[side]
+            rule = side_rules(space)[side]
             g = space.poly.grad(space.local_coords(rule.points)) @ space.f_mat
-            g = np.einsum("njd,jq->nqd", g, space.block(side))
+            g = np.einsum("njd,jq->nqd", g, block(space, side))
             want += np.einsum("nid,n,njd->ij", g, rule.weights, g)
         np.testing.assert_allclose(reduced, want, atol=1e-11)
 
@@ -500,7 +500,7 @@ def _textbook_cg_solve(mesh, k, ms):
 
     shapes = _cg_shape_values(k, ref)
     for t in range(mesh.n_triangles):
-        tri = mesh.triangle_coords(t)
+        tri = triangle_coords(mesh, t)
         nodes = element_node_table(mesh, k)[t]
         cols = dm.node_col[nodes]
         kmat[np.ix_(cols, cols)] += cg_element_stiffness(tri, k)

@@ -13,14 +13,15 @@ from iwgfem.geometry import (
     DegenerateTriangle,
     GeometryError,
     MultipleCrossings,
+    _fan_triangles,
+    _mapped_rule,
+    _triangle_rule_reference,
     classify_element,
     compute_cut,
     polygon_area,
-    polygon_rule,
     quadrature_on_subregion,
     segment_crossings,
     subregion_polygon,
-    triangulate_polygon,
 )
 from iwgfem.mesh import build_mesh
 from reference import (
@@ -31,6 +32,7 @@ from reference import (
     measure,
     quadrature_on_edge,
     triangle_rule,
+    triangulate_polygon,
 )
 
 CIRCLE = CircleInterface()  # x^2 + y^2 = 1/3
@@ -51,20 +53,38 @@ def off_centre_circle(radius, u, v) -> CircleInterface:
 def polygon_monomial_integral(vertices, a, b):
     """Independent oracle: integral of x^a y^b over a polygon via Green's theorem.
 
-    Uses the contour integral of x^(a+1)/(a+1) * y^b dy along each edge with a
-    1D Gauss rule, sharing no code with the area quadrature under test.
+    In coordinates (X, Y) centred on the first vertex it takes the contour
+    integral of X^(i+1)/(i+1) * Y^j dY along each edge with a 1D Gauss rule,
+    for i <= a and j <= b, and expands x^a y^b = (X + x0)^a (Y + y0)^b
+    binomially. It shares no code with the area quadrature under test.
+    Centring keeps the edge terms of a sliver polygon far from the origin
+    from cancelling to the rounding of their absolute coordinates.
     """
     v = np.asarray(vertices, float)
-    n = (a + b + 3) // 2 + 1
-    x, w = np.polynomial.legendre.leggauss(n)
+    (x0, y0), local = v[0], v - v[0]
+    x, w = np.polynomial.legendre.leggauss((a + b + 3) // 2 + 1)
     t = 0.5 * (x + 1.0)
+    p, q = local, np.roll(local, -1, axis=0)
+    xs = p[:, :1] + t * (q[:, :1] - p[:, :1])  # (edges, Gauss points)
+    ys = p[:, 1:] + t * (q[:, 1:] - p[:, 1:])
+    half_dy = 0.5 * (q[:, 1] - p[:, 1])
     total = 0.0
-    for p, q in zip(v, np.roll(v, -1, axis=0)):
-        xs = p[0] + t * (q[0] - p[0])
-        ys = p[1] + t * (q[1] - p[1])
-        dy = q[1] - p[1]
-        total += 0.5 * dy * float(w @ (xs ** (a + 1) / (a + 1) * ys**b))
+    for i in range(a + 1):
+        for j in range(b + 1):
+            moment = float(half_dy @ ((xs ** (i + 1) / (i + 1) * ys**j) @ w))
+            total += math.comb(a, i) * math.comb(b, j) * x0 ** (a - i) * y0 ** (b - j) * moment
     return total
+
+
+def fans(poly) -> np.ndarray:
+    """(n - 2, 3) the batched fan chooser's triangles of one polygon (n, 2), a batch of one."""
+    return _fan_triangles(poly[None], lambda row: "polygon")[0]
+
+
+def fan_rule(poly, degree: int):
+    """(points, weights) of the batched fan rule on one polygon, a batch of one."""
+    pts, w = _mapped_rule(poly[None], fans(poly)[None], *_triangle_rule_reference(degree))
+    return pts[0], w[0]
 
 
 class TestClassifyElement:
@@ -225,6 +245,19 @@ class TestSubregionQuadrature:
         assert abs(d8 - d4) < sliver * (1.0 / 4.0) ** 4
 
 
+class TestMonomialOracle:
+    def test_sliver_side_area_matches_centred_shoelace(self):
+        # A side of 1.6e-8 of its triangle's area on an off-centre circle
+        # (r = 0.638, n = 13). Summed in absolute coordinates, the oracle
+        # missed the side's centroid-local shoelace area by 9.6e-11 of it.
+        circle = off_centre_circle(0.638, -0.5918021383269345, -0.39462572264440143)
+        cut = build_mesh(1, circle, depth=6, n_override=13).cuts[133]
+        poly = subregion_polygon(cut, OMEGA2, 6)
+        area = polygon_area(poly - poly.mean(axis=0))
+        assert 0.0 < area < 2e-8 * polygon_area(cut.triangle)
+        assert abs(polygon_monomial_integral(poly, 0, 0) - area) <= 1e-12 * area
+
+
 class TestEdgeQuadrature:
     def test_linear_moment(self):
         rule = quadrature_on_edge((0.0, 0.0), (1.0, 0.0), degree=1)
@@ -340,21 +373,21 @@ class TestSegmentCrossings:
 class TestPolygonTriangulation:
     def test_convex(self):
         poly = np.array([(0, 0), (2, 0), (2, 1), (0, 1)], float)
-        tris = triangulate_polygon(poly)
+        tris = fans(poly)
         assert sum(abs(polygon_area(poly[list(t)])) for t in tris) == pytest.approx(2.0)
 
     def test_concave(self):
         poly = np.array([(0, 0), (4, 0), (4, 3), (2, 0.5), (0, 3)], float)
-        tris = triangulate_polygon(poly)
+        tris = fans(poly)
         total = sum(abs(polygon_area(poly[list(t)])) for t in tris)
         assert total == pytest.approx(abs(polygon_area(poly)))
 
     def test_rule_on_concave_polygon(self):
         poly = np.array([(0, 0), (4, 0), (4, 3), (2, 0.5), (0, 3)], float)
-        rule = polygon_rule(poly, degree=3)
+        pts, w = fan_rule(poly, degree=3)
         for a, b in [(0, 0), (1, 0), (2, 1), (0, 3)]:
             want = polygon_monomial_integral(poly, a, b)
-            got = integrate(rule, lambda x, y: x**a * y**b)
+            got = w @ (pts[:, 0] ** a * pts[:, 1] ** b)
             assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
 
@@ -375,7 +408,7 @@ class TestFanTriangulation:
             float,
         )
         with pytest.raises(GeometryError, match="refine the mesh"):
-            triangulate_polygon(comb)
+            fans(comb)
 
     def test_near_tangent_sliver_takes_two_fans(self):
         # The circle passes 1e-4 above the bottom edge and leaves through the
@@ -386,7 +419,7 @@ class TestFanTriangulation:
         circle = CircleInterface((0.0, r + 1e-4), r * r)
         cut = compute_cut(tri, circle, depth=6)
         poly = subregion_polygon(cut, OMEGA2, 6)
-        tris = triangulate_polygon(poly)
+        tris = fans(poly)
         assert len(set(tris[:, 0])) == 2
         assert np.all(signed_triangle_areas(poly, tris) >= 0.0)
         total = polygon_area(tri)
@@ -444,7 +477,8 @@ class TestFanTriangulation:
                 covered = 0.0
                 for side in (OMEGA1, OMEGA2):
                     poly = subregion_polygon(cut, side, depth)
-                    tris = triangulate_polygon(poly)
+                    tris = fans(poly)
+                    np.testing.assert_array_equal(tris, triangulate_polygon(poly))
                     assert tris.shape == (len(poly) - 2, 3)
                     assert np.all(signed_triangle_areas(poly, tris) >= 0.0)
                     rule = quadrature_on_subregion(cut, side, 4, depth)

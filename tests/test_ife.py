@@ -32,7 +32,7 @@ from iwgfem.ife import (
     sample_chord_residuals,
 )
 from iwgfem.mesh import build_mesh
-from reference import measure, quadrature_on_edge
+from reference import block, measure, quadrature_on_edge, side_rules
 
 CIRCLE = CircleInterface()
 TRI = np.array([(0.5, 0.0), (0.7, 0.0), (0.5, 0.2)])
@@ -293,7 +293,7 @@ class TestPerPointDataStaysInGeometry:
 
         coarse, fine = build(0), build(6)
         assert shapes(fine) == shapes(coarse)
-        n_points = lambda s: len(s.rules[OMEGA1].weights)
+        n_points = lambda s: len(side_rules(s)[OMEGA1].weights)
         assert all(n_points(fine[t]) > n_points(coarse[t]) for t in fine)
 
 
@@ -411,7 +411,7 @@ def _pair_mass_matrix(space):
     m = space.m
     out = np.zeros((2 * m, 2 * m))
     for side, sl in ((OMEGA1, slice(0, m)), (OMEGA2, slice(m, 2 * m))):
-        rule = space.rules[side]
+        rule = side_rules(space)[side]
         loc = space.local_coords(rule.points)
         v = space.poly.eval(loc)
         out[sl, sl] = v.T @ (rule.weights[:, None] * v)
@@ -433,7 +433,7 @@ def edge_legendre(p0, p1, k):
 
 def basis_values(space, pts, side):
     """Basis values at physical points lying on one side, (n, m)."""
-    return space.poly.eval(space.local_coords(pts)) @ space.block(side)
+    return space.poly.eval(space.local_coords(pts)) @ block(space, side)
 
 
 def _projection_error(space, u):
@@ -526,7 +526,7 @@ class TestWeakGradient:
 def basis_grad(space, pts, side):
     """Physical gradients of the basis on one side, (n, m, 2)."""
     g = space.poly.grad(space.local_coords(pts)) @ space.f_mat
-    return np.einsum("njd,jq->nqd", g, space.block(side))
+    return np.einsum("njd,jq->nqd", g, block(space, side))
 
 
 def _weak_gradient_oracle(space, loc, edge_ends):
@@ -581,6 +581,6 @@ class TestLoadVector:
         space = construct_ife_basis(cut, 1.0, 10.0, 1)
         (l,) = space.spaces.moments(space.geometry.monomial_moments(np.ones(len(space.geometry.rule_weights))))
         # (1, phi_0) = |T|^(1/2) for the normalized constant; others vanish.
-        area = measure(space.rules[OMEGA1]) + measure(space.rules[OMEGA2])
+        area = measure(side_rules(space)[OMEGA1]) + measure(side_rules(space)[OMEGA2])
         assert l[0] == pytest.approx(math.sqrt(area), rel=1e-12)
         assert np.max(np.abs(l[1:])) < 1e-12

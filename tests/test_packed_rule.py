@@ -24,7 +24,6 @@ from iwgfem.analysis import (
 )
 from iwgfem.assembly import assemble_interface, assemble_system, build_cut_geometries
 from iwgfem.cli import run_level
-import iwgfem.geometry as geometry
 from iwgfem.geometry import (
     OMEGA1,
     OMEGA2,
@@ -32,13 +31,14 @@ from iwgfem.geometry import (
     CircleInterface,
     GeometryError,
     compute_cut,
+    pack_subregion_rules,
     polygon_area,
-    quadrature_on_subregion,
     subregion_polygon,
 )
 from iwgfem.ife import PolyBasis, _fit_moments, build_cut_geometry, build_local_spaces, sample
 from iwgfem.mesh import build_mesh
 from iwgfem.solver import solve
+from reference import block, polygon_rule, side_rules, triangulate_polygon
 from test_geometry import OFF_CENTRE, off_centre_circle, polygon_monomial_integral
 
 CIRCLES = [CircleInterface(), CircleInterface((0.3, 0.2), 0.36)]
@@ -48,25 +48,25 @@ EPS = np.finfo(float).eps
 
 def element_samples(space, f) -> dict:
     """side -> f at that side's rule points."""
-    return {side: np.asarray(f(r.points[:, 0], r.points[:, 1]), float) for side, r in space.rules.items()}
+    return {side: np.asarray(f(r.points[:, 0], r.points[:, 1]), float) for side, r in side_rules(space).items()}
 
 
 def element_side_samples(space, u_side) -> dict:
     """side -> that side's u_side at its rule points, wherever they lie."""
-    return {side: np.asarray(u_side(*r.points.T, side), float) for side, r in space.rules.items()}
+    return {side: np.asarray(u_side(*r.points.T, side), float) for side, r in side_rules(space).items()}
 
 
 def element_vander(space, side) -> np.ndarray:
     """Monomial values at one side's rule points, evaluated afresh."""
-    return space.poly.eval(space.local_coords(space.rules[side].points))
+    return space.poly.eval(space.local_coords(side_rules(space)[side].points))
 
 
 def element_moments(space, values: dict) -> np.ndarray:
     """(g, phi_j)_T through the m x m coefficient blocks."""
     out = np.zeros(space.m)
     for side in (OMEGA1, OMEGA2):
-        weighted = space.rules[side].weights * values[side]
-        out += space.block(side).T @ (element_vander(space, side).T @ weighted)
+        weighted = side_rules(space)[side].weights * values[side]
+        out += block(space, side).T @ (element_vander(space, side).T @ weighted)
     return out
 
 
@@ -74,14 +74,14 @@ def element_moment_scale(space, values: dict) -> np.ndarray:
     """sum |w g V c| per basis function: the magnitude of the terms a moment adds."""
     out = np.zeros(space.m)
     for side in (OMEGA1, OMEGA2):
-        weighted = space.rules[side].weights * np.abs(values[side])
-        out += np.abs(space.block(side)).T @ (np.abs(element_vander(space, side)).T @ weighted)
+        weighted = side_rules(space)[side].weights * np.abs(values[side])
+        out += np.abs(block(space, side)).T @ (np.abs(element_vander(space, side)).T @ weighted)
     return out
 
 
 def element_values(space, v0) -> dict:
     """side -> the interior function v0 at that side's rule points."""
-    return {side: element_vander(space, side) @ (space.block(side) @ v0) for side in (OMEGA1, OMEGA2)}
+    return {side: element_vander(space, side) @ (block(space, side) @ v0) for side in (OMEGA1, OMEGA2)}
 
 
 def element_q0(space, values: dict) -> np.ndarray:
@@ -130,7 +130,7 @@ def element_q0_error_sq(spaces, ms) -> float:
         ue = element_side_samples(space, ms.u_side)
         vals = element_values(space, element_q0(space, ue))
         for side in (OMEGA1, OMEGA2):
-            total += float(space.rules[side].weights @ (vals[side] - ue[side]) ** 2)
+            total += float(side_rules(space)[side].weights @ (vals[side] - ue[side]) ** 2)
     return total
 
 
@@ -212,9 +212,9 @@ class TestBatchedAgainstPerElementReference:
                     seg = slice(*geometry.rule_offsets[2 * i + s : 2 * i + s + 2])
                     fresh = element_vander(space, side)
                     np.testing.assert_array_equal(geometry.rule_vander[:, seg].T, fresh)
-                    block = space.block(side)[:, q]
-                    bound = m * EPS * (np.abs(fresh) @ np.abs(block))
-                    assert np.all(np.abs(got[seg] - fresh @ block) <= bound), (space.cut.element_id, side)
+                    column = block(space, side)[:, q]
+                    bound = m * EPS * (np.abs(fresh) @ np.abs(column))
+                    assert np.all(np.abs(got[seg] - fresh @ column) <= bound), (space.cut.element_id, side)
 
 
 class TestPackedRule:
@@ -243,75 +243,99 @@ class TestPackedRule:
             compute_errors(mesh, system.dofmap, reversed_spaces, x_all, ms, 1)
 
 
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """(element id, side) of every sub-polygon that takes the per-polygon path."""
-    seen = []
-
-    def spy(cut, side, degree, depth=None):
-        seen.append((cut.element_id, side))
-        return quadrature_on_subregion(cut, side, degree, depth)
-
-    monkeypatch.setattr(geometry, "quadrature_on_subregion", spy)
-    return seen
-
-
 def assert_rules_equal_per_element_rules(geometry_, cuts, degree):
-    """Each packed segment is quadrature_on_subregion at its cut's depth capped at RULE_DEPTH, bit for bit.
+    """Each packed segment is the reference rule at its cut's depth capped at RULE_DEPTH, bit for bit.
 
     A deeper cut keeps those points, and its fitted weights reproduce the
     monomial moments of the rule at its own depth to 1e-12 of the moment or
-    the side's area, whichever is larger (criterion 8's scaling).
+    the side's area, whichever is larger (criterion 8's scaling). Returns
+    the (element id, side) of every segment whose reference takes two fans.
     """
-    sizes = []
+    sizes, two_fans = [], []
     for i, cut in enumerate(cuts):
         for s, side in enumerate((OMEGA1, OMEGA2)):
-            rule = quadrature_on_subregion(cut, side, degree, min(cut.depth, RULE_DEPTH))
+            poly = subregion_polygon(cut, side, min(cut.depth, RULE_DEPTH))
+            rule = polygon_rule(poly, degree)
             seg = slice(*geometry_.rule_offsets[2 * i + s : 2 * i + s + 2])
             np.testing.assert_array_equal(geometry_.rule_points[seg], rule.points)
+            if len(set(triangulate_polygon(poly)[:, 0].tolist())) > 1:
+                two_fans.append((cut.element_id, side))
             if cut.depth <= RULE_DEPTH:
                 np.testing.assert_array_equal(geometry_.rule_weights[seg], rule.weights)
             else:
-                deep = quadrature_on_subregion(cut, side, degree)
+                deep = polygon_rule(subregion_polygon(cut, side, cut.depth), degree)
                 want = deep.weights @ PolyBasis(degree).eval(deep.points)
                 got = geometry_.rule_weights[seg] @ PolyBasis(degree).eval(rule.points)
                 scale = np.maximum(np.abs(want), deep.weights.sum())
                 assert np.all(np.abs(got - want) <= 1e-12 * scale), (cut.element_id, side)
             sizes.append(len(rule.weights))
     np.testing.assert_array_equal(np.diff(geometry_.rule_offsets), sizes)
+    return two_fans
+
+
+def assert_packed_equals_reference(cuts, depth: int, degree: int):
+    """``pack_subregion_rules`` at ``depth`` equals the reference rule of every side bit for bit."""
+    sides = [(cut, s, depth) for cut in cuts for s in (0, 1)]
+    offsets, points, weights = pack_subregion_rules(sides, degree)
+    for j, (cut, s, _) in enumerate(sides):
+        rule = polygon_rule(subregion_polygon(cut, (OMEGA1, OMEGA2)[s], depth), degree)
+        np.testing.assert_array_equal(points[offsets[j] : offsets[j + 1]], rule.points)
+        np.testing.assert_array_equal(weights[offsets[j] : offsets[j + 1]], rule.weights)
 
 
 class TestPackedFans:
-    # The packed rule builds every sub-polygon, picks its fan and maps the
-    # reference triangle rule in batches; the per-element rule is the reference.
+    # The packed rule builds every sub-polygon, picks its fans and maps the
+    # reference triangle rule in batches; the per-polygon rule of
+    # tests/reference.py is the reference.
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
     @pytest.mark.parametrize("depth", [0, 6])
-    def test_paper_circle_equals_per_element_rules(self, n, depth, fallbacks):
+    def test_paper_circle_equals_per_element_rules(self, n, depth):
         mesh = build_mesh(1, CIRCLES[0], depth=depth, n_override=n)
         cuts = [mesh.cuts[t] for t in sorted(mesh.cuts)]
         for k in (1, 2):
-            assert_rules_equal_per_element_rules(build_cut_geometries(mesh, k), cuts, 2 * k + 4)
-        # On the paper's circle one fan covers every sub-polygon.
-        assert fallbacks == []
+            # On the paper's circle one fan covers every sub-polygon.
+            assert assert_rules_equal_per_element_rules(build_cut_geometries(mesh, k), cuts, 2 * k + 4) == []
 
-    def test_near_tangent_sliver_takes_the_two_fan_path(self, fallbacks):
+    def test_near_tangent_sliver_takes_the_two_fan_path(self):
         # The circle passes 1e-4 above the bottom edge: no vertex of the thin
-        # outside region sees the whole arc, so that side alone falls back.
+        # outside region sees the whole arc, so that side alone takes two fans.
         tri = np.array([(-0.1, 0.0), (0.1, 0.0), (0.0, 0.2)])
         cut = compute_cut(tri, CircleInterface((0.0, 0.5 + 1e-4), 0.25), element_id=3, depth=6)
         for k in (1, 2):
-            fallbacks.clear()
-            assert_rules_equal_per_element_rules(build_cut_geometry([cut], k), [cut], 2 * k + 4)
-            assert fallbacks == [(3, OMEGA2)]
+            two_fans = assert_rules_equal_per_element_rules(build_cut_geometry([cut], k), [cut], 2 * k + 4)
+            assert two_fans == [(3, OMEGA2)]
+        for depth in (0, 2, 6):
+            assert_packed_equals_reference([cut], depth, 6)
 
-    def test_off_centre_circle_with_mixed_depths(self, fallbacks):
-        # Cuts of two depths and both fan paths in one packed rule.
+    def test_zero_area_fan_triangle(self):
+        # TestFanTriangulation's example: a side-1 sub-polygon of area 2e-14
+        # next to a vertex, whose first fan centre without a negative
+        # triangle has a zero-area one.
+        mesh = build_mesh(1, off_centre_circle(0.5607359661169675, 0.4679198108004041, 0.5607359661169675),
+                          depth=4, n_override=108)
+        cuts = [mesh.cuts[t] for t in sorted(mesh.cuts)]
+        for depth in (2, 4):
+            assert_packed_equals_reference(cuts, depth, 4)
+
+    def test_off_centre_circle_with_mixed_depths(self):
+        # Cuts of two depths, and one- and two-fan sides, in one packed rule.
         mesh = build_mesh(1, CIRCLES[1], depth=6, n_override=8)
         shallow = build_mesh(1, CIRCLES[1], depth=2, n_override=8)
         cuts = [mesh.cuts[t] for t in sorted(mesh.cuts)] + [shallow.cuts[t] for t in sorted(shallow.cuts)]
-        assert_rules_equal_per_element_rules(build_cut_geometry(cuts, 2), cuts, 8)
-        assert 0 < len(fallbacks) < len(cuts)
+        two_fans = assert_rules_equal_per_element_rules(build_cut_geometry(cuts, 2), cuts, 8)
+        assert 0 < len(two_fans) < len(cuts)
+
+    @settings(deadline=None, max_examples=20)
+    @given(**OFF_CENTRE, n=st.integers(min_value=8, max_value=64), depth=st.sampled_from([0, 1, 2]))
+    def test_off_centre_circles(self, radius, u, v, n, depth):
+        try:
+            mesh = build_mesh(1, off_centre_circle(radius, u, v), depth=depth, n_override=n)
+        except GeometryError:
+            return
+        cuts = [mesh.cuts[t] for t in sorted(mesh.cuts)]
+        for k in (1, 2):
+            assert_rules_equal_per_element_rules(build_cut_geometry(cuts, k), cuts, 2 * k + 4)
 
 
 class TestMomentFit:
@@ -367,7 +391,7 @@ class TestMomentFit:
         # A segment whose fan rule carries no weight gives no frame and no R:
         # the fit refuses it by name instead of packing NaN weights.
         cuts = [compute_cut(np.array([(0.5, 0.0), (0.7, 0.0), (0.5, 0.2)]), CircleInterface(), element_id=9)]
-        offsets, points, weights = geometry.pack_subregion_rules(cuts, 6)
+        offsets, points, weights = pack_subregion_rules([(cut, s, RULE_DEPTH) for cut in cuts for s in (0, 1)], 6)
         weights[offsets[1] : offsets[2]] = 0.0
         with np.errstate(all="ignore"), pytest.raises(GeometryError, match=f"^element 9, side {OMEGA2}: singular"):
             _fit_moments(cuts, offsets, points, weights, 6)
