@@ -468,13 +468,17 @@ def _arc_interiors(cuts, a: np.ndarray, b: np.ndarray, n_in: int) -> np.ndarray:
     """
     center = np.array([c.interface.center for c in cuts], float)
     radius = np.array([c.interface.radius for c in cuts])
-    sweep = []
-    for (ax, ay), (bx, by), (cx, cy) in zip(a.tolist(), b.tolist(), center.tolist()):
-        th_a = math.atan2(ay - cy, ax - cx)
-        sweep.append((th_a, math.remainder(math.atan2(by - cy, bx - cx) - th_a, 2.0 * math.pi)))
-    th_a, dth = np.array(sweep).T
+    th_a, dth = _arc_sweep(center, a, b)
     th = th_a[:, None] + dth[:, None] * np.linspace(0.0, 1.0, n_in + 2)[1:-1]
     return center[:, None, :] + radius[:, None, None] * np.stack([np.cos(th), np.sin(th)], axis=-1)
+
+
+def _arc_sweep(center: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Start angles and signed sweeps (g,) of the minor arcs from a to b about center, each (g, 2)."""
+    th_a = np.arctan2(a[:, 1] - center[:, 1], a[:, 0] - center[:, 0])
+    dth = np.arctan2(b[:, 1] - center[:, 1], b[:, 0] - center[:, 0]) - th_a
+    # The IEEE remainder of dth by 2 pi, exact as |dth| < 2 pi.
+    return th_a, np.where(dth > math.pi, dth - 2.0 * math.pi, np.where(dth < -math.pi, dth + 2.0 * math.pi, dth))
 
 
 def quadrature_on_subregion(

@@ -32,7 +32,6 @@ fitted to that depth's moments.
 
 from __future__ import annotations
 
-import math
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -48,6 +47,7 @@ from iwgfem.geometry import (
     GeometryError,
     MultipleCrossings,
     QuadratureRule,
+    _arc_sweep,
     _gauss_legendre,
     _reversed,
     canonical_edges,
@@ -470,10 +470,7 @@ def build_cut_geometry(cuts, k: int, quad_offset: int = 0) -> CutGeometry:
         poly.eval(local(on_chord(np.linspace(0.0, 1.0, k + 1)))),
         np.einsum("npjd,nd->npj", poly.grad(local(on_chord((np.arange(k) + 0.5) / k))), chord_normal),
     )
-    th_d = np.arctan2(pd[:, 1] - center[:, 1], pd[:, 0] - center[:, 0])
-    th_e = np.arctan2(pe[:, 1] - center[:, 1], pe[:, 0] - center[:, 0])
-    dth = th_e - th_d  # minor arc: the IEEE remainder of dth by 2 pi
-    dth = np.where(dth > math.pi, dth - 2.0 * math.pi, np.where(dth < -math.pi, dth + 2.0 * math.pi, dth))
+    th_d, dth = _arc_sweep(center, pd, pe)
     xg, wg = np.polynomial.legendre.leggauss(max(2 * k + 2, 8))
     th = th_d[:, None] + 0.5 * (xg + 1.0) * dth[:, None]
     unit = np.stack([np.cos(th), np.sin(th)], axis=-1)  # exact unit normal
