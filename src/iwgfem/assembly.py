@@ -13,6 +13,7 @@ interface element's local slots, so slaving is folded congruently
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,6 +72,28 @@ class DofMap:
     pinned_trace_edges: np.ndarray  # edge ids of pinned trace blocks, in order
     node_coords: np.ndarray  # (n_nodes, 2) coordinates of every CG node
     P: sp.csr_matrix = None  # (n_cut * (m + 3k), n_total), see routing_matrix
+
+    @cached_property
+    def patches(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The additive-Schwarz patches of the CG preconditioner, grouped by size.
+
+        One patch per interface element: the sorted free columns that its
+        row block of P touches (its interior and owned trace columns and the
+        free CG nodes of its slaved edges). Each group is (element ids (n_p,),
+        columns (n_p, s)) for the elements whose patch has s columns.
+        """
+        p, nf = self.P, self.n_free
+        elems = np.fromiter(self.wg0_col, np.int64, len(self.wg0_col))
+        owner = np.repeat(np.arange(p.shape[0]) // (self.m + 3 * self.k), np.diff(p.indptr))
+        free = p.indices < nf
+        owner, cols = np.divmod(np.unique(owner[free] * nf + p.indices[free]), nf)
+        sizes = np.bincount(owner, minlength=len(elems))
+        starts = np.cumsum(sizes) - sizes
+        groups = []
+        for s in np.unique(sizes):
+            sel = np.flatnonzero(sizes == s)
+            groups.append((elems[sel], cols[starts[sel][:, None] + np.arange(s)]))
+        return groups
 
 
 def _cg_shape_values(k: int, ref_pts: np.ndarray) -> np.ndarray:

@@ -85,7 +85,8 @@ def _solve_pair(plan: LevelPlan, ms: ManufacturedSolution, mode: str, solver_con
     system, spaces = assemble_system(
         mesh, k, ms.a1, ms.a2, ms.f, ms.g, mode=mode, quad_offset=quad_offset, plan=plan
     )
-    x, stats = solve(system.matrix, system.rhs, solver_config)
+    cg = solver_config is not None and solver_config.method == "cg"
+    x, stats = solve(system.matrix, system.rhs, solver_config, plan.dofmap.patches if cg else ())
     x_all = system.full_coefficients(x)
     errors = compute_errors(mesh, system.dofmap, spaces, x_all, ms, k, quad_offset, plan)
     return errors, stats, system, spaces, x_all

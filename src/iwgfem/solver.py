@@ -1,4 +1,4 @@
-"""Sparse SPD solvers: pivot-free factorization and Jacobi-preconditioned CG."""
+"""Sparse SPD solvers: pivot-free factorization and additive-Schwarz preconditioned CG."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ class SolverError(Exception):
 
 
 class NotPositiveDefinite(SolverError):
-    """Factorization hit a non-positive pivot or CG broke down."""
+    """Factorization hit a non-positive pivot, a Schwarz patch is not SPD, or CG broke down."""
 
 
 class NoConvergence(SolverError):
@@ -45,8 +45,14 @@ class SolveStats:
     n: int
 
 
-def solve(matrix: sp.spmatrix, rhs: np.ndarray, config: SolverConfig | None = None):
-    """Solve an SPD system; returns (x, SolveStats) with a residual certificate."""
+def solve(matrix: sp.spmatrix, rhs: np.ndarray, config: SolverConfig | None = None, patches=()):
+    """Solve an SPD system; returns (x, SolveStats) with a residual certificate.
+
+    ``patches`` are the overlapping additive-Schwarz patches of CG's
+    preconditioner, groups of (element ids (n_p,), columns (n_p, s)) as in
+    ``DofMap.patches``; the direct path ignores them. Without patches CG is
+    Jacobi-preconditioned.
+    """
     if config is None:
         config = SolverConfig()
     if config.method == "cholesky":
@@ -63,7 +69,7 @@ def solve(matrix: sp.spmatrix, rhs: np.ndarray, config: SolverConfig | None = No
     if config.method == "cholesky":
         x, iters = _solve_cholesky(a, b)
     else:
-        x, iters = _solve_cg(a, b, config)
+        x, iters = _solve_cg(a, b, config, patches)
 
     bnorm = float(np.linalg.norm(b))
     residual = float(np.linalg.norm(a @ x - b)) / max(bnorm, 1e-300)
@@ -92,26 +98,83 @@ def _solve_cholesky(a: sp.csc_matrix, b: np.ndarray):
     return lu.solve(b), 0
 
 
-def _solve_cg(a: sp.csr_matrix, b: np.ndarray, config: SolverConfig):
-    """Deterministic Jacobi-preconditioned conjugate gradients, updating in place."""
-    n = len(b)
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """u . v summed by numpy's own loop: BLAS ddot's order depends on its thread count."""
+    return float(np.einsum("i,i->", u, v))
+
+
+def _schwarz_inverse(a: sp.csr_matrix, patches) -> sp.csr_matrix:
+    """M^-1 = D_u^-1 + sum_p R_p^T A_p^-1 R_p as one sorted CSR matrix.
+
+    R_p restricts to patch p's columns, and D_u is the diagonal of ``a`` on
+    the columns that no patch covers, so without patches M^-1 is Jacobi's
+    inverse diagonal. Each group's blocks A[I, I] are inverted through one
+    batched Cholesky factorization and made exactly symmetric.
+    """
+    n = a.shape[0]
     diag = a.diagonal()
     if np.any(diag <= 0.0):
         raise NotPositiveDefinite("non-positive diagonal entry")
-    inv_diag = 1.0 / diag
+    covered = np.zeros(n, dtype=bool)
+    rows, cols, vals = [], [], []
+    for elements, idx in patches:
+        r = np.repeat(idx[:, :, None], idx.shape[1], axis=2)
+        c = r.swapaxes(1, 2)
+        blocks = np.asarray(a[r.ravel(), c.ravel()]).reshape(r.shape)
+        try:
+            low = np.linalg.cholesky(blocks)
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefinite(
+                f"interface element {_first_indefinite(elements, blocks)}: "
+                "Schwarz patch block is not positive definite"
+            ) from None
+        inv_low = np.linalg.inv(low)
+        inv = np.einsum("pki,pkj->pij", inv_low, inv_low)
+        rows.append(r.ravel())
+        cols.append(c.ravel())
+        vals.append((0.5 * (inv + inv.swapaxes(1, 2))).ravel())
+        covered[idx.ravel()] = True
+    u = np.flatnonzero(~covered)
+    rows.append(u)
+    cols.append(u)
+    vals.append(1.0 / diag[u])
+    m_inv = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    ).tocsr()
+    return m_inv if m_inv.has_sorted_indices else m_inv.sorted_indices()
+
+
+def _first_indefinite(elements: np.ndarray, blocks: np.ndarray):
+    """The element of the first block whose Cholesky factorization fails."""
+    for element, block in zip(elements, blocks):
+        try:
+            np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            return element
+
+
+def _solve_cg(a: sp.csr_matrix, b: np.ndarray, config: SolverConfig, patches):
+    """Deterministic preconditioned conjugate gradients, updating in place.
+
+    The preconditioner is ``_schwarz_inverse(a, patches)``, applied by one
+    CSR matvec per iteration; the reductions do not go through BLAS, so the
+    iterates do not depend on its thread count.
+    """
+    n = len(b)
+    m_inv = _schwarz_inverse(a, patches)
 
     x = np.zeros(n)
     r = b.copy()
-    z = inv_diag * r
+    z = m_inv @ r
     p = z.copy()
     tmp = np.empty(n)
-    rz = float(r @ z)
-    bnorm = float(np.linalg.norm(b))
+    rz = _dot(r, z)
+    bnorm = math.sqrt(_dot(b, b))
     if bnorm == 0.0:
         return x, 0
     for it in range(1, config.cg_max_iter + 1):
         ap = a @ p
-        pap = float(p @ ap)
+        pap = _dot(p, ap)
         if pap <= 0.0:
             raise NotPositiveDefinite("CG breakdown: non-positive curvature")
         alpha = rz / pap
@@ -119,10 +182,10 @@ def _solve_cg(a: sp.csr_matrix, b: np.ndarray, config: SolverConfig):
         x += tmp
         np.multiply(ap, alpha, out=tmp)
         r -= tmp
-        if math.sqrt(r @ r) <= config.cg_tol * bnorm:
+        if math.sqrt(_dot(r, r)) <= config.cg_tol * bnorm:
             return x, it
-        np.multiply(inv_diag, r, out=z)
-        rz_new = float(r @ z)
+        z = m_inv @ r
+        rz_new = _dot(r, z)
         p *= rz_new / rz
         p += z
         rz = rz_new

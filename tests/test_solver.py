@@ -1,15 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg as sl
 import scipy.sparse as sp
 
 from iwgfem.analysis import example1
 from iwgfem.assembly import assemble_system
+from iwgfem.cli import run_level
 from iwgfem.mesh import build_mesh
 from reference import jacobi_cg
 from iwgfem.solver import (
     NoConvergence,
     NotPositiveDefinite,
     SolverConfig,
+    _schwarz_inverse,
     solve,
 )
 
@@ -94,6 +102,96 @@ class TestSolve:
             x1, _ = solve(a, b, SolverConfig(method=method))
             x2, _ = solve(a, b, SolverConfig(method=method))
             np.testing.assert_array_equal(x1, x2)
+
+
+@pytest.fixture(scope="module")
+def contrast_system():
+    """The assembled N = 16, k = 2, (1, 1000) system."""
+    ms = example1(1.0, 1000.0)
+    mesh = build_mesh(1, ms.interface, n_override=16)
+    system, _ = assemble_system(mesh, 2, 1.0, 1000.0, ms.f, ms.g, mode="arc")
+    return system
+
+
+class TestSchwarz:
+    def test_patches_are_the_free_columns_of_each_row_block(self, contrast_system):
+        dm = contrast_system.dofmap
+        n_loc = dm.m + 3 * dm.k
+        elems = list(dm.wg0_col)
+        seen = []
+        for elements, cols in dm.patches:
+            assert cols.shape[0] == len(elements)
+            for element, patch in zip(elements, cols):
+                first = elems.index(element) * n_loc
+                block = dm.P[first : first + n_loc]
+                np.testing.assert_array_equal(patch, np.unique(block.indices[block.indices < dm.n_free]))
+                seen.append(element)
+        assert sorted(seen) == elems
+
+    def test_inverse_is_symmetric_positive_definite_and_matches_dense(self, contrast_system):
+        a = sp.csr_matrix(contrast_system.matrix)
+        patches = contrast_system.dofmap.patches
+        m_inv = _schwarz_inverse(a, patches)
+        assert m_inv.has_sorted_indices
+        assert abs(m_inv - m_inv.T).max() == 0.0
+        dense = a.toarray()
+        ref = np.zeros_like(dense)
+        covered = np.zeros(len(dense), dtype=bool)
+        for _, cols in patches:
+            for patch in cols:
+                block = dense[np.ix_(patch, patch)]
+                ref[np.ix_(patch, patch)] += sl.cho_solve(sl.cho_factor(block), np.eye(len(patch)))
+                covered[patch] = True
+        rest = np.flatnonzero(~covered)
+        assert len(rest) > 0
+        ref[rest, rest] += 1.0 / dense[rest, rest]
+        got = m_inv.toarray()
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.linalg.eigvalsh(got)[0] > 0.0
+
+    def test_schwarz_cg_matches_direct_in_fewer_iterations(self, contrast_system):
+        a, b = contrast_system.matrix, contrast_system.rhs
+        x_direct, _ = solve(a, b)
+        x, stats = solve(a, b, SolverConfig(method="cg"), contrast_system.dofmap.patches)
+        _, jacobi = solve(a, b, SolverConfig(method="cg"))
+        assert np.max(np.abs(x - x_direct)) <= 1e-9 * np.max(np.abs(x_direct))
+        assert 0 < stats.iterations < jacobi.iterations
+
+    def test_indefinite_patch_names_its_element(self, contrast_system):
+        dm = contrast_system.dofmap
+        elements, _ = dm.patches[0]
+        element = int(elements[len(elements) // 2])
+        # Two interior columns of one element lie in its patch alone; an
+        # off-diagonal entry above sqrt(a_ii a_jj) makes that block indefinite
+        # and keeps every diagonal entry positive.
+        i = dm.wg0_col[element]
+        a = sp.csr_matrix(contrast_system.matrix, copy=True)
+        a[i, i + 1] = a[i + 1, i] = 2.0 * np.sqrt(a[i, i] * a[i + 1, i + 1])
+        with pytest.raises(NotPositiveDefinite, match=f"interface element {element}: "):
+            solve(a, contrast_system.rhs, SolverConfig(method="cg"), dm.patches)
+
+
+def high_contrast_cg():
+    """Matrix data, rhs, CG solution and iterations of the N = 64, k = 2, (1, 1000) level."""
+    _, stats, _, system, _, x = run_level(
+        example1(1.0, 1000.0), 2, 1, "arc", solver_config=SolverConfig(method="cg"), n_override=64
+    )
+    return {"data": system.matrix.data, "rhs": system.rhs, "x": x, "iterations": stats.iterations}
+
+
+def test_cg_iterates_do_not_depend_on_the_blas_thread_count(tmp_path):
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests), env.get("PYTHONPATH", "")])
+    out = tmp_path / "one_thread.npz"
+    code = "import sys, numpy as np, test_solver; np.savez(sys.argv[1], **test_solver.high_contrast_cg())"
+    subprocess.run([sys.executable, "-c", code, str(out)], env=env, check=True, timeout=300)
+    child = np.load(out)
+    here = high_contrast_cg()
+    np.testing.assert_array_equal(child["data"], here["data"])
+    np.testing.assert_array_equal(child["rhs"], here["rhs"])
+    assert int(child["iterations"]) == here["iterations"]
+    np.testing.assert_array_equal(child["x"], here["x"])
 
 
 class TestConfig:
