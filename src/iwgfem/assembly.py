@@ -358,6 +358,60 @@ class LevelPlan:
         if not all(same.values()):
             raise AssemblyError(f"level plan built for another {', '.join(n for n, s in same.items() if not s)}")
 
+    @cached_property
+    def aggregates(self) -> tuple[np.ndarray, int]:
+        """The coarse aggregate of every free column, and the number of aggregates.
+
+        A CG node column lies at its node, an element's interior columns at
+        its centroid and an edge's trace columns at its midpoint. Its
+        aggregate is the cell of a C x C grid, C = max(1, N / 4), that holds
+        the location, split by the side of the interface; only non-empty
+        aggregates are numbered. Built on first use, by CG only.
+        """
+        mesh, dm = self.mesh, self.dofmap
+        loc = np.empty((dm.n_free, 2))
+        nodes = np.flatnonzero((dm.node_col >= 0) & (dm.node_col < dm.n_free))
+        loc[dm.node_col[nodes]] = dm.node_coords[nodes]
+        elems = np.fromiter(dm.wg0_col, np.int64, len(dm.wg0_col))
+        wg0 = np.fromiter(dm.wg0_col.values(), np.int64, len(elems))
+        loc[wg0[:, None] + np.arange(dm.m)] = mesh.vertices[mesh.triangles[elems]].mean(axis=1)[:, None]
+        edges = np.flatnonzero((dm.trace_col >= 0) & (dm.trace_col < dm.n_free))
+        loc[dm.trace_col[edges][:, None] + np.arange(dm.k)] = mesh.vertices[mesh.edges[edges]].mean(axis=1)[:, None]
+
+        c = max(1, mesh.n_cells // 4)
+        cell = np.clip(np.floor((loc + 1.0) * (c / 2.0)).astype(np.int64), 0, c - 1)
+        inside = np.zeros(dm.n_free, np.int64)
+        if mesh.interface is not None:
+            inside = (mesh.interface.value(loc[:, 0], loc[:, 1]) < 0.0).astype(np.int64)
+        keys, agg = np.unique((cell[:, 1] * c + cell[:, 0]) * 2 + inside, return_inverse=True)
+        return agg, len(keys)
+
+
+def coarse_basis(plan: LevelPlan, spaces: IfeSpaces) -> sp.csr_matrix:
+    """Z (n_free, n_aggregates): the free coefficients of u = 1, split over the aggregates.
+
+    A constant satisfies both jump conditions, so its coefficients are 1 on
+    the CG nodes, the Q_0 projection of 1 on every interface element's
+    interior columns and the Q_b projection of 1 (sqrt(length) on P_0, 0 on
+    the higher Legendre terms) on the free traces. Each row of Z holds its
+    column's coefficient in the column of its aggregate (``LevelPlan.aggregates``).
+    """
+    dm = plan.dofmap
+    agg, n_agg = plan.aggregates
+    values = np.ones(dm.n_free)
+    if dm.wg0_col:
+        first = next(iter(dm.wg0_col.values()))
+        interior = spaces.project_interior(np.ones(len(spaces.geometry.rule_weights)))
+        values[first : first + interior.size] = interior.ravel()
+    edges = np.flatnonzero((dm.trace_col >= 0) & (dm.trace_col < dm.n_free))
+    a, b = plan.mesh.edges[edges].T
+    traces = np.zeros((len(edges), dm.k))
+    traces[:, 0] = np.sqrt(np.linalg.norm(plan.mesh.vertices[b] - plan.mesh.vertices[a], axis=1))
+    values[dm.trace_col[edges][:, None] + np.arange(dm.k)] = traces
+    z = sp.csr_matrix((values, agg, np.arange(dm.n_free + 1)), shape=(dm.n_free, n_agg))
+    z.eliminate_zeros()
+    return z
+
 
 def build_level_plan(
     mesh: MeshPartition, k: int, f, quad_offset: int = 0, geometries: CutGeometry | None = None

@@ -11,7 +11,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from iwgfem.analysis import ConvergenceReport, ManufacturedSolution, compute_errors, example1
-from iwgfem.assembly import LevelPlan, assemble_system, build_cut_geometries, build_level_plan, dump_matrix
+from iwgfem.assembly import (
+    LevelPlan,
+    assemble_system,
+    build_cut_geometries,
+    build_level_plan,
+    coarse_basis,
+    dump_matrix,
+)
 from iwgfem.geometry import GeometryError
 from iwgfem.ife import IfeError
 from iwgfem.mesh import build_mesh, dump_mesh
@@ -85,8 +92,10 @@ def _solve_pair(plan: LevelPlan, ms: ManufacturedSolution, mode: str, solver_con
     system, spaces = assemble_system(
         mesh, k, ms.a1, ms.a2, ms.f, ms.g, mode=mode, quad_offset=quad_offset, plan=plan
     )
-    cg = solver_config is not None and solver_config.method == "cg"
-    x, stats = solve(system.matrix, system.rhs, solver_config, plan.dofmap.patches if cg else ())
+    if solver_config is not None and solver_config.method == "cg":
+        x, stats = solve(system.matrix, system.rhs, solver_config, plan.dofmap.patches, coarse_basis(plan, spaces))
+    else:
+        x, stats = solve(system.matrix, system.rhs, solver_config)
     x_all = system.full_coefficients(x)
     errors = compute_errors(mesh, system.dofmap, spaces, x_all, ms, k, quad_offset, plan)
     return errors, stats, system, spaces, x_all

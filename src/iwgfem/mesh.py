@@ -60,10 +60,6 @@ class MeshPartition:
         return len(self.vertices)
 
     @property
-    def n_triangles(self) -> int:
-        return len(self.triangles)
-
-    @property
     def n_edges(self) -> int:
         return len(self.edges)
 

@@ -1,4 +1,4 @@
-"""Sparse SPD solvers: pivot-free factorization and additive-Schwarz preconditioned CG."""
+"""Sparse SPD solvers: pivot-free factorization and two-level additive-Schwarz preconditioned CG."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ class SolverError(Exception):
 
 
 class NotPositiveDefinite(SolverError):
-    """Factorization hit a non-positive pivot, a Schwarz patch is not SPD, or CG broke down."""
+    """A factorization hit a non-positive pivot, a Schwarz patch is not SPD, or CG broke down."""
 
 
 class NoConvergence(SolverError):
@@ -24,6 +24,14 @@ class NoConvergence(SolverError):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The solver and CG's stopping rule.
+
+    ``cg_tol`` bounds CG's recursively updated residual relative to ||b||,
+    not the true one: ``SolveStats.residual`` is the certificate, and at
+    high contrast it may exceed ``cg_tol`` (2.6e-11 at N = 64, k = 2,
+    (1000, 1)).
+    """
+
     method: str = "cholesky"  # "cholesky" | "cg"
     cg_tol: float = 1e-12
     cg_max_iter: int = 20000
@@ -40,26 +48,27 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SolveStats:
     method: str
-    residual: float  # relative residual certificate ||Kx - b|| / ||b||
+    residual: float  # relative residual certificate ||Kx - b|| / ||b||, may exceed cg_tol
     iterations: int  # 0 for the direct path
     n: int
 
 
-def solve(matrix: sp.spmatrix, rhs: np.ndarray, config: SolverConfig | None = None, patches=()):
+def solve(matrix: sp.spmatrix, rhs: np.ndarray, config: SolverConfig | None = None, patches=(), coarse=None):
     """Solve an SPD system; returns (x, SolveStats) with a residual certificate.
 
     ``patches`` are the overlapping additive-Schwarz patches of CG's
     preconditioner, groups of (element ids (n_p,), columns (n_p, s)) as in
-    ``DofMap.patches``; the direct path ignores them. Without patches CG is
-    Jacobi-preconditioned.
+    ``DofMap.patches``; without patches CG is Jacobi-preconditioned.
+    ``coarse`` is CG's coarse basis Z (n, n_c), as ``assembly.coarse_basis``
+    builds it; with it CG is deflated in the A-DEF2 form. The direct path
+    ignores both.
     """
     if config is None:
         config = SolverConfig()
     if config.method == "cholesky":
         a = sp.csc_matrix(matrix)
     else:  # sorted CSR rows sum in ascending column order, as a CSC matvec does
-        a = sp.csr_matrix(matrix)
-        a = a if a.has_sorted_indices else a.sorted_indices()
+        a = _sorted_csr(matrix)
     b = np.asarray(rhs, float)
     if a.shape[0] != a.shape[1] or a.shape[0] != len(b):
         raise ValueError("matrix/rhs shape mismatch")
@@ -67,35 +76,40 @@ def solve(matrix: sp.spmatrix, rhs: np.ndarray, config: SolverConfig | None = No
         return np.zeros(0), SolveStats(config.method, 0.0, 0, 0)
 
     if config.method == "cholesky":
-        x, iters = _solve_cholesky(a, b)
+        x, iters = _factor(a).solve(b), 0
     else:
-        x, iters = _solve_cg(a, b, config, patches)
+        x, iters = _solve_cg(a, b, config, patches, coarse)
 
     bnorm = float(np.linalg.norm(b))
     residual = float(np.linalg.norm(a @ x - b)) / max(bnorm, 1e-300)
     return x, SolveStats(config.method, residual, iters, a.shape[0])
 
 
-def _solve_cholesky(a: sp.csc_matrix, b: np.ndarray):
-    """Symmetric factorization with diagonal pivoting disabled.
+def _sorted_csr(matrix) -> sp.csr_matrix:
+    a = sp.csr_matrix(matrix)
+    return a if a.has_sorted_indices else a.sorted_indices()
+
+
+def _factor(a: sp.spmatrix):
+    """SuperLU factorization of an SPD matrix with diagonal pivoting disabled.
 
     With off-diagonal pivoting suppressed, SuperLU computes P A P^T = L U with
     unit-lower L, which for symmetric input is the LDL^T factorization; all
-    U-pivots positive is then equivalent to positive definiteness.
+    U-pivots positive is then equivalent to positive definiteness, and a
+    non-positive one raises NotPositiveDefinite.
     """
     try:
         lu = spla.splu(
-            a,
+            sp.csc_matrix(a),
             diag_pivot_thresh=0.0,
             permc_spec="MMD_AT_PLUS_A",
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:
         raise NotPositiveDefinite(f"factorization failed: {exc}") from exc
-    pivots = lu.U.diagonal()
-    if np.any(pivots <= 0.0):
+    if np.any(lu.U.diagonal() <= 0.0):
         raise NotPositiveDefinite("non-positive pivot in symmetric factorization")
-    return lu.solve(b), 0
+    return lu
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
@@ -140,8 +154,8 @@ def _schwarz_inverse(a: sp.csr_matrix, patches) -> sp.csr_matrix:
     vals.append(1.0 / diag[u])
     m_inv = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsr()
-    return m_inv if m_inv.has_sorted_indices else m_inv.sorted_indices()
+    )
+    return _sorted_csr(m_inv)
 
 
 def _first_indefinite(elements: np.ndarray, blocks: np.ndarray):
@@ -153,24 +167,51 @@ def _first_indefinite(elements: np.ndarray, blocks: np.ndarray):
             return element
 
 
-def _solve_cg(a: sp.csr_matrix, b: np.ndarray, config: SolverConfig, patches):
+def _deflation(a: sp.csr_matrix, m_inv: sp.csr_matrix, z: sp.csr_matrix):
+    """The coarse level of A-DEF2: E = Z^T A Z, exactly symmetric, and W^T = Z^T - Z^T A M^-1."""
+    z_t = z.T.tocsr()
+    zt_a = z_t @ a
+    e = zt_a @ z
+    return 0.5 * (e + e.T), _sorted_csr(z_t - zt_a @ m_inv)
+
+
+def _solve_cg(a: sp.csr_matrix, b: np.ndarray, config: SolverConfig, patches, coarse):
     """Deterministic preconditioned conjugate gradients, updating in place.
 
-    The preconditioner is ``_schwarz_inverse(a, patches)``, applied by one
-    CSR matvec per iteration; the reductions do not go through BLAS, so the
-    iterates do not depend on its thread count.
+    The one-level preconditioner is M^-1 = ``_schwarz_inverse(a, patches)``,
+    applied by one CSR matvec per iteration. With a coarse basis Z the
+    iteration is deflated in the A-DEF2 form (Tang, Nabben, Vuik &
+    Erlangga, J. Sci. Comput. 39, 2009): it starts from x0 = Z E^-1 Z^T b
+    and applies z = M^-1 r + Z E^-1 W^T r (``_deflation``), as one matvec
+    of [M^-1, Z] on [r; E^-1 W^T r], with E factored by ``_factor``. The
+    reductions do not go through BLAS, so the iterates do not depend on
+    its thread count.
+
+    The loop stops when the recursively updated residual r reaches
+    ``cg_tol`` relative to b. At high contrast r drifts from b - A x, so the
+    true residual that ``solve`` reports may exceed ``cg_tol``.
     """
     n = len(b)
     m_inv = _schwarz_inverse(a, patches)
-
     x = np.zeros(n)
     r = b.copy()
-    z = m_inv @ r
+    if coarse is not None:
+        z_c = _sorted_csr(coarse)
+        e, w_t = _deflation(a, m_inv, z_c)
+        lu = _factor(e)
+        x = z_c @ lu.solve(z_c.T @ b)
+        r -= a @ x
+        m_inv = _sorted_csr(sp.hstack([m_inv, z_c]))
+
+    def precondition(r):
+        return m_inv @ (r if coarse is None else np.concatenate([r, lu.solve(w_t @ r)]))
+
+    z = precondition(r)
     p = z.copy()
     tmp = np.empty(n)
     rz = _dot(r, z)
     bnorm = math.sqrt(_dot(b, b))
-    if bnorm == 0.0:
+    if math.sqrt(_dot(r, r)) <= config.cg_tol * bnorm:
         return x, 0
     for it in range(1, config.cg_max_iter + 1):
         ap = a @ p
@@ -184,7 +225,7 @@ def _solve_cg(a: sp.csr_matrix, b: np.ndarray, config: SolverConfig, patches):
         r -= tmp
         if math.sqrt(_dot(r, r)) <= config.cg_tol * bnorm:
             return x, it
-        z = m_inv @ r
+        z = precondition(r)
         rz_new = _dot(r, z)
         p *= rz_new / rz
         p += z

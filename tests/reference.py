@@ -6,7 +6,7 @@ root solver, the loop-built mesh, Gauss rules on segments and triangles,
 one polygon's fan triangulation and rule, plain sums over quadrature rules,
 one element's CG stiffness, the edge sets of the interface elements, the
 non-interface errors summed with ``einsum`` on freshly mapped points, and
-Jacobi-CG with allocating updates. A few accessors of one element's data
+preconditioned CG with allocating updates. A few accessors of one element's data
 close the file.
 """
 
@@ -361,19 +361,29 @@ def noninterface_errors(mesh, dofmap, x_all, ms, k, degree):
     return energy_sq, l2_sq, linf
 
 
-def jacobi_cg(matrix, b: np.ndarray, tol: float = 1e-12, max_iter: int = 20000):
-    """Jacobi-preconditioned CG on CSC with a fresh vector per update: (x, iterations).
+def allocating_cg(matrix, b: np.ndarray, m_inv=None, tol: float = 1e-12, max_iter: int = 20000):
+    """Preconditioned CG with a fresh vector per update: (x, iterations).
 
-    The reductions are numpy sums (``einsum``), not BLAS, as in the solver.
+    The preconditioner is the sparse matrix ``m_inv``, Jacobi's inverse
+    diagonal (applied elementwise) without it. The matrix is applied in CSC
+    and the reductions are numpy sums (``einsum``), not BLAS, as in the solver.
     """
     def dot(u, v):
         return float(np.einsum("i,i->", u, v))
 
     a = sp.csc_matrix(matrix)
-    inv_diag = 1.0 / a.diagonal()
+    if m_inv is None:
+        inv_diag = 1.0 / a.diagonal()
+
+        def precondition(r):
+            return inv_diag * r
+    else:
+        def precondition(r):
+            return m_inv @ r
+
     x = np.zeros(len(b))
     r = b.copy()
-    z = inv_diag * r
+    z = precondition(r)
     p = z.copy()
     rz = dot(r, z)
     bnorm = math.sqrt(dot(b, b))
@@ -384,7 +394,7 @@ def jacobi_cg(matrix, b: np.ndarray, tol: float = 1e-12, max_iter: int = 20000):
         r -= alpha * ap
         if math.sqrt(dot(r, r)) <= tol * bnorm:
             return x, it
-        z = inv_diag * r
+        z = precondition(r)
         rz_new = dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new

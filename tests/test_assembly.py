@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iwgfem.analysis import example1, linear_solution
 from iwgfem.assembly import (
@@ -20,14 +22,16 @@ from iwgfem.assembly import (
     build_dof_map,
     build_ife_spaces,
     build_level_plan,
+    coarse_basis,
     dump_matrix,
     element_node_table,
     routing_matrix,
 )
-from iwgfem.geometry import INTERFACE, OMEGA1, OMEGA2, CircleInterface
+from iwgfem.geometry import INTERFACE, OMEGA1, OMEGA2, CircleInterface, GeometryError
 from iwgfem.mesh import build_mesh
-from iwgfem.solver import solve
+from iwgfem.solver import _factor, solve
 from reference import block, cg_element_stiffness, side_rules, triangle_coords
+from test_geometry import OFF_CENTRE, off_centre_circle
 
 CIRCLE = CircleInterface()
 
@@ -142,7 +146,7 @@ def _reference_dof_columns(mesh, k):
 
     n_nodes = mesh.n_vertices + (mesh.n_edges if k == 2 else 0)
     active = np.zeros(n_nodes, dtype=bool)
-    for t in range(mesh.n_triangles):
+    for t in range(len(mesh.triangles)):
         if mesh.element_class[t] != INTERFACE:
             active[element_node_table(mesh, k)[t]] = True
     on_boundary = np.zeros(n_nodes, dtype=bool)
@@ -160,7 +164,7 @@ def _reference_dof_columns(mesh, k):
             node_col[n] = col
             col += 1
     wg0_col = {}
-    for t in range(mesh.n_triangles):
+    for t in range(len(mesh.triangles)):
         if mesh.element_class[t] == INTERFACE:
             wg0_col[t] = col
             col += (k + 1) * (k + 2) // 2
@@ -346,6 +350,34 @@ class TestLevelPlan:
             np.testing.assert_array_equal(got.rhs, want.rhs)
 
 
+def zero(x, y):
+    return np.zeros_like(np.asarray(x, float))
+
+
+def one(x, y):
+    return np.ones_like(np.asarray(x, float))
+
+
+class TestOffCentreCircles:
+    @settings(deadline=None, max_examples=20)
+    @given(**OFF_CENTRE, n=st.integers(min_value=8, max_value=32), k=st.sampled_from([1, 2]),
+           pair=st.sampled_from([(1.0, 1.0), (1.0, 10.0), (1.0, 100.0), (1.0, 1000.0), (1000.0, 1.0)]))
+    def test_reduced_matrix_is_spd_and_reproduces_a_constant(self, radius, u, v, n, k, pair):
+        # The pivot-free factorization raises NotPositiveDefinite on a pivot
+        # <= 0. With f = 0 and g = 1 the solution is the coarse vector, the
+        # projection of u = 1 (worst seen over 113 draws: 5.4e-12).
+        try:
+            mesh = build_mesh(1, off_centre_circle(radius, u, v), n_override=n)
+        except GeometryError:
+            return
+        plan = build_level_plan(mesh, k, zero)
+        system, spaces = assemble_system(
+            mesh, k, *pair, zero, one, mode="segment" if k == 1 else "arc", plan=plan
+        )
+        x = _factor(system.matrix).solve(system.rhs)
+        assert np.max(np.abs(x - np.asarray(coarse_basis(plan, spaces).sum(axis=1)).ravel())) <= 1e-9
+
+
 class TestGlobalSystem:
     def test_zero_dirichlet_zero_lift(self):
         mesh = build_mesh(1, CIRCLE)
@@ -499,7 +531,7 @@ def _textbook_cg_solve(mesh, k, ms):
     from iwgfem.assembly import _cg_shape_values
 
     shapes = _cg_shape_values(k, ref)
-    for t in range(mesh.n_triangles):
+    for t in range(len(mesh.triangles)):
         tri = triangle_coords(mesh, t)
         nodes = element_node_table(mesh, k)[t]
         cols = dm.node_col[nodes]

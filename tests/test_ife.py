@@ -226,6 +226,25 @@ class TestSegmentBasisRounding:
                 assert abs(g - w) <= 4 * math.ulp(g), (cut.element_id, got, want)
 
     @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("a2", [1.0, 10.0, 100.0, 1000.0])
+    def test_chord_residuals_are_bounded_by_the_coefficient_rounding(self, level3_cuts, k, a2):
+        # The jump conditions hold to the rounding of the stored coefficients:
+        # eps * max(A) * max|c| for the value jump, over h and h^2 for the flux
+        # and Laplacian jumps. The worst ratio to that scale on these cuts,
+        # over the four default pairs, is 3.3 (the flux jump, k = 2,
+        # (1, 1000)); the value jump stays below 0.24 and the Laplacian jump
+        # below 1.8.
+        eps = np.finfo(float).eps
+        for cut in level3_cuts:
+            space = construct_ife_basis(cut, 1.0, a2, k, mode="segment")
+            scale = eps * a2 * np.abs(space.coeffs).max()
+            val, flux, lap = sample_chord_residuals(space, n_samples=8)
+            h = space.h_ref
+            assert val <= 8 * scale, cut.element_id
+            assert flux <= 8 * scale / h, cut.element_id
+            assert lap <= 8 * scale / h**2, cut.element_id
+
+    @pytest.mark.parametrize("k", [1, 2])
     def test_coeffs_are_structured_basis_times_mixing(self, level3_cuts, k):
         # coeffs = null @ R: the base side's block of the structured basis is
         # diagonal, so it gives R, and the other side must follow from it up

@@ -136,14 +136,14 @@ class TestBuildMesh:
     def test_level1_counts(self):
         mesh = build_mesh(1, CIRCLE)
         assert mesh.n_cells == 4
-        assert mesh.n_triangles == 32
+        assert len(mesh.triangles) == 32
         assert mesh.n_vertices == 25
 
     def test_counting_formulas(self):
         for level in (1, 2, 3):
             mesh = build_mesh(level, CIRCLE)
             n = 2 ** (level + 1)
-            assert mesh.n_triangles == 2 * n * n
+            assert len(mesh.triangles) == 2 * n * n
             assert mesh.n_vertices == (n + 1) ** 2
             assert mesh.n_edges == 3 * n * n + 2 * n
 
@@ -155,11 +155,11 @@ class TestBuildMesh:
     def test_euler_characteristic(self):
         for level in (1, 2):
             mesh = build_mesh(level, CIRCLE)
-            assert mesh.n_vertices - mesh.n_edges + mesh.n_triangles == 1
+            assert mesh.n_vertices - mesh.n_edges + len(mesh.triangles) == 1
 
     def test_triangles_counterclockwise(self):
         mesh = build_mesh(1, CIRCLE)
-        for t in range(mesh.n_triangles):
+        for t in range(len(mesh.triangles)):
             v = triangle_coords(mesh, t)
             cross = (v[1, 0] - v[0, 0]) * (v[2, 1] - v[0, 1]) - (v[1, 1] - v[0, 1]) * (
                 v[2, 0] - v[0, 0]
@@ -207,7 +207,7 @@ class TestBuildMesh:
         from iwgfem.geometry import classify_element
 
         mesh = build_mesh(2, CIRCLE)
-        for t in range(mesh.n_triangles):
+        for t in range(len(mesh.triangles)):
             assert mesh.element_class[t] == classify_element(triangle_coords(mesh, t), CIRCLE)
 
     def test_cuts_exactly_on_interface_elements(self):
@@ -217,7 +217,7 @@ class TestBuildMesh:
     def test_n_override(self):
         mesh = build_mesh(1, CIRCLE, n_override=6)
         assert mesh.n_cells == 6
-        assert mesh.n_triangles == 72
+        assert len(mesh.triangles) == 72
 
     def test_no_interface(self):
         mesh = build_mesh(1, None)
@@ -271,5 +271,5 @@ def test_dump_mesh(tmp_path):
     dump_mesh(mesh, path)
     lines = path.read_text().splitlines()
     assert len([l for l in lines if l.startswith("node ")]) == mesh.n_vertices
-    assert len([l for l in lines if l.startswith("element ")]) == mesh.n_triangles
+    assert len([l for l in lines if l.startswith("element ")]) == len(mesh.triangles)
     assert len([l for l in lines if l.startswith("edge ")]) == mesh.n_edges

@@ -9,15 +9,19 @@ import scipy.linalg as sl
 import scipy.sparse as sp
 
 from iwgfem.analysis import example1
-from iwgfem.assembly import assemble_system
+from iwgfem.assembly import assemble_system, build_level_plan, coarse_basis
 from iwgfem.cli import run_level
 from iwgfem.mesh import build_mesh
-from reference import jacobi_cg
+from reference import allocating_cg
+from test_assembly import one, zero
 from iwgfem.solver import (
     NoConvergence,
     NotPositiveDefinite,
     SolverConfig,
+    _deflation,
+    _factor,
     _schwarz_inverse,
+    _sorted_csr,
     solve,
 )
 
@@ -73,7 +77,7 @@ class TestSolve:
         mesh = build_mesh(1, ms.interface, n_override=16)
         system, _ = assemble_system(mesh, 2, 1.0, 1000.0, ms.f, ms.g, mode="arc")
         x, stats = solve(system.matrix, system.rhs, SolverConfig(method="cg"))
-        x_ref, iters = jacobi_cg(system.matrix, system.rhs)
+        x_ref, iters = allocating_cg(system.matrix, system.rhs)
         assert stats.iterations == iters > 0
         np.testing.assert_array_equal(x, x_ref)
 
@@ -104,13 +108,24 @@ class TestSolve:
             np.testing.assert_array_equal(x1, x2)
 
 
-@pytest.fixture(scope="module")
-def contrast_system():
-    """The assembled N = 16, k = 2, (1, 1000) system."""
+def contrast_level(n: int):
+    """The level plan, assembled system and spaces of the N = n, k = 2, (1, 1000) level."""
     ms = example1(1.0, 1000.0)
-    mesh = build_mesh(1, ms.interface, n_override=16)
-    system, _ = assemble_system(mesh, 2, 1.0, 1000.0, ms.f, ms.g, mode="arc")
-    return system
+    mesh = build_mesh(1, ms.interface, n_override=n)
+    plan = build_level_plan(mesh, 2, ms.f)
+    system, spaces = assemble_system(mesh, 2, 1.0, 1000.0, ms.f, ms.g, mode="arc", plan=plan)
+    return plan, system, spaces
+
+
+@pytest.fixture(scope="module")
+def contrast16():
+    return contrast_level(16)
+
+
+@pytest.fixture(scope="module")
+def contrast_system(contrast16):
+    """The assembled N = 16, k = 2, (1, 1000) system."""
+    return contrast16[1]
 
 
 class TestSchwarz:
@@ -157,6 +172,16 @@ class TestSchwarz:
         assert np.max(np.abs(x - x_direct)) <= 1e-9 * np.max(np.abs(x_direct))
         assert 0 < stats.iterations < jacobi.iterations
 
+    def test_one_level_iterates_match_the_allocating_loop(self, contrast_system):
+        # Without a coarse basis the Schwarz CG does the reference's
+        # arithmetic in the same order, so the iterates agree bit for bit.
+        a, b = contrast_system.matrix, contrast_system.rhs
+        patches = contrast_system.dofmap.patches
+        x, stats = solve(a, b, SolverConfig(method="cg"), patches, coarse=None)
+        x_ref, iters = allocating_cg(a, b, _schwarz_inverse(_sorted_csr(a), patches))
+        assert stats.iterations == iters > 0
+        np.testing.assert_array_equal(x, x_ref)
+
     def test_indefinite_patch_names_its_element(self, contrast_system):
         dm = contrast_system.dofmap
         elements, _ = dm.patches[0]
@@ -169,6 +194,71 @@ class TestSchwarz:
         a[i, i + 1] = a[i + 1, i] = 2.0 * np.sqrt(a[i, i] * a[i + 1, i + 1])
         with pytest.raises(NotPositiveDefinite, match=f"interface element {element}: "):
             solve(a, contrast_system.rhs, SolverConfig(method="cg"), dm.patches)
+
+
+class TestCoarseLevel:
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("a1, a2", [(1.0, 1.0), (1.0, 1000.0), (1000.0, 1.0)])
+    def test_direct_solve_of_a_constant_is_the_coarse_vector(self, k, a1, a2):
+        # A constant satisfies both jump conditions, so with f = 0 and g = 1
+        # the discrete solution is its Q_0 / Q_b projection: Z's row sums.
+        ms = example1(a1, a2)
+        mesh = build_mesh(1, ms.interface, n_override=16)
+        plan = build_level_plan(mesh, k, zero)
+        system, spaces = assemble_system(
+            mesh, k, a1, a2, zero, one, mode="segment" if k == 1 else "arc", plan=plan
+        )
+        z = coarse_basis(plan, spaces)
+        assert z.shape == (plan.dofmap.n_free, plan.aggregates[1])
+        assert np.all(np.diff(z.indptr) <= 1)  # each column lies in one aggregate
+        x, _ = solve(system.matrix, system.rhs)
+        assert np.max(np.abs(x - np.asarray(z.sum(axis=1)).ravel())) <= 1e-11
+
+    def test_aggregates_are_grid_cells_split_by_the_interface(self, contrast16):
+        plan = contrast16[0]
+        agg, n_agg = plan.aggregates
+        # C = 16 / 4 = 4 cells per side; the circle splits 12 of the 16.
+        assert n_agg == 28
+        assert agg.shape == (plan.dofmap.n_free,)
+        assert np.all(np.bincount(agg, minlength=n_agg) > 0)
+
+    def test_coarse_matrix_is_exactly_symmetric_and_a_zeroed_pivot_raises(self, contrast16):
+        plan, system, spaces = contrast16
+        a = _sorted_csr(system.matrix)
+        e, _ = _deflation(a, _schwarz_inverse(a, plan.dofmap.patches), coarse_basis(plan, spaces))
+        assert (e != e.T).nnz == 0
+        _factor(e)
+        e = e.tolil()
+        e[0, 0] = 0.0
+        with pytest.raises(NotPositiveDefinite):
+            _factor(e)
+
+    def test_a_zero_coarse_column_raises(self, contrast16):
+        plan, system, spaces = contrast16
+        z = coarse_basis(plan, spaces).tocsc()
+        z.data[z.indptr[0] : z.indptr[1]] = 0.0
+        with pytest.raises(NotPositiveDefinite):
+            solve(system.matrix, system.rhs, SolverConfig(method="cg"), plan.dofmap.patches, z)
+
+    def test_deflated_cg_matches_direct(self, contrast16):
+        plan, system, spaces = contrast16
+        a, b = system.matrix, system.rhs
+        x_direct, _ = solve(a, b)
+        x, stats = solve(a, b, SolverConfig(method="cg"), plan.dofmap.patches, coarse_basis(plan, spaces))
+        assert stats.iterations > 0
+        assert np.max(np.abs(x - x_direct)) <= 1e-9 * np.max(np.abs(x_direct))
+
+    def test_deflation_saves_iterations_at_high_contrast(self):
+        # At N = 16 the 28 aggregates of H = 4h are too coarse to help at
+        # contrast 1000 (248 iterations against 239); from N = 32 on they do.
+        plan, system, spaces = contrast_level(32)
+        a, b = system.matrix, system.rhs
+        config = SolverConfig(method="cg")
+        _, one_level = solve(a, b, config, plan.dofmap.patches)
+        x, two_level = solve(a, b, config, plan.dofmap.patches, coarse_basis(plan, spaces))
+        assert 0 < two_level.iterations < 0.9 * one_level.iterations
+        x_direct, _ = solve(a, b)
+        assert np.max(np.abs(x - x_direct)) <= 1e-9 * np.max(np.abs(x_direct))
 
 
 def high_contrast_cg():
