@@ -137,7 +137,7 @@ def _study_level(config: RunConfig, level: int, reports: dict, failed: set, log)
     log(
         f"level={level} N={mesh.n_cells} cut={len(mesh.cuts)} "
         f"quad_points={len(geometries.rule_weights)} mesh={t1 - t0:.3f}s geometry={t2 - t1:.3f}s "
-        f"plan={t3 - t2:.3f}s"
+        f"plan={t3 - t2:.3f}s neg_weights={int((geometries.rule_weights < 0).sum())}"
     )
     code = 0
     for a1, a2 in config.pairs:

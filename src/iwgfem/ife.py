@@ -305,8 +305,8 @@ class CutGeometry(Mapping):
 
 
 # Packed segments processed per batch. It bounds the temporaries: the fit's
-# Legendre products of 256 segments of 125 points take 11.5 MB at k = 2.
-SEGMENT_BATCH = 256
+# Legendre products of 64 segments of 125 points take 2.9 MB at k = 2.
+SEGMENT_BATCH = 64
 
 
 def _segment_batches(offsets: np.ndarray, segs: np.ndarray):

@@ -1,21 +1,28 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iwgfem.analysis import (
+    ERROR_BLOCK,
     NonPositiveError,
+    _noninterface_errors,
     check_interface_conditions,
     convergence_orders,
     example1,
     interpolation_errors,
     linear_solution,
 )
-from iwgfem.assembly import build_ife_spaces
+from iwgfem.assembly import build_ife_spaces, build_level_plan
 from iwgfem.cli import run_level
-from iwgfem.geometry import OMEGA1, OMEGA2, CircleInterface
+from iwgfem.geometry import OMEGA1, OMEGA2, CircleInterface, GeometryError
 from iwgfem.mesh import build_mesh
 from reference import block, noninterface_errors, triangle_coords, triangle_rule
+from test_geometry import OFF_CENTRE, off_centre_circle
 
 
 class CircleFixture:
@@ -141,15 +148,16 @@ class TestErrorNorms:
         assert errors["l2"] > 0.0
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_planned_noninterface_errors_match_the_einsum_reference(self, k):
+    @pytest.mark.parametrize("level", [3, 5])
+    def test_planned_noninterface_errors_match_the_einsum_reference(self, level, k):
         # The plan's matmul and tensordot reductions sum in another order
-        # than the reference's einsums, so they agree to rounding.
-        from iwgfem.analysis import _noninterface_errors
-        from iwgfem.assembly import build_level_plan
-
+        # than the reference's einsums, so they agree to rounding. Level 5
+        # (N = 64, 7,938 non-interface elements) takes more than one block.
         ms = example1(1.0, 1000.0)
-        mesh = build_mesh(3, ms.interface)
+        mesh = build_mesh(level, ms.interface)
         plan = build_level_plan(mesh, k, ms.f)
+        if level == 5:
+            assert max(len(sel) for sel, _, _ in plan.sides.values()) > ERROR_BLOCK
         x = np.random.default_rng(k).standard_normal(plan.dofmap.n_total)
         got = _noninterface_errors(plan, plan.dofmap, x, ms)
         want = noninterface_errors(mesh, plan.dofmap, x, ms, k, 2 * k + 4)
@@ -162,6 +170,35 @@ class TestErrorNorms:
         assert errors["energy"] < 1e-9
         assert errors["l2"] < 1e-9
         assert errors["linf"] < 1e-9
+
+    @settings(deadline=None, max_examples=20)
+    @given(**OFF_CENTRE, n=st.integers(min_value=8, max_value=32))
+    def test_patch_solution_has_zero_errors_on_off_centre_circles(self, radius, u, v, n):
+        # Criterion 4's patch test with the interface drawn off centre
+        # (worst seen over 260 draws: 7.0e-14).
+        ms = dataclasses.replace(linear_solution(1.0, 2.0, -3.0), interface=off_centre_circle(radius, u, v))
+        try:
+            errors, *_ = run_level(ms, 1, 1, "segment", n_override=n)
+        except GeometryError:
+            return
+        assert max(errors.values()) <= 1e-9, errors
+
+    @pytest.mark.parametrize("k, bound_mb", [(1, 11), (2, 17)])
+    def test_noninterface_error_pass_memory_does_not_grow_with_the_mesh(self, k, bound_mb):
+        # The pass streams ERROR_BLOCK elements at a time, so at N = 128
+        # (32,266 elements) its traced peak stays a few MB: 7.1 MB at k = 1
+        # and 11.2 MB at k = 2 when measured.
+        ms = example1(1.0, 1000.0)
+        mesh = build_mesh(6, ms.interface)
+        plan = build_level_plan(mesh, k, ms.f)
+        x = np.random.default_rng(k).standard_normal(plan.dofmap.n_total)
+        tracemalloc.start()
+        try:
+            _noninterface_errors(plan, plan.dofmap, x, ms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 1e6, peak
 
 
 class TestInterpolationDiagnostic:

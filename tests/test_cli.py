@@ -11,6 +11,7 @@ import pytest
 
 import iwgfem.analysis
 import iwgfem.assembly
+from iwgfem.assembly import build_cut_geometries
 from iwgfem.cli import (
     _KEY_TO_FIELD,
     RunConfig,
@@ -21,6 +22,8 @@ from iwgfem.cli import (
     main,
     run_study,
 )
+from iwgfem.geometry import CircleInterface
+from iwgfem.mesh import build_mesh
 
 
 class TestParsing:
@@ -237,7 +240,7 @@ class TestMain:
         assert len(lines) == 2
         for level, line in zip((1, 2), lines):
             fields = dict(tok.split("=", 1) for tok in line.split())
-            assert list(fields) == ["level", "N", "cut", "quad_points", "mesh", "geometry", "plan"]
+            assert list(fields) == ["level", "N", "cut", "quad_points", "mesh", "geometry", "plan", "neg_weights"]
             assert int(fields["level"]) == level and int(fields["N"]) == 4 * level
             # A chord splits a triangle into a triangle and a quadrilateral;
             # at depth 2 the arc adds 3 vertices to each, so the two fans have
@@ -247,6 +250,18 @@ class TestMain:
             assert float(fields["mesh"].rstrip("s")) >= 0.0
             assert float(fields["geometry"].rstrip("s")) >= 0.0
             assert float(fields["plan"].rstrip("s")) >= 0.0
+            # No cut is deeper than the fan rules, so no weight is fitted.
+            assert int(fields["neg_weights"]) == 0
+
+    def test_level_setup_line_counts_the_negative_fitted_weights(self, capsys):
+        # At depth 6 and k = 2 the moment fit leaves some sliver sides with
+        # negative weights; the line counts those of the packed rule.
+        code = main(["--k", "2", "--levels", "1", "--coeffs", "1,10", "--n-level1", "32"])
+        assert code == 0
+        line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("level="))
+        fields = dict(tok.split("=", 1) for tok in line.split())
+        weights = build_cut_geometries(build_mesh(1, CircleInterface(), n_override=32), 2).rule_weights
+        assert int(fields["neg_weights"]) == int((weights < 0).sum()) > 0
 
     def test_bad_flag_value(self):
         assert main(["--k", "7"]) == 2

@@ -35,6 +35,7 @@ from iwgfem.geometry import (
     polygon_area,
     subregion_polygon,
 )
+from iwgfem import ife
 from iwgfem.ife import PolyBasis, _fit_moments, build_cut_geometry, build_local_spaces, sample
 from iwgfem.mesh import build_mesh
 from iwgfem.solver import solve
@@ -379,6 +380,17 @@ class TestMomentFit:
         weights[offsets[1] : offsets[2]] = 0.0
         with np.errstate(all="ignore"), pytest.raises(GeometryError, match=f"^element 9, side {OMEGA2}: singular"):
             _fit_moments(cuts, offsets, points, weights, 6)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("circle", CIRCLES)
+    def test_fitted_weights_do_not_depend_on_the_segment_batch(self, circle, k, monkeypatch):
+        # The batch's QR, eigh and products act segment by segment, so the
+        # batch size bounds the temporaries and changes no weight.
+        mesh = build_mesh(1, circle, n_override=32)
+        default = build_cut_geometries(mesh, k).rule_weights
+        assert 2 * len(mesh.cuts) > ife.SEGMENT_BATCH
+        monkeypatch.setattr(ife, "SEGMENT_BATCH", 7)
+        assert np.array_equal(build_cut_geometries(mesh, k).rule_weights, default)
 
     def test_paper_circle_has_no_negative_weight_at_k1(self):
         # At k = 2 a few sliver sides take negative weights; at k = 1 none does.
