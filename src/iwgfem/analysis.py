@@ -180,7 +180,7 @@ def _noninterface_errors(plan: LevelPlan, dofmap: DofMap, x_all, ms):
 
 
 def _interface_errors(dofmap: DofMap, spaces: IfeSpaces, x_all, ms):
-    if not np.array_equal(spaces.elements, list(dofmap.wg0_col)):
+    if not np.array_equal(spaces.elements, dofmap.elements):
         raise AnalysisError("interface spaces do not follow the routing matrix's element order")
     m = dofmap.m
     geometry = spaces.geometry

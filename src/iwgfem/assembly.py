@@ -48,14 +48,14 @@ class DofMap:
     """Column layout: free unknowns first, Dirichlet-pinned columns after.
 
     node_col[n] is the column of node n (vertex id, or n_vertices + edge id
-    for k = 2 midpoints), -1 if the node carries no CG unknown. wg0_col maps
-    each interface element, in ascending id order, to the first of its m
-    interior columns. trace_col[e] is the first of k columns for edge e's
-    trace block, TRACE_SLAVED on coupling edges.
+    for k = 2 midpoints), -1 if the node carries no CG unknown. The m
+    interior columns of interface element ``elements[i]`` (ascending ids, the
+    mesh's cut table order) start at wg0 + m i. trace_col[e] is the first of
+    k columns for edge e's trace block, TRACE_SLAVED on coupling edges.
 
     P is the routing matrix (CSR) from all columns, pinned ones included, to
     the local slots of the interface elements: one block of m + 3k rows
-    [v0; vb on local edges 0, 1, 2] per element, in wg0_col order. Interior
+    [v0; vb on local edges 0, 1, 2] per element, in ``elements`` order. Interior
     and owned (free or pinned) trace slots are identity rows; a slaved slot
     holds its row of the k x (k+1) projection of the CG trace onto the
     edge's Legendre basis, in the columns of the edge's nodes.
@@ -66,7 +66,8 @@ class DofMap:
     n_free: int
     n_total: int
     node_col: np.ndarray
-    wg0_col: dict
+    elements: np.ndarray  # (n_cut,) interface element ids, ascending
+    wg0: int  # first interior column
     trace_col: np.ndarray
     pinned_nodes: np.ndarray  # node ids in pinned column order
     pinned_trace_edges: np.ndarray  # edge ids of pinned trace blocks, in order
@@ -82,8 +83,7 @@ class DofMap:
         free CG nodes of its slaved edges). Each group is (element ids (n_p,),
         columns (n_p, s)) for the elements whose patch has s columns.
         """
-        p, nf = self.P, self.n_free
-        elems = np.fromiter(self.wg0_col, np.int64, len(self.wg0_col))
+        p, nf, elems = self.P, self.n_free, self.elements
         owner = np.repeat(np.arange(p.shape[0]) // (self.m + 3 * self.k), np.diff(p.indptr))
         free = p.indices < nf
         owner, cols = np.divmod(np.unique(owner[free] * nf + p.indices[free]), nf)
@@ -181,9 +181,8 @@ def build_dof_map(mesh: MeshPartition, k: int) -> DofMap:
     free_nodes = np.flatnonzero(active & ~on_boundary)
     node_col[free_nodes] = np.arange(len(free_nodes))
     free = len(free_nodes)
-    wg_elems = mesh.interface_elements()
-    wg0_col = dict(zip(wg_elems.tolist(), (free + m * np.arange(len(wg_elems))).tolist()))
-    free += m * len(wg_elems)
+    wg0 = free
+    free += m * len(mesh.cuts)
 
     on_bnd_edge = mesh.edge_tris[:, 1] < 0
     coupling_edges = mesh.edge_class == EDGE_COUPLING
@@ -210,7 +209,8 @@ def build_dof_map(mesh: MeshPartition, k: int) -> DofMap:
         n_free=n_free,
         n_total=col,
         node_col=node_col,
-        wg0_col=wg0_col,
+        elements=mesh.cuts.elements,
+        wg0=wg0,
         trace_col=trace_col,
         pinned_nodes=pinned_nodes,
         pinned_trace_edges=boundary_wg,
@@ -222,8 +222,7 @@ def build_dof_map(mesh: MeshPartition, k: int) -> DofMap:
 
 def routing_matrix(mesh: MeshPartition, dofmap: DofMap) -> sp.csr_matrix:
     """The routing matrix P of ``dofmap`` (see DofMap), built for all slots at once."""
-    k, m = dofmap.k, dofmap.m
-    elems = np.fromiter(dofmap.wg0_col, np.int64, len(dofmap.wg0_col))
+    k, m, elems = dofmap.k, dofmap.m, dofmap.elements
     n_loc = m + 3 * k
     slots = np.arange(len(elems) * n_loc).reshape(len(elems), n_loc)
     trace_slots = slots[:, m:].reshape(len(elems), 3, k)
@@ -235,10 +234,9 @@ def routing_matrix(mesh: MeshPartition, dofmap: DofMap) -> sp.csr_matrix:
             f"edge {edges[i, j]} of interface element {elems[i]} has no trace dofs"
         )
 
-    wg0 = np.fromiter(dofmap.wg0_col.values(), np.int64, len(elems))
     owned = tc >= 0
     rows = [slots[:, :m].ravel(), trace_slots[owned].ravel()]
-    cols = [(wg0[:, None] + np.arange(m)).ravel(), (tc[owned][:, None] + np.arange(k)).ravel()]
+    cols = [dofmap.wg0 + np.arange(len(elems) * m), (tc[owned][:, None] + np.arange(k)).ravel()]
 
     slaved = tc == TRACE_SLAVED
     e = edges[slaved]
@@ -372,9 +370,8 @@ class LevelPlan:
         loc = np.empty((dm.n_free, 2))
         nodes = np.flatnonzero((dm.node_col >= 0) & (dm.node_col < dm.n_free))
         loc[dm.node_col[nodes]] = dm.node_coords[nodes]
-        elems = np.fromiter(dm.wg0_col, np.int64, len(dm.wg0_col))
-        wg0 = np.fromiter(dm.wg0_col.values(), np.int64, len(elems))
-        loc[wg0[:, None] + np.arange(dm.m)] = mesh.vertices[mesh.triangles[elems]].mean(axis=1)[:, None]
+        interior = dm.wg0 + np.arange(len(dm.elements) * dm.m).reshape(-1, dm.m)
+        loc[interior] = mesh.vertices[mesh.triangles[dm.elements]].mean(axis=1)[:, None]
         edges = np.flatnonzero((dm.trace_col >= 0) & (dm.trace_col < dm.n_free))
         loc[dm.trace_col[edges][:, None] + np.arange(dm.k)] = mesh.vertices[mesh.edges[edges]].mean(axis=1)[:, None]
 
@@ -399,10 +396,9 @@ def coarse_basis(plan: LevelPlan, spaces: IfeSpaces) -> sp.csr_matrix:
     dm = plan.dofmap
     agg, n_agg = plan.aggregates
     values = np.ones(dm.n_free)
-    if dm.wg0_col:
-        first = next(iter(dm.wg0_col.values()))
+    if len(dm.elements):
         interior = spaces.project_interior(np.ones(len(spaces.geometry.rule_weights)))
-        values[first : first + interior.size] = interior.ravel()
+        values[dm.wg0 : dm.wg0 + interior.size] = interior.ravel()
     edges = np.flatnonzero((dm.trace_col >= 0) & (dm.trace_col < dm.n_free))
     a, b = plan.mesh.edges[edges].T
     traces = np.zeros((len(edges), dm.k))
@@ -474,9 +470,9 @@ def assemble_noninterface(plan: LevelPlan, coeff) -> CgContributions:
 def build_cut_geometries(mesh: MeshPartition, k: int, quad_offset: int = 0) -> CutGeometry:
     """Pair-independent data of every cut element, shareable across coefficient pairs.
 
-    Stacked in ascending element order.
+    Stacked in the cut table's ascending element order.
     """
-    return build_cut_geometry([mesh.cuts[t] for t in sorted(mesh.cuts)], k, quad_offset)
+    return build_cut_geometry(mesh.cuts, k, quad_offset)
 
 
 def build_ife_spaces(
@@ -531,7 +527,7 @@ def apply_constraints(
     slaving is congruent; the sparse product and sum store no explicit zeros.
     """
     n = dofmap.n_total
-    if not np.array_equal(wg.elements, list(dofmap.wg0_col)):
+    if not np.array_equal(wg.elements, dofmap.elements):
         raise AssemblyError("interface blocks do not follow the routing matrix's element order")
     p = dofmap.P
     n_cut, n_loc = wg.load.shape

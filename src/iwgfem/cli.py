@@ -25,6 +25,7 @@ from iwgfem.mesh import build_mesh, dump_mesh
 from iwgfem.solver import SolverConfig, SolverError, solve
 
 DEFAULT_PAIRS = ((1.0, 1.0), (1.0, 10.0), (1.0, 100.0), (1.0, 1000.0))
+MAX_DEPTH = 12  # deepest arc subdivision of the cut-cell quadrature
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,12 @@ class RunConfig:
             raise ValueError("conductivities must be finite")
         if any(a1 <= 0 or a2 <= 0 for a1, a2 in self.pairs):
             raise ValueError("conductivities must be positive")
-        if self.depth < 0:
-            raise ValueError("depth must be >= 0")
+        # The moment fit integrates along 2**depth arc chords per cut side, and
+        # the peak memory grows 2-3x per two depth levels: at N = 8, k = 2 a
+        # level peaks at 135 MB at depth 10, 296 MB at 12 and 947 MB at 14;
+        # at N = 64, depth 12 takes 500 MB; depth 24 asks numpy for 8.5 GiB.
+        if not 0 <= self.depth <= MAX_DEPTH:
+            raise ValueError(f"depth must be in 0..{MAX_DEPTH}")
         if self.quad_offset < 0:
             raise ValueError("quad-offset must be >= 0")
         if self.ife_mode not in ("auto", "segment", "arc"):

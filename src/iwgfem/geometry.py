@@ -1,4 +1,4 @@
-"""Interface geometry: level-set circle, element cutting, quadrature rules.
+"""Interface geometry: level-set circle, the cut table, quadrature rules.
 
 Everything in this module is a pure function of its inputs; the data types
 are immutable after construction and safe to share across threads.
@@ -331,30 +331,83 @@ def _mapped_rule(verts: np.ndarray, tris: np.ndarray, ref_pts: np.ndarray, ref_w
 
 
 @dataclass(frozen=True, eq=False)
-class ElementCut:
-    """Geometric data for one interface element.
+class CutTable:
+    """The chord splits of a mesh's interface elements, one row per element.
 
-    The chord D-E linearizes the interface inside the element; `normal` is
-    the unit normal of that chord oriented from the Omega1 side to the Omega2
-    side. `poly1` / `poly2` are the counterclockwise sub-polygons produced by
-    splitting the triangle along the chord; each lists the chord endpoints
-    first and last so the closing edge is exactly D-E (resp. E-D). D and E
-    lie on the crossed local edges in edge order, at the parameters
-    `crossings`, which run from each edge's smaller (y, x) end as
-    ``segment_crossings`` gives them; the neighbour across a cut edge shares
-    its crossing point bit for bit.
+    The chord D-E linearizes the interface inside an element. D and E lie on
+    the crossed local edges in edge order, at the parameters ``crossings``,
+    which run from each edge's smaller (y, x) end as ``segment_crossings``
+    gives them, so the neighbour across a cut edge shares the point bit for
+    bit. The chord leaves one vertex alone and splits the triangle into two
+    counterclockwise sides that it closes: ``tri_side`` is [first chord end,
+    lone vertex, other end] and ``quad_side`` is [other end, next vertex,
+    next vertex, first end]. Side s of row i (0 for Omega1, 1 for Omega2)
+    is segment 2 i + s of the packed cut-cell rules.
     """
 
-    element_id: int
-    triangle: np.ndarray  # (3, 2), counterclockwise
-    interface: CircleInterface
-    point_d: np.ndarray
-    point_e: np.ndarray
-    normal: np.ndarray  # unit normal of the chord, from side 1 to side 2
-    poly1: np.ndarray  # CCW, starts and ends with chord endpoints
-    poly2: np.ndarray
-    crossings: np.ndarray  # (3,) crossing parameter per local edge, NaN if uncrossed
-    depth: int  # default curved-subdivision depth for quadrature
+    interface: CircleInterface | None
+    depth: int  # curved-subdivision depth of the cut-cell quadrature
+    elements: np.ndarray  # (n,) element ids, ascending
+    triangles: np.ndarray  # (n, 3, 2), counterclockwise
+    point_d: np.ndarray  # (n, 2)
+    point_e: np.ndarray  # (n, 2)
+    normal: np.ndarray  # (n, 2) unit normal of the chord, from side 1 to side 2
+    crossings: np.ndarray  # (n, 3) crossing parameter per local edge, NaN if uncrossed
+    tri_side: np.ndarray  # (n, 3, 2)
+    quad_side: np.ndarray  # (n, 4, 2)
+    tri_on_1: np.ndarray  # (n,) whether tri_side is the Omega1 side
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+
+def cut_table(interface: CircleInterface | None, elements, triangles, crossings, depth: int) -> CutTable:
+    """The CutTable of counterclockwise triangles (n, 3, 2) with local edge crossings (n, 3, 2).
+
+    Each triangle must be crossed on exactly two edges, once each, by a chord
+    of positive length that separates its vertices; otherwise
+    MultipleCrossings names the first failing element (mesh too coarse).
+    """
+    circle = interface or CircleInterface()  # a mesh without an interface has no rows
+    elements = np.asarray(elements, np.int64)
+    rows = np.arange(len(elements))
+    count = np.count_nonzero(~np.isnan(crossings), axis=2)  # (n, 3) roots per local edge
+    # The uncrossed edge u leaves vertex u + 2 alone; the chord runs from the
+    # point on edge u + 1 to the one on edge u + 2, and D is on the lower edge.
+    u = np.argmin(count, axis=1)
+    lone = (u + 2) % 3
+    ends = canonical_edges(triangles)
+    on_edge = ends[..., 0, :] + crossings[..., :1] * (ends[..., 1, :] - ends[..., 0, :])  # (n, 3, 2)
+    first, other = on_edge[rows, (u + 1) % 3], on_edge[rows, lone]
+    d_is_other = (u == 1)[:, None]
+    pd, pe = np.where(d_is_other, other, first), np.where(d_is_other, first, other)
+    chord = pe - pd
+    clen = np.sqrt(chord[:, 0] * chord[:, 0] + chord[:, 1] * chord[:, 1])
+    phi = circle.value(triangles[..., 0], triangles[..., 1])
+    tri_on_1 = phi[rows, lone] < 0.0
+    quad_on_1 = np.maximum(phi[rows, u], phi[rows, (u + 1) % 3]) < 0.0
+
+    # Each element's checks in order; the first element that fails one raises.
+    checks = np.stack([count.max(axis=1) > 1, count.sum(axis=1) != 2, clen <= GEOM_TOL, tri_on_1 == quad_on_1])
+    bad = np.flatnonzero(checks.any(axis=0))
+    if len(bad):
+        i, t = bad[0], elements[bad[0]]
+        raise MultipleCrossings((
+            f"interface crosses edge {np.argmax(count[i])} of element {t} twice; refine the mesh",
+            f"interface cuts {count[i].sum()} edges of element {t}; expected 2",
+            f"degenerate chord on element {t}",
+            f"could not separate the two sides of element {t}",
+        )[np.argmax(checks[:, i])])
+    # Normal of the chord oriented from Omega1 into Omega2, along grad(phi) at
+    # the chord midpoint.
+    normal = np.stack([chord[:, 1], -chord[:, 0]], axis=1) / clen[:, None]
+    mid = 0.5 * (pd + pe) - circle.center
+    normal[normal[:, 0] * mid[:, 0] + normal[:, 1] * mid[:, 1] < 0.0] *= -1.0
+    vertex = triangles[rows[:, None], (lone[:, None] + np.arange(3)) % 3]  # the lone vertex, then the next two
+    tri_side = np.stack([first, vertex[:, 0], other], axis=1)
+    quad_side = np.stack([other, vertex[:, 1], vertex[:, 2], first], axis=1)
+    crossings = crossings[..., 0]
+    return CutTable(interface, depth, elements, triangles, pd, pe, normal, crossings, tri_side, quad_side, tri_on_1)
 
 
 def _element_classes(phi: np.ndarray, crossings: np.ndarray, element_ids) -> np.ndarray:
@@ -388,77 +441,29 @@ def classify_element(tri, interface: CircleInterface | None, element_id: int = -
     return int(_element_classes(phi[None], crossings[None], [element_id])[0])
 
 
-def compute_cut(
-    tri,
-    interface: CircleInterface,
-    element_id: int = -1,
-    depth: int = 6,
-) -> ElementCut:
-    """Compute the chord split of one interface element (see ``_cut``)."""
+def compute_cut(tri, interface: CircleInterface, element_id: int = -1, depth: int = 6) -> CutTable:
+    """The chord split of one interface element, a table of one row (see ``cut_table``)."""
     tri = np.asarray(tri, float)
     if polygon_area(tri) < 0.0:
         tri = tri[::-1]
-    return _cut(tri, segment_crossings(canonical_edges(tri), interface), interface, element_id, depth)
+    crossings = segment_crossings(canonical_edges(tri), interface)
+    return cut_table(interface, [element_id], tri[None], crossings[None], depth)
 
 
-def _cut(tri: np.ndarray, crossings: np.ndarray, interface: CircleInterface, element_id: int, depth: int):
-    """The chord split of a counterclockwise triangle whose local edges are crossed at ``crossings`` (3, 2).
-
-    Requires the interface to cross exactly two edges, once each; anything
-    else raises MultipleCrossings (mesh too coarse for the curvature).
-    """
-    count = np.count_nonzero(~np.isnan(crossings), axis=1).tolist()
-    if max(count) > 1:
-        raise MultipleCrossings(
-            f"interface crosses edge {count.index(max(count))} of element {element_id} twice; refine the mesh"
-        )
-    if sum(count) != 2:
-        raise MultipleCrossings(f"interface cuts {sum(count)} edges of element {element_id}; expected 2")
-    i, j = (e for e in range(3) if count[e])
-    ends = _canonical(tri[[[i, (i + 1) % 3], [j, (j + 1) % 3]]])
-    pd, pe = ends[:, 0] + crossings[[i, j], :1] * (ends[:, 1] - ends[:, 0])
-    chord = pe - pd
-    clen = math.sqrt(chord[0] * chord[0] + chord[1] * chord[1])
-    if clen <= GEOM_TOL:
-        raise MultipleCrossings(f"degenerate chord on element {element_id}")
-    # Normal of the chord oriented from Omega1 into Omega2, along grad(phi) at
-    # the chord midpoint.
-    n = np.array([chord[1], -chord[0]]) / clen
-    gx, gy = 0.5 * (pd + pe) - interface.center
-    if n[0] * gx + n[1] * gy < 0.0:
-        n = -n
-
-    # The boundary walk from D: the vertices after edge i up to edge j, then
-    # E, the vertices after edge j round to edge i, and back to D. Each chain
-    # lies on the side of its triangle vertices.
-    walks = [*range(i + 1, j + 1)], [*range(j + 1, 3), *range(i + 1)]
-    chains = np.vstack([pd, tri[walks[0]], pe]), np.vstack([pe, tri[walks[1]], pd])
-    phi = interface.value(tri[:, 0], tri[:, 1])
-    inside = [phi[w].max() < 0.0 for w in walks]
-    if inside[0] == inside[1]:
-        raise MultipleCrossings(f"could not separate the two sides of element {element_id}")
-    poly1, poly2 = chains if inside[0] else chains[::-1]
-    return ElementCut(
-        element_id=element_id,
-        triangle=tri,
-        interface=interface,
-        point_d=pd,
-        point_e=pe,
-        normal=n,
-        poly1=poly1,
-        poly2=poly2,
-        crossings=crossings[:, 0],
-        depth=depth,
-    )
+def _segment(cut: CutTable, side: int) -> np.ndarray:
+    """The one segment of ``side`` in the one-row table ``cut``."""
+    if len(cut) != 1:
+        raise ValueError(f"expected a table of one cut, got {len(cut)}")
+    return np.array([(OMEGA1, OMEGA2).index(side)])
 
 
-def subregion_polygon(cut: ElementCut, side: int, depth: int) -> np.ndarray:
-    """Vertex list of the side polygon with the chord replaced by the arc polyline."""
-    return next(_polygon_batches([(cut, (OMEGA1, OMEGA2).index(side), depth)]))[1][0]
+def subregion_polygon(cut: CutTable, side: int, depth: int) -> np.ndarray:
+    """Vertex list of the side polygon of a one-row table, the chord replaced by the arc polyline."""
+    return next(_polygon_batches(cut, _segment(cut, side), depth))[1][0]
 
 
-def _arc_interiors(cuts, a: np.ndarray, b: np.ndarray, n_in: int) -> np.ndarray:
-    """(g, n_in, 2) interior points of the near arcs from a[j] to b[j] on cuts[j]'s circle.
+def _arc_interiors(interface: CircleInterface, a: np.ndarray, b: np.ndarray, n_in: int) -> np.ndarray:
+    """(g, n_in, 2) interior points of the near arcs from a[j] to b[j] on the circle.
 
     The arc polyline of depth d has 2**d chords, n_in = 2**d - 1 interior
     points. Each refinement level replaces a chord by two chords through the
@@ -466,25 +471,22 @@ def _arc_interiors(cuts, a: np.ndarray, b: np.ndarray, n_in: int) -> np.ndarray:
     midpoint is exactly angular bisection, so the recursion collapses to a
     uniform angular sweep along the minor arc.
     """
-    center = np.array([c.interface.center for c in cuts], float)
-    radius = np.array([c.interface.radius for c in cuts])
+    center = np.array(interface.center, float)
     th_a, dth = _arc_sweep(center, a, b)
     th = th_a[:, None] + dth[:, None] * np.linspace(0.0, 1.0, n_in + 2)[1:-1]
-    return center[:, None, :] + radius[:, None, None] * np.stack([np.cos(th), np.sin(th)], axis=-1)
+    return center + interface.radius * np.stack([np.cos(th), np.sin(th)], axis=-1)
 
 
 def _arc_sweep(center: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Start angles and signed sweeps (g,) of the minor arcs from a to b about center, each (g, 2)."""
-    th_a = np.arctan2(a[:, 1] - center[:, 1], a[:, 0] - center[:, 0])
-    dth = np.arctan2(b[:, 1] - center[:, 1], b[:, 0] - center[:, 0]) - th_a
+    """Start angles and signed sweeps (g,) of the minor arcs from a to b (g, 2) about center (2,)."""
+    th_a = np.arctan2(a[:, 1] - center[1], a[:, 0] - center[0])
+    dth = np.arctan2(b[:, 1] - center[1], b[:, 0] - center[0]) - th_a
     # The IEEE remainder of dth by 2 pi, exact as |dth| < 2 pi.
     return th_a, np.where(dth > math.pi, dth - 2.0 * math.pi, np.where(dth < -math.pi, dth + 2.0 * math.pi, dth))
 
 
-def quadrature_on_subregion(
-    cut: ElementCut, side: int, degree: int, depth: int | None = None
-) -> QuadratureRule:
-    """Positive rule exact to `degree` on one sub-region of a cut element.
+def quadrature_on_subregion(cut: CutTable, side: int, degree: int, depth: int | None = None) -> QuadratureRule:
+    """Positive rule exact to `degree` on one sub-region of a one-row table.
 
     With depth = 0 the region is the chord-split polygon; with depth > 0 the
     chord is replaced by the recursively bisected arc polyline, so the curved
@@ -494,14 +496,11 @@ def quadrature_on_subregion(
     if side not in (OMEGA1, OMEGA2):
         raise ValueError(f"side must be {OMEGA1} or {OMEGA2}")
     depth = cut.depth if depth is None else depth
-    _, points, weights = pack_subregion_rules([(cut, (OMEGA1, OMEGA2).index(side), depth)], degree)
+    _, points, weights = pack_subregion_rules(cut, _segment(cut, side), depth, degree)
     return QuadratureRule(points, weights)
 
 
-# Sub-polygons fanned and mapped per batch. It bounds the batch temporaries:
-# the mapped points of 64 depth-6 sub-polygons take 1.7 MB at k = 2.
-FAN_BATCH = 64
-# Depth of the packed fan rules. A deeper cut keeps its depth-2 rule's points
+# Depth of the packed fan rules. A deeper table keeps its depth-2 rules' points
 # and fits the weights to its own depth's moments (ife._fit_moments).
 RULE_DEPTH = 2
 
@@ -511,51 +510,54 @@ def _arc_count(depth: int) -> int:
     return 2**depth - 1 if depth > 0 else 0
 
 
-def _polygon_batches(sides):
-    """Sub-polygons of cut sides in batches of equal vertex count, FAN_BATCH at a time.
+def _on_tri_side(cuts: CutTable, segments: np.ndarray) -> np.ndarray:
+    """Whether each segment 2 row + s is its row's 3-vertex side."""
+    return (segments % 2 == 0) == cuts.tri_on_1[segments // 2]
 
-    ``sides`` lists (cut, side index 0 or 1, depth). Yields the indices into
-    ``sides`` of a batch and its vertices (g, v, 2): the chord-split polygon,
-    then the interior points of the arc polyline at the side's depth.
+
+def _polygon_batches(cuts: CutTable, segments: np.ndarray, depth: int):
+    """Sub-polygons of the sides ``segments`` at ``depth``: the 3-vertex sides, then the 4-vertex ones.
+
+    Yields the positions in ``segments`` of a batch and its vertices (g, v,
+    2): the chord-split polygon, then the interior points of the arc
+    polyline. An empty batch is skipped.
     """
-    polys = [cut.poly1 if s == 0 else cut.poly2 for cut, s, _ in sides]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for p, (poly, (_, _, depth)) in enumerate(zip(polys, sides)):
-        groups.setdefault((len(poly), _arc_count(depth)), []).append(p)
-    for (n_poly, n_in), members in groups.items():
-        for start in range(0, len(members), FAN_BATCH):
-            ps = np.array(members[start : start + FAN_BATCH])
-            verts = np.empty((len(ps), n_poly + n_in, 2))
-            verts[:, :n_poly] = [polys[p] for p in ps]
-            if n_in:
-                # The closing edge, last vertex to first, is the chord.
-                ends = verts[:, n_poly - 1], verts[:, 0]
-                verts[:, n_poly:] = _arc_interiors([sides[p][0] for p in ps], *ends, n_in)
-            yield ps, verts
+    on_tri = _on_tri_side(cuts, segments)
+    n_in = _arc_count(depth)
+    for ps, polys in ((np.flatnonzero(on_tri), cuts.tri_side), (np.flatnonzero(~on_tri), cuts.quad_side)):
+        if not len(ps):
+            continue
+        n_poly = polys.shape[1]
+        verts = np.empty((len(ps), n_poly + n_in, 2))
+        verts[:, :n_poly] = polys[segments[ps] // 2]
+        if n_in:
+            # The closing edge, last vertex to first, is the chord.
+            verts[:, n_poly:] = _arc_interiors(cuts.interface, verts[:, n_poly - 1], verts[:, 0], n_in)
+        yield ps, verts
 
 
-def pack_subregion_rules(sides, degree: int):
+def pack_subregion_rules(cuts: CutTable, segments: np.ndarray, depth: int, degree: int):
     """Fan rules exact to ``degree`` on cut sub-regions, packed into one set of arrays.
 
-    ``sides`` lists (cut, side index 0 or 1, depth). Returns (offsets,
-    points, weights): segment j, from ``offsets[j]`` to ``offsets[j + 1]``,
-    is the rule of side j's sub-polygon at its depth. A fan of v vertices
-    has v - 2 triangles, so the sizes come from the vertex counts. The
-    sub-polygons are built, fanned (``_fan_triangles``) and mapped in batches
-    of equal vertex count; a failure names the element and side.
+    ``segments`` lists sides as 2 row + s (s = 0 for Omega1) of ``cuts``,
+    each taken at ``depth``. Returns (offsets, points, weights): entry j,
+    from ``offsets[j]`` to ``offsets[j + 1]``, is the rule of side
+    ``segments[j]``. A fan of v vertices has v - 2 triangles, so the sizes
+    come from the vertex counts. The sub-polygons are built, fanned
+    (``_fan_triangles``) and mapped in two batches, the 3-vertex and the
+    4-vertex sides; a failure names the element and side.
     """
     ref_pts, ref_w = _triangle_rule_reference(degree)
-    n_vert = np.array([len(c.poly1 if s == 0 else c.poly2) + _arc_count(d) for c, s, d in sides], np.int64)
-    offsets = np.zeros(len(sides) + 1, dtype=np.int64)
+    n_vert = np.where(_on_tri_side(cuts, segments), 3, 4) + _arc_count(depth)
+    offsets = np.zeros(len(segments) + 1, dtype=np.int64)
     offsets[1:] = np.cumsum((n_vert - 2) * len(ref_w))
     points = np.empty((offsets[-1], 2))
     weights = np.empty(offsets[-1])
 
     def label(p):
-        cut, s, _ = sides[p]
-        return f"element {cut.element_id}, side {(OMEGA1, OMEGA2)[s]}"
+        return f"element {cuts.elements[segments[p] // 2]}, side {(OMEGA1, OMEGA2)[segments[p] % 2]}"
 
-    for ps, verts in _polygon_batches(sides):
+    for ps, verts in _polygon_batches(cuts, segments, depth):
         tris = _fan_triangles(verts, lambda row, ps=ps: label(ps[row]))
         pts, w = _mapped_rule(verts, tris, ref_pts, ref_w)
         idx = offsets[ps, None] + np.arange(w.shape[1])
@@ -580,12 +582,14 @@ def legendre_table(x, n: int) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
-def subregion_moments(sides, origin: np.ndarray, axes: np.ndarray, degree: int) -> np.ndarray:
+def subregion_moments(
+    cuts: CutTable, segments: np.ndarray, depth: int, origin: np.ndarray, axes: np.ndarray, degree: int
+) -> np.ndarray:
     """Legendre-product moments of cut sub-regions, exactly, from their boundaries.
 
-    ``sides`` lists (cut, side index 0 or 1, depth); the region is the side's
-    sub-polygon at that depth, as ``subregion_polygon`` builds it. Each has a
-    frame xi = (x - origin[j]) @ axes[j].T with a positive determinant.
+    Region j is side ``segments[j]`` (2 row + s) of ``cuts`` at ``depth``, as
+    ``subregion_polygon`` builds it, with a frame xi = (x - origin[j]) @
+    axes[j].T of positive determinant.
     Returns (g, degree + 1, degree + 1): entry [j, a, b] is the integral over
     region j of P_a(xi_1) P_b(xi_2) dx, exact for a + b <= degree. By
     Green's theorem it is the contour integral of F_a(xi_1) P_b(xi_2) dxi_2
@@ -597,8 +601,8 @@ def subregion_moments(sides, origin: np.ndarray, axes: np.ndarray, degree: int) 
     x_gauss, w_gauss = _gauss_legendre((degree + 3) // 2)
     t, w_t = 0.5 * (x_gauss + 1.0), 0.5 * w_gauss
     det = axes[:, 0, 0] * axes[:, 1, 1] - axes[:, 0, 1] * axes[:, 1, 0]
-    out = np.empty((len(sides), degree + 1, degree + 1))
-    for ps, verts in _polygon_batches(sides):
+    out = np.empty((len(segments), degree + 1, degree + 1))
+    for ps, verts in _polygon_batches(cuts, segments, depth):
         xi = (verts - origin[ps, None, :]) @ axes[ps].swapaxes(-1, -2)  # (g, v, 2)
         step = np.roll(xi, -1, axis=1) - xi
         q = (xi[:, :, None, :] + t[:, None] * step[:, :, None, :]).reshape(len(ps), -1, 2)

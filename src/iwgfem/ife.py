@@ -43,7 +43,7 @@ from iwgfem.geometry import (
     OMEGA2,
     RULE_DEPTH,
     CircleInterface,
-    ElementCut,
+    CutTable,
     GeometryError,
     MultipleCrossings,
     QuadratureRule,
@@ -197,9 +197,8 @@ def _tr(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CutPoints:
-    """One cut element's cut and sub-region rules."""
+    """One cut element's sub-region rules."""
 
-    cut: ElementCut
     rules: dict  # side -> QuadratureRule, views of the geometry's packed rule
 
 
@@ -209,9 +208,10 @@ class CutGeometry(Mapping):
 
     Everything here depends only on the cuts, the degree k and the
     quadrature, so it is built once per level and shared by every
-    conductivity pair. As a mapping it takes an element id to that element's
-    ``CutPoints``, built on request from views of the packed rule. Sides are
-    indexed 0 (OMEGA1) and 1 (OMEGA2).
+    conductivity pair. Row i is row i of the cut table ``cuts``. As a mapping
+    it takes an element id to that element's ``CutPoints``, built on request
+    from views of the packed rule. Sides are indexed 0 (OMEGA1) and 1
+    (OMEGA2).
 
     The sub-region rules are packed: ``rule_points``, ``rule_weights`` and
     the columns of ``rule_vander`` hold every element's points, side 1 then
@@ -219,8 +219,8 @@ class CutGeometry(Mapping):
     ``rule_offsets[2i + s + 1]``. No segment is empty, which the segment
     sums (``np.add.reduceat``) rely on. The Vandermonde is stored by monomial
     so that each segment sum streams one contiguous row. A segment holds the
-    fan rule of its side's depth-2 polygon; for a deeper cut its weights are
-    fitted to the moments of the cut's own depth (``_fit_moments``), so its
+    fan rule of its side's depth-2 polygon; for a deeper table its weights
+    are fitted to the moments of the table's depth (``_fit_moments``), so its
     points may lie across the circle, in the lens between the arc and the
     depth-2 polyline.
 
@@ -230,8 +230,7 @@ class CutGeometry(Mapping):
     """
 
     k: int
-    elements: np.ndarray  # (n,) element ids
-    cuts: list  # (n,) ElementCut
+    cuts: CutTable
     x_ref: np.ndarray  # (n, 2) chord midpoints
     f_mat: np.ndarray  # (n, 2, 2) frames: local = (x - x_ref) @ f_mat.T
     h_ref: np.ndarray  # (n,) element diameters, the frames' scale
@@ -249,22 +248,30 @@ class CutGeometry(Mapping):
     trace_moments: np.ndarray  # (n, 3, 2, k, m): leg^T W_s V per side s
     normal_moments: np.ndarray  # (n, 3, 2, m, k): G^T W_s leg per side s
 
-    def __post_init__(self):
-        self.index = dict(zip(self.elements.tolist(), range(len(self.elements))))
+    @property
+    def elements(self) -> np.ndarray:
+        return self.cuts.elements
 
     @property
     def m(self) -> int:
         return self.mass.shape[-1]
 
+    def row(self, t) -> int:
+        """The row of element ``t``; KeyError if it is not cut."""
+        i = int(np.searchsorted(self.elements, t))
+        if self.elements[i : i + 1].tolist() != [t]:
+            raise KeyError(t)
+        return i
+
     def __getitem__(self, t) -> CutPoints:
-        i = self.index[t]
+        i = self.row(t)
         lo, mid, hi = self.rule_offsets[2 * i : 2 * i + 3].tolist()
         pts, w = self.rule_points, self.rule_weights
         rules = {OMEGA1: QuadratureRule(pts[lo:mid], w[lo:mid]), OMEGA2: QuadratureRule(pts[mid:hi], w[mid:hi])}
-        return CutPoints(self.cuts[i], rules)
+        return CutPoints(rules)
 
     def __iter__(self):
-        return iter(self.index)
+        return iter(self.elements.tolist())
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -322,8 +329,8 @@ def _segment_batches(offsets: np.ndarray, segs: np.ndarray):
             yield batch, offsets[batch][:, None] + np.arange(size)
 
 
-def _fit_moments(cuts, offsets: np.ndarray, points: np.ndarray, weights: np.ndarray, degree: int) -> None:
-    """Correct in place the packed weights of every cut deeper than RULE_DEPTH.
+def _fit_moments(cuts: CutTable, offsets: np.ndarray, points: np.ndarray, weights: np.ndarray, degree: int) -> None:
+    """Correct in place the packed weights of every side of a table deeper than RULE_DEPTH.
 
     The moment fitting of Mueller, Kummer & Oberlack (IJNME 96, 2013): a
     side's depth-2 fan rule, points x_p and weights W0, gets the weights
@@ -337,9 +344,10 @@ def _fit_moments(cuts, offsets: np.ndarray, points: np.ndarray, weights: np.ndar
     seminormal form sqrt(W0) V R^-1 R^-T r loses the moments on sliver sides,
     where cond(R) reaches 1e16 at k = 2.
     """
-    deep = [2 * i + s for i, cut in enumerate(cuts) if cut.depth > RULE_DEPTH for s in (0, 1)]
+    if cuts.depth <= RULE_DEPTH:
+        return
     ex, ey = _monomial_exponents(degree).T
-    for batch, idx in _segment_batches(offsets, np.array(deep, np.int64)):
+    for batch, idx in _segment_batches(offsets, np.arange(2 * len(cuts))):
         w0, root = weights[idx], np.sqrt(weights[idx])
         origin = (w0[:, None, :] @ points[idx])[:, 0] / w0.sum(axis=1)[:, None]
         rel = points[idx] - origin[:, None]
@@ -353,14 +361,13 @@ def _fit_moments(cuts, offsets: np.ndarray, points: np.ndarray, weights: np.ndar
         ly = legendre_table(xi[..., 1] / scale[:, None, 1], degree)
         scaled = lx[..., ex] * ly[..., ey]  # sqrt(W0) V = Q R
         house, tau = np.linalg.qr(scaled, mode="raw")  # R^T is the lower triangle of house[..., :M]
-        sides = [(cuts[p // 2], p % 2, cuts[p // 2].depth) for p in batch.tolist()]
-        resid = subregion_moments(sides, origin, axes, degree)[:, ex, ey]
+        resid = subregion_moments(cuts, batch, cuts.depth, origin, axes, degree)[:, ex, ey]
         resid -= (root[:, None, :] @ scaled)[:, 0]
         fitted = w0 + root * _apply_q(house, tau, _solve_lower(house[..., : len(ex)], resid))
         bad = np.flatnonzero(~np.isfinite(fitted).all(axis=1))
         if len(bad):
-            cut, side = cuts[batch[bad[0]] // 2], (OMEGA1, OMEGA2)[batch[bad[0]] % 2]
-            raise GeometryError(f"element {cut.element_id}, side {side}: singular moment fit")
+            t, side = cuts.elements[batch[bad[0]] // 2], (OMEGA1, OMEGA2)[batch[bad[0]] % 2]
+            raise GeometryError(f"element {t}, side {side}: singular moment fit")
         weights[idx] = fitted
 
 
@@ -395,11 +402,12 @@ def _apply_q(house: np.ndarray, tau: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_cut_geometry(cuts, k: int, quad_offset: int = 0) -> CutGeometry:
-    """Pair-independent data of ``cuts`` (a sequence of ElementCut), stacked.
+def build_cut_geometry(cuts: CutTable, k: int, quad_offset: int = 0) -> CutGeometry:
+    """Pair-independent data of the rows of ``cuts``, stacked.
 
     The sub-region rules are exact to degree 2k + 4 + ``quad_offset`` on each
-    cut's depth-d polygon: fan rules up to depth 2, fitted beyond. Each
+    side's polygon at the table's depth: fan rules up to depth 2, fitted
+    beyond. Each
     local edge runs from its smaller (y, x) end, the orientation its two
     neighbours share, and its rule splits at the cut's crossing parameter.
     """
@@ -409,13 +417,9 @@ def build_cut_geometry(cuts, k: int, quad_offset: int = 0) -> CutGeometry:
     m = poly.dim
     quad_degree = 2 * k + 4 + quad_offset
     n = len(cuts)
-    tri = np.array([c.triangle for c in cuts], float).reshape(n, 3, 2)
-    pd = np.array([c.point_d for c in cuts], float).reshape(n, 2)
-    pe = np.array([c.point_e for c in cuts], float).reshape(n, 2)
-    normal = np.array([c.normal for c in cuts], float).reshape(n, 2)
-    center = np.array([c.interface.center for c in cuts], float).reshape(n, 2)
-    radius = np.array([c.interface.radius for c in cuts], float)
-    radius_sq = np.array([c.interface.radius_squared for c in cuts], float)
+    tri, pd, pe, normal = cuts.triangles, cuts.point_d, cuts.point_e, cuts.normal
+    circle = cuts.interface or CircleInterface()  # a mesh without an interface has no rows
+    center = np.array(circle.center, float)
 
     # Chord frame: origin at the chord midpoint, first axis along D-E, second
     # along the chord normal, scaled by 1/h_T. It makes the segment-mode jump
@@ -433,14 +437,11 @@ def build_cut_geometry(cuts, k: int, quad_offset: int = 0) -> CutGeometry:
         return (pts - x_ref.reshape(lead + (1, 2))) @ _tr(f_mat).reshape(lead + (2, 2))
 
     # The packed sub-region rules.
-    sides = [(cut, s, min(cut.depth, RULE_DEPTH)) for cut in cuts for s in (0, 1)]
-    offsets, rule_points, rule_weights = pack_subregion_rules(sides, quad_degree)
+    segments, depth = np.arange(2 * n), min(cuts.depth, RULE_DEPTH)
+    offsets, rule_points, rule_weights = pack_subregion_rules(cuts, segments, depth, quad_degree)
     _fit_moments(cuts, offsets, rule_points, rule_weights, quad_degree)
-    # A chord splits a triangle into a triangle and a quadrilateral; the
-    # triangle's last vertex repeated adds an exact zero to its shoelace sum.
-    corners = np.array([[c.poly1, c.poly2][s][[0, 1, 2, -1]] for c in cuts for s in (0, 1)]).reshape(n, 2, 4, 2)
-    area = polygon_area(corners)
-    base_is_1 = area[:, 0] >= area[:, 1]
+    tri_area, quad_area = polygon_area(cuts.tri_side), polygon_area(cuts.quad_side)
+    base_is_1 = np.where(cuts.tri_on_1, tri_area >= quad_area, quad_area >= tri_area)
 
     # The Vandermonde and the mass matrices, in batches of equal segment size.
     rule_vander = np.empty((m, offsets[-1]))
@@ -474,18 +475,17 @@ def build_cut_geometry(cuts, k: int, quad_offset: int = 0) -> CutGeometry:
     xg, wg = np.polynomial.legendre.leggauss(max(2 * k + 2, 8))
     th = th_d[:, None] + 0.5 * (xg + 1.0) * dth[:, None]
     unit = np.stack([np.cos(th), np.sin(th)], axis=-1)  # exact unit normal
-    arc_loc = local(center[:, None] + radius[:, None, None] * unit)
+    arc_loc = local(center + circle.radius * unit)
     tests = np.array([wg * np.polynomial.legendre.legval(xg, [0.0] * j + [1.0]) for j in range(k + 1)])
     arc = (
         tests @ poly.eval(arc_loc),
         tests[:k] @ np.einsum("npjd,npd->npj", poly.grad(arc_loc), unit @ _tr(f_mat)),
     )
 
-    crossing = np.array([c.crossings for c in cuts], float).reshape(n, 3)
-    e_pts, e_w, e_leg = _edge_rules(canonical_edges(tri), np.where(np.isnan(crossing), 1.0, crossing), k)
+    e_pts, e_w, e_leg = _edge_rules(canonical_edges(tri), np.nan_to_num(cuts.crossings, nan=1.0), k)
 
     # Per-side edge moments: W_s masks the weights to the points on side s.
-    phi = ((e_pts - center[:, None, None]) ** 2).sum(axis=-1) - radius_sq[:, None, None]
+    phi = ((e_pts - center) ** 2).sum(axis=-1) - circle.radius_squared
     w_side = np.stack([e_w * (phi < 0.0), e_w * (phi >= 0.0)], axis=2)  # (n, 3, 2, Q)
     e_loc = local(e_pts)
     outward = np.stack([edge_vec[..., 1], -edge_vec[..., 0]], axis=-1)
@@ -498,8 +498,7 @@ def build_cut_geometry(cuts, k: int, quad_offset: int = 0) -> CutGeometry:
 
     return CutGeometry(
         k=k,
-        elements=np.array([c.element_id for c in cuts], dtype=np.int64),
-        cuts=list(cuts),
+        cuts=cuts,
         x_ref=x_ref,
         f_mat=f_mat,
         h_ref=h_ref,
@@ -562,10 +561,6 @@ class LocalIfeSpace:
         return self.spaces.geometry
 
     @property
-    def cut(self) -> ElementCut:
-        return self.geometry.cuts[self.index]
-
-    @property
     def k(self) -> int:
         return self.geometry.k
 
@@ -615,10 +610,10 @@ class IfeSpaces(Mapping):
         return self.geometry.elements
 
     def __getitem__(self, t) -> LocalIfeSpace:
-        return LocalIfeSpace(self, self.geometry.index[t])
+        return LocalIfeSpace(self, self.geometry.row(t))
 
     def __iter__(self):
-        return iter(self.geometry.index)
+        return iter(self.geometry)
 
     def __len__(self) -> int:
         return len(self.geometry)
@@ -890,21 +885,23 @@ def build_local_spaces(geometry: CutGeometry, a1: float, a2: float, mode: str = 
 
 
 def construct_ife_basis(
-    cut: ElementCut,
+    cut: CutTable,
     a1: float,
     a2: float,
     k: int,
     mode: str = "segment",
     geometry: CutGeometry | None = None,
 ) -> LocalIfeSpace:
-    """The local space of one cut element: a batch of one.
+    """The local space of the element of a one-row table: a batch of one.
 
-    A ``geometry`` built for this cut alone may be passed to share it across
+    A ``geometry`` built for this table may be passed to share it across
     conductivity pairs.
     """
+    if len(cut) != 1:
+        raise ValueError(f"expected a table of one cut, got {len(cut)}")
     if geometry is None:
-        geometry = build_cut_geometry([cut], k)
-    return build_local_spaces(geometry, a1, a2, mode)[cut.element_id]
+        geometry = build_cut_geometry(cut, k)
+    return build_local_spaces(geometry, a1, a2, mode)[cut.elements[0]]
 
 
 def sample_chord_residuals(space: LocalIfeSpace, n_samples: int = 20):
@@ -926,9 +923,9 @@ def sample_chord_residuals(space: LocalIfeSpace, n_samples: int = 20):
         a = np.asarray(a, float)
         return np.array([Fraction(x) for x in a.ravel().tolist()], dtype=object).reshape(a.shape)
 
-    cut = space.cut
+    cuts, i = space.geometry.cuts, space.index
     t = np.linspace(0.0, 1.0, n_samples)
-    pts = cut.point_d + np.outer(t, cut.point_e - cut.point_d)
+    pts = cuts.point_d[i] + np.outer(t, cuts.point_e[i] - cuts.point_d[i])
     loc = space.local_coords(pts)
     m = space.m
     c1, c2 = exact(space.coeffs[:m]), exact(space.coeffs[m:])
@@ -938,7 +935,7 @@ def sample_chord_residuals(space: LocalIfeSpace, n_samples: int = 20):
         return float(np.max(np.abs(op @ coeffs)))
 
     val = worst(exact(space.poly.eval(loc)), c1 - c2)
-    n_loc = exact(space.f_mat) @ exact(cut.normal)  # chord normal, local coordinates
+    n_loc = exact(space.f_mat) @ exact(cuts.normal[i])  # chord normal, local coordinates
     flux = worst(exact(space.poly.grad(loc)) @ n_loc, d_weighted)
     if space.k == 1:
         return val, flux, 0.0

@@ -19,9 +19,9 @@ from iwgfem.geometry import (
     OMEGA1,
     OMEGA2,
     CircleInterface,
-    ElementCut,
-    _cut,
+    CutTable,
     _element_classes,
+    cut_table,
     segment_crossings,
 )
 
@@ -52,7 +52,7 @@ class MeshPartition:
     element_class: np.ndarray  # (nt,) INTERFACE / OMEGA1 / OMEGA2
     edge_class: np.ndarray  # (ne,)
     h: float
-    cuts: dict[int, ElementCut]
+    cuts: CutTable  # the interface elements' chord splits
     interface: CircleInterface | None
 
     @property
@@ -62,9 +62,6 @@ class MeshPartition:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def interface_elements(self) -> np.ndarray:
-        return np.flatnonzero(self.element_class == INTERFACE)
 
     def boundary_edges(self) -> np.ndarray:
         return np.flatnonzero(self.edge_tris[:, 1] < 0)
@@ -146,23 +143,24 @@ def build_mesh(
 
 
 def _classify(vertices, triangles, edges, tri_edges, interface, depth):
-    """Element classes (nt,) and the cuts of the interface elements, by element id.
+    """Element classes (nt,) and the CutTable of the interface elements.
 
     A triangle far from the circle takes the side of its first vertex. The
     edges of the triangles near it are solved in one ``segment_crossings``
     call, each from its lower vertex id; the near triangles are classified
-    from their vertex signs and that table, and each cut is built from it.
+    from their vertex signs and that crossing table, and the cut table is
+    built from it in one pass.
     """
     nt = len(triangles)
+    p = vertices[triangles]  # (nt, 3, 2)
     if interface is None:
-        return np.full(nt, OMEGA2, dtype=np.int64), {}
+        return np.full(nt, OMEGA2, dtype=np.int64), cut_table(None, [], p[:0], np.empty((0, 3, 2)), depth)
     phi = interface.value(vertices[:, 0], vertices[:, 1])
     tphi = phi[triangles]  # (nt, 3)
     element_class = np.where(tphi[:, 0] < 0.0, OMEGA1, OMEGA2).astype(np.int64)
 
     # An edge-interior crossing without a vertex sign change requires the
     # vertices to be within one edge length of the circle, so widen the band.
-    p = vertices[triangles]  # (nt, 3, 2)
     edge_len = np.max(np.linalg.norm(np.roll(p, -1, axis=1) - p, axis=2), axis=1)
     r = interface.radius
     dist = np.abs(np.sqrt(np.maximum(tphi + interface.radius_squared, 0.0)) - r)
@@ -172,11 +170,8 @@ def _classify(vertices, triangles, edges, tri_edges, interface, depth):
     band = np.unique(tri_edges[near])
     crossings[band] = segment_crossings(vertices[edges[band]], interface)
     element_class[near] = _element_classes(tphi[near], crossings[tri_edges[near]], near)
-    cuts = {
-        int(t): _cut(p[t], crossings[tri_edges[t]], interface, int(t), depth)
-        for t in np.flatnonzero(element_class == INTERFACE)
-    }
-    return element_class, cuts
+    cut = np.flatnonzero(element_class == INTERFACE)
+    return element_class, cut_table(interface, cut, p[cut], crossings[tri_edges[cut]], depth)
 
 
 def dump_mesh(mesh: MeshPartition, path) -> None:

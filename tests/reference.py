@@ -2,16 +2,17 @@
 
 Nothing in ``src/iwgfem`` calls these. They are the straightforward forms of
 what the solver computes in batches or in place: the scalar circle-segment
-root solver, the loop-built mesh, Gauss rules on segments and triangles,
+root solver, one element's chord split, the loop-built mesh, Gauss rules on segments and triangles,
 one polygon's fan triangulation and rule, plain sums over quadrature rules,
 one element's CG stiffness, the edge sets of the interface elements, the
 non-interface errors summed with ``einsum`` on freshly mapped points, and
-preconditioned CG with allocating updates. A few accessors of one element's data
-close the file.
+preconditioned CG with allocating updates. A few accessors of one element's data,
+and the split of a cut table into one-row tables, close the file.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -30,8 +31,9 @@ from iwgfem.geometry import (
     OMEGA1,
     OMEGA2,
     CircleInterface,
-    ElementCut,
+    CutTable,
     GeometryError,
+    MultipleCrossings,
     QuadratureRule,
     _fan_tests,
     _fans,
@@ -41,8 +43,10 @@ from iwgfem.geometry import (
     _tiles,
     _triangle_rule_reference,
     _two_fans,
+    canonical_edges,
     classify_element,
-    compute_cut,
+    polygon_area,
+    segment_crossings,
 )
 from iwgfem.mesh import (
     EDGE_BOUNDARY,
@@ -69,8 +73,76 @@ def concatenate(rules: list[QuadratureRule]) -> QuadratureRule:
     return QuadratureRule(np.concatenate([r.points for r in rules]), np.concatenate([r.weights for r in rules]))
 
 
-def chord_length(cut: ElementCut) -> float:
-    return float(np.linalg.norm(cut.point_e - cut.point_d))
+def chord_length(cut: CutTable) -> float:
+    """The chord length of a one-row table."""
+    return float(np.linalg.norm(cut.point_e[0] - cut.point_d[0]))
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class ReferenceCut:
+    """One element's chord split, as ``element_cut`` builds it.
+
+    ``poly1`` / ``poly2`` are the counterclockwise sides on Omega1 / Omega2,
+    each starting and ending with the chord ends, so the closing edge is the
+    chord; ``crossings`` holds the parameter of each local edge's crossing
+    from its smaller (y, x) end, NaN if uncrossed.
+    """
+
+    element_id: int
+    triangle: np.ndarray  # (3, 2), counterclockwise
+    interface: CircleInterface
+    point_d: np.ndarray
+    point_e: np.ndarray
+    normal: np.ndarray  # unit normal of the chord, from side 1 to side 2
+    poly1: np.ndarray
+    poly2: np.ndarray
+    crossings: np.ndarray  # (3,)
+    depth: int
+
+
+def element_cut(tri, interface: CircleInterface, element_id: int = -1, depth: int = 6) -> ReferenceCut:
+    """The chord split of one interface element, walked along its boundary.
+
+    The per-element form of ``geometry.cut_table``. Requires the interface
+    to cross exactly two edges, once each; anything else raises
+    MultipleCrossings (mesh too coarse for the curvature).
+    """
+    tri = np.asarray(tri, float)
+    if polygon_area(tri) < 0.0:
+        tri = tri[::-1]
+    crossings = segment_crossings(canonical_edges(tri), interface)
+    count = np.count_nonzero(~np.isnan(crossings), axis=1).tolist()
+    if max(count) > 1:
+        raise MultipleCrossings(
+            f"interface crosses edge {count.index(max(count))} of element {element_id} twice; refine the mesh"
+        )
+    if sum(count) != 2:
+        raise MultipleCrossings(f"interface cuts {sum(count)} edges of element {element_id}; expected 2")
+    i, j = (e for e in range(3) if count[e])
+    ends = canonical_edges(tri)[[i, j]]
+    pd, pe = ends[:, 0] + crossings[[i, j], :1] * (ends[:, 1] - ends[:, 0])
+    chord = pe - pd
+    clen = math.sqrt(chord[0] * chord[0] + chord[1] * chord[1])
+    if clen <= GEOM_TOL:
+        raise MultipleCrossings(f"degenerate chord on element {element_id}")
+    # Normal of the chord oriented from Omega1 into Omega2, along grad(phi) at
+    # the chord midpoint.
+    n = np.array([chord[1], -chord[0]]) / clen
+    gx, gy = 0.5 * (pd + pe) - interface.center
+    if n[0] * gx + n[1] * gy < 0.0:
+        n = -n
+
+    # The boundary walk from D: the vertices after edge i up to edge j, then
+    # E, the vertices after edge j round to edge i, and back to D. Each chain
+    # lies on the side of its triangle vertices.
+    walks = [*range(i + 1, j + 1)], [*range(j + 1, 3), *range(i + 1)]
+    chains = np.vstack([pd, tri[walks[0]], pe]), np.vstack([pe, tri[walks[1]], pd])
+    phi = interface.value(tri[:, 0], tri[:, 1])
+    inside = [phi[w].max() < 0.0 for w in walks]
+    if inside[0] == inside[1]:
+        raise MultipleCrossings(f"could not separate the two sides of element {element_id}")
+    poly1, poly2 = chains if inside[0] else chains[::-1]
+    return ReferenceCut(element_id, tri, interface, pd, pe, n, poly1, poly2, crossings[:, 0], depth)
 
 
 def triangle_rule(tri, degree: int) -> QuadratureRule:
@@ -254,7 +326,7 @@ def build_mesh_loops(
                 edge_tris[e, 1] = t
 
     element_class = np.empty(len(triangles), dtype=np.int64)
-    cuts: dict[int, ElementCut] = {}
+    cuts: dict[int, ReferenceCut] = {}  # the reference's cuts, by element id
     candidates = _interface_candidates(vertices, triangles, interface)
     for t in range(len(triangles)):
         if not candidates[t]:
@@ -265,7 +337,7 @@ def build_mesh_loops(
         cls = classify_element(vertices[triangles[t]], interface, t)
         element_class[t] = cls
         if cls == INTERFACE:
-            cuts[t] = compute_cut(vertices[triangles[t]], interface, t, depth)
+            cuts[t] = element_cut(vertices[triangles[t]], interface, t, depth)
 
     edge_class = np.empty(ne, dtype=np.int64)
     for e in range(ne):
@@ -435,9 +507,35 @@ def triangle_coords(mesh: MeshPartition, t: int) -> np.ndarray:
 
 def side_rules(space) -> dict:
     """side -> one local space's sub-region rule, views of its geometry's packed rule."""
-    return space.geometry[space.cut.element_id].rules
+    return space.geometry[space.geometry.elements[space.index]].rules
 
 
 def block(space, side: int) -> np.ndarray:
     """(m, m) monomial coefficients of one local space's basis on one side."""
     return space.coeffs[: space.m] if side == OMEGA1 else space.coeffs[space.m :]
+
+
+def take(cuts: CutTable, rows) -> CutTable:
+    """The table of the rows ``rows`` of ``cuts``, in that order."""
+    arrays = [f.name for f in dataclasses.fields(cuts) if f.name not in ("interface", "depth")]
+    return dataclasses.replace(cuts, **{name: getattr(cuts, name)[rows] for name in arrays})
+
+
+def split(cuts: CutTable) -> list[CutTable]:
+    """The one-row tables of the rows of ``cuts``, in order."""
+    return [take(cuts, [i]) for i in range(len(cuts))]
+
+
+def side_polygon(cut: CutTable, side: int) -> np.ndarray:
+    """The chord-split polygon of ``side`` of a one-row table."""
+    return cut.tri_side[0] if cut.tri_on_1[0] == (side == OMEGA1) else cut.quad_side[0]
+
+
+def space_cut(space) -> CutTable:
+    """The one-row table of a local space's element."""
+    return take(space.geometry.cuts, [space.index])
+
+
+def wg0_columns(dofmap) -> dict:
+    """element id -> the first of its m interior columns."""
+    return dict(zip(dofmap.elements.tolist(), (dofmap.wg0 + dofmap.m * np.arange(len(dofmap.elements))).tolist()))

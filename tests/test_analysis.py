@@ -21,7 +21,7 @@ from iwgfem.assembly import build_ife_spaces, build_level_plan
 from iwgfem.cli import run_level
 from iwgfem.geometry import OMEGA1, OMEGA2, CircleInterface, GeometryError
 from iwgfem.mesh import build_mesh
-from reference import block, noninterface_errors, triangle_coords, triangle_rule
+from reference import block, noninterface_errors, triangle_coords, triangle_rule, wg0_columns
 from test_geometry import OFF_CENTRE, off_centre_circle
 
 
@@ -129,7 +129,7 @@ class TestErrorNorms:
         valid = dm.node_col >= 0
         x[dm.node_col[valid]] = ms.u(dm.node_coords[valid, 0], dm.node_coords[valid, 1])
         for t, q0 in zip(spaces, spaces.project_interior(spaces.geometry.sample_sides(ms.u_side))):
-            x[dm.wg0_col[t] + np.arange(dm.m)] = q0
+            x[wg0_columns(dm)[t] + np.arange(dm.m)] = q0
         for e in np.flatnonzero(dm.trace_col >= 0):
             a, b = mesh.edges[e]
             x[dm.trace_col[e] : dm.trace_col[e] + dm.k] = project_qb(

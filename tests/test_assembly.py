@@ -30,7 +30,7 @@ from iwgfem.assembly import (
 from iwgfem.geometry import INTERFACE, OMEGA1, OMEGA2, CircleInterface, GeometryError
 from iwgfem.mesh import build_mesh
 from iwgfem.solver import _factor, solve
-from reference import block, cg_element_stiffness, side_rules, triangle_coords
+from reference import block, cg_element_stiffness, side_rules, triangle_coords, wg0_columns
 from test_geometry import OFF_CENTRE, off_centre_circle
 
 CIRCLE = CircleInterface()
@@ -84,7 +84,7 @@ class TestDofMap:
             dm = build_dof_map(mesh, k)
             cols = []
             cols.extend(dm.node_col[dm.node_col >= 0])
-            for t, base in dm.wg0_col.items():
+            for base in wg0_columns(dm).values():
                 cols.extend(range(base, base + dm.m))
             for e in np.flatnonzero(dm.trace_col >= 0):
                 cols.extend(range(dm.trace_col[e], dm.trace_col[e] + k))
@@ -98,7 +98,7 @@ class TestDofMap:
             n_interior_nodes = int(
                 np.sum((dm.node_col >= 0) & (dm.node_col < dm.n_free))
             )
-            n_wg0 = dm.m * len(mesh.interface_elements())
+            n_wg0 = dm.m * len(mesh.cuts)
             n_free_traces = k * int(
                 np.sum((dm.trace_col >= 0) & (dm.trace_col < dm.n_free))
             )
@@ -125,9 +125,9 @@ class TestDofMap:
             x = np.zeros(dm.n_total)
             valid = dm.node_col >= 0
             x[dm.node_col[valid]] = u(dm.node_coords[valid, 0], dm.node_coords[valid, 1])
-            locs = (dm.P @ x).reshape(len(dm.wg0_col), dm.m + 3 * k)
+            locs = (dm.P @ x).reshape(len(dm.elements), dm.m + 3 * k)
             checked = 0
-            for t, loc in zip(dm.wg0_col, locs):
+            for t, loc in zip(dm.elements, locs):
                 for i, e in enumerate(mesh.tri_edges[t]):
                     if dm.trace_col[e] != TRACE_SLAVED:
                         continue
@@ -203,7 +203,7 @@ class TestDofMapColumns:
         trace_col[mesh.edge_class == EDGE_COUPLING] = TRACE_SLAVED
         np.testing.assert_array_equal(dm.node_col, node_col)
         np.testing.assert_array_equal(dm.trace_col, trace_col)
-        assert dm.wg0_col == wg0_col
+        assert wg0_columns(dm) == wg0_col
         np.testing.assert_array_equal(dm.pinned_nodes, pinned)
         if interface is not CIRCLE:
             assert len(dm.pinned_trace_edges) > 0
@@ -215,7 +215,7 @@ class TestRoutingChecks:
     @staticmethod
     def _first_slot_edge(mesh, dm, want):
         """(element, edge) of the first trace slot in P's row order with trace_col == want."""
-        for t in dm.wg0_col:
+        for t in dm.elements:
             for e in mesh.tri_edges[t]:
                 if want(dm.trace_col[e]):
                     return t, int(e)
@@ -286,7 +286,7 @@ def _reference_folded_system(mesh, k, spaces, ms, a1, a2):
         rhs[cols] += load
     for t in sorted(spaces):
         route = np.zeros((n_loc, n))
-        route[np.arange(m), dm.wg0_col[t] + np.arange(m)] = 1.0
+        route[np.arange(m), wg0_columns(dm)[t] + np.arange(m)] = 1.0
         for i, e in enumerate(mesh.tri_edges[t]):
             slots = m + i * k + np.arange(k)
             if dm.trace_col[e] >= 0:

@@ -46,6 +46,11 @@ class TestParsing:
             RunConfig(ife_mode="exact")
         with pytest.raises(ValueError):
             RunConfig(solver="lu")
+        # Deeper arc subdivisions would run out of memory, not fail cleanly.
+        for depth in (-1, 13, 64):
+            with pytest.raises(ValueError, match="depth must be in 0..12"):
+                RunConfig(depth=depth)
+        assert RunConfig(depth=12).depth == 12
 
     def test_mode_resolution(self):
         assert RunConfig(k=1).resolved_mode() == "segment"
@@ -307,6 +312,7 @@ class TestMain:
             (["--coeffs", "1,2,3"], "coefficient pair '1,2,3' must be 'A1,A2'"),
             (["--coeffs", "1,nan"], "conductivities must be finite"),
             (["--coeffs", "1,inf"], "conductivities must be finite"),
+            (["--levels", "1", "--depth", "64"], "depth must be in 0..12"),
         ],
     )
     def test_malformed_input_is_a_config_error(self, argv, message, capsys):

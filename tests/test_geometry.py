@@ -31,6 +31,9 @@ from reference import (
     integrate,
     measure,
     quadrature_on_edge,
+    side_polygon,
+    split,
+    take,
     triangle_rule,
     triangulate_polygon,
 )
@@ -134,7 +137,7 @@ class TestComputeCut:
     def test_analytic_root_on_bottom_edge(self):
         tri = [(0.5, 0.0), (0.7, 0.0), (0.5, 0.2)]
         cut = compute_cut(tri, CIRCLE)
-        pts = sorted([tuple(cut.point_d), tuple(cut.point_e)])
+        pts = sorted([tuple(cut.point_d[0]), tuple(cut.point_e[0])])
         # Root of x^2 = 1/3 on the bottom edge.
         x_root = math.sqrt(1.0 / 3.0)
         on_bottom = min(pts, key=lambda p: abs(p[1]))
@@ -148,22 +151,22 @@ class TestComputeCut:
         c1 = compute_cut(tri, CIRCLE)
         c2 = compute_cut(tri, CIRCLE)
         np.testing.assert_array_equal(c1.point_d, c2.point_d)
-        np.testing.assert_array_equal(c1.poly1, c2.poly1)
+        np.testing.assert_array_equal(side_polygon(c1, OMEGA1), side_polygon(c2, OMEGA1))
 
     def test_polygon_areas_partition_triangle(self):
         tri = np.array([(0.5, 0.0), (0.7, 0.0), (0.5, 0.2)])
         cut = compute_cut(tri, CIRCLE)
         area = polygon_area(tri)
-        a1 = polygon_area(cut.poly1)
-        a2 = polygon_area(cut.poly2)
+        a1 = polygon_area(side_polygon(cut, OMEGA1))
+        a2 = polygon_area(side_polygon(cut, OMEGA2))
         assert a1 > 0.0 and a2 > 0.0
         assert abs(a1 + a2 - area) < 1e-12 * area
 
     def test_normal_orientation(self):
         tri = [(0.5, 0.0), (0.7, 0.0), (0.5, 0.2)]
         cut = compute_cut(tri, CIRCLE)
-        mid = 0.5 * (cut.point_d + cut.point_e)
-        assert float(cut.normal @ CIRCLE.gradient(mid[0], mid[1])) > 0.0
+        mid = 0.5 * (cut.point_d[0] + cut.point_e[0])
+        assert float(cut.normal[0] @ CIRCLE.gradient(mid[0], mid[1])) > 0.0
 
     def test_double_edge_crossing_raises(self):
         r = CIRCLE.radius
@@ -194,7 +197,7 @@ class TestSubregionQuadrature:
     def test_measure_matches_polygon_at_depth0(self):
         for side in (OMEGA1, OMEGA2):
             rule = quadrature_on_subregion(self.cut, side, degree=2, depth=0)
-            poly = self.cut.poly1 if side == OMEGA1 else self.cut.poly2
+            poly = side_polygon(self.cut, side)
             assert abs(measure(rule) - polygon_area(poly)) < 1e-14
 
     @pytest.mark.parametrize("depth", [0, 2, 4, 6])
@@ -251,10 +254,11 @@ class TestMonomialOracle:
         # (r = 0.638, n = 13). Summed in absolute coordinates, the oracle
         # missed the side's centroid-local shoelace area by 9.6e-11 of it.
         circle = off_centre_circle(0.638, -0.5918021383269345, -0.39462572264440143)
-        cut = build_mesh(1, circle, depth=6, n_override=13).cuts[133]
+        cuts = build_mesh(1, circle, depth=6, n_override=13).cuts
+        cut = take(cuts, cuts.elements == 133)
         poly = subregion_polygon(cut, OMEGA2, 6)
         area = polygon_area(poly - poly.mean(axis=0))
-        assert 0.0 < area < 2e-8 * polygon_area(cut.triangle)
+        assert 0.0 < area < 2e-8 * polygon_area(cut.triangles[0])
         assert abs(polygon_monomial_integral(poly, 0, 0) - area) <= 1e-12 * area
 
 
@@ -426,34 +430,20 @@ class TestFanTriangulation:
         covered = sum(measure(quadrature_on_subregion(cut, s, 4)) for s in (OMEGA1, OMEGA2))
         assert abs(covered - total) <= 1e-12 * total
 
-    def test_failing_cut_names_element_and_side(self):
-        # A cut whose side-1 polygon is the comb above, closed by its chord
-        # from (0, 5) to (0, 0): the packed rule must refuse it by name.
-        from iwgfem.geometry import ElementCut
+    def test_failing_cut_names_element_and_side(self, monkeypatch):
+        # The near-tangent sliver above, with the two-fan split taken away:
+        # the packed rule must refuse its outside side by element and side.
+        import iwgfem.geometry
         from iwgfem.ife import build_cut_geometry
 
-        comb = np.array(
-            [(0, 0), (5, 0), (5, 5), (4, 5), (4, 1), (3, 1), (3, 5), (2, 5), (2, 1),
-             (1, 1), (1, 5), (0, 5)],
-            float,
-        )
-        cut = ElementCut(
-            element_id=7,
-            triangle=np.array([(-1.0, -1.0), (6.0, -1.0), (0.0, 7.0)]),
-            interface=CIRCLE,
-            point_d=comb[0],
-            point_e=comb[-1],
-            normal=np.array([1.0, 0.0]),
-            poly1=comb,
-            poly2=np.array([comb[-1], (-1.0, 2.5), comb[0]]),
-            crossings=np.full(3, np.nan),
-            depth=0,
-        )
+        tri = np.array([(-0.1, 0.0), (0.1, 0.0), (0.0, 0.2)])
+        cut = compute_cut(tri, CircleInterface((0.0, 0.5 + 1e-4), 0.25), element_id=7, depth=6)
+        monkeypatch.setattr(iwgfem.geometry, "_two_fans", lambda ok: None)
         with pytest.raises(GeometryError) as info:
-            build_cut_geometry([cut], 1)
+            build_cut_geometry(cut, 1)
         message = str(info.value)
-        assert f"element {cut.element_id}" in message
-        assert f"side {OMEGA1}" in message
+        assert f"element {cut.elements[0]}" in message
+        assert f"side {OMEGA2}" in message
         assert "not covered by one or two vertex fans" in message
 
     @settings(deadline=None, max_examples=25)
@@ -473,7 +463,7 @@ class TestFanTriangulation:
                 mesh = build_mesh(1, circle, depth=depth, n_override=n)
             except GeometryError:
                 return
-            for cut in mesh.cuts.values():
+            for cut in split(mesh.cuts):
                 covered = 0.0
                 for side in (OMEGA1, OMEGA2):
                     poly = subregion_polygon(cut, side, depth)
@@ -484,7 +474,7 @@ class TestFanTriangulation:
                     rule = quadrature_on_subregion(cut, side, 4, depth)
                     assert np.all(rule.weights > 0.0)
                     covered += measure(rule)
-                area = polygon_area(cut.triangle)
+                area = polygon_area(cut.triangles[0])
                 assert abs(covered - area) <= 1e-10 * area
 
 

@@ -32,7 +32,7 @@ from iwgfem.ife import (
     sample_chord_residuals,
 )
 from iwgfem.mesh import build_mesh
-from reference import block, measure, quadrature_on_edge, side_rules
+from reference import block, measure, quadrature_on_edge, side_polygon, side_rules, space_cut, split, take
 
 CIRCLE = CircleInterface()
 TRI = np.array([(0.5, 0.0), (0.7, 0.0), (0.5, 0.2)])
@@ -89,7 +89,7 @@ class TestPolyBasis:
 
 def constraint_matrix(cut, a1, a2, k, mode="segment"):
     """The scaled, normalized constraint rows of one cut, from its lifted geometry."""
-    return _constraint_matrix(build_cut_geometry([cut], k), a1, a2, mode)[0]
+    return _constraint_matrix(build_cut_geometry(cut, k), a1, a2, mode)[0]
 
 
 class TestConstraintSystem:
@@ -208,7 +208,7 @@ class TestBasisConstruction:
 
 @pytest.fixture(scope="module")
 def level3_cuts():
-    return list(build_mesh(3, CIRCLE).cuts.values())
+    return split(build_mesh(3, CIRCLE).cuts)
 
 
 class TestSegmentBasisRounding:
@@ -223,7 +223,7 @@ class TestSegmentBasisRounding:
             got = sample_chord_residuals(space, n_samples=8)
             want = _exact_chord_residuals(space, n_samples=8)
             for g, w in zip(got, want):
-                assert abs(g - w) <= 4 * math.ulp(g), (cut.element_id, got, want)
+                assert abs(g - w) <= 4 * math.ulp(g), (cut.elements[0], got, want)
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("a2", [1.0, 10.0, 100.0, 1000.0])
@@ -240,9 +240,9 @@ class TestSegmentBasisRounding:
             scale = eps * a2 * np.abs(space.coeffs).max()
             val, flux, lap = sample_chord_residuals(space, n_samples=8)
             h = space.h_ref
-            assert val <= 8 * scale, cut.element_id
-            assert flux <= 8 * scale / h, cut.element_id
-            assert lap <= 8 * scale / h**2, cut.element_id
+            assert val <= 8 * scale, cut.elements[0]
+            assert flux <= 8 * scale / h, cut.elements[0]
+            assert lap <= 8 * scale / h**2, cut.elements[0]
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_coeffs_are_structured_basis_times_mixing(self, level3_cuts, k):
@@ -252,15 +252,15 @@ class TestSegmentBasisRounding:
         # Mixing each side's rows separately misses this by up to ~2700 eps.
         eps = np.finfo(float).eps
         for cut in level3_cuts:
-            geometry = build_cut_geometry([cut], k)
+            geometry = build_cut_geometry(cut, k)
             for a1, a2 in ((1.0, 10.0), (1.0, 1000.0)):
                 space = construct_ife_basis(cut, a1, a2, k, mode="segment", geometry=geometry)
                 m = space.m
-                base_is_1 = polygon_area(cut.poly1) >= polygon_area(cut.poly2)
+                base_is_1 = polygon_area(side_polygon(cut, OMEGA1)) >= polygon_area(side_polygon(cut, OMEGA2))
                 null = _segment_null_basis(np.array([base_is_1]), a1, a2, k)[0]
                 r = space.coeffs[:m] if base_is_1 else space.coeffs[m:]
                 err = np.abs(null @ r - space.coeffs)
-                assert np.all(err <= 4 * eps * (np.abs(null) @ np.abs(r))), cut.element_id
+                assert np.all(err <= 4 * eps * (np.abs(null) @ np.abs(r))), cut.elements[0]
 
 
 @pytest.fixture(scope="module")
@@ -273,19 +273,16 @@ class TestPerPointDataStaysInGeometry:
     def test_gradient_gram_from_mass_equals_quadrature(self, level2_mesh, k):
         # (D_x^T M D_x + D_y^T M D_y) / h^2 against sum_q w grad(mono) grad(mono)^T.
         poly = PolyBasis(k)
-        for cut in level2_mesh.cuts.values():
-            geometry = build_cut_geometry([cut], k)
+        for cut in split(level2_mesh.cuts):
+            geometry = build_cut_geometry(cut, k)
             x_ref, f_mat = geometry.x_ref[0], geometry.f_mat[0]
             for s, side in enumerate((OMEGA1, OMEGA2)):
-                rule = geometry[cut.element_id].rules[side]
+                rule = geometry[cut.elements[0]].rules[side]
                 loc = (rule.points - x_ref) @ f_mat.T
                 g = poly.grad(loc) @ f_mat
                 want = np.einsum("nid,n,njd->ij", g, rule.weights, g)
                 got = geometry.grad_gram[0, s]
-                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (
-                    cut.element_id,
-                    side,
-                )
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (cut.elements[0], side)
 
     @pytest.mark.parametrize("k, mode", [(1, "segment"), (2, "arc")])
     def test_space_arrays_do_not_grow_with_depth(self, k, mode):
@@ -297,7 +294,8 @@ class TestPerPointDataStaysInGeometry:
         def shapes(spaces):
             out = {}
             packed = {"points", "rule_points", "rule_weights", "rule_vander"}
-            for obj, skip in ((spaces, {"geometry"}), (spaces.geometry, packed)):
+            geometry = spaces.geometry
+            for obj, skip in ((spaces, {"geometry"}), (geometry, packed | {"cuts"}), (geometry.cuts, {"depth"})):
                 for f in dataclasses.fields(obj):
                     value = getattr(obj, f.name)
                     if f.name in skip:
@@ -318,7 +316,7 @@ class TestPerPointDataStaysInGeometry:
 
 @pytest.fixture(scope="module")
 def three_cuts(level2_mesh):
-    return [level2_mesh.cuts[t] for t in sorted(level2_mesh.cuts)[:3]]
+    return take(level2_mesh.cuts, [0, 1, 2])
 
 
 def _doctored(geometry, **arrays):
@@ -337,7 +335,7 @@ class TestBatchFailuresNameTheElement:
         values, normals = (a.copy() for a in geometry.constraint_rows["arc"])
         values[1, 1] = values[1, 0]  # two equal value rows: one condition too few
         bad = _doctored(geometry, constraint_rows={"arc": (values, normals)})
-        with pytest.raises(RankDeficient, match=f"null space dimension 7 != 6 on element {three_cuts[1].element_id}$"):
+        with pytest.raises(RankDeficient, match=f"null space dimension 7 != 6 on element {three_cuts.elements[1]}$"):
             build_local_spaces(bad, 1.0, 10.0, "arc")
 
     @pytest.mark.parametrize("k, mode", [(1, "segment"), (2, "arc")])
@@ -346,7 +344,7 @@ class TestBatchFailuresNameTheElement:
         grad_gram = geometry.grad_gram.copy()
         grad_gram[1] = 0.0
         bad = _doctored(geometry, grad_gram=grad_gram)
-        with pytest.raises(SingularGram, match=f"on element {three_cuts[1].element_id}$"):
+        with pytest.raises(SingularGram, match=f"on element {three_cuts.elements[1]}$"):
             build_local_spaces(bad, 1.0, 10.0, mode)
 
     def test_non_finite_gram(self, three_cuts):
@@ -356,12 +354,12 @@ class TestBatchFailuresNameTheElement:
         geometry = build_cut_geometry(three_cuts, 1)
         assert not geometry.base_is_1.any()
         with np.errstate(all="ignore"), pytest.raises(
-            SingularGram, match=f"not finite on element {three_cuts[0].element_id}$"
+            SingularGram, match=f"not finite on element {three_cuts.elements[0]}$"
         ):
             build_local_spaces(geometry, 1e-308, 1e308, "segment")
         mass = geometry.mass.copy()
         mass[1] = np.nan
-        with pytest.raises(SingularGram, match=f"not finite on element {three_cuts[1].element_id}$"):
+        with pytest.raises(SingularGram, match=f"not finite on element {three_cuts.elements[1]}$"):
             build_local_spaces(_doctored(geometry, mass=mass), 1.0, 10.0, "segment")
 
     @pytest.mark.parametrize("k, mode", [(1, "segment"), (2, "arc")])
@@ -375,7 +373,7 @@ class TestBatchFailuresNameTheElement:
         mass[1] *= scale[:, None] * scale[None, :]
         with pytest.warns(IllConditionedWarning) as record:
             spaces = build_local_spaces(_doctored(geometry, mass=mass), 1.0, 10.0, mode)
-        assert [str(w.message).endswith(f"on element {three_cuts[1].element_id}") for w in record] == [True]
+        assert [str(w.message).endswith(f"on element {three_cuts.elements[1]}") for w in record] == [True]
         assert spaces.ill_conditioned.tolist() == [False, True, False]
 
 
@@ -386,7 +384,7 @@ class TestBatchOfOne:
         # the same edge orientation, so it must give the same numbers.
         mesh = level2_mesh
         spaces = build_ife_spaces(mesh, k, 1.0, 1000.0, mode=mode)
-        for t, cut in mesh.cuts.items():
+        for t, cut in zip(mesh.cuts.elements, split(mesh.cuts)):
             one = construct_ife_basis(cut, 1.0, 1000.0, k, mode=mode)
             np.testing.assert_array_equal(one.coeffs, spaces[t].coeffs)
             np.testing.assert_array_equal(one.stiffness, spaces[t].stiffness)
@@ -398,11 +396,11 @@ def _exact_chord_residuals(space, n_samples):
     Uses the stored float64 coefficients, frame and sample coordinates as
     exact numbers and rounds each maximum once.
     """
-    cut = space.cut
+    cut = space_cut(space)
     t = np.linspace(0.0, 1.0, n_samples)
-    pts = cut.point_d + np.outer(t, cut.point_e - cut.point_d)
+    pts = cut.point_d[0] + np.outer(t, cut.point_e[0] - cut.point_d[0])
     loc = [[Fraction(x) for x in row] for row in space.local_coords(pts).tolist()]
-    normal = [Fraction(x) for x in cut.normal.tolist()]
+    normal = [Fraction(x) for x in cut.normal[0].tolist()]
     n_loc = [sum(Fraction(f) * n for f, n in zip(row, normal)) for row in space.f_mat.tolist()]
     inv_h2 = 1 / Fraction(space.h_ref) ** 2
     a1, a2 = Fraction(space.a1), Fraction(space.a2)
@@ -527,7 +525,7 @@ class TestWeakGradient:
         for _ in range(10):
             loc = rng.standard_normal(len(space.stiffness))
             got = space.weak_grad @ loc
-            want = _weak_gradient_oracle(space, loc, canonical_edges(self.cut.triangle))
+            want = _weak_gradient_oracle(space, loc, canonical_edges(self.cut.triangles[0]))
             np.testing.assert_allclose(got, want, atol=1e-10, rtol=1e-10)
 
     def test_single_edge_trace_excitation(self):
@@ -538,7 +536,7 @@ class TestWeakGradient:
             loc = np.zeros(len(space.stiffness))
             loc[space.m + edge] = 1.0
             got = space.weak_grad @ loc
-            want = _weak_gradient_oracle(space, loc, canonical_edges(self.cut.triangle))
+            want = _weak_gradient_oracle(space, loc, canonical_edges(self.cut.triangles[0]))
             np.testing.assert_allclose(got, want, atol=1e-10)
 
 
@@ -561,22 +559,23 @@ def _weak_gradient_oracle(space, loc, edge_ends):
     v0 = loc[:m]
     gram = np.zeros((m - 1, m - 1))
     rhs = np.zeros(m - 1)
+    cut = space_cut(space)
     for side in (OMEGA1, OMEGA2):
-        rule = quadrature_on_subregion(space.cut, side, 2 * k + 6)
+        rule = quadrature_on_subregion(cut, side, 2 * k + 6)
         g = basis_grad(space, rule.points, side)
         gq = g[:, 1:, :]
         gram += np.einsum("nqd,n,npd->qp", gq, rule.weights, gq)
         grad_v0 = np.einsum("njd,j->nd", g, v0)
         rhs += np.einsum("nd,n,nqd->q", grad_v0, rule.weights, gq)
-    tri = space.cut.triangle
+    tri = cut.triangles[0]
     for i in range(3):
         start, end = edge_ends[i]
         edge = tri[(i + 1) % 3] - tri[i]
         outward = np.array([edge[1], -edge[0]]) / np.linalg.norm(edge)
-        rule = quadrature_on_edge(start, end, 2 * k + 6, space.cut.interface)
+        rule = quadrature_on_edge(start, end, 2 * k + 6, cut.interface)
         # Q_b of the trace of v0, computed from its definition on this edge.
         leg = edge_legendre(start, end, k)(rule.points)
-        phi = space.cut.interface.value(rule.points[:, 0], rule.points[:, 1])
+        phi = cut.interface.value(rule.points[:, 0], rule.points[:, 1])
         sides = np.where(phi < 0.0, OMEGA1, OMEGA2)
         v0_vals = np.empty(len(rule.points))
         gq_n = np.empty((len(rule.points), m - 1))

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -21,14 +20,14 @@ from iwgfem.mesh import (
     build_mesh,
     dump_mesh,
 )
-from reference import build_mesh_loops, edge_sets, triangle_coords
+from reference import build_mesh_loops, edge_sets, side_polygon, split, triangle_coords
 
 CIRCLE = CircleInterface()
 MESH_ARRAYS = ("vertices", "triangles", "edges", "edge_tris", "tri_edges", "element_class", "edge_class")
 
 
 def assert_same_as_loop_builder(interface, n, depth=6):
-    """build_mesh equals the loop-built reference: arrays, dtypes, cuts, or the error."""
+    """build_mesh equals the loop-built reference: arrays, dtypes, every cut table row, or the error."""
     try:
         want = build_mesh_loops(1, interface, depth=depth, n_override=n)
     except GeometryError as exc:
@@ -41,14 +40,15 @@ def assert_same_as_loop_builder(interface, n, depth=6):
         assert a.dtype == b.dtype and a.shape == b.shape, name
         np.testing.assert_array_equal(a, b, err_msg=name)
     assert (got.n_cells, got.h, got.interface) == (want.n_cells, want.h, want.interface)
-    assert list(got.cuts) == list(want.cuts)
-    for t, cut in want.cuts.items():
-        for field in dataclasses.fields(cut):
-            a, b = getattr(got.cuts[t], field.name), getattr(cut, field.name)
-            if isinstance(b, np.ndarray):
-                np.testing.assert_array_equal(a, b, err_msg=f"element {t} {field.name}")
-            else:
-                assert a == b, (t, field.name)
+    assert got.cuts.elements.tolist() == list(want.cuts)
+    assert (got.cuts.interface, got.cuts.depth) == (interface, depth)
+    fields = {"triangles": "triangle", "point_d": "point_d", "point_e": "point_e", "normal": "normal",
+              "crossings": "crossings"}
+    for row, (t, cut) in zip(split(got.cuts), want.cuts.items()):
+        for name, ref_name in fields.items():
+            np.testing.assert_array_equal(getattr(row, name)[0], getattr(cut, ref_name), err_msg=f"element {t} {name}")
+        for side, poly in ((OMEGA1, cut.poly1), (OMEGA2, cut.poly2)):
+            np.testing.assert_array_equal(side_polygon(row, side), poly, err_msg=f"element {t} side {side}")
 
 
 class TestAgainstLoopBuilder:
@@ -78,9 +78,9 @@ class TestAgainstLoopBuilder:
             assert_same_as_loop_builder(CircleInterface((0.0, 0.0), 0.25), n)
 
 
-def crossing_points(cut):
+def crossing_points(cuts, row):
     """{local edge: crossing point} of a cut: D lies on the first crossed edge, E on the second."""
-    return dict(zip(np.flatnonzero(~np.isnan(cut.crossings)).tolist(), (cut.point_d, cut.point_e)))
+    return dict(zip(np.flatnonzero(~np.isnan(cuts.crossings[row])).tolist(), (cuts.point_d[row], cuts.point_e[row])))
 
 
 class TestCrossingTable:
@@ -96,17 +96,16 @@ class TestCrossingTable:
         for e in both:
             (t0, t1), ends = mesh.edge_tris[e], mesh.vertices[mesh.edges[e]]
             i0, i1 = (int(np.flatnonzero(mesh.tri_edges[t] == e)[0]) for t in (t0, t1))
-            c0, c1 = mesh.cuts[t0], mesh.cuts[t1]
-            np.testing.assert_array_equal(c0.crossings[i0], c1.crossings[i1])
-            r0, r1 = (geometry.index[t] for t in (t0, t1))
+            r0, r1 = (geometry.row(t) for t in (t0, t1))
+            np.testing.assert_array_equal(mesh.cuts.crossings[r0, i0], mesh.cuts.crossings[r1, i1])
             np.testing.assert_array_equal(geometry.edge_points[r0, i0], geometry.edge_points[r1, i1])
             np.testing.assert_array_equal(geometry.edge_weights[r0, i0], geometry.edge_weights[r1, i1])
-            t = c0.crossings[i0]
+            t = mesh.cuts.crossings[r0, i0]
             if np.isnan(t):
                 continue
             shared += 1
-            point = crossing_points(c0)[i0]
-            np.testing.assert_array_equal(point, crossing_points(c1)[i1])
+            point = crossing_points(mesh.cuts, r0)[i0]
+            np.testing.assert_array_equal(point, crossing_points(mesh.cuts, r1)[i1])
             np.testing.assert_array_equal(point, ends[0] + t * (ends[1] - ends[0]))
             # The edge rule's two Gauss pieces meet at the crossing.
             d = ends[1] - ends[0]
@@ -185,7 +184,7 @@ class TestBuildMesh:
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_interface_band(self, level):
         mesh = build_mesh(level, CIRCLE)
-        cut_ids = mesh.interface_elements()
+        cut_ids = mesh.cuts.elements
         assert len(cut_ids) >= 4
         r = CIRCLE.radius
         for t in cut_ids:
@@ -212,7 +211,7 @@ class TestBuildMesh:
 
     def test_cuts_exactly_on_interface_elements(self):
         mesh = build_mesh(2, CIRCLE)
-        assert set(mesh.cuts) == set(int(t) for t in mesh.interface_elements())
+        np.testing.assert_array_equal(mesh.cuts.elements, np.flatnonzero(mesh.element_class == INTERFACE))
 
     def test_n_override(self):
         mesh = build_mesh(1, CIRCLE, n_override=6)

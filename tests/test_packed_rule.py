@@ -39,7 +39,7 @@ from iwgfem import ife
 from iwgfem.ife import PolyBasis, _fit_moments, build_cut_geometry, build_local_spaces, sample
 from iwgfem.mesh import build_mesh
 from iwgfem.solver import solve
-from reference import block, polygon_rule, side_rules, triangulate_polygon
+from reference import block, polygon_rule, side_rules, split, take, triangulate_polygon
 from test_geometry import OFF_CENTRE, off_centre_circle, polygon_monomial_integral
 
 CIRCLES = [CircleInterface(), CircleInterface((0.3, 0.2), 0.36)]
@@ -108,9 +108,9 @@ def element_energy(space, loc) -> float:
 
 def element_interface_errors(dofmap, spaces, x_all, ms):
     """(energy^2, L2^2, max) over the interface elements, one element at a time."""
-    locs = (dofmap.P @ x_all).reshape(len(dofmap.wg0_col), -1)
+    locs = (dofmap.P @ x_all).reshape(len(dofmap.elements), -1)
     energy_sq = l2_sq = linf = 0.0
-    for t, loc in zip(dofmap.wg0_col, locs):
+    for t, loc in zip(dofmap.elements, locs):
         space = spaces[t]
         ue = element_side_samples(space, ms.u_side)
         q0 = element_q0(space, ue)
@@ -215,7 +215,7 @@ class TestBatchedAgainstPerElementReference:
                     np.testing.assert_array_equal(geometry.rule_vander[:, seg].T, fresh)
                     column = block(space, side)[:, q]
                     bound = m * EPS * (np.abs(fresh) @ np.abs(column))
-                    assert np.all(np.abs(got[seg] - fresh @ column) <= bound), (space.cut.element_id, side)
+                    assert np.all(np.abs(got[seg] - fresh @ column) <= bound), (spaces.elements[i], side)
 
 
 class TestPackedRule:
@@ -236,7 +236,7 @@ class TestPackedRule:
         ms = example1(1.0, 10.0)
         mesh = build_mesh(1, ms.interface)
         system, spaces = assemble_system(mesh, 1, ms.a1, ms.a2, ms.f, ms.g)
-        cuts = [mesh.cuts[t] for t in sorted(mesh.cuts, reverse=True)]
+        cuts = take(mesh.cuts, slice(None, None, -1))
         reversed_spaces = build_local_spaces(build_cut_geometry(cuts, 1), ms.a1, ms.a2)
         x_all = system.full_coefficients(np.zeros(system.matrix.shape[0]))
         compute_errors(mesh, system.dofmap, spaces, x_all, ms, 1)
@@ -244,31 +244,32 @@ class TestPackedRule:
             compute_errors(mesh, system.dofmap, reversed_spaces, x_all, ms, 1)
 
 
-def assert_rules_equal_per_element_rules(geometry_, cuts, degree):
-    """Each packed segment is the reference rule at its cut's depth capped at RULE_DEPTH, bit for bit.
+def assert_rules_equal_per_element_rules(geometry_, degree):
+    """Each packed segment is the reference rule at the table's depth capped at RULE_DEPTH, bit for bit.
 
-    A deeper cut keeps those points, and its fitted weights reproduce the
+    A deeper table keeps those points, and its fitted weights reproduce the
     monomial moments of the rule at its own depth to 1e-12 of the moment or
     the side's area, whichever is larger (criterion 8's scaling). Returns
     the (element id, side) of every segment whose reference takes two fans.
     """
     sizes, two_fans = [], []
-    for i, cut in enumerate(cuts):
+    depth = geometry_.cuts.depth
+    for i, cut in enumerate(split(geometry_.cuts)):
         for s, side in enumerate((OMEGA1, OMEGA2)):
-            poly = subregion_polygon(cut, side, min(cut.depth, RULE_DEPTH))
+            poly = subregion_polygon(cut, side, min(depth, RULE_DEPTH))
             rule = polygon_rule(poly, degree)
             seg = slice(*geometry_.rule_offsets[2 * i + s : 2 * i + s + 2])
             np.testing.assert_array_equal(geometry_.rule_points[seg], rule.points)
             if len(set(triangulate_polygon(poly)[:, 0].tolist())) > 1:
-                two_fans.append((cut.element_id, side))
-            if cut.depth <= RULE_DEPTH:
+                two_fans.append((cut.elements[0], side))
+            if depth <= RULE_DEPTH:
                 np.testing.assert_array_equal(geometry_.rule_weights[seg], rule.weights)
             else:
-                deep = polygon_rule(subregion_polygon(cut, side, cut.depth), degree)
+                deep = polygon_rule(subregion_polygon(cut, side, depth), degree)
                 want = deep.weights @ PolyBasis(degree).eval(deep.points)
                 got = geometry_.rule_weights[seg] @ PolyBasis(degree).eval(rule.points)
                 scale = np.maximum(np.abs(want), deep.weights.sum())
-                assert np.all(np.abs(got - want) <= 1e-12 * scale), (cut.element_id, side)
+                assert np.all(np.abs(got - want) <= 1e-12 * scale), (cut.elements[0], side)
             sizes.append(len(rule.weights))
     np.testing.assert_array_equal(np.diff(geometry_.rule_offsets), sizes)
     return two_fans
@@ -276,10 +277,9 @@ def assert_rules_equal_per_element_rules(geometry_, cuts, degree):
 
 def assert_packed_equals_reference(cuts, depth: int, degree: int):
     """``pack_subregion_rules`` at ``depth`` equals the reference rule of every side bit for bit."""
-    sides = [(cut, s, depth) for cut in cuts for s in (0, 1)]
-    offsets, points, weights = pack_subregion_rules(sides, degree)
-    for j, (cut, s, _) in enumerate(sides):
-        rule = polygon_rule(subregion_polygon(cut, (OMEGA1, OMEGA2)[s], depth), degree)
+    offsets, points, weights = pack_subregion_rules(cuts, np.arange(2 * len(cuts)), depth, degree)
+    for j, (cut, side) in enumerate((cut, side) for cut in split(cuts) for side in (OMEGA1, OMEGA2)):
+        rule = polygon_rule(subregion_polygon(cut, side, depth), degree)
         np.testing.assert_array_equal(points[offsets[j] : offsets[j + 1]], rule.points)
         np.testing.assert_array_equal(weights[offsets[j] : offsets[j + 1]], rule.weights)
 
@@ -293,10 +293,9 @@ class TestPackedFans:
     @pytest.mark.parametrize("depth", [0, 6])
     def test_paper_circle_equals_per_element_rules(self, n, depth):
         mesh = build_mesh(1, CIRCLES[0], depth=depth, n_override=n)
-        cuts = [mesh.cuts[t] for t in sorted(mesh.cuts)]
         for k in (1, 2):
             # On the paper's circle one fan covers every sub-polygon.
-            assert assert_rules_equal_per_element_rules(build_cut_geometries(mesh, k), cuts, 2 * k + 4) == []
+            assert assert_rules_equal_per_element_rules(build_cut_geometries(mesh, k), 2 * k + 4) == []
 
     def test_near_tangent_sliver_takes_the_two_fan_path(self):
         # The circle passes 1e-4 above the bottom edge: no vertex of the thin
@@ -304,10 +303,10 @@ class TestPackedFans:
         tri = np.array([(-0.1, 0.0), (0.1, 0.0), (0.0, 0.2)])
         cut = compute_cut(tri, CircleInterface((0.0, 0.5 + 1e-4), 0.25), element_id=3, depth=6)
         for k in (1, 2):
-            two_fans = assert_rules_equal_per_element_rules(build_cut_geometry([cut], k), [cut], 2 * k + 4)
+            two_fans = assert_rules_equal_per_element_rules(build_cut_geometry(cut, k), 2 * k + 4)
             assert two_fans == [(3, OMEGA2)]
         for depth in (0, 2, 6):
-            assert_packed_equals_reference([cut], depth, 6)
+            assert_packed_equals_reference(cut, depth, 6)
 
     def test_zero_area_fan_triangle(self):
         # TestFanTriangulation's example: a side-1 sub-polygon of area 2e-14
@@ -315,17 +314,15 @@ class TestPackedFans:
         # triangle has a zero-area one.
         mesh = build_mesh(1, off_centre_circle(0.5607359661169675, 0.4679198108004041, 0.5607359661169675),
                           depth=4, n_override=108)
-        cuts = [mesh.cuts[t] for t in sorted(mesh.cuts)]
         for depth in (2, 4):
-            assert_packed_equals_reference(cuts, depth, 4)
+            assert_packed_equals_reference(mesh.cuts, depth, 4)
 
-    def test_off_centre_circle_with_mixed_depths(self):
-        # Cuts of two depths, and one- and two-fan sides, in one packed rule.
-        mesh = build_mesh(1, CIRCLES[1], depth=6, n_override=8)
-        shallow = build_mesh(1, CIRCLES[1], depth=2, n_override=8)
-        cuts = [mesh.cuts[t] for t in sorted(mesh.cuts)] + [shallow.cuts[t] for t in sorted(shallow.cuts)]
-        two_fans = assert_rules_equal_per_element_rules(build_cut_geometry(cuts, 2), cuts, 8)
-        assert 0 < len(two_fans) < len(cuts)
+    def test_off_centre_circle_at_two_depths(self):
+        # A fitted and an unfitted table, each with one- and two-fan sides in one packed rule.
+        for depth in (6, 2):
+            cuts = build_mesh(1, CIRCLES[1], depth=depth, n_override=8).cuts
+            two_fans = assert_rules_equal_per_element_rules(build_cut_geometry(cuts, 2), 8)
+            assert 0 < len(two_fans) < len(cuts)
 
 
 class TestMomentFit:
@@ -348,23 +345,23 @@ class TestMomentFit:
                 mesh = build_mesh(1, circle, depth=depth, n_override=n)
             except GeometryError:
                 return
-            cuts = [mesh.cuts[t] for t in sorted(mesh.cuts)]
+            cuts = mesh.cuts
             geometry_ = build_cut_geometry(cuts, k)
         if not cuts:
             return
         sums = np.add.reduceat(geometry_.rule_weights, geometry_.rule_offsets[:-1]).reshape(-1, 2)
-        areas = np.array([polygon_area(cut.triangle) for cut in cuts])
+        areas = polygon_area(cuts.triangles)
         assert np.all(np.abs(sums.sum(axis=1) - areas) <= 1e-12 * areas)
         if depth <= RULE_DEPTH:
-            assert_rules_equal_per_element_rules(geometry_, cuts, degree)
+            assert_rules_equal_per_element_rules(geometry_, degree)
             return
         thin = np.argsort((sums / areas[:, None]).min(axis=1))[:4]
         for i in {0, len(cuts) - 1, *thin.tolist()}:
-            centre = cuts[i].triangle.mean(axis=0)
+            centre = cuts.triangles[i].mean(axis=0)
             for s, side in enumerate((OMEGA1, OMEGA2)):
                 seg = slice(*geometry_.rule_offsets[2 * i + s : 2 * i + s + 2])
                 (x, y), w = (geometry_.rule_points[seg] - centre).T, geometry_.rule_weights[seg]
-                poly = subregion_polygon(cuts[i], side, depth) - centre
+                poly = subregion_polygon(take(cuts, [i]), side, depth) - centre
                 scale = abs(polygon_area(poly))
                 for a in range(degree + 1):
                     for b in range(degree + 1 - a):
@@ -375,8 +372,8 @@ class TestMomentFit:
     def test_singular_fit_names_element_and_side(self):
         # A segment whose fan rule carries no weight gives no frame and no R:
         # the fit refuses it by name instead of packing NaN weights.
-        cuts = [compute_cut(np.array([(0.5, 0.0), (0.7, 0.0), (0.5, 0.2)]), CircleInterface(), element_id=9)]
-        offsets, points, weights = pack_subregion_rules([(cut, s, RULE_DEPTH) for cut in cuts for s in (0, 1)], 6)
+        cuts = compute_cut(np.array([(0.5, 0.0), (0.7, 0.0), (0.5, 0.2)]), CircleInterface(), element_id=9)
+        offsets, points, weights = pack_subregion_rules(cuts, np.arange(2), RULE_DEPTH, 6)
         weights[offsets[1] : offsets[2]] = 0.0
         with np.errstate(all="ignore"), pytest.raises(GeometryError, match=f"^element 9, side {OMEGA2}: singular"):
             _fit_moments(cuts, offsets, points, weights, 6)
