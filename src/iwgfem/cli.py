@@ -7,6 +7,7 @@ import dataclasses
 import math
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,10 +23,20 @@ from iwgfem.assembly import (
 from iwgfem.geometry import GeometryError
 from iwgfem.ife import IfeError
 from iwgfem.mesh import build_mesh, dump_mesh
-from iwgfem.solver import SolverConfig, SolverError, solve
+from iwgfem.solver import SolverConfig, SolverError, solve, superlu
 
 DEFAULT_PAIRS = ((1.0, 1.0), (1.0, 10.0), (1.0, 100.0), (1.0, 1000.0))
 MAX_DEPTH = 12  # deepest arc subdivision of the cut-cell quadrature
+# A one-pair direct-solve study factors its finest level in a worker thread
+# while the coarser levels run (run_study) only if that level has at least
+# this many P_k nodes, (k N)^2. Wall time of main and peak VmHWM on 2 vCPUs,
+# plain schedule -> overlapped, medians of alternating runs: k = 2, levels
+# 1..5 (finest N = 128, 65,536 nodes) saves a quarter of the wall time for
+# 7 MB more (BENCH_finest_overlap.json). Below the gate the gain is smaller
+# for about as much memory: k = 1, finest N = 128 (16,384 nodes)
+# 0.391 -> 0.365 s, 102.1 -> 107.4 MB; k = 2, levels 2..5, finest N = 64
+# (16,384 nodes) 0.361 -> 0.305 s, 114.1 -> 119.2 MB.
+OVERLAP_MIN_NODES = 2**16
 
 
 @dataclass(frozen=True)
@@ -55,12 +66,14 @@ class RunConfig:
             raise ValueError("levels must not be empty")
         if any(l < 1 for l in self.levels):
             raise ValueError("levels must be >= 1")
-        if list(self.levels) != sorted(self.levels):
-            raise ValueError("levels must be increasing")
+        if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
+            raise ValueError("levels must be strictly increasing")
         if not all(math.isfinite(a) for pair in self.pairs for a in pair):
             raise ValueError("conductivities must be finite")
         if any(a1 <= 0 or a2 <= 0 for a1, a2 in self.pairs):
             raise ValueError("conductivities must be positive")
+        if len(set(self.pairs)) != len(self.pairs):
+            raise ValueError("coefficient pairs must be distinct")
         # The moment fit integrates along 2**depth arc chords per cut side, and
         # the peak memory grows 2-3x per two depth levels: at N = 8, k = 2 a
         # level peaks at 135 MB at depth 10, 296 MB at 12 and 947 MB at 14;
@@ -123,14 +136,8 @@ def run_level(
     return errors, stats, mesh, system, spaces, x_all
 
 
-def _study_level(config: RunConfig, level: int, reports: dict, failed: set, log) -> int:
-    """Every pair not yet failed on one level; returns 1 if one fails now, else 0.
-
-    The mesh, the cut geometry and the level plan (example 1's source is
-    one function for every pair) are shared by the pairs and, with every
-    pair's spaces and system, freed on return, before the next level is
-    built. A failure to build the level raises GeometryError.
-    """
+def _build_level(config: RunConfig, level: int):
+    """The mesh and the plan of one level, and its setup log line; raises GeometryError."""
     source = example1(1.0, 1.0)
     t0 = time.perf_counter()
     mesh = build_mesh(level, source.interface, depth=config.depth, n_override=config.cells_for_level(level))
@@ -139,52 +146,158 @@ def _study_level(config: RunConfig, level: int, reports: dict, failed: set, log)
     t2 = time.perf_counter()
     plan = build_level_plan(mesh, config.k, source.f, config.quad_offset, geometries)
     t3 = time.perf_counter()
-    log(
+    line = (
         f"level={level} N={mesh.n_cells} cut={len(mesh.cuts)} "
         f"quad_points={len(geometries.rule_weights)} mesh={t1 - t0:.3f}s geometry={t2 - t1:.3f}s "
         f"plan={t3 - t2:.3f}s neg_weights={int((geometries.rule_weights < 0).sum())}"
     )
+    return mesh, plan, line
+
+
+def _pair_failed(config: RunConfig, pair, level: int, exc: Exception, failed: set, log) -> int:
+    """Log a pair's typed failure on a level and skip the pair from then on; returns exit code 1."""
+    log(f"FAILED k={config.k} (A1,A2)=({pair[0]:g},{pair[1]:g}) level={level}: {exc}")
+    failed.add(pair)
+    return 1
+
+
+def _record_pair(config: RunConfig, level: int, mesh, pair, result, elapsed: float, reports: dict, log) -> None:
+    """Add a solved pair's level to its report, log its line and write its dumps."""
+    errors, stats, system, spaces, _ = result
+    a1, a2 = pair
+    reports[pair].add_level(level, mesh.h, errors, elapsed, stats)
+    cond = spaces.gram_cond.max(initial=0.0)
+    constraint = spaces.constraint_residual.max(initial=0.0)
+    log(
+        f"k={config.k} (A1,A2)=({a1:g},{a2:g}) level={level} N={mesh.n_cells}: "
+        f"energy={errors['energy']:.4e} l2={errors['l2']:.4e} "
+        f"linf={errors['linf']:.4e} residual={stats.residual:.2e} "
+        f"free={system.matrix.shape[0]} nnz={system.matrix.nnz} gram_cond={cond:.2e} "
+        f"constraint={constraint:.2e} asym={system.asymmetry:.2e} "
+        f"iters={stats.iterations} [{elapsed:.2f}s]"
+    )
+    tag = f"k{config.k}_A{a1:g}_{a2:g}_level{level}"
+    if config.out_dir and config.dump_mesh:
+        dump_mesh(mesh, Path(config.out_dir) / f"mesh_{tag}.txt")
+    if config.out_dir and config.dump_matrix:
+        # An overlapped finest level holds K in CSC form; the dump lists it by rows.
+        system = dataclasses.replace(system, matrix=system.matrix.tocsr())
+        dump_matrix(system, Path(config.out_dir) / f"matrix_{tag}.txt")
+
+
+def _study_level(config: RunConfig, level: int, reports: dict, failed: set, log) -> int:
+    """Every pair not yet failed on one level; returns 1 if one fails now, else 0.
+
+    The mesh, the cut geometry and the level plan (example 1's source is
+    one function for every pair) are shared by the pairs and, with every
+    pair's spaces and system, freed on return, before the next level is
+    built. A failure to build the level raises GeometryError.
+    """
+    mesh, plan, line = _build_level(config, level)
+    log(line)
     code = 0
-    for a1, a2 in config.pairs:
-        if (a1, a2) in failed:
+    for pair in config.pairs:
+        if pair in failed:
             continue
-        ms = example1(a1, a2)
+        ms = example1(*pair)
         t0 = time.perf_counter()
         try:
-            errors, stats, system, spaces, _ = _solve_pair(
-                plan, ms, config.resolved_mode(), SolverConfig(method=config.solver)
-            )
+            result = _solve_pair(plan, ms, config.resolved_mode(), SolverConfig(method=config.solver))
         except (GeometryError, IfeError, SolverError) as exc:
-            log(f"FAILED k={config.k} (A1,A2)=({a1:g},{a2:g}) level={level}: {exc}")
-            failed.add((a1, a2))
-            code = 1
+            code = _pair_failed(config, pair, level, exc, failed, log)
             continue
-        elapsed = time.perf_counter() - t0
-        reports[(a1, a2)].add_level(level, mesh.h, errors, elapsed, stats)
-        cond = spaces.gram_cond.max(initial=0.0)
-        constraint = spaces.constraint_residual.max(initial=0.0)
-        log(
-            f"k={config.k} (A1,A2)=({a1:g},{a2:g}) level={level} N={mesh.n_cells}: "
-            f"energy={errors['energy']:.4e} l2={errors['l2']:.4e} "
-            f"linf={errors['linf']:.4e} residual={stats.residual:.2e} "
-            f"free={system.matrix.shape[0]} nnz={system.matrix.nnz} gram_cond={cond:.2e} "
-            f"constraint={constraint:.2e} asym={system.asymmetry:.2e} "
-            f"iters={stats.iterations} [{elapsed:.2f}s]"
-        )
-        tag = f"k{config.k}_A{a1:g}_{a2:g}_level{level}"
-        if config.out_dir and config.dump_mesh:
-            dump_mesh(mesh, Path(config.out_dir) / f"mesh_{tag}.txt")
-        if config.out_dir and config.dump_matrix:
-            dump_matrix(system, Path(config.out_dir) / f"matrix_{tag}.txt")
-        del system, spaces, _  # so that the next pair's loads and errors peak without them
+        _record_pair(config, level, mesh, pair, result, time.perf_counter() - t0, reports, log)
+        del result  # so that the next pair's loads and errors peak without its system and spaces
     return code
+
+
+def _study_levels(config: RunConfig, levels, reports: dict, failed: set, log) -> int:
+    """The levels in turn through ``_study_level``; stops after one that fails to build."""
+    code = 0
+    for level in levels:
+        try:
+            code |= _study_level(config, level, reports, failed, log)
+        except GeometryError as exc:
+            log(f"FAILED building level {level}: {exc}")
+            return 1
+    return code
+
+
+def _overlaps_finest(config: RunConfig) -> bool:
+    """Whether ``run_study`` factors the finest level while the coarser levels run.
+
+    SuperLU's factorization releases the GIL; CG's Python loop does not. With
+    several pairs, overlapping the finest level's first factor left
+    ``study_k1`` flat (0.94 -> 0.91 s) for a peak of 127.5 MB against
+    101.8 MB.
+    """
+    nodes = (config.k * config.cells_for_level(config.levels[-1])) ** 2
+    one_direct_pair = len(config.pairs) == 1 and config.solver == "cholesky"
+    return one_direct_pair and len(config.levels) > 1 and nodes >= OVERLAP_MIN_NODES
+
+
+def _study_overlapped(config: RunConfig, reports: dict, failed: set, log) -> int | None:
+    """A one-pair study whose finest level is factored while the coarser levels run.
+
+    The finest level is built and assembled first, and its K is kept in CSC
+    form only; ``superlu`` factors it in a worker thread while the coarser
+    levels run through ``_study_levels``. Then ``solve`` joins the factor
+    and checks its pivots on this thread, and the finest level's lines are
+    logged after the coarser levels', as ``_study_levels`` would log them.
+    If the pair fails on a coarser level, or one fails to build, the finest
+    level is dropped unlogged. Returns None, having logged nothing, if the
+    finest level cannot be prepared.
+    """
+    level = config.levels[-1]
+    (pair,) = config.pairs
+    ms = example1(*pair)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        try:
+            mesh, plan, line = _build_level(config, level)
+            t0 = time.perf_counter()
+            system, spaces = assemble_system(
+                mesh, config.k, ms.a1, ms.a2, ms.f, ms.g, mode=config.resolved_mode(),
+                quad_offset=config.quad_offset, plan=plan,
+            )
+            system.matrix = system.matrix.tocsc()
+            assembly_s = time.perf_counter() - t0
+            # The one worker runs its calls in order, so these clock reads
+            # time the factorization without running Python in the worker.
+            start = worker.submit(time.perf_counter)
+            factor = worker.submit(superlu, system.matrix)
+            end = worker.submit(time.perf_counter)
+        except Exception:
+            # A typed error, or memory that the early finest level ran out
+            # of: the plain schedule meets it again in its place, or not at all.
+            return None
+        code = _study_levels(config, config.levels[:-1], reports, failed, log)
+        if code:
+            return code
+        log(line)
+        t0 = time.perf_counter()
+        try:
+            x, stats = solve(system.matrix, system.rhs, factor=factor)
+            del factor  # so that L and U are freed before the error pass
+            x_all = system.full_coefficients(x)
+            errors = compute_errors(mesh, system.dofmap, spaces, x_all, ms, config.k, config.quad_offset, plan)
+        except (GeometryError, IfeError, SolverError) as exc:
+            return _pair_failed(config, pair, level, exc, failed, log)
+        t1 = time.perf_counter()
+    # The pair's own time: its assembly, its factorization, and the rest of
+    # its solve and error pass once the factorization was done.
+    factor_s = end.result() - start.result()
+    elapsed = assembly_s + factor_s + t1 - max(t0, end.result())
+    _record_pair(config, level, mesh, pair, (errors, stats, system, spaces, x_all), elapsed, reports, log)
+    return 0
 
 
 def run_study(config: RunConfig, log=print) -> tuple[list[ConvergenceReport], int]:
     """Run the full (pair, level) matrix; returns reports and an exit code.
 
     Levels form the outer loop so the mesh, the cut geometry and the level
-    plan are built once per level and shared by all coefficient pairs.
+    plan are built once per level and shared by all coefficient pairs. Some
+    one-pair studies factor the finest level while the coarser levels run
+    (``_study_overlapped``), with the same output.
     """
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir is not None:
@@ -194,15 +307,10 @@ def run_study(config: RunConfig, log=print) -> tuple[list[ConvergenceReport], in
         (a1, a2): ConvergenceReport(k=config.k, a1=a1, a2=a2, mode=mode, depth=config.depth)
         for a1, a2 in config.pairs
     }
-    exit_code = 0
     failed = set()
-    for level in config.levels:
-        try:
-            exit_code |= _study_level(config, level, reports, failed, log)
-        except GeometryError as exc:
-            log(f"FAILED building level {level}: {exc}")
-            exit_code = 1
-            break
+    exit_code = _study_overlapped(config, reports, failed, log) if _overlaps_finest(config) else None
+    if exit_code is None:
+        exit_code = _study_levels(config, config.levels, reports, failed, log)
 
     out = []
     for (a1, a2), report in reports.items():

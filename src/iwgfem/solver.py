@@ -53,7 +53,9 @@ class SolveStats:
     n: int
 
 
-def solve(matrix: sp.spmatrix, rhs: np.ndarray, config: SolverConfig | None = None, patches=(), coarse=None):
+def solve(
+    matrix: sp.spmatrix, rhs: np.ndarray, config: SolverConfig | None = None, patches=(), coarse=None, factor=None
+):
     """Solve an SPD system; returns (x, SolveStats) with a residual certificate.
 
     ``patches`` are the overlapping additive-Schwarz patches of CG's
@@ -61,7 +63,9 @@ def solve(matrix: sp.spmatrix, rhs: np.ndarray, config: SolverConfig | None = No
     ``DofMap.patches``; without patches CG is Jacobi-preconditioned.
     ``coarse`` is CG's coarse basis Z (n, n_c), as ``assembly.coarse_basis``
     builds it; with it CG is deflated in the A-DEF2 form. The direct path
-    ignores both.
+    ignores both. ``factor`` is a future of ``superlu`` on ``matrix`` in
+    CSC form, started by the caller in another thread: the direct path
+    joins it and checks its pivots here in place of factoring.
     """
     if config is None:
         config = SolverConfig()
@@ -76,7 +80,7 @@ def solve(matrix: sp.spmatrix, rhs: np.ndarray, config: SolverConfig | None = No
         return np.zeros(0), SolveStats(config.method, 0.0, 0, 0)
 
     if config.method == "cholesky":
-        x, iters = _factor(a).solve(b), 0
+        x, iters = _factor(a, factor).solve(b), 0
     else:
         x, iters = _solve_cg(a, b, config, patches, coarse)
 
@@ -90,21 +94,28 @@ def _sorted_csr(matrix) -> sp.csr_matrix:
     return a if a.has_sorted_indices else a.sorted_indices()
 
 
-def _factor(a: sp.spmatrix):
+def superlu(a: sp.csc_matrix):
+    """SuperLU factorization of a CSC matrix with diagonal pivoting disabled, unchecked.
+
+    This is all the work that may run in a worker thread; scipy 1.17's
+    factorization releases the GIL, so that thread runs beside the caller.
+    It raises RuntimeError on an exactly zero pivot; ``_factor`` checks the
+    signs of the others.
+    """
+    return spla.splu(a, diag_pivot_thresh=0.0, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+
+
+def _factor(a: sp.spmatrix, pending=None):
     """SuperLU factorization of an SPD matrix with diagonal pivoting disabled.
 
     With off-diagonal pivoting suppressed, SuperLU computes P A P^T = L U with
     unit-lower L, which for symmetric input is the LDL^T factorization; all
     U-pivots positive is then equivalent to positive definiteness, and a
-    non-positive one raises NotPositiveDefinite.
+    non-positive one raises NotPositiveDefinite. ``pending``, a future of
+    ``superlu`` on ``a``, is joined in place of factoring.
     """
     try:
-        lu = spla.splu(
-            sp.csc_matrix(a),
-            diag_pivot_thresh=0.0,
-            permc_spec="MMD_AT_PLUS_A",
-            options={"SymmetricMode": True},
-        )
+        lu = superlu(sp.csc_matrix(a)) if pending is None else pending.result()
     except RuntimeError as exc:
         raise NotPositiveDefinite(f"factorization failed: {exc}") from exc
     if np.any(lu.U.diagonal() <= 0.0):

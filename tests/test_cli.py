@@ -1,8 +1,10 @@
 import csv
 import dataclasses
 import os
+import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -11,19 +13,22 @@ import pytest
 
 import iwgfem.analysis
 import iwgfem.assembly
+import iwgfem.cli
 from iwgfem.assembly import build_cut_geometries
 from iwgfem.cli import (
     _KEY_TO_FIELD,
     RunConfig,
     _parse_levels,
+    _overlaps_finest,
     _parse_pairs,
     config_from_argv,
     load_config_file,
     main,
     run_study,
 )
-from iwgfem.geometry import CircleInterface
+from iwgfem.geometry import CircleInterface, GeometryError
 from iwgfem.mesh import build_mesh
+from iwgfem.solver import NotPositiveDefinite
 
 
 class TestParsing:
@@ -40,6 +45,10 @@ class TestParsing:
             RunConfig(k=3)
         with pytest.raises(ValueError):
             RunConfig(levels=(3, 2))
+        with pytest.raises(ValueError, match="levels must be strictly increasing"):
+            RunConfig(levels=(1, 1, 2))
+        with pytest.raises(ValueError, match="coefficient pairs must be distinct"):
+            RunConfig(pairs=((1.0, 10.0), (1.0, 10.0)))
         with pytest.raises(ValueError):
             RunConfig(pairs=((0.0, 1.0),))
         with pytest.raises(ValueError):
@@ -200,12 +209,15 @@ class TestLevelPlanSharing:
         assert [mesh.n_cells for mesh, _ in calls] == [4, 8]
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_csvs_do_not_depend_on_the_other_pairs_or_their_order(self, tmp_path, k):
+    def test_csvs_do_not_depend_on_the_other_pairs_or_their_order(self, tmp_path, k, monkeypatch):
+        # With the node gate at 0 the one-pair studies overlap their finest
+        # level's factor, and the two-pair ones take the plain schedule.
+        monkeypatch.setattr(iwgfem.cli, "OVERLAP_MIN_NODES", 0)
         pairs = ((1.0, 1.0), (1.0, 1000.0))
 
         def csvs(name, study_pairs):
             out = tmp_path / name
-            config = RunConfig(k=k, levels=(1, 2), pairs=study_pairs, n_level1=4, out_dir=str(out))
+            config = RunConfig(k=k, levels=(1, 2, 3), pairs=study_pairs, n_level1=4, out_dir=str(out))
             assert run_study(config, log=lambda *a: None)[1] == 0
             return {p.name: p.read_bytes() for p in out.glob("convergence_*.csv")}
 
@@ -215,6 +227,128 @@ class TestLevelPlanSharing:
         for i, pair in enumerate(pairs):
             alone.update(csvs(f"alone{i}", (pair,)))
         assert alone == both and len(both) == 2
+
+
+def _strip_times(lines: list[str]) -> list[str]:
+    """Log lines without the setup and per-pair times."""
+    return [re.sub(r" (mesh|geometry|plan)=[0-9.]+s| \[[0-9.]+s\]", "", line) for line in lines]
+
+
+class TestOverlappedFinestLevel:
+    """A one-pair direct-solve study factors its finest level while the coarser levels run.
+
+    The node gate is patched to 0 so that small studies take that schedule;
+    at its own value these studies take the plain one.
+    """
+
+    GATE = iwgfem.cli.OVERLAP_MIN_NODES
+
+    def _study(self, config, monkeypatch, overlap: bool):
+        monkeypatch.setattr(iwgfem.cli, "OVERLAP_MIN_NODES", 0 if overlap else self.GATE)
+        assert _overlaps_finest(config) == overlap
+        lines = []
+        _, code = run_study(config, log=lines.append)
+        return lines, code
+
+    def test_which_studies_overlap(self):
+        assert _overlaps_finest(RunConfig(k=2, levels=(1, 2, 3, 4, 5), pairs=((1.0, 1000.0),)))
+        assert not _overlaps_finest(RunConfig(k=1))  # four pairs
+        assert not _overlaps_finest(RunConfig(k=2, levels=(1, 2, 3, 4, 5), pairs=((1.0, 1000.0),), solver="cg"))
+        assert not _overlaps_finest(RunConfig(k=2, levels=(5,), n_level1=128, pairs=((1.0, 1000.0),)))
+        # (k N)^2 = 128^2 nodes, under the gate.
+        assert not _overlaps_finest(RunConfig(k=1, levels=(1, 2, 3, 4, 5), pairs=((1.0, 1000.0),)))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_same_log_and_files_as_the_plain_schedule(self, tmp_path, monkeypatch, k):
+        joined = []
+        solve = iwgfem.cli.solve
+
+        def spied(*args, factor=None, **kwargs):
+            joined.append(factor is not None)
+            return solve(*args, factor=factor, **kwargs)
+
+        runs = {}
+        for overlap in (False, True):
+            out = tmp_path / str(overlap)
+            config = RunConfig(
+                k=k, levels=(1, 2, 3), pairs=((1.0, 1000.0),), n_level1=4, out_dir=str(out),
+                dump_mesh=True, dump_matrix=True,
+            )
+            monkeypatch.setattr(iwgfem.cli, "solve", spied)
+            lines, code = self._study(config, monkeypatch, overlap)
+            assert code == 0
+            runs[overlap] = _strip_times(lines), {p.name: p.read_bytes() for p in out.iterdir()}
+        # Only the second study's finest solve joined a factor from the worker.
+        assert joined == [False] * 5 + [True]
+        assert runs[True] == runs[False]
+        assert len(runs[True][1]) == 2 + 2 * 3  # CSV, plot data, and a mesh and a matrix per level
+
+    def test_a_pair_failing_on_a_coarser_level_drops_the_finest_level(self, tmp_path, monkeypatch):
+        calls = []
+        solve = iwgfem.cli.solve
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NotPositiveDefinite("non-positive pivot in symmetric factorization")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(iwgfem.cli, "solve", failing)
+        runs = {}
+        for overlap in (False, True):
+            calls.clear()
+            out = tmp_path / str(overlap)
+            config = RunConfig(k=1, levels=(1, 2, 3), pairs=((1.0, 10.0),), n_level1=4, out_dir=str(out))
+            lines, code = self._study(config, monkeypatch, overlap)
+            assert code == 1
+            runs[overlap] = lines
+            with open(out / "convergence_k1_A1_10.csv") as fh:
+                assert [row[0] for row in csv.reader(fh)] == ["level", "1"]
+        failed = "FAILED k=1 (A1,A2)=(1,10) level=2: non-positive pivot in symmetric factorization"
+        for lines in runs.values():
+            assert [l for l in lines if l.startswith("FAILED")] == [failed]
+        assert not any("level=3" in l for l in runs[True])
+        # The plain schedule still builds level 3 and logs its setup line.
+        assert any(l.startswith("level=3 ") for l in runs[False])
+
+    def test_the_finest_level_failing_to_build_is_met_in_its_place(self, monkeypatch):
+        build = iwgfem.cli.build_mesh
+
+        def failing(level, interface, depth=6, n_override=None):
+            if n_override == 16:
+                raise GeometryError("interface cuts 1 edges of element 38; expected 2")
+            return build(level, interface, depth=depth, n_override=n_override)
+
+        config = RunConfig(k=1, levels=(1, 2, 3), pairs=((1.0, 10.0),), n_level1=4)
+        runs = {}
+        monkeypatch.setattr(iwgfem.cli, "build_mesh", failing)
+        for overlap in (False, True):
+            lines, code = self._study(config, monkeypatch, overlap)
+            assert code == 1
+            runs[overlap] = _strip_times(lines)
+        assert runs[True] == runs[False]
+        study = runs[True][: runs[True].index("")]
+        assert [l.split()[0] for l in study] == ["level=1", "k=1", "level=2", "k=1", "FAILED"]
+        assert study[-1] == "FAILED building level 3: interface cuts 1 edges of element 38; expected 2"
+
+    def test_no_thread_left_behind(self, monkeypatch):
+        monkeypatch.setattr(iwgfem.cli, "OVERLAP_MIN_NODES", 0)
+        config = RunConfig(k=2, levels=(1, 2, 3), pairs=((1.0, 1000.0),), n_level1=4)
+        threads = threading.active_count()
+        assert run_study(config, log=lambda *a: None)[1] == 0
+        assert threading.active_count() == threads
+
+        build = iwgfem.cli.build_mesh
+
+        def unexpected(level, interface, depth=6, n_override=None):
+            if n_override == 4:
+                raise RuntimeError("unexpected")
+            return build(level, interface, depth=depth, n_override=n_override)
+
+        monkeypatch.setattr(iwgfem.cli, "build_mesh", unexpected)
+        with pytest.raises(RuntimeError, match="unexpected"):
+            run_study(config, log=lambda *a: None)
+        assert threading.active_count() == threads
 
 
 class TestMain:
@@ -312,6 +446,8 @@ class TestMain:
             (["--coeffs", "1,2,3"], "coefficient pair '1,2,3' must be 'A1,A2'"),
             (["--coeffs", "1,nan"], "conductivities must be finite"),
             (["--coeffs", "1,inf"], "conductivities must be finite"),
+            (["--k", "1", "--coeffs", "1,10", "--n-level1", "4", "--levels", "1,1,2"], "levels must be strictly increasing"),
+            (["--coeffs", "1,10;1,10"], "coefficient pairs must be distinct"),
             (["--levels", "1", "--depth", "64"], "depth must be in 0..12"),
         ],
     )

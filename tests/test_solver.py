@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from iwgfem.solver import (
     _schwarz_inverse,
     _sorted_csr,
     solve,
+    superlu,
 )
 
 
@@ -51,6 +53,25 @@ class TestSolve:
         a = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
         with pytest.raises(NotPositiveDefinite):
             solve(a, np.array([1.0, 1.0]), SolverConfig(method="cholesky"))
+
+    def test_a_factor_from_another_thread_is_joined_and_checked(self):
+        # A factorization the caller started in a worker gives the same x, and
+        # a failed or indefinite one raises the direct path's typed error.
+        rng = np.random.default_rng(0)
+        b_mat = rng.standard_normal((30, 30))
+        a = sp.csc_matrix(b_mat @ b_mat.T + 30 * np.eye(30))
+        b = rng.standard_normal(30)
+        indefinite = sp.csc_matrix(np.diag([1.0, -1.0]))
+        singular = sp.csc_matrix(np.ones((2, 2)))
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            x, stats = solve(a, b, factor=worker.submit(superlu, a))
+            with pytest.raises(NotPositiveDefinite, match="non-positive pivot"):
+                solve(indefinite, np.ones(2), factor=worker.submit(superlu, indefinite))
+            with pytest.raises(NotPositiveDefinite, match="factorization failed"):
+                solve(singular, np.ones(2), factor=worker.submit(superlu, singular))
+        x_here, stats_here = solve(a, b)
+        np.testing.assert_array_equal(x, x_here)
+        assert stats == stats_here
 
     def test_cg_budget_exhaustion(self):
         rng = np.random.default_rng(1)
