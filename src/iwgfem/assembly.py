@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +38,11 @@ class AssemblyError(Exception):
 
 class InconsistentConstraint(AssemblyError):
     """A DOF is simultaneously slaved and pinned with conflicting values."""
+
+
+class Band(NamedTuple):
+    columns: np.ndarray  # sorted free columns of the interface band
+    blocks: list  # (interface element id, its sorted free columns), ascending ids
 
 
 TRACE_NONE = -1
@@ -75,25 +81,20 @@ class DofMap:
     P: sp.csr_matrix = None  # (n_cut * (m + 3k), n_total), see routing_matrix
 
     @cached_property
-    def patches(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The additive-Schwarz patches of the CG preconditioner, grouped by size.
+    def band(self) -> Band:
+        """The interface band that CG's preconditioner solves exactly.
 
-        One patch per interface element: the sorted free columns that its
-        row block of P touches (its interior and owned trace columns and the
-        free CG nodes of its slaved edges). Each group is (element ids (n_p,),
-        columns (n_p, s)) for the elements whose patch has s columns.
+        An interface element's columns are the free columns that its row
+        block of P touches: its interior and owned trace columns and the free
+        CG nodes of its slaved edges. The band holds their sorted union and,
+        for each element id, its own sorted columns.
         """
-        p, nf, elems = self.P, self.n_free, self.elements
+        p, nf = self.P, self.n_free
         owner = np.repeat(np.arange(p.shape[0]) // (self.m + 3 * self.k), np.diff(p.indptr))
         free = p.indices < nf
         owner, cols = np.divmod(np.unique(owner[free] * nf + p.indices[free]), nf)
-        sizes = np.bincount(owner, minlength=len(elems))
-        starts = np.cumsum(sizes) - sizes
-        groups = []
-        for s in np.unique(sizes):
-            sel = np.flatnonzero(sizes == s)
-            groups.append((elems[sel], cols[starts[sel][:, None] + np.arange(s)]))
-        return groups
+        own = np.split(cols, np.cumsum(np.bincount(owner, minlength=len(self.elements)))[:-1])
+        return Band(np.unique(cols), list(zip(self.elements.tolist(), own)))
 
 
 def _cg_shape_values(k: int, ref_pts: np.ndarray) -> np.ndarray:

@@ -111,7 +111,7 @@ def _solve_pair(plan: LevelPlan, ms: ManufacturedSolution, mode: str, solver_con
         mesh, k, ms.a1, ms.a2, ms.f, ms.g, mode=mode, quad_offset=quad_offset, plan=plan
     )
     if solver_config is not None and solver_config.method == "cg":
-        x, stats = solve(system.matrix, system.rhs, solver_config, plan.dofmap.patches, coarse_basis(plan, spaces))
+        x, stats = solve(system.matrix, system.rhs, solver_config, plan.dofmap.band, coarse_basis(plan, spaces))
     else:
         x, stats = solve(system.matrix, system.rhs, solver_config)
     x_all = system.full_coefficients(x)
@@ -212,9 +212,11 @@ def _study_level(config: RunConfig, level: int, reports: dict, failed: set, log)
 
 
 def _study_levels(config: RunConfig, levels, reports: dict, failed: set, log) -> int:
-    """The levels in turn through ``_study_level``; stops after one that fails to build."""
+    """The levels in turn through ``_study_level``; stops once one fails to build or every pair has failed."""
     code = 0
     for level in levels:
+        if len(failed) == len(config.pairs):
+            break
         try:
             code |= _study_level(config, level, reports, failed, log)
         except GeometryError as exc:

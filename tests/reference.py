@@ -433,25 +433,22 @@ def noninterface_errors(mesh, dofmap, x_all, ms, k, degree):
     return energy_sq, l2_sq, linf
 
 
-def allocating_cg(matrix, b: np.ndarray, m_inv=None, tol: float = 1e-12, max_iter: int = 20000):
+def allocating_cg(matrix, b: np.ndarray, precondition=None, tol: float = 1e-12, max_iter: int = 20000):
     """Preconditioned CG with a fresh vector per update: (x, iterations).
 
-    The preconditioner is the sparse matrix ``m_inv``, Jacobi's inverse
-    diagonal (applied elementwise) without it. The matrix is applied in CSC
-    and the reductions are numpy sums (``einsum``), not BLAS, as in the solver.
+    ``precondition`` maps r to M^-1 r; without it M is Jacobi's diagonal.
+    The matrix is applied in CSC and the reductions are numpy sums
+    (``einsum``), not BLAS, as in the solver.
     """
     def dot(u, v):
         return float(np.einsum("i,i->", u, v))
 
     a = sp.csc_matrix(matrix)
-    if m_inv is None:
+    if precondition is None:
         inv_diag = 1.0 / a.diagonal()
 
         def precondition(r):
             return inv_diag * r
-    else:
-        def precondition(r):
-            return m_inv @ r
 
     x = np.zeros(len(b))
     r = b.copy()

@@ -307,9 +307,30 @@ class TestOverlappedFinestLevel:
         failed = "FAILED k=1 (A1,A2)=(1,10) level=2: non-positive pivot in symmetric factorization"
         for lines in runs.values():
             assert [l for l in lines if l.startswith("FAILED")] == [failed]
-        assert not any("level=3" in l for l in runs[True])
-        # The plain schedule still builds level 3 and logs its setup line.
-        assert any(l.startswith("level=3 ") for l in runs[False])
+            assert not any("level=3" in l for l in lines)
+
+    def test_no_level_is_built_once_every_pair_has_failed(self, monkeypatch):
+        built, solves = [], []
+        build, solve = iwgfem.cli.build_mesh, iwgfem.cli.solve
+
+        def counted_build(*args, **kwargs):
+            built.append(kwargs["n_override"])
+            return build(*args, **kwargs)
+
+        def failing(*args, **kwargs):
+            solves.append(1)
+            if len(solves) == 2:
+                raise NotPositiveDefinite("non-positive pivot in symmetric factorization")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(iwgfem.cli, "build_mesh", counted_build)
+        monkeypatch.setattr(iwgfem.cli, "solve", failing)
+        config = RunConfig(k=1, levels=(1, 2, 3), pairs=((1.0, 10.0),), n_level1=4)
+        lines, code = self._study(config, monkeypatch, overlap=False)
+        assert code == 1
+        assert built == [4, 8]  # no third build_mesh call
+        assert not any("level=3" in l for l in lines)
+        assert [l.split()[0] for l in lines[:4]] == ["level=1", "k=1", "level=2", "FAILED"]
 
     def test_the_finest_level_failing_to_build_is_met_in_its_place(self, monkeypatch):
         build = iwgfem.cli.build_mesh
