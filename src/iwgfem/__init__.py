@@ -9,7 +9,7 @@ spaces whose local bases satisfy the interface jump conditions.
 
 from iwgfem.analysis import ConvergenceReport, ManufacturedSolution, compute_errors, example1
 from iwgfem.assembly import assemble_system, build_dof_map, build_ife_spaces
-from iwgfem.geometry import CircleInterface, classify_element, compute_cut
+from iwgfem.geometry import CircleInterface
 from iwgfem.ife import construct_ife_basis
 from iwgfem.mesh import MeshPartition, build_mesh
 from iwgfem.solver import SolverConfig, solve
@@ -25,8 +25,6 @@ __all__ = [
     "build_dof_map",
     "build_ife_spaces",
     "build_mesh",
-    "classify_element",
-    "compute_cut",
     "compute_errors",
     "construct_ife_basis",
     "example1",

@@ -174,7 +174,7 @@ def _record_pair(config: RunConfig, level: int, mesh, pair, result, elapsed: flo
         f"linf={errors['linf']:.4e} residual={stats.residual:.2e} "
         f"free={system.matrix.shape[0]} nnz={system.matrix.nnz} gram_cond={cond:.2e} "
         f"constraint={constraint:.2e} asym={system.asymmetry:.2e} "
-        f"iters={stats.iterations} [{elapsed:.2f}s]"
+        f"iters={stats.iterations} refine={stats.refinements} fallback={stats.fallback} [{elapsed:.2f}s]"
     )
     tag = f"k{config.k}_A{a1:g}_{a2:g}_level{level}"
     if config.out_dir and config.dump_mesh:

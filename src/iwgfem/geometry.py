@@ -428,40 +428,6 @@ def _element_classes(phi: np.ndarray, crossings: np.ndarray, element_ids) -> np.
     return np.where(cut, INTERFACE, np.where(hi > 0.0, OMEGA2, OMEGA1))
 
 
-def classify_element(tri, interface: CircleInterface | None, element_id: int = -1) -> int:
-    """Classify one triangle as INTERFACE, OMEGA1 or OMEGA2 (see ``_element_classes``)."""
-    tri = np.asarray(tri, float)
-    e = np.roll(tri, -1, axis=0) - tri
-    if abs(polygon_area(tri)) < GEOM_TOL * float(np.max(e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1])):
-        raise DegenerateTriangle(f"area of element {element_id} below {GEOM_TOL} * h^2")
-    if interface is None:
-        return OMEGA2
-    phi = interface.value(tri[:, 0], tri[:, 1])
-    crossings = segment_crossings(canonical_edges(tri), interface)
-    return int(_element_classes(phi[None], crossings[None], [element_id])[0])
-
-
-def compute_cut(tri, interface: CircleInterface, element_id: int = -1, depth: int = 6) -> CutTable:
-    """The chord split of one interface element, a table of one row (see ``cut_table``)."""
-    tri = np.asarray(tri, float)
-    if polygon_area(tri) < 0.0:
-        tri = tri[::-1]
-    crossings = segment_crossings(canonical_edges(tri), interface)
-    return cut_table(interface, [element_id], tri[None], crossings[None], depth)
-
-
-def _segment(cut: CutTable, side: int) -> np.ndarray:
-    """The one segment of ``side`` in the one-row table ``cut``."""
-    if len(cut) != 1:
-        raise ValueError(f"expected a table of one cut, got {len(cut)}")
-    return np.array([(OMEGA1, OMEGA2).index(side)])
-
-
-def subregion_polygon(cut: CutTable, side: int, depth: int) -> np.ndarray:
-    """Vertex list of the side polygon of a one-row table, the chord replaced by the arc polyline."""
-    return next(_polygon_batches(cut, _segment(cut, side), depth))[1][0]
-
-
 def _arc_interiors(interface: CircleInterface, a: np.ndarray, b: np.ndarray, n_in: int) -> np.ndarray:
     """(g, n_in, 2) interior points of the near arcs from a[j] to b[j] on the circle.
 
@@ -483,21 +449,6 @@ def _arc_sweep(center: np.ndarray, a: np.ndarray, b: np.ndarray):
     dth = np.arctan2(b[:, 1] - center[1], b[:, 0] - center[0]) - th_a
     # The IEEE remainder of dth by 2 pi, exact as |dth| < 2 pi.
     return th_a, np.where(dth > math.pi, dth - 2.0 * math.pi, np.where(dth < -math.pi, dth + 2.0 * math.pi, dth))
-
-
-def quadrature_on_subregion(cut: CutTable, side: int, degree: int, depth: int | None = None) -> QuadratureRule:
-    """Positive rule exact to `degree` on one sub-region of a one-row table.
-
-    With depth = 0 the region is the chord-split polygon; with depth > 0 the
-    chord is replaced by the recursively bisected arc polyline, so the curved
-    sliver is shared consistently between the two sides. It is the packed
-    rule of one side (``pack_subregion_rules``).
-    """
-    if side not in (OMEGA1, OMEGA2):
-        raise ValueError(f"side must be {OMEGA1} or {OMEGA2}")
-    depth = cut.depth if depth is None else depth
-    _, points, weights = pack_subregion_rules(cut, _segment(cut, side), depth, degree)
-    return QuadratureRule(points, weights)
 
 
 # Depth of the packed fan rules. A deeper table keeps its depth-2 rules' points
@@ -588,7 +539,7 @@ def subregion_moments(
     """Legendre-product moments of cut sub-regions, exactly, from their boundaries.
 
     Region j is side ``segments[j]`` (2 row + s) of ``cuts`` at ``depth``, as
-    ``subregion_polygon`` builds it, with a frame xi = (x - origin[j]) @
+    ``_polygon_batches`` builds it, with a frame xi = (x - origin[j]) @
     axes[j].T of positive determinant.
     Returns (g, degree + 1, degree + 1): entry [j, a, b] is the integral over
     region j of P_a(xi_1) P_b(xi_2) dx, exact for a + b <= degree. By

@@ -49,8 +49,10 @@ class SolverConfig:
 class SolveStats:
     method: str
     residual: float  # relative residual certificate ||Kx - b|| / ||b||, may exceed cg_tol
-    iterations: int  # 0 for the direct path
+    iterations: int  # CG iterations, 0 for the direct path
     n: int
+    refinements: int = 0  # the direct path's float64 refinement steps on its float32 factor
+    fallback: bool = False  # the direct path fell back to a float64 factor
 
 
 def solve(
@@ -63,9 +65,11 @@ def solve(
     own; without it CG is Jacobi-preconditioned.
     ``coarse`` is CG's coarse basis Z (n, n_c), as ``assembly.coarse_basis``
     builds it; with it CG is deflated in the A-DEF2 form. The direct path
-    ignores both. ``factor`` is a future of ``superlu`` on ``matrix`` in
-    CSC form, started by the caller in another thread: the direct path
-    joins it and checks its pivots here in place of factoring.
+    ignores both. It factors ``matrix`` in float32 and refines the solve in
+    float64 (``_solve_direct``), falling back to a float64 factor.
+    ``factor`` is a future of ``superlu`` on ``matrix`` in CSC form, started
+    by the caller in another thread: the direct path joins it and checks its
+    pivots here in place of factoring.
     """
     if config is None:
         config = SolverConfig()
@@ -79,14 +83,16 @@ def solve(
     if a.shape[0] == 0:
         return np.zeros(0), SolveStats(config.method, 0.0, 0, 0)
 
+    iters = refinements = 0
+    fallback = False
     if config.method == "cholesky":
-        x, iters = _factor(a, factor).solve(b), 0
+        x, refinements, fallback = _solve_direct(a, b, factor)
     else:
         x, iters = _solve_cg(a, b, config, band, coarse)
 
     bnorm = float(np.linalg.norm(b))
     residual = float(np.linalg.norm(a @ x - b)) / max(bnorm, 1e-300)
-    return x, SolveStats(config.method, residual, iters, a.shape[0])
+    return x, SolveStats(config.method, residual, iters, a.shape[0], refinements, fallback)
 
 
 def _sorted_csr(matrix) -> sp.csr_matrix:
@@ -94,33 +100,72 @@ def _sorted_csr(matrix) -> sp.csr_matrix:
     return a if a.has_sorted_indices else a.sorted_indices()
 
 
-def superlu(a: sp.csc_matrix, permc_spec: str = "MMD_AT_PLUS_A"):
-    """SuperLU factorization of a CSC matrix with diagonal pivoting disabled, unchecked.
+def superlu(a: sp.csc_matrix, permc_spec: str = "MMD_AT_PLUS_A", dtype=np.float32):
+    """SuperLU factorization of a CSC matrix cast to ``dtype``, diagonal pivoting disabled, unchecked.
 
-    This is all the work that may run in a worker thread; scipy 1.17's
-    factorization releases the GIL, so that thread runs beside the caller.
-    It raises RuntimeError on an exactly zero pivot; ``_factor`` checks the
-    signs of the others.
+    The direct path's factor is float32 (``_solve_direct`` refines it in
+    float64); ``_factor`` asks for float64 where it falls back and for CG's
+    band and coarse factors. This is all the work that may run in a worker
+    thread; scipy 1.17's factorization releases the GIL, so that thread runs
+    beside the caller. It raises RuntimeError on an exactly zero pivot;
+    ``_factor`` checks the signs of the others.
     """
+    with np.errstate(over="ignore"):  # an entry beyond float32's range is inf, and the direct path falls back
+        a = a.astype(dtype, copy=False)
     return spla.splu(a, diag_pivot_thresh=0.0, permc_spec=permc_spec, options={"SymmetricMode": True})
 
 
-def _factor(a: sp.spmatrix, pending=None, permc_spec: str = "MMD_AT_PLUS_A"):
-    """SuperLU factorization of an SPD matrix with diagonal pivoting disabled.
+def _factor(a: sp.spmatrix, pending=None, permc_spec: str = "MMD_AT_PLUS_A", dtype=np.float64):
+    """SuperLU factorization of an SPD matrix in ``dtype`` with diagonal pivoting disabled.
 
     With off-diagonal pivoting suppressed, SuperLU computes P A P^T = L U with
     unit-lower L, which for symmetric input is the LDL^T factorization; all
     U-pivots positive is then equivalent to positive definiteness, and a
-    non-positive one raises NotPositiveDefinite. ``pending``, a future of
-    ``superlu`` on ``a``, is joined in place of factoring.
+    non-positive (or NaN) one raises NotPositiveDefinite. ``pending``, a
+    future of ``superlu`` on ``a``, is joined in place of factoring.
     """
     try:
-        lu = superlu(sp.csc_matrix(a), permc_spec) if pending is None else pending.result()
+        lu = superlu(sp.csc_matrix(a), permc_spec, dtype) if pending is None else pending.result()
     except RuntimeError as exc:
         raise NotPositiveDefinite(f"factorization failed: {exc}") from exc
-    if np.any(lu.U.diagonal() <= 0.0):
+    if not np.all(lu.U.diagonal() > 0.0):
         raise NotPositiveDefinite("non-positive pivot in symmetric factorization")
     return lu
+
+
+# The float64 refinement of the direct path's float32 factor stops at this
+# recursive residual relative to ||b||, or falls back after this many steps.
+REFINE_TOL = 1e-15
+REFINE_MAX_STEPS = 50
+
+
+def _solve_direct(a: sp.csc_matrix, b: np.ndarray, pending=None):
+    """x of K x = b from a float32 factor refined in float64; returns (x, steps, fell_back).
+
+    CG on K in float64, preconditioned by the float32 factor of K, is
+    mixed-precision iterative refinement for SPD systems (Carson & Higham,
+    SIAM J. Sci. Comput. 40, 2018): each step costs one float32 solve and
+    one float64 matvec, and the float32 factor holds half the bytes. If
+    the float32 factor fails or shows a non-positive pivot, or the
+    refinement meets non-positive curvature or ``REFINE_MAX_STEPS``, K is
+    factored again in float64, whose failure alone raises
+    NotPositiveDefinite. ``pending`` is a future of ``superlu`` on ``a``.
+    """
+
+    def precondition(r):
+        # Scaled to unit max norm, so that a small residual does not underflow float32.
+        scale = float(np.abs(r).max()) or 1.0
+        z = lu.solve((r / scale).astype(np.float32)).astype(np.float64)
+        z *= scale
+        return z
+
+    try:
+        lu = _factor(a, pending, dtype=np.float32)
+        x, steps = _pcg(a, b, precondition, REFINE_TOL, REFINE_MAX_STEPS)
+        return x, steps, False
+    except SolverError:
+        lu = None  # freed before the float64 factor
+    return _factor(a).solve(b), 0, True
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
@@ -195,45 +240,56 @@ def _solve_cg(a: sp.csr_matrix, b: np.ndarray, config: SolverConfig, band, coars
     ``cg_tol`` relative to b. At high contrast r drifts from b - A x, so the
     true residual that ``solve`` reports may exceed ``cg_tol``.
     """
+    inv_du, cols, one_level = _preconditioner(a, band)
+    if coarse is None:
+        return _pcg(a, b, one_level, config.cg_tol, config.cg_max_iter)
+    z_c = _sorted_csr(coarse)
+    e, w1_t, g = _deflation(a, z_c, inv_du, cols)
+    lu = _factor(e)
+    x = z_c @ lu.solve(z_c.T @ b)
+
+    def precondition(r):
+        y = one_level(r)
+        y += z_c @ lu.solve(w1_t @ r - g @ y[cols])
+        return y
+
+    return _pcg(a, b, precondition, config.cg_tol, config.cg_max_iter, x)
+
+
+def _pcg(a, b: np.ndarray, precondition, tol: float, max_iter: int, x=None):
+    """Preconditioned CG from x (zero by default), updating in place; returns (x, iterations).
+
+    Stops when the recursively updated residual reaches ``tol`` relative to
+    ||b||; raises NotPositiveDefinite on non-positive curvature and
+    NoConvergence after ``max_iter`` iterations.
+    """
     n = len(b)
-    inv_du, cols, precondition = _preconditioner(a, band)
-    x = np.zeros(n)
-    r = b.copy()
-    if coarse is not None:
-        z_c = _sorted_csr(coarse)
-        e, w1_t, g = _deflation(a, z_c, inv_du, cols)
-        lu = _factor(e)
-        x = z_c @ lu.solve(z_c.T @ b)
-        r -= a @ x
-        one_level = precondition
-
-        def precondition(r):
-            y = one_level(r)
-            y += z_c @ lu.solve(w1_t @ r - g @ y[cols])
-            return y
-
+    if x is None:
+        x, r = np.zeros(n), b.copy()
+    else:
+        r = b - a @ x
     z = precondition(r)
     p = z.copy()
     tmp = np.empty(n)
     rz = _dot(r, z)
     bnorm = math.sqrt(_dot(b, b))
-    if math.sqrt(_dot(r, r)) <= config.cg_tol * bnorm:
+    if math.sqrt(_dot(r, r)) <= tol * bnorm:
         return x, 0
-    for it in range(1, config.cg_max_iter + 1):
+    for it in range(1, max_iter + 1):
         ap = a @ p
         pap = _dot(p, ap)
-        if pap <= 0.0:
+        if not pap > 0.0:
             raise NotPositiveDefinite("CG breakdown: non-positive curvature")
         alpha = rz / pap
         np.multiply(p, alpha, out=tmp)
         x += tmp
         np.multiply(ap, alpha, out=tmp)
         r -= tmp
-        if math.sqrt(_dot(r, r)) <= config.cg_tol * bnorm:
+        if math.sqrt(_dot(r, r)) <= tol * bnorm:
             return x, it
         z = precondition(r)
         rz_new = _dot(r, z)
         p *= rz_new / rz
         p += z
         rz = rz_new
-    raise NoConvergence(f"CG did not reach {config.cg_tol} in {config.cg_max_iter} iterations")
+    raise NoConvergence(f"CG did not reach {tol} in {max_iter} iterations")

@@ -2,7 +2,8 @@
 
 Nothing in ``src/iwgfem`` calls these. They are the straightforward forms of
 what the solver computes in batches or in place: the scalar circle-segment
-root solver, one element's chord split, the loop-built mesh, Gauss rules on segments and triangles,
+root solver, one element's chord split, one triangle's class, one element's
+cut table and one side's polygon and packed rule, the loop-built mesh, Gauss rules on segments and triangles,
 one polygon's fan triangulation and rule, plain sums over quadrature rules,
 one element's CG stiffness, the edge sets of the interface elements, the
 non-interface errors summed with ``einsum`` on freshly mapped points, and
@@ -32,19 +33,23 @@ from iwgfem.geometry import (
     OMEGA2,
     CircleInterface,
     CutTable,
+    DegenerateTriangle,
     GeometryError,
     MultipleCrossings,
     QuadratureRule,
+    _element_classes,
     _fan_tests,
     _fans,
     _gauss_legendre,
     _mapped_rule,
+    _polygon_batches,
     _positive_fans,
     _tiles,
     _triangle_rule_reference,
     _two_fans,
     canonical_edges,
-    classify_element,
+    cut_table,
+    pack_subregion_rules,
     polygon_area,
     segment_crossings,
 )
@@ -143,6 +148,55 @@ def element_cut(tri, interface: CircleInterface, element_id: int = -1, depth: in
         raise MultipleCrossings(f"could not separate the two sides of element {element_id}")
     poly1, poly2 = chains if inside[0] else chains[::-1]
     return ReferenceCut(element_id, tri, interface, pd, pe, n, poly1, poly2, crossings[:, 0], depth)
+
+
+def classify_element(tri, interface: CircleInterface | None, element_id: int = -1) -> int:
+    """Classify one triangle as INTERFACE, OMEGA1 or OMEGA2 (see ``_element_classes``)."""
+    tri = np.asarray(tri, float)
+    e = np.roll(tri, -1, axis=0) - tri
+    if abs(polygon_area(tri)) < GEOM_TOL * float(np.max(e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1])):
+        raise DegenerateTriangle(f"area of element {element_id} below {GEOM_TOL} * h^2")
+    if interface is None:
+        return OMEGA2
+    phi = interface.value(tri[:, 0], tri[:, 1])
+    crossings = segment_crossings(canonical_edges(tri), interface)
+    return int(_element_classes(phi[None], crossings[None], [element_id])[0])
+
+
+def compute_cut(tri, interface: CircleInterface, element_id: int = -1, depth: int = 6) -> CutTable:
+    """The chord split of one interface element, a table of one row (see ``cut_table``)."""
+    tri = np.asarray(tri, float)
+    if polygon_area(tri) < 0.0:
+        tri = tri[::-1]
+    crossings = segment_crossings(canonical_edges(tri), interface)
+    return cut_table(interface, [element_id], tri[None], crossings[None], depth)
+
+
+def _segment(cut: CutTable, side: int) -> np.ndarray:
+    """The one segment of ``side`` in the one-row table ``cut``."""
+    if len(cut) != 1:
+        raise ValueError(f"expected a table of one cut, got {len(cut)}")
+    return np.array([(OMEGA1, OMEGA2).index(side)])
+
+
+def subregion_polygon(cut: CutTable, side: int, depth: int) -> np.ndarray:
+    """Vertex list of the side polygon of a one-row table, the chord replaced by the arc polyline."""
+    return next(_polygon_batches(cut, _segment(cut, side), depth))[1][0]
+
+
+def quadrature_on_subregion(cut: CutTable, side: int, degree: int, depth: int | None = None) -> QuadratureRule:
+    """Positive rule exact to `degree` on one sub-region of a one-row table.
+
+    With depth = 0 the region is the chord-split polygon; with depth > 0 the
+    chord is replaced by the recursively bisected arc polyline, so the curved
+    sliver is shared consistently between the two sides. It is the packed
+    rule of one side (``pack_subregion_rules``).
+    """
+    if side not in (OMEGA1, OMEGA2):
+        raise ValueError(f"side must be {OMEGA1} or {OMEGA2}")
+    depth = cut.depth if depth is None else depth
+    _, points, weights = pack_subregion_rules(cut, _segment(cut, side), depth, degree)
+    return QuadratureRule(points, weights)
 
 
 def triangle_rule(tri, degree: int) -> QuadratureRule:

@@ -18,14 +18,12 @@ from iwgfem.geometry import (
     OMEGA2,
     CircleInterface,
     polygon_area,
-    quadrature_on_subregion,
-    subregion_polygon,
 )
 from iwgfem.ife import construct_ife_basis, sample_chord_residuals
 from iwgfem.mesh import build_mesh
 from iwgfem.solver import SolverConfig, solve
 
-from reference import integrate, measure, split
+from reference import integrate, measure, quadrature_on_subregion, split, subregion_polygon
 from test_assembly import _textbook_cg_solve
 from test_geometry import polygon_monomial_integral
 from test_ife import _weak_gradient_oracle

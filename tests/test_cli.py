@@ -383,11 +383,12 @@ class TestMain:
         assert "energy=" in out
         # Size and health figures of the solve ride on the same line.
         line = next(l for l in out.splitlines() if "energy=" in l)
-        for field in ("free=", "nnz=", "gram_cond=", "constraint=", "asym=", "iters="):
+        for field in ("free=", "nnz=", "gram_cond=", "constraint=", "asym=", "iters=", "refine=", "fallback="):
             assert field in line, field
         fields = dict(tok.split("=", 1) for tok in line.split() if "=" in tok and "(" not in tok)
         assert int(fields["free"]) > 0 and int(fields["nnz"]) > 0
         assert int(fields["iters"]) == 0  # direct solve
+        assert int(fields["refine"]) > 0 and fields["fallback"] == "False"  # float32 factor, refined
         assert 1.0 <= float(fields["gram_cond"]) < 1e12
         assert float(fields["constraint"]) < 1e-10
         assert float(fields["asym"]) < 1e-12

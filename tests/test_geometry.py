@@ -16,23 +16,23 @@ from iwgfem.geometry import (
     _fan_triangles,
     _mapped_rule,
     _triangle_rule_reference,
-    classify_element,
-    compute_cut,
     polygon_area,
-    quadrature_on_subregion,
     segment_crossings,
-    subregion_polygon,
 )
 from iwgfem.mesh import build_mesh
 from reference import (
     _interface_candidates,
     chord_length,
+    classify_element,
+    compute_cut,
     edge_roots,
     integrate,
     measure,
     quadrature_on_edge,
+    quadrature_on_subregion,
     side_polygon,
     split,
+    subregion_polygon,
     take,
     triangle_rule,
     triangulate_polygon,

@@ -12,9 +12,7 @@ from iwgfem.geometry import (
     OMEGA2,
     CircleInterface,
     canonical_edges,
-    compute_cut,
     polygon_area,
-    quadrature_on_subregion,
 )
 from iwgfem.ife import (
     IllConditionedWarning,
@@ -32,7 +30,18 @@ from iwgfem.ife import (
     sample_chord_residuals,
 )
 from iwgfem.mesh import build_mesh
-from reference import block, measure, quadrature_on_edge, side_polygon, side_rules, space_cut, split, take
+from reference import (
+    block,
+    compute_cut,
+    measure,
+    quadrature_on_edge,
+    quadrature_on_subregion,
+    side_polygon,
+    side_rules,
+    space_cut,
+    split,
+    take,
+)
 
 CIRCLE = CircleInterface()
 TRI = np.array([(0.5, 0.0), (0.7, 0.0), (0.5, 0.2)])

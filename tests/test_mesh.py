@@ -203,7 +203,7 @@ class TestBuildMesh:
             assert neighbors & cut_set
 
     def test_classification_matches_bruteforce(self):
-        from iwgfem.geometry import classify_element
+        from reference import classify_element
 
         mesh = build_mesh(2, CIRCLE)
         for t in range(len(mesh.triangles)):

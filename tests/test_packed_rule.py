@@ -30,16 +30,14 @@ from iwgfem.geometry import (
     RULE_DEPTH,
     CircleInterface,
     GeometryError,
-    compute_cut,
     pack_subregion_rules,
     polygon_area,
-    subregion_polygon,
 )
 from iwgfem import ife
 from iwgfem.ife import PolyBasis, _fit_moments, build_cut_geometry, build_local_spaces, sample
 from iwgfem.mesh import build_mesh
 from iwgfem.solver import solve
-from reference import block, polygon_rule, side_rules, split, take, triangulate_polygon
+from reference import block, compute_cut, polygon_rule, side_rules, split, subregion_polygon, take, triangulate_polygon
 from test_geometry import OFF_CENTRE, off_centre_circle, polygon_monomial_integral
 
 CIRCLES = [CircleInterface(), CircleInterface((0.3, 0.2), 0.36)]

@@ -15,6 +15,7 @@ from iwgfem.cli import run_level
 from iwgfem.mesh import build_mesh
 from reference import allocating_cg, wg0_columns
 from test_assembly import one, zero
+import iwgfem.solver as solver_module
 from iwgfem.solver import (
     NoConvergence,
     NotPositiveDefinite,
@@ -53,6 +54,10 @@ class TestSolve:
         a = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
         with pytest.raises(NotPositiveDefinite):
             solve(a, np.array([1.0, 1.0]), SolverConfig(method="cholesky"))
+
+    def test_singular(self):
+        with pytest.raises(NotPositiveDefinite, match="factorization failed"):
+            solve(sp.csr_matrix(np.ones((2, 2))), np.ones(2))
 
     def test_a_factor_from_another_thread_is_joined_and_checked(self):
         # A factorization the caller started in a worker gives the same x, and
@@ -147,6 +152,45 @@ def contrast16():
 def contrast_system(contrast16):
     """The assembled N = 16, k = 2, (1, 1000) system."""
     return contrast16[1]
+
+
+class TestMixedPrecision:
+    """The direct path's float32 factor, its float64 refinement and the float64 fallback."""
+
+    def test_spd_matrix_singular_in_float32_falls_back(self):
+        # 1 - 1e-9 rounds to 1 in float32, so the float32 factor has a zero pivot.
+        a = sp.csc_matrix(np.array([[1.0, 1.0 - 1e-9], [1.0 - 1e-9, 1.0]]))
+        b = np.array([1.0, 2.0])
+        x, stats = solve(a, b)
+        assert stats.fallback and stats.refinements == 0 and stats.iterations == 0
+        np.testing.assert_array_equal(x, _factor(a).solve(b))
+        assert stats.residual < 1e-6  # the system's condition number is 2e9
+
+    def test_refinement_that_hits_its_cap_falls_back(self, contrast_system, monkeypatch):
+        a, b = contrast_system.matrix, contrast_system.rhs
+        _, refined = solve(a, b)
+        assert refined.refinements > 1 and not refined.fallback
+        monkeypatch.setattr(solver_module, "REFINE_MAX_STEPS", 1)
+        x, stats = solve(a, b)
+        assert stats.fallback and stats.refinements == 0
+        np.testing.assert_array_equal(x, _factor(a).solve(b))
+
+    def test_refined_solution_matches_the_float64_factor(self):
+        _, system, _ = contrast_level(32)
+        a, b = sp.csc_matrix(system.matrix), system.rhs
+        x, stats = solve(a, b)
+        x64 = _factor(a).solve(b)
+        residual64 = np.linalg.norm(a @ x64 - b) / np.linalg.norm(b)
+        assert not stats.fallback and stats.iterations == 0 and 0 < stats.refinements < 10
+        assert np.linalg.norm(x - x64) <= 1e-12 * np.linalg.norm(x64)
+        assert stats.residual <= 2 * residual64
+
+    def test_factor_is_float32_and_the_band_factor_float64(self, contrast16):
+        plan, system, _ = contrast16
+        a = sp.csc_matrix(system.matrix)
+        assert superlu(a).L.dtype == np.float32
+        cols = plan.dofmap.band.columns
+        assert _factor(a[cols][:, cols], permc_spec="COLAMD").L.dtype == np.float64
 
 
 class TestBand:
