@@ -48,6 +48,20 @@ class Band(NamedTuple):
 TRACE_NONE = -1
 TRACE_SLAVED = -2
 
+# Mesh cells per side of a CG coarse aggregate, H / h (LevelPlan.aggregates).
+# CG iterations and solve time of the seven contrast-sweep pairs, example 1,
+# best of 2-3 in-process runs on 2 vCPUs, for H = 4h / 2h / h:
+#   k = 2, N = 16:    673 /   451 / 267,  0.055 / 0.043 / 0.036 s
+#   k = 2, N = 32:    878 /   508 / 314,  0.133 / 0.095 / 0.091 s
+#   k = 1, N = 64:    422 /   278 /  97,  0.075 / 0.073 / 0.087 s
+#   k = 2, N = 64:    912 /   575 / 355,  0.353 / 0.272 / 0.303 s
+#   k = 2, N = 128: 1,045 /   613 / 390,  1.198 / 0.912 / 1.216 s
+# From N = 64 on, H = h's larger coarse solve costs more than its fewer
+# iterations save. Without the coarse level CG took 788 iterations (0.042 s)
+# at N = 16 and 1,589 (0.163 s) at N = 32, k = 2. N = 64, k = 2 is the
+# benchmark's sweep_k2_cg (BENCH_coarse_aggregates.json).
+AGGREGATE_CELLS = 2
+
 
 @dataclass(eq=False)
 class DofMap:
@@ -363,9 +377,10 @@ class LevelPlan:
 
         A CG node column lies at its node, an element's interior columns at
         its centroid and an edge's trace columns at its midpoint. Its
-        aggregate is the cell of a C x C grid, C = max(1, N / 4), that holds
-        the location, split by the side of the interface; only non-empty
-        aggregates are numbered. Built on first use, by CG only.
+        aggregate is the cell of a C x C grid, C = max(1, N / 2) (H = 2h,
+        ``AGGREGATE_CELLS``), that holds the location, split by the side of
+        the interface; only non-empty aggregates are numbered. Built on first
+        use, by CG only.
         """
         mesh, dm = self.mesh, self.dofmap
         loc = np.empty((dm.n_free, 2))
@@ -376,7 +391,7 @@ class LevelPlan:
         edges = np.flatnonzero((dm.trace_col >= 0) & (dm.trace_col < dm.n_free))
         loc[dm.trace_col[edges][:, None] + np.arange(dm.k)] = mesh.vertices[mesh.edges[edges]].mean(axis=1)[:, None]
 
-        c = max(1, mesh.n_cells // 4)
+        c = max(1, mesh.n_cells // AGGREGATE_CELLS)
         cell = np.clip(np.floor((loc + 1.0) * (c / 2.0)).astype(np.int64), 0, c - 1)
         inside = np.zeros(dm.n_free, np.int64)
         if mesh.interface is not None:

@@ -27,6 +27,7 @@ from iwgfem.solver import SolverConfig, SolverError, solve, superlu
 
 DEFAULT_PAIRS = ((1.0, 1.0), (1.0, 10.0), (1.0, 100.0), (1.0, 1000.0))
 MAX_DEPTH = 12  # deepest arc subdivision of the cut-cell quadrature
+MAX_QUAD_OFFSET = 16  # largest extra quadrature degree
 # A one-pair direct-solve study factors its finest level in a worker thread
 # while the coarser levels run (run_study) only if that level has at least
 # this many P_k nodes, (k N)^2. Wall time of main and peak VmHWM on 2 vCPUs,
@@ -80,8 +81,11 @@ class RunConfig:
         # at N = 64, depth 12 takes 500 MB; depth 24 asks numpy for 8.5 GiB.
         if not 0 <= self.depth <= MAX_DEPTH:
             raise ValueError(f"depth must be in 0..{MAX_DEPTH}")
-        if self.quad_offset < 0:
-            raise ValueError("quad-offset must be >= 0")
+        # The rules' point counts grow with the square of the degree: at N = 8,
+        # k = 2 a level peaks at 72 MB at offset 0, 153 MB at 8 and 421 MB at
+        # 16; offset 32 takes 2.4 GB and 128 asks numpy for 17.2 GiB.
+        if not 0 <= self.quad_offset <= MAX_QUAD_OFFSET:
+            raise ValueError(f"quad-offset must be in 0..{MAX_QUAD_OFFSET}")
         if self.ife_mode not in ("auto", "segment", "arc"):
             raise ValueError("ife mode must be auto, segment or arc")
         if self.solver not in ("cholesky", "cg"):

@@ -28,7 +28,7 @@ class SolverConfig:
 
     ``cg_tol`` bounds CG's recursively updated residual relative to ||b||,
     not the true one: ``SolveStats.residual`` is the certificate, and at
-    high contrast it may exceed ``cg_tol`` (2.7e-11 at N = 64, k = 2,
+    high contrast it may exceed ``cg_tol`` (1.9e-11 at N = 64, k = 2,
     (1000, 1)).
     """
 

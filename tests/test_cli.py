@@ -60,6 +60,10 @@ class TestParsing:
             with pytest.raises(ValueError, match="depth must be in 0..12"):
                 RunConfig(depth=depth)
         assert RunConfig(depth=12).depth == 12
+        for offset in (-1, 17, 128):
+            with pytest.raises(ValueError, match="quad-offset must be in 0..16"):
+                RunConfig(quad_offset=offset)
+        assert RunConfig(quad_offset=16).quad_offset == 16
 
     def test_mode_resolution(self):
         assert RunConfig(k=1).resolved_mode() == "segment"
@@ -471,6 +475,7 @@ class TestMain:
             (["--k", "1", "--coeffs", "1,10", "--n-level1", "4", "--levels", "1,1,2"], "levels must be strictly increasing"),
             (["--coeffs", "1,10;1,10"], "coefficient pairs must be distinct"),
             (["--levels", "1", "--depth", "64"], "depth must be in 0..12"),
+            (["--levels", "1", "--quad-offset", "128"], "quad-offset must be in 0..16"),
         ],
     )
     def test_malformed_input_is_a_config_error(self, argv, message, capsys):

@@ -290,8 +290,10 @@ class TestCoarseLevel:
     def test_aggregates_are_grid_cells_split_by_the_interface(self, contrast16):
         plan = contrast16[0]
         agg, n_agg = plan.aggregates
-        # C = 16 / 4 = 4 cells per side; the circle splits 12 of the 16.
-        assert n_agg == 28
+        # C = 16 / 2 = 8 cells per side, 64 cells. The circle crosses 20 of
+        # them, and 14 hold unknowns on both of its sides; in the other 6 the
+        # inside part holds no node, centroid or edge midpoint. 64 + 14 = 78.
+        assert n_agg == 78
         assert agg.shape == (plan.dofmap.n_free,)
         assert np.all(np.bincount(agg, minlength=n_agg) > 0)
 
@@ -335,9 +337,9 @@ class TestCoarseLevel:
         assert np.max(np.abs(x - x_direct)) <= 1e-9 * np.max(np.abs(x_direct))
 
     def test_deflation_saves_iterations_at_high_contrast(self):
-        # With the band, the 28 aggregates of H = 4h help a little at N = 16
-        # (100 iterations -> 84 at contrast 1000) and more from N = 32 on
-        # (210 -> 108).
+        # With the band, the 78 aggregates of H = 2h save iterations at
+        # N = 16 (100 -> 55 at contrast 1000) and more from N = 32 on
+        # (210 -> 69).
         plan, system, spaces = contrast_level(32)
         a, b = system.matrix, system.rhs
         config = SolverConfig(method="cg")
@@ -347,10 +349,21 @@ class TestCoarseLevel:
         x_direct, _ = solve(a, b)
         assert np.max(np.abs(x - x_direct)) <= 1e-9 * np.max(np.abs(x_direct))
 
+    def test_coarse_level_pays_at_the_coarsest_cg_level(self, contrast16):
+        # N = 16, k = 2, (1, 1000): the band alone takes 100 iterations, the
+        # two-level CG 55 (84 with H = 4h, where the coarse level cost time).
+        plan, system, spaces = contrast16
+        a, b = system.matrix, system.rhs
+        config = SolverConfig(method="cg")
+        _, one_level = solve(a, b, config, plan.dofmap.band)
+        _, two_level = solve(a, b, config, plan.dofmap.band, coarse_basis(plan, spaces))
+        assert 0 < two_level.iterations < 0.7 * one_level.iterations
+
 
 def test_two_level_cg_is_robust_to_the_contrast():
-    # N = 32, k = 2: (1000, 1) takes 163 iterations against 115 at (1, 1);
-    # element patches in place of the band took 508 against 136.
+    # N = 32, k = 2: (1000, 1) takes 94 iterations against 61 at (1, 1)
+    # (163 against 115 with H = 4h); element patches in place of the band
+    # took 508 against 136.
     ms = example1(1.0, 1.0)
     mesh = build_mesh(1, ms.interface, n_override=32)
     plan = build_level_plan(mesh, 2, ms.f)
