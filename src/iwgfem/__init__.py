@@ -8,11 +8,10 @@ spaces whose local bases satisfy the interface jump conditions.
 """
 
 from iwgfem.analysis import ConvergenceReport, ManufacturedSolution, compute_errors, example1
-from iwgfem.assembly import assemble_system, build_dof_map, build_ife_spaces
+from iwgfem.assembly import assemble_system, build_dof_map, build_ife_spaces, build_level_plan
 from iwgfem.geometry import CircleInterface
-from iwgfem.ife import construct_ife_basis
 from iwgfem.mesh import MeshPartition, build_mesh
-from iwgfem.solver import SolverConfig, solve
+from iwgfem.solver import solve
 
 __all__ = [
     "CircleInterface",
@@ -20,15 +19,13 @@ __all__ = [
     "ManufacturedSolution",
     "MeshPartition",
     "RunConfig",
-    "SolverConfig",
     "assemble_system",
     "build_dof_map",
     "build_ife_spaces",
+    "build_level_plan",
     "build_mesh",
     "compute_errors",
-    "construct_ife_basis",
     "example1",
-    "run_level",
     "run_study",
     "solve",
 ]
@@ -37,7 +34,7 @@ __all__ = [
 def __getattr__(name):
     # Resolved on first use: importing iwgfem.cli here would put it in
     # sys.modules before `python -m iwgfem.cli` runs it, and runpy warns.
-    if name in ("RunConfig", "run_level", "run_study"):
+    if name in ("RunConfig", "run_study"):
         from iwgfem import cli
 
         return getattr(cli, name)

@@ -23,10 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from iwgfem.assembly import DofMap, LevelPlan, build_level_plan
+from iwgfem.assembly import DofMap, LevelPlan
 from iwgfem.geometry import OMEGA1, OMEGA2, CircleInterface
 from iwgfem.ife import IfeSpaces, sample
-from iwgfem.mesh import MeshPartition
 
 
 class AnalysisError(Exception):
@@ -142,7 +141,7 @@ def check_interface_conditions(ms: ManufacturedSolution, n_samples: int = 256) -
 ERROR_BLOCK = 4096
 
 
-def _noninterface_errors(plan: LevelPlan, dofmap: DofMap, x_all, ms):
+def _noninterface_errors(plan: LevelPlan, x_all, ms):
     """Energy and L2 squares and the max error on the non-interface elements.
 
     Each side's elements are taken ERROR_BLOCK at a time: their error points
@@ -150,7 +149,7 @@ def _noninterface_errors(plan: LevelPlan, dofmap: DofMap, x_all, ms):
     (elements, points) arrays, and each element's weighted sums are kept.
     The sums over a side's elements are one product with its dets.
     """
-    coefs = x_all[dofmap.node_col[plan.nodes]]  # (ne, nl)
+    coefs = x_all[plan.dofmap.node_col[plan.nodes]]  # (ne, nl)
     w = plan.err_weights
     energy_sq = 0.0
     l2_sq = 0.0
@@ -198,25 +197,10 @@ def _interface_errors(dofmap: DofMap, spaces: IfeSpaces, x_all, ms):
     return float(energy_sq.sum()), float(l2_sq), float(np.max(np.abs(diff), initial=0.0))
 
 
-def compute_errors(
-    mesh: MeshPartition,
-    dofmap: DofMap,
-    spaces: IfeSpaces,
-    x_all: np.ndarray,
-    ms: ManufacturedSolution,
-    k: int,
-    quad_offset: int = 0,
-    plan: LevelPlan | None = None,
-) -> dict:
-    """Energy, L2 and max errors of a solved study in one pass.
-
-    Without a ``plan`` one is built for this pair alone, on ``spaces``' geometry.
-    """
-    if plan is None:
-        plan = build_level_plan(mesh, k, ms.f, quad_offset, spaces.geometry)
-    plan.check(mesh, k, ms.f, quad_offset)
-    e1, l1, m1 = _noninterface_errors(plan, dofmap, x_all, ms)
-    e2, l2, m2 = _interface_errors(dofmap, spaces, x_all, ms)
+def compute_errors(plan: LevelPlan, spaces: IfeSpaces, x_all: np.ndarray, ms: ManufacturedSolution) -> dict:
+    """Energy, L2 and max errors of a pair solved on a level plan, in one pass."""
+    e1, l1, m1 = _noninterface_errors(plan, x_all, ms)
+    e2, l2, m2 = _interface_errors(plan.dofmap, spaces, x_all, ms)
     return {
         "energy": math.sqrt(e1 + e2),
         "l2": math.sqrt(l1 + l2),
@@ -224,15 +208,12 @@ def compute_errors(
     }
 
 
-def interpolation_errors(
-    mesh: MeshPartition, spaces: IfeSpaces, ms: ManufacturedSolution, k: int, quad_offset: int = 0
-) -> dict:
+def interpolation_errors(plan: LevelPlan, spaces: IfeSpaces, ms: ManufacturedSolution) -> dict:
     """Projection-only diagnostic: CG interpolation H1 error and Q_0 L2 error.
 
     Verifies the approximation power of the two local families independently
     of the solver; expected orders are k and k+1.
     """
-    plan = build_level_plan(mesh, k, ms.f, quad_offset, spaces.geometry)
     dofmap = plan.dofmap
     coords = dofmap.node_coords
     x_nodal = np.asarray(ms.u(coords[:, 0], coords[:, 1]), float)
@@ -241,7 +222,7 @@ def interpolation_errors(
     x_cols = np.zeros(dofmap.n_total)
     valid = dofmap.node_col >= 0
     x_cols[dofmap.node_col[valid]] = x_nodal[valid]
-    e_grad_sq, _, _ = _noninterface_errors(plan, dofmap, x_cols, ms)
+    e_grad_sq, _, _ = _noninterface_errors(plan, x_cols, ms)
 
     ue = spaces.geometry.sample_sides(ms.u_side)
     diff = spaces.interior_values(spaces.project_interior(ue))

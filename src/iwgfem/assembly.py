@@ -283,16 +283,6 @@ def routing_matrix(mesh: MeshPartition, dofmap: DofMap) -> sp.csr_matrix:
 
 
 @dataclass(eq=False)
-class CgContributions:
-    """Batched non-interface blocks: shared local matrices per diagonal orientation."""
-
-    elements: np.ndarray  # element ids
-    nodes: np.ndarray  # (ne, nl) global node ids
-    stiffness: np.ndarray  # (ne, nl, nl)
-    load: np.ndarray  # (ne, nl)
-
-
-@dataclass(eq=False)
 class WgBlocks:
     """Stacked interface blocks, one per element in ascending id order."""
 
@@ -347,8 +337,6 @@ class LevelPlan:
 
     mesh: MeshPartition
     k: int
-    quad_offset: int
-    source: object  # f(x, y), the callable the loads were sampled from
     geometry: CutGeometry
     dofmap: DofMap
     elements: np.ndarray  # (ne,) non-interface element ids
@@ -363,13 +351,6 @@ class LevelPlan:
     err_shapes: np.ndarray  # (nq, nl)
     err_grads: np.ndarray  # (n_cls, nq, nl, 2) physical shape gradients per class
     sides: dict  # side -> (indices into elements, v0 (ne_s, 2), J (ne_s, 2, 2))
-
-    def check(self, mesh: MeshPartition, k: int, source, quad_offset: int) -> None:
-        """Raise AssemblyError unless the plan was built for these arguments."""
-        same = {"mesh": self.mesh is mesh, "k": self.k == k, "source": self.source is source,
-                "quad_offset": self.quad_offset == quad_offset}
-        if not all(same.values()):
-            raise AssemblyError(f"level plan built for another {', '.join(n for n, s in same.items() if not s)}")
 
     @cached_property
     def aggregates(self) -> tuple[np.ndarray, int]:
@@ -466,21 +447,21 @@ def build_level_plan(
         sides[side] = (sel, v0[sel], j_mats[sel])
     moments = geometries.monomial_moments(sample(f, geometries.rule_points))
     return LevelPlan(
-        mesh, k, quad_offset, f, geometries, dofmap, ids, element_node_table(mesh, k)[ids], cls, dets,
+        mesh, k, geometries, dofmap, ids, element_node_table(mesh, k)[ids], cls, dets,
         blocks, load, moments, ref_e, w_e, _cg_shape_values(k, ref_e), class_grads(ref_e), sides,
     )
 
 
-def assemble_noninterface(plan: LevelPlan, coeff) -> CgContributions:
-    """Stiffness (A grad u, grad v)_T and load (f, v)_T on non-interface elements.
+def assemble_noninterface(plan: LevelPlan, coeff) -> np.ndarray:
+    """Stiffness blocks (A grad u, grad v)_T of the non-interface elements, (ne, nl, nl).
 
     coeff maps a side (OMEGA1/OMEGA2) to its conductivity; each element's
-    block is its class's unit block scaled by it.
+    block is its class's unit block scaled by it. Their loads are the plan's.
     """
     a_vals = np.where(plan.mesh.element_class[plan.elements] == OMEGA1, coeff[OMEGA1], coeff[OMEGA2])
     stiffness = plan.blocks[plan.cls]
     stiffness *= a_vals[:, None, None]
-    return CgContributions(plan.elements, plan.nodes, stiffness, plan.load)
+    return stiffness
 
 
 def build_cut_geometries(mesh: MeshPartition, k: int, quad_offset: int = 0) -> CutGeometry:
@@ -530,18 +511,15 @@ class GlobalSystem:
         return np.concatenate([x_free, self.pinned_values])
 
 
-def apply_constraints(
-    mesh: MeshPartition,
-    dofmap: DofMap,
-    cg: CgContributions,
-    wg: WgBlocks,
-    g,
-) -> GlobalSystem:
+def apply_constraints(plan: LevelPlan, cg_stiffness: np.ndarray, wg: WgBlocks, g) -> GlobalSystem:
     """Fold slaved traces into CG unknowns, lift Dirichlet data, reduce to SPD form.
 
-    The interface part is P^T blockdiag(K_e) P with the routing matrix P, so
-    slaving is congruent; the sparse product and sum store no explicit zeros.
+    ``cg_stiffness`` holds the blocks of the plan's non-interface elements
+    (``assemble_noninterface``). The interface part is P^T blockdiag(K_e) P
+    with the routing matrix P, so slaving is congruent; the sparse product
+    and sum store no explicit zeros.
     """
+    mesh, dofmap = plan.mesh, plan.dofmap
     n = dofmap.n_total
     if not np.array_equal(wg.elements, dofmap.elements):
         raise AssemblyError("interface blocks do not follow the routing matrix's element order")
@@ -553,17 +531,12 @@ def apply_constraints(
     k_all = (p.T @ blocks.tocsr() @ p).tocsr()
     rhs = p.T @ wg.load.ravel()
 
-    if len(cg.elements):
-        cg_cols = dofmap.node_col[cg.nodes]  # (ne, nl)
-        if np.any(cg_cols < 0):
-            raise AssemblyError("non-interface element references an inactive node")
-        nl = cg_cols.shape[1]
-        r = np.repeat(cg_cols[:, :, None], nl, axis=2)
-        c = np.repeat(cg_cols[:, None, :], nl, axis=1)
-        k_all = k_all + sp.coo_matrix(
-            (cg.stiffness.ravel(), (r.ravel(), c.ravel())), shape=(n, n)
-        ).tocsr()
-        np.add.at(rhs, cg_cols.ravel(), cg.load.ravel())
+    cg_cols = dofmap.node_col[plan.nodes]  # (ne, nl)
+    nl = cg_cols.shape[1]
+    r = np.repeat(cg_cols[:, :, None], nl, axis=2)
+    c = np.repeat(cg_cols[:, None, :], nl, axis=1)
+    k_all = k_all + sp.coo_matrix((cg_stiffness.ravel(), (r.ravel(), c.ravel())), shape=(n, n)).tocsr()
+    np.add.at(rhs, cg_cols.ravel(), plan.load.ravel())
 
     pinned = np.zeros(n - dofmap.n_free)
     off = len(dofmap.pinned_nodes)
@@ -584,35 +557,16 @@ def apply_constraints(
     )
 
 
-def assemble_system(
-    mesh: MeshPartition,
-    k: int,
-    a1: float,
-    a2: float,
-    f,
-    g,
-    mode: str = "segment",
-    quad_offset: int = 0,
-    spaces: IfeSpaces | None = None,
-    plan: LevelPlan | None = None,
-):
-    """Convenience pipeline: both assemblies on a level plan, constraint folding.
+def assemble_system(plan: LevelPlan, a1: float, a2: float, g, mode: str = "segment"):
+    """The reduced system of one coefficient pair on a level plan, and its spaces.
 
-    ``quad_offset`` raises the degree of every volume rule. Without a
-    ``plan`` one is built for this pair alone (on ``spaces``' geometry if
-    given); a plan built for another mesh, k, source or offset is refused.
+    The spaces are built on the plan's geometry; both assemblies are folded
+    with the Dirichlet data g. Returns (GlobalSystem, IfeSpaces).
     """
-    if plan is None:
-        plan = build_level_plan(mesh, k, f, quad_offset, None if spaces is None else spaces.geometry)
-    plan.check(mesh, k, f, quad_offset)
-    if spaces is None:
-        spaces = build_ife_spaces(mesh, k, a1, a2, mode=mode, geometries=plan.geometry)
-    elif spaces.geometry is not plan.geometry:
-        raise AssemblyError("spaces built on another geometry than the level plan's")
-    cg = assemble_noninterface(plan, {OMEGA1: a1, OMEGA2: a2})
+    spaces = build_ife_spaces(plan.mesh, plan.k, a1, a2, mode=mode, geometries=plan.geometry)
+    cg_stiffness = assemble_noninterface(plan, {OMEGA1: a1, OMEGA2: a2})
     wg = assemble_interface(spaces, plan.moments)
-    system = apply_constraints(mesh, plan.dofmap, cg, wg, g)
-    return system, spaces
+    return apply_constraints(plan, cg_stiffness, wg, g), spaces
 
 
 def dump_matrix(system: GlobalSystem, path) -> None:

@@ -23,7 +23,7 @@ from iwgfem.assembly import (
 from iwgfem.geometry import GeometryError
 from iwgfem.ife import IfeError
 from iwgfem.mesh import build_mesh, dump_mesh
-from iwgfem.solver import SolverConfig, SolverError, solve, superlu
+from iwgfem.solver import SolverError, solve, superlu
 
 DEFAULT_PAIRS = ((1.0, 1.0), (1.0, 10.0), (1.0, 100.0), (1.0, 1000.0))
 MAX_DEPTH = 12  # deepest arc subdivision of the cut-cell quadrature
@@ -108,36 +108,19 @@ class RunConfig:
         return "segment" if self.k == 1 else "arc"
 
 
-def _solve_pair(plan: LevelPlan, ms: ManufacturedSolution, mode: str, solver_config: SolverConfig | None):
-    """Assemble, solve and measure one coefficient pair on a level plan."""
-    mesh, k, quad_offset = plan.mesh, plan.k, plan.quad_offset
-    system, spaces = assemble_system(
-        mesh, k, ms.a1, ms.a2, ms.f, ms.g, mode=mode, quad_offset=quad_offset, plan=plan
-    )
-    if solver_config is not None and solver_config.method == "cg":
-        x, stats = solve(system.matrix, system.rhs, solver_config, plan.dofmap.band, coarse_basis(plan, spaces))
-    else:
-        x, stats = solve(system.matrix, system.rhs, solver_config)
-    x_all = system.full_coefficients(x)
-    errors = compute_errors(mesh, system.dofmap, spaces, x_all, ms, k, quad_offset, plan)
-    return errors, stats, system, spaces, x_all
+def _solve_pair(plan: LevelPlan, ms: ManufacturedSolution, solver: str, assembled, factor=None):
+    """Solve one coefficient pair, assembled on a level plan as (system, spaces), and measure it.
 
-
-def run_level(
-    ms: ManufacturedSolution,
-    k: int,
-    level: int,
-    mode: str,
-    depth: int = 6,
-    quad_offset: int = 0,
-    solver_config: SolverConfig | None = None,
-    n_override: int | None = None,
-):
-    """One (solution, k, level) run: mesh, plan, spaces, assemble, solve, errors."""
-    mesh = build_mesh(level, ms.interface, depth=depth, n_override=n_override)
-    plan = build_level_plan(mesh, k, ms.f, quad_offset)
-    errors, stats, system, spaces, x_all = _solve_pair(plan, ms, mode, solver_config)
-    return errors, stats, mesh, system, spaces, x_all
+    ``factor`` is the overlapped finest level's future of ``superlu``. It
+    must come as its only reference, so that L and U are freed before the
+    error pass. Returns (errors, stats, system, spaces).
+    """
+    system, spaces = assembled
+    band, coarse = (plan.dofmap.band, coarse_basis(plan, spaces)) if solver == "cg" else (None, None)
+    x, stats = solve(system.matrix, system.rhs, solver, band, coarse, factor=factor)
+    del factor
+    errors = compute_errors(plan, spaces, system.full_coefficients(x), ms)
+    return errors, stats, system, spaces
 
 
 def _build_level(config: RunConfig, level: int):
@@ -167,7 +150,7 @@ def _pair_failed(config: RunConfig, pair, level: int, exc: Exception, failed: se
 
 def _record_pair(config: RunConfig, level: int, mesh, pair, result, elapsed: float, reports: dict, log) -> None:
     """Add a solved pair's level to its report, log its line and write its dumps."""
-    errors, stats, system, spaces, _ = result
+    errors, stats, system, spaces = result
     a1, a2 = pair
     reports[pair].add_level(level, mesh.h, errors, elapsed, stats)
     cond = spaces.gram_cond.max(initial=0.0)
@@ -200,13 +183,14 @@ def _study_level(config: RunConfig, level: int, reports: dict, failed: set, log)
     mesh, plan, line = _build_level(config, level)
     log(line)
     code = 0
+    mode = config.resolved_mode()
     for pair in config.pairs:
         if pair in failed:
             continue
         ms = example1(*pair)
         t0 = time.perf_counter()
         try:
-            result = _solve_pair(plan, ms, config.resolved_mode(), SolverConfig(method=config.solver))
+            result = _solve_pair(plan, ms, config.solver, assemble_system(plan, ms.a1, ms.a2, ms.g, mode))
         except (GeometryError, IfeError, SolverError) as exc:
             code = _pair_failed(config, pair, level, exc, failed, log)
             continue
@@ -261,16 +245,14 @@ def _study_overlapped(config: RunConfig, reports: dict, failed: set, log) -> int
         try:
             mesh, plan, line = _build_level(config, level)
             t0 = time.perf_counter()
-            system, spaces = assemble_system(
-                mesh, config.k, ms.a1, ms.a2, ms.f, ms.g, mode=config.resolved_mode(),
-                quad_offset=config.quad_offset, plan=plan,
-            )
+            assembled = assemble_system(plan, ms.a1, ms.a2, ms.g, config.resolved_mode())
+            system = assembled[0]
             system.matrix = system.matrix.tocsc()
             assembly_s = time.perf_counter() - t0
             # The one worker runs its calls in order, so these clock reads
             # time the factorization without running Python in the worker.
             start = worker.submit(time.perf_counter)
-            factor = worker.submit(superlu, system.matrix)
+            factor = [worker.submit(superlu, system.matrix)]  # popped into the solve: its one reference
             end = worker.submit(time.perf_counter)
         except Exception:
             # A typed error, or memory that the early finest level ran out
@@ -282,10 +264,7 @@ def _study_overlapped(config: RunConfig, reports: dict, failed: set, log) -> int
         log(line)
         t0 = time.perf_counter()
         try:
-            x, stats = solve(system.matrix, system.rhs, factor=factor)
-            del factor  # so that L and U are freed before the error pass
-            x_all = system.full_coefficients(x)
-            errors = compute_errors(mesh, system.dofmap, spaces, x_all, ms, config.k, config.quad_offset, plan)
+            result = _solve_pair(plan, ms, config.solver, assembled, factor.pop())
         except (GeometryError, IfeError, SolverError) as exc:
             return _pair_failed(config, pair, level, exc, failed, log)
         t1 = time.perf_counter()
@@ -293,7 +272,7 @@ def _study_overlapped(config: RunConfig, reports: dict, failed: set, log) -> int
     # its solve and error pass once the factorization was done.
     factor_s = end.result() - start.result()
     elapsed = assembly_s + factor_s + t1 - max(t0, end.result())
-    _record_pair(config, level, mesh, pair, (errors, stats, system, spaces, x_all), elapsed, reports, log)
+    _record_pair(config, level, mesh, pair, result, elapsed, reports, log)
     return 0
 
 
@@ -362,6 +341,7 @@ def _parse_pairs(text: str) -> tuple[tuple[float, float], ...]:
 _FIELD_KEYS = {"pairs": "coeffs", "ife_mode": "ife", "out_dir": "out"}
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
 _KEY_TO_FIELD = {_FIELD_KEYS.get(field, field): field for field in _DEFAULTS}
+_BOOLEANS = {"1": True, "0": False, "true": True, "false": False, "yes": True, "no": False}
 
 
 def _parse_value(field: str, text: str):
@@ -372,7 +352,9 @@ def _parse_value(field: str, text: str):
         return _parse_pairs(text)
     default = _DEFAULTS[field]
     if isinstance(default, bool):
-        return text.lower() in ("1", "true", "yes")
+        if text.lower() not in _BOOLEANS:
+            raise ValueError(f"{_FIELD_KEYS.get(field, field)} must be one of {'/'.join(_BOOLEANS)}, got {text!r}")
+        return _BOOLEANS[text.lower()]
     if isinstance(default, int):
         return int(text)
     return text
@@ -437,6 +419,8 @@ def config_from_argv(argv=None) -> RunConfig:
 def main(argv=None) -> int:
     try:
         config = config_from_argv(argv)
+        if config.out_dir:  # an existing file there is a config error, not a traceback
+            Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     except (ValueError, TypeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

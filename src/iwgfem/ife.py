@@ -884,26 +884,6 @@ def build_local_spaces(geometry: CutGeometry, a1: float, a2: float, mode: str = 
     )
 
 
-def construct_ife_basis(
-    cut: CutTable,
-    a1: float,
-    a2: float,
-    k: int,
-    mode: str = "segment",
-    geometry: CutGeometry | None = None,
-) -> LocalIfeSpace:
-    """The local space of the element of a one-row table: a batch of one.
-
-    A ``geometry`` built for this table may be passed to share it across
-    conductivity pairs.
-    """
-    if len(cut) != 1:
-        raise ValueError(f"expected a table of one cut, got {len(cut)}")
-    if geometry is None:
-        geometry = build_cut_geometry(cut, k)
-    return build_local_spaces(geometry, a1, a2, mode)[cut.elements[0]]
-
-
 def sample_chord_residuals(space: LocalIfeSpace, n_samples: int = 20):
     """Max jump residuals of every basis function sampled along the chord D-E.
 

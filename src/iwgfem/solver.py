@@ -23,42 +23,17 @@ class NoConvergence(SolverError):
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    """The solver and CG's stopping rule.
-
-    ``cg_tol`` bounds CG's recursively updated residual relative to ||b||,
-    not the true one: ``SolveStats.residual`` is the certificate, and at
-    high contrast it may exceed ``cg_tol`` (1.9e-11 at N = 64, k = 2,
-    (1000, 1)).
-    """
-
-    method: str = "cholesky"  # "cholesky" | "cg"
-    cg_tol: float = 1e-12
-    cg_max_iter: int = 20000
-
-    def __post_init__(self):
-        if self.method not in ("cholesky", "cg"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if not 0.0 < self.cg_tol < 1.0:
-            raise ValueError("cg_tol must lie in (0, 1)")
-        if self.cg_max_iter < 1:
-            raise ValueError("cg_max_iter must be >= 1")
-
-
-@dataclass(frozen=True)
 class SolveStats:
     method: str
-    residual: float  # relative residual certificate ||Kx - b|| / ||b||, may exceed cg_tol
+    residual: float  # relative residual certificate ||Kx - b|| / ||b||, may exceed CG_TOL
     iterations: int  # CG iterations, 0 for the direct path
     n: int
     refinements: int = 0  # the direct path's float64 refinement steps on its float32 factor
     fallback: bool = False  # the direct path fell back to a float64 factor
 
 
-def solve(
-    matrix: sp.spmatrix, rhs: np.ndarray, config: SolverConfig | None = None, band=None, coarse=None, factor=None
-):
-    """Solve an SPD system; returns (x, SolveStats) with a residual certificate.
+def solve(matrix: sp.spmatrix, rhs: np.ndarray, method: str = "cholesky", band=None, coarse=None, factor=None):
+    """Solve an SPD system by ``method``, "cholesky" or "cg"; returns (x, SolveStats) with a residual certificate.
 
     ``band`` is CG's interface band as ``DofMap.band`` gives it: the columns
     that CG's preconditioner solves exactly, with each interface element's
@@ -71,9 +46,9 @@ def solve(
     by the caller in another thread: the direct path joins it and checks its
     pivots here in place of factoring.
     """
-    if config is None:
-        config = SolverConfig()
-    if config.method == "cholesky":
+    if method not in ("cholesky", "cg"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "cholesky":
         a = sp.csc_matrix(matrix)
     else:  # sorted CSR rows sum in ascending column order, as a CSC matvec does
         a = _sorted_csr(matrix)
@@ -81,18 +56,18 @@ def solve(
     if a.shape[0] != a.shape[1] or a.shape[0] != len(b):
         raise ValueError("matrix/rhs shape mismatch")
     if a.shape[0] == 0:
-        return np.zeros(0), SolveStats(config.method, 0.0, 0, 0)
+        return np.zeros(0), SolveStats(method, 0.0, 0, 0)
 
     iters = refinements = 0
     fallback = False
-    if config.method == "cholesky":
+    if method == "cholesky":
         x, refinements, fallback = _solve_direct(a, b, factor)
     else:
-        x, iters = _solve_cg(a, b, config, band, coarse)
+        x, iters = _solve_cg(a, b, band, coarse)
 
     bnorm = float(np.linalg.norm(b))
     residual = float(np.linalg.norm(a @ x - b)) / max(bnorm, 1e-300)
-    return x, SolveStats(config.method, residual, iters, a.shape[0], refinements, fallback)
+    return x, SolveStats(method, residual, iters, a.shape[0], refinements, fallback)
 
 
 def _sorted_csr(matrix) -> sp.csr_matrix:
@@ -224,7 +199,15 @@ def _deflation(a: sp.csr_matrix, z: sp.csr_matrix, inv_du: np.ndarray, cols: np.
     return 0.5 * (e + e.T), _sorted_csr(z_t - zt_a @ sp.diags(inv_du)), _sorted_csr(zt_a[:, cols])
 
 
-def _solve_cg(a: sp.csr_matrix, b: np.ndarray, config: SolverConfig, band, coarse):
+# CG stops when its recursively updated residual reaches CG_TOL relative to
+# ||b||, or raises NoConvergence after CG_MAX_ITER iterations. The bound is on
+# that residual, not the true one: ``SolveStats.residual`` is the certificate,
+# and at high contrast it may exceed CG_TOL (1.9e-11 at N = 64, k = 2, (1000, 1)).
+CG_TOL = 1e-12
+CG_MAX_ITER = 20000
+
+
+def _solve_cg(a: sp.csr_matrix, b: np.ndarray, band, coarse):
     """Deterministic preconditioned conjugate gradients, updating in place.
 
     The one-level preconditioner is M^-1 = D_u^-1 + R_b^T A_bb^-1 R_b
@@ -237,12 +220,12 @@ def _solve_cg(a: sp.csr_matrix, b: np.ndarray, config: SolverConfig, band, coars
     do not depend on its thread count.
 
     The loop stops when the recursively updated residual r reaches
-    ``cg_tol`` relative to b. At high contrast r drifts from b - A x, so the
-    true residual that ``solve`` reports may exceed ``cg_tol``.
+    ``CG_TOL`` relative to b. At high contrast r drifts from b - A x, so the
+    true residual that ``solve`` reports may exceed ``CG_TOL``.
     """
     inv_du, cols, one_level = _preconditioner(a, band)
     if coarse is None:
-        return _pcg(a, b, one_level, config.cg_tol, config.cg_max_iter)
+        return _pcg(a, b, one_level, CG_TOL, CG_MAX_ITER)
     z_c = _sorted_csr(coarse)
     e, w1_t, g = _deflation(a, z_c, inv_du, cols)
     lu = _factor(e)
@@ -253,7 +236,7 @@ def _solve_cg(a: sp.csr_matrix, b: np.ndarray, config: SolverConfig, band, coars
         y += z_c @ lu.solve(w1_t @ r - g @ y[cols])
         return y
 
-    return _pcg(a, b, precondition, config.cg_tol, config.cg_max_iter, x)
+    return _pcg(a, b, precondition, CG_TOL, CG_MAX_ITER, x)
 
 
 def _pcg(a, b: np.ndarray, precondition, tol: float, max_iter: int, x=None):

@@ -6,9 +6,10 @@ root solver, one element's chord split, one triangle's class, one element's
 cut table and one side's polygon and packed rule, the loop-built mesh, Gauss rules on segments and triangles,
 one polygon's fan triangulation and rule, plain sums over quadrature rules,
 one element's CG stiffness, the edge sets of the interface elements, the
-non-interface errors summed with ``einsum`` on freshly mapped points, and
-preconditioned CG with allocating updates. A few accessors of one element's data,
-and the split of a cut table into one-row tables, close the file.
+non-interface errors summed with ``einsum`` on freshly mapped points,
+preconditioned CG with allocating updates, one element's local space (a batch of
+one) and one level solved the way the CLI solves a pair. A few accessors of one
+element's data, and the split of a cut table into one-row tables, close the file.
 """
 
 from __future__ import annotations
@@ -19,11 +20,15 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from iwgfem.analysis import compute_errors
 from iwgfem.assembly import (
     _cg_shape_grads,
     _cg_shape_values,
     _element_jacobians,
     _orientation_classes,
+    assemble_system,
+    build_level_plan,
+    coarse_basis,
     element_node_table,
 )
 from iwgfem.geometry import (
@@ -53,13 +58,16 @@ from iwgfem.geometry import (
     polygon_area,
     segment_crossings,
 )
+from iwgfem.ife import CutGeometry, build_cut_geometry, build_local_spaces
 from iwgfem.mesh import (
     EDGE_BOUNDARY,
     EDGE_COUPLING,
     EDGE_INTERIOR_NON_WG,
     EDGE_WG_INTERIOR,
     MeshPartition,
+    build_mesh,
 )
+from iwgfem.solver import solve
 
 
 def measure(rule: QuadratureRule) -> float:
@@ -522,6 +530,32 @@ def allocating_cg(matrix, b: np.ndarray, precondition=None, tol: float = 1e-12, 
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise AssertionError(f"reference CG did not reach {tol} in {max_iter} iterations")
+
+
+def construct_ife_basis(
+    cut: CutTable, a1: float, a2: float, k: int, mode: str = "segment", geometry: CutGeometry | None = None
+):
+    """The local space of the element of a one-row table: a batch of one.
+
+    A ``geometry`` built for this table may be passed to share it across
+    conductivity pairs.
+    """
+    if len(cut) != 1:
+        raise ValueError(f"expected a table of one cut, got {len(cut)}")
+    if geometry is None:
+        geometry = build_cut_geometry(cut, k)
+    return build_local_spaces(geometry, a1, a2, mode)[cut.elements[0]]
+
+
+def run_level(ms, k: int, level: int, mode: str, method: str = "cholesky", n_override: int | None = None):
+    """One level of ``ms`` solved as the CLI solves a pair: (errors, stats, mesh, system, spaces, x_all)."""
+    mesh = build_mesh(level, ms.interface, n_override=n_override)
+    plan = build_level_plan(mesh, k, ms.f)
+    system, spaces = assemble_system(plan, ms.a1, ms.a2, ms.g, mode)
+    band, coarse = (plan.dofmap.band, coarse_basis(plan, spaces)) if method == "cg" else (None, None)
+    x, stats = solve(system.matrix, system.rhs, method, band, coarse)
+    x_all = system.full_coefficients(x)
+    return compute_errors(plan, spaces, x_all, ms), stats, mesh, system, spaces, x_all
 
 
 def cg_element_stiffness(tri, k: int, a: float = 1.0, degree: int | None = None) -> np.ndarray:

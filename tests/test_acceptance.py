@@ -10,20 +10,28 @@ import time
 import numpy as np
 import pytest
 
-from iwgfem.analysis import compute_errors, example1, linear_solution
-from iwgfem.assembly import assemble_system, build_dof_map, build_ife_spaces
-from iwgfem.cli import RunConfig, run_level, run_study
+from iwgfem.analysis import example1, linear_solution
+from iwgfem.assembly import assemble_system, build_ife_spaces, build_level_plan
+from iwgfem.cli import RunConfig, run_study
 from iwgfem.geometry import (
     OMEGA1,
     OMEGA2,
     CircleInterface,
     polygon_area,
 )
-from iwgfem.ife import construct_ife_basis, sample_chord_residuals
+from iwgfem.ife import sample_chord_residuals
 from iwgfem.mesh import build_mesh
-from iwgfem.solver import SolverConfig, solve
+from iwgfem.solver import solve
 
-from reference import integrate, measure, quadrature_on_subregion, split, subregion_polygon
+from reference import (
+    construct_ife_basis,
+    integrate,
+    measure,
+    quadrature_on_subregion,
+    run_level,
+    split,
+    subregion_polygon,
+)
 from test_assembly import _textbook_cg_solve
 from test_geometry import polygon_monomial_integral
 from test_ife import _weak_gradient_oracle
@@ -158,7 +166,7 @@ def test_criterion_5_spd_uniqueness(study_k1, study_k2):
             for level in (1, 2):
                 mesh = build_mesh(level, CIRCLE)
                 mode = "segment" if k == 1 else "arc"
-                system, _ = assemble_system(mesh, k, a1, a2, ms.f, ms.g, mode=mode)
+                system, _ = assemble_system(build_level_plan(mesh, k, ms.f), a1, a2, ms.g, mode)
                 lam = np.linalg.eigvalsh(system.matrix.toarray())
                 lam_min = min(lam_min, lam[0])
     # Cholesky success at every level of both studies (stats recorded there).
@@ -285,7 +293,7 @@ def test_criterion_9_cg_only_oracle():
     worst = 0.0
     for k in (1, 2):
         mesh = build_mesh(1, None)  # interface disabled, A1 = A2
-        system, _ = assemble_system(mesh, k, 1.0, 1.0, ms.f, ms.g)
+        system, _ = assemble_system(build_level_plan(mesh, k, ms.f), 1.0, 1.0, ms.g)
         x, _ = solve(system.matrix, system.rhs)
         x_ref = _textbook_cg_solve(mesh, k, ms)
         worst = max(worst, float(np.max(np.abs(x - x_ref[: system.dofmap.n_free]))))

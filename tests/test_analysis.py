@@ -18,10 +18,9 @@ from iwgfem.analysis import (
     linear_solution,
 )
 from iwgfem.assembly import build_ife_spaces, build_level_plan
-from iwgfem.cli import run_level
 from iwgfem.geometry import OMEGA1, OMEGA2, CircleInterface, GeometryError
 from iwgfem.mesh import build_mesh
-from reference import block, noninterface_errors, triangle_coords, triangle_rule, wg0_columns
+from reference import block, noninterface_errors, run_level, triangle_coords, triangle_rule, wg0_columns
 from test_geometry import OFF_CENTRE, off_centre_circle
 
 
@@ -118,13 +117,13 @@ class TestErrorNorms:
     def test_exact_projection_gives_zero_errors(self):
         # Synthetic solution vector assembled from the exact projections.
         from iwgfem.analysis import compute_errors
-        from iwgfem.assembly import build_dof_map
         from iwgfem.ife import project_qb
 
         ms = example1(1.0, 10.0)
         mesh = build_mesh(1, ms.interface)
-        spaces = build_ife_spaces(mesh, 1, 1.0, 10.0)
-        dm = build_dof_map(mesh, 1)
+        plan = build_level_plan(mesh, 1, ms.f)
+        spaces = build_ife_spaces(mesh, 1, 1.0, 10.0, geometries=plan.geometry)
+        dm = plan.dofmap
         x = np.zeros(dm.n_total)
         valid = dm.node_col >= 0
         x[dm.node_col[valid]] = ms.u(dm.node_coords[valid, 0], dm.node_coords[valid, 1])
@@ -135,7 +134,7 @@ class TestErrorNorms:
             x[dm.trace_col[e] : dm.trace_col[e] + dm.k] = project_qb(
                 ms.u, mesh.vertices[a], mesh.vertices[b], dm.k, mesh.interface
             )
-        errors = compute_errors(mesh, dm, spaces, x, ms, 1)
+        errors = compute_errors(plan, spaces, x, ms)
         # The interface parts vanish identically (they compare projections);
         # the CG parts measure interpolation error, so only check the band.
         from iwgfem.analysis import _interface_errors
@@ -159,7 +158,7 @@ class TestErrorNorms:
         if level == 5:
             assert max(len(sel) for sel, _, _ in plan.sides.values()) > ERROR_BLOCK
         x = np.random.default_rng(k).standard_normal(plan.dofmap.n_total)
-        got = _noninterface_errors(plan, plan.dofmap, x, ms)
+        got = _noninterface_errors(plan, x, ms)
         want = noninterface_errors(mesh, plan.dofmap, x, ms, k, 2 * k + 4)
         for g, w in zip(got, want):
             assert w > 0.0 and abs(g - w) <= 1e-14 * w
@@ -194,7 +193,7 @@ class TestErrorNorms:
         x = np.random.default_rng(k).standard_normal(plan.dofmap.n_total)
         tracemalloc.start()
         try:
-            _noninterface_errors(plan, plan.dofmap, x, ms)
+            _noninterface_errors(plan, x, ms)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -204,9 +203,9 @@ class TestErrorNorms:
 class TestInterpolationDiagnostic:
     def test_member_of_space_is_reproduced(self):
         ms = linear_solution(0.5, 1.0, 2.0)
-        mesh = build_mesh(1, ms.interface)
-        spaces = build_ife_spaces(mesh, 1, 1.0, 1.0)
-        d = interpolation_errors(mesh, spaces, ms, 1)
+        plan = build_level_plan(build_mesh(1, ms.interface), 1, ms.f)
+        spaces = build_ife_spaces(plan.mesh, 1, 1.0, 1.0, geometries=plan.geometry)
+        d = interpolation_errors(plan, spaces, ms)
         assert d["cg_h1"] < 1e-12
         assert d["q0_l2"] < 1e-12
 
@@ -214,9 +213,9 @@ class TestInterpolationDiagnostic:
         ms = example1(1.0, 10.0)
         errs = []
         for level in (2, 3, 4):
-            mesh = build_mesh(level, ms.interface)
-            spaces = build_ife_spaces(mesh, 1, 1.0, 10.0)
-            errs.append(interpolation_errors(mesh, spaces, ms, 1))
+            plan = build_level_plan(build_mesh(level, ms.interface), 1, ms.f)
+            spaces = build_ife_spaces(plan.mesh, 1, 1.0, 10.0, geometries=plan.geometry)
+            errs.append(interpolation_errors(plan, spaces, ms))
         h1_orders = convergence_orders([e["cg_h1"] for e in errs])
         l2_orders = convergence_orders([e["q0_l2"] for e in errs])
         assert h1_orders[-1] == pytest.approx(1.0, abs=0.2)

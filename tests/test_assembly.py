@@ -19,6 +19,7 @@ from iwgfem.assembly import (
     assemble_interface,
     assemble_noninterface,
     assemble_system,
+    build_cut_geometries,
     build_dof_map,
     build_ife_spaces,
     build_level_plan,
@@ -63,12 +64,13 @@ class TestCgStiffness:
     def test_batched_matches_single(self):
         ms = example1(1.0, 10.0)
         mesh = build_mesh(1, CIRCLE)
-        cg = assemble_noninterface(build_level_plan(mesh, 1, ms.f), {OMEGA1: 1.0, OMEGA2: 10.0})
-        for idx in (0, 1, len(cg.elements) - 1):
-            t = int(cg.elements[idx])
+        plan = build_level_plan(mesh, 1, ms.f)
+        stiffness = assemble_noninterface(plan, {OMEGA1: 1.0, OMEGA2: 10.0})
+        for idx in (0, 1, len(plan.elements) - 1):
+            t = int(plan.elements[idx])
             a = 1.0 if mesh.element_class[t] == OMEGA1 else 10.0
             want = cg_element_stiffness(triangle_coords(mesh, t), 1, a)
-            np.testing.assert_allclose(cg.stiffness[idx], want, atol=1e-13)
+            np.testing.assert_allclose(stiffness[idx], want, atol=1e-13)
 
     def test_p2_annihilates_quadratics(self):
         # P2 stiffness times nodal values of u must reproduce (grad u, grad psi).
@@ -248,7 +250,7 @@ class TestRoutingChecks:
         wg = assemble_interface(spaces, plan.moments)
         wg = WgBlocks(wg.elements[1:], wg.stiffness[1:], wg.load[1:])
         with pytest.raises(AssemblyError, match="element order"):
-            apply_constraints(mesh, plan.dofmap, cg, wg, ms.g)
+            apply_constraints(plan, cg, wg, ms.g)
 
 
 def _edge_lagrange_function(k, i, p0, p1):
@@ -279,8 +281,8 @@ def _reference_folded_system(mesh, k, spaces, ms, a1, a2):
     n, m, n_loc = dm.n_total, dm.m, dm.m + 3 * k
     kmat = np.zeros((n, n))
     rhs = np.zeros(n)
-    cg = assemble_noninterface(build_level_plan(mesh, k, ms.f, geometries=spaces.geometry), {OMEGA1: a1, OMEGA2: a2})
-    for t, stiff, load in zip(cg.elements, cg.stiffness, cg.load):
+    plan = build_level_plan(mesh, k, ms.f, geometries=spaces.geometry)
+    for t, stiff, load in zip(plan.elements, assemble_noninterface(plan, {OMEGA1: a1, OMEGA2: a2}), plan.load):
         cols = dm.node_col[element_node_table(mesh, k)[t]]
         kmat[np.ix_(cols, cols)] += stiff
         rhs[cols] += load
@@ -318,7 +320,7 @@ class TestFoldedSystem:
         a1, a2 = 1.0, 1000.0
         ms = example1(a1, a2, interface)
         mesh = build_mesh(2, interface)
-        system, spaces = assemble_system(mesh, k, a1, a2, ms.f, ms.g)
+        system, spaces = assemble_system(build_level_plan(mesh, k, ms.f), a1, a2, ms.g)
         k_ref, b_ref = _reference_folded_system(mesh, k, spaces, ms, a1, a2)
         k_got = system.matrix.toarray()
         assert np.abs(k_got - k_ref).max() <= 1e-14 * np.abs(k_ref).max()
@@ -328,24 +330,14 @@ class TestFoldedSystem:
 
 
 class TestLevelPlan:
-    def test_refuses_a_plan_for_another_mesh_degree_or_source(self):
-        ms = example1(1.0, 10.0)
-        mesh = build_mesh(1, CIRCLE)
-        plan = build_level_plan(mesh, 1, ms.f)
-        with pytest.raises(AssemblyError, match="another mesh"):
-            assemble_system(build_mesh(1, CIRCLE), 1, 1.0, 10.0, ms.f, ms.g, plan=plan)
-        with pytest.raises(AssemblyError, match="another k"):
-            assemble_system(mesh, 2, 1.0, 10.0, ms.f, ms.g, plan=plan)
-        with pytest.raises(AssemblyError, match="another source"):
-            assemble_system(mesh, 1, 1.0, 10.0, lambda x, y: ms.f(x, y), ms.g, plan=plan)
-
-    def test_shared_plan_gives_the_unplanned_system(self):
+    def test_shared_plan_gives_a_fresh_plans_system(self):
+        # Pairs that share a plan must not see each other's assembly.
         ms = example1(1.0, 10.0)
         mesh = build_mesh(2, CIRCLE)
         plan = build_level_plan(mesh, 2, ms.f)
         for a2 in (10.0, 1000.0):
-            got, _ = assemble_system(mesh, 2, 1.0, a2, ms.f, ms.g, mode="arc", plan=plan)
-            want, _ = assemble_system(mesh, 2, 1.0, a2, ms.f, ms.g, mode="arc")
+            got, _ = assemble_system(plan, 1.0, a2, ms.g, "arc")
+            want, _ = assemble_system(build_level_plan(mesh, 2, ms.f), 1.0, a2, ms.g, "arc")
             assert (got.matrix != want.matrix).nnz == 0
             np.testing.assert_array_equal(got.rhs, want.rhs)
 
@@ -371,9 +363,7 @@ class TestOffCentreCircles:
         except GeometryError:
             return
         plan = build_level_plan(mesh, k, zero)
-        system, spaces = assemble_system(
-            mesh, k, *pair, zero, one, mode="segment" if k == 1 else "arc", plan=plan
-        )
+        system, spaces = assemble_system(plan, *pair, one, "segment" if k == 1 else "arc")
         x = _factor(system.matrix).solve(system.rhs)
         assert np.max(np.abs(x - np.asarray(coarse_basis(plan, spaces).sum(axis=1)).ravel())) <= 1e-9
 
@@ -386,7 +376,7 @@ class TestGlobalSystem:
         spaces = build_ife_spaces(mesh, 1, 1.0, 10.0, geometries=plan.geometry)
         cg = assemble_noninterface(plan, {OMEGA1: 1.0, OMEGA2: 10.0})
         wg = assemble_interface(spaces, plan.moments)
-        system = apply_constraints(mesh, plan.dofmap, cg, wg, lambda x, y: 0.0)
+        system = apply_constraints(plan, cg, wg, lambda x, y: 0.0)
         assert np.all(system.pinned_values == 0.0)
         np.testing.assert_allclose(system.rhs, 0.0, atol=1e-15)
 
@@ -394,14 +384,14 @@ class TestGlobalSystem:
         ms = example1(1.0, 100.0)
         for k in (1, 2):
             mesh = build_mesh(2, CIRCLE)
-            system, _ = assemble_system(mesh, k, 1.0, 100.0, ms.f, ms.g, mode="segment")
+            system, _ = assemble_system(build_level_plan(mesh, k, ms.f), 1.0, 100.0, ms.g, "segment")
             assert system.asymmetry <= 1e-12
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_spd_dense_eigensolve(self, k):
         ms = example1(1.0, 10.0)
         mesh = build_mesh(1, CIRCLE)
-        system, _ = assemble_system(mesh, k, 1.0, 10.0, ms.f, ms.g)
+        system, _ = assemble_system(build_level_plan(mesh, k, ms.f), 1.0, 10.0, ms.g)
         lam = np.linalg.eigvalsh(system.matrix.toarray())
         assert lam[0] > 0.0
 
@@ -411,7 +401,7 @@ class TestGlobalSystem:
         ms = example1(1.0, 1.0)
         for k in (1, 2):
             mesh = build_mesh(1, None)
-            system, _ = assemble_system(mesh, k, 1.0, 1.0, ms.f, ms.g)
+            system, _ = assemble_system(build_level_plan(mesh, k, ms.f), 1.0, 1.0, ms.g)
             x, _ = solve(system.matrix, system.rhs)
             x_ref = _textbook_cg_solve(mesh, k, ms)
             np.testing.assert_allclose(x, x_ref[: system.dofmap.n_free], atol=1e-10)
@@ -419,12 +409,12 @@ class TestGlobalSystem:
     def test_linearity_in_data(self):
         ms = example1(1.0, 10.0)
         mesh = build_mesh(1, CIRCLE)
-        spaces = build_ife_spaces(mesh, 1, 1.0, 10.0)
+        geometry = build_cut_geometries(mesh, 1)
 
         def solve_with(scale):
             f = lambda x, y: scale * ms.f(x, y)
             g = lambda x, y: scale * ms.g(x, y)
-            system, _ = assemble_system(mesh, 1, 1.0, 10.0, f, g, spaces=spaces)
+            system, _ = assemble_system(build_level_plan(mesh, 1, f, geometries=geometry), 1.0, 10.0, g)
             x, _ = solve(system.matrix, system.rhs)
             return x
 
@@ -438,8 +428,8 @@ class TestGlobalSystem:
         mesh = build_mesh(1, CIRCLE)
         f = lambda x, y: 1.0 + x - 2.0 * y
         g = lambda x, y: np.zeros_like(np.asarray(x, float))
-        sys1, _ = assemble_system(mesh, 1, 1.0, 10.0, f, g, quad_offset=0)
-        sys2, _ = assemble_system(mesh, 1, 1.0, 10.0, f, g, quad_offset=2)
+        sys1, _ = assemble_system(build_level_plan(mesh, 1, f, quad_offset=0), 1.0, 10.0, g)
+        sys2, _ = assemble_system(build_level_plan(mesh, 1, f, quad_offset=2), 1.0, 10.0, g)
         d = (sys1.matrix - sys2.matrix).tocoo()
         scale = np.abs(sys1.matrix.data).max()
         assert (np.abs(d.data).max() if d.nnz else 0.0) < 1e-10 * scale
@@ -448,7 +438,7 @@ class TestGlobalSystem:
     def test_matrix_dump(self, tmp_path):
         ms = example1(1.0, 10.0)
         mesh = build_mesh(1, CIRCLE)
-        system, _ = assemble_system(mesh, 1, 1.0, 10.0, ms.f, ms.g)
+        system, _ = assemble_system(build_level_plan(mesh, 1, ms.f), 1.0, 10.0, ms.g)
         path = tmp_path / "matrix.txt"
         dump_matrix(system, path)
         lines = path.read_text().splitlines()

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,19 @@ class TestConfigFile:
         config = config_from_argv(["--config", str(path), "--k", "1"])
         assert config.k == 1
         assert config.levels == (1,) and config.pairs == ((1.0, 1.0),)
+
+    def test_a_boolean_is_one_of_six_words_in_any_case(self, tmp_path, capsys):
+        path = tmp_path / "study.cfg"
+        for text, value in [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("No", False)]:
+            path.write_text(f"dump_mesh = {text}\n")
+            assert load_config_file(path) == {"dump_mesh": value}, text
+        # A typo used to read as false and run with no dumps.
+        path.write_text("dump_mesh = ture\n")
+        message = "dump_mesh must be one of 1/0/true/false/yes/no, got 'ture'"
+        with pytest.raises(ValueError, match=message):
+            load_config_file(path)
+        assert main(["--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     # One value per RunConfig field, unlike its default: (config text, value).
     SETTINGS = {
@@ -356,6 +370,37 @@ class TestOverlappedFinestLevel:
         assert [l.split()[0] for l in study] == ["level=1", "k=1", "level=2", "k=1", "FAILED"]
         assert study[-1] == "FAILED building level 3: interface cuts 1 edges of element 38; expected 2"
 
+    def test_the_finest_factor_is_freed_before_its_error_pass(self, monkeypatch):
+        # scipy's SuperLU takes no weak reference, so the worker's factor is
+        # wrapped in an object that does and delegates to it. Its L and U
+        # must be gone before the finest level's error pass runs.
+        class Factor:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def __getattr__(self, name):
+                return getattr(self.lu, name)
+
+        factors, dead = [], []
+        superlu, compute_errors = iwgfem.cli.superlu, iwgfem.cli.compute_errors
+
+        def wrapped(*args, **kwargs):
+            factor = Factor(superlu(*args, **kwargs))
+            factors.append(weakref.ref(factor))
+            return factor
+
+        def checked(*args, **kwargs):
+            dead.append(all(ref() is None for ref in factors))
+            return compute_errors(*args, **kwargs)
+
+        monkeypatch.setattr(iwgfem.cli, "superlu", wrapped)
+        monkeypatch.setattr(iwgfem.cli, "compute_errors", checked)
+        config = RunConfig(k=2, levels=(1, 2, 3), pairs=((1.0, 1000.0),), n_level1=4)
+        _, code = self._study(config, monkeypatch, overlap=True)
+        assert code == 0
+        assert len(factors) == 1 and len(dead) == 3
+        assert dead[-1]
+
     def test_no_thread_left_behind(self, monkeypatch):
         monkeypatch.setattr(iwgfem.cli, "OVERLAP_MIN_NODES", 0)
         config = RunConfig(k=2, levels=(1, 2, 3), pairs=((1.0, 1000.0),), n_level1=4)
@@ -476,10 +521,13 @@ class TestMain:
             (["--coeffs", "1,10;1,10"], "coefficient pairs must be distinct"),
             (["--levels", "1", "--depth", "64"], "depth must be in 0..12"),
             (["--levels", "1", "--quad-offset", "128"], "quad-offset must be in 0..16"),
+            (["--levels", "1", "--out", "{file}"], "File exists"),
         ],
     )
-    def test_malformed_input_is_a_config_error(self, argv, message, capsys):
-        assert main(argv) == 2
+    def test_malformed_input_is_a_config_error(self, argv, message, capsys, tmp_path):
+        taken = tmp_path / "taken"  # an existing file, for --out
+        taken.write_text("")
+        assert main([a.format(file=taken) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert message in err

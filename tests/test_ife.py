@@ -24,7 +24,6 @@ from iwgfem.ife import (
     _segment_null_basis,
     build_cut_geometry,
     build_local_spaces,
-    construct_ife_basis,
     project_qb,
     sample,
     sample_chord_residuals,
@@ -33,6 +32,7 @@ from iwgfem.mesh import build_mesh
 from reference import (
     block,
     compute_cut,
+    construct_ife_basis,
     measure,
     quadrature_on_edge,
     quadrature_on_subregion,

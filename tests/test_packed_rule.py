@@ -22,8 +22,7 @@ from iwgfem.analysis import (
     example1,
     interpolation_errors,
 )
-from iwgfem.assembly import assemble_interface, assemble_system, build_cut_geometries
-from iwgfem.cli import run_level
+from iwgfem.assembly import assemble_interface, assemble_system, build_cut_geometries, build_level_plan
 from iwgfem.geometry import (
     OMEGA1,
     OMEGA2,
@@ -37,7 +36,17 @@ from iwgfem import ife
 from iwgfem.ife import PolyBasis, _fit_moments, build_cut_geometry, build_local_spaces, sample
 from iwgfem.mesh import build_mesh
 from iwgfem.solver import solve
-from reference import block, compute_cut, polygon_rule, side_rules, split, subregion_polygon, take, triangulate_polygon
+from reference import (
+    block,
+    compute_cut,
+    polygon_rule,
+    run_level,
+    side_rules,
+    split,
+    subregion_polygon,
+    take,
+    triangulate_polygon,
+)
 from test_geometry import OFF_CENTRE, off_centre_circle, polygon_monomial_integral
 
 CIRCLES = [CircleInterface(), CircleInterface((0.3, 0.2), 0.36)]
@@ -138,10 +147,10 @@ def element_q0_error_sq(spaces, ms) -> float:
 def solved(request):
     interface, k, mode = request.param
     ms = example1(1.0, 100.0, interface)
-    mesh = build_mesh(2, interface)
-    system, spaces = assemble_system(mesh, k, ms.a1, ms.a2, ms.f, ms.g, mode=mode)
+    plan = build_level_plan(build_mesh(2, interface), k, ms.f)
+    system, spaces = assemble_system(plan, ms.a1, ms.a2, ms.g, mode)
     x, _ = solve(system.matrix, system.rhs)
-    return mesh, ms, system.dofmap, spaces, system.full_coefficients(x)
+    return plan, ms, system.dofmap, spaces, system.full_coefficients(x)
 
 
 class TestBatchedAgainstPerElementReference:
@@ -193,8 +202,8 @@ class TestBatchedAgainstPerElementReference:
 
     def test_q0_interpolation_error(self, solved):
         # ||Q_0 u - u|| cancels the same way as the L2 error above.
-        mesh, ms, _, spaces, _ = solved
-        got = interpolation_errors(mesh, spaces, ms, spaces.geometry.k)["q0_l2"]
+        plan, ms, _, spaces, _ = solved
+        got = interpolation_errors(plan, spaces, ms)["q0_l2"]
         assert got**2 == pytest.approx(element_q0_error_sq(spaces, ms), rel=1e-9)
 
     def test_interior_values_equal_fresh_basis_values(self, solved):
@@ -232,14 +241,14 @@ class TestPackedRule:
 
     def test_errors_refuse_spaces_out_of_routing_order(self):
         ms = example1(1.0, 10.0)
-        mesh = build_mesh(1, ms.interface)
-        system, spaces = assemble_system(mesh, 1, ms.a1, ms.a2, ms.f, ms.g)
-        cuts = take(mesh.cuts, slice(None, None, -1))
+        plan = build_level_plan(build_mesh(1, ms.interface), 1, ms.f)
+        system, spaces = assemble_system(plan, ms.a1, ms.a2, ms.g)
+        cuts = take(plan.mesh.cuts, slice(None, None, -1))
         reversed_spaces = build_local_spaces(build_cut_geometry(cuts, 1), ms.a1, ms.a2)
         x_all = system.full_coefficients(np.zeros(system.matrix.shape[0]))
-        compute_errors(mesh, system.dofmap, spaces, x_all, ms, 1)
+        compute_errors(plan, spaces, x_all, ms)
         with pytest.raises(AnalysisError, match="element order"):
-            compute_errors(mesh, system.dofmap, reversed_spaces, x_all, ms, 1)
+            compute_errors(plan, reversed_spaces, x_all, ms)
 
 
 def assert_rules_equal_per_element_rules(geometry_, degree):
@@ -397,8 +406,8 @@ class TestMomentFit:
         # side-2 rule points lie inside the circle, where u is u_1. The
         # error pass must evaluate them with u_2, the side they integrate.
         ms = example1(1.0, 1000.0)
-        mesh = build_mesh(1, ms.interface)
-        system, spaces = assemble_system(mesh, 2, ms.a1, ms.a2, ms.f, ms.g, mode="arc")
+        plan = build_level_plan(build_mesh(1, ms.interface), 2, ms.f)
+        system, spaces = assemble_system(plan, ms.a1, ms.a2, ms.g, "arc")
         geometry_ = spaces.geometry
         on_2 = np.repeat(np.tile([False, True], len(geometry_)), np.diff(geometry_.rule_offsets))
         pts = geometry_.rule_points
@@ -452,4 +461,4 @@ def test_interface_outside_the_mesh_gives_an_empty_packed_rule(k, mode):
     errors, _, mesh, _, spaces, _ = run_level(ms, k, 1, mode)
     assert not mesh.cuts and spaces.geometry.rule_offsets.tolist() == [0]
     assert all(np.isfinite(e) and e > 0.0 for e in errors.values())
-    assert interpolation_errors(mesh, spaces, ms, k)["q0_l2"] == 0.0
+    assert interpolation_errors(build_level_plan(mesh, k, ms.f), spaces, ms)["q0_l2"] == 0.0

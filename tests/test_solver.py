@@ -11,15 +11,13 @@ import scipy.sparse as sp
 
 from iwgfem.analysis import example1
 from iwgfem.assembly import assemble_system, build_level_plan, coarse_basis
-from iwgfem.cli import run_level
 from iwgfem.mesh import build_mesh
-from reference import allocating_cg, wg0_columns
+from reference import allocating_cg, run_level, wg0_columns
 from test_assembly import one, zero
 import iwgfem.solver as solver_module
 from iwgfem.solver import (
     NoConvergence,
     NotPositiveDefinite,
-    SolverConfig,
     _deflation,
     _factor,
     _preconditioner,
@@ -47,13 +45,13 @@ class TestSolve:
         b_mat = rng.standard_normal((30, 30))
         a = sp.csr_matrix(b_mat @ b_mat.T + 30 * np.eye(30))
         b = rng.standard_normal(30)
-        x, stats = solve(a, b, SolverConfig(method=method))
+        x, stats = solve(a, b, method)
         assert stats.residual < 1e-11
 
     def test_not_positive_definite(self):
         a = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
         with pytest.raises(NotPositiveDefinite):
-            solve(a, np.array([1.0, 1.0]), SolverConfig(method="cholesky"))
+            solve(a, np.array([1.0, 1.0]), "cholesky")
 
     def test_singular(self):
         with pytest.raises(NotPositiveDefinite, match="factorization failed"):
@@ -78,21 +76,25 @@ class TestSolve:
         np.testing.assert_array_equal(x, x_here)
         assert stats == stats_here
 
-    def test_cg_budget_exhaustion(self):
+    def test_unknown_method_is_refused(self):
+        with pytest.raises(ValueError, match="unknown method 'gmres'"):
+            solve(sp.eye(2, format="csr"), np.ones(2), "gmres")
+
+    def test_cg_budget_exhaustion(self, monkeypatch):
         rng = np.random.default_rng(1)
         b_mat = rng.standard_normal((50, 50))
         a = sp.csr_matrix(b_mat @ b_mat.T + 1e-6 * np.eye(50))
+        monkeypatch.setattr(solver_module, "CG_MAX_ITER", 3)
         with pytest.raises(NoConvergence):
-            solve(a, rng.standard_normal(50), SolverConfig(method="cg", cg_max_iter=3))
+            solve(a, rng.standard_normal(50), "cg")
 
-    def test_direct_and_cg_agree_on_assembled_system(self):
+    def test_direct_and_cg_agree_on_assembled_system(self, monkeypatch):
         ms = example1(1.0, 10.0)
         mesh = build_mesh(2, ms.interface)
-        system, _ = assemble_system(mesh, 1, 1.0, 10.0, ms.f, ms.g)
-        x_direct, _ = solve(system.matrix, system.rhs, SolverConfig(method="cholesky"))
-        x_cg, stats = solve(
-            system.matrix, system.rhs, SolverConfig(method="cg", cg_tol=1e-13)
-        )
+        system, _ = assemble_system(build_level_plan(mesh, 1, ms.f), 1.0, 10.0, ms.g)
+        x_direct, _ = solve(system.matrix, system.rhs, "cholesky")
+        monkeypatch.setattr(solver_module, "CG_TOL", 1e-13)
+        x_cg, stats = solve(system.matrix, system.rhs, "cg")
         assert np.max(np.abs(x_direct - x_cg)) < 1e-9
         assert stats.iterations > 0
 
@@ -101,8 +103,8 @@ class TestSolve:
         # arithmetic in the same order, so the iterates agree bit for bit.
         ms = example1(1.0, 1000.0)
         mesh = build_mesh(1, ms.interface, n_override=16)
-        system, _ = assemble_system(mesh, 2, 1.0, 1000.0, ms.f, ms.g, mode="arc")
-        x, stats = solve(system.matrix, system.rhs, SolverConfig(method="cg"))
+        system, _ = assemble_system(build_level_plan(mesh, 2, ms.f), 1.0, 1000.0, ms.g, "arc")
+        x, stats = solve(system.matrix, system.rhs, "cg")
         x_ref, iters = allocating_cg(system.matrix, system.rhs)
         assert stats.iterations == iters > 0
         np.testing.assert_array_equal(x, x_ref)
@@ -119,8 +121,8 @@ class TestSolve:
             shuffled.indices[row] = shuffled.indices[row][order]
             shuffled.data[row] = shuffled.data[row][order]
         shuffled.has_sorted_indices = False
-        x, _ = solve(shuffled, b, SolverConfig(method="cg"))
-        np.testing.assert_array_equal(x, solve(a, b, SolverConfig(method="cg"))[0])
+        x, _ = solve(shuffled, b, "cg")
+        np.testing.assert_array_equal(x, solve(a, b, "cg")[0])
         assert not shuffled.has_sorted_indices  # the caller's matrix is left as it was
 
     def test_deterministic(self):
@@ -129,8 +131,8 @@ class TestSolve:
         a = sp.csr_matrix(b_mat @ b_mat.T + 20 * np.eye(20))
         b = rng.standard_normal(20)
         for method in ("cholesky", "cg"):
-            x1, _ = solve(a, b, SolverConfig(method=method))
-            x2, _ = solve(a, b, SolverConfig(method=method))
+            x1, _ = solve(a, b, method)
+            x2, _ = solve(a, b, method)
             np.testing.assert_array_equal(x1, x2)
 
 
@@ -139,7 +141,7 @@ def contrast_level(n: int):
     ms = example1(1.0, 1000.0)
     mesh = build_mesh(1, ms.interface, n_override=n)
     plan = build_level_plan(mesh, 2, ms.f)
-    system, spaces = assemble_system(mesh, 2, 1.0, 1000.0, ms.f, ms.g, mode="arc", plan=plan)
+    system, spaces = assemble_system(plan, 1.0, 1000.0, ms.g, "arc")
     return plan, system, spaces
 
 
@@ -225,8 +227,8 @@ class TestBand:
     def test_band_cg_matches_direct_in_fewer_iterations(self, contrast_system):
         a, b = contrast_system.matrix, contrast_system.rhs
         x_direct, _ = solve(a, b)
-        x, stats = solve(a, b, SolverConfig(method="cg"), contrast_system.dofmap.band)
-        _, jacobi = solve(a, b, SolverConfig(method="cg"))
+        x, stats = solve(a, b, "cg", contrast_system.dofmap.band)
+        _, jacobi = solve(a, b, "cg")
         assert np.max(np.abs(x - x_direct)) <= 1e-9 * np.max(np.abs(x_direct))
         assert 0 < stats.iterations < jacobi.iterations
 
@@ -236,7 +238,7 @@ class TestBand:
         # agree bit for bit.
         a, b = contrast_system.matrix, contrast_system.rhs
         band = contrast_system.dofmap.band
-        x, stats = solve(a, b, SolverConfig(method="cg"), band, coarse=None)
+        x, stats = solve(a, b, "cg", band, coarse=None)
         x_ref, iters = allocating_cg(a, b, _preconditioner(_sorted_csr(a), band)[2])
         assert stats.iterations == iters > 0
         np.testing.assert_array_equal(x, x_ref)
@@ -257,7 +259,7 @@ class TestBand:
         i = wg0_columns(dm)[element]
         a = self._indefinite_pair(contrast_system, i, i + 1)
         with pytest.raises(NotPositiveDefinite, match=f"interface element {element}: "):
-            solve(a, contrast_system.rhs, SolverConfig(method="cg"), dm.band)
+            solve(a, contrast_system.rhs, "cg", dm.band)
 
     def test_indefinite_band_without_an_indefinite_element_names_the_band(self, contrast_system):
         # Interior columns of two elements share no element block, so every
@@ -266,7 +268,7 @@ class TestBand:
         first = wg0_columns(dm)
         a = self._indefinite_pair(contrast_system, first[dm.elements[0]], first[dm.elements[-1]])
         with pytest.raises(NotPositiveDefinite, match="^interface band: "):
-            solve(a, contrast_system.rhs, SolverConfig(method="cg"), dm.band)
+            solve(a, contrast_system.rhs, "cg", dm.band)
 
 
 class TestCoarseLevel:
@@ -278,9 +280,7 @@ class TestCoarseLevel:
         ms = example1(a1, a2)
         mesh = build_mesh(1, ms.interface, n_override=16)
         plan = build_level_plan(mesh, k, zero)
-        system, spaces = assemble_system(
-            mesh, k, a1, a2, zero, one, mode="segment" if k == 1 else "arc", plan=plan
-        )
+        system, spaces = assemble_system(plan, a1, a2, one, "segment" if k == 1 else "arc")
         z = coarse_basis(plan, spaces)
         assert z.shape == (plan.dofmap.n_free, plan.aggregates[1])
         assert np.all(np.diff(z.indptr) <= 1)  # each column lies in one aggregate
@@ -326,13 +326,13 @@ class TestCoarseLevel:
         z = coarse_basis(plan, spaces).tocsc()
         z.data[z.indptr[0] : z.indptr[1]] = 0.0
         with pytest.raises(NotPositiveDefinite):
-            solve(system.matrix, system.rhs, SolverConfig(method="cg"), plan.dofmap.band, z)
+            solve(system.matrix, system.rhs, "cg", plan.dofmap.band, z)
 
     def test_deflated_cg_matches_direct(self, contrast16):
         plan, system, spaces = contrast16
         a, b = system.matrix, system.rhs
         x_direct, _ = solve(a, b)
-        x, stats = solve(a, b, SolverConfig(method="cg"), plan.dofmap.band, coarse_basis(plan, spaces))
+        x, stats = solve(a, b, "cg", plan.dofmap.band, coarse_basis(plan, spaces))
         assert stats.iterations > 0
         assert np.max(np.abs(x - x_direct)) <= 1e-9 * np.max(np.abs(x_direct))
 
@@ -342,9 +342,8 @@ class TestCoarseLevel:
         # (210 -> 69).
         plan, system, spaces = contrast_level(32)
         a, b = system.matrix, system.rhs
-        config = SolverConfig(method="cg")
-        _, one_level = solve(a, b, config, plan.dofmap.band)
-        x, two_level = solve(a, b, config, plan.dofmap.band, coarse_basis(plan, spaces))
+        _, one_level = solve(a, b, "cg", plan.dofmap.band)
+        x, two_level = solve(a, b, "cg", plan.dofmap.band, coarse_basis(plan, spaces))
         assert 0 < two_level.iterations < 0.9 * one_level.iterations
         x_direct, _ = solve(a, b)
         assert np.max(np.abs(x - x_direct)) <= 1e-9 * np.max(np.abs(x_direct))
@@ -354,9 +353,8 @@ class TestCoarseLevel:
         # two-level CG 55 (84 with H = 4h, where the coarse level cost time).
         plan, system, spaces = contrast16
         a, b = system.matrix, system.rhs
-        config = SolverConfig(method="cg")
-        _, one_level = solve(a, b, config, plan.dofmap.band)
-        _, two_level = solve(a, b, config, plan.dofmap.band, coarse_basis(plan, spaces))
+        _, one_level = solve(a, b, "cg", plan.dofmap.band)
+        _, two_level = solve(a, b, "cg", plan.dofmap.band, coarse_basis(plan, spaces))
         assert 0 < two_level.iterations < 0.7 * one_level.iterations
 
 
@@ -370,18 +368,16 @@ def test_two_level_cg_is_robust_to_the_contrast():
     iterations = {}
     for pair in [(1.0, 1.0), (1000.0, 1.0)]:
         ms = example1(*pair)
-        system, spaces = assemble_system(mesh, 2, *pair, ms.f, ms.g, mode="arc", plan=plan)
+        system, spaces = assemble_system(plan, *pair, ms.g, "arc")
         z = coarse_basis(plan, spaces)
-        _, stats = solve(system.matrix, system.rhs, SolverConfig(method="cg"), plan.dofmap.band, z)
+        _, stats = solve(system.matrix, system.rhs, "cg", plan.dofmap.band, z)
         iterations[pair] = stats.iterations
     assert 0 < iterations[1000.0, 1.0] < 2 * iterations[1.0, 1.0]
 
 
 def high_contrast_cg():
     """Matrix data, rhs, CG solution and iterations of the N = 64, k = 2, (1, 1000) level."""
-    _, stats, _, system, _, x = run_level(
-        example1(1.0, 1000.0), 2, 1, "arc", solver_config=SolverConfig(method="cg"), n_override=64
-    )
+    _, stats, _, system, _, x = run_level(example1(1.0, 1000.0), 2, 1, "arc", "cg", n_override=64)
     return {"data": system.matrix.data, "rhs": system.rhs, "x": x, "iterations": stats.iterations}
 
 
@@ -399,12 +395,3 @@ def test_cg_iterates_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert int(child["iterations"]) == here["iterations"]
     np.testing.assert_array_equal(child["x"], here["x"])
 
-
-class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(method="gmres")
-        with pytest.raises(ValueError):
-            SolverConfig(cg_tol=2.0)
-        with pytest.raises(ValueError):
-            SolverConfig(cg_max_iter=0)
