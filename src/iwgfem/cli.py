@@ -77,13 +77,13 @@ class RunConfig:
             raise ValueError("coefficient pairs must be distinct")
         # The moment fit integrates along 2**depth arc chords per cut side, and
         # the peak memory grows 2-3x per two depth levels: at N = 8, k = 2 a
-        # level peaks at 135 MB at depth 10, 296 MB at 12 and 947 MB at 14;
-        # at N = 64, depth 12 takes 500 MB; depth 24 asks numpy for 8.5 GiB.
+        # level peaks at 100 MB at depth 10, 197 MB at 12 and 583 MB at 14;
+        # at N = 64, depth 12 takes 320 MB; depth 24 asks numpy for 8.5 GiB.
         if not 0 <= self.depth <= MAX_DEPTH:
             raise ValueError(f"depth must be in 0..{MAX_DEPTH}")
         # The rules' point counts grow with the square of the degree: at N = 8,
-        # k = 2 a level peaks at 72 MB at offset 0, 153 MB at 8 and 421 MB at
-        # 16; offset 32 takes 2.4 GB and 128 asks numpy for 17.2 GiB.
+        # k = 2 a level peaks at 69 MB at offset 0, 115 MB at 8 and 282 MB at
+        # 16; offset 32 takes 1.5 GB and 128 asks numpy for 17.2 GiB.
         if not 0 <= self.quad_offset <= MAX_QUAD_OFFSET:
             raise ValueError(f"quad-offset must be in 0..{MAX_QUAD_OFFSET}")
         if self.ife_mode not in ("auto", "segment", "arc"):

@@ -172,8 +172,7 @@ class QuadratureRule:
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    return np.polynomial.legendre.leggauss(n)
 
 
 @lru_cache(maxsize=None)
@@ -456,11 +455,6 @@ def _arc_sweep(center: np.ndarray, a: np.ndarray, b: np.ndarray):
 RULE_DEPTH = 2
 
 
-def _arc_count(depth: int) -> int:
-    """Interior points of the arc polyline of ``depth``, which has 2**depth chords."""
-    return 2**depth - 1 if depth > 0 else 0
-
-
 def _on_tri_side(cuts: CutTable, segments: np.ndarray) -> np.ndarray:
     """Whether each segment 2 row + s is its row's 3-vertex side."""
     return (segments % 2 == 0) == cuts.tri_on_1[segments // 2]
@@ -474,7 +468,7 @@ def _polygon_batches(cuts: CutTable, segments: np.ndarray, depth: int):
     polyline. An empty batch is skipped.
     """
     on_tri = _on_tri_side(cuts, segments)
-    n_in = _arc_count(depth)
+    n_in = 2**depth - 1  # interior points of the arc polyline's 2**depth chords
     for ps, polys in ((np.flatnonzero(on_tri), cuts.tri_side), (np.flatnonzero(~on_tri), cuts.quad_side)):
         if not len(ps):
             continue
@@ -499,7 +493,7 @@ def pack_subregion_rules(cuts: CutTable, segments: np.ndarray, depth: int, degre
     4-vertex sides; a failure names the element and side.
     """
     ref_pts, ref_w = _triangle_rule_reference(degree)
-    n_vert = np.where(_on_tri_side(cuts, segments), 3, 4) + _arc_count(depth)
+    n_vert = np.where(_on_tri_side(cuts, segments), 3, 4) + 2**depth - 1
     offsets = np.zeros(len(segments) + 1, dtype=np.int64)
     offsets[1:] = np.cumsum((n_vert - 2) * len(ref_w))
     points = np.empty((offsets[-1], 2))
@@ -516,21 +510,21 @@ def pack_subregion_rules(cuts: CutTable, segments: np.ndarray, depth: int, degre
     return offsets, points, weights
 
 
-def legendre_table(x, n: int) -> np.ndarray:
-    """Legendre polynomials P_0 .. P_n at x, shape x.shape + (n + 1,), C-contiguous.
+def legendre_table(x, n: int, first=1.0) -> np.ndarray:
+    """Legendre polynomials P_0 .. P_n at x, times ``first``, as contiguous planes (n + 1,) + x.shape.
 
-    The recurrence runs on contiguous planes; the layout of the result does
-    not depend on the batch size, so neither do the products taken from it.
+    The recurrence is linear, so starting it from ``first`` scales every
+    plane; it runs elementwise, so no value depends on the batch size.
     """
     x = np.asarray(x, float)
     out = np.empty((n + 1,) + x.shape)
-    out[0] = 1.0
+    out[0] = first
     if n > 0:
-        out[1] = x
+        np.multiply(x, out[0], out=out[1])
     for j in range(1, n):
         np.multiply((2 * j + 1) / (j + 1) * x, out[j], out=out[j + 1])
         out[j + 1] -= j / (j + 1) * out[j - 1]
-    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
+    return out
 
 
 def subregion_moments(
@@ -546,22 +540,23 @@ def subregion_moments(
     Green's theorem it is the contour integral of F_a(xi_1) P_b(xi_2) dxi_2
     over the frame's image of the polygon, F_a an antiderivative of P_a,
     divided by the frame's determinant. A Gauss rule per edge integrates the
-    degree + 1 polynomial exactly, and each batch of polygons sums its
-    contour points in one matmul.
+    degree + 1 polynomial exactly. Each polygon's P_0 .. P_degree+1 of xi_1
+    meet the weighted P_b of xi_2 in one matmul over its contour points, and
+    a fixed matrix then takes the first index to F_a.
     """
     x_gauss, w_gauss = _gauss_legendre((degree + 3) // 2)
     t, w_t = 0.5 * (x_gauss + 1.0), 0.5 * w_gauss
     det = axes[:, 0, 0] * axes[:, 1, 1] - axes[:, 0, 1] * axes[:, 1, 0]
-    out = np.empty((len(segments), degree + 1, degree + 1))
+    # F_0 = P_1 and F_a = (P_a+1 - P_a-1) / (2a + 1): column a of anti in P_0 .. P_degree+1.
+    a = np.arange(degree + 1)
+    anti = np.zeros((degree + 2, degree + 1))
+    anti[a + 1, a], anti[a[1:] - 1, a[1:]] = 1.0 / (2 * a + 1), -1.0 / (2 * a[1:] + 1)
+    out = np.empty((len(segments), degree + 2, degree + 1))
     for ps, verts in _polygon_batches(cuts, segments, depth):
         xi = (verts - origin[ps, None, :]) @ axes[ps].swapaxes(-1, -2)  # (g, v, 2)
         step = np.roll(xi, -1, axis=1) - xi
-        q = (xi[:, :, None, :] + t[:, None] * step[:, :, None, :]).reshape(len(ps), -1, 2)
-        p1 = legendre_table(q[..., 0], degree + 1)
-        # F_0 = P_1 and F_a = (P_a+1 - P_a-1) / (2a + 1).
-        odd = np.arange(3.0, 2 * degree + 2, 2)
-        anti = np.concatenate([p1[..., 1:2], (p1[..., 2:] - p1[..., :-2]) / odd], axis=-1)
-        p2 = legendre_table(q[..., 1], degree)
-        p2 *= (step[:, :, None, 1] * w_t).reshape(len(ps), -1, 1)
-        out[ps] = anti.swapaxes(-1, -2) @ p2
-    return out / det[:, None, None]
+        q1, q2 = (xi[..., c, None] + t * step[..., c, None] for c in (0, 1))  # (g, v, Q), edge by edge
+        p1 = legendre_table(q1.reshape(len(ps), -1), degree + 1)  # (degree + 2, g, v Q)
+        p2 = legendre_table(q2.reshape(len(ps), -1), degree, (step[..., 1, None] * w_t).reshape(len(ps), -1))
+        out[ps] = p1.transpose(1, 0, 2) @ p2.transpose(1, 2, 0)
+    return (anti.T @ out) / det[:, None, None]

@@ -140,7 +140,7 @@ class PolyBasis:
 def _legendre_values(xi, ell, k: int) -> np.ndarray:
     """Legendre P_0..P_{k-1} at xi in [-1, 1], scaled to unit arc-length norm
     on segments of length ell (broadcast against xi); shape (..., k)."""
-    return legendre_table(xi, k - 1) * np.sqrt((2 * np.arange(k) + 1) / np.asarray(ell)[..., None])
+    return np.moveaxis(legendre_table(xi, k - 1), 0, -1) * np.sqrt((2 * np.arange(k) + 1) / np.asarray(ell)[..., None])
 
 
 def sample(f, pts) -> np.ndarray:
@@ -311,8 +311,8 @@ class CutGeometry(Mapping):
         return out
 
 
-# Packed segments processed per batch. It bounds the temporaries: the fit's
-# Legendre products of 64 segments of 125 points take 2.9 MB at k = 2.
+# Packed segments processed per batch. It bounds the temporaries: at k = 2 the fit's Vandermonde
+# of 64 segments of 125 points takes 2.9 MB, and their contour Legendre planes 3.3 MB at depth 6.
 SEGMENT_BATCH = 64
 
 
@@ -353,13 +353,15 @@ def _fit_moments(cuts: CutTable, offsets: np.ndarray, points: np.ndarray, weight
         rel = points[idx] - origin[:, None]
         axes = _tr(np.linalg.eigh(_tr(rel) @ (w0[..., None] * rel))[1])  # rows: the principal axes
         axes[axes[:, 0, 0] * axes[:, 1, 1] < axes[:, 0, 1] * axes[:, 1, 0], 0] *= -1.0  # det > 0
-        xi = rel @ _tr(axes)
-        scale = np.abs(xi).max(axis=1)
-        axes /= scale[..., None]
-        lx = legendre_table(xi[..., 0] / scale[:, None, 0], degree)
-        lx *= root[..., None]
-        ly = legendre_table(xi[..., 1] / scale[:, None, 1], degree)
-        scaled = lx[..., ex] * ly[..., ey]  # sqrt(W0) V = Q R
+        xi = axes @ _tr(rel)  # (g, 2, P)
+        scale = np.abs(xi).max(axis=-1, keepdims=True)
+        axes /= scale
+        lx = legendre_table(xi[:, 0] / scale[:, 0], degree, root)
+        ly = legendre_table(xi[:, 1] / scale[:, 1], degree)
+        planes = np.empty((len(ex),) + root.shape)  # sqrt(W0) V = Q R, a contiguous plane per column
+        for d in range(degree + 1):  # the columns of total degree d: P_d P_0, P_d-1 P_1, .., P_0 P_d
+            np.multiply(lx[d::-1], ly[: d + 1], out=planes[d * (d + 1) // 2 : (d + 1) * (d + 2) // 2])
+        scaled = planes.transpose(1, 2, 0)
         house, tau = np.linalg.qr(scaled, mode="raw")  # R^T is the lower triangle of house[..., :M]
         resid = subregion_moments(cuts, batch, cuts.depth, origin, axes, degree)[:, ex, ey]
         resid -= (root[:, None, :] @ scaled)[:, 0]
@@ -374,15 +376,14 @@ def _fit_moments(cuts: CutTable, offsets: np.ndarray, points: np.ndarray, weight
 def _solve_lower(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with L x = b for the lower triangles L of ``low`` (g, M, M), by forward substitution.
 
-    Column by column, elementwise, so each x does not depend on the batch
-    it is solved in. A zero pivot leaves x non-finite rather than raising
-    or warning.
+    Row by row, each x_j from a dot product with a contiguous row of L, so no x depends on
+    the batch; a zero pivot leaves x non-finite rather than raising or warning.
     """
     x = b.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(x.shape[-1]):
+            x[:, j] -= (low[:, j, None, :j] @ x[:, :j, None])[:, 0, 0]
             x[:, j] /= low[:, j, j]
-            x[:, j + 1 :] -= low[:, j + 1 :, j] * x[:, j : j + 1]
     return x
 
 
@@ -391,14 +392,18 @@ def _apply_q(house: np.ndarray, tau: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     ``house`` (g, M, P) holds each reflector below the diagonal of the
     transposed factor, with an implicit leading 1; Q = H_0 H_1 ... H_M-1.
+    Each H_j = I - tau_j v v^T acts in place, the leading 1 of v a term apart.
     """
     g, m, size = house.shape
     out = np.zeros((g, size))
     out[:, :m] = y
     for j in range(m - 1, -1, -1):
-        v = house[:, j, j:].copy()
-        v[:, 0] = 1.0
-        out[:, j:] -= (tau[:, j] * (v * out[:, j:]).sum(axis=1))[:, None] * v
+        v, rest = house[:, j, j + 1 :], out[:, j + 1 :]
+        s = (v[:, None, :] @ rest[:, :, None])[:, 0, 0]
+        s += out[:, j]
+        s *= tau[:, j]
+        out[:, j] -= s
+        rest -= s[:, None] * v
     return out
 
 

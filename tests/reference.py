@@ -3,7 +3,8 @@
 Nothing in ``src/iwgfem`` calls these. They are the straightforward forms of
 what the solver computes in batches or in place: the scalar circle-segment
 root solver, one element's chord split, one triangle's class, one element's
-cut table and one side's polygon and packed rule, the loop-built mesh, Gauss rules on segments and triangles,
+cut table and one side's polygon and packed rule, the contour moments of cut
+sides through a table of antiderivative values, the loop-built mesh, Gauss rules on segments and triangles,
 one polygon's fan triangulation and rule, plain sums over quadrature rules,
 one element's CG stiffness, the edge sets of the interface elements, the
 non-interface errors summed with ``einsum`` on freshly mapped points,
@@ -205,6 +206,31 @@ def quadrature_on_subregion(cut: CutTable, side: int, degree: int, depth: int | 
     depth = cut.depth if depth is None else depth
     _, points, weights = pack_subregion_rules(cut, _segment(cut, side), depth, degree)
     return QuadratureRule(points, weights)
+
+
+def tabulated_subregion_moments(cuts: CutTable, segments, depth: int, origin, axes, degree: int) -> np.ndarray:
+    """The form of ``geometry.subregion_moments`` that tabulates F_a at every contour point.
+
+    Same frames, contour points and Gauss rule; numpy's ``legvander`` gives
+    the Legendre values, and the antiderivatives F_0 = P_1 and F_a =
+    (P_a+1 - P_a-1) / (2a + 1) are formed point by point and then
+    contracted with the weighted P_b of xi_2.
+    """
+    x_gauss, w_gauss = _gauss_legendre((degree + 3) // 2)
+    t, w_t = 0.5 * (x_gauss + 1.0), 0.5 * w_gauss
+    det = axes[:, 0, 0] * axes[:, 1, 1] - axes[:, 0, 1] * axes[:, 1, 0]
+    out = np.empty((len(segments), degree + 1, degree + 1))
+    for ps, verts in _polygon_batches(cuts, np.asarray(segments), depth):
+        xi = (verts - origin[ps, None, :]) @ axes[ps].swapaxes(-1, -2)  # (g, v, 2)
+        step = np.roll(xi, -1, axis=1) - xi
+        q = (xi[:, :, None, :] + t[:, None] * step[:, :, None, :]).reshape(len(ps), -1, 2)
+        p1 = np.polynomial.legendre.legvander(q[..., 0], degree + 1)
+        odd = np.arange(3.0, 2 * degree + 2, 2)
+        anti = np.concatenate([p1[..., 1:2], (p1[..., 2:] - p1[..., :-2]) / odd], axis=-1)
+        p2 = np.polynomial.legendre.legvander(q[..., 1], degree)
+        p2 *= (step[:, :, None, 1] * w_t).reshape(len(ps), -1, 1)
+        out[ps] = anti.swapaxes(-1, -2) @ p2
+    return out / det[:, None, None]
 
 
 def triangle_rule(tri, degree: int) -> QuadratureRule:

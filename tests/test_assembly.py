@@ -1,12 +1,9 @@
-import math
-
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iwgfem.analysis import example1, linear_solution
+from iwgfem.analysis import example1
 from iwgfem.assembly import (
     TRACE_NONE,
     TRACE_SLAVED,

@@ -11,15 +11,7 @@ import iwgfem.ife
 import iwgfem.mesh
 from iwgfem.assembly import build_cut_geometries
 from iwgfem.geometry import INTERFACE, OMEGA1, OMEGA2, CircleInterface, GeometryError, segment_crossings
-from iwgfem.mesh import (
-    EDGE_BOUNDARY,
-    EDGE_COUPLING,
-    EDGE_INTERIOR_NON_WG,
-    EDGE_WG_INTERIOR,
-    MeshPartition,
-    build_mesh,
-    dump_mesh,
-)
+from iwgfem.mesh import build_mesh, dump_mesh
 from reference import build_mesh_loops, edge_sets, side_polygon, split, triangle_coords
 
 CIRCLE = CircleInterface()

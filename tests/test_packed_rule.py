@@ -29,8 +29,10 @@ from iwgfem.geometry import (
     RULE_DEPTH,
     CircleInterface,
     GeometryError,
+    _polygon_batches,
     pack_subregion_rules,
     polygon_area,
+    subregion_moments,
 )
 from iwgfem import ife
 from iwgfem.ife import PolyBasis, _fit_moments, build_cut_geometry, build_local_spaces, sample
@@ -44,6 +46,7 @@ from reference import (
     side_rules,
     split,
     subregion_polygon,
+    tabulated_subregion_moments,
     take,
     triangulate_polygon,
 )
@@ -332,6 +335,60 @@ class TestPackedFans:
             assert 0 < len(two_fans) < len(cuts)
 
 
+def assert_sides_reproduce_monomials(geometry_, rows, depth: int, degree: int):
+    """Both sides of the cuts ``rows`` integrate every monomial of ``degree`` over their depth's polygon.
+
+    Errors are relative to the moment or the side's area, as in criterion 8,
+    with monomials centred on the cut's triangle.
+    """
+    cuts = geometry_.cuts
+    for i in rows:
+        centre = cuts.triangles[i].mean(axis=0)
+        for s, side in enumerate((OMEGA1, OMEGA2)):
+            seg = slice(*geometry_.rule_offsets[2 * i + s : 2 * i + s + 2])
+            (x, y), w = (geometry_.rule_points[seg] - centre).T, geometry_.rule_weights[seg]
+            poly = subregion_polygon(take(cuts, [i]), side, depth) - centre
+            scale = abs(polygon_area(poly))
+            for a in range(degree + 1):
+                for b in range(degree + 1 - a):
+                    want = polygon_monomial_integral(poly, a, b)
+                    got = w @ (x**a * y**b)
+                    assert abs(got - want) <= 1e-12 * max(abs(want), scale), (i, side, a, b)
+
+
+def side_frames(cuts, segments: np.ndarray, depth: int):
+    """Principal-axis frames (origin, axes) of the sides ``segments`` at ``depth``, det > 0.
+
+    Each frame is centred on its polygon's vertices and scaled to them, as
+    the fit scales its frames to a side's points, so a sliver side's contour
+    terms stay near its area in size.
+    """
+    origin, axes = np.empty((len(segments), 2)), np.empty((len(segments), 2, 2))
+    for ps, verts in _polygon_batches(cuts, segments, depth):
+        centre = verts.mean(axis=1)
+        rel = verts - centre[:, None]
+        frame = np.linalg.eigh(rel.swapaxes(-1, -2) @ rel)[1].swapaxes(-1, -2)
+        frame[frame[:, 0, 0] * frame[:, 1, 1] < frame[:, 0, 1] * frame[:, 1, 0], 0] *= -1.0
+        frame /= np.abs(rel @ frame.swapaxes(-1, -2)).max(axis=1)[..., None]
+        origin[ps], axes[ps] = centre, frame
+    return origin, axes
+
+
+def assert_moments_equal_the_table(cuts, segments: np.ndarray, depth: int):
+    """``subregion_moments`` within 1e-13 of the tabulated form, relative to the moment or the side's area.
+
+    Eight sides at a time bound the table's temporaries at depth 12.
+    """
+    origin, axes = side_frames(cuts, segments, depth)
+    for degree in (6, 8):
+        for start in range(0, len(segments), 8):
+            part = slice(start, start + 8)
+            args = (cuts, segments[part], depth, origin[part], axes[part], degree)
+            want, got = tabulated_subregion_moments(*args), subregion_moments(*args)
+            scale = np.maximum(np.abs(want), np.abs(want[:, :1, :1]))  # entry [0, 0] is the area
+            assert np.all(np.abs(got - want) <= 1e-13 * scale), (start, degree)
+
+
 class TestMomentFit:
     # A cut deeper than RULE_DEPTH keeps its depth-2 fan rule's points, and
     # its weights are fitted to the moments of its own depth's polygon.
@@ -342,9 +399,7 @@ class TestMomentFit:
     def test_off_centre_circles(self, radius, u, v, n, k, depth):
         # Numpy warnings are errors, so a silent NaN cannot pass. The
         # monomial check runs on the cuts of the four thinnest sides and on
-        # the first and last cut. Errors are relative to the moment or the
-        # side's area, as in criterion 8, with monomials centred on the cut's
-        # triangle.
+        # the first and last cut.
         circle = off_centre_circle(radius, u, v)
         degree = 2 * k + 4
         with np.errstate(divide="raise", invalid="raise", over="raise"):
@@ -363,18 +418,37 @@ class TestMomentFit:
             assert_rules_equal_per_element_rules(geometry_, degree)
             return
         thin = np.argsort((sums / areas[:, None]).min(axis=1))[:4]
-        for i in {0, len(cuts) - 1, *thin.tolist()}:
-            centre = cuts.triangles[i].mean(axis=0)
-            for s, side in enumerate((OMEGA1, OMEGA2)):
-                seg = slice(*geometry_.rule_offsets[2 * i + s : 2 * i + s + 2])
-                (x, y), w = (geometry_.rule_points[seg] - centre).T, geometry_.rule_weights[seg]
-                poly = subregion_polygon(take(cuts, [i]), side, depth) - centre
-                scale = abs(polygon_area(poly))
-                for a in range(degree + 1):
-                    for b in range(degree + 1 - a):
-                        want = polygon_monomial_integral(poly, a, b)
-                        got = w @ (x**a * y**b)
-                        assert abs(got - want) <= 1e-12 * max(abs(want), scale), (i, side, a, b)
+        assert_sides_reproduce_monomials(geometry_, {0, len(cuts) - 1, *thin.tolist()}, depth, degree)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_every_side_of_a_level_reproduces_its_monomials(self, k):
+        # All 124 sides at N = 16, depth 6. No count of the k = 2 negative
+        # weights is pinned: they sit on sliver sides where cond(R) reaches
+        # 1e16, so the rounding of the moments sets them.
+        cuts = build_mesh(1, CIRCLES[0], depth=6, n_override=16).cuts
+        assert_sides_reproduce_monomials(build_cut_geometry(cuts, k), range(len(cuts)), 6, 2 * k + 4)
+
+    @pytest.mark.parametrize("depth", [3, 6, 12])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
+    def test_moments_equal_the_tabulated_antiderivatives(self, n, depth):
+        # The paper circle; at depth 12, some 32 sides spread over the table.
+        cuts = build_mesh(1, CIRCLES[0], depth=depth, n_override=n).cuts
+        segments = np.arange(2 * len(cuts))
+        if depth == 12:
+            segments = segments[:: len(segments) // 32]
+        assert_moments_equal_the_table(cuts, segments, depth)
+
+    @settings(deadline=None, max_examples=10)
+    @given(**OFF_CENTRE, n=st.integers(min_value=8, max_value=48), depth=st.sampled_from([3, 6, 12]))
+    def test_moments_equal_the_tabulated_antiderivatives_off_centre(self, radius, u, v, n, depth):
+        try:
+            cuts = build_mesh(1, off_centre_circle(radius, u, v), depth=depth, n_override=n).cuts
+        except GeometryError:
+            return
+        segments = np.arange(2 * len(cuts))
+        if depth == 12:
+            segments = segments[:: max(1, len(segments) // 32)]
+        assert_moments_equal_the_table(cuts, segments, depth)
 
     def test_singular_fit_names_element_and_side(self):
         # A segment whose fan rule carries no weight gives no frame and no R:
@@ -395,6 +469,20 @@ class TestMomentFit:
         assert 2 * len(mesh.cuts) > ife.SEGMENT_BATCH
         monkeypatch.setattr(ife, "SEGMENT_BATCH", 7)
         assert np.array_equal(build_cut_geometries(mesh, k).rule_weights, default)
+
+    @pytest.mark.parametrize("depth", [3, 6])
+    @pytest.mark.parametrize("circle", CIRCLES)
+    def test_moments_do_not_depend_on_the_batch(self, circle, depth):
+        # Each side's moments are the same bits in a batch of one as among
+        # every side of the level.
+        cuts = build_mesh(1, circle, depth=depth, n_override=16).cuts
+        segments = np.arange(2 * len(cuts))
+        origin, axes = side_frames(cuts, segments, depth)
+        for degree in (6, 8):
+            whole = subregion_moments(cuts, segments, depth, origin, axes, degree)
+            for j in range(len(segments)):
+                one = subregion_moments(cuts, segments[j : j + 1], depth, origin[j : j + 1], axes[j : j + 1], degree)
+                assert np.array_equal(one[0], whole[j]), (j, degree)
 
     def test_paper_circle_has_no_negative_weight_at_k1(self):
         # At k = 2 a few sliver sides take negative weights; at k = 1 none does.
