@@ -40,19 +40,28 @@ class NonPositiveError(AnalysisError):
 class ManufacturedSolution:
     """Closed forms of an exact solution with its source and boundary data.
 
-    u_side(x, y, side) evaluates the smooth extension of the given side;
-    u(x, y) picks the side from the interface sign. grad_side returns the
-    gradient stacked on the last axis. f is globally defined; g is the
-    Dirichlet trace (the domain boundary lies in Omega2).
+    u_side(x, y, side) = u_step(u_profile(x, y), side) is the given side's
+    smooth extension, grad_side = grad_step(grad_profile(x, y), x, y, side)
+    its gradient stacked on the last axis. No pair changes the profiles, so one
+    error pass samples them for all pairs of a level. u(x, y) picks the side from
+    the interface sign; f is global; g is the Dirichlet trace (in Omega2).
     """
 
     a1: float
     a2: float
-    u_side: callable
-    grad_side: callable
+    u_profile: callable
+    grad_profile: callable
+    u_step: callable
+    grad_step: callable
     f: callable
     interface: CircleInterface
     name: str = "manufactured"
+
+    def u_side(self, x, y, side):
+        return self.u_step(self.u_profile(x, y), side)
+
+    def grad_side(self, x, y, side):
+        return self.grad_step(self.grad_profile(x, y), x, y, side)
 
     def u(self, x, y):
         x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
@@ -72,6 +81,16 @@ def example1_source(x, y):
     return 4.0 * np.pi * np.sin(np.pi * r2) + 4.0 * np.pi**2 * r2 * np.cos(np.pi * r2)
 
 
+def example1_cos(x, y):
+    """cos(pi r^2): example 1's u on either side before its pair's 1/A_side and offset."""
+    return np.cos(np.pi * (x**2 + y**2))
+
+
+def example1_flux(x, y):
+    """-2 pi sin(pi r^2): example 1's A grad u over (x, y), the same on both sides and for every pair."""
+    return -2.0 * np.pi * np.sin(np.pi * (x**2 + y**2))
+
+
 def example1(a1: float, a2: float, interface: CircleInterface | None = None) -> ManufacturedSolution:
     """The benchmark solution: cos(pi r^2)/A_i, offset outside for continuity.
 
@@ -81,45 +100,38 @@ def example1(a1: float, a2: float, interface: CircleInterface | None = None) -> 
         f = 4 pi sin(pi r^2) + 4 pi^2 r^2 cos(pi r^2)
 
     is a single smooth expression (verified against finite differences in
-    the test suite).
+    the test suite). A pair divides the profiles by A_side and adds its offset.
     """
     if interface is None:
         interface = CircleInterface()
     half = 0.5 * (1.0 / a1 - 1.0 / a2)
 
-    def u_side(x, y, side):
-        r2 = np.asarray(x) ** 2 + np.asarray(y) ** 2
-        if side == OMEGA1:
-            return np.cos(np.pi * r2) / a1
-        return np.cos(np.pi * r2) / a2 + half
+    def u_step(cos, side):
+        return cos / a1 if side == OMEGA1 else cos / a2 + half
 
-    def grad_side(x, y, side):
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        a = a1 if side == OMEGA1 else a2
-        r2 = x**2 + y**2
-        fac = -2.0 * np.pi * np.sin(np.pi * r2) / a
+    def grad_step(flux, x, y, side):
+        fac = flux / (a1 if side == OMEGA1 else a2)
         return np.stack([fac * x, fac * y], axis=-1)
 
     return ManufacturedSolution(
-        a1, a2, u_side, grad_side, example1_source, interface, name=f"example1({a1},{a2})"
+        a1, a2, example1_cos, example1_flux, u_step, grad_step, example1_source, interface, f"example1({a1},{a2})"
     )
 
 
 def linear_solution(c0: float, c1: float, c2: float, a: float = 1.0) -> ManufacturedSolution:
-    """Patch-test solution u = c0 + c1 x + c2 y with matching coefficients and f = 0."""
+    """Patch-test solution u = c0 + c1 x + c2 y with matching coefficients and f = 0; its steps keep the profiles."""
 
-    def u_side(x, y, side):
-        return c0 + c1 * np.asarray(x, float) + c2 * np.asarray(y, float)
+    def u_profile(x, y):
+        return c0 + c1 * x + c2 * y
 
-    def grad_side(x, y, side):
-        x = np.asarray(x, float)
-        return np.stack([np.full_like(x, c1), np.full_like(x, c2)], axis=-1)
+    def grad_profile(x, y):
+        return np.stack([np.full(np.shape(x), c1, float), np.full(np.shape(x), c2, float)], axis=-1)
 
     def f(x, y):
         return np.zeros_like(np.asarray(x, float))
 
-    return ManufacturedSolution(a, a, u_side, grad_side, f, CircleInterface(), name="linear patch")
+    keep_u, keep_grad = (lambda u, side: u), (lambda grad, x, y, side: grad)
+    return ManufacturedSolution(a, a, u_profile, grad_profile, keep_u, keep_grad, f, CircleInterface(), "linear patch")
 
 
 def check_interface_conditions(ms: ManufacturedSolution, n_samples: int = 256) -> tuple[float, float]:
@@ -141,44 +153,50 @@ def check_interface_conditions(ms: ManufacturedSolution, n_samples: int = 256) -
 ERROR_BLOCK = 4096
 
 
-def _noninterface_errors(plan: LevelPlan, x_all, ms):
-    """Energy and L2 squares and the max error on the non-interface elements.
+def _noninterface_errors(plan: LevelPlan, solved) -> list[tuple[float, float, float]]:
+    """Energy and L2 squares and the max error on the non-interface elements of each (x_all, ms) pair.
 
-    Each side's elements are taken ERROR_BLOCK at a time: their error points
-    are rebuilt from v0 and J, u and grad u are sampled on them as
-    (elements, points) arrays, and each element's weighted sums are kept.
-    The sums over a side's elements are one product with its dets.
+    Each side's elements are taken ERROR_BLOCK at a time. A block's error
+    points (rebuilt from v0 and J), class masks and profiles, which the
+    pairs must share, are built once; each pair gathers its coefficients of
+    the block, steps the profiles to its u and grad u as (elements, points)
+    arrays and keeps each element's weighted sums. A side's sums are one
+    product with its dets.
     """
-    coefs = x_all[plan.dofmap.node_col[plan.nodes]]  # (ne, nl)
+    if len({(ms.u_profile, ms.grad_profile) for _, ms in solved}) > 1:
+        raise AnalysisError("the pairs of one error pass must share their solution's profiles")
     w = plan.err_weights
-    energy_sq = 0.0
-    l2_sq = 0.0
-    linf = 0.0
+    sums = [[0.0, 0.0, 0.0] for _ in solved]  # energy^2, L2^2, max per pair
     for side, (sel, v0, j_mats) in plan.sides.items():
-        if len(sel) == 0:
+        if len(sel) == 0 or not solved:
             continue
-        l2_el = np.empty(len(sel))
-        energy_el = np.empty(len(sel))
+        l2_el, energy_el = np.empty((2, len(solved), len(sel)))
         for start in range(0, len(sel), ERROR_BLOCK):
             blk = slice(start, start + ERROR_BLOCK)
             pts = v0[blk, None, :] + plan.err_ref[None, :, :] @ j_mats[blk]
-            block_coefs, cls = coefs[sel[blk]], plan.cls[sel[blk]]
-            diff = block_coefs @ plan.err_shapes.T
-            diff -= np.asarray(ms.u_side(pts[..., 0], pts[..., 1], side), float)
-            gdiff = -np.asarray(ms.grad_side(pts[..., 0], pts[..., 1], side), float)
-            for c, g_phys in enumerate(plan.err_grads):
-                in_c = cls == c
-                gdiff[in_c] += np.tensordot(block_coefs[in_c], g_phys, axes=(1, 1))
-            l2_el[blk] = diff**2 @ w
-            energy_el[blk] = (gdiff[..., 0] ** 2 + gdiff[..., 1] ** 2) @ w
-            linf = max(linf, float(np.max(np.abs(diff))))
+            x, y = pts[..., 0], pts[..., 1]
+            profiles = solved[0][1].u_profile(x, y), solved[0][1].grad_profile(x, y)
+            cols = plan.dofmap.node_col[plan.nodes[sel[blk]]]
+            in_cls = [plan.cls[sel[blk]] == c for c in range(len(plan.err_grads))]
+            for i, (x_all, ms) in enumerate(solved):
+                coefs = x_all[cols]
+                diff = coefs @ plan.err_shapes.T
+                diff -= ms.u_step(profiles[0], side)
+                gdiff = np.negative(ms.grad_step(profiles[1], x, y, side))
+                for in_c, g_phys in zip(in_cls, plan.err_grads):
+                    gdiff[in_c] += np.tensordot(coefs[in_c], g_phys, axes=(1, 1))
+                l2_el[i, blk] = diff**2 @ w
+                energy_el[i, blk] = (gdiff[..., 0] ** 2 + gdiff[..., 1] ** 2) @ w
+                sums[i][2] = max(sums[i][2], float(np.max(np.abs(diff))))
         dets = plan.dets[sel]
-        l2_sq += float(l2_el @ dets)
-        energy_sq += float(energy_el @ dets)
-    return energy_sq, l2_sq, linf
+        for i, pair_sums in enumerate(sums):
+            pair_sums[0] += float(energy_el[i] @ dets)
+            pair_sums[1] += float(l2_el[i] @ dets)
+    return [tuple(pair_sums) for pair_sums in sums]
 
 
-def _interface_errors(dofmap: DofMap, spaces: IfeSpaces, x_all, ms):
+def interface_errors(dofmap: DofMap, spaces: IfeSpaces, x_all, ms) -> tuple[float, float, float]:
+    """Energy and L2 squares and the max error of one pair on the interface elements."""
     if not np.array_equal(spaces.elements, dofmap.elements):
         raise AnalysisError("interface spaces do not follow the routing matrix's element order")
     m = dofmap.m
@@ -197,15 +215,16 @@ def _interface_errors(dofmap: DofMap, spaces: IfeSpaces, x_all, ms):
     return float(energy_sq.sum()), float(l2_sq), float(np.max(np.abs(diff), initial=0.0))
 
 
-def compute_errors(plan: LevelPlan, spaces: IfeSpaces, x_all: np.ndarray, ms: ManufacturedSolution) -> dict:
-    """Energy, L2 and max errors of a pair solved on a level plan, in one pass."""
-    e1, l1, m1 = _noninterface_errors(plan, x_all, ms)
-    e2, l2, m2 = _interface_errors(plan.dofmap, spaces, x_all, ms)
-    return {
-        "energy": math.sqrt(e1 + e2),
-        "l2": math.sqrt(l1 + l2),
-        "linf": max(m1, m2),
-    }
+def compute_errors(plan: LevelPlan, solved) -> list[dict]:
+    """Energy, L2 and max errors of pairs solved on a level plan, with one non-interface pass for all.
+
+    ``solved`` holds each pair's (x_all, ms, sums from ``interface_errors``); the errors follow its order.
+    """
+    noninterface = _noninterface_errors(plan, [(x_all, ms) for x_all, ms, _ in solved])
+    return [
+        {"energy": math.sqrt(e1 + e2), "l2": math.sqrt(l1 + l2), "linf": max(m1, m2)}
+        for (e1, l1, m1), (_, _, (e2, l2, m2)) in zip(noninterface, solved)
+    ]
 
 
 def interpolation_errors(plan: LevelPlan, spaces: IfeSpaces, ms: ManufacturedSolution) -> dict:
@@ -222,7 +241,7 @@ def interpolation_errors(plan: LevelPlan, spaces: IfeSpaces, ms: ManufacturedSol
     x_cols = np.zeros(dofmap.n_total)
     valid = dofmap.node_col >= 0
     x_cols[dofmap.node_col[valid]] = x_nodal[valid]
-    e_grad_sq, _, _ = _noninterface_errors(plan, x_cols, ms)
+    ((e_grad_sq, _, _),) = _noninterface_errors(plan, [(x_cols, ms)])
 
     ue = spaces.geometry.sample_sides(ms.u_side)
     diff = spaces.interior_values(spaces.project_interior(ue))

@@ -332,7 +332,7 @@ class LevelPlan:
     monomial moments, so a pair's interface load is coeffs^T moments), one
     unit CG stiffness block per orientation class, and the non-interface
     error rule. Nothing in it is per quadrature point or per element matrix:
-    the error points are rebuilt per pair from each side's v0 and J.
+    the error points are rebuilt per error pass from each side's v0 and J.
     """
 
     mesh: MeshPartition

@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from iwgfem.analysis import ConvergenceReport, ManufacturedSolution, compute_errors, example1
+from iwgfem.analysis import ConvergenceReport, ManufacturedSolution, compute_errors, example1, interface_errors
 from iwgfem.assembly import (
     LevelPlan,
     assemble_system,
@@ -28,6 +28,7 @@ from iwgfem.solver import SolverError, solve, superlu
 DEFAULT_PAIRS = ((1.0, 1.0), (1.0, 10.0), (1.0, 100.0), (1.0, 1000.0))
 MAX_DEPTH = 12  # deepest arc subdivision of the cut-cell quadrature
 MAX_QUAD_OFFSET = 16  # largest extra quadrature degree
+MAX_CELLS = 256  # most cells per side at the finest level
 # A one-pair direct-solve study factors its finest level in a worker thread
 # while the coarser levels run (run_study) only if that level has at least
 # this many P_k nodes, (k N)^2. Wall time of main and peak VmHWM on 2 vCPUs,
@@ -92,6 +93,11 @@ class RunConfig:
             raise ValueError("solver must be cholesky or cg")
         if self.n_level1 < 2:
             raise ValueError("n_level1 must be >= 2")
+        # A level's peak grows about fourfold per doubling of N: one pair peaks at 195 MB
+        # (k = 1) and 876 MB (k = 2) at N = 256; at N = 512 k = 1 takes 570 MB and k = 2
+        # runs SuperLU out of a 3 GB address space; N = 100,000 asks numpy for 74.5 GiB.
+        if self.cells_for_level(self.levels[-1]) > MAX_CELLS:
+            raise ValueError(f"the finest level must have at most {MAX_CELLS} cells per side")
 
     def cells_for_level(self, level: int) -> int:
         return self.n_level1 * 2 ** (level - self.levels[0])
@@ -108,19 +114,34 @@ class RunConfig:
         return "segment" if self.k == 1 else "arc"
 
 
-def _solve_pair(plan: LevelPlan, ms: ManufacturedSolution, solver: str, assembled, factor=None):
-    """Solve one coefficient pair, assembled on a level plan as (system, spaces), and measure it.
+def _solve_pair(config: RunConfig, level: int, mesh, plan: LevelPlan, ms: ManufacturedSolution, assembled, factor=None):
+    """Solve a pair, assembled on a level plan as (system, spaces), and take its interface sums and dumps.
 
-    ``factor`` is the overlapped finest level's future of ``superlu``. It
-    must come as its only reference, so that L and U are freed before the
-    error pass. Returns (errors, stats, system, spaces).
+    ``factor``, the overlapped finest level's future of ``superlu``, must
+    come as its only reference, so that L and U are freed before the sums.
+    Returns (x_all, ms, interface sums) for ``compute_errors``, the solver
+    stats and the log line's solve and health fields, none holding the system.
     """
     system, spaces = assembled
-    band, coarse = (plan.dofmap.band, coarse_basis(plan, spaces)) if solver == "cg" else (None, None)
-    x, stats = solve(system.matrix, system.rhs, solver, band, coarse, factor=factor)
+    band, coarse = (plan.dofmap.band, coarse_basis(plan, spaces)) if config.solver == "cg" else (None, None)
+    x, stats = solve(system.matrix, system.rhs, config.solver, band, coarse, factor=factor)
     del factor
-    errors = compute_errors(plan, spaces, system.full_coefficients(x), ms)
-    return errors, stats, system, spaces
+    x_all = system.full_coefficients(x)
+    entry = (x_all, ms, interface_errors(plan.dofmap, spaces, x_all, ms))
+    fields = (
+        f"residual={stats.residual:.2e} free={system.matrix.shape[0]} nnz={system.matrix.nnz} "
+        f"gram_cond={spaces.gram_cond.max(initial=0.0):.2e} "
+        f"constraint={spaces.constraint_residual.max(initial=0.0):.2e} asym={system.asymmetry:.2e} "
+        f"iters={stats.iterations} refine={stats.refinements} fallback={stats.fallback}"
+    )
+    tag = f"k{config.k}_A{ms.a1:g}_{ms.a2:g}_level{level}"
+    if config.out_dir and config.dump_mesh:
+        dump_mesh(mesh, Path(config.out_dir) / f"mesh_{tag}.txt")
+    if config.out_dir and config.dump_matrix:
+        # An overlapped finest level holds K in CSC form; the dump lists it by rows.
+        system = dataclasses.replace(system, matrix=system.matrix.tocsr())
+        dump_matrix(system, Path(config.out_dir) / f"matrix_{tag}.txt")
+    return entry, stats, fields
 
 
 def _build_level(config: RunConfig, level: int):
@@ -141,61 +162,59 @@ def _build_level(config: RunConfig, level: int):
     return mesh, plan, line
 
 
-def _pair_failed(config: RunConfig, pair, level: int, exc: Exception, failed: set, log) -> int:
+def _pair_failed(config: RunConfig, pair, level: int, exc, failed: set, log) -> int:
     """Log a pair's typed failure on a level and skip the pair from then on; returns exit code 1."""
     log(f"FAILED k={config.k} (A1,A2)=({pair[0]:g},{pair[1]:g}) level={level}: {exc}")
     failed.add(pair)
     return 1
 
 
-def _record_pair(config: RunConfig, level: int, mesh, pair, result, elapsed: float, reports: dict, log) -> None:
-    """Add a solved pair's level to its report, log its line and write its dumps."""
-    errors, stats, system, spaces = result
-    a1, a2 = pair
+def _record_pair(config: RunConfig, level: int, mesh, pair, errors, stats, fields: str, elapsed: float, reports, log):
+    """Add a solved pair's level to its report and log its line."""
     reports[pair].add_level(level, mesh.h, errors, elapsed, stats)
-    cond = spaces.gram_cond.max(initial=0.0)
-    constraint = spaces.constraint_residual.max(initial=0.0)
     log(
-        f"k={config.k} (A1,A2)=({a1:g},{a2:g}) level={level} N={mesh.n_cells}: "
-        f"energy={errors['energy']:.4e} l2={errors['l2']:.4e} "
-        f"linf={errors['linf']:.4e} residual={stats.residual:.2e} "
-        f"free={system.matrix.shape[0]} nnz={system.matrix.nnz} gram_cond={cond:.2e} "
-        f"constraint={constraint:.2e} asym={system.asymmetry:.2e} "
-        f"iters={stats.iterations} refine={stats.refinements} fallback={stats.fallback} [{elapsed:.2f}s]"
+        f"k={config.k} (A1,A2)=({pair[0]:g},{pair[1]:g}) level={level} N={mesh.n_cells}: "
+        f"energy={errors['energy']:.4e} l2={errors['l2']:.4e} linf={errors['linf']:.4e} {fields} [{elapsed:.2f}s]"
     )
-    tag = f"k{config.k}_A{a1:g}_{a2:g}_level{level}"
-    if config.out_dir and config.dump_mesh:
-        dump_mesh(mesh, Path(config.out_dir) / f"mesh_{tag}.txt")
-    if config.out_dir and config.dump_matrix:
-        # An overlapped finest level holds K in CSC form; the dump lists it by rows.
-        system = dataclasses.replace(system, matrix=system.matrix.tocsr())
-        dump_matrix(system, Path(config.out_dir) / f"matrix_{tag}.txt")
 
 
 def _study_level(config: RunConfig, level: int, reports: dict, failed: set, log) -> int:
     """Every pair not yet failed on one level; returns 1 if one fails now, else 0.
 
     The mesh, the cut geometry and the level plan (example 1's source is
-    one function for every pair) are shared by the pairs and, with every
-    pair's spaces and system, freed on return, before the next level is
-    built. A failure to build the level raises GeometryError.
+    one function for every pair) are shared by the pairs. Each pair's
+    system and spaces are freed once it is solved; then one ``compute_errors``
+    pass serves every solved pair (each pair's time takes a share of it), and
+    the lines are logged in pair order. A level failing to build raises GeometryError.
     """
     mesh, plan, line = _build_level(config, level)
     log(line)
-    code = 0
     mode = config.resolved_mode()
+    solved, outcomes = [], []  # outcomes: (pair, failure message or (stats, fields, own time))
     for pair in config.pairs:
         if pair in failed:
             continue
         ms = example1(*pair)
         t0 = time.perf_counter()
         try:
-            result = _solve_pair(plan, ms, config.solver, assemble_system(plan, ms.a1, ms.a2, ms.g, mode))
+            entry, stats, fields = _solve_pair(
+                config, level, mesh, plan, ms, assemble_system(plan, ms.a1, ms.a2, ms.g, mode)
+            )
         except (GeometryError, IfeError, SolverError) as exc:
-            code = _pair_failed(config, pair, level, exc, failed, log)
+            outcomes.append((pair, str(exc)))  # not exc, whose traceback holds the system
             continue
-        _record_pair(config, level, mesh, pair, result, time.perf_counter() - t0, reports, log)
-        del result  # so that the next pair's loads and errors peak without its system and spaces
+        solved.append(entry)
+        outcomes.append((pair, (stats, fields, time.perf_counter() - t0)))
+    t0 = time.perf_counter()
+    errors = iter(compute_errors(plan, solved))
+    share = (time.perf_counter() - t0) / max(len(solved), 1)
+    code = 0
+    for pair, outcome in outcomes:
+        if isinstance(outcome, str):
+            code = _pair_failed(config, pair, level, outcome, failed, log)
+        else:
+            stats, fields, elapsed = outcome
+            _record_pair(config, level, mesh, pair, next(errors), stats, fields, elapsed + share, reports, log)
     return code
 
 
@@ -264,15 +283,17 @@ def _study_overlapped(config: RunConfig, reports: dict, failed: set, log) -> int
         log(line)
         t0 = time.perf_counter()
         try:
-            result = _solve_pair(plan, ms, config.solver, assembled, factor.pop())
+            entry, stats, fields = _solve_pair(config, level, mesh, plan, ms, assembled, factor.pop())
         except (GeometryError, IfeError, SolverError) as exc:
             return _pair_failed(config, pair, level, exc, failed, log)
+        del assembled, system
+        (errors,) = compute_errors(plan, [entry])
         t1 = time.perf_counter()
     # The pair's own time: its assembly, its factorization, and the rest of
     # its solve and error pass once the factorization was done.
     factor_s = end.result() - start.result()
     elapsed = assembly_s + factor_s + t1 - max(t0, end.result())
-    _record_pair(config, level, mesh, pair, result, elapsed, reports, log)
+    _record_pair(config, level, mesh, pair, errors, stats, fields, elapsed, reports, log)
     return 0
 
 

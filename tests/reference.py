@@ -21,7 +21,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from iwgfem.analysis import compute_errors
+from iwgfem.analysis import compute_errors, interface_errors
 from iwgfem.assembly import (
     _cg_shape_grads,
     _cg_shape_values,
@@ -476,6 +476,25 @@ def _interface_candidates(vertices, triangles, interface):
     return ~np.all(dist > edge_len[:, None] + GEOM_TOL, axis=1)
 
 
+def example1_sides(a1: float, a2: float):
+    """Example 1's (u_side, grad_side) written out per side in one expression each, without the profiles."""
+    half = 0.5 * (1.0 / a1 - 1.0 / a2)
+
+    def u_side(x, y, side):
+        r2 = np.asarray(x) ** 2 + np.asarray(y) ** 2
+        if side == OMEGA1:
+            return np.cos(np.pi * r2) / a1
+        return np.cos(np.pi * r2) / a2 + half
+
+    def grad_side(x, y, side):
+        a = a1 if side == OMEGA1 else a2
+        r2 = x**2 + y**2
+        fac = -2.0 * np.pi * np.sin(np.pi * r2) / a
+        return np.stack([fac * x, fac * y], axis=-1)
+
+    return u_side, grad_side
+
+
 def noninterface_errors(mesh, dofmap, x_all, ms, k, degree):
     """Energy and L2 squares and the max error on the non-interface elements.
 
@@ -581,7 +600,8 @@ def run_level(ms, k: int, level: int, mode: str, method: str = "cholesky", n_ove
     band, coarse = (plan.dofmap.band, coarse_basis(plan, spaces)) if method == "cg" else (None, None)
     x, stats = solve(system.matrix, system.rhs, method, band, coarse)
     x_all = system.full_coefficients(x)
-    return compute_errors(plan, spaces, x_all, ms), stats, mesh, system, spaces, x_all
+    (errors,) = compute_errors(plan, [(x_all, ms, interface_errors(plan.dofmap, spaces, x_all, ms))])
+    return errors, stats, mesh, system, spaces, x_all
 
 
 def cg_element_stiffness(tri, k: int, a: float = 1.0, degree: int | None = None) -> np.ndarray:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from iwgfem.analysis import (
     ERROR_BLOCK,
+    AnalysisError,
     NonPositiveError,
     _noninterface_errors,
     check_interface_conditions,
@@ -20,7 +21,7 @@ from iwgfem.analysis import (
 from iwgfem.assembly import build_ife_spaces, build_level_plan
 from iwgfem.geometry import OMEGA1, OMEGA2, CircleInterface, GeometryError
 from iwgfem.mesh import build_mesh
-from reference import block, noninterface_errors, run_level, triangle_coords, triangle_rule, wg0_columns
+from reference import block, example1_sides, noninterface_errors, run_level, triangle_coords, triangle_rule, wg0_columns
 from test_geometry import OFF_CENTRE, off_centre_circle
 
 
@@ -74,6 +75,19 @@ class TestManufacturedSolution:
             assert abs(g[0] - gx) < 1e-8
             assert abs(g[1] - gy) < 1e-8
 
+    @pytest.mark.parametrize("pair", [(1.0, 1.0), (1.0, 1000.0), (1000.0, 1.0)])
+    def test_profile_steps_equal_the_closed_forms_per_side(self, pair):
+        # The error pass steps the shared profiles to each pair's u and grad u;
+        # every CSV stays byte-identical only if that is the same arithmetic.
+        ms = example1(*pair)
+        u_side, grad_side = example1_sides(*pair)
+        x, y = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 64, 7))
+        for side in (OMEGA1, OMEGA2):
+            for got in (ms.u_step(ms.u_profile(x, y), side), ms.u_side(x, y, side)):
+                np.testing.assert_array_equal(got, u_side(x, y, side))
+            for got in (ms.grad_step(ms.grad_profile(x, y), x, y, side), ms.grad_side(x, y, side)):
+                np.testing.assert_array_equal(got, grad_side(x, y, side))
+
     def test_boundary_data_is_outside_branch(self):
         ms = example1(1.0, 10.0)
         assert ms.g(1.0, 1.0) == pytest.approx(ms.u_side(1.0, 1.0, OMEGA2))
@@ -116,7 +130,7 @@ class TestConvergenceOrders:
 class TestErrorNorms:
     def test_exact_projection_gives_zero_errors(self):
         # Synthetic solution vector assembled from the exact projections.
-        from iwgfem.analysis import compute_errors
+        from iwgfem.analysis import compute_errors, interface_errors
         from iwgfem.ife import project_qb
 
         ms = example1(1.0, 10.0)
@@ -134,12 +148,10 @@ class TestErrorNorms:
             x[dm.trace_col[e] : dm.trace_col[e] + dm.k] = project_qb(
                 ms.u, mesh.vertices[a], mesh.vertices[b], dm.k, mesh.interface
             )
-        errors = compute_errors(plan, spaces, x, ms)
+        e_b, l_b, m_b = interface_errors(dm, spaces, x, ms)
+        (errors,) = compute_errors(plan, [(x, ms, (e_b, l_b, m_b))])
         # The interface parts vanish identically (they compare projections);
         # the CG parts measure interpolation error, so only check the band.
-        from iwgfem.analysis import _interface_errors
-
-        e_b, l_b, _ = _interface_errors(dm, spaces, x, ms)
         assert math.sqrt(l_b) < 1e-13
         # Weak-gradient part of the band error is the projection mismatch of
         # Q_h u itself, nonzero but small; only the nodal CG part remains in
@@ -158,10 +170,23 @@ class TestErrorNorms:
         if level == 5:
             assert max(len(sel) for sel, _, _ in plan.sides.values()) > ERROR_BLOCK
         x = np.random.default_rng(k).standard_normal(plan.dofmap.n_total)
-        got = _noninterface_errors(plan, x, ms)
+        (got,) = _noninterface_errors(plan, [(x, ms)])
         want = noninterface_errors(mesh, plan.dofmap, x, ms, k, 2 * k + 4)
         for g, w in zip(got, want):
             assert w > 0.0 and abs(g - w) <= 1e-14 * w
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_a_level_pass_returns_each_pair_what_a_batch_of_one_returns(self, k):
+        # Level 5 (N = 64) takes more than one block per side, so a pair's
+        # sums are made of several blocks between which the other pairs run.
+        ms = example1(1.0, 1.0)
+        plan = build_level_plan(build_mesh(5, ms.interface), k, ms.f)
+        assert max(len(sel) for sel, _, _ in plan.sides.values()) > ERROR_BLOCK
+        rng = np.random.default_rng(k)
+        solved = [(rng.standard_normal(plan.dofmap.n_total), example1(1.0, a2)) for a2 in (1.0, 10.0, 100.0, 1000.0)]
+        assert _noninterface_errors(plan, solved) == [_noninterface_errors(plan, [s])[0] for s in solved]
+        with pytest.raises(AnalysisError, match="share"):
+            _noninterface_errors(plan, solved[:1] + [(solved[1][0], linear_solution(1.0, 2.0, -3.0))])
 
     def test_patch_solution_has_zero_errors(self):
         ms = linear_solution(1.0, 2.0, -3.0)
@@ -182,18 +207,22 @@ class TestErrorNorms:
             return
         assert max(errors.values()) <= 1e-9, errors
 
+    @pytest.mark.parametrize("pairs", [1, 4])
     @pytest.mark.parametrize("k, bound_mb", [(1, 11), (2, 17)])
-    def test_noninterface_error_pass_memory_does_not_grow_with_the_mesh(self, k, bound_mb):
+    def test_noninterface_error_pass_memory_does_not_grow_with_the_mesh(self, k, bound_mb, pairs):
         # The pass streams ERROR_BLOCK elements at a time, so at N = 128
-        # (32,266 elements) its traced peak stays a few MB: 7.1 MB at k = 1
-        # and 11.2 MB at k = 2 when measured.
+        # (32,266 elements) its traced peak stays a few MB: 7.0 MB at k = 1
+        # and 10.7 MB at k = 2 when measured for one pair, 8.1 and 11.8 MB for
+        # four. Each pair gathers its coefficients per block: whole-mesh
+        # coefficient copies per pair would grow with the mesh and the pairs.
         ms = example1(1.0, 1000.0)
         mesh = build_mesh(6, ms.interface)
         plan = build_level_plan(mesh, k, ms.f)
-        x = np.random.default_rng(k).standard_normal(plan.dofmap.n_total)
+        rng = np.random.default_rng(k)
+        solved = [(rng.standard_normal(plan.dofmap.n_total), example1(1.0, a2)) for a2 in (1000.0, 1.0, 10.0, 100.0)]
         tracemalloc.start()
         try:
-            _noninterface_errors(plan, x, ms)
+            _noninterface_errors(plan, solved[:pairs])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

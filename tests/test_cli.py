@@ -65,6 +65,11 @@ class TestParsing:
             with pytest.raises(ValueError, match="quad-offset must be in 0..16"):
                 RunConfig(quad_offset=offset)
         assert RunConfig(quad_offset=16).quad_offset == 16
+        # A finer finest level would run out of memory, not fail cleanly.
+        assert RunConfig(levels=(1, 2, 3, 4, 5, 6)).cells_for_level(6) == 256
+        for levels, n_level1 in [((1, 2, 3, 4, 5, 6, 7), 8), ((3,), 257)]:
+            with pytest.raises(ValueError, match="at most 256 cells per side"):
+                RunConfig(levels=levels, n_level1=n_level1)
 
     def test_mode_resolution(self):
         assert RunConfig(k=1).resolved_mode() == "segment"
@@ -245,6 +250,42 @@ class TestLevelPlanSharing:
         for i, pair in enumerate(pairs):
             alone.update(csvs(f"alone{i}", (pair,)))
         assert alone == both and len(both) == 2
+
+
+def test_a_pair_failing_between_two_keeps_its_place_in_the_log(monkeypatch):
+    # The lines of a level are logged after its one error pass over the
+    # solved pairs, still in pair order, with the FAILED line in its place.
+    solves, passes = [], []
+    solve, compute_errors = iwgfem.cli.solve, iwgfem.cli.compute_errors
+
+    def failing(*args, **kwargs):
+        solves.append(1)
+        if len(solves) == 2:
+            raise NotPositiveDefinite("non-positive pivot in symmetric factorization")
+        return solve(*args, **kwargs)
+
+    def counted(plan, solved):
+        passes.append([(ms.a1, ms.a2) for _, ms, _ in solved])
+        return compute_errors(plan, solved)
+
+    monkeypatch.setattr(iwgfem.cli, "solve", failing)
+    monkeypatch.setattr(iwgfem.cli, "compute_errors", counted)
+    config = RunConfig(k=1, levels=(1, 2), pairs=((1.0, 1.0), (1.0, 10.0), (1.0, 1000.0)), n_level1=4)
+    lines = []
+    reports, code = run_study(config, log=lines.append)
+    assert code == 1
+    assert passes == [[(1.0, 1.0), (1.0, 1000.0)]] * 2
+    heads = [" ".join(l.split()[:3]) for l in lines[: lines.index("")]]
+    assert heads == [
+        "level=1 N=4 cut=18",
+        "k=1 (A1,A2)=(1,1) level=1",
+        "FAILED k=1 (A1,A2)=(1,10)",
+        "k=1 (A1,A2)=(1,1000) level=1",
+        "level=2 N=8 cut=34",
+        "k=1 (A1,A2)=(1,1) level=2",
+        "k=1 (A1,A2)=(1,1000) level=2",
+    ]
+    assert [(r.a2, r.levels) for r in reports] == [(1.0, [1, 2]), (1000.0, [1, 2])]
 
 
 def _strip_times(lines: list[str]) -> list[str]:
@@ -521,6 +562,8 @@ class TestMain:
             (["--coeffs", "1,10;1,10"], "coefficient pairs must be distinct"),
             (["--levels", "1", "--depth", "64"], "depth must be in 0..12"),
             (["--levels", "1", "--quad-offset", "128"], "quad-offset must be in 0..16"),
+            (["--levels", "1", "--n-level1", "100000"], "the finest level must have at most 256 cells per side"),
+            (["--levels", "1..14"], "the finest level must have at most 256 cells per side"),
             (["--levels", "1", "--out", "{file}"], "File exists"),
         ],
     )

@@ -17,9 +17,8 @@ from hypothesis import strategies as st
 
 from iwgfem.analysis import (
     AnalysisError,
-    _interface_errors,
-    compute_errors,
     example1,
+    interface_errors,
     interpolation_errors,
 )
 from iwgfem.assembly import assemble_interface, assemble_system, build_cut_geometries, build_level_plan
@@ -197,7 +196,7 @@ class TestBatchedAgainstPerElementReference:
         # ~500-fold. The max error compares values at the same points, one
         # subtraction deep, so it agrees to ~1e-15 relative.
         _, ms, dofmap, spaces, x_all = solved
-        got = _interface_errors(dofmap, spaces, x_all, ms)
+        got = interface_errors(dofmap, spaces, x_all, ms)
         want = element_interface_errors(dofmap, spaces, x_all, ms)
         assert got[0] == pytest.approx(want[0], rel=1e-9)
         assert got[1] == pytest.approx(want[1], rel=1e-9)
@@ -249,9 +248,9 @@ class TestPackedRule:
         cuts = take(plan.mesh.cuts, slice(None, None, -1))
         reversed_spaces = build_local_spaces(build_cut_geometry(cuts, 1), ms.a1, ms.a2)
         x_all = system.full_coefficients(np.zeros(system.matrix.shape[0]))
-        compute_errors(plan, spaces, x_all, ms)
+        interface_errors(plan.dofmap, spaces, x_all, ms)
         with pytest.raises(AnalysisError, match="element order"):
-            compute_errors(plan, reversed_spaces, x_all, ms)
+            interface_errors(plan.dofmap, reversed_spaces, x_all, ms)
 
 
 def assert_rules_equal_per_element_rules(geometry_, degree):
@@ -506,12 +505,14 @@ class TestMomentFit:
 
         seen = {OMEGA1: set(), OMEGA2: set()}
 
-        def u_side(xs, ys, side):
-            seen[side].update(zip(np.ravel(xs).tolist(), np.ravel(ys).tolist()))
-            return ms.u_side(xs, ys, side)
+        class Seen(type(ms)):
+            def u_side(self, xs, ys, side):
+                seen[side].update(zip(np.ravel(xs).tolist(), np.ravel(ys).tolist()))
+                return super().u_side(xs, ys, side)
 
         x_all = system.full_coefficients(np.zeros(system.matrix.shape[0]))
-        _interface_errors(system.dofmap, spaces, x_all, dataclasses.replace(ms, u_side=u_side))
+        seen_ms = Seen(**{f.name: getattr(ms, f.name) for f in dataclasses.fields(ms)})
+        interface_errors(system.dofmap, spaces, x_all, seen_ms)
         assert (x, y) in seen[OMEGA2] and (x, y) not in seen[OMEGA1]
 
 
@@ -525,14 +526,14 @@ def _counted(ms, calls: collections.Counter):
 
         return counted
 
-    return dataclasses.replace(ms, **{n: wrap(n, getattr(ms, n)) for n in ("f", "u_side", "grad_side")})
+    return dataclasses.replace(ms, **{n: wrap(n, getattr(ms, n)) for n in ("f", "u_profile", "grad_profile")})
 
 
 @pytest.mark.parametrize("k, mode", CASES)
 def test_source_and_solution_calls_do_not_grow_with_the_cut_elements(k, mode):
     # Level 3 has about four times the cut elements of level 1; a pair's
     # loads, boundary values and errors must still make the same number of
-    # calls (u, g and the error sums go through u_side).
+    # calls (u, g and the error sums go through the profiles).
     calls = {}
     for level in (1, 3):
         calls[level] = collections.Counter()
