@@ -117,8 +117,8 @@ class RunConfig:
 def _solve_pair(config: RunConfig, level: int, mesh, plan: LevelPlan, ms: ManufacturedSolution, assembled, factor=None):
     """Solve a pair, assembled on a level plan as (system, spaces), and take its interface sums and dumps.
 
-    ``factor``, the overlapped finest level's future of ``superlu``, must
-    come as its only reference, so that L and U are freed before the sums.
+    ``factor``, a prepared pair's future of ``superlu``, must come as its
+    only reference, so that L and U are freed before the sums.
     Returns (x_all, ms, interface sums) for ``compute_errors``, the solver
     stats and the log line's solve and health fields, none holding the system.
     """
@@ -162,32 +162,19 @@ def _build_level(config: RunConfig, level: int):
     return mesh, plan, line
 
 
-def _pair_failed(config: RunConfig, pair, level: int, exc, failed: set, log) -> int:
-    """Log a pair's typed failure on a level and skip the pair from then on; returns exit code 1."""
-    log(f"FAILED k={config.k} (A1,A2)=({pair[0]:g},{pair[1]:g}) level={level}: {exc}")
-    failed.add(pair)
-    return 1
-
-
-def _record_pair(config: RunConfig, level: int, mesh, pair, errors, stats, fields: str, elapsed: float, reports, log):
-    """Add a solved pair's level to its report and log its line."""
-    reports[pair].add_level(level, mesh.h, errors, elapsed, stats)
-    log(
-        f"k={config.k} (A1,A2)=({pair[0]:g},{pair[1]:g}) level={level} N={mesh.n_cells}: "
-        f"energy={errors['energy']:.4e} l2={errors['l2']:.4e} linf={errors['linf']:.4e} {fields} [{elapsed:.2f}s]"
-    )
-
-
-def _study_level(config: RunConfig, level: int, reports: dict, failed: set, log) -> int:
+def _study_level(config: RunConfig, level: int, reports: dict, failed: set, log, ahead=None) -> int:
     """Every pair not yet failed on one level; returns 1 if one fails now, else 0.
 
     The mesh, the cut geometry and the level plan (example 1's source is
-    one function for every pair) are shared by the pairs. Each pair's
-    system and spaces are freed once it is solved; then one ``compute_errors``
-    pass serves every solved pair (each pair's time takes a share of it), and
-    the lines are logged in pair order. A level failing to build raises GeometryError.
+    one function for every pair) are shared by the pairs. ``ahead`` is the
+    level as ``_start_finest`` prepared it: a pair assembled there joins the
+    factor started in the worker, and any other pair is assembled here. Each
+    pair's system and spaces are freed once it is solved; then one
+    ``compute_errors`` pass serves every solved pair (each pair's time takes
+    a share of it), and the lines are logged in pair order. A level failing
+    to build raises GeometryError.
     """
-    mesh, plan, line = _build_level(config, level)
+    mesh, plan, line, prepared = ahead or (*_build_level(config, level), {})
     log(line)
     mode = config.resolved_mode()
     solved, outcomes = [], []  # outcomes: (pair, failure message or (stats, fields, own time))
@@ -197,38 +184,36 @@ def _study_level(config: RunConfig, level: int, reports: dict, failed: set, log)
         ms = example1(*pair)
         t0 = time.perf_counter()
         try:
-            entry, stats, fields = _solve_pair(
-                config, level, mesh, plan, ms, assemble_system(plan, ms.a1, ms.a2, ms.g, mode)
-            )
+            # [assembled, factor] (and a prepared pair's clock), popped so that the solve holds their one references.
+            job = prepared.pop(pair, None) or [assemble_system(plan, ms.a1, ms.a2, ms.g, mode), None]
+            entry, stats, fields = _solve_pair(config, level, mesh, plan, ms, job.pop(0), job.pop(0))
         except (GeometryError, IfeError, SolverError) as exc:
             outcomes.append((pair, str(exc)))  # not exc, whose traceback holds the system
             continue
+        elapsed = time.perf_counter() - t0
+        if job:  # a prepared pair's time before t0: its assembly, and its factorization up to t0
+            assembly_s, start, end = job.pop()
+            elapsed += assembly_s + min(end.result(), t0) - start.result()
         solved.append(entry)
-        outcomes.append((pair, (stats, fields, time.perf_counter() - t0)))
+        outcomes.append((pair, (stats, fields, elapsed)))
     t0 = time.perf_counter()
     errors = iter(compute_errors(plan, solved))
     share = (time.perf_counter() - t0) / max(len(solved), 1)
     code = 0
     for pair, outcome in outcomes:
+        name = f"k={config.k} (A1,A2)=({pair[0]:g},{pair[1]:g}) level={level}"
         if isinstance(outcome, str):
-            code = _pair_failed(config, pair, level, outcome, failed, log)
-        else:
-            stats, fields, elapsed = outcome
-            _record_pair(config, level, mesh, pair, next(errors), stats, fields, elapsed + share, reports, log)
-    return code
-
-
-def _study_levels(config: RunConfig, levels, reports: dict, failed: set, log) -> int:
-    """The levels in turn through ``_study_level``; stops once one fails to build or every pair has failed."""
-    code = 0
-    for level in levels:
-        if len(failed) == len(config.pairs):
-            break
-        try:
-            code |= _study_level(config, level, reports, failed, log)
-        except GeometryError as exc:
-            log(f"FAILED building level {level}: {exc}")
-            return 1
+            log(f"FAILED {name}: {outcome}")
+            failed.add(pair)
+            code = 1
+            continue
+        stats, fields, elapsed = outcome
+        err, elapsed = next(errors), elapsed + share
+        reports[pair].add_level(level, mesh.h, err, elapsed, stats)
+        log(
+            f"{name} N={mesh.n_cells}: energy={err['energy']:.4e} l2={err['l2']:.4e} linf={err['linf']:.4e} "
+            f"{fields} [{elapsed:.2f}s]"
+        )
     return code
 
 
@@ -245,65 +230,44 @@ def _overlaps_finest(config: RunConfig) -> bool:
     return one_direct_pair and len(config.levels) > 1 and nodes >= OVERLAP_MIN_NODES
 
 
-def _study_overlapped(config: RunConfig, reports: dict, failed: set, log) -> int | None:
-    """A one-pair study whose finest level is factored while the coarser levels run.
+def _start_finest(config: RunConfig, worker):
+    """The finest level of a one-pair study, built with its pair's factor started in ``worker``.
 
-    The finest level is built and assembled first, and its K is kept in CSC
-    form only; ``superlu`` factors it in a worker thread while the coarser
-    levels run through ``_study_levels``. Then ``solve`` joins the factor
-    and checks its pivots on this thread, and the finest level's lines are
-    logged after the coarser levels', as ``_study_levels`` would log them.
-    If the pair fails on a coarser level, or one fails to build, the finest
-    level is dropped unlogged. Returns None, having logged nothing, if the
-    finest level cannot be prepared.
+    The pair's K is kept in CSC form only, and ``superlu`` factors it while
+    the coarser levels run; ``_study_level`` (given this as ``ahead``) joins
+    the factor, and ``solve`` checks its pivots on this thread. Returns None
+    if the finest level cannot be prepared.
     """
-    level = config.levels[-1]
     (pair,) = config.pairs
-    ms = example1(*pair)
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        try:
-            mesh, plan, line = _build_level(config, level)
-            t0 = time.perf_counter()
-            assembled = assemble_system(plan, ms.a1, ms.a2, ms.g, config.resolved_mode())
-            system = assembled[0]
-            system.matrix = system.matrix.tocsc()
-            assembly_s = time.perf_counter() - t0
-            # The one worker runs its calls in order, so these clock reads
-            # time the factorization without running Python in the worker.
-            start = worker.submit(time.perf_counter)
-            factor = [worker.submit(superlu, system.matrix)]  # popped into the solve: its one reference
-            end = worker.submit(time.perf_counter)
-        except Exception:
-            # A typed error, or memory that the early finest level ran out
-            # of: the plain schedule meets it again in its place, or not at all.
-            return None
-        code = _study_levels(config, config.levels[:-1], reports, failed, log)
-        if code:
-            return code
-        log(line)
+    try:
+        ms = example1(*pair)
+        mesh, plan, line = _build_level(config, config.levels[-1])
         t0 = time.perf_counter()
-        try:
-            entry, stats, fields = _solve_pair(config, level, mesh, plan, ms, assembled, factor.pop())
-        except (GeometryError, IfeError, SolverError) as exc:
-            return _pair_failed(config, pair, level, exc, failed, log)
-        del assembled, system
-        (errors,) = compute_errors(plan, [entry])
-        t1 = time.perf_counter()
-    # The pair's own time: its assembly, its factorization, and the rest of
-    # its solve and error pass once the factorization was done.
-    factor_s = end.result() - start.result()
-    elapsed = assembly_s + factor_s + t1 - max(t0, end.result())
-    _record_pair(config, level, mesh, pair, errors, stats, fields, elapsed, reports, log)
-    return 0
+        assembled = assemble_system(plan, ms.a1, ms.a2, ms.g, config.resolved_mode())
+        assembled[0].matrix = assembled[0].matrix.tocsc()
+        assembly_s = time.perf_counter() - t0
+        # The one worker runs its calls in order, so these clock reads
+        # time the factorization without running Python in the worker.
+        start = worker.submit(time.perf_counter)
+        factor = worker.submit(superlu, assembled[0].matrix)
+        clock = (assembly_s, start, worker.submit(time.perf_counter))
+    except Exception:
+        # A typed error, or memory that the early finest level ran out
+        # of: the plain schedule meets it again in its place, or not at all.
+        return None
+    return mesh, plan, line, {pair: [assembled, factor, clock]}
 
 
 def run_study(config: RunConfig, log=print) -> tuple[list[ConvergenceReport], int]:
     """Run the full (pair, level) matrix; returns reports and an exit code.
 
     Levels form the outer loop so the mesh, the cut geometry and the level
-    plan are built once per level and shared by all coefficient pairs. Some
-    one-pair studies factor the finest level while the coarser levels run
-    (``_study_overlapped``), with the same output.
+    plan are built once per level and shared by all coefficient pairs. The
+    levels run in turn through ``_study_level`` until one fails to build or
+    every pair has failed. Some one-pair studies factor the finest level
+    while the coarser levels run (``_start_finest``), with the same output:
+    its lines follow the coarser levels', and if the pair fails on a coarser
+    level, or one fails to build, the finest level is dropped unlogged.
     """
     out_dir = Path(config.out_dir) if config.out_dir else None
     if out_dir is not None:
@@ -313,10 +277,18 @@ def run_study(config: RunConfig, log=print) -> tuple[list[ConvergenceReport], in
         (a1, a2): ConvergenceReport(k=config.k, a1=a1, a2=a2, mode=mode, depth=config.depth)
         for a1, a2 in config.pairs
     }
-    failed = set()
-    exit_code = _study_overlapped(config, reports, failed, log) if _overlaps_finest(config) else None
-    if exit_code is None:
-        exit_code = _study_levels(config, config.levels, reports, failed, log)
+    failed, exit_code = set(), 0
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = {config.levels[-1]: _start_finest(config, worker)} if _overlaps_finest(config) else {}
+        for level in config.levels:
+            if len(failed) == len(config.pairs):
+                break
+            try:
+                exit_code |= _study_level(config, level, reports, failed, log, ahead.pop(level, None))
+            except GeometryError as exc:
+                log(f"FAILED building level {level}: {exc}")
+                exit_code = 1
+                break
 
     out = []
     for (a1, a2), report in reports.items():
@@ -337,14 +309,18 @@ def _parse_levels(text: str) -> tuple[int, ...]:
     try:
         if ".." in text:
             lo, hi = (int(p) for p in text.split(".."))
-            levels = tuple(range(lo, hi + 1))
+            levels = range(lo, hi + 1)
         else:
             levels = tuple(int(p) for p in text.split(","))
     except ValueError as exc:
         raise ValueError(f"levels must be A..B or a comma list of integers, got {text!r}") from exc
     if not levels:
         raise ValueError(f"level range {text!r} is empty or decreasing")
-    return levels
+    # N doubles per level from at least 2, so a longer range is refused before it is built
+    # (its length from its ends: len() of a range overflows beyond 2**63).
+    if isinstance(levels, range) and levels.stop - levels.start > math.log2(MAX_CELLS / 2) + 1:
+        raise ValueError(f"level range {text!r}: the finest level must have at most {MAX_CELLS} cells per side")
+    return tuple(levels)
 
 
 def _parse_pairs(text: str) -> tuple[tuple[float, float], ...]:

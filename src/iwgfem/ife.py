@@ -812,10 +812,11 @@ def build_local_spaces(geometry: CutGeometry, a1: float, a2: float, mode: str = 
     eig = np.linalg.eigvalsh(gram_null)
     gram_cond = eig[:, -1] / np.maximum(eig[:, 0], 1e-300)
     ill = gram_cond > COND_MAX
-    for i in np.flatnonzero(ill):
+    if ill.any():  # one warning per call; spaces.ill_conditioned flags each element
+        worst = int(np.argmax(gram_cond))
         warnings.warn(
-            f"piecewise Gram condition {gram_cond[i]:.2e} exceeds {COND_MAX:.1e} "
-            f"on element {elements[i]}",
+            f"piecewise Gram condition exceeds {COND_MAX:.1e} on {int(ill.sum())} of {len(elements)} "
+            f"elements, worst {gram_cond[worst]:.2e} on element {elements[worst]}",
             IllConditionedWarning,
         )
 

@@ -7,7 +7,9 @@ cut table and one side's polygon and packed rule, the contour moments of cut
 sides through a table of antiderivative values, the loop-built mesh, Gauss rules on segments and triangles,
 one polygon's fan triangulation and rule, plain sums over quadrature rules,
 one element's CG stiffness, the edge sets of the interface elements, the
-non-interface errors summed with ``einsum`` on freshly mapped points,
+non-interface errors summed with ``einsum`` on freshly mapped points, the
+linear patch solution, example 1's jumps sampled on the interface, the
+interpolation errors of the two local families,
 preconditioned CG with allocating updates, one element's local space (a batch of
 one) and one level solved the way the CLI solves a pair. A few accessors of one
 element's data, and the split of a cut table into one-row tables, close the file.
@@ -21,8 +23,9 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from iwgfem.analysis import compute_errors, interface_errors
+from iwgfem.analysis import ManufacturedSolution, _noninterface_errors, compute_errors, interface_errors
 from iwgfem.assembly import (
+    LevelPlan,
     _cg_shape_grads,
     _cg_shape_values,
     _element_jacobians,
@@ -59,7 +62,7 @@ from iwgfem.geometry import (
     polygon_area,
     segment_crossings,
 )
-from iwgfem.ife import CutGeometry, build_cut_geometry, build_local_spaces
+from iwgfem.ife import CutGeometry, IfeSpaces, build_cut_geometry, build_local_spaces
 from iwgfem.mesh import (
     EDGE_BOUNDARY,
     EDGE_COUPLING,
@@ -493,6 +496,60 @@ def example1_sides(a1: float, a2: float):
         return np.stack([fac * x, fac * y], axis=-1)
 
     return u_side, grad_side
+
+
+def linear_solution(c0: float, c1: float, c2: float, a: float = 1.0) -> ManufacturedSolution:
+    """Patch-test solution u = c0 + c1 x + c2 y with matching coefficients and f = 0; its steps keep the profiles."""
+
+    def u_profile(x, y):
+        return c0 + c1 * x + c2 * y
+
+    def grad_profile(x, y):
+        return np.stack([np.full(np.shape(x), c1, float), np.full(np.shape(x), c2, float)], axis=-1)
+
+    def f(x, y):
+        return np.zeros_like(np.asarray(x, float))
+
+    keep_u, keep_grad = (lambda u, side: u), (lambda grad, x, y, side: grad)
+    return ManufacturedSolution(a, a, u_profile, grad_profile, keep_u, keep_grad, f, CircleInterface(), "linear patch")
+
+
+def check_interface_conditions(ms: ManufacturedSolution, n_samples: int = 256) -> tuple[float, float]:
+    """Max jump of value and weighted normal flux sampled along the interface."""
+    theta = np.linspace(0.0, 2.0 * math.pi, n_samples, endpoint=False)
+    r = ms.interface.radius
+    cx, cy = ms.interface.center
+    x = cx + r * np.cos(theta)
+    y = cy + r * np.sin(theta)
+    n = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    val = np.max(np.abs(ms.u_side(x, y, OMEGA1) - ms.u_side(x, y, OMEGA2)))
+    flux1 = np.einsum("nd,nd->n", ms.grad_side(x, y, OMEGA1), n) * ms.a1
+    flux2 = np.einsum("nd,nd->n", ms.grad_side(x, y, OMEGA2), n) * ms.a2
+    return float(val), float(np.max(np.abs(flux1 - flux2)))
+
+
+
+def interpolation_errors(plan: LevelPlan, spaces: IfeSpaces, ms: ManufacturedSolution) -> dict:
+    """Projection-only diagnostic: CG interpolation H1 error and Q_0 L2 error.
+
+    Verifies the approximation power of the two local families independently
+    of the solver; expected orders are k and k+1.
+    """
+    dofmap = plan.dofmap
+    coords = dofmap.node_coords
+    x_nodal = np.asarray(ms.u(coords[:, 0], coords[:, 1]), float)
+    # Reuse the error machinery with nodal interpolation coefficients laid
+    # out over all columns.
+    x_cols = np.zeros(dofmap.n_total)
+    valid = dofmap.node_col >= 0
+    x_cols[dofmap.node_col[valid]] = x_nodal[valid]
+    ((e_grad_sq, _, _),) = _noninterface_errors(plan, [(x_cols, ms)])
+
+    ue = spaces.geometry.sample_sides(ms.u_side)
+    diff = spaces.interior_values(spaces.project_interior(ue))
+    diff -= ue
+    q0_sq = float(spaces.geometry.rule_weights @ diff**2)
+    return {"cg_h1": math.sqrt(e_grad_sq), "q0_l2": math.sqrt(q0_sq)}
 
 
 def noninterface_errors(mesh, dofmap, x_all, ms, k, degree):

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from iwgfem.analysis import example1, linear_solution
+from iwgfem.analysis import example1
 from iwgfem.assembly import assemble_system, build_ife_spaces, build_level_plan
 from iwgfem.cli import RunConfig, run_study
 from iwgfem.geometry import (
@@ -26,6 +26,7 @@ from iwgfem.solver import solve
 from reference import (
     construct_ife_basis,
     integrate,
+    linear_solution,
     measure,
     quadrature_on_subregion,
     run_level,

@@ -12,16 +12,24 @@ from iwgfem.analysis import (
     AnalysisError,
     NonPositiveError,
     _noninterface_errors,
-    check_interface_conditions,
     convergence_orders,
     example1,
-    interpolation_errors,
-    linear_solution,
 )
 from iwgfem.assembly import build_ife_spaces, build_level_plan
 from iwgfem.geometry import OMEGA1, OMEGA2, CircleInterface, GeometryError
 from iwgfem.mesh import build_mesh
-from reference import block, example1_sides, noninterface_errors, run_level, triangle_coords, triangle_rule, wg0_columns
+from reference import (
+    block,
+    check_interface_conditions,
+    example1_sides,
+    interpolation_errors,
+    linear_solution,
+    noninterface_errors,
+    run_level,
+    triangle_coords,
+    triangle_rule,
+    wg0_columns,
+)
 from test_geometry import OFF_CENTRE, off_centre_circle
 
 

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import warnings
 import weakref
 from pathlib import Path
@@ -442,6 +443,39 @@ class TestOverlappedFinestLevel:
         assert len(factors) == 1 and len(dead) == 3
         assert dead[-1]
 
+    def test_the_finest_time_counts_its_hidden_factorization(self, monkeypatch):
+        # The worker's factorization takes over 0.5 s and the coarser level
+        # longer, so the factor is done before the finest solve joins it. The
+        # pair's logged time must still count it.
+        factored, joined = [], []
+        build, superlu, solve = iwgfem.cli.build_mesh, iwgfem.cli.superlu, iwgfem.cli.solve
+
+        def slow_build(*args, **kwargs):
+            if kwargs["n_override"] == 4:  # the coarser level
+                time.sleep(0.6)
+            return build(*args, **kwargs)
+
+        def slow_superlu(*args, **kwargs):
+            time.sleep(0.5)
+            lu = superlu(*args, **kwargs)
+            factored.append(time.perf_counter())
+            return lu
+
+        def timed(*args, factor=None, **kwargs):
+            if factor is not None:
+                joined.append(time.perf_counter())
+            return solve(*args, factor=factor, **kwargs)
+
+        monkeypatch.setattr(iwgfem.cli, "build_mesh", slow_build)
+        monkeypatch.setattr(iwgfem.cli, "superlu", slow_superlu)
+        monkeypatch.setattr(iwgfem.cli, "solve", timed)
+        config = RunConfig(k=2, levels=(1, 2), pairs=((1.0, 1000.0),), n_level1=4)
+        lines, code = self._study(config, monkeypatch, overlap=True)
+        assert code == 0
+        assert len(factored) == len(joined) == 1 and factored[0] < joined[0]
+        (finest,) = [l for l in lines if l.startswith("k=2 (A1,A2)=(1,1000) level=2 ")]
+        assert float(re.search(r"\[([0-9.]+)s\]$", finest).group(1)) >= 0.5
+
     def test_no_thread_left_behind(self, monkeypatch):
         monkeypatch.setattr(iwgfem.cli, "OVERLAP_MIN_NODES", 0)
         config = RunConfig(k=2, levels=(1, 2, 3), pairs=((1.0, 1000.0),), n_level1=4)
@@ -564,6 +598,7 @@ class TestMain:
             (["--levels", "1", "--quad-offset", "128"], "quad-offset must be in 0..16"),
             (["--levels", "1", "--n-level1", "100000"], "the finest level must have at most 256 cells per side"),
             (["--levels", "1..14"], "the finest level must have at most 256 cells per side"),
+            (["--levels", "1..1000000000000000000"], "the finest level must have at most 256 cells per side"),
             (["--levels", "1", "--out", "{file}"], "File exists"),
         ],
     )

@@ -385,6 +385,24 @@ class TestBatchFailuresNameTheElement:
         assert [str(w.message).endswith(f"on element {three_cuts.elements[1]}") for w in record] == [True]
         assert spaces.ill_conditioned.tolist() == [False, True, False]
 
+    @pytest.mark.parametrize("k, mode", [(1, "segment"), (2, "arc")])
+    def test_one_ill_conditioned_warning_per_call(self, three_cuts, k, mode):
+        # Two elements above COND_MAX, the last one the worse: one warning
+        # gives the count and names the worst element.
+        geometry = build_cut_geometry(three_cuts, k)
+        mass = geometry.mass.copy()
+        for i, shrink in ((0, 1e-5), (2, 1e-6)):
+            scale = np.full(geometry.m, shrink)
+            scale[0] = 1.0
+            mass[i] *= scale[:, None] * scale[None, :]
+        with pytest.warns(IllConditionedWarning) as record:
+            spaces = build_local_spaces(_doctored(geometry, mass=mass), 1.0, 10.0, mode)
+        assert len(record) == 1
+        message = str(record[0].message)
+        assert " on 2 of 3 elements, " in message
+        assert message.endswith(f"on element {three_cuts.elements[2]}")
+        assert spaces.ill_conditioned.tolist() == [True, False, True]
+
 
 class TestBatchOfOne:
     @pytest.mark.parametrize("k, mode", [(1, "segment"), (2, "segment"), (2, "arc")])

@@ -15,12 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iwgfem.analysis import (
-    AnalysisError,
-    example1,
-    interface_errors,
-    interpolation_errors,
-)
+from iwgfem.analysis import AnalysisError, example1, interface_errors
 from iwgfem.assembly import assemble_interface, assemble_system, build_cut_geometries, build_level_plan
 from iwgfem.geometry import (
     OMEGA1,
@@ -40,6 +35,7 @@ from iwgfem.solver import solve
 from reference import (
     block,
     compute_cut,
+    interpolation_errors,
     polygon_rule,
     run_level,
     side_rules,
