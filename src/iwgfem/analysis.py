@@ -8,10 +8,10 @@ The energy error evaluates the broken norm
 
 the L2 error integrates e_0 = u - u_h on non-interface elements and
 Q_0 u - u_0 on interface elements, and the max error samples |u - u_h| at
-the error-quadrature points (interior function on interface elements). On
-the interface elements each side's u is sampled once on that side's packed
-cut-cell rule points, u once on the edge points, and the sums are reduced
-per segment.
+the error-quadrature points (interior function on interface elements).
+``compute_errors``, a level's one error pass, samples the profiles once for
+all of its pairs in a non-interface and an interface half; the interface
+sums are reduced per segment of the packed cut-cell rule.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from iwgfem.assembly import DofMap, LevelPlan
+from iwgfem.assembly import LevelPlan
 from iwgfem.geometry import OMEGA1, OMEGA2, CircleInterface
-from iwgfem.ife import IfeSpaces, sample
+from iwgfem.ife import sample
 
 
 class AnalysisError(Exception):
@@ -128,17 +128,15 @@ def _noninterface_errors(plan: LevelPlan, solved) -> list[tuple[float, float, fl
 
     Each side's elements are taken ERROR_BLOCK at a time. A block's error
     points (rebuilt from v0 and J), class masks and profiles, which the
-    pairs must share, are built once; each pair gathers its coefficients of
+    pairs share, are built once; each pair gathers its coefficients of
     the block, steps the profiles to its u and grad u as (elements, points)
     arrays and keeps each element's weighted sums. A side's sums are one
     product with its dets.
     """
-    if len({(ms.u_profile, ms.grad_profile) for _, ms in solved}) > 1:
-        raise AnalysisError("the pairs of one error pass must share their solution's profiles")
     w = plan.err_weights
     sums = [[0.0, 0.0, 0.0] for _ in solved]  # energy^2, L2^2, max per pair
     for side, (sel, v0, j_mats) in plan.sides.items():
-        if len(sel) == 0 or not solved:
+        if len(sel) == 0:
             continue
         l2_el, energy_el = np.empty((2, len(solved), len(sel)))
         for start in range(0, len(sel), ERROR_BLOCK):
@@ -165,35 +163,47 @@ def _noninterface_errors(plan: LevelPlan, solved) -> list[tuple[float, float, fl
     return [tuple(pair_sums) for pair_sums in sums]
 
 
-def interface_errors(dofmap: DofMap, spaces: IfeSpaces, x_all, ms) -> tuple[float, float, float]:
-    """Energy and L2 squares and the max error of one pair on the interface elements."""
-    if not np.array_equal(spaces.elements, dofmap.elements):
-        raise AnalysisError("interface spaces do not follow the routing matrix's element order")
-    m = dofmap.m
-    geometry = spaces.geometry
-    # Every interface element's local dofs at once, row blocks in P's order.
-    locs = (dofmap.P @ x_all).reshape(spaces.stiffness.shape[:2])
-    ue = geometry.sample_sides(ms.u_side)  # shared by Q_0 u and the max norm
-    q0 = spaces.project_interior(ue)
-    qb = spaces.project_traces(sample(ms.u, geometry.edge_points))
-    q_h = np.concatenate([q0, qb.reshape(len(q0), 3 * geometry.k)], axis=1)
-    energy_sq = spaces.energy_seminorm_sq(q_h - locs)
-    d = q0 - locs[:, :m]
-    l2_sq = np.einsum("ni,nij,nj->", d, spaces.gram, d)
-    diff = spaces.interior_values(locs[:, :m])
-    diff -= ue
-    return float(energy_sq.sum()), float(l2_sq), float(np.max(np.abs(diff), initial=0.0))
+def _interface_errors(plan: LevelPlan, solved) -> list[tuple[float, float, float]]:
+    """Energy and L2 squares and the max error on the interface elements of each (x_all, ms, spaces) pair.
+
+    The profile is sampled once, at the packed points and the edge points, and each pair steps it by side: a
+    packed point by its segment's (a side-2 point may lie inside the circle), an edge point by the interface.
+    """
+    geometry, dofmap, shared = plan.geometry, plan.dofmap, solved[0][1]
+    n_rule, edges = len(geometry.rule_weights), geometry.edge_points.reshape(-1, 2)
+    on_1 = np.repeat(np.tile([True, False], len(geometry.elements)), np.diff(geometry.rule_offsets))
+    on_1 = np.concatenate([on_1, sample(shared.interface.value, edges) < 0.0])
+    profile = sample(shared.u_profile, np.concatenate([geometry.rule_points, edges]))
+    out = []
+    for x_all, ms, spaces in solved:
+        if not np.array_equal(spaces.elements, dofmap.elements):
+            raise AnalysisError("interface spaces do not follow the routing matrix's element order")
+        u = np.where(on_1, ms.u_step(profile, OMEGA1), ms.u_step(profile, OMEGA2))
+        # Every interface element's local dofs at once, row blocks in P's order.
+        locs = (dofmap.P @ x_all).reshape(spaces.stiffness.shape[:2])
+        q0 = spaces.project_interior(u[:n_rule])  # u at the packed points also gives the max norm
+        qb = spaces.project_traces(u[n_rule:].reshape(geometry.edge_weights.shape))
+        energy_sq = spaces.energy_seminorm_sq(np.concatenate([q0, qb.reshape(len(q0), 3 * geometry.k)], axis=1) - locs)
+        d = q0 - locs[:, : dofmap.m]
+        l2_sq = np.einsum("ni,nij,nj->", d, spaces.gram, d)
+        diff = spaces.interior_values(locs[:, : dofmap.m]) - u[:n_rule]
+        out.append((float(energy_sq.sum()), float(l2_sq), float(np.max(np.abs(diff), initial=0.0))))
+    return out
 
 
 def compute_errors(plan: LevelPlan, solved) -> list[dict]:
-    """Energy, L2 and max errors of pairs solved on a level plan, with one non-interface pass for all.
+    """Energy, L2 and max errors of pairs solved on a level plan, in one error pass for all of them.
 
-    ``solved`` holds each pair's (x_all, ms, sums from ``interface_errors``); the errors follow its order.
+    ``solved`` holds each pair's (x_all, ms, spaces); the errors follow its order.
     """
+    if len({(ms.u_profile, ms.grad_profile, ms.interface) for _, ms, _ in solved}) != 1:
+        if solved:
+            raise AnalysisError("the pairs of one error pass must share their solution's profiles and interface")
+        return []
     noninterface = _noninterface_errors(plan, [(x_all, ms) for x_all, ms, _ in solved])
     return [
         {"energy": math.sqrt(e1 + e2), "l2": math.sqrt(l1 + l2), "linf": max(m1, m2)}
-        for (e1, l1, m1), (_, _, (e2, l2, m2)) in zip(noninterface, solved)
+        for (e1, l1, m1), (e2, l2, m2) in zip(noninterface, _interface_errors(plan, solved))
     ]
 
 

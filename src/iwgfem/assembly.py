@@ -531,7 +531,7 @@ def apply_constraints(plan: LevelPlan, cg_stiffness: np.ndarray, wg: WgBlocks, g
     k_all = (p.T @ blocks.tocsr() @ p).tocsr()
     rhs = p.T @ wg.load.ravel()
 
-    cg_cols = dofmap.node_col[plan.nodes]  # (ne, nl)
+    cg_cols = dofmap.node_col[plan.nodes].astype(np.int32)  # (ne, nl), in scipy's index type: COO keeps no copy
     nl = cg_cols.shape[1]
     r = np.repeat(cg_cols[:, :, None], nl, axis=2)
     c = np.repeat(cg_cols[:, None, :], nl, axis=1)

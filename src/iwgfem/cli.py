@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from iwgfem.analysis import ConvergenceReport, ManufacturedSolution, compute_errors, example1, interface_errors
+from iwgfem.analysis import ConvergenceReport, ManufacturedSolution, compute_errors, example1
 from iwgfem.assembly import (
     LevelPlan,
     assemble_system,
@@ -39,6 +39,13 @@ MAX_CELLS = 256  # most cells per side at the finest level
 # 0.391 -> 0.365 s, 102.1 -> 107.4 MB; k = 2, levels 2..5, finest N = 64
 # (16,384 nodes) 0.361 -> 0.305 s, 114.1 -> 119.2 MB.
 OVERLAP_MIN_NODES = 2**16
+
+
+def _check_span(first: int, last: int, n_first: int = 2, what: str = "") -> None:
+    # N doubles per level from n_first (at least 2). The levels are refused from their ends,
+    # before 2**(last - first) or a range of that many levels is built.
+    if last - first > math.log2(MAX_CELLS) - math.log2(n_first):
+        raise ValueError(f"{what}the finest level must have at most {MAX_CELLS} cells per side")
 
 
 @dataclass(frozen=True)
@@ -96,8 +103,7 @@ class RunConfig:
         # A level's peak grows about fourfold per doubling of N: one pair peaks at 195 MB
         # (k = 1) and 876 MB (k = 2) at N = 256; at N = 512 k = 1 takes 570 MB and k = 2
         # runs SuperLU out of a 3 GB address space; N = 100,000 asks numpy for 74.5 GiB.
-        if self.cells_for_level(self.levels[-1]) > MAX_CELLS:
-            raise ValueError(f"the finest level must have at most {MAX_CELLS} cells per side")
+        _check_span(self.levels[0], self.levels[-1], self.n_level1)
 
     def cells_for_level(self, level: int) -> int:
         return self.n_level1 * 2 ** (level - self.levels[0])
@@ -115,19 +121,18 @@ class RunConfig:
 
 
 def _solve_pair(config: RunConfig, level: int, mesh, plan: LevelPlan, ms: ManufacturedSolution, assembled, factor=None):
-    """Solve a pair, assembled on a level plan as (system, spaces), and take its interface sums and dumps.
+    """Solve a pair, assembled on a level plan as (system, spaces), and take its dumps.
 
     ``factor``, a prepared pair's future of ``superlu``, must come as its
-    only reference, so that L and U are freed before the sums.
-    Returns (x_all, ms, interface sums) for ``compute_errors``, the solver
-    stats and the log line's solve and health fields, none holding the system.
+    only reference, so that L and U are freed when the solve returns.
+    Returns (x_all, ms, spaces) for ``compute_errors``, the solver stats and
+    the log line's solve and health fields, none holding the system.
     """
     system, spaces = assembled
     band, coarse = (plan.dofmap.band, coarse_basis(plan, spaces)) if config.solver == "cg" else (None, None)
     x, stats = solve(system.matrix, system.rhs, config.solver, band, coarse, factor=factor)
     del factor
     x_all = system.full_coefficients(x)
-    entry = (x_all, ms, interface_errors(plan.dofmap, spaces, x_all, ms))
     fields = (
         f"residual={stats.residual:.2e} free={system.matrix.shape[0]} nnz={system.matrix.nnz} "
         f"gram_cond={spaces.gram_cond.max(initial=0.0):.2e} "
@@ -141,7 +146,7 @@ def _solve_pair(config: RunConfig, level: int, mesh, plan: LevelPlan, ms: Manufa
         # An overlapped finest level holds K in CSC form; the dump lists it by rows.
         system = dataclasses.replace(system, matrix=system.matrix.tocsr())
         dump_matrix(system, Path(config.out_dir) / f"matrix_{tag}.txt")
-    return entry, stats, fields
+    return (x_all, ms, spaces), stats, fields
 
 
 def _build_level(config: RunConfig, level: int):
@@ -169,9 +174,9 @@ def _study_level(config: RunConfig, level: int, reports: dict, failed: set, log,
     one function for every pair) are shared by the pairs. ``ahead`` is the
     level as ``_start_finest`` prepared it: a pair assembled there joins the
     factor started in the worker, and any other pair is assembled here. Each
-    pair's system and spaces are freed once it is solved; then one
-    ``compute_errors`` pass serves every solved pair (each pair's time takes
-    a share of it), and the lines are logged in pair order. A level failing
+    pair's system is freed once it is solved and its spaces after the one
+    ``compute_errors`` pass that serves every solved pair (each pair's time
+    takes an even share of it); the lines are logged in pair order. A level failing
     to build raises GeometryError.
     """
     mesh, plan, line, prepared = ahead or (*_build_level(config, level), {})
@@ -316,10 +321,8 @@ def _parse_levels(text: str) -> tuple[int, ...]:
         raise ValueError(f"levels must be A..B or a comma list of integers, got {text!r}") from exc
     if not levels:
         raise ValueError(f"level range {text!r} is empty or decreasing")
-    # N doubles per level from at least 2, so a longer range is refused before it is built
-    # (its length from its ends: len() of a range overflows beyond 2**63).
-    if isinstance(levels, range) and levels.stop - levels.start > math.log2(MAX_CELLS / 2) + 1:
-        raise ValueError(f"level range {text!r}: the finest level must have at most {MAX_CELLS} cells per side")
+    if isinstance(levels, range):  # refused before it is built
+        _check_span(levels[0], levels[-1], what=f"level range {text!r}: ")
     return tuple(levels)
 
 

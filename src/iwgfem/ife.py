@@ -286,19 +286,6 @@ class CutGeometry(Mapping):
             sums[:, j] = np.add.reduceat(term, self.rule_offsets[:-1])
         return sums.reshape(len(self), 2 * self.m)
 
-    def sample_sides(self, u_side) -> np.ndarray:
-        """(P,): u_side(x, y, side) at the packed points, each segment on its own side.
-
-        A point of a side's rule may lie across the circle (in the lens
-        between the arc and its polyline); it still samples its side.
-        """
-        on_1 = np.repeat(np.tile([True, False], len(self)), np.diff(self.rule_offsets))
-        out = np.empty(len(self.rule_weights))
-        for side, mask in ((OMEGA1, on_1), (OMEGA2, ~on_1)):
-            pts = self.rule_points[mask]
-            out[mask] = u_side(pts[:, 0], pts[:, 1], side)
-        return out
-
     def monomial_values(self, coeffs: np.ndarray) -> np.ndarray:
         """(P,) values at the packed points of per-side monomial coefficients (n, 2m)."""
         per_segment = coeffs.reshape(2 * len(self), self.m)

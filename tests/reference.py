@@ -8,8 +8,9 @@ sides through a table of antiderivative values, the loop-built mesh, Gauss rules
 one polygon's fan triangulation and rule, plain sums over quadrature rules,
 one element's CG stiffness, the edge sets of the interface elements, the
 non-interface errors summed with ``einsum`` on freshly mapped points, the
-linear patch solution, example 1's jumps sampled on the interface, the
-interpolation errors of the two local families,
+linear patch solution, example 1's jumps sampled on the interface, each
+side's u sampled on its packed cut-cell points, the interpolation errors of
+the two local families,
 preconditioned CG with allocating updates, one element's local space (a batch of
 one) and one level solved the way the CLI solves a pair. A few accessors of one
 element's data, and the split of a cut table into one-row tables, close the file.
@@ -23,7 +24,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from iwgfem.analysis import ManufacturedSolution, _noninterface_errors, compute_errors, interface_errors
+from iwgfem.analysis import ManufacturedSolution, _noninterface_errors, compute_errors
 from iwgfem.assembly import (
     LevelPlan,
     _cg_shape_grads,
@@ -529,6 +530,20 @@ def check_interface_conditions(ms: ManufacturedSolution, n_samples: int = 256) -
 
 
 
+def sample_sides(geometry: CutGeometry, u_side) -> np.ndarray:
+    """(P,): u_side(x, y, side) at the packed points, each segment on its own side.
+
+    A point of a side's rule may lie across the circle (in the lens
+    between the arc and its polyline); it still samples its side.
+    """
+    on_1 = np.repeat(np.tile([True, False], len(geometry)), np.diff(geometry.rule_offsets))
+    out = np.empty(len(geometry.rule_weights))
+    for side, mask in ((OMEGA1, on_1), (OMEGA2, ~on_1)):
+        pts = geometry.rule_points[mask]
+        out[mask] = u_side(pts[:, 0], pts[:, 1], side)
+    return out
+
+
 def interpolation_errors(plan: LevelPlan, spaces: IfeSpaces, ms: ManufacturedSolution) -> dict:
     """Projection-only diagnostic: CG interpolation H1 error and Q_0 L2 error.
 
@@ -545,7 +560,7 @@ def interpolation_errors(plan: LevelPlan, spaces: IfeSpaces, ms: ManufacturedSol
     x_cols[dofmap.node_col[valid]] = x_nodal[valid]
     ((e_grad_sq, _, _),) = _noninterface_errors(plan, [(x_cols, ms)])
 
-    ue = spaces.geometry.sample_sides(ms.u_side)
+    ue = sample_sides(spaces.geometry, ms.u_side)
     diff = spaces.interior_values(spaces.project_interior(ue))
     diff -= ue
     q0_sq = float(spaces.geometry.rule_weights @ diff**2)
@@ -657,7 +672,7 @@ def run_level(ms, k: int, level: int, mode: str, method: str = "cholesky", n_ove
     band, coarse = (plan.dofmap.band, coarse_basis(plan, spaces)) if method == "cg" else (None, None)
     x, stats = solve(system.matrix, system.rhs, method, band, coarse)
     x_all = system.full_coefficients(x)
-    (errors,) = compute_errors(plan, [(x_all, ms, interface_errors(plan.dofmap, spaces, x_all, ms))])
+    (errors,) = compute_errors(plan, [(x_all, ms, spaces)])
     return errors, stats, mesh, system, spaces, x_all
 
 

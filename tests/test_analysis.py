@@ -11,7 +11,9 @@ from iwgfem.analysis import (
     ERROR_BLOCK,
     AnalysisError,
     NonPositiveError,
+    _interface_errors,
     _noninterface_errors,
+    compute_errors,
     convergence_orders,
     example1,
 )
@@ -26,6 +28,7 @@ from reference import (
     linear_solution,
     noninterface_errors,
     run_level,
+    sample_sides,
     triangle_coords,
     triangle_rule,
     wg0_columns,
@@ -138,7 +141,6 @@ class TestConvergenceOrders:
 class TestErrorNorms:
     def test_exact_projection_gives_zero_errors(self):
         # Synthetic solution vector assembled from the exact projections.
-        from iwgfem.analysis import compute_errors, interface_errors
         from iwgfem.ife import project_qb
 
         ms = example1(1.0, 10.0)
@@ -149,15 +151,15 @@ class TestErrorNorms:
         x = np.zeros(dm.n_total)
         valid = dm.node_col >= 0
         x[dm.node_col[valid]] = ms.u(dm.node_coords[valid, 0], dm.node_coords[valid, 1])
-        for t, q0 in zip(spaces, spaces.project_interior(spaces.geometry.sample_sides(ms.u_side))):
+        for t, q0 in zip(spaces, spaces.project_interior(sample_sides(spaces.geometry, ms.u_side))):
             x[wg0_columns(dm)[t] + np.arange(dm.m)] = q0
         for e in np.flatnonzero(dm.trace_col >= 0):
             a, b = mesh.edges[e]
             x[dm.trace_col[e] : dm.trace_col[e] + dm.k] = project_qb(
                 ms.u, mesh.vertices[a], mesh.vertices[b], dm.k, mesh.interface
             )
-        e_b, l_b, m_b = interface_errors(dm, spaces, x, ms)
-        (errors,) = compute_errors(plan, [(x, ms, (e_b, l_b, m_b))])
+        ((e_b, l_b, m_b),) = _interface_errors(plan, [(x, ms, spaces)])
+        (errors,) = compute_errors(plan, [(x, ms, spaces)])
         # The interface parts vanish identically (they compare projections);
         # the CG parts measure interpolation error, so only check the band.
         assert math.sqrt(l_b) < 1e-13
@@ -187,14 +189,19 @@ class TestErrorNorms:
     def test_a_level_pass_returns_each_pair_what_a_batch_of_one_returns(self, k):
         # Level 5 (N = 64) takes more than one block per side, so a pair's
         # sums are made of several blocks between which the other pairs run.
+        # The interface half steps one sampled profile per pair.
         ms = example1(1.0, 1.0)
         plan = build_level_plan(build_mesh(5, ms.interface), k, ms.f)
         assert max(len(sel) for sel, _, _ in plan.sides.values()) > ERROR_BLOCK
         rng = np.random.default_rng(k)
         solved = [(rng.standard_normal(plan.dofmap.n_total), example1(1.0, a2)) for a2 in (1.0, 10.0, 100.0, 1000.0)]
         assert _noninterface_errors(plan, solved) == [_noninterface_errors(plan, [s])[0] for s in solved]
+        mode = "segment" if k == 1 else "arc"
+        solved = [(x, ms, build_ife_spaces(plan.mesh, k, ms.a1, ms.a2, mode, plan.geometry)) for x, ms in solved]
+        assert _interface_errors(plan, solved) == [_interface_errors(plan, [s])[0] for s in solved]
+        assert compute_errors(plan, solved) == [compute_errors(plan, [s])[0] for s in solved]
         with pytest.raises(AnalysisError, match="share"):
-            _noninterface_errors(plan, solved[:1] + [(solved[1][0], linear_solution(1.0, 2.0, -3.0))])
+            compute_errors(plan, solved[:1] + [(solved[1][0], linear_solution(1.0, 2.0, -3.0), solved[1][2])])
 
     def test_patch_solution_has_zero_errors(self):
         ms = linear_solution(1.0, 2.0, -3.0)

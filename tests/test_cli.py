@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import warnings
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import iwgfem.analysis
 import iwgfem.assembly
@@ -80,6 +83,54 @@ class TestParsing:
     def test_cells_per_level_double(self):
         config = RunConfig(levels=(1, 2, 3), n_level1=8)
         assert [config.cells_for_level(l) for l in (1, 2, 3)] == [8, 16, 32]
+
+
+# Config keys, and random names that argparse may take for a flag or an
+# abbreviation of one, but never for --help or --config: the test reads no
+# path it did not write.
+_KEYS = st.one_of(
+    st.sampled_from(sorted(_KEY_TO_FIELD)),
+    st.from_regex(r"[a-z][a-z0-9_-]{0,9}", fullmatch=True).filter(
+        lambda key: not any(name.startswith(key.replace("_", "-")) for name in ("help", "config"))
+    ),
+)
+# Random text, and integers, comma lists and ranges written as text. A value
+# never starts like an option (a dash and a letter), which argparse would
+# take for one after a flag that takes no value.
+_VALUES = st.one_of(
+    st.text(max_size=16),
+    st.integers().map(str),
+    st.lists(st.integers(min_value=0), min_size=1, max_size=3).map(lambda ints: ",".join(map(str, ints))),
+    st.tuples(st.integers(), st.integers()).map(lambda ends: f"{ends[0]}..{ends[1]}"),
+).filter(lambda value: re.match(r"-+[A-Za-z]", value) is None)
+
+
+class TestConfigSurface:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        flags=st.lists(st.tuples(_KEYS, _VALUES), max_size=4),
+        lines=st.lists(st.tuples(_KEYS, _VALUES), max_size=4),
+        use_file=st.booleans(),
+    )
+    @example(flags=[("levels", "1,1000000000000000000")], lines=[], use_file=False)
+    @example(flags=[], lines=[("levels", "2,1000000000000000000")], use_file=True)
+    def test_any_flags_and_file_give_a_config_or_a_config_error(self, flags, lines, use_file):
+        # config_from_argv returns a RunConfig, raises what main reports as a
+        # config error, or exits through argparse with code 2; it runs no study.
+        argv = [token for key, value in flags for token in (f"--{key.replace('_', '-')}", value)]
+        with tempfile.TemporaryDirectory() as tmp:
+            if use_file:
+                path = Path(tmp) / "study.cfg"
+                path.write_bytes("".join(f"{key} = {value}\n" for key, value in lines).encode())
+                argv += ["--config", str(path)]
+            try:
+                config = config_from_argv(argv)
+            except (ValueError, TypeError, OSError):
+                return
+            except SystemExit as exc:
+                assert exc.code == 2
+                return
+        assert isinstance(config, RunConfig)
 
 
 class TestConfigFile:
@@ -228,6 +279,31 @@ class TestLevelPlanSharing:
         calls = self._study_calls(monkeypatch, iwgfem.analysis, "example1_source")
         assert 0 < len(calls) <= 2 * 2
 
+    def test_solution_profile_sampled_per_level_not_per_pair(self, monkeypatch):
+        # Example 1's u profile is cos(pi r^2). A level's one error pass
+        # samples it once per block of each side's non-interface elements
+        # and once on the packed cut-cell points and the edge points together,
+        # whatever the number of pairs it serves.
+        calls, passes = [], []
+        cos, compute_errors = iwgfem.analysis.example1_cos, iwgfem.cli.compute_errors
+
+        def counted(*args):
+            calls.append(1)
+            return cos(*args)
+
+        def counted_pass(plan, solved):
+            before = len(calls)
+            out = compute_errors(plan, solved)
+            passes.append((len(solved), len(calls) - before))
+            return out
+
+        monkeypatch.setattr(iwgfem.analysis, "example1_cos", counted)
+        monkeypatch.setattr(iwgfem.cli, "compute_errors", counted_pass)
+        for pairs in (((1.0, 1.0),), ((1.0, 1.0), (1.0, 10.0), (1.0, 1000.0))):
+            config = RunConfig(k=1, levels=(1, 2), pairs=pairs, n_level1=4)
+            assert run_study(config, log=lambda *a: None)[1] == 0
+        assert passes == [(1, 2 + 1), (1, 2 + 1), (3, 2 + 1), (3, 2 + 1)]
+
     def test_dof_map_built_once_per_level(self, monkeypatch):
         calls = self._study_calls(monkeypatch, iwgfem.assembly, "build_dof_map")
         assert [mesh.n_cells for mesh, _ in calls] == [4, 8]
@@ -287,6 +363,35 @@ def test_a_pair_failing_between_two_keeps_its_place_in_the_log(monkeypatch):
         "k=1 (A1,A2)=(1,1000) level=2",
     ]
     assert [(r.a2, r.levels) for r in reports] == [(1.0, [1, 2]), (1000.0, [1, 2])]
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+def test_every_system_is_freed_before_its_level_error_pass(monkeypatch, overlap):
+    # A pair keeps its spaces for the level's one error pass, but not its
+    # system: each of the level's GlobalSystems must be gone when
+    # compute_errors runs, the overlapped finest level's (assembled ahead,
+    # while the coarser levels run) included.
+    systems, passes = [], []
+    assemble, compute_errors = iwgfem.cli.assemble_system, iwgfem.cli.compute_errors
+
+    def tracked(plan, *args, **kwargs):
+        system, spaces = assemble(plan, *args, **kwargs)
+        systems.append((plan, weakref.ref(system)))
+        return system, spaces
+
+    def checked(plan, solved):
+        refs = [ref for of, ref in systems if of is plan]
+        passes.append((len(refs), all(ref() is None for ref in refs)))
+        return compute_errors(plan, solved)
+
+    monkeypatch.setattr(iwgfem.cli, "OVERLAP_MIN_NODES", 0 if overlap else iwgfem.cli.OVERLAP_MIN_NODES)
+    monkeypatch.setattr(iwgfem.cli, "assemble_system", tracked)
+    monkeypatch.setattr(iwgfem.cli, "compute_errors", checked)
+    pairs = ((1.0, 1000.0),) if overlap else ((1.0, 1.0), (1.0, 10.0), (1.0, 1000.0))
+    config = RunConfig(k=2, levels=(1, 2, 3), pairs=pairs, n_level1=4)
+    assert _overlaps_finest(config) == overlap
+    assert run_study(config, log=lambda *a: None)[1] == 0
+    assert passes == [(len(pairs), True)] * 3
 
 
 def _strip_times(lines: list[str]) -> list[str]:
@@ -599,6 +704,7 @@ class TestMain:
             (["--levels", "1", "--n-level1", "100000"], "the finest level must have at most 256 cells per side"),
             (["--levels", "1..14"], "the finest level must have at most 256 cells per side"),
             (["--levels", "1..1000000000000000000"], "the finest level must have at most 256 cells per side"),
+            (["--levels", "1,1000000000000000000"], "the finest level must have at most 256 cells per side"),
             (["--levels", "1", "--out", "{file}"], "File exists"),
         ],
     )

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iwgfem.analysis import AnalysisError, example1, interface_errors
+from iwgfem.analysis import AnalysisError, _interface_errors, compute_errors, example1
 from iwgfem.assembly import assemble_interface, assemble_system, build_cut_geometries, build_level_plan
 from iwgfem.geometry import (
     OMEGA1,
@@ -191,8 +191,8 @@ class TestBatchedAgainstPerElementReference:
         # (k = 2, centred), and rtol 1e-9 leaves room for that factor to grow
         # ~500-fold. The max error compares values at the same points, one
         # subtraction deep, so it agrees to ~1e-15 relative.
-        _, ms, dofmap, spaces, x_all = solved
-        got = interface_errors(dofmap, spaces, x_all, ms)
+        plan, ms, dofmap, spaces, x_all = solved
+        (got,) = _interface_errors(plan, [(x_all, ms, spaces)])
         want = element_interface_errors(dofmap, spaces, x_all, ms)
         assert got[0] == pytest.approx(want[0], rel=1e-9)
         assert got[1] == pytest.approx(want[1], rel=1e-9)
@@ -244,9 +244,9 @@ class TestPackedRule:
         cuts = take(plan.mesh.cuts, slice(None, None, -1))
         reversed_spaces = build_local_spaces(build_cut_geometry(cuts, 1), ms.a1, ms.a2)
         x_all = system.full_coefficients(np.zeros(system.matrix.shape[0]))
-        interface_errors(plan.dofmap, spaces, x_all, ms)
+        compute_errors(plan, [(x_all, ms, spaces)])
         with pytest.raises(AnalysisError, match="element order"):
-            interface_errors(plan.dofmap, reversed_spaces, x_all, ms)
+            compute_errors(plan, [(x_all, ms, reversed_spaces)])
 
 
 def assert_rules_equal_per_element_rules(geometry_, degree):
@@ -487,7 +487,8 @@ class TestMomentFit:
     def test_error_pass_samples_each_segment_on_its_own_side(self):
         # The arc bulges past the chords of its depth-2 polyline, so some
         # side-2 rule points lie inside the circle, where u is u_1. The
-        # error pass must evaluate them with u_2, the side they integrate.
+        # error pass must evaluate them with u_2, the side they integrate:
+        # it forms u at the packed points for Q_0 u, which is read here.
         ms = example1(1.0, 1000.0)
         plan = build_level_plan(build_mesh(1, ms.interface), 2, ms.f)
         system, spaces = assemble_system(plan, ms.a1, ms.a2, ms.g, "arc")
@@ -499,17 +500,17 @@ class TestMomentFit:
         x, y = pts[across[0]]
         assert ms.u(x, y) == ms.u_side(x, y, OMEGA1) != ms.u_side(x, y, OMEGA2)
 
-        seen = {OMEGA1: set(), OMEGA2: set()}
+        formed = []
 
-        class Seen(type(ms)):
-            def u_side(self, xs, ys, side):
-                seen[side].update(zip(np.ravel(xs).tolist(), np.ravel(ys).tolist()))
-                return super().u_side(xs, ys, side)
+        def project_interior(values):
+            formed.append(values)
+            return type(spaces).project_interior(spaces, values)
 
+        spaces.project_interior = project_interior
         x_all = system.full_coefficients(np.zeros(system.matrix.shape[0]))
-        seen_ms = Seen(**{f.name: getattr(ms, f.name) for f in dataclasses.fields(ms)})
-        interface_errors(system.dofmap, spaces, x_all, seen_ms)
-        assert (x, y) in seen[OMEGA2] and (x, y) not in seen[OMEGA1]
+        compute_errors(plan, [(x_all, ms, spaces)])
+        (ue,) = formed
+        assert ue[across[0]] == ms.u_side(x, y, OMEGA2) != ms.u_side(x, y, OMEGA1)
 
 
 def _counted(ms, calls: collections.Counter):
