@@ -177,10 +177,9 @@ def _interface_errors(plan: LevelPlan, solved) -> list[tuple[float, float, float
     out = []
     for x_all, ms, spaces in solved:
         if not np.array_equal(spaces.elements, dofmap.elements):
-            raise AnalysisError("interface spaces do not follow the routing matrix's element order")
+            raise AnalysisError("interface spaces do not follow the DOF map's element order")
         u = np.where(on_1, ms.u_step(profile, OMEGA1), ms.u_step(profile, OMEGA2))
-        # Every interface element's local dofs at once, row blocks in P's order.
-        locs = (dofmap.P @ x_all).reshape(spaces.stiffness.shape[:2])
+        locs = (dofmap.routes @ x_all[dofmap.columns][..., None])[..., 0]  # every element's local dofs
         q0 = spaces.project_interior(u[:n_rule])  # u at the packed points also gives the max norm
         qb = spaces.project_traces(u[n_rule:].reshape(geometry.edge_weights.shape))
         energy_sq = spaces.energy_seminorm_sq(np.concatenate([q0, qb.reshape(len(q0), 3 * geometry.k)], axis=1) - locs)

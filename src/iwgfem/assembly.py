@@ -5,9 +5,9 @@ coefficients per interface element, and k Legendre trace coefficients per
 edge of the interface band that is neither slaved nor on the boundary. On a
 coupling edge the trace is slaved to the projection of the neighboring CG
 trace; on boundary edges both CG nodes and WG traces are pinned to the
-Dirichlet data. One sparse routing matrix P maps the global columns to every
-interface element's local slots, so slaving is folded congruently
-(P^T K_e P) and the reduced matrix stays symmetric positive definite.
+Dirichlet data. One scatter adds every element's dense block at its global
+columns, an interface block K_e as R^T K_e R with its route R to the local
+slots, so slaving folds congruently and the reduced matrix stays SPD.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from iwgfem.ife import (
     IfeSpaces,
     build_cut_geometry,
     _legendre_values,
+    _tr,
     build_local_spaces,
     project_qb,
     sample,
@@ -73,12 +74,12 @@ class DofMap:
     mesh's cut table order) start at wg0 + m i. trace_col[e] is the first of
     k columns for edge e's trace block, TRACE_SLAVED on coupling edges.
 
-    P is the routing matrix (CSR) from all columns, pinned ones included, to
-    the local slots of the interface elements: one block of m + 3k rows
-    [v0; vb on local edges 0, 1, 2] per element, in ``elements`` order. Interior
-    and owned (free or pinned) trace slots are identity rows; a slaved slot
-    holds its row of the k x (k+1) projection of the CG trace onto the
-    edge's Legendre basis, in the columns of the edge's nodes.
+    Interface element ``elements[i]`` reads its local slots [v0; vb on local
+    edges 0, 1, 2] as routes[i] @ x[columns[i]], x holding all columns, pinned
+    ones included; its columns are its interior ones, then k + 1 per local
+    edge. Interior and owned (free or pinned) trace slots are identity rows, an
+    owned edge's (k+1)-th column repeating its first at zero weight; a slaved
+    edge's k x (k+1) block projects the CG trace at its nodes onto its Legendre basis.
     """
 
     k: int
@@ -92,21 +93,21 @@ class DofMap:
     pinned_nodes: np.ndarray  # node ids in pinned column order
     pinned_trace_edges: np.ndarray  # edge ids of pinned trace blocks, in order
     node_coords: np.ndarray  # (n_nodes, 2) coordinates of every CG node
-    P: sp.csr_matrix = None  # (n_cut * (m + 3k), n_total), see routing_matrix
+    columns: np.ndarray = None  # (n_cut, m + 3(k+1)) int32, see _element_routes
+    routes: np.ndarray = None  # (n_cut, m + 3k, m + 3(k+1))
 
     @cached_property
     def band(self) -> Band:
         """The interface band that CG's preconditioner solves exactly.
 
-        An interface element's columns are the free columns that its row
-        block of P touches: its interior and owned trace columns and the free
-        CG nodes of its slaved edges. The band holds their sorted union and,
-        for each element id, its own sorted columns.
+        An interface element's columns are the free ones of its ``columns``:
+        its interior and owned trace columns and the free CG nodes of its
+        slaved edges. The band holds their sorted union and, for each element
+        id, its own sorted columns.
         """
-        p, nf = self.P, self.n_free
-        owner = np.repeat(np.arange(p.shape[0]) // (self.m + 3 * self.k), np.diff(p.indptr))
-        free = p.indices < nf
-        owner, cols = np.divmod(np.unique(owner[free] * nf + p.indices[free]), nf)
+        nf = self.n_free
+        owner, slot = np.nonzero(self.columns < nf)
+        owner, cols = np.divmod(np.unique(owner * nf + self.columns[owner, slot]), nf)
         own = np.split(cols, np.cumsum(np.bincount(owner, minlength=len(self.elements)))[:-1])
         return Band(np.unique(cols), list(zip(self.elements.tolist(), own)))
 
@@ -231,16 +232,13 @@ def build_dof_map(mesh: MeshPartition, k: int) -> DofMap:
         pinned_trace_edges=boundary_wg,
         node_coords=node_coords,
     )
-    dofmap.P = routing_matrix(mesh, dofmap)
+    dofmap.columns, dofmap.routes = _element_routes(mesh, dofmap)
     return dofmap
 
 
-def routing_matrix(mesh: MeshPartition, dofmap: DofMap) -> sp.csr_matrix:
-    """The routing matrix P of ``dofmap`` (see DofMap), built for all slots at once."""
+def _element_routes(mesh: MeshPartition, dofmap: DofMap) -> tuple[np.ndarray, np.ndarray]:
+    """The columns and routes of ``dofmap`` (see DofMap), built for all interface elements at once."""
     k, m, elems = dofmap.k, dofmap.m, dofmap.elements
-    n_loc = m + 3 * k
-    slots = np.arange(len(elems) * n_loc).reshape(len(elems), n_loc)
-    trace_slots = slots[:, m:].reshape(len(elems), 3, k)
     edges = mesh.tri_edges[elems]  # (n_cut, 3)
     tc = dofmap.trace_col[edges]
     if np.any(tc == TRACE_NONE):
@@ -249,9 +247,13 @@ def routing_matrix(mesh: MeshPartition, dofmap: DofMap) -> sp.csr_matrix:
             f"edge {edges[i, j]} of interface element {elems[i]} has no trace dofs"
         )
 
+    columns = np.empty((len(elems), m + 3 * (k + 1)), np.int32)
+    columns[:, :m] = dofmap.wg0 + np.arange(len(elems) * m).reshape(-1, m)
+    edge_cols = columns[:, m:].reshape(len(elems), 3, k + 1)
+    edge_routes = np.zeros(edge_cols.shape[:2] + (k, k + 1))
     owned = tc >= 0
-    rows = [slots[:, :m].ravel(), trace_slots[owned].ravel()]
-    cols = [dofmap.wg0 + np.arange(len(elems) * m), (tc[owned][:, None] + np.arange(k)).ravel()]
+    edge_cols[owned] = tc[owned][:, None] + np.arange(k + 1) % k
+    edge_routes[owned] = np.eye(k, k + 1)
 
     slaved = tc == TRACE_SLAVED
     e = edges[slaved]
@@ -273,13 +275,13 @@ def routing_matrix(mesh: MeshPartition, dofmap: DofMap) -> sp.csr_matrix:
     leg = _legendre_values(2.0 * tg - 1.0, 1.0, k)
     unit = leg.T @ ((0.5 * wg)[:, None] * _edge_lagrange_1d(k, tg))  # (k, k + 1)
     ell = np.linalg.norm(mesh.vertices[b] - mesh.vertices[a], axis=1)
-    rows.append(np.repeat(trace_slots[slaved], k + 1))
-    cols.append(np.broadcast_to(node_cols[:, None, :], (len(e), k, k + 1)).ravel())
-    vals = [np.ones(len(rows[0]) + len(rows[1])), (np.sqrt(ell)[:, None, None] * unit).ravel()]
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(slots.size, dofmap.n_total),
-    )
+    edge_cols[slaved] = node_cols
+    edge_routes[slaved] = np.sqrt(ell)[:, None, None] * unit
+    routes = np.zeros((len(elems), m + 3 * k, columns.shape[1]))
+    routes[:, :m, :m] = np.eye(m)
+    edge = np.arange(3)[:, None, None]  # local edge j's slots m + jk + (0..k-1), columns m + j(k+1) + (0..k)
+    routes[:, m + k * edge + np.arange(k)[:, None], m + (k + 1) * edge + np.arange(k + 1)] = edge_routes
+    return columns, routes
 
 
 @dataclass(eq=False)
@@ -288,7 +290,7 @@ class WgBlocks:
 
     elements: np.ndarray  # element ids
     stiffness: np.ndarray  # (n_cut, m + 3k, m + 3k)
-    load: np.ndarray  # (n_cut, m + 3k), zeros on trace slots
+    load: np.ndarray  # (n_cut, m), the interior loads
 
 
 def _element_jacobians(mesh: MeshPartition, ids: np.ndarray):
@@ -328,7 +330,7 @@ class LevelPlan:
     """The pair-independent part of a level solve, shared by every coefficient pair.
 
     Built once per (mesh, k, source, quad_offset): the cut geometry, the DOF
-    map with P, the source's loads (CG element loads and the cut cells'
+    map with its routes, the source's loads (CG element loads and the cut cells'
     monomial moments, so a pair's interface load is coeffs^T moments), one
     unit CG stiffness block per orientation class, and the non-interface
     error rule. Nothing in it is per quadrature point or per element matrix:
@@ -492,9 +494,7 @@ def assemble_interface(spaces: IfeSpaces, moments: np.ndarray) -> WgBlocks:
     ``moments`` (n_cut, 2m) are the source's monomial moments on the cut
     sides (``LevelPlan.moments``), so each load is coeffs^T moments.
     """
-    load = np.zeros(spaces.stiffness.shape[:2])
-    load[:, : spaces.geometry.m] = spaces.moments(moments)
-    return WgBlocks(spaces.elements, spaces.stiffness, load)
+    return WgBlocks(spaces.elements, spaces.stiffness, spaces.moments(moments))
 
 
 @dataclass(eq=False)
@@ -511,31 +511,31 @@ class GlobalSystem:
         return np.concatenate([x_free, self.pinned_values])
 
 
+def scatter(columns: np.ndarray, blocks: np.ndarray, n: int) -> sp.csr_matrix:
+    """The n x n CSR sum of ``blocks[e]`` at rows and columns ``columns[e]`` (int32: COO keeps no copy)."""
+    nl = columns.shape[1]
+    r = np.repeat(columns[:, :, None], nl, axis=2)
+    c = np.repeat(columns[:, None, :], nl, axis=1)
+    return sp.coo_matrix((blocks.ravel(), (r.ravel(), c.ravel())), shape=(n, n)).tocsr()
+
+
 def apply_constraints(plan: LevelPlan, cg_stiffness: np.ndarray, wg: WgBlocks, g) -> GlobalSystem:
     """Fold slaved traces into CG unknowns, lift Dirichlet data, reduce to SPD form.
 
     ``cg_stiffness`` holds the blocks of the plan's non-interface elements
-    (``assemble_noninterface``). The interface part is P^T blockdiag(K_e) P
-    with the routing matrix P, so slaving is congruent; the sparse product
-    and sum store no explicit zeros.
+    (``assemble_noninterface``). Both kinds enter through one scatter, an
+    interface block K_e as R^T K_e R with its route R, so slaving is
+    congruent; the sum of the two scatters stores no explicit zeros.
     """
     mesh, dofmap = plan.mesh, plan.dofmap
     n = dofmap.n_total
     if not np.array_equal(wg.elements, dofmap.elements):
-        raise AssemblyError("interface blocks do not follow the routing matrix's element order")
-    p = dofmap.P
-    n_cut, n_loc = wg.load.shape
-    blocks = sp.bsr_matrix(
-        (wg.stiffness, np.arange(n_cut), np.arange(n_cut + 1)), shape=(n_cut * n_loc,) * 2
-    )
-    k_all = (p.T @ blocks.tocsr() @ p).tocsr()
-    rhs = p.T @ wg.load.ravel()
-
-    cg_cols = dofmap.node_col[plan.nodes].astype(np.int32)  # (ne, nl), in scipy's index type: COO keeps no copy
-    nl = cg_cols.shape[1]
-    r = np.repeat(cg_cols[:, :, None], nl, axis=2)
-    c = np.repeat(cg_cols[:, None, :], nl, axis=1)
-    k_all = k_all + sp.coo_matrix((cg_stiffness.ravel(), (r.ravel(), c.ravel())), shape=(n, n)).tocsr()
+        raise AssemblyError("interface blocks do not follow the DOF map's element order")
+    r = dofmap.routes
+    cg_cols = dofmap.node_col[plan.nodes].astype(np.int32)  # (ne, nl)
+    k_all = scatter(dofmap.columns, _tr(r) @ wg.stiffness @ r, n) + scatter(cg_cols, cg_stiffness, n)
+    rhs = np.zeros(n)
+    rhs[dofmap.columns[:, : dofmap.m]] = wg.load
     np.add.at(rhs, cg_cols.ravel(), plan.load.ravel())
 
     pinned = np.zeros(n - dofmap.n_free)
@@ -570,8 +570,8 @@ def assemble_system(plan: LevelPlan, a1: float, a2: float, g, mode: str = "segme
 
 
 def dump_matrix(system: GlobalSystem, path) -> None:
-    """Coordinate text format: row col value, one entry per line."""
-    coo = system.matrix.tocoo()
+    """Coordinate text format: row col value, one entry per line, row by row."""
+    coo = system.matrix.tocsr().tocoo()
     with open(path, "w") as fh:
         fh.write(f"# {coo.shape[0]} x {coo.shape[1]}, {coo.nnz} entries\n")
         for r, c, v in zip(coo.row, coo.col, coo.data):

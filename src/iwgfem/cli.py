@@ -81,8 +81,9 @@ class RunConfig:
             raise ValueError("conductivities must be finite")
         if any(a1 <= 0 or a2 <= 0 for a1, a2 in self.pairs):
             raise ValueError("conductivities must be positive")
-        if len(set(self.pairs)) != len(self.pairs):
-            raise ValueError("coefficient pairs must be distinct")
+        # A pair's output files and log lines name it by A1 and A2 formatted with :g.
+        if len({f"{a1:g},{a2:g}" for a1, a2 in self.pairs}) != len(self.pairs):
+            raise ValueError("coefficient pairs must be distinct in the 6 significant digits that name their output")
         # The moment fit integrates along 2**depth arc chords per cut side, and
         # the peak memory grows 2-3x per two depth levels: at N = 8, k = 2 a
         # level peaks at 100 MB at depth 10, 197 MB at 12 and 583 MB at 14;
@@ -126,7 +127,8 @@ def _solve_pair(config: RunConfig, level: int, mesh, plan: LevelPlan, ms: Manufa
     ``factor``, a prepared pair's future of ``superlu``, must come as its
     only reference, so that L and U are freed when the solve returns.
     Returns (x_all, ms, spaces) for ``compute_errors``, the solver stats and
-    the log line's solve and health fields, none holding the system.
+    the log line's solve and health fields, none holding the system or the
+    spaces' stiffness blocks.
     """
     system, spaces = assembled
     band, coarse = (plan.dofmap.band, coarse_basis(plan, spaces)) if config.solver == "cg" else (None, None)
@@ -143,10 +145,8 @@ def _solve_pair(config: RunConfig, level: int, mesh, plan: LevelPlan, ms: Manufa
     if config.out_dir and config.dump_mesh:
         dump_mesh(mesh, Path(config.out_dir) / f"mesh_{tag}.txt")
     if config.out_dir and config.dump_matrix:
-        # An overlapped finest level holds K in CSC form; the dump lists it by rows.
-        system = dataclasses.replace(system, matrix=system.matrix.tocsr())
         dump_matrix(system, Path(config.out_dir) / f"matrix_{tag}.txt")
-    return (x_all, ms, spaces), stats, fields
+    return (x_all, ms, dataclasses.replace(spaces, stiffness=None)), stats, fields
 
 
 def _build_level(config: RunConfig, level: int):

@@ -23,7 +23,7 @@ from iwgfem.assembly import (
     coarse_basis,
     dump_matrix,
     element_node_table,
-    routing_matrix,
+    _element_routes,
 )
 from iwgfem.geometry import INTERFACE, OMEGA1, OMEGA2, CircleInterface, GeometryError
 from iwgfem.mesh import build_mesh
@@ -112,7 +112,7 @@ class TestDofMap:
             assert dm.trace_col[e] == TRACE_SLAVED
 
     def test_coupling_block_projects_cg_trace(self):
-        # Every slaved slot of P must map a linear function's CG interpolant
+        # Every slaved slot of the routes must map a linear function's CG interpolant
         # to the Q_b projection of the function on its edge.
         from iwgfem.ife import project_qb
         from iwgfem.mesh import EDGE_COUPLING
@@ -124,7 +124,7 @@ class TestDofMap:
             x = np.zeros(dm.n_total)
             valid = dm.node_col >= 0
             x[dm.node_col[valid]] = u(dm.node_coords[valid, 0], dm.node_coords[valid, 1])
-            locs = (dm.P @ x).reshape(len(dm.elements), dm.m + 3 * k)
+            locs = (dm.routes @ x[dm.columns][..., None]).reshape(len(dm.elements), dm.m + 3 * k)
             checked = 0
             for t, loc in zip(dm.elements, locs):
                 for i, e in enumerate(mesh.tri_edges[t]):
@@ -136,6 +136,27 @@ class TestDofMap:
                     np.testing.assert_allclose(got, want, atol=1e-13)
                     checked += 1
             assert checked == np.sum(mesh.edge_class == EDGE_COUPLING) > 0
+
+    @pytest.mark.parametrize("interface", [CIRCLE, CircleInterface((0.3, 0.2), 0.36)])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_padding_columns_repeat_a_trace_column_of_their_edge_at_zero_weight(self, k, interface):
+        # An owned (free or pinned) edge maps its k slots to its k trace
+        # columns by identity; its (k+1)-th column only pads the block.
+        mesh = build_mesh(2, interface)
+        dm = build_dof_map(mesh, k)
+        m, padded = dm.m, 0
+        for i, t in enumerate(dm.elements):
+            for j, e in enumerate(mesh.tri_edges[t]):
+                if dm.trace_col[e] == TRACE_SLAVED:
+                    continue
+                block = slice(m + j * (k + 1), m + (j + 1) * (k + 1))
+                cols, route = dm.columns[i, block], dm.routes[i, :, block]
+                np.testing.assert_array_equal(cols[:k], dm.trace_col[e] + np.arange(k))
+                np.testing.assert_array_equal(route[m + j * k : m + (j + 1) * k, :k], np.eye(k))
+                assert cols[k] in cols[:k]
+                assert np.all(route[:, k] == 0.0)
+                padded += 1
+        assert padded > 0
 
 
 def _reference_dof_columns(mesh, k):
@@ -209,11 +230,11 @@ class TestDofMapColumns:
 
 
 class TestRoutingChecks:
-    """The routing matrix refuses a DOF map or blocks it cannot route."""
+    """The routes refuse a DOF map or blocks they cannot route."""
 
     @staticmethod
     def _first_slot_edge(mesh, dm, want):
-        """(element, edge) of the first trace slot in P's row order with trace_col == want."""
+        """(element, edge) of the first trace slot in the routes' order with trace_col == want."""
         for t in dm.elements:
             for e in mesh.tri_edges[t]:
                 if want(dm.trace_col[e]):
@@ -227,7 +248,7 @@ class TestRoutingChecks:
         t, e = self._first_slot_edge(mesh, dm, lambda tc: tc == TRACE_SLAVED)
         dm.node_col[mesh.edges[e, 1]] = -1
         with pytest.raises(InconsistentConstraint, match=f"edge {e} of interface element {t} "):
-            routing_matrix(mesh, dm)
+            _element_routes(mesh, dm)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_edge_without_trace_dofs_raises(self, k):
@@ -236,7 +257,7 @@ class TestRoutingChecks:
         t, e = self._first_slot_edge(mesh, dm, lambda tc: tc >= 0)
         dm.trace_col[e] = TRACE_NONE
         with pytest.raises(InconsistentConstraint, match=f"edge {e} of interface element {t} has no"):
-            routing_matrix(mesh, dm)
+            _element_routes(mesh, dm)
 
     def test_blocks_out_of_routing_order_raise(self):
         ms = example1(1.0, 10.0)
@@ -322,7 +343,7 @@ class TestFoldedSystem:
         k_got = system.matrix.toarray()
         assert np.abs(k_got - k_ref).max() <= 1e-14 * np.abs(k_ref).max()
         assert np.abs(system.rhs - b_ref).max() <= 1e-14 * np.abs(b_ref).max()
-        # The sparse products keep no explicit zeros in the stored pattern.
+        # The sum of the scattered blocks keeps no explicit zeros in the stored pattern.
         assert np.all(system.matrix.data != 0.0)
 
 
@@ -337,6 +358,19 @@ class TestLevelPlan:
             want, _ = assemble_system(build_level_plan(mesh, 2, ms.f), 1.0, a2, ms.g, "arc")
             assert (got.matrix != want.matrix).nnz == 0
             np.testing.assert_array_equal(got.rhs, want.rhs)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_pairs_of_a_level_share_the_pattern_of_k(self, k):
+        # Every element enters K as a dense block at its columns, so the
+        # pairs of a level differ in K's values, not in its CSR pattern.
+        plan = build_level_plan(build_mesh(2, CIRCLE), k, example1(1.0, 1.0).f)
+        patterns = []
+        for a1, a2 in ((1.0, 1.0), (1.0, 1000.0), (1000.0, 1.0)):
+            system, _ = assemble_system(plan, a1, a2, example1(a1, a2).g, "segment" if k == 1 else "arc")
+            patterns.append((system.matrix.indptr, system.matrix.indices))
+        for indptr, indices in patterns[1:]:
+            np.testing.assert_array_equal(indptr, patterns[0][0])
+            np.testing.assert_array_equal(indices, patterns[0][1])
 
 
 def zero(x, y):

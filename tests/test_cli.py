@@ -394,6 +394,26 @@ def test_every_system_is_freed_before_its_level_error_pass(monkeypatch, overlap)
     assert passes == [(len(pairs), True)] * 3
 
 
+@pytest.mark.parametrize("overlap", [False, True])
+def test_the_error_pass_gets_spaces_without_stiffness(monkeypatch, overlap):
+    # Nothing after assembly reads a pair's stiffness blocks, so the spaces
+    # kept for the level's one error pass hold none.
+    passes = []
+    compute_errors = iwgfem.cli.compute_errors
+
+    def checked(plan, solved):
+        passes.append([spaces.stiffness is None for _, _, spaces in solved])
+        return compute_errors(plan, solved)
+
+    monkeypatch.setattr(iwgfem.cli, "OVERLAP_MIN_NODES", 0 if overlap else iwgfem.cli.OVERLAP_MIN_NODES)
+    monkeypatch.setattr(iwgfem.cli, "compute_errors", checked)
+    pairs = ((1.0, 1000.0),) if overlap else ((1.0, 1.0), (1.0, 1000.0))
+    config = RunConfig(k=2, levels=(1, 2), pairs=pairs, n_level1=4)
+    assert _overlaps_finest(config) == overlap
+    assert run_study(config, log=lambda *a: None)[1] == 0
+    assert passes == [[True] * len(pairs)] * 2
+
+
 def _strip_times(lines: list[str]) -> list[str]:
     """Log lines without the setup and per-pair times."""
     return [re.sub(r" (mesh|geometry|plan)=[0-9.]+s| \[[0-9.]+s\]", "", line) for line in lines]
@@ -699,6 +719,7 @@ class TestMain:
             (["--coeffs", "1,inf"], "conductivities must be finite"),
             (["--k", "1", "--coeffs", "1,10", "--n-level1", "4", "--levels", "1,1,2"], "levels must be strictly increasing"),
             (["--coeffs", "1,10;1,10"], "coefficient pairs must be distinct"),
+            (["--levels", "1..2", "--coeffs", "1,1000000;1,1000001"], "coefficient pairs must be distinct"),
             (["--levels", "1", "--depth", "64"], "depth must be in 0..12"),
             (["--levels", "1", "--quad-offset", "128"], "quad-offset must be in 0..16"),
             (["--levels", "1", "--n-level1", "100000"], "the finest level must have at most 256 cells per side"),

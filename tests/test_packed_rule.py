@@ -113,7 +113,7 @@ def element_energy(space, loc) -> float:
 
 def element_interface_errors(dofmap, spaces, x_all, ms):
     """(energy^2, L2^2, max) over the interface elements, one element at a time."""
-    locs = (dofmap.P @ x_all).reshape(len(dofmap.elements), -1)
+    locs = (dofmap.routes @ x_all[dofmap.columns][..., None]).reshape(len(dofmap.elements), -1)
     energy_sq = l2_sq = linf = 0.0
     for t, loc in zip(dofmap.elements, locs):
         space = spaces[t]

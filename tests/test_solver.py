@@ -198,12 +198,11 @@ class TestMixedPrecision:
 class TestBand:
     def test_band_is_the_union_of_the_free_columns_of_each_row_block(self, contrast_system):
         dm = contrast_system.dofmap
-        n_loc = dm.m + 3 * dm.k
         band = dm.band
         assert [element for element, _ in band.blocks] == dm.elements.tolist()
         for i, (_, own) in enumerate(band.blocks):
-            block = dm.P[i * n_loc : (i + 1) * n_loc]
-            np.testing.assert_array_equal(own, np.unique(block.indices[block.indices < dm.n_free]))
+            block = dm.columns[i]
+            np.testing.assert_array_equal(own, np.unique(block[block < dm.n_free]))
         np.testing.assert_array_equal(band.columns, np.unique(np.concatenate([own for _, own in band.blocks])))
         assert 0 < len(band.columns) < dm.n_free
 
