@@ -181,7 +181,7 @@ def _interface_errors(plan: LevelPlan, solved) -> list[tuple[float, float, float
         u = np.where(on_1, ms.u_step(profile, OMEGA1), ms.u_step(profile, OMEGA2))
         locs = (dofmap.routes @ x_all[dofmap.columns][..., None])[..., 0]  # every element's local dofs
         q0 = spaces.project_interior(u[:n_rule])  # u at the packed points also gives the max norm
-        qb = spaces.project_traces(u[n_rule:].reshape(geometry.edge_weights.shape))
+        qb = geometry.project_traces(u[n_rule:].reshape(geometry.edge_weights.shape))
         energy_sq = spaces.energy_seminorm_sq(np.concatenate([q0, qb.reshape(len(q0), 3 * geometry.k)], axis=1) - locs)
         d = q0 - locs[:, : dofmap.m]
         l2_sq = np.einsum("ni,nij,nj->", d, spaces.gram, d)

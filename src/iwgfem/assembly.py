@@ -27,7 +27,6 @@ from iwgfem.ife import (
     _legendre_values,
     _tr,
     build_local_spaces,
-    project_qb,
     sample,
 )
 from iwgfem.mesh import EDGE_COUPLING, EDGE_WG_INTERIOR, MeshPartition
@@ -72,7 +71,8 @@ class DofMap:
     for k = 2 midpoints), -1 if the node carries no CG unknown. The m
     interior columns of interface element ``elements[i]`` (ascending ids, the
     mesh's cut table order) start at wg0 + m i. trace_col[e] is the first of
-    k columns for edge e's trace block, TRACE_SLAVED on coupling edges.
+    k columns for edge e's trace block, pinned if it is n_free or more, and
+    TRACE_SLAVED on coupling edges.
 
     Interface element ``elements[i]`` reads its local slots [v0; vb on local
     edges 0, 1, 2] as routes[i] @ x[columns[i]], x holding all columns, pinned
@@ -91,7 +91,6 @@ class DofMap:
     wg0: int  # first interior column
     trace_col: np.ndarray
     pinned_nodes: np.ndarray  # node ids in pinned column order
-    pinned_trace_edges: np.ndarray  # edge ids of pinned trace blocks, in order
     node_coords: np.ndarray  # (n_nodes, 2) coordinates of every CG node
     columns: np.ndarray = None  # (n_cut, m + 3(k+1)) int32, see _element_routes
     routes: np.ndarray = None  # (n_cut, m + 3k, m + 3(k+1))
@@ -229,7 +228,6 @@ def build_dof_map(mesh: MeshPartition, k: int) -> DofMap:
         wg0=wg0,
         trace_col=trace_col,
         pinned_nodes=pinned_nodes,
-        pinned_trace_edges=boundary_wg,
         node_coords=node_coords,
     )
     dofmap.columns, dofmap.routes = _element_routes(mesh, dofmap)
@@ -335,6 +333,7 @@ class LevelPlan:
     unit CG stiffness block per orientation class, and the non-interface
     error rule. Nothing in it is per quadrature point or per element matrix:
     the error points are rebuilt per error pass from each side's v0 and J.
+    CG's coarse aggregates and basis are built on first use.
     """
 
     mesh: MeshPartition
@@ -382,30 +381,32 @@ class LevelPlan:
         keys, agg = np.unique((cell[:, 1] * c + cell[:, 0]) * 2 + inside, return_inverse=True)
         return agg, len(keys)
 
+    @cached_property
+    def coarse(self) -> sp.csr_matrix:
+        """Z (n_free, n_aggregates): the free coefficients of u = 1, split over the aggregates.
 
-def coarse_basis(plan: LevelPlan, spaces: IfeSpaces) -> sp.csr_matrix:
-    """Z (n_free, n_aggregates): the free coefficients of u = 1, split over the aggregates.
-
-    A constant satisfies both jump conditions, so its coefficients are 1 on
-    the CG nodes, the Q_0 projection of 1 on every interface element's
-    interior columns and the Q_b projection of 1 (sqrt(length) on P_0, 0 on
-    the higher Legendre terms) on the free traces. Each row of Z holds its
-    column's coefficient in the column of its aggregate (``LevelPlan.aggregates``).
-    """
-    dm = plan.dofmap
-    agg, n_agg = plan.aggregates
-    values = np.ones(dm.n_free)
-    if len(dm.elements):
-        interior = spaces.project_interior(np.ones(len(spaces.geometry.rule_weights)))
-        values[dm.wg0 : dm.wg0 + interior.size] = interior.ravel()
-    edges = np.flatnonzero((dm.trace_col >= 0) & (dm.trace_col < dm.n_free))
-    a, b = plan.mesh.edges[edges].T
-    traces = np.zeros((len(edges), dm.k))
-    traces[:, 0] = np.sqrt(np.linalg.norm(plan.mesh.vertices[b] - plan.mesh.vertices[a], axis=1))
-    values[dm.trace_col[edges][:, None] + np.arange(dm.k)] = traces
-    z = sp.csr_matrix((values, agg, np.arange(dm.n_free + 1)), shape=(dm.n_free, n_agg))
-    z.eliminate_zeros()
-    return z
+        A constant satisfies both jump conditions, so its coefficients are 1 on
+        the CG nodes and its Q_b projection, sqrt(length) on P_0, on the free
+        traces. An interface element's first basis function is the constant
+        pair over sqrt(|T|), |T| = M_1[0, 0] + M_2[0, 0], and the others are
+        orthogonal to it, so Q_0 of 1 is sqrt(|T|) on mode 0 and 0 elsewhere,
+        whatever the pair. Each nonzero row of Z holds its column's
+        coefficient in the column of its aggregate (``aggregates``). Built on
+        first use, by CG only.
+        """
+        dm, mesh, mass = self.dofmap, self.mesh, self.geometry.mass
+        agg, n_agg = self.aggregates
+        values = np.ones(dm.n_free)
+        interior = dm.wg0 + dm.m * np.arange(len(dm.elements))
+        values[interior[:, None] + np.arange(1, dm.m)] = 0.0
+        values[interior] = np.sqrt(mass[:, 0, 0, 0] + mass[:, 1, 0, 0])
+        edges = np.flatnonzero((dm.trace_col >= 0) & (dm.trace_col < dm.n_free))
+        a, b = mesh.edges[edges].T
+        values[dm.trace_col[edges][:, None] + np.arange(1, dm.k)] = 0.0
+        values[dm.trace_col[edges]] = np.sqrt(np.linalg.norm(mesh.vertices[b] - mesh.vertices[a], axis=1))
+        z = sp.csr_matrix((values, agg, np.arange(dm.n_free + 1)), shape=(dm.n_free, n_agg))
+        z.eliminate_zeros()
+        return z
 
 
 def build_level_plan(
@@ -474,18 +475,9 @@ def build_cut_geometries(mesh: MeshPartition, k: int, quad_offset: int = 0) -> C
     return build_cut_geometry(mesh.cuts, k, quad_offset)
 
 
-def build_ife_spaces(
-    mesh: MeshPartition,
-    k: int,
-    a1: float,
-    a2: float,
-    mode: str = "segment",
-    geometries: CutGeometry | None = None,
-) -> IfeSpaces:
-    """Construct the local immersed space on every interface element, as one batch."""
-    if geometries is None:
-        geometries = build_cut_geometries(mesh, k)
-    return build_local_spaces(geometries, a1, a2, mode)
+def build_ife_spaces(geometry: CutGeometry, a1: float, a2: float, mode: str = "segment") -> IfeSpaces:
+    """Construct the local immersed space on every interface element of ``geometry``, as one batch."""
+    return build_local_spaces(geometry, a1, a2, mode)
 
 
 def assemble_interface(spaces: IfeSpaces, moments: np.ndarray) -> WgBlocks:
@@ -541,10 +533,12 @@ def apply_constraints(plan: LevelPlan, cg_stiffness: np.ndarray, wg: WgBlocks, g
     pinned = np.zeros(n - dofmap.n_free)
     off = len(dofmap.pinned_nodes)
     pinned[:off] = sample(g, dofmap.node_coords[dofmap.pinned_nodes])
-    a, b = mesh.edges[dofmap.pinned_trace_edges].T
-    pinned[off:] = project_qb(g, mesh.vertices[a], mesh.vertices[b], dofmap.k, mesh.interface).ravel()
+    # A pinned trace is Q_b g on the edge rule of the one interface element that holds its edge.
+    nf, geometry = dofmap.n_free, plan.geometry
+    tc = dofmap.trace_col[mesh.tri_edges[dofmap.elements]]
+    own = tc >= nf
+    pinned[tc[own][:, None] - nf + np.arange(dofmap.k)] = geometry.project_traces(sample(g, geometry.edge_points))[own]
 
-    nf = dofmap.n_free
     k_ff = k_all[:nf, :nf]
     k_fp = k_all[:nf, nf:]
     b = rhs[:nf] - k_fp @ pinned
@@ -563,7 +557,7 @@ def assemble_system(plan: LevelPlan, a1: float, a2: float, g, mode: str = "segme
     The spaces are built on the plan's geometry; both assemblies are folded
     with the Dirichlet data g. Returns (GlobalSystem, IfeSpaces).
     """
-    spaces = build_ife_spaces(plan.mesh, plan.k, a1, a2, mode=mode, geometries=plan.geometry)
+    spaces = build_ife_spaces(plan.geometry, a1, a2, mode)
     cg_stiffness = assemble_noninterface(plan, {OMEGA1: a1, OMEGA2: a2})
     wg = assemble_interface(spaces, plan.moments)
     return apply_constraints(plan, cg_stiffness, wg, g), spaces

@@ -17,7 +17,6 @@ from iwgfem.assembly import (
     assemble_system,
     build_cut_geometries,
     build_level_plan,
-    coarse_basis,
     dump_matrix,
 )
 from iwgfem.geometry import GeometryError
@@ -131,7 +130,7 @@ def _solve_pair(config: RunConfig, level: int, mesh, plan: LevelPlan, ms: Manufa
     spaces' stiffness blocks.
     """
     system, spaces = assembled
-    band, coarse = (plan.dofmap.band, coarse_basis(plan, spaces)) if config.solver == "cg" else (None, None)
+    band, coarse = (plan.dofmap.band, plan.coarse) if config.solver == "cg" else (None, None)
     x, stats = solve(system.matrix, system.rhs, config.solver, band, coarse, factor=factor)
     del factor
     x_all = system.full_coefficients(x)

@@ -45,16 +45,13 @@ from iwgfem.geometry import (
     CircleInterface,
     CutTable,
     GeometryError,
-    MultipleCrossings,
     QuadratureRule,
     _arc_sweep,
     _gauss_legendre,
-    _reversed,
     canonical_edges,
     legendre_table,
     pack_subregion_rules,
     polygon_area,
-    segment_crossings,
     subregion_moments,
 )
 
@@ -170,26 +167,6 @@ def _edge_rules(ends: np.ndarray, crossing: np.ndarray, k: int):
     return pts, weights, _legendre_values(2.0 * t - 1.0, length[..., None], k)
 
 
-def project_qb(g, p0, p1, k: int, interface: CircleInterface | None = None) -> np.ndarray:
-    """L2 projections of g onto P_{k-1} of the segments p0 -> p1, as Legendre coefficients.
-
-    ``p0`` and ``p1`` are (2,) or (n, 2); the result is (k,) or (n, k), and g
-    is sampled once on every edge's rule.
-    """
-    ends = np.stack([np.asarray(p0, float), np.asarray(p1, float)], axis=-2)
-    crossing = np.ones(ends.shape[:-2])
-    if interface is not None:
-        roots = segment_crossings(ends, interface)
-        twice = ~np.isnan(roots[..., 1])
-        if twice.any():
-            raise MultipleCrossings(f"interface crosses edge {ends[twice][0].tolist()} twice; refine the mesh")
-        # The roots run from each edge's smaller (y, x) end.
-        t = np.where(_reversed(ends), 1.0 - roots[..., 0], roots[..., 0])
-        crossing = np.where(np.isnan(t), 1.0, t)
-    pts, weights, leg = _edge_rules(ends, crossing, k)
-    return (_tr(leg) @ (weights * sample(g, pts))[..., None])[..., 0]
-
-
 def _tr(a: np.ndarray) -> np.ndarray:
     """Transpose of every matrix in a stack."""
     return a.swapaxes(-1, -2)
@@ -280,15 +257,15 @@ class CutGeometry(Mapping):
         """(n, 2m): sum_p w_p g_p V_p over each segment, from g at the packed points."""
         weighted = self.rule_weights * values
         term = np.empty_like(weighted)
-        sums = np.empty((2 * len(self), self.m))
+        sums = np.empty((2 * len(self.elements), self.m))
         for j, row in enumerate(self.rule_vander):
             np.multiply(row, weighted, out=term)
             sums[:, j] = np.add.reduceat(term, self.rule_offsets[:-1])
-        return sums.reshape(len(self), 2 * self.m)
+        return sums.reshape(len(self.elements), 2 * self.m)
 
     def monomial_values(self, coeffs: np.ndarray) -> np.ndarray:
         """(P,) values at the packed points of per-side monomial coefficients (n, 2m)."""
-        per_segment = coeffs.reshape(2 * len(self), self.m)
+        per_segment = coeffs.reshape(2 * len(self.elements), self.m)
         counts = np.diff(self.rule_offsets)
         out = np.zeros(len(self.rule_weights))
         for j, row in enumerate(self.rule_vander):
@@ -296,6 +273,11 @@ class CutGeometry(Mapping):
             term *= row
             out += term
         return out
+
+    def project_traces(self, values: np.ndarray) -> np.ndarray:
+        """(n, 3, k): Q_b projections on every local edge, from g at the edge points."""
+        weighted = self.edge_weights * values
+        return (_tr(self.edge_legendre) @ weighted[..., None])[..., 0]
 
 
 # Packed segments processed per batch. It bounds the temporaries: at k = 2 the fit's Vandermonde
@@ -623,11 +605,6 @@ class IfeSpaces(Mapping):
         moments = self.moments(self.geometry.monomial_moments(values))
         return np.linalg.solve(self.gram, moments[..., None])[..., 0]
 
-    def project_traces(self, values: np.ndarray) -> np.ndarray:
-        """(n, 3, k): Q_b projections on every local edge, from g at the edge points."""
-        weighted = self.geometry.edge_weights * values
-        return (_tr(self.geometry.edge_legendre) @ weighted[..., None])[..., 0]
-
     def energy_seminorm_sq(self, local_dofs: np.ndarray) -> np.ndarray:
         """(n,): unweighted |grad_w v|_T^2 + h_T^{-1} |Q_b v_0 - v_b|_dT^2 of every element.
 
@@ -877,8 +854,8 @@ def build_local_spaces(geometry: CutGeometry, a1: float, a2: float, mode: str = 
     )
 
 
-def sample_chord_residuals(space: LocalIfeSpace, n_samples: int = 20):
-    """Max jump residuals of every basis function sampled along the chord D-E.
+def sample_chord_residuals(spaces: IfeSpaces, i: int, n_samples: int = 20):
+    """Max jump residuals of every basis function of row ``i`` sampled along its chord D-E.
 
     Returns (value_jump, flux_jump, laplacian_jump) maxima; the Laplacian
     entry is 0.0 for k = 1.
@@ -896,23 +873,24 @@ def sample_chord_residuals(space: LocalIfeSpace, n_samples: int = 20):
         a = np.asarray(a, float)
         return np.array([Fraction(x) for x in a.ravel().tolist()], dtype=object).reshape(a.shape)
 
-    cuts, i = space.geometry.cuts, space.index
+    geometry = spaces.geometry
+    cuts, k, m, f_mat = geometry.cuts, geometry.k, geometry.m, geometry.f_mat[i]
+    poly = PolyBasis(k)
     t = np.linspace(0.0, 1.0, n_samples)
     pts = cuts.point_d[i] + np.outer(t, cuts.point_e[i] - cuts.point_d[i])
-    loc = space.local_coords(pts)
-    m = space.m
-    c1, c2 = exact(space.coeffs[:m]), exact(space.coeffs[m:])
-    d_weighted = Fraction(space.a1) * c1 - Fraction(space.a2) * c2
+    loc = (pts - geometry.x_ref[i]) @ f_mat.T
+    c1, c2 = exact(spaces.coeffs[i, :m]), exact(spaces.coeffs[i, m:])
+    d_weighted = Fraction(spaces.a1) * c1 - Fraction(spaces.a2) * c2
 
     def worst(op, coeffs) -> float:
         return float(np.max(np.abs(op @ coeffs)))
 
-    val = worst(exact(space.poly.eval(loc)), c1 - c2)
-    n_loc = exact(space.f_mat) @ exact(cuts.normal[i])  # chord normal, local coordinates
-    flux = worst(exact(space.poly.grad(loc)) @ n_loc, d_weighted)
-    if space.k == 1:
+    val = worst(exact(poly.eval(loc)), c1 - c2)
+    n_loc = exact(f_mat) @ exact(cuts.normal[i])  # chord normal, local coordinates
+    flux = worst(exact(poly.grad(loc)) @ n_loc, d_weighted)
+    if k == 1:
         return val, flux, 0.0
     # The frame is orthogonal up to the 1/h scale, so the physical Laplacian
     # is the local one divided by h^2.
-    lap = exact(space.poly.laplacian(loc)) / Fraction(space.h_ref) ** 2
+    lap = exact(poly.laplacian(loc)) / Fraction(geometry.h_ref[i]) ** 2
     return val, flux, worst(lap, d_weighted)

@@ -38,8 +38,8 @@ def solve(matrix: sp.spmatrix, rhs: np.ndarray, method: str = "cholesky", band=N
     ``band`` is CG's interface band as ``DofMap.band`` gives it: the columns
     that CG's preconditioner solves exactly, with each interface element's
     own; without it CG is Jacobi-preconditioned.
-    ``coarse`` is CG's coarse basis Z (n, n_c), as ``assembly.coarse_basis``
-    builds it; with it CG is deflated in the A-DEF2 form. The direct path
+    ``coarse`` is CG's coarse basis Z (n, n_c), as ``LevelPlan.coarse``
+    gives it; with it CG is deflated in the A-DEF2 form. The direct path
     ignores both. It factors ``matrix`` in float32 and refines the solve in
     float64 (``_solve_direct``), falling back to a float64 factor.
     ``factor`` is a future of ``superlu`` on ``matrix`` in CSC form, started

@@ -6,13 +6,15 @@ root solver, one element's chord split, one triangle's class, one element's
 cut table and one side's polygon and packed rule, the contour moments of cut
 sides through a table of antiderivative values, the loop-built mesh, Gauss rules on segments and triangles,
 one polygon's fan triangulation and rule, plain sums over quadrature rules,
+the Dirichlet trace projection with its own crossings,
 one element's CG stiffness, the edge sets of the interface elements, the
 non-interface errors summed with ``einsum`` on freshly mapped points, the
 linear patch solution, example 1's jumps sampled on the interface, each
 side's u sampled on its packed cut-cell points, the interpolation errors of
 the two local families,
 preconditioned CG with allocating updates, one element's local space (a batch of
-one) and one level solved the way the CLI solves a pair. A few accessors of one
+one), a pair's spaces on a mesh, CG's coarse basis built from a pair's spaces
+and one level solved the way the CLI solves a pair. A few accessors of one
 element's data, and the split of a cut table into one-row tables, close the file.
 """
 
@@ -32,8 +34,8 @@ from iwgfem.assembly import (
     _element_jacobians,
     _orientation_classes,
     assemble_system,
+    build_ife_spaces,
     build_level_plan,
-    coarse_basis,
     element_node_table,
 )
 from iwgfem.geometry import (
@@ -54,6 +56,7 @@ from iwgfem.geometry import (
     _mapped_rule,
     _polygon_batches,
     _positive_fans,
+    _reversed,
     _tiles,
     _triangle_rule_reference,
     _two_fans,
@@ -63,7 +66,7 @@ from iwgfem.geometry import (
     polygon_area,
     segment_crossings,
 )
-from iwgfem.ife import CutGeometry, IfeSpaces, build_cut_geometry, build_local_spaces
+from iwgfem.ife import CutGeometry, IfeSpaces, _edge_rules, _tr, build_cut_geometry, build_local_spaces, sample
 from iwgfem.mesh import (
     EDGE_BOUNDARY,
     EDGE_COUPLING,
@@ -361,6 +364,27 @@ def quadrature_on_edge(p0, p1, degree: int, interface: CircleInterface | None = 
         pts = p0 + np.outer(t, p1 - p0)
         pieces.append(QuadratureRule(pts, 0.5 * (b - a) * length * w))
     return concatenate(pieces)
+
+
+def project_qb(g, p0, p1, k: int, interface: CircleInterface | None = None) -> np.ndarray:
+    """L2 projections of g onto P_{k-1} of the segments p0 -> p1, as Legendre coefficients.
+
+    ``p0`` and ``p1`` are (2,) or (n, 2); the result is (k,) or (n, k). Each
+    segment's crossing is solved here, so this rebuilds the edge rules that
+    ``CutGeometry`` holds for the edges of its cut elements.
+    """
+    ends = np.stack([np.asarray(p0, float), np.asarray(p1, float)], axis=-2)
+    crossing = np.ones(ends.shape[:-2])
+    if interface is not None:
+        roots = segment_crossings(ends, interface)
+        twice = ~np.isnan(roots[..., 1])
+        if twice.any():
+            raise MultipleCrossings(f"interface crosses edge {ends[twice][0].tolist()} twice; refine the mesh")
+        # The roots run from each edge's smaller (y, x) end.
+        t = np.where(_reversed(ends), 1.0 - roots[..., 0], roots[..., 0])
+        crossing = np.where(np.isnan(t), 1.0, t)
+    pts, weights, leg = _edge_rules(ends, crossing, k)
+    return (_tr(leg) @ (weights * sample(g, pts))[..., None])[..., 0]
 
 
 def build_mesh_loops(
@@ -664,12 +688,39 @@ def construct_ife_basis(
     return build_local_spaces(geometry, a1, a2, mode)[cut.elements[0]]
 
 
+def level_spaces(mesh: MeshPartition, k: int, a1: float, a2: float, mode: str = "segment") -> IfeSpaces:
+    """One pair's spaces on the cut elements of a mesh, on a cut geometry built for them."""
+    return build_ife_spaces(build_cut_geometry(mesh.cuts, k), a1, a2, mode)
+
+
+def coarse_basis(plan: LevelPlan, spaces: IfeSpaces) -> sp.csr_matrix:
+    """CG's coarse basis Z built from one pair's spaces: the reference for ``LevelPlan.coarse``.
+
+    The interior coefficients of u = 1 are its Q_0 projection on the pair's
+    basis, a Gram solve, so the modes past the first carry O(eps) entries.
+    """
+    dm = plan.dofmap
+    agg, n_agg = plan.aggregates
+    values = np.ones(dm.n_free)
+    if len(dm.elements):
+        interior = spaces.project_interior(np.ones(len(spaces.geometry.rule_weights)))
+        values[dm.wg0 : dm.wg0 + interior.size] = interior.ravel()
+    edges = np.flatnonzero((dm.trace_col >= 0) & (dm.trace_col < dm.n_free))
+    a, b = plan.mesh.edges[edges].T
+    traces = np.zeros((len(edges), dm.k))
+    traces[:, 0] = np.sqrt(np.linalg.norm(plan.mesh.vertices[b] - plan.mesh.vertices[a], axis=1))
+    values[dm.trace_col[edges][:, None] + np.arange(dm.k)] = traces
+    z = sp.csr_matrix((values, agg, np.arange(dm.n_free + 1)), shape=(dm.n_free, n_agg))
+    z.eliminate_zeros()
+    return z
+
+
 def run_level(ms, k: int, level: int, mode: str, method: str = "cholesky", n_override: int | None = None):
     """One level of ``ms`` solved as the CLI solves a pair: (errors, stats, mesh, system, spaces, x_all)."""
     mesh = build_mesh(level, ms.interface, n_override=n_override)
     plan = build_level_plan(mesh, k, ms.f)
     system, spaces = assemble_system(plan, ms.a1, ms.a2, ms.g, mode)
-    band, coarse = (plan.dofmap.band, coarse_basis(plan, spaces)) if method == "cg" else (None, None)
+    band, coarse = (plan.dofmap.band, plan.coarse) if method == "cg" else (None, None)
     x, stats = solve(system.matrix, system.rhs, method, band, coarse)
     x_all = system.full_coefficients(x)
     (errors,) = compute_errors(plan, [(x_all, ms, spaces)])

@@ -25,8 +25,10 @@ from reference import (
     check_interface_conditions,
     example1_sides,
     interpolation_errors,
+    level_spaces,
     linear_solution,
     noninterface_errors,
+    project_qb,
     run_level,
     sample_sides,
     triangle_coords,
@@ -141,12 +143,10 @@ class TestConvergenceOrders:
 class TestErrorNorms:
     def test_exact_projection_gives_zero_errors(self):
         # Synthetic solution vector assembled from the exact projections.
-        from iwgfem.ife import project_qb
-
         ms = example1(1.0, 10.0)
         mesh = build_mesh(1, ms.interface)
         plan = build_level_plan(mesh, 1, ms.f)
-        spaces = build_ife_spaces(mesh, 1, 1.0, 10.0, geometries=plan.geometry)
+        spaces = build_ife_spaces(plan.geometry, 1.0, 10.0)
         dm = plan.dofmap
         x = np.zeros(dm.n_total)
         valid = dm.node_col >= 0
@@ -197,7 +197,7 @@ class TestErrorNorms:
         solved = [(rng.standard_normal(plan.dofmap.n_total), example1(1.0, a2)) for a2 in (1.0, 10.0, 100.0, 1000.0)]
         assert _noninterface_errors(plan, solved) == [_noninterface_errors(plan, [s])[0] for s in solved]
         mode = "segment" if k == 1 else "arc"
-        solved = [(x, ms, build_ife_spaces(plan.mesh, k, ms.a1, ms.a2, mode, plan.geometry)) for x, ms in solved]
+        solved = [(x, ms, build_ife_spaces(plan.geometry, ms.a1, ms.a2, mode)) for x, ms in solved]
         assert _interface_errors(plan, solved) == [_interface_errors(plan, [s])[0] for s in solved]
         assert compute_errors(plan, solved) == [compute_errors(plan, [s])[0] for s in solved]
         with pytest.raises(AnalysisError, match="share"):
@@ -248,7 +248,7 @@ class TestInterpolationDiagnostic:
     def test_member_of_space_is_reproduced(self):
         ms = linear_solution(0.5, 1.0, 2.0)
         plan = build_level_plan(build_mesh(1, ms.interface), 1, ms.f)
-        spaces = build_ife_spaces(plan.mesh, 1, 1.0, 1.0, geometries=plan.geometry)
+        spaces = build_ife_spaces(plan.geometry, 1.0, 1.0)
         d = interpolation_errors(plan, spaces, ms)
         assert d["cg_h1"] < 1e-12
         assert d["q0_l2"] < 1e-12
@@ -258,7 +258,7 @@ class TestInterpolationDiagnostic:
         errs = []
         for level in (2, 3, 4):
             plan = build_level_plan(build_mesh(level, ms.interface), 1, ms.f)
-            spaces = build_ife_spaces(plan.mesh, 1, 1.0, 10.0, geometries=plan.geometry)
+            spaces = build_ife_spaces(plan.geometry, 1.0, 10.0)
             errs.append(interpolation_errors(plan, spaces, ms))
         h1_orders = convergence_orders([e["cg_h1"] for e in errs])
         l2_orders = convergence_orders([e["q0_l2"] for e in errs])
@@ -270,7 +270,7 @@ class TestInterpolationDiagnostic:
         # projector; check with polynomial inputs, which both quadratures
         # integrate exactly (an uncut-triangle rule is the oracle).
         mesh = build_mesh(2, CircleFixture.interface)
-        spaces = build_ife_spaces(mesh, 1, 2.0, 2.0)
+        spaces = level_spaces(mesh, 1, 2.0, 2.0)
         t, space = next(iter(spaces.items()))
         rule = triangle_rule(triangle_coords(mesh, t), 8)
         vander = space.poly.eval(space.local_coords(rule.points))

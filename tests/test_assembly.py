@@ -20,7 +20,6 @@ from iwgfem.assembly import (
     build_dof_map,
     build_ife_spaces,
     build_level_plan,
-    coarse_basis,
     dump_matrix,
     element_node_table,
     _element_routes,
@@ -28,7 +27,15 @@ from iwgfem.assembly import (
 from iwgfem.geometry import INTERFACE, OMEGA1, OMEGA2, CircleInterface, GeometryError
 from iwgfem.mesh import build_mesh
 from iwgfem.solver import _factor, solve
-from reference import block, cg_element_stiffness, side_rules, triangle_coords, wg0_columns
+from reference import (
+    block,
+    cg_element_stiffness,
+    level_spaces,
+    project_qb,
+    side_rules,
+    triangle_coords,
+    wg0_columns,
+)
 from test_geometry import OFF_CENTRE, off_centre_circle
 
 CIRCLE = CircleInterface()
@@ -114,7 +121,6 @@ class TestDofMap:
     def test_coupling_block_projects_cg_trace(self):
         # Every slaved slot of the routes must map a linear function's CG interpolant
         # to the Q_b projection of the function on its edge.
-        from iwgfem.ife import project_qb
         from iwgfem.mesh import EDGE_COUPLING
 
         mesh = build_mesh(2, CIRCLE)
@@ -226,7 +232,7 @@ class TestDofMapColumns:
         assert wg0_columns(dm) == wg0_col
         np.testing.assert_array_equal(dm.pinned_nodes, pinned)
         if interface is not CIRCLE:
-            assert len(dm.pinned_trace_edges) > 0
+            assert np.any(dm.trace_col >= dm.n_free)
 
 
 class TestRoutingChecks:
@@ -263,7 +269,7 @@ class TestRoutingChecks:
         ms = example1(1.0, 10.0)
         mesh = build_mesh(1, CIRCLE)
         plan = build_level_plan(mesh, 1, ms.f)
-        spaces = build_ife_spaces(mesh, 1, 1.0, 10.0, geometries=plan.geometry)
+        spaces = build_ife_spaces(plan.geometry, 1.0, 10.0)
         cg = assemble_noninterface(plan, {OMEGA1: 1.0, OMEGA2: 10.0})
         wg = assemble_interface(spaces, plan.moments)
         wg = WgBlocks(wg.elements[1:], wg.stiffness[1:], wg.load[1:])
@@ -292,7 +298,6 @@ def _reference_folded_system(mesh, k, spaces, ms, a1, a2):
     columns of owned edges and, on a coupling edge, to the Q_b projections
     of the edge's CG shape functions, computed here with project_qb.
     """
-    from iwgfem.ife import project_qb
     from test_packed_rule import element_moments, element_samples
 
     dm = build_dof_map(mesh, k)
@@ -324,7 +329,8 @@ def _reference_folded_system(mesh, k, spaces, ms, a1, a2):
         kmat += route.T @ spaces[t].stiffness @ route
         rhs += route.T @ load
     pinned = [ms.g(*dm.node_coords[node]) for node in dm.pinned_nodes]
-    for e in dm.pinned_trace_edges:
+    pinned_edges = np.flatnonzero(dm.trace_col >= dm.n_free)
+    for e in pinned_edges[np.argsort(dm.trace_col[pinned_edges])]:
         a, b = mesh.edges[e]
         pinned.extend(project_qb(ms.g, mesh.vertices[a], mesh.vertices[b], k, mesh.interface))
     nf = dm.n_free
@@ -345,6 +351,28 @@ class TestFoldedSystem:
         assert np.abs(system.rhs - b_ref).max() <= 1e-14 * np.abs(b_ref).max()
         # The sum of the scattered blocks keeps no explicit zeros in the stored pattern.
         assert np.all(system.matrix.data != 0.0)
+
+
+class TestPinnedTraces:
+    @pytest.mark.parametrize(
+        "center, radius, level, n_edges",
+        [((0.3, 0.2), 0.36, 2, 5), ((-0.5, 0.4), 0.5, 3, 8), ((0.7, -0.6), 0.3, 5, 4)],
+    )
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_pinned_traces_are_the_reference_projection_bit_for_bit(self, k, center, radius, level, n_edges):
+        # Off-centre circles that reach the boundary: each pinned trace is Q_b g on
+        # its cut element's edge rule, which the reference rebuilds from the edge alone.
+        interface = CircleInterface(center, radius)
+        ms = example1(1.0, 1000.0, interface)
+        mesh = build_mesh(level, interface)
+        system, _ = assemble_system(build_level_plan(mesh, k, ms.f), 1.0, 1000.0, ms.g)
+        dm = system.dofmap
+        edges = np.flatnonzero(dm.trace_col >= dm.n_free)
+        assert len(edges) == n_edges
+        a, b = mesh.edges[edges].T
+        want = project_qb(ms.g, mesh.vertices[a], mesh.vertices[b], k, interface)
+        got = system.pinned_values[dm.trace_col[edges][:, None] - dm.n_free + np.arange(k)]
+        np.testing.assert_array_equal(got, want)
 
 
 class TestLevelPlan:
@@ -394,9 +422,9 @@ class TestOffCentreCircles:
         except GeometryError:
             return
         plan = build_level_plan(mesh, k, zero)
-        system, spaces = assemble_system(plan, *pair, one, "segment" if k == 1 else "arc")
+        system, _ = assemble_system(plan, *pair, one, "segment" if k == 1 else "arc")
         x = _factor(system.matrix).solve(system.rhs)
-        assert np.max(np.abs(x - np.asarray(coarse_basis(plan, spaces).sum(axis=1)).ravel())) <= 1e-9
+        assert np.max(np.abs(x - np.asarray(plan.coarse.sum(axis=1)).ravel())) <= 1e-9
 
 
 class TestGlobalSystem:
@@ -404,7 +432,7 @@ class TestGlobalSystem:
         mesh = build_mesh(1, CIRCLE)
         f = lambda x, y: np.zeros_like(np.asarray(x, float))
         plan = build_level_plan(mesh, 1, f)
-        spaces = build_ife_spaces(mesh, 1, 1.0, 10.0, geometries=plan.geometry)
+        spaces = build_ife_spaces(plan.geometry, 1.0, 10.0)
         cg = assemble_noninterface(plan, {OMEGA1: 1.0, OMEGA2: 10.0})
         wg = assemble_interface(spaces, plan.moments)
         system = apply_constraints(plan, cg, wg, lambda x, y: 0.0)
@@ -506,7 +534,7 @@ class TestOrientationClasses:
 class TestWgBlocks:
     def test_constant_mode_in_kernel(self):
         mesh = build_mesh(1, CIRCLE)
-        spaces = build_ife_spaces(mesh, 1, 1.0, 10.0)
+        spaces = level_spaces(mesh, 1, 1.0, 10.0)
         for t, space in spaces.items():
             v0 = np.zeros(space.m)
             v0[0] = 1.0
@@ -515,7 +543,7 @@ class TestWgBlocks:
 
     def test_block_psd_with_one_dim_kernel(self):
         mesh = build_mesh(1, CIRCLE)
-        spaces = build_ife_spaces(mesh, 1, 1.0, 10.0)
+        spaces = level_spaces(mesh, 1, 1.0, 10.0)
         t, space = next(iter(spaces.items()))
         lam = np.linalg.eigvalsh(space.stiffness)
         assert lam[0] > -1e-11
@@ -525,7 +553,7 @@ class TestWgBlocks:
         # With A1 = A2 the IFE space is P_k; restricting the WG block to
         # v_b = Q_b v_0 must reproduce the plain stiffness on that basis.
         mesh = build_mesh(1, CIRCLE)
-        spaces = build_ife_spaces(mesh, 1, 1.0, 1.0)
+        spaces = level_spaces(mesh, 1, 1.0, 1.0)
         t, space = next(iter(spaces.items()))
         m = space.m
         lift = np.vstack([np.eye(m), space.trace.reshape(-1, m)])

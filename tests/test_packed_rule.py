@@ -179,7 +179,7 @@ class TestBatchedAgainstPerElementReference:
         scale = np.array([element_moment_scale(s, v) for s, v in zip(spaces.values(), samples)])
         assert np.all(np.abs(q0 - want) <= 100 * EPS * scale)
         e = geometry.edge_points
-        qb = spaces.project_traces(ms.u(e[..., 0], e[..., 1]))
+        qb = geometry.project_traces(ms.u(e[..., 0], e[..., 1]))
         want = np.array([element_qb(s, ms.u) for s in spaces.values()])
         np.testing.assert_allclose(qb, want, rtol=0, atol=1e-14 * np.abs(want).max())
 

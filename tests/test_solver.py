@@ -10,9 +10,9 @@ import scipy.linalg as sl
 import scipy.sparse as sp
 
 from iwgfem.analysis import example1
-from iwgfem.assembly import assemble_system, build_level_plan, coarse_basis
+from iwgfem.assembly import assemble_system, build_level_plan
 from iwgfem.mesh import build_mesh
-from reference import allocating_cg, run_level, wg0_columns
+from reference import allocating_cg, coarse_basis, run_level, wg0_columns
 from test_assembly import one, zero
 import iwgfem.solver as solver_module
 from iwgfem.solver import (
@@ -279,10 +279,14 @@ class TestCoarseLevel:
         ms = example1(a1, a2)
         mesh = build_mesh(1, ms.interface, n_override=16)
         plan = build_level_plan(mesh, k, zero)
-        system, spaces = assemble_system(plan, a1, a2, one, "segment" if k == 1 else "arc")
-        z = coarse_basis(plan, spaces)
-        assert z.shape == (plan.dofmap.n_free, plan.aggregates[1])
+        system, _ = assemble_system(plan, a1, a2, one, "segment" if k == 1 else "arc")
+        z, dm = plan.coarse, plan.dofmap
+        assert z.shape == (dm.n_free, plan.aggregates[1])
         assert np.all(np.diff(z.indptr) <= 1)  # each column lies in one aggregate
+        # The constant is the first interior mode of every interface element, alone.
+        interior = dm.wg0 + np.arange(len(dm.elements) * dm.m).reshape(-1, dm.m)
+        assert np.all(np.diff(z.indptr)[interior[:, 0]] == 1)
+        assert np.all(np.diff(z.indptr)[interior[:, 1:]] == 0)
         x, _ = solve(system.matrix, system.rhs)
         assert np.max(np.abs(x - np.asarray(z.sum(axis=1)).ravel())) <= 1e-11
 
@@ -300,7 +304,7 @@ class TestCoarseLevel:
         plan, system, spaces = contrast16
         a = _sorted_csr(system.matrix)
         inv_du, cols, _ = _preconditioner(a, plan.dofmap.band)
-        e, _, _ = _deflation(a, coarse_basis(plan, spaces), inv_du, cols)
+        e, _, _ = _deflation(a, plan.coarse, inv_du, cols)
         assert (e != e.T).nnz == 0
         _factor(e)
         e = e.tolil()
@@ -312,7 +316,7 @@ class TestCoarseLevel:
         # W_1^T r - G y_b is W^T r = Z^T r - Z^T A M^-1 r up to rounding.
         plan, system, spaces = contrast16
         a = _sorted_csr(system.matrix)
-        z = coarse_basis(plan, spaces)
+        z = plan.coarse
         inv_du, cols, precondition = _preconditioner(a, plan.dofmap.band)
         _, w1_t, g = _deflation(a, z, inv_du, cols)
         r = np.random.default_rng(5).standard_normal(a.shape[0])
@@ -322,7 +326,7 @@ class TestCoarseLevel:
 
     def test_a_zero_coarse_column_raises(self, contrast16):
         plan, system, spaces = contrast16
-        z = coarse_basis(plan, spaces).tocsc()
+        z = plan.coarse.tocsc()
         z.data[z.indptr[0] : z.indptr[1]] = 0.0
         with pytest.raises(NotPositiveDefinite):
             solve(system.matrix, system.rhs, "cg", plan.dofmap.band, z)
@@ -331,7 +335,7 @@ class TestCoarseLevel:
         plan, system, spaces = contrast16
         a, b = system.matrix, system.rhs
         x_direct, _ = solve(a, b)
-        x, stats = solve(a, b, "cg", plan.dofmap.band, coarse_basis(plan, spaces))
+        x, stats = solve(a, b, "cg", plan.dofmap.band, plan.coarse)
         assert stats.iterations > 0
         assert np.max(np.abs(x - x_direct)) <= 1e-9 * np.max(np.abs(x_direct))
 
@@ -342,7 +346,7 @@ class TestCoarseLevel:
         plan, system, spaces = contrast_level(32)
         a, b = system.matrix, system.rhs
         _, one_level = solve(a, b, "cg", plan.dofmap.band)
-        x, two_level = solve(a, b, "cg", plan.dofmap.band, coarse_basis(plan, spaces))
+        x, two_level = solve(a, b, "cg", plan.dofmap.band, plan.coarse)
         assert 0 < two_level.iterations < 0.9 * one_level.iterations
         x_direct, _ = solve(a, b)
         assert np.max(np.abs(x - x_direct)) <= 1e-9 * np.max(np.abs(x_direct))
@@ -353,8 +357,32 @@ class TestCoarseLevel:
         plan, system, spaces = contrast16
         a, b = system.matrix, system.rhs
         _, one_level = solve(a, b, "cg", plan.dofmap.band)
-        _, two_level = solve(a, b, "cg", plan.dofmap.band, coarse_basis(plan, spaces))
+        _, two_level = solve(a, b, "cg", plan.dofmap.band, plan.coarse)
         assert 0 < two_level.iterations < 0.7 * one_level.iterations
+
+    @pytest.mark.parametrize("mode", ["segment", "arc"])
+    @pytest.mark.parametrize("a1, a2", [(1.0, 1000.0), (1000.0, 1.0)])
+    def test_coarse_basis_is_the_pair_built_one(self, mode, a1, a2):
+        ms = example1(a1, a2)
+        plan = build_level_plan(build_mesh(1, ms.interface, n_override=16), 2, ms.f)
+        _, spaces = assemble_system(plan, a1, a2, ms.g, mode)
+        want = coarse_basis(plan, spaces).toarray()
+        assert np.abs(plan.coarse.toarray() - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_a_pairs_cg_solution_does_not_depend_on_the_pairs_before_it(self):
+        # The coarse basis is cached on the plan at the first CG solve; a pair
+        # solved after six others must get the bits it gets when solved first.
+        pairs = [(1.0, 1.0), (1.0, 10.0), (1.0, 100.0), (10.0, 1.0), (100.0, 1.0), (1000.0, 1.0), (1.0, 1000.0)]
+
+        def solve_pairs(pairs):
+            ms = example1(1.0, 1.0)
+            plan = build_level_plan(build_mesh(1, ms.interface, n_override=16), 2, ms.f)
+            for a1, a2 in pairs:
+                system, _ = assemble_system(plan, a1, a2, example1(a1, a2).g, "arc")
+                x, _ = solve(system.matrix, system.rhs, "cg", plan.dofmap.band, plan.coarse)
+            return x
+
+        np.testing.assert_array_equal(solve_pairs(pairs), solve_pairs(pairs[-1:]))
 
 
 def test_two_level_cg_is_robust_to_the_contrast():
@@ -368,7 +396,7 @@ def test_two_level_cg_is_robust_to_the_contrast():
     for pair in [(1.0, 1.0), (1000.0, 1.0)]:
         ms = example1(*pair)
         system, spaces = assemble_system(plan, *pair, ms.g, "arc")
-        z = coarse_basis(plan, spaces)
+        z = plan.coarse
         _, stats = solve(system.matrix, system.rhs, "cg", plan.dofmap.band, z)
         iterations[pair] = stats.iterations
     assert 0 < iterations[1000.0, 1.0] < 2 * iterations[1.0, 1.0]
