@@ -60,10 +60,6 @@ class CircleInterface:
         cx, cy = self.center
         return (np.asarray(x) - cx) ** 2 + (np.asarray(y) - cy) ** 2 - self.radius_squared
 
-    def gradient(self, x, y):
-        cx, cy = self.center
-        return np.stack([2.0 * (np.asarray(x) - cx), 2.0 * (np.asarray(y) - cy)], axis=-1)
-
 
 def _reversed(ends: np.ndarray) -> np.ndarray:
     """Whether each segment (..., 2, 2) starts at its larger (y, x) end."""

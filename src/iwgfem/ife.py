@@ -35,6 +35,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -185,10 +186,11 @@ class CutGeometry(Mapping):
 
     Everything here depends only on the cuts, the degree k and the
     quadrature, so it is built once per level and shared by every
-    conductivity pair. Row i is row i of the cut table ``cuts``. As a mapping
-    it takes an element id to that element's ``CutPoints``, built on request
-    from views of the packed rule. Sides are indexed 0 (OMEGA1) and 1
-    (OMEGA2).
+    conductivity pair. Row i is row i of the cut table ``cuts``; ``row`` finds
+    an element's row. As a mapping it takes an element id to that element's
+    ``CutPoints``, built on request from views of the packed rule: only the
+    benchmark's tracer reads it, the package reads the stacks. Sides are
+    indexed 0 (OMEGA1) and 1 (OMEGA2).
 
     The sub-region rules are packed: ``rule_points``, ``rule_weights`` and
     the columns of ``rule_vander`` hold every element's points, side 1 then
@@ -209,7 +211,7 @@ class CutGeometry(Mapping):
     k: int
     cuts: CutTable
     x_ref: np.ndarray  # (n, 2) chord midpoints
-    f_mat: np.ndarray  # (n, 2, 2) frames: local = (x - x_ref) @ f_mat.T
+    f_mat: np.ndarray  # (n, 2, 2) frames: local = (x - x_ref) @ f_mat.T, grad_x = grad_loc @ f_mat
     h_ref: np.ndarray  # (n,) element diameters, the frames' scale
     mass: np.ndarray  # (n, 2, m, m) monomial mass matrix per side
     grad_gram: np.ndarray  # (n, 2, m, m) Gram of the monomials' physical gradients
@@ -492,99 +494,44 @@ def build_cut_geometry(cuts: CutTable, k: int, quad_offset: int = 0) -> CutGeome
     )
 
 
-class _Slice:
-    """View attribute: the view's slice of the batch array of the same name."""
+class SpaceHealth(NamedTuple):
+    """One element's health figures in a pair's spaces."""
 
-    def __init__(self, batch: str = "spaces"):
-        self.batch = batch
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, view, owner=None):
-        if view is None:
-            return self
-        return getattr(getattr(view, self.batch), self.name)[view.index]
-
-
-@dataclass(frozen=True, eq=False)
-class LocalIfeSpace:
-    """One element's orthonormal immersed basis, weak gradients and stabilizer.
-
-    A thin view of slice ``index`` of an ``IfeSpaces`` batch.
-    """
-
-    spaces: "IfeSpaces"
-    index: int
-
-    coeffs = _Slice()  # (2m, m): pair coefficients of the basis, constant first
-    gram = _Slice()  # (m, m), identity to roundoff
-    gram_cond = _Slice()
-    ill_conditioned = _Slice()
-    constraint_residual = _Slice()
-    grad_gram = _Slice()  # (m-1, m-1): Gram of {grad phi_2..m}
-    trace = _Slice()  # (3, k, m): Q_b of the basis on each local edge
-    weak_grad = _Slice()  # (m-1, m + 3k), unweighted Riesz map
-    stiffness = _Slice()  # (m + 3k, m + 3k)
-    x_ref = _Slice("geometry")
-    f_mat = _Slice("geometry")  # local = (x - x_ref) @ f_mat.T; grad_x = grad_loc @ f_mat
-    h_ref = _Slice("geometry")
-
-    @property
-    def geometry(self) -> CutGeometry:
-        return self.spaces.geometry
-
-    @property
-    def k(self) -> int:
-        return self.geometry.k
-
-    @property
-    def a1(self) -> float:
-        return self.spaces.a1
-
-    @property
-    def a2(self) -> float:
-        return self.spaces.a2
-
-    @property
-    def poly(self) -> PolyBasis:
-        return PolyBasis(self.k)
-
-    @property
-    def m(self) -> int:
-        return self.geometry.m
-
-    def local_coords(self, pts):
-        return (np.atleast_2d(np.asarray(pts, float)) - self.x_ref) @ self.f_mat.T
+    gram_cond: float
+    constraint_residual: float
+    ill_conditioned: bool
 
 
 @dataclass(eq=False)
 class IfeSpaces(Mapping):
     """One conductivity pair's local spaces on every element of a CutGeometry.
 
-    The arrays are stacked on axis 0 in the geometry's element order; as a
-    mapping it takes an element id to its ``LocalIfeSpace`` view.
+    The arrays are stacked on axis 0 in the geometry's element order, and
+    the package reads them only as stacks. As a mapping it takes an element
+    id to the ``SpaceHealth`` of its row, the figures the benchmark's tracer
+    reads.
     """
 
     geometry: CutGeometry
     a1: float
     a2: float
-    coeffs: np.ndarray
-    gram: np.ndarray
-    gram_cond: np.ndarray
-    ill_conditioned: np.ndarray
-    constraint_residual: np.ndarray
-    grad_gram: np.ndarray
-    trace: np.ndarray
-    weak_grad: np.ndarray
-    stiffness: np.ndarray
+    coeffs: np.ndarray  # (n, 2m, m): pair coefficients of the basis, constant first
+    gram: np.ndarray  # (n, m, m), identity to roundoff
+    gram_cond: np.ndarray  # (n,)
+    ill_conditioned: np.ndarray  # (n,)
+    constraint_residual: np.ndarray  # (n,)
+    grad_gram: np.ndarray  # (n, m-1, m-1): Gram of {grad phi_2..m}
+    trace: np.ndarray  # (n, 3, k, m): Q_b of the basis on each local edge
+    weak_grad: np.ndarray  # (n, m-1, m + 3k), unweighted Riesz map
+    stiffness: np.ndarray  # (n, m + 3k, m + 3k)
 
     @property
     def elements(self) -> np.ndarray:
         return self.geometry.elements
 
-    def __getitem__(self, t) -> LocalIfeSpace:
-        return LocalIfeSpace(self, self.geometry.row(t))
+    def __getitem__(self, t) -> SpaceHealth:
+        i = self.geometry.row(t)
+        return SpaceHealth(self.gram_cond[i], self.constraint_residual[i], self.ill_conditioned[i])
 
     def __iter__(self):
         return iter(self.geometry)

@@ -14,8 +14,10 @@ side's u sampled on its packed cut-cell points, the interpolation errors of
 the two local families,
 preconditioned CG with allocating updates, one element's local space (a batch of
 one), a pair's spaces on a mesh, CG's coarse basis built from a pair's spaces
-and one level solved the way the CLI solves a pair. A few accessors of one
-element's data, and the split of a cut table into one-row tables, close the file.
+and one level solved the way the CLI solves a pair. Row i's rules, local
+coordinates, side blocks and one-row cut table, read from the stacked arrays
+of a pair's spaces, and the split of a cut table into one-row tables, close
+the file.
 """
 
 from __future__ import annotations
@@ -675,8 +677,8 @@ def allocating_cg(matrix, b: np.ndarray, precondition=None, tol: float = 1e-12, 
 
 def construct_ife_basis(
     cut: CutTable, a1: float, a2: float, k: int, mode: str = "segment", geometry: CutGeometry | None = None
-):
-    """The local space of the element of a one-row table: a batch of one.
+) -> IfeSpaces:
+    """The local space of the element of a one-row table: a batch of one, its row 0.
 
     A ``geometry`` built for this table may be passed to share it across
     conductivity pairs.
@@ -685,7 +687,7 @@ def construct_ife_basis(
         raise ValueError(f"expected a table of one cut, got {len(cut)}")
     if geometry is None:
         geometry = build_cut_geometry(cut, k)
-    return build_local_spaces(geometry, a1, a2, mode)[cut.elements[0]]
+    return build_local_spaces(geometry, a1, a2, mode)
 
 
 def level_spaces(mesh: MeshPartition, k: int, a1: float, a2: float, mode: str = "segment") -> IfeSpaces:
@@ -759,14 +761,22 @@ def triangle_coords(mesh: MeshPartition, t: int) -> np.ndarray:
     return mesh.vertices[mesh.triangles[t]]
 
 
-def side_rules(space) -> dict:
-    """side -> one local space's sub-region rule, views of its geometry's packed rule."""
-    return space.geometry[space.geometry.elements[space.index]].rules
+def side_rules(spaces: IfeSpaces, i: int) -> dict:
+    """side -> row i's sub-region rule, views of the geometry's packed rule."""
+    geometry = spaces.geometry
+    return geometry[geometry.elements[i]].rules
 
 
-def block(space, side: int) -> np.ndarray:
-    """(m, m) monomial coefficients of one local space's basis on one side."""
-    return space.coeffs[: space.m] if side == OMEGA1 else space.coeffs[space.m :]
+def local_coords(spaces: IfeSpaces, i: int, pts) -> np.ndarray:
+    """Row i's local coordinates of physical points: (x - x_ref) @ f_mat.T."""
+    geometry = spaces.geometry
+    return (np.atleast_2d(np.asarray(pts, float)) - geometry.x_ref[i]) @ geometry.f_mat[i].T
+
+
+def block(spaces: IfeSpaces, i: int, side: int) -> np.ndarray:
+    """(m, m) monomial coefficients of row i's basis on one side."""
+    m = spaces.geometry.m
+    return spaces.coeffs[i, :m] if side == OMEGA1 else spaces.coeffs[i, m:]
 
 
 def take(cuts: CutTable, rows) -> CutTable:
@@ -785,9 +795,9 @@ def side_polygon(cut: CutTable, side: int) -> np.ndarray:
     return cut.tri_side[0] if cut.tri_on_1[0] == (side == OMEGA1) else cut.quad_side[0]
 
 
-def space_cut(space) -> CutTable:
-    """The one-row table of a local space's element."""
-    return take(space.geometry.cuts, [space.index])
+def space_cut(spaces: IfeSpaces, i: int) -> CutTable:
+    """The one-row table of row i's element."""
+    return take(spaces.geometry.cuts, [i])
 
 
 def wg0_columns(dofmap) -> dict:

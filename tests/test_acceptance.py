@@ -199,8 +199,7 @@ def test_criterion_6_ife_constraint_suite():
     worst = {"val": 0.0, "flux": 0.0, "lap": 0.0}
     for cut in split(mesh.cuts):
         for k, (a1, a2) in ((1, (1.0, 10.0)), (2, (1.0, 10.0))):
-            space = construct_ife_basis(cut, a1, a2, k, mode="segment")
-            val, flux, lap = sample_chord_residuals(space.spaces, space.index)
+            val, flux, lap = sample_chord_residuals(construct_ife_basis(cut, a1, a2, k, mode="segment"), 0)
             worst["val"] = max(worst["val"], val)
             worst["flux"] = max(worst["flux"], flux)
             worst["lap"] = max(worst["lap"], lap)
@@ -208,9 +207,9 @@ def test_criterion_6_ife_constraint_suite():
     degen = 0.0
     for cut in split(mesh.cuts)[::4]:
         for k in (1, 2):
-            space = construct_ife_basis(cut, 3.0, 3.0, k)
-            m = space.m
-            degen = max(degen, float(np.max(np.abs(space.coeffs[:m] - space.coeffs[m:]))))
+            spaces = construct_ife_basis(cut, 3.0, 3.0, k)
+            m = spaces.geometry.m
+            degen = max(degen, float(np.max(np.abs(spaces.coeffs[0, :m] - spaces.coeffs[0, m:]))))
     ok = all(v <= 1e-10 for v in worst.values()) and degen <= 1e-10
     _report(
         "criterion 6 (IFE constraints)",
@@ -232,18 +231,18 @@ def test_criterion_7_weak_gradient_identity():
     worst_matched = 0.0
     worst_oracle = 0.0
     for space_set in (spaces, spaces2):
-        for t, space in space_set.items():
-            m = space.m
+        m = space_set.geometry.m
+        for i in range(len(space_set)):
             v0 = rng.standard_normal((100, m))
-            matched = np.hstack([v0, (space.trace @ v0.T).transpose(2, 0, 1).reshape(len(v0), -1)])
-            got = matched @ space.weak_grad.T
+            matched = np.hstack([v0, (space_set.trace[i] @ v0.T).transpose(2, 0, 1).reshape(len(v0), -1)])
+            got = matched @ space_set.weak_grad[i].T
             worst_matched = max(worst_matched, float(np.max(np.abs(got - v0[:, 1:]))))
     # Mismatched traces against the independent dense least-squares oracle.
-    for t, space in list(spaces.items())[::3]:
+    for i, t in list(enumerate(spaces.elements.tolist()))[::3]:
         for _ in range(3):
-            loc = rng.standard_normal(len(space.stiffness))
-            got = space.weak_grad @ loc
-            want = _weak_gradient_oracle(space, loc, mesh.vertices[mesh.edges[mesh.tri_edges[t]]])
+            loc = rng.standard_normal(len(spaces.stiffness[i]))
+            got = spaces.weak_grad[i] @ loc
+            want = _weak_gradient_oracle(spaces, i, loc, mesh.vertices[mesh.edges[mesh.tri_edges[t]]])
             worst_oracle = max(worst_oracle, float(np.max(np.abs(got - want))))
     ok = worst_matched <= 1e-12 and worst_oracle <= 1e-10
     _report(

@@ -19,6 +19,7 @@ from iwgfem.analysis import (
 )
 from iwgfem.assembly import build_ife_spaces, build_level_plan
 from iwgfem.geometry import OMEGA1, OMEGA2, CircleInterface, GeometryError
+from iwgfem.ife import PolyBasis
 from iwgfem.mesh import build_mesh
 from reference import (
     block,
@@ -27,6 +28,7 @@ from reference import (
     interpolation_errors,
     level_spaces,
     linear_solution,
+    local_coords,
     noninterface_errors,
     project_qb,
     run_level,
@@ -271,9 +273,9 @@ class TestInterpolationDiagnostic:
         # integrate exactly (an uncut-triangle rule is the oracle).
         mesh = build_mesh(2, CircleFixture.interface)
         spaces = level_spaces(mesh, 1, 2.0, 2.0)
-        t, space = next(iter(spaces.items()))
+        t = spaces.elements[0]
         rule = triangle_rule(triangle_coords(mesh, t), 8)
-        vander = space.poly.eval(space.local_coords(rule.points))
+        vander = PolyBasis(1).eval(local_coords(spaces, 0, rule.points))
         mass = vander.T @ (rule.weights[:, None] * vander)
         pts = spaces.geometry.rule_points
         for a, b in [(0, 0), (1, 0), (1, 1), (2, 1), (0, 3)]:
@@ -281,6 +283,6 @@ class TestInterpolationDiagnostic:
             q0 = spaces.project_interior(f(pts[:, 0], pts[:, 1]))[0]
             mom = vander.T @ (rule.weights * f(rule.points[:, 0], rule.points[:, 1]))
             coeffs_plain = np.linalg.solve(mass, mom)
-            uh_vals = vander @ block(space, OMEGA2) @ q0
+            uh_vals = vander @ block(spaces, 0, OMEGA2) @ q0
             plain_vals = vander @ coeffs_plain
             np.testing.assert_allclose(uh_vals, plain_vals, atol=1e-10)

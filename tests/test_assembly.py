@@ -25,12 +25,14 @@ from iwgfem.assembly import (
     _element_routes,
 )
 from iwgfem.geometry import INTERFACE, OMEGA1, OMEGA2, CircleInterface, GeometryError
+from iwgfem.ife import PolyBasis
 from iwgfem.mesh import build_mesh
 from iwgfem.solver import _factor, solve
 from reference import (
     block,
     cg_element_stiffness,
     level_spaces,
+    local_coords,
     project_qb,
     side_rules,
     triangle_coords,
@@ -325,8 +327,9 @@ def _reference_folded_system(mesh, k, spaces, ms, a1, a2):
                 shape = _edge_lagrange_function(k, j, p0, p1)
                 route[slots, dm.node_col[node]] = project_qb(shape, p0, p1, k)
         load = np.zeros(n_loc)
-        load[:m] = element_moments(spaces[t], element_samples(spaces[t], ms.f))
-        kmat += route.T @ spaces[t].stiffness @ route
+        row = spaces.geometry.row(t)
+        load[:m] = element_moments(spaces, row, element_samples(spaces, row, ms.f))
+        kmat += route.T @ spaces.stiffness[row] @ route
         rhs += route.T @ load
     pinned = [ms.g(*dm.node_coords[node]) for node in dm.pinned_nodes]
     pinned_edges = np.flatnonzero(dm.trace_col >= dm.n_free)
@@ -535,17 +538,16 @@ class TestWgBlocks:
     def test_constant_mode_in_kernel(self):
         mesh = build_mesh(1, CIRCLE)
         spaces = level_spaces(mesh, 1, 1.0, 10.0)
-        for t, space in spaces.items():
-            v0 = np.zeros(space.m)
+        for i in range(len(spaces)):
+            v0 = np.zeros(spaces.geometry.m)
             v0[0] = 1.0
-            loc = np.concatenate([v0, (space.trace @ v0).ravel()])
-            np.testing.assert_allclose(space.stiffness @ loc, 0.0, atol=1e-11)
+            loc = np.concatenate([v0, (spaces.trace[i] @ v0).ravel()])
+            np.testing.assert_allclose(spaces.stiffness[i] @ loc, 0.0, atol=1e-11)
 
     def test_block_psd_with_one_dim_kernel(self):
         mesh = build_mesh(1, CIRCLE)
         spaces = level_spaces(mesh, 1, 1.0, 10.0)
-        t, space = next(iter(spaces.items()))
-        lam = np.linalg.eigvalsh(space.stiffness)
+        lam = np.linalg.eigvalsh(spaces.stiffness[0])
         assert lam[0] > -1e-11
         assert np.sum(np.abs(lam) < 1e-9) == 1  # exactly the constant mode
 
@@ -554,16 +556,16 @@ class TestWgBlocks:
         # v_b = Q_b v_0 must reproduce the plain stiffness on that basis.
         mesh = build_mesh(1, CIRCLE)
         spaces = level_spaces(mesh, 1, 1.0, 1.0)
-        t, space = next(iter(spaces.items()))
-        m = space.m
-        lift = np.vstack([np.eye(m), space.trace.reshape(-1, m)])
-        reduced = lift.T @ space.stiffness @ lift
+        geometry = spaces.geometry
+        m = geometry.m
+        lift = np.vstack([np.eye(m), spaces.trace[0].reshape(-1, m)])
+        reduced = lift.T @ spaces.stiffness[0] @ lift
         # Independent standard stiffness in the same orthonormal basis.
         want = np.zeros((m, m))
         for side in (OMEGA1, OMEGA2):
-            rule = side_rules(space)[side]
-            g = space.poly.grad(space.local_coords(rule.points)) @ space.f_mat
-            g = np.einsum("njd,jq->nqd", g, block(space, side))
+            rule = side_rules(spaces, 0)[side]
+            g = PolyBasis(geometry.k).grad(local_coords(spaces, 0, rule.points)) @ geometry.f_mat[0]
+            g = np.einsum("njd,jq->nqd", g, block(spaces, 0, side))
             want += np.einsum("nid,n,njd->ij", g, rule.weights, g)
         np.testing.assert_allclose(reduced, want, atol=1e-11)
 

@@ -36,6 +36,20 @@ from iwgfem.mesh import build_mesh
 from iwgfem.solver import NotPositiveDefinite
 
 
+def test_readme_python_api_block_runs():
+    # The README's one Python example: a k = 2 level with two pairs.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Python API\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    errors = scope["errors"]
+    assert len(errors) == 2
+    for e in errors:
+        for key in ("energy", "l2", "linf"):
+            assert np.isfinite(e[key]) and e[key] > 0.0, (key, e)
+
+
 class TestParsing:
     def test_levels_range(self):
         assert _parse_levels("1..5") == (1, 2, 3, 4, 5)

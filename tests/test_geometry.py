@@ -166,7 +166,8 @@ class TestComputeCut:
         tri = [(0.5, 0.0), (0.7, 0.0), (0.5, 0.2)]
         cut = compute_cut(tri, CIRCLE)
         mid = 0.5 * (cut.point_d[0] + cut.point_e[0])
-        assert float(cut.normal[0] @ CIRCLE.gradient(mid[0], mid[1])) > 0.0
+        # grad phi = 2 (x - c) points the same way as mid - c.
+        assert float(cut.normal[0] @ (mid - np.asarray(CIRCLE.center))) > 0.0
 
     def test_double_edge_crossing_raises(self):
         r = CIRCLE.radius

@@ -32,6 +32,7 @@ from reference import (
     compute_cut,
     construct_ife_basis,
     level_spaces,
+    local_coords,
     measure,
     project_qb,
     quadrature_on_edge,
@@ -131,32 +132,32 @@ class TestBasisConstruction:
     @pytest.mark.parametrize("k,mode", [(1, "segment"), (2, "segment"), (1, "arc"), (2, "arc")])
     def test_orthonormal_with_exact_constant(self, k, mode):
         cut = compute_cut(TRI, CIRCLE)
-        space = construct_ife_basis(cut, 1.0, 10.0, k, mode=mode)
-        m = space.m
-        np.testing.assert_allclose(space.gram, np.eye(m), atol=1e-12)
+        spaces = construct_ife_basis(cut, 1.0, 10.0, k, mode=mode)
+        m = spaces.geometry.m
+        np.testing.assert_allclose(spaces.gram[0], np.eye(m), atol=1e-12)
         # First basis vector is the normalized constant pair, exactly.
-        col = space.coeffs[:, 0]
+        col = spaces.coeffs[0, :, 0]
         nonzero = np.flatnonzero(col)
         assert set(nonzero) == {0, m}
         assert col[0] == col[m]
-        assert space.constraint_residual < 1e-12
+        assert spaces.constraint_residual[0] < 1e-12
 
     def test_degenerates_to_pk_when_coefficients_match(self):
         cut = compute_cut(TRI, CIRCLE)
         for k in (1, 2):
-            space = construct_ife_basis(cut, 2.5, 2.5, k)
-            m = space.m
+            spaces = construct_ife_basis(cut, 2.5, 2.5, k)
+            m = spaces.geometry.m
             # Every basis function is a single polynomial: p1 == p2.
-            assert np.max(np.abs(space.coeffs[:m] - space.coeffs[m:])) < 1e-10
+            assert np.max(np.abs(spaces.coeffs[0, :m] - spaces.coeffs[0, m:])) < 1e-10
             # Projection of x onto the span reproduces x.
-            spaces, pts = space.spaces, space.geometry.rule_points
+            pts = spaces.geometry.rule_points
             vals = spaces.interior_values(spaces.project_interior(pts[:, 0]))
             assert np.max(np.abs(vals - pts[:, 0])) < 1e-12
 
     def test_chord_residuals_k1(self):
         cut = compute_cut(TRI, CIRCLE)
-        space = construct_ife_basis(cut, 1.0, 10.0, 1)
-        val, flux, _ = sample_chord_residuals(space.spaces, space.index, n_samples=5)
+        spaces = construct_ife_basis(cut, 1.0, 10.0, 1)
+        val, flux, _ = sample_chord_residuals(spaces, 0, n_samples=5)
         assert val < 1e-10
         assert flux < 1e-10
 
@@ -166,16 +167,16 @@ class TestBasisConstruction:
         # eps * max(A) * |c| * 2 / h^2, which grows with the contrast (see the
         # acceptance suite note).
         cut = compute_cut(TRI, CIRCLE)
-        space = construct_ife_basis(cut, 1.0, 10.0, 2)
-        val, flux, lap = sample_chord_residuals(space.spaces, space.index)
+        spaces = construct_ife_basis(cut, 1.0, 10.0, 2)
+        val, flux, lap = sample_chord_residuals(spaces, 0)
         assert val < 1e-10
         assert flux < 1e-10
         assert lap < 1e-10
 
     def test_arc_mode_moment_residuals(self):
         cut = compute_cut(TRI, CIRCLE)
-        space = construct_ife_basis(cut, 1.0, 100.0, 2, mode="arc")
-        assert space.constraint_residual < 1e-12
+        spaces = construct_ife_basis(cut, 1.0, 100.0, 2, mode="arc")
+        assert spaces.constraint_residual[0] < 1e-12
 
     @settings(deadline=None, max_examples=15)
     @given(st.floats(min_value=0.05, max_value=50.0))
@@ -185,10 +186,9 @@ class TestBasisConstruction:
         base = construct_ife_basis(cut, 1.0, 10.0, 1)
         scaled = construct_ife_basis(cut, s, 10.0 * s, 1)
         # Compare L2-orthogonal projectors in pair-coefficient space.
-        m = base.m
-        mass = _pair_mass_matrix(base)
-        p_base = base.coeffs @ base.coeffs.T @ mass
-        p_scaled = scaled.coeffs @ scaled.coeffs.T @ mass
+        mass = _pair_mass_matrix(base, 0)
+        p_base = base.coeffs[0] @ base.coeffs[0].T @ mass
+        p_scaled = scaled.coeffs[0] @ scaled.coeffs[0].T @ mass
         assert np.linalg.norm(p_base - p_scaled, 2) < 1e-9
 
     def test_best_approximation_order_k1(self):
@@ -198,8 +198,8 @@ class TestBasisConstruction:
         errs = []
         for j in range(3):
             cut = cut_triangle(scale=2.0**-j)
-            space = construct_ife_basis(cut, 1.0, 10.0, 1)
-            errs.append(_projection_error(space, u))
+            spaces = construct_ife_basis(cut, 1.0, 10.0, 1)
+            errs.append(_projection_error(spaces, u))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.35)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.35)
 
@@ -210,8 +210,8 @@ class TestBasisConstruction:
             errs = []
             for j in range(2, 4):
                 cut = cut_triangle(scale=2.0**-j)
-                space = construct_ife_basis(cut, 1.0, 10.0, k, mode=mode)
-                errs.append(_projection_error(space, u))
+                spaces = construct_ife_basis(cut, 1.0, 10.0, k, mode=mode)
+                errs.append(_projection_error(spaces, u))
             assert errs[0] / errs[1] == pytest.approx(ratio, rel=0.35)
 
 
@@ -228,9 +228,9 @@ class TestSegmentBasisRounding:
         # not add its own rounding: float64 products a * c alone round at
         # eps * max(A) * |c|, the size of the residual on these cuts.
         for cut in level3_cuts:
-            space = construct_ife_basis(cut, 1.0, 10.0, 2, mode="segment")
-            got = sample_chord_residuals(space.spaces, space.index, n_samples=8)
-            want = _exact_chord_residuals(space, n_samples=8)
+            spaces = construct_ife_basis(cut, 1.0, 10.0, 2, mode="segment")
+            got = sample_chord_residuals(spaces, 0, n_samples=8)
+            want = _exact_chord_residuals(spaces, 0, n_samples=8)
             for g, w in zip(got, want):
                 assert abs(g - w) <= 4 * math.ulp(g), (cut.elements[0], got, want)
 
@@ -245,10 +245,10 @@ class TestSegmentBasisRounding:
         # below 1.8.
         eps = np.finfo(float).eps
         for cut in level3_cuts:
-            space = construct_ife_basis(cut, 1.0, a2, k, mode="segment")
-            scale = eps * a2 * np.abs(space.coeffs).max()
-            val, flux, lap = sample_chord_residuals(space.spaces, space.index, n_samples=8)
-            h = space.h_ref
+            spaces = construct_ife_basis(cut, 1.0, a2, k, mode="segment")
+            scale = eps * a2 * np.abs(spaces.coeffs[0]).max()
+            val, flux, lap = sample_chord_residuals(spaces, 0, n_samples=8)
+            h = spaces.geometry.h_ref[0]
             assert val <= 8 * scale, cut.elements[0]
             assert flux <= 8 * scale / h, cut.elements[0]
             assert lap <= 8 * scale / h**2, cut.elements[0]
@@ -263,12 +263,12 @@ class TestSegmentBasisRounding:
         for cut in level3_cuts:
             geometry = build_cut_geometry(cut, k)
             for a1, a2 in ((1.0, 10.0), (1.0, 1000.0)):
-                space = construct_ife_basis(cut, a1, a2, k, mode="segment", geometry=geometry)
-                m = space.m
+                coeffs = construct_ife_basis(cut, a1, a2, k, mode="segment", geometry=geometry).coeffs[0]
+                m = geometry.m
                 base_is_1 = polygon_area(side_polygon(cut, OMEGA1)) >= polygon_area(side_polygon(cut, OMEGA2))
                 null = _segment_null_basis(np.array([base_is_1]), a1, a2, k)[0]
-                r = space.coeffs[:m] if base_is_1 else space.coeffs[m:]
-                err = np.abs(null @ r - space.coeffs)
+                r = coeffs[:m] if base_is_1 else coeffs[m:]
+                err = np.abs(null @ r - coeffs)
                 assert np.all(err <= 4 * eps * (np.abs(null) @ np.abs(r))), cut.elements[0]
 
 
@@ -319,8 +319,37 @@ class TestPerPointDataStaysInGeometry:
 
         coarse, fine = build(0), build(6)
         assert shapes(fine) == shapes(coarse)
-        n_points = lambda s: len(side_rules(s)[OMEGA1].weights)
-        assert all(n_points(fine[t]) > n_points(coarse[t]) for t in fine)
+        n_points = lambda s, t: len(side_rules(s, s.geometry.row(t))[OMEGA1].weights)
+        assert all(n_points(fine, t) > n_points(coarse, t) for t in fine)
+
+
+class TestTracerReads:
+    """What the benchmark's tracer reads by element id: a pair's three health
+    figures and each side's rule, views of the geometry's packed rule."""
+
+    @pytest.mark.parametrize("k, mode", [(1, "segment"), (2, "arc")])
+    def test_mappings_read_the_stacks_by_row(self, level2_mesh, k, mode):
+        spaces = level_spaces(level2_mesh, k, 1.0, 1000.0, mode=mode)
+        geometry = spaces.geometry
+        elements = geometry.elements.tolist()
+        assert list(spaces) == elements
+        for i, t in enumerate(elements):
+            health = spaces[t]
+            want = (spaces.gram_cond[i], spaces.constraint_residual[i], spaces.ill_conditioned[i])
+            assert (health.gram_cond, health.constraint_residual, health.ill_conditioned) == want
+            assert tuple(health) == want
+            for s, side in enumerate((OMEGA1, OMEGA2)):
+                rule = geometry[t].rules[side]
+                lo, hi = geometry.rule_offsets[2 * i + s : 2 * i + s + 2]
+                np.testing.assert_array_equal(rule.points, geometry.rule_points[lo:hi])
+                np.testing.assert_array_equal(rule.weights, geometry.rule_weights[lo:hi])
+        n_points = sum(len(r.weights) for g in geometry.values() for r in g.rules.values())
+        assert n_points == len(geometry.rule_weights)
+        uncut = sorted(set(range(len(level2_mesh.triangles) + 1)) - set(elements))
+        for t in (uncut[0], uncut[-1]):  # before the first row, and past the last triangle
+            for mapping in (spaces, geometry):
+                with pytest.raises(KeyError):
+                    mapping[t]
 
 
 @pytest.fixture(scope="module")
@@ -413,31 +442,33 @@ class TestBatchOfOne:
         spaces = level_spaces(mesh, k, 1.0, 1000.0, mode=mode)
         for t, cut in zip(mesh.cuts.elements, split(mesh.cuts)):
             one = construct_ife_basis(cut, 1.0, 1000.0, k, mode=mode)
-            np.testing.assert_array_equal(one.coeffs, spaces[t].coeffs)
-            np.testing.assert_array_equal(one.stiffness, spaces[t].stiffness)
+            i = spaces.geometry.row(t)
+            np.testing.assert_array_equal(one.coeffs[0], spaces.coeffs[i])
+            np.testing.assert_array_equal(one.stiffness[0], spaces.stiffness[i])
 
 
-def _exact_chord_residuals(space, n_samples):
-    """Scalar evaluation of the chord jumps in exact rational arithmetic.
+def _exact_chord_residuals(spaces, i, n_samples):
+    """Scalar evaluation of row i's chord jumps in exact rational arithmetic.
 
     Uses the stored float64 coefficients, frame and sample coordinates as
     exact numbers and rounds each maximum once.
     """
-    cut = space_cut(space)
+    geometry = spaces.geometry
+    cut = space_cut(spaces, i)
     t = np.linspace(0.0, 1.0, n_samples)
     pts = cut.point_d[0] + np.outer(t, cut.point_e[0] - cut.point_d[0])
-    loc = [[Fraction(x) for x in row] for row in space.local_coords(pts).tolist()]
+    loc = [[Fraction(x) for x in row] for row in local_coords(spaces, i, pts).tolist()]
     normal = [Fraction(x) for x in cut.normal[0].tolist()]
-    n_loc = [sum(Fraction(f) * n for f, n in zip(row, normal)) for row in space.f_mat.tolist()]
-    inv_h2 = 1 / Fraction(space.h_ref) ** 2
-    a1, a2 = Fraction(space.a1), Fraction(space.a2)
-    m = space.m
-    c = [[Fraction(x) for x in row] for row in space.coeffs.tolist()]
+    n_loc = [sum(Fraction(f) * n for f, n in zip(row, normal)) for row in geometry.f_mat[i].tolist()]
+    inv_h2 = 1 / Fraction(geometry.h_ref[i]) ** 2
+    a1, a2 = Fraction(spaces.a1), Fraction(spaces.a2)
+    m = geometry.m
+    c = [[Fraction(x) for x in row] for row in spaces.coeffs[i].tolist()]
     worst = [Fraction(0)] * 3
     for xi, eta in loc:
         for q in range(m):
             jumps = [Fraction(0)] * 3
-            for j, (a, b) in enumerate(space.poly.exponents.tolist()):
+            for j, (a, b) in enumerate(PolyBasis(geometry.k).exponents.tolist()):
                 diff = c[j][q] - c[m + j][q]
                 weighted = a1 * c[j][q] - a2 * c[m + j][q]
                 gx = a * xi ** (a - 1) * eta**b if a >= 1 else 0
@@ -451,13 +482,13 @@ def _exact_chord_residuals(space, n_samples):
     return [float(w) for w in worst]
 
 
-def _pair_mass_matrix(space):
-    m = space.m
+def _pair_mass_matrix(spaces, i):
+    m = spaces.geometry.m
     out = np.zeros((2 * m, 2 * m))
     for side, sl in ((OMEGA1, slice(0, m)), (OMEGA2, slice(m, 2 * m))):
-        rule = side_rules(space)[side]
-        loc = space.local_coords(rule.points)
-        v = space.poly.eval(loc)
+        rule = side_rules(spaces, i)[side]
+        loc = local_coords(spaces, i, rule.points)
+        v = PolyBasis(spaces.geometry.k).eval(loc)
         out[sl, sl] = v.T @ (rule.weights[:, None] * v)
     return out
 
@@ -475,16 +506,16 @@ def edge_legendre(p0, p1, k):
     return values
 
 
-def basis_values(space, pts, side):
-    """Basis values at physical points lying on one side, (n, m)."""
-    return space.poly.eval(space.local_coords(pts)) @ block(space, side)
+def basis_values(spaces, i, pts, side):
+    """Row i's basis values at physical points lying on one side, (n, m)."""
+    return PolyBasis(spaces.geometry.k).eval(local_coords(spaces, i, pts)) @ block(spaces, i, side)
 
 
-def _projection_error(space, u):
+def _projection_error(spaces, u):
     # Mean-square (area-normalized) error, so the expected halving ratio is
     # 2^(k+1); the plain L2 norm on a shrinking element gains an extra factor
     # 2 from the measure.
-    spaces, geometry = space.spaces, space.geometry
+    geometry = spaces.geometry
     exact = sample(u, geometry.rule_points)
     diff = spaces.interior_values(spaces.project_interior(exact)) - exact
     return math.sqrt(geometry.rule_weights @ diff**2 / geometry.rule_weights.sum())
@@ -493,19 +524,20 @@ def _projection_error(space, u):
 class TestProjections:
     def test_q0_idempotent_on_basis(self):
         cut = compute_cut(TRI, CIRCLE)
-        space = construct_ife_basis(cut, 1.0, 10.0, 2)
-        for i in range(space.m):
+        spaces = construct_ife_basis(cut, 1.0, 10.0, 2)
+        m = spaces.geometry.m
+        for i in range(m):
             def phi_i(x, y, i=i):
                 pts = np.column_stack([np.atleast_1d(x), np.atleast_1d(y)])
                 phi = CIRCLE.value(pts[:, 0], pts[:, 1])
                 out = np.where(
                     phi < 0.0,
-                    basis_values(space, pts, OMEGA1)[:, i],
-                    basis_values(space, pts, OMEGA2)[:, i],
+                    basis_values(spaces, 0, pts, OMEGA1)[:, i],
+                    basis_values(spaces, 0, pts, OMEGA2)[:, i],
                 )
                 return out
-            q = space.spaces.project_interior(sample(phi_i, space.geometry.rule_points))[0]
-            expect = np.zeros(space.m)
+            q = spaces.project_interior(sample(phi_i, spaces.geometry.rule_points))[0]
+            expect = np.zeros(m)
             expect[i] = 1.0
             np.testing.assert_allclose(q, expect, atol=1e-11)
 
@@ -529,75 +561,75 @@ class TestWeakGradient:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_matching_traces_give_plain_gradient(self, k):
-        space = construct_ife_basis(self.cut, 1.0, 10.0, k)
+        spaces = construct_ife_basis(self.cut, 1.0, 10.0, k)
         rng = np.random.default_rng(3)
         for _ in range(20):
-            v0 = rng.standard_normal(space.m)
-            loc = np.concatenate([v0, (space.trace @ v0).ravel()])
-            c = space.weak_grad @ loc
+            v0 = rng.standard_normal(spaces.geometry.m)
+            loc = np.concatenate([v0, (spaces.trace[0] @ v0).ravel()])
+            c = spaces.weak_grad[0] @ loc
             np.testing.assert_allclose(c, v0[1:], atol=1e-12)
 
     def test_constant_with_matching_trace_is_zero(self):
-        space = construct_ife_basis(self.cut, 1.0, 10.0, 1)
-        v0 = np.zeros(space.m)
+        spaces = construct_ife_basis(self.cut, 1.0, 10.0, 1)
+        v0 = np.zeros(spaces.geometry.m)
         v0[0] = 2.0
-        loc = np.concatenate([v0, (space.trace @ v0).ravel()])
-        assert np.max(np.abs(space.weak_grad @ loc)) < 1e-13
-        assert np.max(np.abs(space.stiffness @ loc)) < 1e-12
+        loc = np.concatenate([v0, (spaces.trace[0] @ v0).ravel()])
+        assert np.max(np.abs(spaces.weak_grad[0] @ loc)) < 1e-13
+        assert np.max(np.abs(spaces.stiffness[0] @ loc)) < 1e-12
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_against_dense_least_squares_oracle(self, k):
-        space = construct_ife_basis(self.cut, 1.0, 10.0, k)
+        spaces = construct_ife_basis(self.cut, 1.0, 10.0, k)
         rng = np.random.default_rng(11)
         for _ in range(10):
-            loc = rng.standard_normal(len(space.stiffness))
-            got = space.weak_grad @ loc
-            want = _weak_gradient_oracle(space, loc, canonical_edges(self.cut.triangles[0]))
+            loc = rng.standard_normal(len(spaces.stiffness[0]))
+            got = spaces.weak_grad[0] @ loc
+            want = _weak_gradient_oracle(spaces, 0, loc, canonical_edges(self.cut.triangles[0]))
             np.testing.assert_allclose(got, want, atol=1e-10, rtol=1e-10)
 
     def test_single_edge_trace_excitation(self):
         # v0 = 0, vb = indicator coefficient on one edge: the defining
         # equation reduces to (grad_w v, q)_T = +<vb, q . n>_e.
-        space = construct_ife_basis(self.cut, 1.0, 10.0, 1)
+        spaces = construct_ife_basis(self.cut, 1.0, 10.0, 1)
         for edge in range(3):
-            loc = np.zeros(len(space.stiffness))
-            loc[space.m + edge] = 1.0
-            got = space.weak_grad @ loc
-            want = _weak_gradient_oracle(space, loc, canonical_edges(self.cut.triangles[0]))
+            loc = np.zeros(len(spaces.stiffness[0]))
+            loc[spaces.geometry.m + edge] = 1.0
+            got = spaces.weak_grad[0] @ loc
+            want = _weak_gradient_oracle(spaces, 0, loc, canonical_edges(self.cut.triangles[0]))
             np.testing.assert_allclose(got, want, atol=1e-10)
 
 
-def basis_grad(space, pts, side):
-    """Physical gradients of the basis on one side, (n, m, 2)."""
-    g = space.poly.grad(space.local_coords(pts)) @ space.f_mat
-    return np.einsum("njd,jq->nqd", g, block(space, side))
+def basis_grad(spaces, i, pts, side):
+    """Physical gradients of row i's basis on one side, (n, m, 2)."""
+    g = PolyBasis(spaces.geometry.k).grad(local_coords(spaces, i, pts)) @ spaces.geometry.f_mat[i]
+    return np.einsum("njd,jq->nqd", g, block(spaces, i, side))
 
 
-def _weak_gradient_oracle(space, loc, edge_ends):
+def _weak_gradient_oracle(spaces, i, loc, edge_ends):
     """Dense, from-scratch evaluation of the weak-gradient definition.
 
     Recomputes every integral with fresh higher-degree quadrature on the same
     sub-regions, applies Q_b from its defining Gram system, and solves by
     least squares instead of the factorized path under test. ``edge_ends``
-    (3, 2, 2) orients each local edge as the space's trace basis does.
+    (3, 2, 2) orients each local edge of row i as its trace basis does.
     """
-    k = space.k
-    m = space.m
+    k = spaces.geometry.k
+    m = spaces.geometry.m
     v0 = loc[:m]
     gram = np.zeros((m - 1, m - 1))
     rhs = np.zeros(m - 1)
-    cut = space_cut(space)
+    cut = space_cut(spaces, i)
     for side in (OMEGA1, OMEGA2):
         rule = quadrature_on_subregion(cut, side, 2 * k + 6)
-        g = basis_grad(space, rule.points, side)
+        g = basis_grad(spaces, i, rule.points, side)
         gq = g[:, 1:, :]
         gram += np.einsum("nqd,n,npd->qp", gq, rule.weights, gq)
         grad_v0 = np.einsum("njd,j->nd", g, v0)
         rhs += np.einsum("nd,n,nqd->q", grad_v0, rule.weights, gq)
     tri = cut.triangles[0]
-    for i in range(3):
-        start, end = edge_ends[i]
-        edge = tri[(i + 1) % 3] - tri[i]
+    for e in range(3):
+        start, end = edge_ends[e]
+        edge = tri[(e + 1) % 3] - tri[e]
         outward = np.array([edge[1], -edge[0]]) / np.linalg.norm(edge)
         rule = quadrature_on_edge(start, end, 2 * k + 6, cut.interface)
         # Q_b of the trace of v0, computed from its definition on this edge.
@@ -610,12 +642,12 @@ def _weak_gradient_oracle(space, loc, edge_ends):
             mask = sides == s
             if not np.any(mask):
                 continue
-            v0_vals[mask] = basis_values(space, rule.points[mask], s) @ v0
-            gq_n[mask] = basis_grad(space, rule.points[mask], s)[:, 1:, :] @ outward
+            v0_vals[mask] = basis_values(spaces, i, rule.points[mask], s) @ v0
+            gq_n[mask] = basis_grad(spaces, i, rule.points[mask], s)[:, 1:, :] @ outward
         mass = leg.T @ (rule.weights[:, None] * leg)
         moments = leg.T @ (rule.weights * v0_vals)
         qb_v0 = np.linalg.solve(mass, moments)
-        jump_vals = leg @ (qb_v0 - loc[m + i * k : m + (i + 1) * k])
+        jump_vals = leg @ (qb_v0 - loc[m + e * k : m + (e + 1) * k])
         rhs -= gq_n.T @ (rule.weights * jump_vals)
     return np.linalg.lstsq(gram, rhs, rcond=None)[0]
 
@@ -623,9 +655,9 @@ def _weak_gradient_oracle(space, loc, edge_ends):
 class TestLoadVector:
     def test_constant_source_pairs_with_constant_mode(self):
         cut = compute_cut(TRI, CIRCLE)
-        space = construct_ife_basis(cut, 1.0, 10.0, 1)
-        (l,) = space.spaces.moments(space.geometry.monomial_moments(np.ones(len(space.geometry.rule_weights))))
+        spaces = construct_ife_basis(cut, 1.0, 10.0, 1)
+        (l,) = spaces.moments(spaces.geometry.monomial_moments(np.ones(len(spaces.geometry.rule_weights))))
         # (1, phi_0) = |T|^(1/2) for the normalized constant; others vanish.
-        area = measure(side_rules(space)[OMEGA1]) + measure(side_rules(space)[OMEGA2])
+        area = measure(side_rules(spaces, 0)[OMEGA1]) + measure(side_rules(spaces, 0)[OMEGA2])
         assert l[0] == pytest.approx(math.sqrt(area), rel=1e-12)
         assert np.max(np.abs(l[1:])) < 1e-12

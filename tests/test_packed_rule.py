@@ -36,6 +36,7 @@ from reference import (
     block,
     compute_cut,
     interpolation_errors,
+    local_coords,
     polygon_rule,
     run_level,
     side_rules,
@@ -52,78 +53,80 @@ CASES = [(1, "segment"), (2, "arc")]
 EPS = np.finfo(float).eps
 
 
-def element_samples(space, f) -> dict:
-    """side -> f at that side's rule points."""
-    return {side: np.asarray(f(r.points[:, 0], r.points[:, 1]), float) for side, r in side_rules(space).items()}
+def element_samples(spaces, i, f) -> dict:
+    """side -> f at that side's rule points of row i."""
+    return {side: np.asarray(f(r.points[:, 0], r.points[:, 1]), float) for side, r in side_rules(spaces, i).items()}
 
 
-def element_side_samples(space, u_side) -> dict:
-    """side -> that side's u_side at its rule points, wherever they lie."""
-    return {side: np.asarray(u_side(*r.points.T, side), float) for side, r in side_rules(space).items()}
+def element_side_samples(spaces, i, u_side) -> dict:
+    """side -> that side's u_side at its rule points of row i, wherever they lie."""
+    return {side: np.asarray(u_side(*r.points.T, side), float) for side, r in side_rules(spaces, i).items()}
 
 
-def element_vander(space, side) -> np.ndarray:
-    """Monomial values at one side's rule points, evaluated afresh."""
-    return space.poly.eval(space.local_coords(side_rules(space)[side].points))
+def element_vander(spaces, i, side) -> np.ndarray:
+    """Monomial values at one side's rule points of row i, evaluated afresh."""
+    return PolyBasis(spaces.geometry.k).eval(local_coords(spaces, i, side_rules(spaces, i)[side].points))
 
 
-def element_moments(space, values: dict) -> np.ndarray:
+def element_moments(spaces, i, values: dict) -> np.ndarray:
     """(g, phi_j)_T through the m x m coefficient blocks."""
-    out = np.zeros(space.m)
+    out = np.zeros(spaces.geometry.m)
     for side in (OMEGA1, OMEGA2):
-        weighted = side_rules(space)[side].weights * values[side]
-        out += block(space, side).T @ (element_vander(space, side).T @ weighted)
+        weighted = side_rules(spaces, i)[side].weights * values[side]
+        out += block(spaces, i, side).T @ (element_vander(spaces, i, side).T @ weighted)
     return out
 
 
-def element_moment_scale(space, values: dict) -> np.ndarray:
+def element_moment_scale(spaces, i, values: dict) -> np.ndarray:
     """sum |w g V c| per basis function: the magnitude of the terms a moment adds."""
-    out = np.zeros(space.m)
+    out = np.zeros(spaces.geometry.m)
     for side in (OMEGA1, OMEGA2):
-        weighted = side_rules(space)[side].weights * np.abs(values[side])
-        out += np.abs(block(space, side)).T @ (np.abs(element_vander(space, side)).T @ weighted)
+        weighted = side_rules(spaces, i)[side].weights * np.abs(values[side])
+        out += np.abs(block(spaces, i, side)).T @ (np.abs(element_vander(spaces, i, side)).T @ weighted)
     return out
 
 
-def element_values(space, v0) -> dict:
-    """side -> the interior function v0 at that side's rule points."""
-    return {side: element_vander(space, side) @ (block(space, side) @ v0) for side in (OMEGA1, OMEGA2)}
+def element_values(spaces, i, v0) -> dict:
+    """side -> the interior function v0 at that side's rule points of row i."""
+    return {side: element_vander(spaces, i, side) @ (block(spaces, i, side) @ v0) for side in (OMEGA1, OMEGA2)}
 
 
-def element_q0(space, values: dict) -> np.ndarray:
-    return np.linalg.solve(space.gram, element_moments(space, values))
+def element_q0(spaces, i, values: dict) -> np.ndarray:
+    return np.linalg.solve(spaces.gram[i], element_moments(spaces, i, values))
 
 
-def element_qb(space, g) -> np.ndarray:
-    """(3, k): Q_b of g on each local edge."""
-    geometry, i = space.geometry, space.index
+def element_qb(spaces, i, g) -> np.ndarray:
+    """(3, k): Q_b of g on each local edge of row i."""
+    geometry = spaces.geometry
     pts = geometry.edge_points[i]
     weighted = geometry.edge_weights[i] * np.asarray(g(pts[..., 0], pts[..., 1]), float)
     return np.einsum("eqk,eq->ek", geometry.edge_legendre[i], weighted)
 
 
-def element_energy(space, loc) -> float:
-    """Unweighted |grad_w v|_T^2 + h_T^{-1} |Q_b v_0 - v_b|_dT^2."""
-    c = space.weak_grad @ loc
-    total = float(c @ space.grad_gram @ c)
-    for jump in space.trace @ loc[: space.m] - loc[space.m :].reshape(3, space.k):
-        total += float(jump @ jump) / space.h_ref
+def element_energy(spaces, i, loc) -> float:
+    """Unweighted |grad_w v|_T^2 + h_T^{-1} |Q_b v_0 - v_b|_dT^2 of row i."""
+    m, k = spaces.geometry.m, spaces.geometry.k
+    c = spaces.weak_grad[i] @ loc
+    total = float(c @ spaces.grad_gram[i] @ c)
+    for jump in spaces.trace[i] @ loc[:m] - loc[m:].reshape(3, k):
+        total += float(jump @ jump) / spaces.geometry.h_ref[i]
     return total
 
 
 def element_interface_errors(dofmap, spaces, x_all, ms):
     """(energy^2, L2^2, max) over the interface elements, one element at a time."""
     locs = (dofmap.routes @ x_all[dofmap.columns][..., None]).reshape(len(dofmap.elements), -1)
+    m = spaces.geometry.m
     energy_sq = l2_sq = linf = 0.0
     for t, loc in zip(dofmap.elements, locs):
-        space = spaces[t]
-        ue = element_side_samples(space, ms.u_side)
-        q0 = element_q0(space, ue)
-        e_loc = np.concatenate([q0, element_qb(space, ms.u).ravel()]) - loc
-        energy_sq += element_energy(space, e_loc)
-        d = q0 - loc[: space.m]
-        l2_sq += float(d @ space.gram @ d)
-        uh = element_values(space, loc[: space.m])
+        i = spaces.geometry.row(t)
+        ue = element_side_samples(spaces, i, ms.u_side)
+        q0 = element_q0(spaces, i, ue)
+        e_loc = np.concatenate([q0, element_qb(spaces, i, ms.u).ravel()]) - loc
+        energy_sq += element_energy(spaces, i, e_loc)
+        d = q0 - loc[:m]
+        l2_sq += float(d @ spaces.gram[i] @ d)
+        uh = element_values(spaces, i, loc[:m])
         for side in (OMEGA1, OMEGA2):
             linf = max(linf, float(np.max(np.abs(uh[side] - ue[side]))))
     return energy_sq, l2_sq, linf
@@ -132,11 +135,11 @@ def element_interface_errors(dofmap, spaces, x_all, ms):
 def element_q0_error_sq(spaces, ms) -> float:
     """||Q_0 u - u||^2 over the interface elements, one element at a time."""
     total = 0.0
-    for space in spaces.values():
-        ue = element_side_samples(space, ms.u_side)
-        vals = element_values(space, element_q0(space, ue))
+    for i in range(len(spaces)):
+        ue = element_side_samples(spaces, i, ms.u_side)
+        vals = element_values(spaces, i, element_q0(spaces, i, ue))
         for side in (OMEGA1, OMEGA2):
-            total += float(side_rules(space)[side].weights @ (vals[side] - ue[side]) ** 2)
+            total += float(side_rules(spaces, i)[side].weights @ (vals[side] - ue[side]) ** 2)
     return total
 
 
@@ -161,9 +164,9 @@ class TestBatchedAgainstPerElementReference:
         _, ms, _, spaces, _ = solved
         moments = spaces.geometry.monomial_moments(sample(ms.f, spaces.geometry.rule_points))
         got = assemble_interface(spaces, moments).load[:, : spaces.geometry.m]
-        samples = [element_samples(s, ms.f) for s in spaces.values()]
-        want = np.array([element_moments(s, v) for s, v in zip(spaces.values(), samples)])
-        scale = np.array([element_moment_scale(s, v) for s, v in zip(spaces.values(), samples)])
+        samples = [element_samples(spaces, i, ms.f) for i in range(len(spaces))]
+        want = np.array([element_moments(spaces, i, v) for i, v in enumerate(samples)])
+        scale = np.array([element_moment_scale(spaces, i, v) for i, v in enumerate(samples)])
         assert np.all(np.abs(got - want) <= 100 * EPS * scale)
 
     def test_q0_and_qb_projections(self, solved):
@@ -174,13 +177,13 @@ class TestBatchedAgainstPerElementReference:
         geometry = spaces.geometry
         pts = geometry.rule_points
         q0 = spaces.project_interior(ms.u(pts[:, 0], pts[:, 1]))
-        samples = [element_samples(s, ms.u) for s in spaces.values()]
-        want = np.array([element_q0(s, v) for s, v in zip(spaces.values(), samples)])
-        scale = np.array([element_moment_scale(s, v) for s, v in zip(spaces.values(), samples)])
+        samples = [element_samples(spaces, i, ms.u) for i in range(len(spaces))]
+        want = np.array([element_q0(spaces, i, v) for i, v in enumerate(samples)])
+        scale = np.array([element_moment_scale(spaces, i, v) for i, v in enumerate(samples)])
         assert np.all(np.abs(q0 - want) <= 100 * EPS * scale)
         e = geometry.edge_points
         qb = geometry.project_traces(ms.u(e[..., 0], e[..., 1]))
-        want = np.array([element_qb(s, ms.u) for s in spaces.values()])
+        want = np.array([element_qb(spaces, i, ms.u) for i in range(len(spaces))])
         np.testing.assert_allclose(qb, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
     def test_interface_errors(self, solved):
@@ -213,12 +216,12 @@ class TestBatchedAgainstPerElementReference:
         geometry, m = spaces.geometry, spaces.geometry.m
         for q in range(m):
             got = spaces.interior_values(np.tile(np.eye(m)[q], (len(spaces), 1)))
-            for i, space in enumerate(spaces.values()):
+            for i in range(len(spaces)):
                 for s, side in enumerate((OMEGA1, OMEGA2)):
                     seg = slice(*geometry.rule_offsets[2 * i + s : 2 * i + s + 2])
-                    fresh = element_vander(space, side)
+                    fresh = element_vander(spaces, i, side)
                     np.testing.assert_array_equal(geometry.rule_vander[:, seg].T, fresh)
-                    column = block(space, side)[:, q]
+                    column = block(spaces, i, side)[:, q]
                     bound = m * EPS * (np.abs(fresh) @ np.abs(column))
                     assert np.all(np.abs(got[seg] - fresh @ column) <= bound), (spaces.elements[i], side)
 
