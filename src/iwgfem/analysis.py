@@ -144,7 +144,7 @@ def _noninterface_errors(plan: LevelPlan, solved) -> list[tuple[float, float, fl
             pts = v0[blk, None, :] + plan.err_ref[None, :, :] @ j_mats[blk]
             x, y = pts[..., 0], pts[..., 1]
             profiles = solved[0][1].u_profile(x, y), solved[0][1].grad_profile(x, y)
-            cols = plan.dofmap.node_col[plan.nodes[sel[blk]]]
+            cols = plan.columns[sel[blk]]
             in_cls = [plan.cls[sel[blk]] == c for c in range(len(plan.err_grads))]
             for i, (x_all, ms) in enumerate(solved):
                 coefs = x_all[cols]

@@ -184,11 +184,11 @@ def build_dof_map(mesh: MeshPartition, k: int) -> DofMap:
     active = np.zeros(n_nodes, dtype=bool)
     active[element_node_table(mesh, k)[mesh.element_class != INTERFACE].ravel()] = True
 
-    bnd_edges = mesh.boundary_edges()
+    on_bnd_edge = mesh.edge_tris[:, 1] < 0
     on_boundary = np.zeros(n_nodes, dtype=bool)
-    on_boundary[mesh.edges[bnd_edges].ravel()] = True
+    on_boundary[mesh.edges[on_bnd_edge].ravel()] = True
     if k == 2:
-        on_boundary[nv + bnd_edges] = True
+        on_boundary[nv:] = on_bnd_edge
 
     # Column order: free nodes, interior blocks, free traces, then pinned
     # nodes and pinned traces; each group in ascending id order.
@@ -199,7 +199,6 @@ def build_dof_map(mesh: MeshPartition, k: int) -> DofMap:
     wg0 = free
     free += m * len(mesh.cuts)
 
-    on_bnd_edge = mesh.edge_tris[:, 1] < 0
     coupling_edges = mesh.edge_class == EDGE_COUPLING
     bad = np.flatnonzero(coupling_edges & on_bnd_edge)
     if len(bad):
@@ -282,15 +281,6 @@ def _element_routes(mesh: MeshPartition, dofmap: DofMap) -> tuple[np.ndarray, np
     return columns, routes
 
 
-@dataclass(eq=False)
-class WgBlocks:
-    """Stacked interface blocks, one per element in ascending id order."""
-
-    elements: np.ndarray  # element ids
-    stiffness: np.ndarray  # (n_cut, m + 3k, m + 3k)
-    load: np.ndarray  # (n_cut, m), the interior loads
-
-
 def _element_jacobians(mesh: MeshPartition, ids: np.ndarray):
     """First vertices (ne, 2) and Jacobians (ne, 2, 2) whose rows are the edge vectors."""
     v0 = mesh.vertices[mesh.triangles[ids, 0]]
@@ -327,13 +317,13 @@ def _orientation_classes(j_mats: np.ndarray) -> list[np.ndarray]:
 class LevelPlan:
     """The pair-independent part of a level solve, shared by every coefficient pair.
 
-    Built once per (mesh, k, source, quad_offset): the cut geometry, the DOF
-    map with its routes, the source's loads (CG element loads and the cut cells'
-    monomial moments, so a pair's interface load is coeffs^T moments), one
-    unit CG stiffness block per orientation class, and the non-interface
-    error rule. Nothing in it is per quadrature point or per element matrix:
-    the error points are rebuilt per error pass from each side's v0 and J.
-    CG's coarse aggregates and basis are built on first use.
+    Built once per (mesh, k, source, quad_offset): the cut geometry, the DOF map
+    with its routes, the CG columns of the non-interface elements, the source's
+    loads (the CG load vector and the cut cells' monomial moments, so a pair's
+    interface load is coeffs^T moments), one unit CG stiffness block per orientation
+    class, and the non-interface error rule. Nothing in it is per quadrature point or
+    per element matrix: the error points are rebuilt per error pass from each side's
+    v0 and J. CG's coarse aggregates and basis are built on first use.
     """
 
     mesh: MeshPartition
@@ -341,11 +331,11 @@ class LevelPlan:
     geometry: CutGeometry
     dofmap: DofMap
     elements: np.ndarray  # (ne,) non-interface element ids
-    nodes: np.ndarray  # (ne, nl) their node ids
+    columns: np.ndarray  # (ne, nl) int32 their CG node columns
     cls: np.ndarray  # (ne,) orientation class of each element
     dets: np.ndarray  # (ne,) |det J|
     blocks: np.ndarray  # (n_cls, nl, nl) unit stiffness block per class
-    load: np.ndarray  # (ne, nl) CG element loads (f, psi_i)_T
+    load: np.ndarray  # (n_total,) CG load vector, the element loads (f, psi_i)_T summed in element order
     moments: np.ndarray  # (n_cut, 2m) monomial moments of f on the cut sides
     err_ref: np.ndarray  # (nq, 2) error rule on the reference triangle
     err_weights: np.ndarray  # (nq,)
@@ -368,8 +358,7 @@ class LevelPlan:
         loc = np.empty((dm.n_free, 2))
         nodes = np.flatnonzero((dm.node_col >= 0) & (dm.node_col < dm.n_free))
         loc[dm.node_col[nodes]] = dm.node_coords[nodes]
-        interior = dm.wg0 + np.arange(len(dm.elements) * dm.m).reshape(-1, dm.m)
-        loc[interior] = mesh.vertices[mesh.triangles[dm.elements]].mean(axis=1)[:, None]
+        loc[dm.columns[:, : dm.m]] = mesh.vertices[mesh.triangles[dm.elements]].mean(axis=1)[:, None]
         edges = np.flatnonzero((dm.trace_col >= 0) & (dm.trace_col < dm.n_free))
         loc[dm.trace_col[edges][:, None] + np.arange(dm.k)] = mesh.vertices[mesh.edges[edges]].mean(axis=1)[:, None]
 
@@ -397,9 +386,8 @@ class LevelPlan:
         dm, mesh, mass = self.dofmap, self.mesh, self.geometry.mass
         agg, n_agg = self.aggregates
         values = np.ones(dm.n_free)
-        interior = dm.wg0 + dm.m * np.arange(len(dm.elements))
-        values[interior[:, None] + np.arange(1, dm.m)] = 0.0
-        values[interior] = np.sqrt(mass[:, 0, 0, 0] + mass[:, 1, 0, 0])
+        values[dm.columns[:, 1 : dm.m]] = 0.0
+        values[dm.columns[:, 0]] = np.sqrt(mass[:, 0, 0, 0] + mass[:, 1, 0, 0])
         edges = np.flatnonzero((dm.trace_col >= 0) & (dm.trace_col < dm.n_free))
         a, b = mesh.edges[edges].T
         values[dm.trace_col[edges][:, None] + np.arange(1, dm.k)] = 0.0
@@ -440,7 +428,9 @@ def build_level_plan(
     ref_l, w_l = _triangle_rule_reference(2 * k + 2 + quad_offset)
     pts = v0[:, None, :] + ref_l[None, :, :] @ j_mats  # (ne, n, 2)
     fv = np.asarray(f(pts[..., 0].ravel(), pts[..., 1].ravel()), float).reshape(pts.shape[:2])
+    columns = dofmap.node_col[element_node_table(mesh, k)[ids]].astype(np.int32)
     load = np.einsum("en,n,nj->ej", fv, w_l, _cg_shape_values(k, ref_l)) * dets[:, None]
+    load = np.bincount(columns.ravel(), load.ravel(), minlength=dofmap.n_total)
     del pts, fv
 
     ref_e, w_e = _triangle_rule_reference(2 * k + 4 + quad_offset)
@@ -450,7 +440,7 @@ def build_level_plan(
         sides[side] = (sel, v0[sel], j_mats[sel])
     moments = geometries.monomial_moments(sample(f, geometries.rule_points))
     return LevelPlan(
-        mesh, k, geometries, dofmap, ids, element_node_table(mesh, k)[ids], cls, dets,
+        mesh, k, geometries, dofmap, ids, columns, cls, dets,
         blocks, load, moments, ref_e, w_e, _cg_shape_values(k, ref_e), class_grads(ref_e), sides,
     )
 
@@ -459,7 +449,7 @@ def assemble_noninterface(plan: LevelPlan, coeff) -> np.ndarray:
     """Stiffness blocks (A grad u, grad v)_T of the non-interface elements, (ne, nl, nl).
 
     coeff maps a side (OMEGA1/OMEGA2) to its conductivity; each element's
-    block is its class's unit block scaled by it. Their loads are the plan's.
+    block is its class's unit block scaled by it. Their loads are the plan's ``load``.
     """
     a_vals = np.where(plan.mesh.element_class[plan.elements] == OMEGA1, coeff[OMEGA1], coeff[OMEGA2])
     stiffness = plan.blocks[plan.cls]
@@ -480,13 +470,13 @@ def build_ife_spaces(geometry: CutGeometry, a1: float, a2: float, mode: str = "s
     return build_local_spaces(geometry, a1, a2, mode)
 
 
-def assemble_interface(spaces: IfeSpaces, moments: np.ndarray) -> WgBlocks:
-    """Weak-gradient stiffness + stabilizer blocks and interior-tested loads.
+def assemble_interface(spaces: IfeSpaces, moments: np.ndarray) -> np.ndarray:
+    """The interior-tested loads (n_cut, m) of the interface elements; their blocks are ``spaces.stiffness``.
 
     ``moments`` (n_cut, 2m) are the source's monomial moments on the cut
     sides (``LevelPlan.moments``), so each load is coeffs^T moments.
     """
-    return WgBlocks(spaces.elements, spaces.stiffness, spaces.moments(moments))
+    return spaces.moments(moments)
 
 
 @dataclass(eq=False)
@@ -495,7 +485,6 @@ class GlobalSystem:
 
     matrix: sp.csr_matrix  # free x free
     rhs: np.ndarray
-    dofmap: DofMap
     pinned_values: np.ndarray
     asymmetry: float
 
@@ -511,24 +500,24 @@ def scatter(columns: np.ndarray, blocks: np.ndarray, n: int) -> sp.csr_matrix:
     return sp.coo_matrix((blocks.ravel(), (r.ravel(), c.ravel())), shape=(n, n)).tocsr()
 
 
-def apply_constraints(plan: LevelPlan, cg_stiffness: np.ndarray, wg: WgBlocks, g) -> GlobalSystem:
+def apply_constraints(
+    plan: LevelPlan, cg_stiffness: np.ndarray, spaces: IfeSpaces, load: np.ndarray, g
+) -> GlobalSystem:
     """Fold slaved traces into CG unknowns, lift Dirichlet data, reduce to SPD form.
 
-    ``cg_stiffness`` holds the blocks of the plan's non-interface elements
-    (``assemble_noninterface``). Both kinds enter through one scatter, an
-    interface block K_e as R^T K_e R with its route R, so slaving is
-    congruent; the sum of the two scatters stores no explicit zeros.
+    ``cg_stiffness`` holds the plan's non-interface blocks, ``spaces.stiffness``
+    the interface ones and ``load`` their interior loads. Both kinds enter through
+    one scatter, an interface block K_e as R^T K_e R with its route R, so slaving
+    is congruent; the sum of the two scatters stores no explicit zeros.
     """
     mesh, dofmap = plan.mesh, plan.dofmap
     n = dofmap.n_total
-    if not np.array_equal(wg.elements, dofmap.elements):
+    if not np.array_equal(spaces.elements, dofmap.elements):
         raise AssemblyError("interface blocks do not follow the DOF map's element order")
     r = dofmap.routes
-    cg_cols = dofmap.node_col[plan.nodes].astype(np.int32)  # (ne, nl)
-    k_all = scatter(dofmap.columns, _tr(r) @ wg.stiffness @ r, n) + scatter(cg_cols, cg_stiffness, n)
-    rhs = np.zeros(n)
-    rhs[dofmap.columns[:, : dofmap.m]] = wg.load
-    np.add.at(rhs, cg_cols.ravel(), plan.load.ravel())
+    k_all = scatter(dofmap.columns, _tr(r) @ spaces.stiffness @ r, n) + scatter(plan.columns, cg_stiffness, n)
+    rhs = plan.load.copy()
+    rhs[dofmap.columns[:, : dofmap.m]] = load
 
     pinned = np.zeros(n - dofmap.n_free)
     off = len(dofmap.pinned_nodes)
@@ -543,12 +532,10 @@ def apply_constraints(plan: LevelPlan, cg_stiffness: np.ndarray, wg: WgBlocks, g
     k_fp = k_all[:nf, nf:]
     b = rhs[:nf] - k_fp @ pinned
 
-    asym_mat = (k_ff - k_ff.T).tocoo()
+    d = k_ff - k_ff.T
     scale = max(np.abs(k_ff.data).max(), 1e-300) if k_ff.nnz else 1.0
-    asym = float(np.abs(asym_mat.data).max() / scale) if asym_mat.nnz else 0.0
-    return GlobalSystem(
-        matrix=k_ff, rhs=b, dofmap=dofmap, pinned_values=pinned, asymmetry=asym
-    )
+    asym = float(np.abs(d.data).max() / scale) if d.nnz else 0.0
+    return GlobalSystem(matrix=k_ff, rhs=b, pinned_values=pinned, asymmetry=asym)
 
 
 def assemble_system(plan: LevelPlan, a1: float, a2: float, g, mode: str = "segment"):
@@ -559,8 +546,8 @@ def assemble_system(plan: LevelPlan, a1: float, a2: float, g, mode: str = "segme
     """
     spaces = build_ife_spaces(plan.geometry, a1, a2, mode)
     cg_stiffness = assemble_noninterface(plan, {OMEGA1: a1, OMEGA2: a2})
-    wg = assemble_interface(spaces, plan.moments)
-    return apply_constraints(plan, cg_stiffness, wg, g), spaces
+    load = assemble_interface(spaces, plan.moments)
+    return apply_constraints(plan, cg_stiffness, spaces, load, g), spaces
 
 
 def dump_matrix(system: GlobalSystem, path) -> None:

@@ -76,6 +76,8 @@ class RunConfig:
             raise ValueError("levels must be >= 1")
         if any(b <= a for a, b in zip(self.levels, self.levels[1:])):
             raise ValueError("levels must be strictly increasing")
+        if not self.pairs:
+            raise ValueError("coefficient pairs must not be empty")
         if not all(math.isfinite(a) for pair in self.pairs for a in pair):
             raise ValueError("conductivities must be finite")
         if any(a1 <= 0 or a2 <= 0 for a1, a2 in self.pairs):
@@ -100,6 +102,8 @@ class RunConfig:
             raise ValueError("solver must be cholesky or cg")
         if self.n_level1 < 2:
             raise ValueError("n_level1 must be >= 2")
+        if (self.dump_mesh or self.dump_matrix) and not self.out_dir:
+            raise ValueError("dump_mesh and dump_matrix need an output directory (--out)")
         # A level's peak grows about fourfold per doubling of N: one pair peaks at 195 MB
         # (k = 1) and 876 MB (k = 2) at N = 256; at N = 512 k = 1 takes 570 MB and k = 2
         # runs SuperLU out of a 3 GB address space; N = 100,000 asks numpy for 74.5 GiB.
@@ -141,9 +145,9 @@ def _solve_pair(config: RunConfig, level: int, mesh, plan: LevelPlan, ms: Manufa
         f"iters={stats.iterations} refine={stats.refinements} fallback={stats.fallback}"
     )
     tag = f"k{config.k}_A{ms.a1:g}_{ms.a2:g}_level{level}"
-    if config.out_dir and config.dump_mesh:
+    if config.dump_mesh:
         dump_mesh(mesh, Path(config.out_dir) / f"mesh_{tag}.txt")
-    if config.out_dir and config.dump_matrix:
+    if config.dump_matrix:
         dump_matrix(system, Path(config.out_dir) / f"matrix_{tag}.txt")
     return (x_all, ms, dataclasses.replace(spaces, stiffness=None)), stats, fields
 

@@ -9,7 +9,7 @@ from iwgfem.assembly import (
     TRACE_SLAVED,
     AssemblyError,
     InconsistentConstraint,
-    WgBlocks,
+    _cg_shape_values,
     _element_jacobians,
     _orientation_classes,
     apply_constraints,
@@ -24,7 +24,7 @@ from iwgfem.assembly import (
     element_node_table,
     _element_routes,
 )
-from iwgfem.geometry import INTERFACE, OMEGA1, OMEGA2, CircleInterface, GeometryError
+from iwgfem.geometry import INTERFACE, OMEGA1, OMEGA2, CircleInterface, GeometryError, _triangle_rule_reference
 from iwgfem.ife import PolyBasis
 from iwgfem.mesh import build_mesh
 from iwgfem.solver import _factor, solve
@@ -271,12 +271,12 @@ class TestRoutingChecks:
         ms = example1(1.0, 10.0)
         mesh = build_mesh(1, CIRCLE)
         plan = build_level_plan(mesh, 1, ms.f)
-        spaces = build_ife_spaces(plan.geometry, 1.0, 10.0)
         cg = assemble_noninterface(plan, {OMEGA1: 1.0, OMEGA2: 10.0})
-        wg = assemble_interface(spaces, plan.moments)
-        wg = WgBlocks(wg.elements[1:], wg.stiffness[1:], wg.load[1:])
+        other = build_level_plan(build_mesh(2, CIRCLE), 1, ms.f)
+        spaces = build_ife_spaces(other.geometry, 1.0, 10.0)
+        load = assemble_interface(spaces, other.moments)
         with pytest.raises(AssemblyError, match="element order"):
-            apply_constraints(plan, cg, wg, ms.g)
+            apply_constraints(plan, cg, spaces, load, ms.g)
 
 
 def _edge_lagrange_function(k, i, p0, p1):
@@ -305,12 +305,11 @@ def _reference_folded_system(mesh, k, spaces, ms, a1, a2):
     dm = build_dof_map(mesh, k)
     n, m, n_loc = dm.n_total, dm.m, dm.m + 3 * k
     kmat = np.zeros((n, n))
-    rhs = np.zeros(n)
     plan = build_level_plan(mesh, k, ms.f, geometries=spaces.geometry)
-    for t, stiff, load in zip(plan.elements, assemble_noninterface(plan, {OMEGA1: a1, OMEGA2: a2}), plan.load):
+    rhs = plan.load.copy()
+    for t, stiff in zip(plan.elements, assemble_noninterface(plan, {OMEGA1: a1, OMEGA2: a2})):
         cols = dm.node_col[element_node_table(mesh, k)[t]]
         kmat[np.ix_(cols, cols)] += stiff
-        rhs[cols] += load
     for t in sorted(spaces):
         route = np.zeros((n_loc, n))
         route[np.arange(m), wg0_columns(dm)[t] + np.arange(m)] = 1.0
@@ -368,8 +367,9 @@ class TestPinnedTraces:
         interface = CircleInterface(center, radius)
         ms = example1(1.0, 1000.0, interface)
         mesh = build_mesh(level, interface)
-        system, _ = assemble_system(build_level_plan(mesh, k, ms.f), 1.0, 1000.0, ms.g)
-        dm = system.dofmap
+        plan = build_level_plan(mesh, k, ms.f)
+        system, _ = assemble_system(plan, 1.0, 1000.0, ms.g)
+        dm = plan.dofmap
         edges = np.flatnonzero(dm.trace_col >= dm.n_free)
         assert len(edges) == n_edges
         a, b = mesh.edges[edges].T
@@ -402,6 +402,30 @@ class TestLevelPlan:
         for indptr, indices in patterns[1:]:
             np.testing.assert_array_equal(indptr, patterns[0][0])
             np.testing.assert_array_equal(indices, patterns[0][1])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_columns_are_the_node_columns_of_the_noninterface_elements(self, k):
+        mesh = build_mesh(2, CIRCLE)
+        plan = build_level_plan(mesh, k, example1(1.0, 1.0).f)
+        assert plan.columns.dtype == np.int32
+        np.testing.assert_array_equal(plan.columns, plan.dofmap.node_col[element_node_table(mesh, k)[plan.elements]])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_load_is_the_element_loads_added_in_element_order(self, k):
+        # The element loads (f, psi_i)_T as the plan computes them, then added
+        # one at a time in element order: the load vector's bits, not just its values.
+        f = example1(1.0, 1.0).f
+        mesh = build_mesh(2, CIRCLE)
+        plan = build_level_plan(mesh, k, f)
+        v0, j_mats = _element_jacobians(mesh, plan.elements)
+        ref, w = _triangle_rule_reference(2 * k + 2)
+        pts = v0[:, None, :] + ref[None, :, :] @ j_mats
+        fv = f(pts[..., 0].ravel(), pts[..., 1].ravel()).reshape(pts.shape[:2])
+        loads = np.einsum("en,n,nj->ej", fv, w, _cg_shape_values(k, ref)) * plan.dets[:, None]
+        want = np.zeros(plan.dofmap.n_total)
+        np.add.at(want, plan.columns.ravel(), loads.ravel())
+        assert plan.load.shape == (plan.dofmap.n_total,)
+        np.testing.assert_array_equal(plan.load, want)
 
 
 def zero(x, y):
@@ -437,10 +461,20 @@ class TestGlobalSystem:
         plan = build_level_plan(mesh, 1, f)
         spaces = build_ife_spaces(plan.geometry, 1.0, 10.0)
         cg = assemble_noninterface(plan, {OMEGA1: 1.0, OMEGA2: 10.0})
-        wg = assemble_interface(spaces, plan.moments)
-        system = apply_constraints(plan, cg, wg, lambda x, y: 0.0)
+        load = assemble_interface(spaces, plan.moments)
+        system = apply_constraints(plan, cg, spaces, load, lambda x, y: 0.0)
         assert np.all(system.pinned_values == 0.0)
         np.testing.assert_allclose(system.rhs, 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("k, mode", [(1, "segment"), (2, "arc")])
+    def test_asymmetry_is_the_coo_formula_bit_for_bit(self, k, mode):
+        # The asymmetry reads the difference's own data, with no COO copy of it.
+        ms = example1(1.0, 1000.0)
+        system, _ = assemble_system(build_level_plan(build_mesh(2, CIRCLE), k, ms.f), 1.0, 1000.0, ms.g, mode)
+        k_ff = system.matrix
+        asym_mat = (k_ff - k_ff.T).tocoo()
+        scale = max(np.abs(k_ff.data).max(), 1e-300)
+        assert system.asymmetry == (float(np.abs(asym_mat.data).max() / scale) if asym_mat.nnz else 0.0)
 
     def test_symmetry(self):
         ms = example1(1.0, 100.0)
@@ -463,10 +497,11 @@ class TestGlobalSystem:
         ms = example1(1.0, 1.0)
         for k in (1, 2):
             mesh = build_mesh(1, None)
-            system, _ = assemble_system(build_level_plan(mesh, k, ms.f), 1.0, 1.0, ms.g)
+            plan = build_level_plan(mesh, k, ms.f)
+            system, _ = assemble_system(plan, 1.0, 1.0, ms.g)
             x, _ = solve(system.matrix, system.rhs)
             x_ref = _textbook_cg_solve(mesh, k, ms)
-            np.testing.assert_allclose(x, x_ref[: system.dofmap.n_free], atol=1e-10)
+            np.testing.assert_allclose(x, x_ref[: plan.dofmap.n_free], atol=1e-10)
 
     def test_linearity_in_data(self):
         ms = example1(1.0, 10.0)

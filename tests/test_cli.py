@@ -68,6 +68,9 @@ class TestParsing:
             RunConfig(levels=(1, 1, 2))
         with pytest.raises(ValueError, match="coefficient pairs must be distinct"):
             RunConfig(pairs=((1.0, 10.0), (1.0, 10.0)))
+        # An empty pair list used to run nothing and exit 0.
+        with pytest.raises(ValueError, match="coefficient pairs must not be empty"):
+            RunConfig(pairs=(), levels=(1,))
         with pytest.raises(ValueError):
             RunConfig(pairs=((0.0, 1.0),))
         with pytest.raises(ValueError):
@@ -205,12 +208,25 @@ class TestConfigFile:
         keys = {field: key for key, field in _KEY_TO_FIELD.items()}
         for field, (text, value) in self.SETTINGS.items():
             assert getattr(RunConfig(), field) != value, field
+            # A dump needs an output directory, so the two dump settings come with one.
+            out = ["--out", "results"] if field.startswith("dump_") else []
             path = tmp_path / f"{field}.cfg"
-            path.write_text(f"{keys[field]} = {text}\n")
+            path.write_text(f"{keys[field]} = {text}\n" + "out = results\n" * bool(out))
             assert getattr(config_from_argv(["--config", str(path)]), field) == value, field
             flag = "--" + keys[field].replace("_", "-")
             argv = [flag] if isinstance(value, bool) else [flag, text]
-            assert getattr(config_from_argv(argv), field) == value, field
+            assert getattr(config_from_argv(argv + out), field) == value, field
+
+    def test_a_dump_without_an_output_directory_is_a_config_error(self, tmp_path, capsys):
+        # The dumps used to be skipped without --out, and the run exited 0 having written nothing.
+        path = tmp_path / "study.cfg"
+        for key in ("dump_mesh", "dump_matrix"):
+            path.write_text(f"levels = 1\n{key} = true\n")
+            assert main(["--config", str(path)]) == 2
+            assert capsys.readouterr().err == (
+                "config error: dump_mesh and dump_matrix need an output directory (--out)\n"
+            )
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestRunStudy:
@@ -741,6 +757,8 @@ class TestMain:
             (["--levels", "1..1000000000000000000"], "the finest level must have at most 256 cells per side"),
             (["--levels", "1,1000000000000000000"], "the finest level must have at most 256 cells per side"),
             (["--levels", "1", "--out", "{file}"], "File exists"),
+            (["--levels", "1", "--dump-mesh"], "dump_mesh and dump_matrix need an output directory (--out)"),
+            (["--levels", "1", "--dump-matrix"], "dump_mesh and dump_matrix need an output directory (--out)"),
         ],
     )
     def test_malformed_input_is_a_config_error(self, argv, message, capsys, tmp_path):

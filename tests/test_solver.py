@@ -156,6 +156,12 @@ def contrast_system(contrast16):
     return contrast16[1]
 
 
+@pytest.fixture(scope="module")
+def contrast_dofmap(contrast16):
+    """The DOF map of the N = 16, k = 2, (1, 1000) level."""
+    return contrast16[0].dofmap
+
+
 class TestMixedPrecision:
     """The direct path's float32 factor, its float64 refinement and the float64 fallback."""
 
@@ -196,8 +202,8 @@ class TestMixedPrecision:
 
 
 class TestBand:
-    def test_band_is_the_union_of_the_free_columns_of_each_row_block(self, contrast_system):
-        dm = contrast_system.dofmap
+    def test_band_is_the_union_of_the_free_columns_of_each_row_block(self, contrast_dofmap):
+        dm = contrast_dofmap
         band = dm.band
         assert [element for element, _ in band.blocks] == dm.elements.tolist()
         for i, (_, own) in enumerate(band.blocks):
@@ -206,11 +212,11 @@ class TestBand:
         np.testing.assert_array_equal(band.columns, np.unique(np.concatenate([own for _, own in band.blocks])))
         assert 0 < len(band.columns) < dm.n_free
 
-    def test_preconditioner_matches_the_dense_inverse(self, contrast_system):
+    def test_preconditioner_matches_the_dense_inverse(self, contrast_system, contrast_dofmap):
         # M^-1 = D_u^-1 + R_b^T A_bb^-1 R_b, with D_u the diagonal off the band.
         a = _sorted_csr(contrast_system.matrix)
-        cols = contrast_system.dofmap.band.columns
-        inv_du, band_cols, precondition = _preconditioner(a, contrast_system.dofmap.band)
+        cols = contrast_dofmap.band.columns
+        inv_du, band_cols, precondition = _preconditioner(a, contrast_dofmap.band)
         np.testing.assert_array_equal(band_cols, cols)
         dense = a.toarray()
         rest = np.setdiff1d(np.arange(len(dense)), cols)
@@ -223,20 +229,20 @@ class TestBand:
             expected = ref @ v
             assert np.abs(precondition(v) - expected).max() <= 1e-10 * np.abs(expected).max()
 
-    def test_band_cg_matches_direct_in_fewer_iterations(self, contrast_system):
+    def test_band_cg_matches_direct_in_fewer_iterations(self, contrast_system, contrast_dofmap):
         a, b = contrast_system.matrix, contrast_system.rhs
         x_direct, _ = solve(a, b)
-        x, stats = solve(a, b, "cg", contrast_system.dofmap.band)
+        x, stats = solve(a, b, "cg", contrast_dofmap.band)
         _, jacobi = solve(a, b, "cg")
         assert np.max(np.abs(x - x_direct)) <= 1e-9 * np.max(np.abs(x_direct))
         assert 0 < stats.iterations < jacobi.iterations
 
-    def test_one_level_iterates_match_the_allocating_loop(self, contrast_system):
+    def test_one_level_iterates_match_the_allocating_loop(self, contrast_system, contrast_dofmap):
         # Without a coarse basis the band CG does the reference's arithmetic
         # in the same order with the same preconditioner, so the iterates
         # agree bit for bit.
         a, b = contrast_system.matrix, contrast_system.rhs
-        band = contrast_system.dofmap.band
+        band = contrast_dofmap.band
         x, stats = solve(a, b, "cg", band, coarse=None)
         x_ref, iters = allocating_cg(a, b, _preconditioner(_sorted_csr(a), band)[2])
         assert stats.iterations == iters > 0
@@ -249,8 +255,8 @@ class TestBand:
         a[i, j] = a[j, i] = 2.0 * np.sqrt(a[i, i] * a[j, j])
         return a.tocsr()
 
-    def test_indefinite_band_names_its_element(self, contrast_system):
-        dm = contrast_system.dofmap
+    def test_indefinite_band_names_its_element(self, contrast_system, contrast_dofmap):
+        dm = contrast_dofmap
         element = int(dm.elements[len(dm.elements) // 2])
         # Two interior columns of one element lie in its own block; an
         # off-diagonal entry above sqrt(a_ii a_jj) makes that block and the
@@ -260,10 +266,10 @@ class TestBand:
         with pytest.raises(NotPositiveDefinite, match=f"interface element {element}: "):
             solve(a, contrast_system.rhs, "cg", dm.band)
 
-    def test_indefinite_band_without_an_indefinite_element_names_the_band(self, contrast_system):
+    def test_indefinite_band_without_an_indefinite_element_names_the_band(self, contrast_system, contrast_dofmap):
         # Interior columns of two elements share no element block, so every
         # element's own block stays SPD while the band's is not.
-        dm = contrast_system.dofmap
+        dm = contrast_dofmap
         first = wg0_columns(dm)
         a = self._indefinite_pair(contrast_system, first[dm.elements[0]], first[dm.elements[-1]])
         with pytest.raises(NotPositiveDefinite, match="^interface band: "):
